@@ -14,11 +14,11 @@ clusters for verification against ``C_i``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
-from repro.consensus.interface import TotalOrderBroadcast
+from repro.consensus.interface import Decision, TotalOrderBroadcast
 from repro.net.crypto import Certificate, Signature
-from repro.net.message import Envelope, Message, payload_digest
+from repro.net.message import Message, payload_digest
 
 
 @dataclass
@@ -122,82 +122,29 @@ class BsDecide(Message):
 class BftSmartEngine(TotalOrderBroadcast):
     """PBFT-style total-order broadcast with all-to-all voting phases."""
 
-    MESSAGE_TYPES = (BsPropose, BsWrite, BsAccept, BsViewState, BsDecide)
+    HANDLERS = {
+        BsPropose: "_on_propose",
+        BsWrite: "_on_write",
+        BsAccept: "_on_accept",
+        BsViewState: "_on_report",
+        BsDecide: "_on_catchup_reply",
+    }
 
-    def __init__(self, *args, fetch_value: Optional[Callable[[int], Any]] = None, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.fetch_value = fetch_value
-        self._writes: Dict[tuple, set] = {}
-        self._accepts: Dict[tuple, Certificate] = {}
-        self._accept_senders: Dict[tuple, set] = {}
-        self._wrote: Dict[tuple, bool] = {}
-        self._accepted: Dict[tuple, bool] = {}
-        #: (sequence, view) pairs this leader already proposed for (one
-        #: proposal per view, no self-equivocation — see HotStuff's twin).
-        self._proposed_views: Dict[tuple, bool] = {}
-        #: View-change reports per (sequence, view), keyed by sender so
-        #: re-sent reports cannot double-count toward quorum.
-        self._view_states: Dict[tuple, Dict[str, BsViewState]] = {}
+        self._writes: Dict[tuple, Set[str]] = {}
+        self._wrote: Set[tuple] = set()
+        self._accepted: Set[tuple] = set()
         #: WRITE/ACCEPT votes that arrived before the proposal (network
         #: jitter can reorder a peer's write ahead of the leader's propose),
         #: keyed by (sequence, view) and replayed once the value is known —
         #: dropping them can cost the quorum in small clusters.
         self._early_votes: Dict[tuple, List[tuple]] = {}
 
-    # ------------------------------------------------------------------ #
-    # Proposing
-    # ------------------------------------------------------------------ #
-    def propose(self, sequence: int, value: Any) -> None:
-        """Leader entry point: broadcast the proposal to the cluster.
-
-        At most one proposal per (sequence, view) — replicas WRITE once per
-        view, so overwriting an in-flight proposal (the batch timer racing
-        the view-change re-proposal) would strand the instance with votes
-        split across digests.
-        """
-        instance = self.instance(sequence)
-        if instance.decided:
-            return
-        if not self.is_leader():
-            instance.value = value
-            instance.value_digest = payload_digest(value)
-            return
-        key = (sequence, self.view_ts)
-        if self._proposed_views.get(key):
-            return
-        self._proposed_views[key] = True
-        instance.value = value
-        instance.value_digest = payload_digest(value)
-        self.start_instance(sequence)
-        self.abeb.broadcast(
-            BsPropose(
-                cluster_id=self.cluster_id,
-                sequence=sequence,
-                view=self.view_ts,
-                value=value,
-            )
+    def _make_proposal(self, sequence: int, value: Any) -> BsPropose:
+        return BsPropose(
+            cluster_id=self.cluster_id, sequence=sequence, view=self.view_ts, value=value
         )
-
-    # ------------------------------------------------------------------ #
-    # Message handling
-    # ------------------------------------------------------------------ #
-    def on_message(self, sender: str, envelope: Envelope) -> bool:
-        payload = envelope.payload
-        if not isinstance(payload, self.MESSAGE_TYPES):
-            return False
-        if payload.cluster_id != self.cluster_id:
-            return False
-        if isinstance(payload, BsPropose):
-            self._on_propose(sender, payload)
-        elif isinstance(payload, BsWrite):
-            self._on_write(sender, payload)
-        elif isinstance(payload, BsAccept):
-            self._on_accept(sender, payload)
-        elif isinstance(payload, BsViewState):
-            self._on_view_state(sender, payload)
-        elif isinstance(payload, BsDecide):
-            self._on_decide_catchup(sender, payload)
-        return True
 
     def _on_propose(self, sender: str, proposal: BsPropose) -> None:
         if sender != self.leader or proposal.view != self.view_ts:
@@ -209,8 +156,8 @@ class BftSmartEngine(TotalOrderBroadcast):
         instance.value_digest = payload_digest(proposal.value)
         self.start_instance(proposal.sequence)
         key = (proposal.sequence, proposal.view)
-        if not self._wrote.get(key):
-            self._wrote[key] = True
+        if key not in self._wrote:
+            self._wrote.add(key)
             self.abeb.broadcast(
                 BsWrite(
                     cluster_id=self.cluster_id,
@@ -226,8 +173,8 @@ class BftSmartEngine(TotalOrderBroadcast):
                 self._on_accept(voter, vote)
 
     def _on_write(self, sender: str, write: BsWrite) -> None:
-        if write.view != self.view_ts:
-            return
+        if write.view != self.view_ts or sender not in self.members():
+            return  # only members' votes count toward a quorum
         instance = self.instance(write.sequence)
         if instance.decided:
             return
@@ -242,9 +189,9 @@ class BftSmartEngine(TotalOrderBroadcast):
         senders.add(sender)
         if len(senders) < self.quorum():
             return
-        if self._accepted.get(key):
+        if key in self._accepted:
             return
-        self._accepted[key] = True
+        self._accepted.add(key)
         digest = self.instance_commit_digest(instance)
         instance.prepared_value = instance.value
         round_marker = None
@@ -274,93 +221,30 @@ class BftSmartEngine(TotalOrderBroadcast):
             return
         if accept.value_digest != instance.value_digest:
             return
-        digest = self.instance_commit_digest(instance)
-        key = (accept.sequence, accept.view)
-        cert = self._accepts.setdefault(key, Certificate(digest, kind="commit"))
-        senders = self._accept_senders.setdefault(key, set())
-        if accept.commit_signature is None:
-            return
-        if accept.commit_signature.digest != digest:
-            return
-        if not self.registry.verify(accept.commit_signature):
-            return
-        cert.add(accept.commit_signature)
-        senders.add(sender)
-        if len(cert) >= self.quorum():
-            self._decide(accept.sequence, instance.value, cert)
+        certificate = self._add_commit_signature(instance, accept.view, accept.commit_signature)
+        if len(certificate) >= self.quorum():
+            self._decide(accept.sequence, instance.value, certificate)
 
-    # ------------------------------------------------------------------ #
-    # View change
-    # ------------------------------------------------------------------ #
-    def on_view_change(self) -> None:
-        """Report the values seen for pending instances to the new leader."""
-        for sequence in list(self.pending_sequences()):
-            instance = self.instance(sequence)
-            self.start_instance(sequence)
-            self.apl.send(
-                self.leader,
-                BsViewState(
-                    cluster_id=self.cluster_id,
-                    sequence=sequence,
-                    view=self.view_ts,
-                    value=instance.value,
-                ),
-            )
+    # -- view change and catch-up (the skeleton is the base class's) ------ #
+    def _make_report(self, sequence: int) -> BsViewState:
+        """Report the value (if any) this replica saw proposed."""
+        return BsViewState(
+            cluster_id=self.cluster_id,
+            sequence=sequence,
+            view=self.view_ts,
+            value=self.instance(sequence).value,
+        )
 
-    def _on_view_state(self, sender: str, report: BsViewState) -> None:
-        decision = self.decisions.get(report.sequence)
-        if decision is not None:
-            # The reporter missed the accept quorum across a view change;
-            # any decided replica answers with the self-certifying decision
-            # (the stuck replica may be the leader itself — see BsDecide).
-            if sender != self.owner:
-                self.apl.send(
-                    sender,
-                    BsDecide(
-                        cluster_id=self.cluster_id,
-                        sequence=report.sequence,
-                        view=self.view_ts,
-                        value=decision.value,
-                        certificate=decision.certificate,
-                    ),
-                )
-            return
-        if not self.is_leader() or report.view != self.view_ts:
-            return
-        instance = self.instance(report.sequence)
-        key = (report.sequence, report.view)
-        reports = self._view_states.setdefault(key, {})
-        reports[sender] = report  # dedup: re-sent reports must not double-count
-        if len(reports) < self.quorum():
-            return
-        value = next((r.value for r in reports.values() if r.value is not None), None)
-        if value is None:
-            value = instance.value
-        if value is None and self.fetch_value is not None:
-            value = self.fetch_value(report.sequence)
-        if value is None:
-            return
-        del self._view_states[key]
-        self.propose(report.sequence, value)
+    def _recovered_value(self, sequence: int, reports: Dict[str, BsViewState]) -> Any:
+        return next((r.value for r in reports.values() if r.value is not None), None)
 
-    def _on_decide_catchup(self, sender: str, message: BsDecide) -> None:
-        """Adopt a value-carrying decision (a decided peer's catch-up reply)."""
-        self._adopt_certified_decision(message.sequence, message.value, message.certificate)
-
-    def _request_catchup(self, sequence: int) -> None:
-        """Re-report a stuck instance to the whole cluster (see base class).
-
-        Broadcast: when a quorum already decided the sequence, only the
-        decided peers — possibly not the leader — hold the decision.
-        """
-        instance = self.instance(sequence)
-        self.abeb.broadcast(
-            BsViewState(
-                cluster_id=self.cluster_id,
-                sequence=sequence,
-                view=self.view_ts,
-                value=instance.value,
-            ),
+    def _make_catchup_reply(self, decision: Decision) -> BsDecide:
+        return BsDecide(
+            cluster_id=self.cluster_id,
+            sequence=decision.sequence,
+            view=self.view_ts,
+            value=decision.value,
+            certificate=decision.certificate,
         )
 
 

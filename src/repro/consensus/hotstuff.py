@@ -7,6 +7,12 @@ communication is leader-to-all and all-to-leader, so the per-decision message
 complexity is linear in the cluster size — the ``O(8zn)`` row of the paper's
 Table I.
 
+:class:`HotStuffEngine` is also the one vote-collecting core of every
+HotStuff variant: the vote-round schedule, the message classes and the
+vote-digest prefix are class attributes, and a variant (the chained engine
+in ``consensus/hotstuff_chained.py``) is a subclass that changes them and
+overrides the few steps that genuinely differ.
+
 The commit-phase votes sign the cluster/round/batch commit digest, so the
 resulting certificate is exactly what Hamava's stage 2 forwards to remote
 clusters and what remote replicas verify against their view of ``C_i``.
@@ -15,17 +21,11 @@ clusters and what remote replicas verify against their view of ``C_i``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional, Set
 
-from repro.consensus.interface import TotalOrderBroadcast
+from repro.consensus.interface import Decision, TotalOrderBroadcast, _Instance
 from repro.net.crypto import Certificate, Signature
-from repro.net.message import Envelope, Message, payload_digest
-
-#: Ordered phases of one HotStuff instance.
-PHASES = ("prepare", "precommit", "commit")
-
-#: Phase preceding each quorum-carrying phase (avoids a list search per message).
-_PREVIOUS_PHASE = {"precommit": "prepare", "commit": "precommit"}
+from repro.net.message import Message, payload_digest
 
 
 @dataclass
@@ -86,13 +86,7 @@ class HsPhase(Message):
     value: Any = None
 
     def estimated_size(self) -> int:
-        size = 256 + 96 * len(self.certificate)
-        extra = self.extra
-        if extra is not None:
-            size += 128 + 96 * len(extra) if hasattr(extra, "__len__") else 128
-        if self.value is not None:
-            size += _value_size(self.value)
-        return size
+        return 256 + 96 * len(self.certificate) + _extra_size(self.extra) + _value_size(self.value)
 
     def verification_cost(self) -> int:
         # HotStuff aggregates votes into a quorum certificate that verifies in
@@ -132,88 +126,53 @@ def _value_size(value: Any) -> int:
     return 1024
 
 
-def _phase_digest(cluster_id: int, sequence: int, view: int, phase: str, value_digest: str) -> str:
-    """Digest replicas vote over for the non-commit phases."""
-    return f"hs|{phase}|c{cluster_id}|s{sequence}|v{view}|{value_digest}"
+def _extra_size(extra: Any) -> int:
+    """Rough serialized size of a decide's opaque piggyback (``decide_extra_fn``)."""
+    if extra is None:
+        return 0
+    return 128 + 96 * len(extra) if hasattr(extra, "__len__") else 128
 
 
 class HotStuffEngine(TotalOrderBroadcast):
-    """Leader-driven, linear-communication total-order broadcast."""
+    """Leader-driven, linear-communication total-order broadcast.
 
-    MESSAGE_TYPES = (HsProposal, HsVote, HsPhase, HsNewView)
+    The leader opens each vote round with a broadcast, replicas answer it
+    point-to-point, and ``2f+1`` member votes form the quorum certificate
+    that opens the next round; votes of the last round (always ``"commit"``)
+    also sign the commit digest, and ``2f+1`` of those are the decision.
+    """
 
-    def __init__(self, *args, fetch_value: Optional[Callable[[int], Any]] = None, **kwargs) -> None:
+    #: The vote-round schedule: three rounds, then a decide broadcast.
+    VOTE_ROUNDS = ("prepare", "precommit", "commit")
+    #: Prefix of the digest replicas vote over in each round.
+    DIGEST_PREFIX = "hs"
+    PROPOSAL, VOTE, REPORT = HsProposal, HsVote, HsNewView
+    HANDLERS = {
+        HsProposal: "_on_proposal",
+        HsVote: "_on_vote",
+        HsPhase: "_on_phase",
+        HsNewView: "_on_report",
+    }
+
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.fetch_value = fetch_value
         #: Per (sequence, view, phase) vote certificates collected by the leader.
         self._vote_certs: Dict[tuple, Certificate] = {}
-        #: Per (sequence, view, phase) commit-digest certificates (commit phase).
-        self._commit_certs: Dict[tuple, Certificate] = {}
-        self._voted: Dict[tuple, bool] = {}
+        self._voted: Set[tuple] = set()
         #: Per (sequence, view, completed phase) guard so each quorum fires
         #: its follow-up broadcast exactly once.  Without it every vote past
         #: the quorum re-broadcast the next phase (and receivers dropped the
         #: duplicate via ``_voted``) — two redundant broadcasts per decision.
-        self._advanced: Dict[tuple, bool] = {}
-        #: (sequence, view) pairs this leader already proposed for (see
-        #: :meth:`propose` — one proposal per view, no self-equivocation).
-        self._proposed_views: Dict[tuple, bool] = {}
-        #: View-change reports per (sequence, view), keyed by sender so a
-        #: laggard re-sending its report cannot double-count toward quorum.
-        self._new_views: Dict[tuple, Dict[str, HsNewView]] = {}
+        self._advanced: Set[tuple] = set()
 
-    # ------------------------------------------------------------------ #
-    # Proposing
-    # ------------------------------------------------------------------ #
-    def propose(self, sequence: int, value: Any) -> None:
-        """Leader entry point: broadcast the prepare-phase proposal.
+    def _phase_digest(self, sequence: int, view: int, phase: str, value_digest: str) -> str:
+        """Digest replicas vote over in ``phase`` (the commit digest rides beside it)."""
+        return f"{self.DIGEST_PREFIX}|{phase}|c{self.cluster_id}|s{sequence}|v{view}|{value_digest}"
 
-        At most one proposal per (sequence, view): a second ``propose`` in
-        the same view (e.g. the new leader's batch timer racing its own
-        view-change re-proposal) must not overwrite the in-flight value —
-        replicas vote once per phase per view, so a self-equivocating
-        leader would strand the instance with votes split across digests.
-        """
-        instance = self.instance(sequence)
-        if instance.decided:
-            return
-        if not self.is_leader():
-            instance.value = value
-            instance.value_digest = payload_digest(value)
-            return
-        key = (sequence, self.view_ts)
-        if self._proposed_views.get(key):
-            return
-        self._proposed_views[key] = True
-        instance.value = value
-        instance.value_digest = payload_digest(value)
-        self.start_instance(sequence)
-        proposal = HsProposal(
-            cluster_id=self.cluster_id,
-            sequence=sequence,
-            view=self.view_ts,
-            value=value,
+    def _make_proposal(self, sequence: int, value: Any) -> HsProposal:
+        return self.PROPOSAL(
+            cluster_id=self.cluster_id, sequence=sequence, view=self.view_ts, value=value
         )
-        self.abeb.broadcast(proposal)
-
-    # ------------------------------------------------------------------ #
-    # Message handling
-    # ------------------------------------------------------------------ #
-    def on_message(self, sender: str, envelope: Envelope) -> bool:
-        payload = envelope.payload
-        if not isinstance(payload, self.MESSAGE_TYPES):
-            return False
-        if payload.cluster_id != self.cluster_id:
-            return False
-        if isinstance(payload, HsProposal):
-            self._on_proposal(sender, payload)
-        elif isinstance(payload, HsVote):
-            self._on_vote(sender, payload)
-        elif isinstance(payload, HsPhase):
-            self._on_phase(sender, payload)
-        elif isinstance(payload, HsNewView):
-            self._on_new_view(sender, payload)
-        return True
 
     # -- replica side --------------------------------------------------- #
     def _on_proposal(self, sender: str, proposal: HsProposal) -> None:
@@ -229,18 +188,17 @@ class HotStuffEngine(TotalOrderBroadcast):
 
     def _send_vote(self, sequence: int, phase: str, value_digest: str) -> None:
         key = (sequence, self.view_ts, phase)
-        if self._voted.get(key):
+        if key in self._voted:
             return
-        self._voted[key] = True
+        self._voted.add(key)
         commit_signature = None
         round_marker = None
         if phase == "commit":
-            instance = self.instance(sequence)
-            digest = self.instance_commit_digest(instance)
+            digest = self.instance_commit_digest(self.instance(sequence))
             commit_signature = self.registry.sign(self.owner, digest)
             if self.round_marker_fn is not None:
                 round_marker = self.round_marker_fn(sequence)
-        vote = HsVote(
+        vote = self.VOTE(
             cluster_id=self.cluster_id,
             sequence=sequence,
             view=self.view_ts,
@@ -251,55 +209,67 @@ class HotStuffEngine(TotalOrderBroadcast):
         )
         self.apl.send(self.leader, vote)
 
-    def _on_phase(self, sender: str, message: HsPhase) -> None:
-        if message.phase == "decide" and message.value is not None:
-            # Catch-up replies are self-certifying (the certificate is
-            # checked against the carried value), so they are accepted
-            # regardless of the local view — the laggard's whole problem is
-            # that its view of the leader is behind.
-            self._on_catchup_decide(sender, message)
-            return
+    def _proposed_instance(self, sender: str, message: Any) -> Optional[_Instance]:
+        """The instance a leader broadcast refers to, if this replica may act on it."""
         if sender != self.leader or message.view != self.view_ts:
-            return
+            return None
         instance = self.instance(message.sequence)
         if instance.value_digest is None or instance.value_digest != message.value_digest:
             # The replica never saw the proposal (or saw a conflicting one);
             # it cannot vouch for the value, so it abstains.
-            return
-        if message.phase in ("precommit", "commit"):
-            expected = _phase_digest(
-                self.cluster_id,
-                message.sequence,
-                message.view,
-                _PREVIOUS_PHASE[message.phase],
-                message.value_digest,
-            )
-            if not self.registry.certificate_valid(
-                message.certificate, self.members(), self.quorum(), digest=expected
-            ):
-                return
-            if message.phase == "commit":
-                instance.prepared_value = instance.value
-                instance.prepared_certificate = message.certificate
-            self._send_vote(message.sequence, message.phase, message.value_digest)
-        elif message.phase == "decide":
-            digest = self.instance_commit_digest(instance)
-            if not self.registry.certificate_valid(
-                message.certificate, self.members(), self.quorum(), digest=digest
-            ):
-                return
-            self._decide(message.sequence, instance.value, message.certificate)
-            if message.extra is not None and self.on_decide_extra is not None:
-                self.on_decide_extra(message.sequence, sender, message.extra)
+            return None
+        return instance
 
-    def _on_catchup_decide(self, sender: str, message: HsPhase) -> None:
-        """Adopt a value-carrying decide (a decided peer's reply to a laggard)."""
-        self._adopt_certified_decision(message.sequence, message.value, message.certificate)
+    def _on_phase(self, sender: str, message: HsPhase) -> None:
+        if message.phase == "decide" and message.value is not None:
+            self._on_catchup_reply(sender, message)
+            return
+        instance = self._proposed_instance(sender, message)
+        if instance is None:
+            return
+        if message.phase == "decide":
+            self._accept_decide(sender, instance, message.certificate, message.extra)
+        elif message.phase in self.VOTE_ROUNDS[1:]:
+            self._vote_on_qc(instance, message, message.phase)
+
+    def _vote_on_qc(self, instance: _Instance, message: Any, phase: str) -> None:
+        """Vote in ``phase`` if the message carries the previous round's QC."""
+        rounds = self.VOTE_ROUNDS
+        expected = self._phase_digest(
+            message.sequence, message.view, rounds[rounds.index(phase) - 1], message.value_digest
+        )
+        if not self.registry.certificate_valid(
+            message.certificate, self.members(), self.quorum(), digest=expected
+        ):
+            return
+        if phase == "commit":
+            self._install_prepared(instance, message.view, message.certificate)
+        self._send_vote(message.sequence, phase, message.value_digest)
+
+    def _install_prepared(self, instance: _Instance, view: int, certificate: Certificate) -> None:
+        """Record the QC that opened the commit round (reported on view change)."""
+        instance.prepared_value = instance.value
+        instance.prepared_certificate = certificate
+
+    def _accept_decide(
+        self, sender: str, instance: _Instance, certificate: Certificate, extra: Any
+    ) -> None:
+        """Deliver an announced decide after checking it against the held value."""
+        digest = self.instance_commit_digest(instance)
+        if not self.registry.certificate_valid(
+            certificate, self.members(), self.quorum(), digest=digest
+        ):
+            return
+        self._decide(instance.sequence, instance.value, certificate)
+        if extra is not None and self.on_decide_extra is not None:
+            self.on_decide_extra(instance.sequence, sender, extra)
 
     # -- leader side ----------------------------------------------------- #
     def _on_vote(self, sender: str, vote: HsVote) -> None:
         if not self.is_leader() or vote.view != self.view_ts:
             return
+        if sender not in self.members() or vote.phase not in self.VOTE_ROUNDS:
+            return  # only members' votes for a scheduled round count
         if vote.round_marker is not None and self.on_round_marker is not None:
             self.on_round_marker(vote.sequence, sender, vote.round_marker)
         instance = self.instance(vote.sequence)
@@ -308,142 +278,76 @@ class HotStuffEngine(TotalOrderBroadcast):
         if vote.value_digest != instance.value_digest:
             return
         key = (vote.sequence, vote.view, vote.phase)
-        phase_digest = _phase_digest(
-            self.cluster_id, vote.sequence, vote.view, vote.phase, vote.value_digest
-        )
+        phase_digest = self._phase_digest(vote.sequence, vote.view, vote.phase, vote.value_digest)
         cert = self._vote_certs.setdefault(key, Certificate(phase_digest, kind=vote.phase))
         cert.add(self.registry.sign(sender, phase_digest))
-        if vote.phase == "commit" and vote.commit_signature is not None:
-            cdigest = self.instance_commit_digest(instance)
-            commit_cert = self._commit_certs.setdefault(key, Certificate(cdigest, kind="commit"))
-            if self.registry.verify(vote.commit_signature) and vote.commit_signature.digest == cdigest:
-                commit_cert.add(vote.commit_signature)
-        if len(cert) < self.quorum():
+        commit_cert = None
+        if vote.phase == "commit":
+            commit_cert = self._add_commit_signature(instance, vote.view, vote.commit_signature)
+            if len(commit_cert) < self.quorum():
+                return
+        if len(cert) < self.quorum() or key in self._advanced:
             return
-        self._advance_phase(vote.sequence, vote.phase, cert)
+        self._advanced.add(key)
+        if commit_cert is not None:
+            self._on_commit_quorum(instance, commit_cert)
+        else:
+            rounds = self.VOTE_ROUNDS
+            self._open_round(instance, rounds[rounds.index(vote.phase) + 1], cert)
 
-    def _advance_phase(self, sequence: int, completed_phase: str, cert: Certificate) -> None:
-        instance = self.instance(sequence)
-        key = (sequence, self.view_ts, completed_phase)
-        if completed_phase == "prepare":
-            next_phase = "precommit"
-        elif completed_phase == "precommit":
-            next_phase = "commit"
-        elif completed_phase == "commit":
-            commit_cert = self._commit_certs.get((sequence, self.view_ts, "commit"))
-            if commit_cert is None or len(commit_cert) < self.quorum():
-                return
-            if self._advanced.get(key):
-                return
-            self._advanced[key] = True
-            extra = None
-            if self.decide_extra_fn is not None:
-                extra = self.decide_extra_fn(sequence)
-            decide = HsPhase(
+    def _open_round(self, instance: _Instance, phase: str, certificate: Certificate) -> None:
+        """A round's quorum certificate opens vote round ``phase``."""
+        self._broadcast_phase(instance, phase, certificate)
+
+    def _on_commit_quorum(self, instance: _Instance, certificate: Certificate) -> None:
+        """``2f+1`` members signed the commit digest: announce the decision."""
+        extra = None
+        if self.decide_extra_fn is not None:
+            extra = self.decide_extra_fn(instance.sequence)
+        self._broadcast_phase(instance, "decide", certificate, extra)
+
+    def _broadcast_phase(
+        self, instance: _Instance, phase: str, certificate: Certificate, extra: Any = None
+    ) -> None:
+        self.abeb.broadcast(
+            HsPhase(
                 cluster_id=self.cluster_id,
-                sequence=sequence,
+                sequence=instance.sequence,
                 view=self.view_ts,
-                phase="decide",
+                phase=phase,
                 value_digest=instance.value_digest or "",
-                certificate=commit_cert,
+                certificate=certificate,
                 extra=extra,
             )
-            self.abeb.broadcast(decide)
-            return
-        else:
-            return
-        if self._advanced.get(key):
-            return
-        self._advanced[key] = True
-        message = HsPhase(
+        )
+
+    # -- view change and catch-up (the skeleton is the base class's) ------ #
+    def _make_report(self, sequence: int) -> HsNewView:
+        instance = self.instance(sequence)
+        return self.REPORT(
             cluster_id=self.cluster_id,
             sequence=sequence,
             view=self.view_ts,
-            phase=next_phase,
-            value_digest=instance.value_digest or "",
-            certificate=cert,
+            prepared_value=instance.prepared_value,
+            prepared_certificate=instance.prepared_certificate,
         )
-        self.abeb.broadcast(message)
 
-    # ------------------------------------------------------------------ #
-    # View change
-    # ------------------------------------------------------------------ #
-    def on_view_change(self) -> None:
-        """Report pending instances to the new leader and re-arm timers."""
-        for sequence in list(self.pending_sequences()):
-            instance = self.instance(sequence)
-            self.start_instance(sequence)
-            report = HsNewView(
-                cluster_id=self.cluster_id,
-                sequence=sequence,
-                view=self.view_ts,
-                prepared_value=instance.prepared_value,
-                prepared_certificate=instance.prepared_certificate,
-            )
-            self.apl.send(self.leader, report)
-
-    def _on_new_view(self, sender: str, report: HsNewView) -> None:
-        decision = self.decisions.get(report.sequence)
-        if decision is not None:
-            # The reporter is behind a decision this replica already holds
-            # (it missed a partial decide across a view change); answer with
-            # a value-carrying decide it can verify and adopt.  Any decided
-            # replica answers — the stuck one may *be* the leader, in which
-            # case only its peers can repair it.
-            if sender != self.owner:
-                self.apl.send(
-                    sender,
-                    HsPhase(
-                        cluster_id=self.cluster_id,
-                        sequence=report.sequence,
-                        view=self.view_ts,
-                        phase="decide",
-                        value_digest=payload_digest(decision.value),
-                        certificate=decision.certificate,
-                        value=decision.value,
-                    ),
-                )
-            return
-        if not self.is_leader() or report.view != self.view_ts:
-            return
-        instance = self.instance(report.sequence)
-        key = (report.sequence, report.view)
-        reports = self._new_views.setdefault(key, {})
-        reports[sender] = report  # dedup: re-sent reports must not double-count
-        if len(reports) < self.quorum():
-            return
-        value = None
+    def _recovered_value(self, sequence: int, reports: Dict[str, HsNewView]) -> Any:
         for item in reports.values():
             if item.prepared_value is not None and item.prepared_certificate is not None:
-                value = item.prepared_value
-                break
-        if value is None:
-            value = instance.value
-        if value is None and self.fetch_value is not None:
-            value = self.fetch_value(report.sequence)
-        if value is None:
-            return
-        del self._new_views[key]
-        self.propose(report.sequence, value)
+                return item.prepared_value
+        return None
 
-    def _request_catchup(self, sequence: int) -> None:
-        """Re-report a stuck instance to the whole cluster (see base class).
-
-        Broadcast, not leader-only: when a quorum already decided the
-        sequence, the decided replicas no longer consider it pending and
-        will never re-report it — they (not the possibly equally-stuck
-        leader) hold the decision this replica is missing.
-        """
-        instance = self.instance(sequence)
-        self.abeb.broadcast(
-            HsNewView(
-                cluster_id=self.cluster_id,
-                sequence=sequence,
-                view=self.view_ts,
-                prepared_value=instance.prepared_value,
-                prepared_certificate=instance.prepared_certificate,
-            ),
+    def _make_catchup_reply(self, decision: Decision) -> HsPhase:
+        return HsPhase(
+            cluster_id=self.cluster_id,
+            sequence=decision.sequence,
+            view=self.view_ts,
+            phase="decide",
+            value_digest=payload_digest(decision.value),
+            certificate=decision.certificate,
+            value=decision.value,
         )
 
 
-__all__ = ["HotStuffEngine", "HsNewView", "HsPhase", "HsProposal", "HsVote", "PHASES"]
+__all__ = ["HotStuffEngine", "HsNewView", "HsPhase", "HsProposal", "HsVote"]

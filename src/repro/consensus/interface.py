@@ -14,10 +14,10 @@ ships to remote clusters as the proof that the batch was really ordered.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.net.crypto import Certificate, KeyRegistry
+from repro.net.crypto import Certificate, KeyRegistry, Signature
 from repro.net.links import AuthenticatedBestEffortBroadcast, AuthenticatedPerfectLink
 from repro.net.message import Envelope, payload_digest
 from repro.net.network import Network
@@ -37,18 +37,9 @@ class ConsensusConfig:
         instance_timeout: Seconds a replica waits for a decision before
             complaining about the local leader (the paper's experiments use
             large timeouts, e.g. 20 s, to avoid spurious view changes).
-        payload_byte_size: Estimated serialized size of one transaction,
-            used by the bandwidth model (the paper uses 1 KB operations).
-        chained_decide_grace: How long the chained engine's leader waits for
-            a successor proposal to piggyback a decision before falling back
-            to an explicit decide broadcast (``hotstuff_chained`` only).
-            Must be well below ``instance_timeout`` so followers never
-            complain about a decide that is merely riding the chain.
     """
 
     instance_timeout: float = 20.0
-    payload_byte_size: int = 1024
-    chained_decide_grace: float = 0.05
 
 
 @dataclass
@@ -75,7 +66,6 @@ class _Instance:
     prepared_value: Any = None
     prepared_certificate: Optional[Certificate] = None
     decided: bool = False
-    votes: dict = field(default_factory=dict)
     #: Cache of ``commit_digest(cluster, sequence, value)`` together with the
     #: value identity it was computed for (the digest walks the whole batch,
     #: and the engines recompute it once per vote/phase otherwise).
@@ -131,7 +121,16 @@ class ReadLease:
 
 
 class TotalOrderBroadcast(ABC):
-    """Common machinery for the HotStuff-like and PBFT-like engines.
+    """The skeleton every leader-based ordering engine shares.
+
+    An engine is a strategy over this class: it declares its message
+    ``HANDLERS``, implements its own voting phases, and fills in four hooks
+    (:meth:`_make_proposal`, :meth:`_make_report`, :meth:`_recovered_value`,
+    :meth:`_make_catchup_reply`).  Everything an engine would otherwise
+    repeat lives here once: the one-proposal-per-view guard, message
+    dispatch, the leader watchdogs, commit-certificate assembly, and the
+    whole recovery path (view-change reports, report quorum → re-proposal,
+    catch-up of laggards by any decided peer).
 
     Args:
         owner: Replica id this engine instance runs at.
@@ -167,10 +166,20 @@ class TotalOrderBroadcast(ABC):
             attaches the quiet-round empty-unanimity proof (``core/brd.py``).
         on_decide_extra: Optional ``(sequence, sender, extra) -> None``.
             Invoked at a receiver after a decide carrying an extra delivers.
+        fetch_value: Optional ``(sequence) -> value | None``.  Last resort of
+            a new leader re-proposing a sequence nobody reported a value for.
     """
 
-    #: Message payload classes this engine consumes (set by subclasses).
+    #: Message class → name of the method consuming it (set by subclasses).
+    #: Names rather than bound methods, so the lookup honours overrides in
+    #: subclasses and per-instance patches (fault-injection tests).
+    HANDLERS: Dict[type, str] = {}
+    #: ``tuple(HANDLERS)`` — what the hosting replica routes to this engine.
     MESSAGE_TYPES: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.MESSAGE_TYPES = tuple(cls.HANDLERS)
 
     def __init__(
         self,
@@ -187,6 +196,7 @@ class TotalOrderBroadcast(ABC):
         on_round_marker: Optional[Callable[[int, str, Any], None]] = None,
         decide_extra_fn: Optional[Callable[[int], Any]] = None,
         on_decide_extra: Optional[Callable[[int, str, Any], None]] = None,
+        fetch_value: Optional[Callable[[int], Any]] = None,
     ) -> None:
         self.owner = owner
         self.cluster_id = cluster_id
@@ -201,12 +211,22 @@ class TotalOrderBroadcast(ABC):
         self.on_round_marker = on_round_marker
         self.decide_extra_fn = decide_extra_fn
         self.on_decide_extra = on_decide_extra
+        self.fetch_value = fetch_value
         self.apl = AuthenticatedPerfectLink(owner, network)
         self.abeb = AuthenticatedBestEffortBroadcast(owner, network, members_fn)
         self.leader: str = self.members()[0] if self.members() else owner
         self.view_ts: int = 0
         self.decisions: dict[int, Decision] = {}
         self._instances: dict[int, _Instance] = {}
+        #: (sequence, view) pairs this leader already proposed for (see
+        #: :meth:`propose` — one proposal per view, no self-equivocation).
+        self._proposed_views: Set[tuple] = set()
+        #: Commit-digest certificates per (sequence, view), assembled from
+        #: the members' commit-vote signatures.
+        self._commit_certs: Dict[tuple, Certificate] = {}
+        #: View-change reports per (sequence, view), keyed by sender so a
+        #: laggard re-sending its report cannot double-count toward quorum.
+        self._reports: Dict[tuple, Dict[str, Any]] = {}
         #: One lazy-deadline pool watches every in-flight instance: arming a
         #: leader watchdog is a dict write, disarming on decide a dict pop
         #: (see :class:`~repro.sim.simulator.DeadlinePool`) — replacing the
@@ -243,6 +263,44 @@ class TotalOrderBroadcast(ABC):
         return self.owner == self.leader
 
     # ------------------------------------------------------------------ #
+    # Proposing and message dispatch
+    # ------------------------------------------------------------------ #
+    def propose(self, sequence: int, value: Any) -> None:
+        """Leader entry point: start ordering ``value`` at ``sequence``.
+
+        At most one proposal per (sequence, view): a second ``propose`` in
+        the same view (e.g. the new leader's batch timer racing its own
+        view-change re-proposal) must not overwrite the in-flight value —
+        replicas vote once per phase per view, so a self-equivocating
+        leader would strand the instance with votes split across digests.
+        A non-leader only records its local batch.
+        """
+        instance = self.instance(sequence)
+        if instance.decided:
+            return
+        if not self.is_leader():
+            instance.value = value
+            instance.value_digest = payload_digest(value)
+            return
+        key = (sequence, self.view_ts)
+        if key in self._proposed_views:
+            return
+        self._proposed_views.add(key)
+        instance.value = value
+        instance.value_digest = payload_digest(value)
+        self.start_instance(sequence)
+        self.abeb.broadcast(self._make_proposal(sequence, value))
+
+    def on_message(self, sender: str, envelope: Envelope) -> bool:
+        """Consume an engine message.  Returns ``True`` if it was handled."""
+        payload = envelope.payload
+        handler = self.HANDLERS.get(type(payload))
+        if handler is None or payload.cluster_id != self.cluster_id:
+            return False
+        getattr(self, handler)(sender, payload)
+        return True
+
+    # ------------------------------------------------------------------ #
     # Instances
     # ------------------------------------------------------------------ #
     def instance(self, sequence: int) -> _Instance:
@@ -270,9 +328,6 @@ class TotalOrderBroadcast(ABC):
         # self-certifying decision — and keep watching until it resolves.
         self._request_catchup(sequence)
         self._watchdogs.arm(sequence, self.config.instance_timeout)
-
-    def _request_catchup(self, sequence: int) -> None:
-        """Subclass hook: ask the current leader to repair a stuck instance."""
 
     def set_timer_rate(self, rate: float) -> None:
         """Skew every engine timer pool (gray-failure clock-skew faults).
@@ -306,31 +361,6 @@ class TotalOrderBroadcast(ABC):
         """Whether this replica already delivered the given sequence."""
         return sequence in self.decisions
 
-    def _adopt_certified_decision(self, sequence: int, value: Any, certificate) -> bool:
-        """Adopt a peer's decided value after verifying its commit certificate.
-
-        The catch-up path for both engines: the replica may never have seen
-        the winning proposal (it voted for a different one, or none, across
-        a view change), so the value arrives alongside the certificate and
-        the certificate is checked against *that* value — ``2f+1`` member
-        signatures over the commit digest prove the cluster decided it,
-        regardless of which view or sender the reply came from.
-        """
-        instance = self.instance(sequence)
-        if instance.decided or value is None:
-            return False
-        digest = commit_digest(self.cluster_id, sequence, value)
-        if not self.registry.certificate_valid(
-            certificate, self.members(), self.quorum(), digest=digest
-        ):
-            return False
-        instance.value = value
-        instance.value_digest = payload_digest(value)
-        instance.commit_digest_value = value
-        instance.commit_digest_cache = digest
-        self._decide(sequence, value, certificate)
-        return True
-
     def instance_commit_digest(self, instance: _Instance) -> str:
         """``commit_digest`` over an instance's value, cached per value.
 
@@ -346,8 +376,31 @@ class TotalOrderBroadcast(ABC):
             instance.commit_digest_cache = digest
         return digest
 
+    def _add_commit_signature(
+        self, instance: _Instance, view: int, signature: Optional[Signature]
+    ) -> Certificate:
+        """Collect one commit vote; returns the (sequence, view) certificate.
+
+        Only a verified signature by a *current member* over the instance's
+        commit digest is admitted, so ``len(certificate) >= quorum()`` means
+        what stage 2 and remote clusters will re-check: ``2f+1`` members
+        signed — a registered outsider's signature never counts.
+        """
+        digest = self.instance_commit_digest(instance)
+        certificate = self._commit_certs.setdefault(
+            (instance.sequence, view), Certificate(digest, kind="commit")
+        )
+        if (
+            signature is not None
+            and signature.digest == digest
+            and signature.signer in self.members()
+            and self.registry.verify(signature)
+        ):
+            certificate.add(signature)
+        return certificate
+
     # ------------------------------------------------------------------ #
-    # Leader handling
+    # Leader handling, view change and catch-up
     # ------------------------------------------------------------------ #
     def new_leader(self, leader: str, view_ts: int) -> None:
         """Install a new leader (invoked by Alg. 8 after leader election)."""
@@ -358,18 +411,97 @@ class TotalOrderBroadcast(ABC):
         self.on_view_change()
 
     def on_view_change(self) -> None:
-        """Subclass hook: recover in-flight instances under the new leader."""
+        """Report pending instances to the new leader and re-arm timers."""
+        for sequence in list(self.pending_sequences()):
+            self.start_instance(sequence)
+            self.apl.send(self.leader, self._make_report(sequence))
+
+    def _request_catchup(self, sequence: int) -> None:
+        """Re-report a stuck instance to the whole cluster.
+
+        Broadcast, not leader-only: when a quorum already decided the
+        sequence, the decided replicas no longer consider it pending and
+        will never re-report it — they (not the possibly equally-stuck
+        leader) hold the decision this replica is missing.
+        """
+        self.abeb.broadcast(self._make_report(sequence))
+
+    def _on_report(self, sender: str, report: Any) -> None:
+        """Handle a view-change / catch-up report (any engine's)."""
+        decision = self.decisions.get(report.sequence)
+        if decision is not None:
+            # The reporter is behind a decision this replica already holds
+            # (it missed a partial decide across a view change); answer with
+            # a value-carrying decide it can verify and adopt.  Any decided
+            # replica answers — the stuck one may *be* the leader, in which
+            # case only its peers can repair it.
+            if sender != self.owner:
+                self.apl.send(sender, self._make_catchup_reply(decision))
+            return
+        if not self.is_leader() or report.view != self.view_ts:
+            return
+        instance = self.instance(report.sequence)
+        key = (report.sequence, report.view)
+        reports = self._reports.setdefault(key, {})
+        reports[sender] = report  # dedup: re-sent reports must not double-count
+        if len(reports) < self.quorum():
+            return
+        value = self._recovered_value(report.sequence, reports)
+        if value is None:
+            value = instance.value
+        if value is None and self.fetch_value is not None:
+            value = self.fetch_value(report.sequence)
+        if value is None:
+            return
+        del self._reports[key]
+        self.propose(report.sequence, value)
+
+    def _on_catchup_reply(self, sender: str, reply: Any) -> None:
+        """Adopt a peer's decided value after verifying its commit certificate.
+
+        The replica may never have seen the winning proposal (it voted for a
+        different one, or none, across a view change), so the value arrives
+        alongside the certificate and the certificate is checked against
+        *that* value — ``2f+1`` member signatures over the commit digest
+        prove the cluster decided it.  Replies are therefore accepted
+        regardless of the local view or sender: the laggard's whole problem
+        is that its view of the leader is behind.
+        """
+        instance = self.instance(reply.sequence)
+        if instance.decided or reply.value is None:
+            return
+        digest = commit_digest(self.cluster_id, reply.sequence, reply.value)
+        if not self.registry.certificate_valid(
+            reply.certificate, self.members(), self.quorum(), digest=digest
+        ):
+            return
+        instance.value = reply.value
+        instance.value_digest = payload_digest(reply.value)
+        instance.commit_digest_value = reply.value
+        instance.commit_digest_cache = digest
+        self._decide(reply.sequence, reply.value, reply.certificate)
 
     # ------------------------------------------------------------------ #
-    # Abstract protocol surface
+    # What an engine must supply (besides its HANDLERS and voting phases)
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def propose(self, sequence: int, value: Any) -> None:
-        """Leader entry point: start ordering ``value`` at ``sequence``."""
+    def _make_proposal(self, sequence: int, value: Any) -> Any:
+        """The message a leader broadcasts to start ordering ``value``."""
 
     @abstractmethod
-    def on_message(self, sender: str, envelope: Envelope) -> bool:
-        """Consume an engine message.  Returns ``True`` if it was handled."""
+    def _make_report(self, sequence: int) -> Any:
+        """This replica's view-change / catch-up report for ``sequence``."""
+
+    @abstractmethod
+    def _recovered_value(self, sequence: int, reports: Dict[str, Any]) -> Any:
+        """The value a report quorum obliges the new leader to re-propose."""
+
+    @abstractmethod
+    def _make_catchup_reply(self, decision: Decision) -> Any:
+        """A value-carrying decide for a laggard's :meth:`_on_catchup_reply`.
+
+        Any message with ``sequence``, ``value`` and ``certificate`` fields.
+        """
 
     # ------------------------------------------------------------------ #
     # Introspection for tests and metrics

@@ -1,13 +1,13 @@
 """Registry of available local-ordering engines.
 
-Hamava is consensus-agnostic; deployments select the engine by name
-("hotstuff" for AVA-HOTSTUFF, "bftsmart" for AVA-BFTSMART).  Additional
-engines can be registered by downstream users.
+Hamava is consensus-agnostic; deployments select the engine by name:
+"hotstuff" (AVA-HOTSTUFF), "hotstuff_chained" (the same core on the two-round
+chained schedule) or "bftsmart" (AVA-BFTSMART).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Type
+from typing import Dict, Type
 
 from repro.consensus.bftsmart import BftSmartEngine
 from repro.consensus.hotstuff import HotStuffEngine
@@ -21,11 +21,6 @@ ENGINES: Dict[str, Type[TotalOrderBroadcast]] = {
     "hotstuff_chained": ChainedHotStuffEngine,
     "bftsmart": BftSmartEngine,
 }
-
-
-def register_engine(name: str, engine_cls: Type[TotalOrderBroadcast]) -> None:
-    """Register a custom local-ordering engine under ``name``."""
-    ENGINES[name.lower()] = engine_cls
 
 
 def make_engine(name: str, *args, **kwargs) -> TotalOrderBroadcast:
@@ -42,4 +37,4 @@ def make_engine(name: str, *args, **kwargs) -> TotalOrderBroadcast:
     return ENGINES[key](*args, **kwargs)
 
 
-__all__ = ["ENGINES", "make_engine", "register_engine"]
+__all__ = ["ENGINES", "make_engine"]

@@ -208,8 +208,6 @@ class HamavaConfig:
         """A copy with adjusted fault-detection timeouts (used by benches)."""
         consensus = self.consensus
         if instance_timeout is not None:
-            # ``replace`` (not a fresh ConsensusConfig) so engine-specific
-            # fields like ``chained_decide_grace`` survive a timeout tweak.
             consensus = replace(consensus, instance_timeout=instance_timeout)
         return replace(
             self,

@@ -334,20 +334,16 @@ def _resolve_class(path: str) -> type:
 # ---------------------------------------------------------------------- #
 # Configuration overrides
 # ---------------------------------------------------------------------- #
-#: Override keys that live on the nested ConsensusConfig.
-_CONSENSUS_KEYS = ("instance_timeout", "payload_byte_size", "chained_decide_grace")
-
-
 def apply_config_overrides(config: HamavaConfig, overrides: Dict[str, object]) -> HamavaConfig:
     """Return a copy of ``config`` with flat overrides applied.
 
-    Keys name :class:`HamavaConfig` fields; ``instance_timeout`` and
-    ``payload_byte_size`` are routed to the nested consensus configuration.
+    Keys name :class:`HamavaConfig` fields; ``instance_timeout`` is routed
+    to the nested consensus configuration.
     """
     config = replace(config, consensus=replace(config.consensus))
     for key, value in overrides.items():
-        if key in _CONSENSUS_KEYS:
-            setattr(config.consensus, key, value)
+        if key == "instance_timeout":
+            config.consensus.instance_timeout = value
         elif key == "consensus":
             raise ConfigurationError("override consensus fields individually (e.g. instance_timeout)")
         elif hasattr(config, key):

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consensus.bftsmart import BftSmartEngine
-from repro.consensus.hotstuff import HotStuffEngine
-from repro.consensus.hotstuff_chained import ChainedHotStuffEngine
+from repro.consensus.bftsmart import BftSmartEngine, BsAccept, BsWrite
+from repro.consensus.hotstuff import HotStuffEngine, HsVote
+from repro.consensus.hotstuff_chained import ChainedHotStuffEngine, ChVote
 from repro.consensus.interface import ConsensusConfig, commit_digest
 from repro.consensus.leader_election import ElectionComplaint, LeaderElection
 from repro.consensus.registry import ENGINES, make_engine
@@ -14,6 +14,8 @@ from repro.errors import ConfigurationError
 from repro.net.crypto import KeyRegistry
 from tests import helpers
 from repro.net.latency import LatencyModel
+from repro.net.links import AuthenticatedPerfectLink
+from repro.net.message import payload_digest
 from repro.net.network import Network, NetworkConfig
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
@@ -55,6 +57,31 @@ def build_cluster(engine_cls, size=4, seed=3, timeout=1.0):
     members = [f"p{i}" for i in range(size)]
     hosts = [EngineHost(m, simulator, network, members, engine_cls, timeout) for m in members]
     return simulator, network, hosts
+
+
+#: Wire name of each engine's leader proposal (``NetworkStats.by_type`` key).
+PROPOSAL_TYPE = {
+    HotStuffEngine: "HsProposal",
+    ChainedHotStuffEngine: "ChProposal",
+    BftSmartEngine: "BsPropose",
+}
+
+
+def quorum_votes(engine_cls, value, commit_signature):
+    """Every vote one voter casts to carry ``value`` through sequence 1, view 0."""
+    common = dict(cluster_id=0, sequence=1, view=0, value_digest=payload_digest(value))
+    if engine_cls is BftSmartEngine:
+        return [BsWrite(**common), BsAccept(**common, commit_signature=commit_signature)]
+    if engine_cls is ChainedHotStuffEngine:
+        vote_cls, rounds = ChVote, ("prepare", "commit")
+    else:
+        vote_cls, rounds = HsVote, ("prepare", "precommit", "commit")
+    return [
+        vote_cls(
+            **common, phase=phase, commit_signature=commit_signature if phase == "commit" else None
+        )
+        for phase in rounds
+    ]
 
 
 @pytest.mark.parametrize("engine_cls", [HotStuffEngine, ChainedHotStuffEngine, BftSmartEngine])
@@ -125,6 +152,93 @@ class TestEngines:
         simulator.run(until=5.0)
         digests = {repr(h.decisions[0].value) for h in hosts}
         assert len(digests) == 1
+
+    def test_non_member_votes_never_count_toward_a_quorum(self, engine_cls):
+        simulator, network, hosts = build_cluster(engine_cls)
+        for host in hosts[1:]:
+            host.crash()  # the followers are cut off: no member but the leader votes
+        value = ["v"]
+        hosts[0].engine.propose(1, value)
+        simulator.run(until=0.1)
+        # Three processes the key registry knows, but who are not cluster
+        # members, cast a full quorum's worth of correctly signed votes.
+        sent_before = sum(network.stats.by_type.values())
+        injected = 0
+        for index in range(3):
+            outsider = Process(f"x{index}", simulator)
+            network.register(outsider, "us-west1")
+            signature = network.registry.sign(outsider.process_id, commit_digest(0, 1, value))
+            link = AuthenticatedPerfectLink(outsider.process_id, network)
+            for vote in quorum_votes(engine_cls, value, signature):
+                link.send("p0", vote)
+                injected += 1
+        simulator.run(until=0.5)  # well inside the 1 s watchdog
+        assert not hosts[0].decisions, "decided on a certificate no member signed"
+        # The leader did not react at all: no phase/lock/accept/decide left it.
+        assert sum(network.stats.by_type.values()) - sent_before == injected
+
+    def test_second_propose_in_a_view_emits_no_second_proposal(self, engine_cls):
+        simulator, network, hosts = build_cluster(engine_cls)
+        hosts[0].engine.propose(1, ["first"])
+        sent = dict(network.stats.by_type)
+        hosts[0].engine.propose(1, ["second"])  # e.g. the batch timer racing a re-proposal
+        assert dict(network.stats.by_type) == sent
+        simulator.run(until=5.0)
+        assert network.stats.by_type[PROPOSAL_TYPE[engine_cls]] == len(hosts)  # one broadcast
+        for host in hosts:
+            assert [d.value for d in host.decisions] == [["first"]]
+
+    def test_resent_view_change_report_counts_once(self, engine_cls):
+        simulator, network, hosts = build_cluster(engine_cls, timeout=5.0)
+        hosts[0].crash()
+        for host in hosts[1:]:
+            host.engine.start_instance(1)
+        # Only p1 (the new leader) and p2 install view 1: two reports, one
+        # short of the quorum of three.
+        for host in hosts[1:3]:
+            host.engine.new_leader("p1", 1)
+        reporter = hosts[2].engine
+        for _ in range(reporter.quorum()):
+            reporter.apl.send("p1", reporter._make_report(1))
+        simulator.run(until=1.0)
+        assert PROPOSAL_TYPE[engine_cls] not in network.stats.by_type
+        # A third *distinct* reporter completes the quorum and the new
+        # leader re-proposes.
+        hosts[3].engine.new_leader("p1", 1)
+        simulator.run(until=4.0)
+        assert network.stats.by_type[PROPOSAL_TYPE[engine_cls]] == len(hosts)
+        for host in hosts[1:]:
+            assert [d.value for d in host.decisions] == [["fallback-1"]]
+
+    def test_laggard_catches_up_from_decided_peers(self, engine_cls):
+        simulator, network, hosts = build_cluster(engine_cls, timeout=0.5)
+        laggard = hosts[3]
+        cut = network.isolate("p3")  # p3 misses the proposal, the votes and the decide
+        laggard.engine.start_instance(1)
+        value = ["decided-without-p3"]
+        hosts[0].engine.propose(1, value)
+        simulator.run(until=0.3)
+        assert all(len(host.decisions) == 1 for host in hosts[:3])
+        assert not laggard.decisions
+        network.remove_drop_rule(cut)
+        # A reply whose certificate does not cover the value it carries is
+        # rejected: the genuine certificate cannot vouch for another batch.
+        forged = hosts[1].engine._make_catchup_reply(hosts[1].decisions[0])
+        forged.value = ["forged"]
+        hosts[1].engine.apl.send("p3", forged)
+        simulator.run(until=0.45)
+        assert not laggard.decisions
+        # At 0.5 s the watchdog complains and broadcasts p3's report; every
+        # decided peer answers with the value and its commit certificate.
+        simulator.run(until=2.0)
+        assert laggard.complaints
+        assert [d.value for d in laggard.decisions] == [value]
+        assert network.registry.certificate_valid(
+            laggard.decisions[0].certificate,
+            [h.process_id for h in hosts],
+            threshold=3,
+            digest=commit_digest(0, 1, value),
+        )
 
 
 class TestRegistry:

@@ -160,6 +160,14 @@ class TestConfigCompilation:
         with pytest.raises(ConfigurationError):
             apply_config_overrides(fast_config(), {"quantum_entanglement": True})
 
+    @pytest.mark.parametrize("key", ["payload_byte_size", "chained_decide_grace"])
+    def test_retired_consensus_options_rejected_by_name(self, key):
+        # Both were settable until nothing read them (a dead field; a
+        # constant of the chained engine): the key is now simply unknown.
+        spec = Scenario("cfg").clusters(4).config(**{key: 1}).spec()
+        with pytest.raises(ConfigurationError, match=key):
+            spec.compiled_config()
+
     def test_geobft_preset_transforms_config(self):
         spec = Scenario("geo").clusters(4).preset("geobft").spec()
         config = spec.compiled_config()
