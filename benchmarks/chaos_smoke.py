@@ -3,9 +3,10 @@
 CI's ``chaos-smoke`` job runs every E9 preset (gray leader, clock skew,
 flapping partition, region outage, congestion, RTT trace) at smoke scale
 and fails if **any** pinned qualitative assertion — including each
-scenario's serial-vs-sharded row parity — does not hold.  It then runs the
-same fixed-seed determinism probe as the perf suite and, with
-``--compare``, gates on the committed fingerprint: the adversity layer
+scenario's serial-vs-sharded row parity — does not hold.  The flapping
+partition also runs at 10 simulated seconds (``FLAPPING_LONG_DURATION``).
+It then runs the same fixed-seed determinism probe as the perf suite and,
+with ``--compare``, gates on the committed fingerprint: the adversity layer
 must not perturb a run that schedules no adversity.
 
 Timings are printed but never gate (shared-runner wall-clock noise).
@@ -36,13 +37,22 @@ from benchmarks.perf import determinism  # noqa: E402
 #: The tuned smoke duration every E9 preset's assertions were pinned at.
 QUICK_DURATION = 6.0
 
+#: A second run length for the flapping partition.  At this length the last
+#: flap heals with the complaining cluster several complaint numbers ahead of
+#: a complained cluster that has moved on a round — the lost-complaint
+#: deadlock of the remote leader change, which the 6-second run never met.
+FLAPPING_LONG_DURATION = 10.0
+
 
 def run_pack(duration):
     """Run the E9 pack; returns (rows, all_passed)."""
-    from repro.harness.experiments import run_e9_all
+    from repro.harness.experiments import run_e9_all, run_e9_flapping_partition
 
     started = time.perf_counter()
     rows = run_e9_all(duration=duration)
+    long_flap = run_e9_flapping_partition(duration=FLAPPING_LONG_DURATION)
+    long_flap["experiment"] = f"flapping_partition@{FLAPPING_LONG_DURATION:g}s"
+    rows.append(long_flap)
     elapsed = time.perf_counter() - started
     ok = True
     for row in rows:

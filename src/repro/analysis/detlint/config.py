@@ -21,6 +21,7 @@ def _default_hot_path_classes() -> Dict[str, FrozenSet[str]]:
         "repro/net/message.py": frozenset({"Envelope"}),
         "repro/net/crypto.py": frozenset({"Signature"}),
         "repro/net/network.py": frozenset({"_Port"}),
+        "repro/core/statemachine.py": frozenset({"ExecutionLedger", "LedgerView", "KeyValueStore"}),
     }
 
 

@@ -19,14 +19,14 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.net.crypto import Certificate, KeyRegistry, Signature
 from repro.net.links import AuthenticatedBestEffortBroadcast, AuthenticatedPerfectLink
-from repro.net.message import Envelope, payload_digest
+from repro.net.message import Envelope, compact_digest, payload_digest
 from repro.net.network import Network
 from repro.sim.simulator import Simulator
 
 
 def commit_digest(cluster_id: int, sequence: int, value: Any) -> str:
     """Digest that commit certificates sign: binds cluster, round, and batch."""
-    return f"commit|c{cluster_id}|s{sequence}|{payload_digest(value)}"
+    return compact_digest(f"commit|c{cluster_id}|s{sequence}|{payload_digest(value)}")
 
 
 @dataclass

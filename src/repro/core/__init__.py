@@ -16,7 +16,7 @@ The public surface of this package is:
 
 from repro.core.config import ClusterSpec, HamavaConfig, SystemConfig
 from repro.core.replica import ByzantineBehavior, HamavaReplica
-from repro.core.statemachine import KeyValueStore
+from repro.core.statemachine import ExecutionLedger, KeyValueStore
 from repro.core.types import (
     OperationsBundle,
     ReconfigRequest,
@@ -28,6 +28,7 @@ from repro.core.types import (
 __all__ = [
     "ByzantineBehavior",
     "ClusterSpec",
+    "ExecutionLedger",
     "HamavaConfig",
     "HamavaReplica",
     "KeyValueStore",

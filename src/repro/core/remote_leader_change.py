@@ -11,6 +11,16 @@ the complaining cluster's membership and failure threshold — this is where
 heterogeneity matters — broadcasts the complaint locally, and rotates its
 leader.  Complaint numbers (``cn``/``rcn``) make each remote complaint
 usable exactly once, defeating replay attacks.
+
+The complaining cluster advances ``cn`` whenever its local quorum forms,
+whether or not the ``RComplaint`` it then sends is delivered (a partition
+drops it), and the complained cluster — possibly one round ahead, where it
+reset ``rcn`` to 0 — cannot know how many were lost.  So the receiver accepts
+any quorum-valid complaint numbered ``>= rcn`` and fast-forwards to
+``number + 1``; requiring equality would reject every later complaint and
+stall both clusters for good.  The signatures bind the number, so a forged
+jump is as impossible as a forged complaint, and numbers below ``rcn`` (the
+replays) are still refused.
 """
 
 from __future__ import annotations
@@ -264,7 +274,7 @@ class RemoteLeaderChange:
         if not self._round_acceptable(message.round_number):
             return
         watch = self._watch(message.complaining_cluster)
-        if message.complaint_number != watch.received_complaint_number:
+        if message.complaint_number < watch.received_complaint_number:
             return
         if not self._signatures_valid(message, message.round_number):
             return
@@ -281,11 +291,11 @@ class RemoteLeaderChange:
         if not self._round_acceptable(message.round_number):
             return
         watch = self._watch(message.complaining_cluster)
-        if message.complaint_number != watch.received_complaint_number:
+        if message.complaint_number < watch.received_complaint_number:
             return
         if not self._signatures_valid(message, message.round_number):
             return
-        watch.received_complaint_number += 1
+        watch.received_complaint_number = message.complaint_number + 1
         since_change = self.simulator.now - self.last_leader_change_fn()
         if since_change > self.epsilon:
             self.remote_changes_applied += 1

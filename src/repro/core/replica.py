@@ -49,7 +49,7 @@ from repro.core.messages import (
 )
 from repro.core.reconfiguration import ReconfigurationCollector, RequestTracker
 from repro.core.remote_leader_change import RemoteLeaderChange
-from repro.core.statemachine import KeyValueStore
+from repro.core.statemachine import ExecutionLedger, KeyValueStore, LedgerView
 from repro.core.types import (
     OperationsBundle,
     ReconfigRequest,
@@ -123,6 +123,9 @@ class HamavaReplica(Process):
         byzantine: Optional Byzantine behaviour switches.
         mode: ``"active"`` for initial members, ``"idle"`` for processes
             created ahead of a later join.
+        ledger: The execution ledger shared by every replica of the
+            simulation shard (a deployment passes its shard's); a replica
+            built on its own gets a private one.
     """
 
     def __init__(
@@ -136,6 +139,7 @@ class HamavaReplica(Process):
         metrics: Optional[Any] = None,
         byzantine: Optional[ByzantineBehavior] = None,
         mode: str = MODE_ACTIVE,
+        ledger: Optional[ExecutionLedger] = None,
     ) -> None:
         super().__init__(replica_id, simulator)
         self.cluster_id = cluster_id
@@ -148,7 +152,7 @@ class HamavaReplica(Process):
         # Membership view: cluster id -> set of member ids.
         self.view: Dict[int, Set[str]] = system_config.initial_view()
         self.round_number = 1
-        self.kv = KeyValueStore()
+        self.kv = KeyValueStore(ledger)
 
         # Per-view-epoch caches of the sorted membership tuples and the
         # sorted cluster order.  ``members()``/``local_members()`` are called
@@ -244,7 +248,6 @@ class HamavaReplica(Process):
         self._leader_queue: Deque[Transaction] = deque()
         self._queued_ids: Set[str] = set()
         self._forwarded: Dict[str, Transaction] = {}
-        self._executed_ids: Set[str] = set()
         self._proposed_rounds: Set[int] = set()
         self._current_batch: Dict[int, List[Transaction]] = {}
         self._batch_timer = self.new_timer(self.config.batch_timeout, self._on_batch_timeout, "batch")
@@ -275,7 +278,10 @@ class HamavaReplica(Process):
         self.executed_operations = 0
         self.executed_rounds = 0
         self.reconfigs_applied: List[Tuple[int, ReconfigRequest]] = []
-        self.execution_log: List[str] = []
+        #: ``(cluster_id, round)`` shares this replica re-broadcast because
+        #: the first-indexed Inter receiver's did not arrive within
+        #: ``inter_share_grace`` (see ``_share_grace_expired``).
+        self.share_fallback_broadcasts = 0
 
         # Message dispatch table: exact payload type -> (active_only,
         # wants_envelope, bound handler).  One dict probe replaces the
@@ -301,6 +307,11 @@ class HamavaReplica(Process):
     # ------------------------------------------------------------------ #
     # Membership helpers
     # ------------------------------------------------------------------ #
+    @property
+    def execution_log(self) -> LedgerView:
+        """Ids of the transactions this replica executed, in order."""
+        return self.kv.execution_log
+
     def local_members(self) -> Tuple[str, ...]:
         """Sorted member tuple of the local cluster under the current view."""
         cache = self._members_cache
@@ -441,7 +452,7 @@ class HamavaReplica(Process):
         while self._leader_queue and len(batch) < self.config.batch_size:
             transaction = self._leader_queue.popleft()
             self._queued_ids.discard(transaction.txn_id)
-            if transaction.txn_id in self._executed_ids:
+            if self.kv.executed(transaction.txn_id):
                 continue
             batch.append(transaction)
         return batch
@@ -654,6 +665,7 @@ class HamavaReplica(Process):
             return
         if (share.cluster_id, share.round_number) in self._peer_shared:
             return  # the first-indexed receiver's broadcast made it; stay quiet
+        self.share_fallback_broadcasts += 1
         self.abeb.broadcast(share)
 
     def _on_local_share(self, sender: str, message: LocalShare) -> None:
@@ -710,6 +722,7 @@ class HamavaReplica(Process):
         # The predefined cluster order is the sorted view order; snapshot it
         # before the loop because applying reconfigs below churns the view.
         execution_order = [cid for cid in self._sorted_view_ids() if cid in operations]
+        self.kv.begin_round(self.round_number)
         for cluster_id in execution_order:
             bundle = operations[cluster_id]
             for transaction in bundle.transactions:
@@ -751,9 +764,7 @@ class HamavaReplica(Process):
 
     def _apply_transaction(self, transaction: Transaction) -> None:
         value = self.kv.apply(transaction)
-        self._executed_ids.add(transaction.txn_id)
         was_ours = self._forwarded.pop(transaction.txn_id, None) is not None
-        self.execution_log.append(transaction.txn_id)
         # Respond if the client originally contacted us, or if the client
         # retried the request through us after its original replica failed
         # (clients de-duplicate responses by transaction id).
@@ -894,7 +905,7 @@ class HamavaReplica(Process):
             self.apl.send(self.leader, ClientRequest(transaction=transaction))
 
     def _enqueue(self, transaction: Transaction) -> None:
-        if transaction.txn_id in self._queued_ids or transaction.txn_id in self._executed_ids:
+        if transaction.txn_id in self._queued_ids or self.kv.executed(transaction.txn_id):
             return
         self._queued_ids.add(transaction.txn_id)
         self._leader_queue.append(transaction)
@@ -1104,7 +1115,7 @@ class HamavaReplica(Process):
         if len(votes) < threshold:
             return
         snapshot = self._currstate_snapshots[key]
-        self.kv.restore(snapshot.state_snapshot)
+        self.kv.restore(snapshot.state_snapshot, snapshot.round_number)
         self.view = {cid: set(members) for cid, members in snapshot.system_view.items()}
         self._invalidate_view_caches()
         self.round_number = snapshot.round_number

@@ -16,6 +16,7 @@ from dataclasses import fields as dataclass_fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.net.crypto import Certificate
+from repro.net.message import compact_digest
 
 _txn_counter = itertools.count()
 
@@ -207,7 +208,7 @@ class OperationsBundle:
             body = ", ".join(
                 f"{name}={getattr(self, name)!r}" for name in _BUNDLE_FIELDS
             )
-            digest = cache["_digest_cache"] = f"OperationsBundle({body})"
+            digest = cache["_digest_cache"] = compact_digest(f"OperationsBundle({body})")
         return digest
 
 

@@ -36,5 +36,15 @@ class ProtocolError(ReproError):
     """
 
 
+class AgreementViolation(ProtocolError):
+    """Two replicas executed different operations at the same position.
+
+    Raised by the shard's execution ledger the moment a replica's next
+    executed entry differs from what another replica recorded there: the
+    Agreement / Total-order property of the replicated state machine is
+    broken, which no fault the simulator injects is allowed to cause.
+    """
+
+
 class WorkloadError(ReproError):
     """A workload generator received invalid parameters."""

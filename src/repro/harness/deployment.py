@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.config import HamavaConfig, SystemConfig
 from repro.core.replica import MODE_IDLE, ByzantineBehavior, HamavaReplica
+from repro.core.statemachine import ExecutionLedger
 from repro.errors import ConfigurationError
 from repro.harness.metrics import MetricsCollector
 from repro.net.adversity import CongestionConfig, CongestionModel, RttTrace
@@ -93,11 +94,13 @@ class Shard:
     Every mutable ingredient of the simulation — event queue, RNG streams
     (each shard's :class:`Simulator` is seeded identically, so child streams
     are layout-invariant), network ports and statistics, and the metrics
-    collector — hangs off exactly one shard.  Clusters are assigned
-    contiguously (``position * shards // clusters``).
+    collector — hangs off exactly one shard, and so does the execution
+    ledger: the one copy of the total order its replicas execute (each
+    forked worker builds its own).  Clusters are assigned contiguously
+    (``position * shards // clusters``).
     """
 
-    __slots__ = ("index", "simulator", "network", "metrics", "clusters")
+    __slots__ = ("index", "simulator", "network", "metrics", "clusters", "ledger")
 
     def __init__(self, index: int, simulator: Simulator, network: Network, metrics: MetricsCollector) -> None:
         self.index = index
@@ -105,6 +108,7 @@ class Shard:
         self.network = network
         self.metrics = metrics
         self.clusters: List[int] = []
+        self.ledger = ExecutionLedger()
 
 
 class _ShardedNetworkView:
@@ -355,6 +359,7 @@ class Deployment:
                     simulator=shard.simulator,
                     config=spec.config,
                     metrics=shard.metrics,
+                    ledger=shard.ledger,
                 )
                 replica.is_reporter = index == 0
                 region = spec.region_overrides.get(replica_id)
@@ -550,6 +555,7 @@ class Deployment:
             config=self.spec.config,
             metrics=shard.metrics,
             mode=MODE_IDLE,
+            ledger=shard.ledger,
         )
         if region is not None:
             self.latency_model.place(replica_id, region)

@@ -658,7 +658,7 @@ def run_e9_clock_skew(
     duration: Optional[float] = None,
     seed: int = 9,
     client_threads: int = 4,
-    rate: float = 0.02,
+    rate: float = 0.005,
 ) -> Row:
     """E9.2: fast local clocks cause *spurious* leader changes.
 
@@ -667,6 +667,11 @@ def run_e9_clock_skew(
     late.  Pinned assertions: the skewed run records a leader change with no
     real fault present, and a skew-free control run under the same seed does
     not.
+
+    The default ``rate`` turns the 1 s timeouts into 5 ms: a 4-replica LAN
+    decision takes about 5 ms here, and a skewed timer has to expire before
+    the healthy leader decides for a complaint about it to be raised (a
+    20 ms timer, ``rate=0.02``, never does).
     """
     duration = duration if duration is not None else default_duration(6.0)
     fault_time = duration * 0.25

@@ -128,7 +128,7 @@ def _worker_main(conn, peers: dict, spec: ScenarioSpec, shard_index: int) -> Non
             for entry in pipeline.take_outbox():
                 batches[route(entry[3])].append(entry)
             for entry in _exchange(shard_index, peers, batches):
-                pipeline.deliver_cross(entry[0], entry[3], entry[4])
+                pipeline.deliver_cross(entry[0], entry[3], entry[4], entry[5])
             now = barrier
             if barrier >= until:
                 break

@@ -14,6 +14,7 @@ a time) never recomputes the full-field ``repr`` walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from hashlib import blake2b
 from typing import Any, Dict, Optional, Tuple
 
 #: Per-class tuple of dataclass field names, so :meth:`Message.digest` does
@@ -31,14 +32,39 @@ _DIGEST_FNS: Dict[type, Any] = {}  # detlint: disable=DET004 -- pure per-class m
 _DIGEST_METHODS: Dict[type, Any] = {}  # detlint: disable=DET004 -- pure per-class memo; resolves to the same unbound method in every process
 
 
+#: Digest texts up to this many characters stand for themselves.
+SHORT_DIGEST = 64
+
+
+def compact_digest(text: str) -> str:
+    """``text`` itself when short, else a fixed-width (25-character) hash of it.
+
+    The ``repr`` of a batch runs to kilobytes, and every replica embeds the
+    digests built from it in its vote digests and keeps them per consensus
+    instance; the hash keeps what is retained — and copied into every
+    enclosing digest — independent of the batch size.  Message sizes are
+    estimated from the payload, never from its digest, so simulated
+    behaviour does not depend on which form a digest takes.
+    """
+    if len(text) <= SHORT_DIGEST:
+        return text
+    return "#" + blake2b(text.encode("utf-8", "surrogatepass"), digest_size=12).hexdigest()
+
+
+#: Built-in containers: the only digest-less values whose ``repr`` grows with
+#: the batch (a transaction's or a signature's is a few hundred characters).
+_CONTAINERS = frozenset((list, tuple, dict, set, frozenset))
+
+
 def payload_digest(value: Any) -> str:
     """Produce a deterministic, hashable digest string for a payload.
 
     The digest only needs to be collision-resistant *within a simulation*;
-    ``repr`` over dataclasses with deterministic field ordering is enough and
-    is far cheaper than real hashing for the hot path.  Values that expose a
-    ``digest()`` method (nested messages, operation bundles) answer from
-    their own per-instance cache instead of being re-walked.
+    ``repr`` over dataclasses with deterministic field ordering — hashed to
+    a fixed width for a long container (a batch of transactions) — is enough.
+    Values that expose a ``digest()`` method (nested messages, operation
+    bundles) answer from their own per-instance cache instead of being
+    re-walked.
     """
     cls = type(value)
     method = _DIGEST_METHODS.get(cls)
@@ -48,7 +74,8 @@ def payload_digest(value: Any) -> str:
         _DIGEST_METHODS[cls] = method
     if method is not False:
         return method(value)
-    return repr(value)
+    text = repr(value)
+    return compact_digest(text) if cls in _CONTAINERS else text
 
 
 def _compile_digest_fn(cls: type, names: Tuple[str, ...]):
@@ -62,15 +89,17 @@ def _compile_digest_fn(cls: type, names: Tuple[str, ...]):
     field boundaries unambiguous even though the content may contain the
     ``'|'`` separator (embedded digests always do), and the ``s`` prefix
     separates them from non-string fields, whose ``repr`` never matches
-    ``s<digits>``.  Unlike ``repr``-quoting this never copies the content
-    (value digests run to kilobytes), so two distinct messages cannot
+    ``s<digits>``.  Unlike ``repr``-quoting this never copies the
+    content, and two distinct messages cannot
     share a digest — and therefore a signature — by boundary aliasing.
     ``int`` fields (cluster ids, rounds, views, sequence numbers — the bulk
     of every protocol message) and ``None`` short-circuit straight to their
     repr, skipping the per-value method-dispatch probe; exact ``int`` keys
     cannot be digest-bearing, so the fast path loses nothing.  Other values
     go through the ``payload_digest`` dispatch (inlined), so nested
-    digest-bearing values answer from their caches.
+    digest-bearing values answer from their caches; a digest-less container
+    contributes its plain ``repr`` here (this digest lives and dies with the
+    message, unlike the per-replica digests ``payload_digest`` compacts).
     """
     lines = [
         "def compiled(self, _methods, _repr, _getattr, _callable):",
@@ -204,4 +233,4 @@ class Envelope:
         return f"<Envelope from={self.sender!r} {self.payload.type_name()}>"
 
 
-__all__ = ["Envelope", "Message", "payload_digest"]
+__all__ = ["Envelope", "Message", "compact_digest", "payload_digest"]

@@ -16,25 +16,43 @@ O(n) verifications per decision, while a HotStuff-style linear phase loads
 only the leader.  This mirrors the throughput gap the paper observes between
 AVA-BFTSMART and AVA-HOTSTUFF.
 
-Fused scheduling
-----------------
-All three legs of a wire delivery are computed in one pass at *send* time by
-the :class:`DeliveryPipeline`: the sender's departure stagger, the link
-latency draw, and the receiver's CPU hand-over slot.  Each scheduled message
-therefore costs exactly **one** kernel event, fired at its hand-over time —
-the old ``net:deliver`` → ``net:cpu`` event chain (two kernel events per
-message, the structural floor of every macro run) is gone.
+Scheduling: one rule for every receiver slot
+--------------------------------------------
+The three places that put a wire message on a receiver's CPU — ``send``,
+``multicast`` and the cross-cluster mailbox's ``deliver_cross`` — follow one
+rule, decided per link by the latency model's pair constants (the verdict
+rides in the route memo and in the mailbox entry):
 
-This is possible because the receiver's CPU queue is deterministic: per
-destination, hand-over times are assigned monotonically in *send-schedule
-order* (``finish = max(arrival, recv_free) + processing``), so the queue
-degenerates to a watermark plus a FIFO of envelopes whose pop order equals
-the kernel's fire order.  The FIFO discipline is per-destination
-send-schedule order; with jitter two messages can arrive out of that order,
-in which case the earlier-scheduled message is served first (the inversion
-is bounded by the jitter scale).  Send serialization and receive processing
-are modelled as two overlapping per-process resources (see :class:`_Port`
-for why the fused design cannot share one watermark between them).
+* **Same-region link** (pair base latency <= the model's intra-region
+  latency).  All three legs — the sender's departure stagger, the link
+  latency draw, the receiver's CPU hand-over slot — are computed in one pass
+  when the message is scheduled, and the message costs exactly **one**
+  kernel event, fired at its hand-over time
+  (``finish = max(arrival, recv_free) + processing``).  The slot is booked
+  at most one LAN latency (plus, for cross-cluster LAN traffic, one barrier
+  window of the same size) before the message arrives, so the booking can
+  delay a competing message by no more than that.
+* **Cross-region link.**  The message is scheduled as an *arrival* event at
+  its arrival time; that event takes the slot
+  ``max(now, recv_free) + processing``, joins the port FIFO and pushes the
+  hand-over event — **two** kernel events.  Booking a WAN message's slot
+  when it is sent (or at the barrier before it lands) would reserve the
+  receiver's CPU up to a one-way WAN latency ahead of time, and every LAN
+  vote, proposal or share scheduled meanwhile for that replica would queue
+  behind traffic still on the wire: head-of-line blocking that held a
+  32-cluster WAN deployment's 4-replica LAN decisions at 112 ms against
+  17 ms on a LAN-only run.  A port deregistered while the message was in
+  flight drops it at arrival.
+
+Either way the receiver's CPU queue is a watermark plus a FIFO: hand-over
+times are assigned monotonically per destination in *slot-assignment order*
+(fused messages when scheduled, deferred ones when they arrive), so the
+FIFO's pop order equals the kernel's fire order.  Among same-region
+messages jitter can invert two arrivals, in which case the earlier-scheduled
+message is served first (the inversion is bounded by the LAN jitter scale);
+cross-region messages are served in arrival order.
+Send serialization and receive processing are modelled as two overlapping
+per-process resources (see :class:`_Port`).
 
 Loop-back
 ---------
@@ -185,8 +203,9 @@ class _Port:
         recv_free: Receive-CPU watermark (virtual time the CPU finishes its
             last accepted message; loop-back handling charges here too).
         queue: FIFO of envelopes awaiting hand-over, in the same order as
-            their scheduled kernel events fire (hand-over times are assigned
-            monotonically per port, ties broken by kernel sequence).
+            their hand-over events fire (slots are assigned monotonically
+            per port — at scheduling time on same-region links, at arrival
+            on cross-region ones — ties broken by kernel sequence).
         loop_queue: FIFO of self-addressed envelopes awaiting their 0 ms
             microtask hand-over.
         lat_random: This sender's private jitter stream (bound C-level
@@ -206,26 +225,25 @@ class _Port:
             and sender id it gives mailbox entries a total order that every
             shard layout reproduces.
         route: Per-destination route memo, ``destination -> (target_port,
-            base, spread)`` — the owner-routing verdict fused with the
-            latency model's pair constants, so the hot path resolves both
-            with a single dict lookup.  ``target_port is None`` means the
-            cross-cluster mailbox.  Unknown destinations (drops) are never
+            base, spread, fused)`` — the owner-routing verdict fused with
+            the latency model's pair constants, so the hot path resolves
+            both with a single dict lookup.  ``target_port is None`` means
+            the cross-cluster mailbox.  ``fused`` is the same-region verdict
+            (``base`` <= the intra-region latency; always false without the
+            CPU model, which has no slot to take): the receiver slot is
+            booked when the message is scheduled, not when it arrives.
+            Unknown destinations (drops) are never
             cached.  Entries are purged on (de)registration of the
             destination and cleared wholesale when the latency model's
             topology changes (it calls the pipeline back — see
             ``DeliveryPipeline.__init__``).
 
     The send and receive watermarks are deliberately independent resources —
-    a serialization/NIC engine and a processing CPU.  The pre-fusion model
-    shared one watermark, so a replica's sends queued behind receive work
-    that had *arrived* by the send time; the fused pipeline assigns receive
-    slots at schedule time (before arrival), where a shared watermark would
-    make sends queue behind work still in flight on the wire — measurably
-    wrong (it serialises whole rounds behind the link latency).  Exact
-    arrived-by-now coupling is precisely the arrival-time event the fusion
-    removes, so the pipeline models the two directions as overlapping
-    resources instead; this is part of the sanctioned semantic change this
-    refactor re-pinned the goldens for.
+    a serialization/NIC engine and a processing CPU.  Same-region receive
+    slots are booked before arrival, and a shared watermark would make a
+    replica's sends queue behind work still in flight on the wire
+    (serialising whole rounds behind the link latency), so the pipeline
+    models the two directions as overlapping resources instead.
     """
 
     __slots__ = (
@@ -265,9 +283,11 @@ class DeliveryPipeline:
     """Owns the fused delivery schedule: ports, drop rules, and stats.
 
     One pipeline serves one :class:`Network`.  ``send`` and ``multicast``
-    compute the whole delivery — departure, link latency, CPU hand-over —
-    in a single pass and schedule exactly one kernel event per wire message
-    (zero for loop-backs, which ride the simulator's microtask queue).
+    compute departure and link latency in a single pass.  On a same-region
+    link they also book the CPU hand-over and schedule exactly one kernel
+    event per wire message; on a cross-region link the slot is taken by an
+    arrival event (two kernel events).  Loop-backs ride the simulator's
+    microtask queue (zero).
     """
 
     def __init__(
@@ -305,16 +325,21 @@ class DeliveryPipeline:
         #: from the *sender's* per-port stream, never from the model's.
         self._lat_bandwidth = latency_model._bandwidth
         self._lat_overhead = latency_model._per_message_overhead
+        self._lat_intra = latency_model.parameters.intra_region_latency
+        #: What an event scheduled at a message's *arrival* time runs: take
+        #: the receiver slot then (cross-region links), or — without the CPU
+        #: model, where there is no slot — hand the message over directly.
+        self._on_arrival = self._arrive if config.cpu_model else self._fire_pair
         latency_model._invalidate_hooks.append(self._clear_route_memos)
         self.ports: Dict[str, _Port] = {}
         self.drop_rules: List[DropRule] = []
         #: Owner-cluster map (process id -> cluster key), shared across all
         #: shards of a deployment (assigned by the harness before any
-        #: registration).  Empty for standalone networks — every message
-        #: then takes the fused path, exactly as before this refactor.
+        #: registration).  Empty for standalone networks — no message then
+        #: takes the mailbox.
         self.owners: Dict[str, object] = {}
         #: Cross-cluster mailbox: ``(arrival, sender, xseq, destination,
-        #: envelope)`` entries awaiting the next lookahead barrier.  The
+        #: envelope, fused)`` entries awaiting the next lookahead barrier.  The
         #: sort key (arrival, sender, xseq) is a total order every shard
         #: layout reproduces, so injection order — and with it every
         #: receiver-CPU slot — is shard-count invariant.
@@ -485,7 +510,7 @@ class DeliveryPipeline:
             if route is None:
                 stats.messages_dropped += 1
                 return
-        target_port, base, spread = route
+        target_port, base, spread, fused = route
         # Authenticated-link check, once per message at schedule time:
         # verification is time-independent (a token either matches the
         # signer's secret or it never will), so checking here instead of at
@@ -524,14 +549,16 @@ class DeliveryPipeline:
         acc[1] += 1
         envelope = Envelope(sender, payload, signature, now, size, processing)
         if target_port is None:
-            self._enqueue_cross(port, sender, departure + latency, destination, envelope, now)
+            self._enqueue_cross(
+                port, sender, departure + latency, destination, envelope, fused, now
+            )
             return
         queue = self._equeue
         sequence = queue._sequence
         queue._sequence = sequence + 1
         queue._live += 1
-        if self._cpu_model:
-            # Fused hand-over: the receiver's CPU slot is assigned now, so
+        if fused:
+            # Same-region link: the receiver's CPU slot is assigned now, so
             # the one kernel event fires at the finish time directly.
             finish = target_port.recv_free
             arrival = departure + latency
@@ -552,7 +579,7 @@ class DeliveryPipeline:
                         departure + latency,
                         0,
                         sequence,
-                        self._fire_pair,
+                        self._on_arrival,
                         (target_port, envelope),
                         False,
                         "net:msg",
@@ -619,7 +646,7 @@ class DeliveryPipeline:
         congestion = self.congestion
         congestion_key = port.owner if port.owner is not None else sender
         fire_port = self._fire_port
-        fire_pair = self._fire_pair
+        on_arrival = self._on_arrival
         equeue = self._equeue
         sequence = equeue._sequence
         sent = 0
@@ -656,7 +683,7 @@ class DeliveryPipeline:
                 if route is None:
                     dropped += 1
                     continue
-            target_port, base, spread = route
+            target_port, base, spread, fused = route
             transfer = size / lat_bandwidth if size else 0.0
             if base == 0:
                 latency = transfer
@@ -671,9 +698,11 @@ class DeliveryPipeline:
             latency_sum += latency
             draws += 1
             if target_port is None:
-                self._enqueue_cross(port, sender, departure + latency, destination, envelope, now)
+                self._enqueue_cross(
+                    port, sender, departure + latency, destination, envelope, fused, now
+                )
                 continue
-            if cpu_model:
+            if fused:
                 finish = target_port.recv_free
                 arrival = departure + latency
                 if finish < arrival:
@@ -689,7 +718,7 @@ class DeliveryPipeline:
                             departure + latency,
                             0,
                             sequence,
-                            fire_pair,
+                            on_arrival,
                             (target_port, envelope),
                             False,
                             "net:msg",
@@ -727,7 +756,7 @@ class DeliveryPipeline:
         the cross-cluster mailbox — even under a single-shard kernel — so
         delivery order never depends on how clusters are packed onto
         shards.  Processes without an owner (standalone networks, unit
-        tests) keep the fused path untouched.  Returns ``None`` (and caches
+        tests) never take the mailbox.  Returns ``None`` (and caches
         nothing) for unknown local destinations: the caller drops, and a
         later registration of that id must see a fresh lookup.
         """
@@ -742,17 +771,20 @@ class DeliveryPipeline:
             if target_port is None:
                 return None
         latency_model = self.latency_model
+        # Trace-driven pair: sample the schedule at *send* time and do not
+        # cache — every send to this destination must re-resolve so the
+        # latency follows the trace.  Untraced pairs use the memoised
+        # constants.
+        params = None
         if latency_model._trace is not None:
-            # Trace-driven pair: sample the schedule at *send* time and do
-            # not cache — every send to this destination must re-resolve so
-            # the latency follows the trace.  Untraced pairs fall through to
-            # the memoised constants below.
             params = latency_model.traced_pair_params(sender, destination, self.simulator.now)
-            if params is not None:
-                return (target_port, params[0], params[1])
-        base, spread = latency_model.pair_params(sender, destination)
-        route = (target_port, base, spread)
-        port.route[destination] = route
+        traced = params is not None
+        if not traced:
+            params = latency_model.pair_params(sender, destination)
+        base, spread = params
+        route = (target_port, base, spread, self._cpu_model and base <= self._lat_intra)
+        if not traced:
+            port.route[destination] = route
         return route
 
     # ------------------------------------------------------------------ #
@@ -765,20 +797,22 @@ class DeliveryPipeline:
         arrival: float,
         destination: str,
         envelope: Envelope,
+        fused: bool,
         now: float,
     ) -> None:
         """Queue a cross-owner-cluster message for the next barrier.
 
         Everything sender-side — stats, drop rules, the signature check,
-        the latency draw, the departure stagger — has already happened;
-        what remains (receiver port lookup, CPU slot, delivery event) is
-        receiver-side and runs at injection time on the *destination's*
-        shard, identically under every shard layout.
+        the latency draw, the departure stagger, the link's same-region
+        verdict — has already happened; what remains (receiver port lookup,
+        CPU slot, delivery event) is receiver-side and runs at injection
+        time on the *destination's* shard, identically under every shard
+        layout.
         """
         xseq = port.xseq
         port.xseq = xseq + 1
         outbox = self.outbox
-        outbox.append((arrival, sender, xseq, destination, envelope))
+        outbox.append((arrival, sender, xseq, destination, envelope, fused))
         if self.self_flush and not self._flush_pending:
             self._flush_pending = True
             self.simulator.schedule_at(
@@ -844,8 +878,8 @@ class DeliveryPipeline:
         self.outbox = []
         batch.sort()
         deliver = self.deliver_cross
-        for arrival, _sender, _xseq, destination, envelope in batch:
-            deliver(arrival, destination, envelope)
+        for arrival, _sender, _xseq, destination, envelope, fused in batch:
+            deliver(arrival, destination, envelope, fused)
 
     def take_outbox(self) -> List[tuple]:
         """Detach and return the pending mailbox (coordinator mode)."""
@@ -854,15 +888,19 @@ class DeliveryPipeline:
             self.outbox = []
         return batch
 
-    def deliver_cross(self, arrival: float, destination: str, envelope: Envelope) -> None:
+    def deliver_cross(
+        self, arrival: float, destination: str, envelope: Envelope, fused: bool
+    ) -> None:
         """Inject a cross-cluster envelope at a barrier.
 
-        Runs on the destination's shard.  The receiver CPU slot is assigned
-        here — in canonical mailbox order — rather than at send time, so
-        slot assignment is identical whichever shard the sender lived on.
-        The event is pushed directly (no past-time guard): a barrier can sit
-        one ulp above an arrival that equals it in real arithmetic, and both
-        the single-shard flush and the coordinator tolerate that identically.
+        Runs on the destination's shard, in canonical mailbox order, so the
+        outcome is identical whichever shard the sender lived on.  On a
+        same-region link (``fused``) the receiver CPU slot is assigned here;
+        on a cross-region link the barrier only schedules the arrival event,
+        which takes the slot when the envelope lands.  The event is pushed
+        directly (no past-time guard): a barrier can sit one ulp above an
+        arrival that equals it in real arithmetic, and both the single-shard
+        flush and the coordinator tolerate that identically.
         """
         port = self.ports.get(destination)
         if port is None or not port.registered:
@@ -872,7 +910,7 @@ class DeliveryPipeline:
         sequence = queue._sequence
         queue._sequence = sequence + 1
         queue._live += 1
-        if self._cpu_model:
+        if fused:
             finish = port.recv_free
             if finish < arrival:
                 finish = arrival
@@ -886,8 +924,38 @@ class DeliveryPipeline:
         else:
             heappush(
                 queue._heap,
-                Event((arrival, 0, sequence, self._fire_pair, (port, envelope), False, "net:msg")),
+                Event(
+                    (arrival, 0, sequence, self._on_arrival, (port, envelope), False, "net:msg")
+                ),
             )
+
+    def _arrive(self, pair) -> None:
+        """A cross-region envelope lands: take the receiver's CPU slot *now*.
+
+        The one deferred branch behind ``send``, ``multicast`` and
+        ``deliver_cross``.  Until this instant the envelope occupied nothing
+        at the receiver, so messages scheduled while it was on the wire were
+        served ahead of it.
+        """
+        port, envelope = pair
+        if not port.registered:
+            self.stats.messages_dropped += 1
+            return
+        finish = port.recv_free
+        now = self.simulator.now
+        if finish < now:
+            finish = now
+        finish += envelope.processing * port.cpu_factor
+        port.recv_free = finish
+        port.queue.append(envelope)
+        queue = self._equeue
+        sequence = queue._sequence
+        queue._sequence = sequence + 1
+        queue._live += 1
+        heappush(
+            queue._heap,
+            Event((finish, 0, sequence, self._fire_port, port, False, "net:msg")),
+        )
 
     # ------------------------------------------------------------------ #
     # Delivery (one callback per delivered message)
@@ -896,9 +964,9 @@ class DeliveryPipeline:
         """Hand over the head of a port's FIFO; fires at its hand-over time.
 
         Pop order equals kernel fire order because hand-over times are
-        assigned monotonically per port at schedule time (ties broken by the
-        kernel's sequence numbers, which are assigned in the same order as
-        the queue appends).
+        assigned monotonically per port, in the order the slots are taken
+        (ties broken by the kernel's sequence numbers, which are assigned in
+        the same order as the queue appends).
         """
         envelope = port.queue.popleft()
         process = port.process

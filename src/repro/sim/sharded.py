@@ -186,7 +186,7 @@ class ShardedSimulator:
                     f"{entry[1]!r} arrives at {arrival}, before the window start "
                     f"{window_start} (lookahead too large for the topology)"
                 )
-            pipelines[route(entry[3])].deliver_cross(arrival, entry[3], entry[4])
+            pipelines[route(entry[3])].deliver_cross(arrival, entry[3], entry[4], entry[5])
 
 
 __all__ = ["ShardedSimulator"]

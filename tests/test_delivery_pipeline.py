@@ -7,6 +7,9 @@ These pin the *structural* wins of the pipeline refactor:
   (the old ``net:deliver`` → ``net:cpu`` chain cost two),
 * self-addressed messages are handed over at the same virtual instant with
   no latency draw, no drop-rule evaluation, and no kernel event,
+* a cross-region message takes its receiver-CPU slot when it *arrives*, so
+  it never holds up LAN traffic scheduled while it was on the wire (two
+  kernel events; same-region messages keep the single fused one),
 * same seed ⇒ byte-identical :class:`~repro.harness.runner.ResultRow`.
 """
 
@@ -84,6 +87,90 @@ class TestEventBudget:
         simulator.run()
         assert len(a.received) == 1
         assert simulator.events_processed == 0
+
+
+# ---------------------------------------------------------------------- #
+# Cross-region messages take their receiver slot on arrival
+# ---------------------------------------------------------------------- #
+class TestNoHeadOfLineBlocking:
+    """``far`` is a WAN hop (~107 ms one way) from ``r``; ``near`` shares
+    ``r``'s region.  A WAN envelope on the wire must not delay LAN traffic."""
+
+    WAN_SENT, LAN_SENT = 0.05, 0.12  # the WAN envelope lands at ~0.157
+
+    def _run(self, owners=None):
+        simulator, network = build_network()
+        nodes = {name: Recorder(name, simulator) for name in ("far", "near", "r")}
+        if owners:
+            # A deployment's wiring: far's cluster differs from r's, so the
+            # far -> r envelope rides the cross-cluster mailbox and is
+            # injected at the barrier (0.0985) between its send and arrival.
+            pipeline = network.pipeline
+            pipeline.owners = owners
+            pipeline.lookahead_provider = lambda: network.latency_model.min_cross_group_floor(owners)
+        network.register(nodes["far"], "asia-south1")
+        network.register(nodes["near"], "us-west1")
+        network.register(nodes["r"], "us-west1")
+        far, near = (AuthenticatedPerfectLink(name, network) for name in ("far", "near"))
+        simulator.schedule_at(self.WAN_SENT, lambda: far.send("r", Note("wan")))
+        simulator.schedule_at(self.LAN_SENT, lambda: near.send("r", Note("lan")))
+        simulator.run()
+        return simulator, {payload.text: time for _, payload, time in nodes["r"].received}
+
+    def _assert_lan_is_not_blocked(self, delivered):
+        assert delivered["lan"] - self.LAN_SENT < 0.002, "LAN message waited for the WAN envelope"
+        assert delivered["wan"] - self.WAN_SENT > 0.09
+        assert delivered["lan"] < delivered["wan"]
+
+    def test_lan_message_overtakes_a_wan_envelope_in_flight(self):
+        _, delivered = self._run()
+        self._assert_lan_is_not_blocked(delivered)
+
+    def test_the_same_holds_through_the_cross_cluster_mailbox(self):
+        _, delivered = self._run(owners={"far": 1, "near": 0, "r": 0})
+        self._assert_lan_is_not_blocked(delivered)
+
+    def test_one_kernel_event_per_same_region_message_and_two_per_cross_region(self):
+        simulator, network = build_network()
+        names = ("far", "near", "r")
+        nodes = {name: Recorder(name, simulator) for name in names}
+        network.register(nodes["far"], "asia-south1")
+        for name in ("near", "r"):
+            network.register(nodes[name], "us-west1")
+        group = tuple(sorted(names))
+        # r hears a LAN and a WAN copy of every burst, interleaved; bursts are
+        # spaced wider than the WAN jitter so each link stays in send order.
+        for step in range(20):
+            for name in ("far", "near"):
+                link = AuthenticatedBestEffortBroadcast(name, network, lambda: group)
+                simulator.schedule_at(0.03 * step, lambda link=link, step=step: link.broadcast(Note(f"{step}")))
+        simulator.run()
+        # Each broadcast: one loop-back (free); far's two copies cross
+        # regions, near's go one to r (LAN) and one to far (WAN).
+        broadcasts, lan, wan = 40, 20 * 1, 20 * 3
+        assert network.stats.messages_delivered == lan + wan
+        assert simulator.events_processed - broadcasts == lan + 2 * wan
+        # Pop order == fire order: had the port FIFO handed an envelope over
+        # at another's slot, a WAN copy would show up in LAN time or a LAN
+        # copy in WAN time; per link, copies also stay in send order.
+        received = nodes["r"].received
+        assert not network.pipeline.ports["r"].queue
+        for sender, low, high in (("near", 0.0, 0.002), ("far", 0.09, 0.13)):
+            copies = [(int(payload.text), time) for who, payload, time in received if who == sender]
+            assert [step for step, _ in copies] == list(range(20))
+            assert all(low < time - 0.03 * step < high for step, time in copies)
+
+    def test_port_deregistered_while_the_envelope_is_in_flight_drops_it(self):
+        simulator, network = build_network()
+        far, r = Recorder("far", simulator), Recorder("r", simulator)
+        network.register(far, "asia-south1")
+        network.register(r, "us-west1")
+        AuthenticatedPerfectLink("far", network).send("r", Note("wan"))
+        simulator.schedule_at(0.05, lambda: network.deregister("r"))
+        simulator.run()
+        assert r.received == []
+        assert network.stats.messages_dropped == 1
+        assert simulator.events_processed == 2  # the arrival and the deregistration
 
 
 # ---------------------------------------------------------------------- #

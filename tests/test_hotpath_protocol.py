@@ -269,6 +269,28 @@ class TestBundleCaches:
         assert a.digest() == a.digest()
         assert a.digest() != b.digest()  # different txn ids
 
+    def test_digests_are_fixed_width_whatever_the_batch_size(self):
+        """Every replica keeps a batch's digest per consensus instance and
+        embeds it in each vote digest, so it must not grow with the batch."""
+        from repro.consensus.interface import commit_digest
+        from repro.core.messages import LocalShare
+        from repro.net.message import SHORT_DIGEST, compact_digest, payload_digest
+
+        assert payload_digest(()) == "()" and payload_digest([1, 2]) == "[1, 2]"
+        assert compact_digest("x" * SHORT_DIGEST) == "x" * SHORT_DIGEST
+        small, large = self._bundle(), self._bundle()
+        large.transactions = large.transactions * 50
+        for bundle in (small, large):
+            batch = payload_digest(bundle.transactions)
+            assert batch.startswith("#") and len(batch) == 25
+            assert batch == payload_digest(list(bundle.transactions))
+            assert len(bundle.digest()) == 25
+            assert len(commit_digest(0, 1, bundle.transactions)) <= SHORT_DIGEST
+            share = LocalShare(round_number=1, cluster_id=0, bundle=bundle)
+            assert len(share.digest()) < 100
+        assert payload_digest(small.transactions) != payload_digest(large.transactions)
+        assert commit_digest(0, 1, small.transactions) != commit_digest(0, 2, small.transactions)
+
     def test_view_cache_invalidated_by_reconfig(self):
         from tests.helpers import small_deployment
 

@@ -328,6 +328,23 @@ def _chained_open_leases():
     )
 
 
+def _three_regions_mixed_links():
+    # Clusters 0 and 1 share a region: their leaders and Inter targets take
+    # receiver slots three ways at once — fused intra-cluster LAN traffic,
+    # cross-cluster LAN traffic booked at the barrier, and cross-region
+    # envelopes that take their slot when they arrive.
+    return (
+        Scenario("p-3region")
+        .clusters((4, "us-west1"), (4, "us-west1"), (4, "europe-west3"), (7, "asia-south1"))
+        .engine("hotstuff")
+        .threads(3)
+        .duration(1.0)
+        .warmup(0.2)
+        .seeds(73)
+        .spec()
+    )
+
+
 FAMILIES = {
     "e0": _e0_baseline,
     "e1": _e1_multiregion,
@@ -349,6 +366,7 @@ FAMILIES = {
     "chained-e0": _chained_e0,
     "chained-faults": _chained_faults,
     "chained-open-leases": _chained_open_leases,
+    "three-regions": _three_regions_mixed_links,
 }
 
 
@@ -383,6 +401,13 @@ class TestShardParallelWorkers:
         for builder_fn in (_e1_multiregion, _e7_churn):
             serial = _row_json(builder_fn())
             assert _row_json(_with_shards(builder_fn, 4, parallel=True)) == serial
+
+    def test_three_regions_match_on_one_shard_two_shards_and_two_forked_workers(self):
+        row = run_scenario(_three_regions_mixed_links())
+        assert row.operations > 100
+        serial = row.to_json()
+        assert _row_json(_with_shards(_three_regions_mixed_links, 2)) == serial
+        assert _row_json(_with_shards(_three_regions_mixed_links, 2, parallel=True)) == serial
 
     def test_population_parallel_workers_match_serial(self):
         serial = _row_json(_population_steady())
@@ -495,7 +520,7 @@ class TestShardedSimulatorKernel:
                 batch, self.batch = self.batch, []
                 return batch
 
-            def deliver_cross(self, arrival, destination, envelope):
+            def deliver_cross(self, arrival, destination, envelope, fused):
                 pass
 
         pipelines = [FakePipeline(), FakePipeline()]
@@ -503,7 +528,7 @@ class TestShardedSimulatorKernel:
         def emit():
             # Arrival before the window being simulated: the destination
             # shard already ran past it — a conservative violation.
-            pipelines[0].batch.append((0.1, "a", 0, "b", None))
+            pipelines[0].batch.append((0.1, "a", 0, "b", None, False))
 
         sims[0].schedule_at(0.25, emit, label="bad-send")
         kernel = ShardedSimulator(sims, pipelines, lambda pid: 1, lambda: 0.2)
@@ -517,7 +542,7 @@ class TestShardedSimulatorKernel:
             def take_outbox(self):
                 return []
 
-            def deliver_cross(self, arrival, destination, envelope):
+            def deliver_cross(self, arrival, destination, envelope, fused):
                 pass
 
         for sim in sims:
