@@ -8,9 +8,11 @@ speedup ratios, so the perf trajectory is a single self-describing artifact.
 Every run also executes the fixed-seed determinism probe
 (:mod:`benchmarks.perf.determinism`); its fingerprint lands in the report.
 ``--compare`` exits non-zero **only** on a determinism mismatch, a
-serial-vs-sharded parity break, or a harness crash — timing ratios
-(including the sharded-speedup row) are printed but never gate, per the
-host-variance caveat.  This is what CI's ``perf-smoke`` job runs.
+serial-vs-sharded parity break, a regression of one of the probe's exact
+work counters (wire messages per op, envelope digests read per op), or a
+harness crash — timing ratios (including the sharded-speedup row) are
+printed but never gate, per the host-variance caveat.  This is what CI's
+``perf-smoke`` job runs.
 
 Flags:
     --quick        ~10x smaller workloads (CI smoke); the probe is unaffected.
@@ -292,6 +294,27 @@ def _print_comparison(old_path: str, new_report: dict) -> int:
                   "benchmarks/perf/macro_bench.py)")
             return 1
         print(f"[perf][compare] {label} invariant: {old_ratio:.4f} -> {new_ratio:.4f} (ok)")
+    # Envelope digests read per committed operation: how many link-layer
+    # signatures had their payload digest walked.  Exact per seed like
+    # wire/op, and invisible to the fingerprint (it is simulator effort, not
+    # simulated behaviour), so this is the only place a regression shows:
+    # any reader that starts materialising envelope digests on the
+    # fault-free probe fails here.
+    for key, label in (
+        ("envelope_digests_read_per_op", "envelope digests read/op"),
+        ("chained_envelope_digests_read_per_op", "chained envelope digests read/op"),
+    ):
+        old_reads = old_probe.get(key)
+        new_reads = new_probe.get(key)
+        if old_reads is None or new_reads is None:
+            continue  # older report predates this probe key; nothing to gate
+        if new_reads > old_reads:
+            print(f"[perf][compare] {label.upper()} REGRESSION: "
+                  f"{old_reads:.4f} -> {new_reads:.4f} payload digests walked for "
+                  "link-layer signatures per committed operation (gating; see "
+                  "MessageSignature in src/repro/net/crypto.py)")
+            return 1
+        print(f"[perf][compare] {label}: {old_reads:.4f} -> {new_reads:.4f} (ok)")
     for key in ("fingerprint", "chained_fingerprint"):
         if old_probe.get(key) != new_probe.get(key):
             print("[perf][compare] DETERMINISM MISMATCH: fixed-seed behaviour drifted "

@@ -76,6 +76,9 @@ HEADLINE_METRICS: Dict[str, str] = {
     "kernel_events": "events_per_sec",
     "kernel_timer_churn": "resets_per_sec",
     "network_multicast": "messages_per_sec",
+    # Point-to-point twin of the multicast ring, introduced with the lazy
+    # link-layer signature; no pre-optimisation baseline, absolute rate only.
+    "network_signed_send": "messages_per_sec",
     "macro_e0": "ops_per_sec",
     # Introduced with the open-loop population subsystem; no pre-optimisation
     # baseline exists (the model is new), so only the absolute rate prints.

@@ -18,6 +18,12 @@ parity verdicts, its own wire/op invariant — and the headline claim of the
 chained engine, that it commits the same workload with *fewer* wire messages
 per operation than basic HotStuff, becomes a gated boolean.
 
+Each battery also reports two deterministic work counters of the crypto
+layer (``KeyRegistry.counters()``): link-layer signatures minted per
+committed operation, and how many of those ever had their payload digest
+walked.  The second is gated by ``--compare`` against the committed value
+(0 on this fault-free probe) — a count gates, wall-clock does not.
+
 The probe is deliberately independent of ``--quick``: it always runs the
 same shape, so a quick CI run can be compared against a committed full run.
 Timing comparisons between perf reports stay non-gating (shared-runner
@@ -29,7 +35,7 @@ drifted without a sanctioned golden re-pin (see ``tests/repin_goldens.py``).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, Tuple
 
 #: Bump when the probe scenario itself changes, so fingerprint mismatches
 #: caused by probe redefinition are distinguishable from behaviour drift.
@@ -65,11 +71,11 @@ def _engine_battery(engine: str) -> Dict[str, object]:
     """Two serial runs plus one 2-shard run of one engine's probe scenario."""
     import json
 
-    def one_run(shards: int = 1) -> str:
+    def one_run(shards: int = 1) -> Tuple[str, Dict[str, int]]:
         spec = _probe_spec(engine=engine, shards=shards)
         deployment = spec.build()
         metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
-        return json.dumps(
+        blob = json.dumps(
             {
                 "summary": metrics.summary(),
                 "network": deployment.network.stats.snapshot(),
@@ -78,6 +84,10 @@ def _engine_battery(engine: str) -> Dict[str, object]:
             },
             sort_keys=True,
         )
+        # The crypto work counters stay outside the fingerprinted blob: they
+        # describe the simulator's own effort, not simulated behaviour, so
+        # they are free to fall without a re-pin.
+        return blob, deployment.registry.counters()
 
     def without_events(blob: str) -> str:
         # The serial path processes its mailbox flushes as events; the
@@ -88,9 +98,9 @@ def _engine_battery(engine: str) -> Dict[str, object]:
         data.pop("events", None)
         return json.dumps(data, sort_keys=True)
 
-    first = one_run()
-    second = one_run()
-    sharded = one_run(shards=2)
+    first, crypto = one_run()
+    second, _ = one_run()
+    sharded, _ = one_run(shards=2)
     payload = f"v{PROBE_VERSION}|{engine}|{first}".encode("utf-8")
     data = json.loads(first)
     operations = data["operations"]
@@ -98,6 +108,15 @@ def _engine_battery(engine: str) -> Dict[str, object]:
     return {
         "events": data["events"],
         "wire_messages_per_committed_op": wire / operations if operations else 0.0,
+        # Deterministic crypto work counters (ROADMAP aim 1b): link-layer
+        # signatures minted per op, and how many of them ever had their
+        # payload digest walked — the latter is gated by ``--compare``.
+        "envelope_signatures_per_op": (
+            crypto["envelope_signatures"] / operations if operations else 0.0
+        ),
+        "envelope_digests_read_per_op": (
+            crypto["envelope_digests_read"] / operations if operations else 0.0
+        ),
         "fingerprint": hashlib.sha256(payload).hexdigest(),
         "repeat_identical": first == second,
         # Serial vs 2-shard coordinator, same seed: must be byte-identical.
@@ -117,6 +136,8 @@ def run_probe() -> Dict[str, object]:
         # gated by ``--compare`` so a quiet-round regression fails fast even
         # though the probe's duration differs from the macro run's.
         "wire_messages_per_committed_op": basic["wire_messages_per_committed_op"],
+        "envelope_signatures_per_op": basic["envelope_signatures_per_op"],
+        "envelope_digests_read_per_op": basic["envelope_digests_read_per_op"],
         "fingerprint": basic["fingerprint"],
         "repeat_identical": basic["repeat_identical"],
         "sharded_parity_identical": basic["sharded_parity_identical"],
@@ -124,6 +145,8 @@ def run_probe() -> Dict[str, object]:
         "chained_wire_messages_per_committed_op": chained[
             "wire_messages_per_committed_op"
         ],
+        "chained_envelope_signatures_per_op": chained["envelope_signatures_per_op"],
+        "chained_envelope_digests_read_per_op": chained["envelope_digests_read_per_op"],
         "chained_fingerprint": chained["fingerprint"],
         "chained_repeat_identical": chained["repeat_identical"],
         "chained_sharded_parity_identical": chained["sharded_parity_identical"],

@@ -1,17 +1,22 @@
-"""Microbenchmark for the simulated network hot path.
+"""Microbenchmarks for the simulated network hot path.
 
-A ring of processes spread over three regions multicasts signed payloads to
+A ring of processes spread over three regions sends signed payloads to
 everyone else in lockstep rounds.  Each message exercises the full per-send
-cost the protocols pay: digest + signing on the sender, a latency event, the
-receiver CPU queue, and signature verification — so this is the number that
-moves when :mod:`repro.net` sheds per-message overhead.
+cost the protocols pay: the (lazy) link-layer signature on the sender, a
+latency event, the receiver CPU queue, and signature verification — so
+these are the numbers that move when :mod:`repro.net` sheds per-message
+overhead.  Two rows share the ring: ``network_multicast`` fans out through
+``send_many`` (one signature and one envelope per round and sender), and
+``network_signed_send`` through point-to-point ``send`` (one signature and
+one envelope per destination) — the path every protocol reply, forward and
+client request takes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
@@ -44,10 +49,19 @@ class _Sink(Process):
         self.received += 1
 
 
-def bench_multicast(
-    processes: int = 9, rounds: int = 300, seed: int = 7, repeats: int = 3
+def _signed_sends(link: AuthenticatedPerfectLink, others: List[str], payload: Message) -> None:
+    for destination in others:
+        link.send(destination, payload)
+
+
+def _bench_ring(
+    fan_out: Callable[[AuthenticatedPerfectLink, List[str], Message], None],
+    processes: int,
+    rounds: int,
+    seed: int,
+    repeats: int,
 ) -> Dict[str, float]:
-    """``rounds`` lockstep all-to-all multicasts across three regions."""
+    """``rounds`` lockstep all-to-all exchanges across three regions."""
     best = float("inf")
     expected = rounds * processes * (processes - 1)
     for _ in range(repeats):
@@ -66,7 +80,7 @@ def bench_multicast(
         def round_of(number: int) -> None:
             for index, link in enumerate(links):
                 others = [pid for pid in ids if pid != link.owner]
-                link.send_many(others, _Payload(round_number=number, sender_index=index))
+                fan_out(link, others, _Payload(round_number=number, sender_index=index))
             if number + 1 < rounds:
                 sim.schedule(0.05, lambda n=number + 1: round_of(n))
 
@@ -84,9 +98,27 @@ def bench_multicast(
     }
 
 
+def bench_multicast(
+    processes: int = 9, rounds: int = 300, seed: int = 7, repeats: int = 3
+) -> Dict[str, float]:
+    """All-to-all through ``send_many``: one signed envelope per sender and round."""
+    return _bench_ring(AuthenticatedPerfectLink.send_many, processes, rounds, seed, repeats)
+
+
+def bench_signed_send(
+    processes: int = 9, rounds: int = 300, seed: int = 7, repeats: int = 3
+) -> Dict[str, float]:
+    """All-to-all through point-to-point ``send``: one signed envelope per message."""
+    return _bench_ring(_signed_sends, processes, rounds, seed, repeats)
+
+
 def run(quick: bool = False) -> Dict[str, Dict[str, float]]:
-    """Run the multicast workload; ``quick`` shrinks it for CI smoke runs."""
-    return {"network_multicast": bench_multicast(rounds=30 if quick else 300)}
+    """Run both ring workloads; ``quick`` shrinks them for CI smoke runs."""
+    rounds = 30 if quick else 300
+    return {
+        "network_multicast": bench_multicast(rounds=rounds),
+        "network_signed_send": bench_signed_send(rounds=rounds),
+    }
 
 
-__all__ = ["bench_multicast", "run"]
+__all__ = ["bench_multicast", "bench_signed_send", "run"]

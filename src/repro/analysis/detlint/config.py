@@ -19,7 +19,7 @@ def _default_hot_path_classes() -> Dict[str, FrozenSet[str]]:
         "repro/sim/events.py": frozenset({"Event", "EventQueue"}),
         "repro/sim/simulator.py": frozenset({"Timer", "DeadlinePool", "PooledTimer"}),
         "repro/net/message.py": frozenset({"Envelope"}),
-        "repro/net/crypto.py": frozenset({"Signature"}),
+        "repro/net/crypto.py": frozenset({"Signature", "MessageSignature"}),
         "repro/net/network.py": frozenset({"_Port"}),
         "repro/core/statemachine.py": frozenset({"ExecutionLedger", "LedgerView", "KeyValueStore"}),
     }

@@ -10,6 +10,18 @@ recomputes the token, so a Byzantine component cannot fabricate a signature
 for a replica whose secret it does not hold (the registry only hands out a
 replica's signing capability to that replica's own process).
 
+Two entry points mint signatures.  :meth:`KeyRegistry.sign` signs a digest
+the caller already holds — votes, BRD entries, commit signatures, where the
+digest *is* the thing signed — and returns a plain :class:`Signature` whose
+``digest`` is a slot.  :meth:`KeyRegistry.sign_message` is the link layer's:
+it signs a whole :class:`~repro.net.message.Message` and returns a
+:class:`MessageSignature` that walks the payload's digest only when
+something reads it.  Almost nothing does — the link check answers from the
+``verified_by`` memo, and the one protocol that keeps envelope signatures
+(the remote leader change's ``LComplaint`` quorum) reads a few dozen per
+run — so an honest send costs one slotted allocation and no digest walk.
+The registry counts all three (:meth:`KeyRegistry.counters`).
+
 The real CPU cost of signing/verification is modelled separately by the
 network's processing-cost parameters so that message-complexity differences
 between protocols remain visible in simulated throughput.
@@ -19,9 +31,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set
 
 from repro.errors import CryptoError
+
+if TYPE_CHECKING:
+    from repro.net.message import Message
 
 
 #: Token memo entry cap: keys are (signer, digest_hash) with small values,
@@ -136,6 +151,46 @@ class Signature:
         self.verified_by = None
 
 
+class MessageSignature(Signature):
+    """The link layer's signature over a whole message, lazy in its digest.
+
+    Minted only by :meth:`KeyRegistry.sign_message`.  It holds the signed
+    ``payload`` instead of its digest: ``digest`` walks ``payload.digest()``
+    on first read and keeps the result, and ``token`` derives from that as
+    for any registry-minted signature, so equality, hashing, ``repr``,
+    :meth:`KeyRegistry.verify` and :meth:`Certificate.add` all behave as
+    they do for ``registry.sign(signer, payload.digest())`` — which this
+    compares equal to.  The value read later is the value an eager walk at
+    send time would have produced because messages are immutable once
+    handed to the network (see :mod:`repro.net.message`).
+
+    The first read is counted on the minting registry, by payload type
+    (``envelope_digests_read``): the count of digest walks the link layer
+    still causes is a deterministic work counter, and the perf probe gates
+    on it.  Pickling (the forked shard workers' pipes) materialises digest
+    and token and ships a plain :class:`Signature`.
+    """
+
+    __slots__ = ("payload", "_digest")
+
+    @property
+    def digest(self) -> str:
+        try:
+            return self._digest
+        except AttributeError:
+            pass
+        # ``verified_by`` still names the minting registry here: only a
+        # token comparison can replace it, and that reads the digest first.
+        reads = self.verified_by.envelope_digests_read
+        name = type(self.payload).__name__
+        reads[name] = reads.get(name, 0) + 1
+        digest = self._digest = self.payload.digest()
+        return digest
+
+    def __reduce__(self):
+        return (Signature, (self.signer, self.digest, self.token))
+
+
 @dataclass
 class Certificate:
     """A set of signatures over one digest (a quorum certificate).
@@ -215,6 +270,11 @@ class KeyRegistry:
         # it, so verifying an honestly-signed multicast at n destinations
         # costs one MAC total instead of n + 1.
         self._token_cache: Dict[str, Dict[int, int]] = {}
+        # Deterministic work counters (see :meth:`counters`).
+        self.signatures_minted = 0
+        self.envelope_signatures = 0
+        #: Envelope-signature digests materialised, by payload type name.
+        self.envelope_digests_read: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Key management
@@ -247,12 +307,45 @@ class KeyRegistry:
         """
         if signer not in self._secret_keys:
             raise CryptoError(f"unknown signer {signer!r}")
+        self.signatures_minted += 1
         signature = Signature.__new__(Signature)
         signature.signer = signer
         signature.digest = digest
         signature._token = _LAZY
         signature.verified_by = self
         return signature
+
+    def sign_message(self, signer: str, payload: "Message") -> MessageSignature:
+        """Sign a whole message on behalf of ``signer`` (the link layer).
+
+        Equal to ``sign(signer, payload.digest())`` but does not walk the
+        payload: the returned :class:`MessageSignature` derives the digest
+        when — usually never — something reads it.
+        """
+        if signer not in self._secret_keys:
+            raise CryptoError(f"unknown signer {signer!r}")
+        self.envelope_signatures += 1
+        signature = MessageSignature.__new__(MessageSignature)
+        signature.signer = signer
+        signature.payload = payload
+        signature._token = _LAZY
+        signature.verified_by = self
+        return signature
+
+    def counters(self) -> Dict[str, int]:
+        """Deterministic per-run work counters of the crypto layer.
+
+        ``signatures_minted`` counts explicit :meth:`sign` calls,
+        ``envelope_signatures`` the link layer's :meth:`sign_message`
+        calls, ``envelope_digests_read`` how many of the latter ever had
+        their payload digest walked.  Kept off ``NetworkStats.snapshot()``,
+        which is inside the pinned determinism fingerprints.
+        """
+        return {
+            "signatures_minted": self.signatures_minted,
+            "envelope_signatures": self.envelope_signatures,
+            "envelope_digests_read": sum(self.envelope_digests_read.values()),
+        }
 
     def _derive_token(self, signer: str, digest: str) -> int:
         """Compute (and memoise) the token for a signer/digest pair."""
@@ -357,4 +450,4 @@ class KeyRegistry:
         return False
 
 
-__all__ = ["Certificate", "KeyRegistry", "Signature"]
+__all__ = ["Certificate", "KeyRegistry", "MessageSignature", "Signature"]

@@ -7,13 +7,21 @@
 * ``abeb`` — authenticated best-effort broadcast: sends the same signed
   payload over ``apl`` to every member of a group (including the sender, so
   local delivery of one's own broadcast is uniform with remote delivery).
+
+Every envelope is signed through :meth:`KeyRegistry.sign_message`, which is
+lazy in the payload digest: sending allocates the signature but does not
+walk the payload.  The transport's authenticity check never needs the
+digest (a registry-minted signature answers from its ``verified_by``
+memo), so the walk happens only for the envelopes whose signature a
+protocol keeps and later compares — the remote leader change's
+``LComplaint`` quorum.  That deferral is sound because a payload is never
+mutated after it is handed to the network (see :mod:`repro.net.message`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.net.crypto import Signature
 from repro.net.message import Message
 from repro.net.network import Network
 
@@ -30,17 +38,14 @@ class AuthenticatedPerfectLink:
         self.owner = owner
         self.network = network
 
-    def sign(self, payload: Message) -> Signature:
-        """Sign a payload digest with the owner's key."""
-        return self.network.registry.sign(self.owner, payload.digest())
-
     def send(self, destination: str, payload: Message) -> None:
-        """Sign and send ``payload`` to ``destination``.
+        """Send ``payload`` to ``destination`` under the owner's signature.
 
-        A self-addressed send skips the signature entirely: it takes the
+        The signature is lazy (no digest walk here; see the module
+        docstring).  A self-addressed send skips it entirely: it takes the
         0 ms loop-back, which never verifies, and a process trusts its own
         payloads.  (Broadcasts still sign once for the whole group — group
-        protocols such as the remote leader change read the envelope
+        protocols such as the remote leader change keep the envelope
         signature of their *own* loop-back copy.)
         """
         network = self.network
@@ -51,7 +56,7 @@ class AuthenticatedPerfectLink:
             self.owner,
             destination,
             payload,
-            network.registry.sign(self.owner, payload.digest()),
+            network.registry.sign_message(self.owner, payload),
         )
 
     def send_many(self, destinations: Sequence[str], payload: Message) -> None:
@@ -61,7 +66,7 @@ class AuthenticatedPerfectLink:
             self.owner,
             destinations,
             payload,
-            network.registry.sign(self.owner, payload.digest()),
+            network.registry.sign_message(self.owner, payload),
         )
 
 
@@ -100,7 +105,7 @@ class AuthenticatedBestEffortBroadcast:
 
     def broadcast(self, payload: Message) -> None:
         """Sign and send ``payload`` to every current group member."""
-        signature = self.network.registry.sign(self.owner, payload.digest())
+        signature = self.network.registry.sign_message(self.owner, payload)
         self.network.multicast(self.owner, self.members(), payload, signature)
 
 

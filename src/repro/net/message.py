@@ -2,13 +2,26 @@
 
 Protocol messages are small frozen-ish dataclasses (subclasses of
 :class:`Message`).  The network wraps each payload in an :class:`Envelope`
-that records the sender, destination, the sender's signature over the
-payload digest, and the size in bytes used by the bandwidth model.
+that records the sender, the sender's signature over the payload, and the
+size in bytes used by the bandwidth model.
 
-Messages are treated as immutable once handed to the network: the digest and
-estimated size are computed lazily and cached per instance, so re-sending or
-re-signing the same payload (retransmits, broadcasts fanned out one link at
-a time) never recomputes the full-field ``repr`` walk.
+Messages are treated as immutable once handed to the network.  Two things
+rest on that contract.  The digest and estimated size are computed lazily
+and cached per instance, so re-sending or re-signing the same payload
+(retransmits, broadcasts fanned out one link at a time) never recomputes
+the full-field ``repr`` walk.  And the link layer's envelope signature
+(:class:`~repro.net.crypto.MessageSignature`) does not compute the digest
+at all when the message is sent: it holds the payload and walks it the
+first time something reads ``signature.digest`` — today only the remote
+leader change, for the ``LComplaint`` envelopes it counts into a quorum —
+so the value read is the send-time value only because nothing changed the
+payload in between.  A protocol that keeps an envelope signature must send
+a payload it will not touch again.  (One known aliasing falls short of the
+contract without breaking anything: the HotStuff leader keeps adding late
+votes to a round certificate it has already broadcast inside ``HsPhase`` /
+``ChLock``, the same object.  Nobody keeps those envelopes' signatures;
+``tests/test_lazy_signatures.py`` pins both the exception list and the set
+of envelope digests a run reads.)
 """
 
 from __future__ import annotations
@@ -169,7 +182,8 @@ class Message:
 
         Cached per instance: messages are logically immutable once signed or
         sent, so the first computation (a full-field ``repr`` walk) is also
-        the last.
+        the last.  Sending does not trigger it — the envelope signature is
+        lazy — so for most messages it never runs.
         """
         cache = self.__dict__
         digest = cache.get("_digest_cache")

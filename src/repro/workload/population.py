@@ -25,7 +25,8 @@ cannot keep up, the backlog grows and *offered load* diverges from
 *goodput* — exactly the signal closed-loop clients cannot produce, and the
 one the flash-crowd and capacity-probe shapes exist to measure.  The
 pipelining window (``max_outstanding``) only bounds memory: operations
-beyond it wait in the backlog and their wait is reported as queueing delay.
+beyond it wait in the backlog; their wait is reported as queueing delay and
+is part of their latency, which runs from arrival, not from dispatch.
 """
 
 from __future__ import annotations
@@ -336,7 +337,10 @@ class ClientPopulation(Process):
         while taken < count:
             entry = backlog[0]
             take = min(count - taken, int(entry[1]))
-            self.queue_delay_sum += (now - entry[0]) * take
+            # Latency runs from arrival, not dispatch: a request that waited
+            # behind the pipelining window reports the wait.
+            arrived_at = entry[0]
+            self.queue_delay_sum += (now - arrived_at) * take
             self.queue_delay_count += take
             entry[1] -= take
             if entry[1] <= 0:
@@ -352,7 +356,7 @@ class ClientPopulation(Process):
                     op=op,
                     key=key,
                     value=value,
-                    submitted_at=now,
+                    submitted_at=arrived_at,
                     size_bytes=value_size,
                 )
                 (reads if op == "read" else writes).append(transaction)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Tuple
 
 from repro.core.config import HamavaConfig
+from repro.harness.builder import Scenario
 from repro.harness.deployment import Deployment, DeploymentSpec
 
 
@@ -57,4 +58,25 @@ def small_deployment(
     return Deployment(spec)
 
 
-__all__ = ["fast_config", "members_fn", "small_deployment"]
+def silent_inter_scenario() -> Scenario:
+    """4+4 across two regions; cluster 1's leader goes ``silent_inter`` at 0.4 s.
+
+    Cluster 0 times out on cluster 1 (1-s timeouts), gathers an
+    ``LComplaint`` quorum and sends ``RComplaint``s across the WAN — and, in
+    a two-shard layout, across the shard boundary, carrying the envelope
+    signatures of the quorum — so cluster 1 rotates its leader within the run.
+    """
+    return (
+        Scenario("silent-inter")
+        .clusters((4, "us-west1"), (4, "europe-west3"))
+        .engine("hotstuff")
+        .threads(2)
+        .timeouts(1.0)
+        .config(retry_timeout=1.0)
+        .byzantine_leader(1, at=0.4)
+        .duration(3.0, warmup=0.0)
+        .seeds(31)
+    )
+
+
+__all__ = ["fast_config", "members_fn", "silent_inter_scenario", "small_deployment"]

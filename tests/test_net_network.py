@@ -147,6 +147,37 @@ class TestAuthentication:
         simulator.run()
         assert b.received == []
 
+    @pytest.mark.parametrize("kind", ["forged", "foreign-lazy", "foreign-eager"])
+    def test_bad_signature_dropped_on_send_and_on_multicast(self, kind):
+        # Honest sends answer the link check from the minting memo and never
+        # walk a digest; a signature handed in from elsewhere — forged, or
+        # minted (lazily or not) by another trust domain — takes the full
+        # token comparison on both entry points and is dropped.
+        simulator, network = build_network(verify=True)
+        a, b, c = (Recorder(name, simulator) for name in ("a", "b", "c"))
+        for node in (a, b, c):
+            network.register(node, "us-west1")
+        message = Ping("bad")
+        foreign = KeyRegistry(seed=1234)
+        foreign.register("a")
+        signature = {
+            "forged": lambda: network.registry.forge("a", message.digest()),
+            "foreign-lazy": lambda: foreign.sign_message("a", message),
+            "foreign-eager": lambda: foreign.sign("a", message.digest()),
+        }[kind]()
+        network.send("a", "b", message, signature)
+        network.multicast("a", ["b", "c"], message, signature)
+        simulator.run()
+        assert b.received == [] and c.received == []
+        assert network.stats.messages_dropped == 3
+        link = AuthenticatedPerfectLink("a", network)
+        link.send("b", Ping("good"))
+        link.send_many(["b", "c"], Ping("good"))
+        simulator.run()
+        assert [p.note for _, p, _ in b.received] == ["good", "good"]
+        assert [p.note for _, p, _ in c.received] == ["good"]
+        assert network.registry.counters()["envelope_digests_read"] == 0
+
     def test_valid_envelope_delivered_with_signature(self):
         simulator, network = build_network(verify=True)
         a, b = Recorder("a", simulator), Recorder("b", simulator)

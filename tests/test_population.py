@@ -305,6 +305,35 @@ class TestPopulationScale:
         # Backlog compression: tens of thousands of queued ops, O(ticks) pairs.
         assert len(population._backlog) <= spec.duration / population.config.batch_window + 1
 
+    def test_latency_includes_backlog_wait(self):
+        # A flash crowd against a small pipelining window: the burst queues
+        # behind the window and drains long before the run ends, so nearly
+        # every dispatched request also completes.  Latency runs from
+        # arrival, so its mean cannot be below the mean time spent queued
+        # (it was, when requests were stamped at dispatch: ~4 ms vs ~35 ms).
+        spec = (
+            Scenario("backlog-latency")
+            .clusters(4)
+            .open_loop(
+                clients=200_000,
+                shape=SpikeShape(base_rate=200.0, spike_rate=20_000.0, at=0.2, width=0.2),
+                max_outstanding=100,
+            )
+            .duration(3.0, warmup=0.0)
+            .seeds(11)
+            .spec()
+        )
+        deployment = spec.build()
+        metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
+        population = deployment.populations[0]
+        stats = population.stats()
+        assert stats["max_in_flight"] == population.config.max_outstanding
+        assert stats["backlog"] == 0 and stats["in_flight"] < 10
+        queue_delay = population.queueing_delay_mean()
+        assert queue_delay > 0.01
+        latencies = [record.latency for record in metrics.transactions]
+        assert sum(latencies) / len(latencies) >= queue_delay
+
 
 # ---------------------------------------------------------------------- #
 # Read leases

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import silent_inter_scenario
 from repro.errors import SimulationError
 from repro.harness.builder import Scenario
 from repro.net.adversity import RttTrace
@@ -345,6 +346,13 @@ def _three_regions_mixed_links():
     )
 
 
+def _silent_inter():
+    # The remote leader change is the one consumer of envelope signatures:
+    # the RComplaint that crosses the shard boundary carries the LComplaint
+    # quorum's link-layer signatures, materialised for the pipe.
+    return silent_inter_scenario().spec()
+
+
 FAMILIES = {
     "e0": _e0_baseline,
     "e1": _e1_multiregion,
@@ -367,6 +375,7 @@ FAMILIES = {
     "chained-faults": _chained_faults,
     "chained-open-leases": _chained_open_leases,
     "three-regions": _three_regions_mixed_links,
+    "silent-inter": _silent_inter,
 }
 
 
@@ -408,6 +417,13 @@ class TestShardParallelWorkers:
         serial = row.to_json()
         assert _row_json(_with_shards(_three_regions_mixed_links, 2)) == serial
         assert _row_json(_with_shards(_three_regions_mixed_links, 2, parallel=True)) == serial
+
+    def test_silent_inter_matches_on_one_shard_two_shards_and_two_forked_workers(self):
+        row = run_scenario(_silent_inter())
+        assert row.operations > 100
+        serial = row.to_json()
+        assert _row_json(_with_shards(_silent_inter, 2)) == serial
+        assert _row_json(_with_shards(_silent_inter, 2, parallel=True)) == serial
 
     def test_population_parallel_workers_match_serial(self):
         serial = _row_json(_population_steady())
