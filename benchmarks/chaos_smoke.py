@@ -46,11 +46,11 @@ FLAPPING_LONG_DURATION = 10.0
 
 def run_pack(duration):
     """Run the E9 pack; returns (rows, all_passed)."""
-    from repro.harness.experiments import run_e9_all, run_e9_flapping_partition
+    from repro.harness.experiments import run_e9, run_e9_all
 
     started = time.perf_counter()
     rows = run_e9_all(duration=duration)
-    long_flap = run_e9_flapping_partition(duration=FLAPPING_LONG_DURATION)
+    long_flap = run_e9("flapping_partition", duration=FLAPPING_LONG_DURATION)
     long_flap["experiment"] = f"flapping_partition@{FLAPPING_LONG_DURATION:g}s"
     rows.append(long_flap)
     elapsed = time.perf_counter() - started

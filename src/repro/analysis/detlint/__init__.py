@@ -15,17 +15,15 @@ Run it as::
 
     python -m repro.analysis.detlint src/
 
-Findings can be sanctioned inline (``# detlint: disable=RULE -- rationale``)
-or through the checked-in baseline file (``detlint_baseline.json``), which
-CI only ever allows to shrink.  See the README's "Static analysis" section
+Findings are sanctioned inline (``# detlint: disable=RULE -- rationale``),
+next to the code they excuse.  See the README's "Static analysis" section
 for the rule table and policy.
 """
 
 from __future__ import annotations
 
-from repro.analysis.detlint.baseline import Baseline
 from repro.analysis.detlint.engine import LintReport, lint_paths
 from repro.analysis.detlint.findings import Finding
 from repro.analysis.detlint.rules import RULES, all_rules
 
-__all__ = ["Baseline", "Finding", "LintReport", "RULES", "all_rules", "lint_paths"]
+__all__ = ["Finding", "LintReport", "RULES", "all_rules", "lint_paths"]

@@ -1,9 +1,7 @@
 """CLI: ``python -m repro.analysis.detlint src [tests ...]``.
 
-Exit codes: ``0`` clean, ``1`` actionable findings or stale baseline
-entries, ``2`` usage or parse errors.  ``--write-baseline`` regenerates the
-baseline file from the current findings (every entry starts with a
-``TODO: justify`` rationale — filling those in is part of the review).
+Exit codes: ``0`` clean, ``1`` actionable findings, ``2`` usage or parse
+errors.
 """
 
 from __future__ import annotations
@@ -13,11 +11,8 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis.detlint.baseline import Baseline
 from repro.analysis.detlint.engine import lint_paths
 from repro.analysis.detlint.rules import all_rules
-
-DEFAULT_BASELINE = "detlint_baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,18 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories to scan")
     parser.add_argument("--json", action="store_true", help="emit findings as JSON on stdout")
     parser.add_argument("--stats", metavar="PATH", help="write a JSON run summary to PATH ('-' for stdout)")
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        metavar="PATH",
-        help=f"baseline file of sanctioned findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument("--no-baseline", action="store_true", help="ignore any baseline file")
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to sanction every current finding, then exit",
-    )
     parser.add_argument("--list-rules", action="store_true", help="print the rule table and exit")
     return parser
 
@@ -53,22 +36,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"        fix: {rule.hint}")
         return 0
 
-    baseline: Optional[Baseline] = None
-    if not args.no_baseline and not args.write_baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except FileNotFoundError:
-            baseline = None
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"detlint: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-
-    report = lint_paths(args.paths, baseline=baseline)
-
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).save(args.baseline)
-        print(f"detlint: wrote {len(report.findings)} entries to {args.baseline}")
-        return 0
+    report = lint_paths(args.paths)
 
     if args.stats:
         payload = json.dumps(report.stats(), indent=2, sort_keys=True)
@@ -86,20 +54,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     for error in report.errors:
         print(f"detlint: error: {error}", file=sys.stderr)
-    for entry in report.stale_baseline:
-        print(
-            "detlint: stale baseline entry (the finding is gone — delete it): "
-            f"{entry['rule']}::{entry['path']}::{entry.get('context', '')}",
-            file=sys.stderr,
-        )
 
     if report.errors:
         return 2
-    if report.findings or report.stale_baseline:
-        if report.findings and not args.json:
+    if report.findings:
+        if not args.json:
             print(
                 f"detlint: {len(report.findings)} finding(s) in {report.files_scanned} file(s) "
-                f"({report.suppressed} suppressed inline, {report.baselined} baselined)",
+                f"({report.suppressed} suppressed inline)",
                 file=sys.stderr,
             )
         return 1

@@ -43,8 +43,7 @@ class LintConfig:
             ``random.Random`` streams (DET002).
         rng_exempt: Offline packages exempt from DET002 (analysis tooling).
         hot_path_classes: ``{module: {class, ...}}`` — instance-heavy
-            classes that must declare ``__slots__`` (SLOT001), on top of
-            the always-checked ``Message`` subclasses.
+            classes that must declare ``__slots__`` (SLOT001).
         message_registry: ``(module, name)`` of the protocol-message
             registry tuple; every ``Message`` subclass defined in that
             module must be listed in it (REG001).

@@ -1,4 +1,4 @@
-"""The lint driver: collect files, run rules, apply suppressions + baseline."""
+"""The lint driver: collect files, run rules, apply inline suppressions."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.detlint.baseline import Baseline
 from repro.analysis.detlint.config import DEFAULT_CONFIG, LintConfig
 from repro.analysis.detlint.findings import Finding
 from repro.analysis.detlint.rules import all_rules
@@ -18,23 +17,19 @@ from repro.analysis.detlint.suppressions import SuppressionIndex
 class LintReport:
     """Everything one lint run produced.
 
-    ``findings`` are the *actionable* ones — not suppressed inline, not
-    covered by the baseline.  ``stale_baseline`` holds baseline entries
-    that matched nothing (the ratchet: they must be deleted).  ``errors``
-    are files that could not be parsed.  The run gates on all three.
+    ``findings`` are the *actionable* ones — not suppressed inline.
+    ``errors`` are files that could not be parsed.  The run gates on both.
     """
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
-    stale_baseline: List[Dict[str, str]] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     files_scanned: int = 0
     rule_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
-        return not self.findings and not self.stale_baseline and not self.errors
+        return not self.findings and not self.errors
 
     def stats(self) -> Dict[str, object]:
         """A JSON-ready summary (the CI ``--stats`` artifact)."""
@@ -42,8 +37,6 @@ class LintReport:
             "files_scanned": self.files_scanned,
             "actionable": len(self.findings),
             "suppressed_inline": self.suppressed,
-            "baselined": self.baselined,
-            "stale_baseline_entries": len(self.stale_baseline),
             "parse_errors": len(self.errors),
             "by_rule": dict(sorted(self.rule_counts.items())),
         }
@@ -88,16 +81,11 @@ def collect_files(paths: List[str]) -> List[str]:
     return unique
 
 
-def lint_paths(
-    paths: List[str],
-    config: Optional[LintConfig] = None,
-    baseline: Optional[Baseline] = None,
-) -> LintReport:
-    """Run every registered rule over ``paths`` and fold in the policy layers.
+def lint_paths(paths: List[str], config: Optional[LintConfig] = None) -> LintReport:
+    """Run every registered rule over ``paths`` and apply inline suppressions.
 
-    Raw findings pass through two sanction filters, in order: inline
-    suppressions (``# detlint: disable=...`` on the finding's line), then
-    the baseline.  What survives is actionable and fails the run.
+    A raw finding is sanctioned only by a ``# detlint: disable=...`` on its
+    line (or file-wide); what survives is actionable and fails the run.
     """
     config = config or DEFAULT_CONFIG
     report = LintReport()
@@ -132,14 +120,9 @@ def lint_paths(
         if index is not None and index.suppresses(finding.rule, finding.line):
             report.suppressed += 1
             continue
-        if baseline is not None and baseline.covers(finding):
-            report.baselined += 1
-            continue
         report.findings.append(finding)
 
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if baseline is not None:
-        report.stale_baseline = baseline.stale_entries()
     return report
 
 

@@ -14,12 +14,12 @@ class Finding:
         rule: Rule code, e.g. ``"DET002"``.
         path: Module-relative posix path (``repro/net/adversity.py`` for
             package files, the as-given path otherwise).  Stable across
-            invocation directories, so baseline entries match anywhere.
+            invocation directories.
         line: 1-based source line.
         col: 0-based column.
         message: What is wrong, concretely.
         context: Enclosing ``Class.method`` qualname (or symbol name) the
-            finding lives in; the line-drift-proof half of the baseline key.
+            finding lives in.
         hint: How to fix it.
     """
 
@@ -30,11 +30,6 @@ class Finding:
     message: str
     context: str = ""
     hint: str = ""
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-number-free identity used for baseline matching."""
-        return f"{self.rule}::{self.path}::{self.context}"
 
     def render(self) -> str:
         """One-line human rendering (``path:line:col CODE message``)."""

@@ -36,19 +36,15 @@ class SlotsRule(Rule):
 
     A chained-HotStuff run allocates millions of events, envelopes, and
     signatures; a ``__dict__`` per instance costs ~100 bytes and a pointer
-    chase on every attribute read.  Hot-path classes (the config names
-    them) and ``Message`` subclasses must declare ``__slots__`` — with one
-    sanctioned exception: ``Message`` subclasses keep their digest/size
-    caches in the instance ``__dict__`` (see ``Message.digest``), so every
-    one of them carries a baseline entry recording that trade instead of a
-    fix.  The rule still fires on *new* message classes, forcing each
-    addition to either join the baseline deliberately or restructure the
-    cache.
+    chase on every attribute read.  The hot-path classes the config names
+    must declare ``__slots__``.  ``Message`` subclasses are deliberately not
+    on that list: they keep their digest/size memos in the instance
+    ``__dict__`` (see ``Message.digest``).
     """
 
     code = "SLOT001"
     title = "hot-path class without __slots__"
-    hint = "declare __slots__ (or baseline the class with a rationale if it relies on __dict__ caches)"
+    hint = "declare __slots__"
 
     def check_module(self, module: ModuleFile, config: LintConfig) -> Iterator[Finding]:
         if not config.in_package(module.module_rel):
@@ -57,16 +53,12 @@ class SlotsRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            is_message = "Message" in direct_base_names(node)
-            if not is_message and node.name not in hot_names:
+            if node.name not in hot_names or class_has_slots(node):
                 continue
-            if class_has_slots(node):
-                continue
-            what = "Message subclass" if is_message else "hot-path class"
             yield self.finding(
                 module,
                 node,
-                f"{what} {node.name} allocates a per-instance __dict__",
+                f"hot-path class {node.name} allocates a per-instance __dict__",
                 context=node.name,
             )
 

@@ -357,10 +357,6 @@ class TotalOrderBroadcast(ABC):
         self.decisions[sequence] = decision
         self.on_deliver(decision)
 
-    def has_decided(self, sequence: int) -> bool:
-        """Whether this replica already delivered the given sequence."""
-        return sequence in self.decisions
-
     def instance_commit_digest(self, instance: _Instance) -> str:
         """``commit_digest`` over an instance's value, cached per value.
 

@@ -77,11 +77,6 @@ class LeaderElection:
         """
         return self.members_fn()
 
-    def current_leader(self) -> str:
-        """The leader implied by the current timestamp."""
-        members = self.members()
-        return members[self.ts % len(members)]
-
     # ------------------------------------------------------------------ #
     # Requests (paper Alg. 9, lines 11-29)
     # ------------------------------------------------------------------ #

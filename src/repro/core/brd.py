@@ -135,11 +135,6 @@ def submit_digest(cluster_id: int, round_number: int, recs) -> str:
     return _phase_digest_for(_SUBMIT, cluster_id, round_number, recs)
 
 
-def echo_digest(cluster_id: int, round_number: int, recs) -> str:
-    """Digest echo votes sign."""
-    return _phase_digest_for(_ECHO, cluster_id, round_number, recs)
-
-
 def ready_digest(cluster_id: int, round_number: int, recs) -> str:
     """Digest ready votes sign; this is the certificate remote clusters check."""
     return _phase_digest_for(_READY, cluster_id, round_number, recs)
@@ -786,7 +781,6 @@ __all__ = [
     "CollectionEntry",
     "CollectionProof",
     "canonical_recs",
-    "echo_digest",
     "ready_digest",
     "submit_digest",
 ]

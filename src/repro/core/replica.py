@@ -285,8 +285,9 @@ class HamavaReplica(Process):
 
         # Message dispatch table: exact payload type -> (active_only,
         # wants_envelope, bound handler).  One dict probe replaces the
-        # isinstance ladder on the per-delivery hot path; subclassed payload
-        # types fall back to the ladder.
+        # isinstance ladder on the per-delivery hot path.  Every payload class
+        # an engine or sub-protocol sends is listed (``Ch*`` subclasses
+        # register themselves through the engine's ``HANDLERS``).
         self._handler_table: Dict[type, Tuple[bool, bool, Any]] = {
             ClientRequest: (False, False, self._on_client_request),
             ClientBatchRequest: (False, False, self._on_client_batch),
@@ -894,10 +895,6 @@ class HamavaReplica(Process):
     # ------------------------------------------------------------------ #
     # Client transactions
     # ------------------------------------------------------------------ #
-    def submit_transaction(self, transaction: Transaction) -> None:
-        """Programmatic submission path used by examples and tests."""
-        self._on_client_request(transaction.client_id, ClientRequest(transaction=transaction))
-
     def _route_to_leader(self, transaction: Transaction) -> None:
         if self.is_leader():
             self._enqueue(transaction)
@@ -1154,56 +1151,13 @@ class HamavaReplica(Process):
                 return
             handler(sender, envelope if wants_envelope else payload)
             return
-        if payload_type is RequestJoin or payload_type is RequestLeave:
-            if self.mode == MODE_ACTIVE:
-                if self.config.parallel_reconfig:
-                    self.collector.on_message(sender, envelope)
-                else:
-                    self._single_workflow_reconfig(sender, payload)
-            return
-        self._on_message_fallback(sender, envelope)
-
-    def _on_message_fallback(self, sender: str, envelope: Envelope) -> None:
-        """isinstance-based routing for subclassed payload types.
-
-        Mirrors the exact-type table, including its mode gating.
-        """
-        payload = envelope.payload
-        if isinstance(payload, ClientRequest):
-            self._on_client_request(sender, payload)
-            return
-        if isinstance(payload, ClientBatchRequest):
-            self._on_client_batch(sender, payload)
-            return
-        if isinstance(payload, ReconfigAck):
-            self._on_ack(sender, payload)
-            return
-        if isinstance(payload, CurrState):
-            self._on_curr_state(sender, payload)
-            return
-        if isinstance(payload, (RequestJoin, RequestLeave)):
-            if self.mode == MODE_ACTIVE:
-                if self.config.parallel_reconfig:
-                    self.collector.on_message(sender, envelope)
-                else:
-                    self._single_workflow_reconfig(sender, payload)
-            return
-        if self.mode != MODE_ACTIVE:
-            return
-        if isinstance(payload, Inter):
-            self._on_inter(sender, payload)
-        elif isinstance(payload, ReadLeaseGrant):
-            self._on_lease_grant(sender, payload)
-        elif isinstance(payload, LocalShare):
-            self._on_local_share(sender, payload)
-        elif isinstance(payload, (LComplaint, RComplaint, ClusterComplaint)):
-            self.rlc.on_message(sender, envelope)
-        elif isinstance(payload, ElectionComplaint):
-            self.le.on_message(sender, envelope)
-        elif isinstance(payload, self.tob.MESSAGE_TYPES):
-            self.tob.on_message(sender, envelope)
-        elif isinstance(payload, ByzantineReliableDissemination.MESSAGE_TYPES):
-            self._dispatch_brd(sender, envelope)
+        # Not in the exact-type table: a membership request, or a payload
+        # this replica has no handler for (dropped).
+        if (payload_type is RequestJoin or payload_type is RequestLeave) and self.mode == MODE_ACTIVE:
+            if self.config.parallel_reconfig:
+                self.collector.on_message(sender, envelope)
+            else:
+                self._single_workflow_reconfig(sender, payload)
 
     def _on_brd_timer(self, round_number: int) -> None:
         brd = self._brd_instances.get(round_number)

@@ -210,10 +210,6 @@ class Scenario:
         self._spec.population = config
         return self
 
-    def load_shape(self, shape: LoadShape) -> "Scenario":
-        """Set the open-loop arrival-rate shape (implies the open model)."""
-        return self.open_loop(shape=shape)
-
     def read_leases(self, enabled: bool = True, duration: Optional[float] = None) -> "Scenario":
         """Enable leader read leases (lease-covered reads skip consensus)."""
         self._spec.config_overrides["read_leases"] = bool(enabled)
@@ -367,15 +363,6 @@ class Scenario:
             ClockSkewEvent(
                 at=at, rate=rate, replica=normalize_replica_ref(replica), duration=duration
             )
-        )
-        return self
-
-    def clock_skew_leader(
-        self, cluster: int, at: float, rate: float = 0.5, duration: Optional[float] = None
-    ) -> "Scenario":
-        """Skew the clock of whichever replica leads ``cluster`` at ``at``."""
-        self._spec.schedule.append(
-            ClockSkewEvent(at=at, rate=rate, cluster=cluster, scope="leader", duration=duration)
         )
         return self
 

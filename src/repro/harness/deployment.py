@@ -115,7 +115,7 @@ class _ShardedNetworkView:
     """Network facade over all shards for callers that expect one network.
 
     Fault-injection rules fan out to every shard (drop decisions are made on
-    the sender's shard, so each pipeline needs the rule); ``stats`` merges
+    the sender's shard, so each network needs the rule); ``stats`` merges
     per-shard counters on access.
     """
 
@@ -190,14 +190,12 @@ class Deployment:
         self.local_shard = local_shard
         self.registry = KeyRegistry(seed=spec.seed)
         #: process id -> owner cluster id; shared with (and read by) every
-        #: shard's delivery pipeline, so it must be fully populated before
-        #: any process registers a port.
+        #: shard's network, so it must be fully populated before any process
+        #: registers a port.
         self._owners: Dict[str, int] = {}
         self._shard_of_cluster: Dict[int, int] = {}
         for position, cluster_id in enumerate(cluster_ids):
             self._shard_of_cluster[cluster_id] = position * self.num_shards // len(cluster_ids)
-        self._lookahead: Optional[float] = None
-        self._lookahead_resolved = False
         self._floor_schedule: Optional[List[Tuple[float, float]]] = None
         self._floor_starts: List[float] = []
         self._floor_schedule_resolved = False
@@ -209,27 +207,24 @@ class Deployment:
             if latency_model is None:
                 # One shared topology/placement model, built from shard 0's
                 # RNG so its jitter stream (used by direct one_way_latency
-                # callers, not the pipeline) keeps its historical namespace.
+                # callers, not the network) keeps its historical namespace.
                 latency_model = LatencyModel(simulator.rng, spec.latency)
             network = Network(simulator, latency_model, self.registry, spec.network)
-            network.pipeline.owners = self._owners
-            network.pipeline.lookahead_provider = self._cross_cluster_lookahead
+            network.owners = self._owners
+            # One barrier grid for the single-shard flush, the coordinator
+            # and the forked workers alike.
+            network.next_barrier = self.next_barrier
             self.shards.append(Shard(index, simulator, network, MetricsCollector()))
         self.latency_model = latency_model
         if spec.rtt_trace is not None:
             latency_model.set_trace(spec.rtt_trace)
-            # Trace-driven RTTs make the lookahead time-varying: both the
-            # single-shard flush and the coordinator must walk the same
-            # piecewise barrier schedule instead of the static grid.
-            for shard in self.shards:
-                shard.network.pipeline.barrier_provider = self.next_barrier
         if spec.congestion is not None:
             # One shared model: utilization accumulators are keyed by the
             # sender's owner cluster, and every process of a cluster lives
             # on one shard, so sharing the object is layout-invariant.
             congestion = CongestionModel(spec.congestion, latency_model)
             for shard in self.shards:
-                shard.network.pipeline.congestion = congestion
+                shard.network.congestion = congestion
         self.simulator = self.shards[0].simulator
         if self.num_shards == 1:
             self.network: object = self.shards[0].network
@@ -237,15 +232,14 @@ class Deployment:
             self.kernel: object = self.simulator
         else:
             for shard in self.shards:
-                shard.network.pipeline.self_flush = False
+                shard.network.self_flush = False
             self.network = _ShardedNetworkView(self.shards)
             self.metrics = MetricsCollector()
             self.kernel = ShardedSimulator(
                 [shard.simulator for shard in self.shards],
-                [shard.network.pipeline for shard in self.shards],
+                [shard.network for shard in self.shards],
                 self._shard_of_process,
-                self._cross_cluster_lookahead,
-                barrier_provider=self.next_barrier if spec.rtt_trace is not None else None,
+                self.next_barrier,
             )
 
         self.replicas: Dict[str, HamavaReplica] = {}
@@ -273,20 +267,12 @@ class Deployment:
             return self.simulator
         return self.shards[self._shard_of_cluster[cluster_id]].simulator
 
-    def _cross_cluster_lookahead(self) -> Optional[float]:
-        """Conservative lookahead: the cross-cluster latency floor.
+    def _resolve_floor_schedule(self) -> Optional[List[Tuple[float, float]]]:
+        """The conservative lookahead: the cross-cluster latency floor(s).
 
         Resolved once, lazily, at the first barrier computation — after RTT
-        overrides and scheduled joiners have placed every process.  The
-        single-shard flush and the multi-shard coordinator both call this,
-        so they walk the same barrier grid.
+        overrides and scheduled joiners have placed every process.
         """
-        if not self._lookahead_resolved:
-            self._lookahead = self.latency_model.min_cross_group_floor(self._owners)
-            self._lookahead_resolved = True
-        return self._lookahead
-
-    def _resolve_floor_schedule(self) -> Optional[List[Tuple[float, float]]]:
         if not self._floor_schedule_resolved:
             self._floor_schedule = self.latency_model.cross_group_floor_schedule(self._owners)
             self._floor_schedule_resolved = True
@@ -297,13 +283,17 @@ class Deployment:
     def next_barrier(self, time: float) -> Optional[float]:
         """Smallest barrier strictly after ``time`` under the floor schedule.
 
-        For the static single-segment schedule this reproduces the
-        ``k * L`` grid of ``DeliveryPipeline._next_barrier`` bit-for-bit
-        (segment start ``0.0`` makes ``start + k * floor`` IEEE-identical
-        to ``k * floor``).  With a trace the grid restarts at every floor
-        segment and is clamped to the next boundary, so no lookahead window
-        straddles a floor change.  Returns ``None`` when no cross-cluster
-        pair exists (no barriers needed).
+        The one barrier function: the single-shard flush, the in-process
+        coordinator and the forked workers all walk this grid, which is what
+        keeps their runs byte-identical.  Without a trace the schedule is one
+        segment starting at ``0.0`` and the grid is ``k * L`` for the
+        smallest integer ``k`` with ``k * L > time`` — found by integer
+        search, not division alone, so every caller lands on the *same*
+        float (``0.0 + k * floor`` is IEEE-identical to ``k * floor``).
+        With a trace the grid restarts at every floor segment and is clamped
+        to the next boundary, so no lookahead window straddles a floor
+        change.  Returns ``None`` when no cross-cluster pair exists (no
+        barriers needed).
         """
         schedule = self._resolve_floor_schedule()
         if schedule is None:

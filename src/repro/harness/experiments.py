@@ -21,11 +21,15 @@ comparable to the paper's testbed either way.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.complexity import complexity_table
 from repro.harness.builder import Scenario
-from repro.harness.runner import ResultRow, ScenarioRunner
+from repro.harness.deployment import Deployment
+from repro.harness.runner import ResultRow, ScenarioRunner, run_in_process, run_scenario
+from repro.harness.scenario import ScenarioSpec
+from repro.net.adversity import RttTrace
 from repro.net.latency import paper_rtt_matrix
 
 #: Region rotation used when spreading clusters across the paper's 3 regions.
@@ -168,18 +172,6 @@ def run_cluster_sweep(
         }
         for row in _run_all(scenarios, workers)
     ]
-
-
-def run_e0(**kwargs) -> List[Row]:
-    """E0: multi-cluster, single region (Fig. 3 left)."""
-    kwargs.setdefault("multi_region", False)
-    return run_cluster_sweep(**kwargs)
-
-
-def run_e1(**kwargs) -> List[Row]:
-    """E1: multi-cluster, three regions (Fig. 3 right)."""
-    kwargs.setdefault("multi_region", True)
-    return run_cluster_sweep(**kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -572,374 +564,231 @@ def run_e8(
 # ---------------------------------------------------------------------- #
 # E9: adversarial network & gray failures (chaos scenario pack)
 # ---------------------------------------------------------------------- #
-def _e9_run(make_builder, parity_shards: Sequence[int] = (2,)) -> Tuple[ResultRow, bool]:
-    """Run an E9 scenario serially and re-run sharded for byte parity.
+#: Every E9 fault starts a quarter into the run.
+_E9_FAULT_AT = 0.25
 
-    ``make_builder`` must return a *fresh* builder per call; the serial row
-    and every sharded re-run must serialize identically (the PR-7 parity
-    contract extended to adversity scenarios).
-    """
-    from repro.harness.runner import run_scenario
+#: Aggressive 1-second detection: flapping keeps stalling rounds just as the
+#: previous timeout recovery completes, so timeouts must be shorter than the
+#: recovery runway.
+_E9_ONE_SECOND: Dict[str, object] = {
+    "remote_timeout": 1.0,
+    "instance_timeout": 1.0,
+    "brd_timeout": 1.0,
+    "retry_timeout": 1.0,
+}
 
-    row = run_scenario(make_builder().spec())
-    parity = all(
-        run_scenario(make_builder().shards(shards).spec()).to_json() == row.to_json()
-        for shards in parity_shards
+#: Clock rate of the skewed followers.  It turns the 1 s timeouts into 5 ms:
+#: a 4-replica LAN decision takes about 5 ms here, and a skewed timer has to
+#: expire before the healthy leader decides for a complaint about it to be
+#: raised (a 20 ms timer, rate 0.02, never does).
+_E9_SKEW_RATE = 0.005
+
+#: One E9 run: the serial row plus the deployment it came from, for state
+#: the row does not carry.
+_E9Run = Tuple[ResultRow, Deployment]
+
+
+def _gray_leader(builder: Scenario, duration: float, seed: int) -> None:
+    # Slow, not dead: it keeps answering — late — so only timeout-based
+    # detection can catch it.
+    builder.gray_leader(0, at=duration * _E9_FAULT_AT, factor=400.0)
+
+
+def _check_gray_leader(run: _E9Run, control: Optional[_E9Run], duration: float):
+    row, deployment = run
+    initial_leader = sorted(deployment.system_config.members(0))[0]
+    new_leader = deployment.leader_of(0).process_id
+    assertions = {
+        "leader_changed": new_leader != initial_leader,
+        "progress_after_fault": _window_mean(row.series, duration - 2.0, duration) > 0.0,
+    }
+    return assertions, {
+        "fault_time": duration * _E9_FAULT_AT,
+        "initial_leader": initial_leader,
+        "new_leader": new_leader,
+        "throughput": row.throughput,
+    }
+
+
+def _clock_skew(builder: Scenario, duration: float, seed: int) -> None:
+    # Fast local clocks on two followers: their complaint timers expire long
+    # before the healthy leader is actually late.
+    for replica in ("r0.1", "r0.2"):
+        builder.clock_skew(replica, at=duration * _E9_FAULT_AT, rate=_E9_SKEW_RATE)
+
+
+def _last_leader_change(run: _E9Run) -> float:
+    return max(replica.last_leader_change for replica in run[1].cluster_replicas(0))
+
+
+def _check_clock_skew(run: _E9Run, control: Optional[_E9Run], duration: float):
+    skew_changes = _last_leader_change(run)
+    assertions = {
+        "spurious_leader_change": skew_changes > 0.0,
+        "control_is_stable": _last_leader_change(control) == 0.0,
+    }
+    return assertions, {"rate": _E9_SKEW_RATE, "skew_leader_change_at": skew_changes}
+
+
+def _flapping_partition(builder: Scenario, duration: float, seed: int) -> None:
+    builder.flapping_partition(
+        0, 1, at=duration * _E9_FAULT_AT, period=0.5, duty=0.5, cycles=3
     )
-    return row, parity
 
 
-def _e9_row(experiment: str, assertions: Dict[str, bool], **extra: object) -> Row:
+def _region_outage(builder: Scenario, duration: float, seed: int) -> None:
+    # The third region loses its WAN uplink for 15% of the run, then heals.
+    builder.region_outage(
+        PAPER_REGIONS[-1], at=duration * _E9_FAULT_AT, duration=duration * 0.15
+    )
+
+
+def _check_recovery(run: _E9Run, control: Optional[_E9Run], duration: float):
+    """Drops happened, and goodput over the final two seconds (well after
+    the fault healed) is back to at least half the pre-fault level."""
+    row = run[0]
+    before = _window_mean(row.series, 0.0, duration * _E9_FAULT_AT)
+    after = _window_mean(row.series, duration - 2.0, duration)
+    dropped = int(row.network["messages_dropped"])
+    assertions = {"messages_dropped": dropped > 0, "goodput_recovered": after >= 0.5 * before}
+    return assertions, {"dropped": dropped, "goodput_before": before, "goodput_after": after}
+
+
+def _congestion(builder: Scenario, duration: float, seed: int) -> None:
+    # A background stream near the us-west1 -> europe-west3 link's modelled
+    # capacity for the middle half of the run.
+    builder.congestion()
+    builder.cross_traffic(
+        "us-west1", "europe-west3", 1.1e8, start=duration * _E9_FAULT_AT, stop=duration * 0.75
+    )
+
+
+def _check_congestion(run: _E9Run, control: Optional[_E9Run], duration: float):
+    row = run[0]
+    congested_ms = float(row.network["link_latency_mean_ms"])
+    control_ms = float(control[0].network["link_latency_mean_ms"])
+    assertions = {"latency_inflated": congested_ms > control_ms, "still_committing": row.operations > 0}
+    return assertions, {
+        "link_latency_ms": congested_ms,
+        "control_latency_ms": control_ms,
+        "throughput": row.throughput,
+    }
+
+
+def _rtt_trace(builder: Scenario, duration: float, seed: int) -> None:
+    # A synthetic cloud-pair trace (wander + congestion spikes); the
+    # lookahead floor now moves between trace segments.
+    builder.rtt_trace(
+        RttTrace.synthetic(pairs=[("us-west1", "europe-west3", 148.0)], duration=duration, seed=seed)
+    )
+
+
+def _check_rtt_trace(run: _E9Run, control: Optional[_E9Run], duration: float):
+    row, control_row = run[0], control[0]
+    assertions = {
+        "trace_changes_run": row.to_json() != control_row.to_json(),
+        "still_committing": row.operations > 0,
+    }
+    return assertions, {"throughput": row.throughput, "control_throughput": control_row.throughput}
+
+
+@dataclass(frozen=True)
+class _E9Case:
+    """One chaos preset over the shared base scenario.
+
+    Attributes:
+        adversity: ``(builder, duration, seed)`` — schedules the fault.
+        check: ``(run, control, duration) -> (assertions, extra row keys)``.
+        control: Also run the fault-free base under the same seed (named
+            ``<name>_control``) for ``check`` to compare against.
+        config: Timeout overrides.
+        clusters: Topology (default: one 4-replica cluster in each of two
+            regions).
+        parity_shards: Shard counts whose rows must equal the serial row.
+    """
+
+    adversity: Callable[[Scenario, float, int], None]
+    check: Callable[[_E9Run, Optional[_E9Run], float], Tuple[Dict[str, bool], Row]]
+    control: bool = False
+    config: Dict[str, object] = field(default_factory=lambda: _E9_ONE_SECOND)
+    clusters: Tuple[Tuple[int, str], ...] = ((4, "us-west1"), (4, "europe-west3"))
+    parity_shards: Tuple[int, ...] = (2,)
+
+
+#: The pack, in report order.  Pinned per case: E9.1 leadership moves off the
+#: gray leader and commits continue; E9.2 the skewed run changes leader with
+#: no real fault while the control does not; E9.3/E9.4 drops occur and
+#: goodput recovers; E9.5 mean wire latency rises above the control's; E9.6
+#: the trace changes the run.  Every case also pins serial-vs-sharded parity.
+E9_CASES: Dict[str, _E9Case] = {
+    "gray_leader": _E9Case(_gray_leader, _check_gray_leader),
+    "clock_skew": _E9Case(_clock_skew, _check_clock_skew, control=True),
+    "flapping_partition": _E9Case(_flapping_partition, _check_recovery),
+    "region_outage": _E9Case(
+        _region_outage, _check_recovery, clusters=tuple((4, region) for region in PAPER_REGIONS)
+    ),
+    "congestion": _E9Case(_congestion, _check_congestion, control=True, config=FAST_TIMEOUTS),
+    "rtt_trace": _E9Case(
+        _rtt_trace, _check_rtt_trace, control=True, config=FAST_TIMEOUTS, parity_shards=(2, 4)
+    ),
+}
+
+
+def run_e9(
+    name: str,
+    duration: Optional[float] = None,
+    engine: str = "hotstuff",
+    seed: int = 9,
+    client_threads: int = 4,
+) -> Row:
+    """Run one E9 chaos preset (a key of :data:`E9_CASES`).
+
+    One shape for every case: the serial run, a sharded re-run per
+    ``parity_shards`` whose row must serialize identically (the PR-7 parity
+    contract extended to adversity scenarios), a fault-free control where
+    the case compares against one, then the case's pinned assertions.
+    """
+    case = E9_CASES[name]
+    duration = duration if duration is not None else default_duration(6.0)
+
+    def spec(suffix: str = "", shards: int = 1) -> ScenarioSpec:
+        builder = (
+            Scenario(f"e9/{name}{suffix}")
+            .clusters(*case.clusters)
+            .engine(engine)
+            .config(**case.config)
+            .threads(client_threads)
+            .duration(duration)
+            .seed(seed)
+            .timeseries(bucket=1.0)
+            .shards(shards)
+        )
+        if not suffix:
+            case.adversity(builder, duration, seed)
+        return builder.spec()
+
+    run = run_in_process(spec())
+    serial = run[0].to_json()
+    parity = all(run_scenario(spec(shards=n)).to_json() == serial for n in case.parity_shards)
+    control = run_in_process(spec("_control")) if case.control else None
+    assertions, extra = case.check(run, control, duration)
+    assertions["sharded_parity"] = parity
     return {
-        "experiment": experiment,
+        "experiment": name,
         "passed": all(assertions.values()),
         "assertions": assertions,
+        "engine": engine,
         **extra,
     }
 
 
-def run_e9_gray_leader(
-    engine: str = "hotstuff",
-    duration: Optional[float] = None,
-    seed: int = 9,
-    client_threads: int = 4,
-    factor: float = 400.0,
-) -> Row:
-    """E9.1: a gray (slow, not dead) leader is detected and replaced.
-
-    The cluster-0 leader's CPU degrades by ``factor`` a quarter into the
-    run.  It keeps answering — late — so only timeout-based detection can
-    catch it; the pinned assertion is that leadership moves off the initial
-    leader and the deployment keeps committing afterwards.
-    """
-    duration = duration if duration is not None else default_duration(6.0)
-    fault_time = duration * 0.25
-
-    def make_builder() -> Scenario:
-        return (
-            Scenario("e9/gray_leader")
-            .clusters((4, "us-west1"), (4, "europe-west3"))
-            .engine(engine)
-            .timeouts(1.0)
-            .config(retry_timeout=1.0)
-            .threads(client_threads)
-            .duration(duration)
-            .seed(seed)
-            .timeseries(bucket=1.0)
-            .gray_leader(0, at=fault_time, factor=factor)
-        )
-
-    row, parity = _e9_run(make_builder)
-    spec = make_builder().spec()
-    deployment = spec.build()
-    deployment.run(duration=spec.duration, warmup=spec.warmup)
-    initial_leader = sorted(deployment.system_config.members(0))[0]
-    new_leader = deployment.leader_of(0).process_id
-    series = [(start, value) for start, value in (row.series or [])]
-    tail = _window_mean(series, duration - 2.0, duration)
-    assertions = {
-        "leader_changed": new_leader != initial_leader,
-        "progress_after_fault": tail > 0.0,
-        "sharded_parity": parity,
-    }
-    return _e9_row(
-        "gray_leader",
-        assertions,
-        engine=engine,
-        fault_time=fault_time,
-        initial_leader=initial_leader,
-        new_leader=new_leader,
-        throughput=row.throughput,
-    )
-
-
-def run_e9_clock_skew(
-    engine: str = "hotstuff",
-    duration: Optional[float] = None,
-    seed: int = 9,
-    client_threads: int = 4,
-    rate: float = 0.005,
-) -> Row:
-    """E9.2: fast local clocks cause *spurious* leader changes.
-
-    Two followers of cluster 0 get clocks running ``1/rate`` times fast, so
-    their complaint timers expire long before the healthy leader is actually
-    late.  Pinned assertions: the skewed run records a leader change with no
-    real fault present, and a skew-free control run under the same seed does
-    not.
-
-    The default ``rate`` turns the 1 s timeouts into 5 ms: a 4-replica LAN
-    decision takes about 5 ms here, and a skewed timer has to expire before
-    the healthy leader decides for a complaint about it to be raised (a
-    20 ms timer, ``rate=0.02``, never does).
-    """
-    duration = duration if duration is not None else default_duration(6.0)
-    fault_time = duration * 0.25
-
-    def make_builder(skewed: bool = True) -> Scenario:
-        builder = (
-            Scenario("e9/clock_skew" if skewed else "e9/clock_skew_control")
-            .clusters((4, "us-west1"), (4, "europe-west3"))
-            .engine(engine)
-            .timeouts(1.0)
-            .config(retry_timeout=1.0)
-            .threads(client_threads)
-            .duration(duration)
-            .seed(seed)
-        )
-        if skewed:
-            builder.clock_skew("r0.1", at=fault_time, rate=rate)
-            builder.clock_skew("r0.2", at=fault_time, rate=rate)
-        return builder
-
-    _, parity = _e9_run(make_builder)
-    spec = make_builder().spec()
-    deployment = spec.build()
-    deployment.run(duration=spec.duration, warmup=spec.warmup)
-    skew_changes = max(replica.last_leader_change for replica in deployment.cluster_replicas(0))
-    control_spec = make_builder(skewed=False).spec()
-    control = control_spec.build()
-    control.run(duration=control_spec.duration, warmup=control_spec.warmup)
-    control_changes = max(replica.last_leader_change for replica in control.cluster_replicas(0))
-    assertions = {
-        "spurious_leader_change": skew_changes > 0.0,
-        "control_is_stable": control_changes == 0.0,
-        "sharded_parity": parity,
-    }
-    return _e9_row(
-        "clock_skew",
-        assertions,
-        engine=engine,
-        rate=rate,
-        skew_leader_change_at=skew_changes,
-    )
-
-
-def run_e9_flapping_partition(
-    engine: str = "hotstuff",
-    duration: Optional[float] = None,
-    seed: int = 9,
-    client_threads: int = 4,
-    period: float = 0.5,
-    duty: float = 0.5,
-    cycles: int = 3,
-) -> Row:
-    """E9.3: a flapping inter-cluster link drops traffic but heals cleanly.
-
-    The cluster 0 <-> 1 link is duty-cycled starting a quarter into the run.
-    Pinned assertions: drops actually happen, and goodput over the final two
-    seconds (well after the last flap) recovers to at least half the
-    pre-fault level.  Flapping keeps stalling rounds just as the previous
-    timeout recovery completes, so detection timeouts must be shorter than
-    the recovery runway — hence the aggressive 1-second timeouts here.
-    """
-    duration = duration if duration is not None else default_duration(6.0)
-    fault_time = duration * 0.25
-
-    def make_builder() -> Scenario:
-        return (
-            Scenario("e9/flapping_partition")
-            .clusters((4, "us-west1"), (4, "europe-west3"))
-            .engine(engine)
-            .timeouts(1.0)
-            .config(retry_timeout=1.0)
-            .threads(client_threads)
-            .duration(duration)
-            .seed(seed)
-            .timeseries(bucket=1.0)
-            .flapping_partition(0, 1, at=fault_time, period=period, duty=duty, cycles=cycles)
-        )
-
-    row, parity = _e9_run(make_builder)
-    series = [(start, value) for start, value in (row.series or [])]
-    before = _window_mean(series, 0.0, fault_time)
-    after = _window_mean(series, duration - 2.0, duration)
-    dropped = int((row.network or {}).get("messages_dropped", 0))
-    assertions = {
-        "messages_dropped": dropped > 0,
-        "goodput_recovered": after >= 0.5 * before,
-        "sharded_parity": parity,
-    }
-    return _e9_row(
-        "flapping_partition",
-        assertions,
-        engine=engine,
-        dropped=dropped,
-        goodput_before=before,
-        goodput_after=after,
-    )
-
-
-def run_e9_region_outage(
-    engine: str = "hotstuff",
-    duration: Optional[float] = None,
-    seed: int = 9,
-    client_threads: int = 4,
-) -> Row:
-    """E9.4: a whole region loses its WAN uplink, then heals.
-
-    Three single-cluster regions; the third region goes dark for 15% of the
-    run.  Pinned assertions: correlated drops occur, and goodput over the
-    final two seconds recovers to at least half the pre-fault level.
-    """
-    duration = duration if duration is not None else default_duration(6.0)
-    fault_time = duration * 0.25
-    outage = duration * 0.15
-
-    def make_builder() -> Scenario:
-        return (
-            Scenario("e9/region_outage")
-            .clusters(*((4, region) for region in PAPER_REGIONS))
-            .engine(engine)
-            .timeouts(1.0)
-            .config(retry_timeout=1.0)
-            .threads(client_threads)
-            .duration(duration)
-            .seed(seed)
-            .timeseries(bucket=1.0)
-            .region_outage(PAPER_REGIONS[-1], at=fault_time, duration=outage)
-        )
-
-    row, parity = _e9_run(make_builder)
-    series = [(start, value) for start, value in (row.series or [])]
-    before = _window_mean(series, 0.0, fault_time)
-    after = _window_mean(series, duration - 2.0, duration)
-    dropped = int((row.network or {}).get("messages_dropped", 0))
-    assertions = {
-        "messages_dropped": dropped > 0,
-        "goodput_recovered": after >= 0.5 * before,
-        "sharded_parity": parity,
-    }
-    return _e9_row(
-        "region_outage",
-        assertions,
-        engine=engine,
-        dropped=dropped,
-        goodput_before=before,
-        goodput_after=after,
-    )
-
-
-def run_e9_congestion(
-    engine: str = "hotstuff",
-    duration: Optional[float] = None,
-    seed: int = 9,
-    client_threads: int = 4,
-    background_rate: float = 1.1e8,
-) -> Row:
-    """E9.5: background cross-traffic congests the WAN link.
-
-    The us-west1 -> europe-west3 link carries an injected background stream
-    near its modelled capacity for the middle half of the run.  Pinned
-    assertions: the mean wire latency rises above an uncongested control run
-    of the same seed, and the system keeps committing throughout.
-    """
-    duration = duration if duration is not None else default_duration(6.0)
-
-    def make_builder(congested: bool = True) -> Scenario:
-        builder = (
-            Scenario("e9/congestion" if congested else "e9/congestion_control")
-            .clusters((4, "us-west1"), (4, "europe-west3"))
-            .engine(engine)
-            .config(**FAST_TIMEOUTS)
-            .threads(client_threads)
-            .duration(duration)
-            .seed(seed)
-        )
-        if congested:
-            builder.congestion()
-            builder.cross_traffic(
-                "us-west1",
-                "europe-west3",
-                background_rate,
-                start=duration * 0.25,
-                stop=duration * 0.75,
-            )
-        return builder
-
-    row, parity = _e9_run(make_builder)
-    control_row, _ = _e9_run(lambda: make_builder(congested=False), parity_shards=())
-    congested_ms = float((row.network or {}).get("link_latency_mean_ms", 0.0))
-    control_ms = float((control_row.network or {}).get("link_latency_mean_ms", 0.0))
-    assertions = {
-        "latency_inflated": congested_ms > control_ms,
-        "still_committing": row.operations > 0,
-        "sharded_parity": parity,
-    }
-    return _e9_row(
-        "congestion",
-        assertions,
-        engine=engine,
-        link_latency_ms=congested_ms,
-        control_latency_ms=control_ms,
-        throughput=row.throughput,
-    )
-
-
-def run_e9_rtt_trace(
-    engine: str = "hotstuff",
-    duration: Optional[float] = None,
-    seed: int = 9,
-    client_threads: int = 4,
-) -> Row:
-    """E9.6: trace-driven RTTs (wander + spikes) with dynamic lookahead.
-
-    A synthetic cloud-pair trace drives the us-west1 <-> europe-west3 RTT
-    through wander and congestion spikes.  Pinned assertions: the trace
-    actually changes the run (vs the static matrix), results stay
-    byte-identical serial-vs-sharded even though the lookahead floor now
-    moves between trace segments, and the system keeps committing.
-    """
-    from repro.net.adversity import RttTrace
-
-    duration = duration if duration is not None else default_duration(6.0)
-    trace = RttTrace.synthetic(
-        pairs=[("us-west1", "europe-west3", 148.0)], duration=duration, seed=seed
-    )
-
-    def make_builder(traced: bool = True) -> Scenario:
-        builder = (
-            Scenario("e9/rtt_trace" if traced else "e9/rtt_trace_control")
-            .clusters((4, "us-west1"), (4, "europe-west3"))
-            .engine(engine)
-            .config(**FAST_TIMEOUTS)
-            .threads(client_threads)
-            .duration(duration)
-            .seed(seed)
-        )
-        if traced:
-            builder.rtt_trace(trace.copy())
-        return builder
-
-    row, parity = _e9_run(make_builder, parity_shards=(2, 4))
-    control_row, _ = _e9_run(lambda: make_builder(traced=False), parity_shards=())
-    assertions = {
-        "trace_changes_run": row.to_json() != control_row.to_json(),
-        "still_committing": row.operations > 0,
-        "sharded_parity": parity,
-    }
-    return _e9_row(
-        "rtt_trace",
-        assertions,
-        engine=engine,
-        throughput=row.throughput,
-        control_throughput=control_row.throughput,
-    )
-
-
 def run_e9_all(duration: Optional[float] = None) -> List[Row]:
     """Run the whole E9 chaos pack; each row carries its pinned assertions."""
-    return [
-        run_e9_gray_leader(duration=duration),
-        run_e9_clock_skew(duration=duration),
-        run_e9_flapping_partition(duration=duration),
-        run_e9_region_outage(duration=duration),
-        run_e9_congestion(duration=duration),
-        run_e9_rtt_trace(duration=duration),
-    ]
+    return [run_e9(name, duration=duration) for name in E9_CASES]
 
 
 __all__ = [
+    "E9_CASES",
     "FAST_TIMEOUTS",
     "PAPER_REGIONS",
     "default_duration",
@@ -948,8 +797,6 @@ __all__ = [
     "heterogeneity_setups",
     "print_rows",
     "run_cluster_sweep",
-    "run_e0",
-    "run_e1",
     "run_e2",
     "run_e3",
     "run_e4",
@@ -958,13 +805,8 @@ __all__ = [
     "run_e6",
     "run_e7",
     "run_e8",
+    "run_e9",
     "run_e9_all",
-    "run_e9_clock_skew",
-    "run_e9_congestion",
-    "run_e9_flapping_partition",
-    "run_e9_gray_leader",
-    "run_e9_region_outage",
-    "run_e9_rtt_trace",
     "run_table1",
     "run_table2",
 ]

@@ -107,7 +107,7 @@ def _worker_main(conn, peers: dict, spec: ScenarioSpec, shard_index: int) -> Non
         deployment = spec.build(local_shard=shard_index)
         shard = deployment.shards[shard_index]
         simulator = shard.simulator
-        pipeline = shard.network.pipeline
+        network = shard.network
         route = deployment._shard_of_process
         num_shards = len(deployment.shards)
         deployment.start()
@@ -116,19 +116,17 @@ def _worker_main(conn, peers: dict, spec: ScenarioSpec, shard_index: int) -> Non
         gc.set_threshold(100_000, thresholds[1], thresholds[2])
         now = 0.0
         while True:
-            # The deployment's schedule generalises the static grid: for a
-            # trace-free spec it reproduces ``_next_barrier`` bit-for-bit,
-            # with a trace it restarts the grid at floor-segment boundaries
-            # — every worker derives the identical sequence from the spec.
+            # Every worker derives the identical barrier sequence from the
+            # spec (see ``Deployment.next_barrier``).
             barrier = deployment.next_barrier(now)
             if barrier is None or barrier > until:
                 barrier = until
             simulator.run(until=math.nextafter(barrier, -math.inf))
             batches: List[list] = [[] for _ in range(num_shards)]
-            for entry in pipeline.take_outbox():
+            for entry in network.take_outbox():
                 batches[route(entry[3])].append(entry)
             for entry in _exchange(shard_index, peers, batches):
-                pipeline.deliver_cross(entry[0], entry[3], entry[4], entry[5])
+                network.deliver_cross(entry[0], entry[3], entry[4], entry[5])
             now = barrier
             if barrier >= until:
                 break

@@ -16,8 +16,9 @@ import json
 import multiprocessing
 import traceback
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.harness.deployment import Deployment
 from repro.harness.scenario import ScenarioSpec
 
 
@@ -93,15 +94,25 @@ def run_scenario(spec: ScenarioSpec) -> ResultRow:
         return _build_row(
             spec, outcome.metrics, outcome.network_stats, outcome.population_stats, outcome.engine
         )
+    return run_in_process(spec)[0]
+
+
+def run_in_process(spec: ScenarioSpec) -> Tuple[ResultRow, Deployment]:
+    """Run one spec in this process; also hand back the finished deployment.
+
+    For callers that read state the row does not carry (who leads a
+    cluster, when a replica last changed leader).
+    """
     deployment = spec.build()
     metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
-    return _build_row(
+    row = _build_row(
         spec,
         metrics,
         deployment.network.stats,
         [population.stats() for population in deployment.populations],
         deployment.spec.config.engine,
     )
+    return row, deployment
 
 
 def _build_row(
@@ -469,6 +480,7 @@ __all__ = [
     "ScenarioRunner",
     "aggregate_rows",
     "failed_row",
+    "run_in_process",
     "run_scenario",
     "run_scenario_safe",
 ]

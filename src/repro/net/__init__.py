@@ -14,13 +14,12 @@ from repro.net.crypto import Certificate, KeyRegistry, Signature
 from repro.net.latency import REGION_RTT_MS, LatencyModel, Region
 from repro.net.links import AuthenticatedBestEffortBroadcast, AuthenticatedPerfectLink
 from repro.net.message import Envelope, Message
-from repro.net.network import DeliveryPipeline, Network, NetworkConfig
+from repro.net.network import Network, NetworkConfig
 
 __all__ = [
     "AuthenticatedBestEffortBroadcast",
     "AuthenticatedPerfectLink",
     "Certificate",
-    "DeliveryPipeline",
     "Envelope",
     "KeyRegistry",
     "LatencyModel",

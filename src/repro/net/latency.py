@@ -155,7 +155,7 @@ class LatencyModel:
         self._random = self._rng.raw_random
         self._rtt_table = dict(rtt_table) if rtt_table is not None else dict(REGION_RTT_MS)
         #: Optional piecewise-linear RTT schedule; traced pairs are sampled
-        #: at send time (the pipeline bypasses its route memo for them).
+        #: at send time (the network bypasses its route memo for them).
         self._trace: Optional[RttTrace] = None
         self._locations: Dict[str, Region] = {}
         #: Memo of (base, jitter spread) per src -> dst process pair (nested
@@ -163,8 +163,8 @@ class LatencyModel:
         #: invalidated whenever a placement or the RTT table changes.
         self._pair_base: Dict[str, Dict[str, Tuple[float, float]]] = {}
         #: Called (no args) whenever the memo above is invalidated, so
-        #: downstream caches derived from it — the delivery pipeline's
-        #: per-port route memos — are torn down in the same breath.
+        #: downstream caches derived from it — the network's per-port route
+        #: memos — are torn down in the same breath.
         self._invalidate_hooks: list = []
         # Model constants are immutable after construction; bind them once.
         params = self.parameters
@@ -199,9 +199,8 @@ class LatencyModel:
     def set_trace(self, trace: Optional[RttTrace]) -> None:
         """Install (or clear) a trace-driven RTT schedule.
 
-        Traced pairs stop being served from the static table: the delivery
-        pipeline re-samples them at every send instead of caching route
-        constants.  Installing a trace invalidates all derived memos.
+        Traced pairs stop being served from the static table: the network
+        re-samples them at every send instead of caching route constants.  Installing a trace invalidates all derived memos.
         """
         if trace is not None:
             trace.validate()
@@ -300,29 +299,15 @@ class LatencyModel:
     def min_cross_group_floor(self, groups: Mapping[str, object]) -> Optional[float]:
         """Smallest possible one-way latency between processes of different groups.
 
-        ``groups`` maps process ids to an opaque group key (the sharded
-        kernel passes owner-cluster ids).  The result is the conservative
-        lookahead of the parallel kernel: no message sent between groups can
-        arrive sooner than this.  The arithmetic mirrors the delivery
-        pipeline's clamp exactly — ``max(base - spread, overhead) +
-        overhead`` with a zero-size transfer — using the same float
-        expressions, so the bound is tight *and* safe (the pipeline's jitter
-        draw is ``base + ((spread + spread) * r - spread)`` with ``r >= 0``,
-        and float addition is monotone).  Returns ``None`` when no two
-        processes belong to different groups (no cross-group traffic is
-        possible, hence no synchronisation barrier is needed).
+        The minimum over :meth:`cross_group_floor_schedule` (a single
+        segment unless an RTT trace is installed): no message sent between
+        groups can ever arrive sooner than this.  Returns ``None`` when no
+        two processes belong to different groups.
         """
-        if self._trace is not None:
-            schedule = self.cross_group_floor_schedule(groups)
-            if schedule is None:
-                return None
-            return min(floor for _, floor in schedule)
-        best: Optional[float] = None
-        for region_a, region_b in self._cross_group_region_pairs(groups):
-            floor = self._base_floor(self._pair_base_latency(region_a, region_b))
-            if best is None or floor < best:
-                best = floor
-        return best
+        schedule = self.cross_group_floor_schedule(groups)
+        if schedule is None:
+            return None
+        return min(floor for _, floor in schedule)
 
     def _cross_group_region_pairs(self, groups: Mapping[str, object]) -> List[Tuple[Region, Region]]:
         """Region pairs with processes in different groups (deduplicated)."""
@@ -348,11 +333,18 @@ class LatencyModel:
         return self.rtt_ms(region_a, region_b) / 2.0 / 1000.0
 
     def _base_floor(self, base: float) -> float:
-        """The pipeline's clamp applied to a base latency (see docstring above)."""
+        """The network's latency clamp applied to a base latency.
+
+        Mirrors ``Network.multicast`` exactly — ``max(base - spread,
+        overhead) + overhead`` with a zero-size transfer — using the same
+        float expressions, so the bound is tight *and* safe (the jitter draw
+        is ``base + ((spread + spread) * r - spread)`` with ``r >= 0``, and
+        float addition is monotone).
+        """
         overhead = self._per_message_overhead
         spread = base * self._jitter_fraction
         if base == 0:
-            # The pipeline skips the jitter draw entirely for zero-base
+            # The network skips the jitter draw entirely for zero-base
             # pairs; latency is the clamped transfer.
             floor = overhead
         else:
@@ -366,14 +358,18 @@ class LatencyModel:
     ) -> Optional[List[Tuple[float, float]]]:
         """Piecewise-constant conservative floor: ``[(segment_start, floor), ...]``.
 
-        The dynamic-latency generalisation of :meth:`min_cross_group_floor`:
-        with an :class:`RttTrace` installed, the floor is recomputed per
-        trace segment (for each window between consecutive breakpoints the
-        traced pair's RTT minimum sits at a window edge, piecewise-linearity
-        obliging), and the deployment forces a barrier at every segment
-        boundary so no lookahead window straddles a floor change.  Without
-        a trace the schedule is the single segment ``[(0.0, floor)]``.
-        Returns ``None`` when no cross-group pair exists.
+        ``groups`` maps process ids to an opaque group key (the sharded
+        kernel passes owner-cluster ids); the floor is the conservative
+        lookahead of the parallel kernel: no message sent between groups
+        can arrive sooner.  With an :class:`RttTrace` installed it is
+        recomputed per trace segment (for each window between consecutive
+        breakpoints the traced pair's RTT minimum sits at a window edge,
+        piecewise-linearity obliging), and the deployment forces a barrier
+        at every segment boundary so no lookahead window straddles a floor
+        change.  Without a trace the schedule is the single segment
+        ``[(0.0, floor)]``.  Returns ``None`` when no two processes belong
+        to different groups (no cross-group traffic is possible, hence no
+        synchronisation barrier is needed).
         """
         pairs = self._cross_group_region_pairs(groups)
         if not pairs:

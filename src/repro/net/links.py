@@ -49,14 +49,12 @@ class AuthenticatedPerfectLink:
         signature of their *own* loop-back copy.)
         """
         network = self.network
-        if destination == self.owner:
-            network.send(self.owner, destination, payload, None)
-            return
-        network.send(
-            self.owner,
-            destination,
+        owner = self.owner
+        network.multicast(
+            owner,
+            (destination,),
             payload,
-            network.registry.sign_message(self.owner, payload),
+            None if destination == owner else network.registry.sign_message(owner, payload),
         )
 
     def send_many(self, destinations: Sequence[str], payload: Message) -> None:

@@ -18,24 +18,26 @@ AVA-BFTSMART and AVA-HOTSTUFF.
 
 Scheduling: one rule for every receiver slot
 --------------------------------------------
-The three places that put a wire message on a receiver's CPU — ``send``,
-``multicast`` and the cross-cluster mailbox's ``deliver_cross`` — follow one
-rule, decided per link by the latency model's pair constants (the verdict
-rides in the route memo and in the mailbox entry):
+The two places that put a wire message on a receiver's CPU —
+:meth:`Network.multicast` (a point-to-point ``send`` is a fan-out of one)
+and the cross-cluster mailbox's ``deliver_cross`` — follow one rule, decided
+per link by the latency model's pair constants (the verdict rides in the
+route memo and in the mailbox entry):
 
 * **Same-region link** (pair base latency <= the model's intra-region
   latency).  All three legs — the sender's departure stagger, the link
   latency draw, the receiver's CPU hand-over slot — are computed in one pass
-  when the message is scheduled, and the message costs exactly **one**
-  kernel event, fired at its hand-over time
+  when the message is scheduled (at the barrier, for mailbox traffic), and
+  the message costs exactly **one** kernel event, fired at its hand-over time
   (``finish = max(arrival, recv_free) + processing``).  The slot is booked
   at most one LAN latency (plus, for cross-cluster LAN traffic, one barrier
   window of the same size) before the message arrives, so the booking can
   delay a competing message by no more than that.
 * **Cross-region link.**  The message is scheduled as an *arrival* event at
   its arrival time; that event takes the slot
-  ``max(now, recv_free) + processing``, joins the port FIFO and pushes the
-  hand-over event — **two** kernel events.  Booking a WAN message's slot
+  ``max(now, recv_free) + processing`` (``_take_slot``, the one routine that
+  books a deferred slot), joins the port FIFO and pushes the hand-over
+  event — **two** kernel events.  Booking a WAN message's slot
   when it is sent (or at the barrier before it lands) would reserve the
   receiver's CPU up to a one-way WAN latency ahead of time, and every LAN
   vote, proposal or share scheduled meanwhile for that replica would queue
@@ -79,7 +81,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from heapq import heapify, heappush
+from heapq import heappush
 
 from repro.errors import NetworkError
 from repro.net.crypto import KeyRegistry, Signature
@@ -103,8 +105,6 @@ class NetworkConfig:
         send_overhead: Sender-side cost to serialize and push one message.
         base_processing: Receiver-side fixed cost to handle one message.
         signature_verify_cost: Receiver-side cost per signature verification.
-        verify_envelopes: Whether the transport drops envelopes whose sender
-            signature does not verify (authenticated-link property).
         cpu_model: When ``True`` (default) receivers process messages through
             a serial CPU queue; when ``False`` processing cost is ignored
             (useful for pure-logic unit tests).
@@ -113,7 +113,6 @@ class NetworkConfig:
     send_overhead: float = 0.00002
     base_processing: float = 0.00001
     signature_verify_cost: float = 0.00008
-    verify_envelopes: bool = True
     cpu_model: bool = True
 
 
@@ -192,7 +191,7 @@ class NetworkStats:
 
 
 class _Port:
-    """Per-registered-process delivery state owned by the pipeline.
+    """Per-registered-process delivery state owned by the network.
 
     Attributes:
         process: The registered process object.
@@ -235,14 +234,14 @@ class _Port:
             Unknown destinations (drops) are never
             cached.  Entries are purged on (de)registration of the
             destination and cleared wholesale when the latency model's
-            topology changes (it calls the pipeline back — see
-            ``DeliveryPipeline.__init__``).
+            topology changes (it calls the network back — see
+            ``Network.__init__``).
 
     The send and receive watermarks are deliberately independent resources —
     a serialization/NIC engine and a processing CPU.  Same-region receive
     slots are booked before arrival, and a shared watermark would make a
     replica's sends queue behind work still in flight on the wire
-    (serialising whole rounds behind the link latency), so the pipeline
+    (serialising whole rounds behind the link latency), so the network
     models the two directions as overlapping resources instead.
     """
 
@@ -279,15 +278,23 @@ class _Port:
         self.cpu_factor = 1.0
 
 
-class DeliveryPipeline:
-    """Owns the fused delivery schedule: ports, drop rules, and stats.
+class Network:
+    """Routes messages between processes over the simulated topology.
 
-    One pipeline serves one :class:`Network`.  ``send`` and ``multicast``
-    compute departure and link latency in a single pass.  On a same-region
-    link they also book the CPU hand-over and schedule exactly one kernel
-    event per wire message; on a cross-region link the slot is taken by an
-    arrival event (two kernel events).  Loop-backs ride the simulator's
-    microtask queue (zero).
+    The network *is* the delivery pipeline: it owns the ports, the drop
+    rules, the cross-cluster mailbox and the statistics.  :meth:`multicast`
+    is the only place a wire message is priced and scheduled — departure
+    and link latency in a single pass; on a same-region link it also books
+    the CPU hand-over and schedules exactly one kernel event per wire
+    message, on a cross-region link the slot is taken by an arrival event
+    (two kernel events).  Loop-backs ride the simulator's microtask queue
+    (zero).
+
+    Args:
+        simulator: The simulation kernel.
+        latency_model: Geo latency model; processes must be placed on it.
+        registry: Key registry used to sign and verify envelopes.
+        config: Processing-cost constants.
     """
 
     def __init__(
@@ -295,12 +302,12 @@ class DeliveryPipeline:
         simulator: Simulator,
         latency_model: LatencyModel,
         registry: KeyRegistry,
-        config: NetworkConfig,
+        config: Optional[NetworkConfig] = None,
     ) -> None:
         self.simulator = simulator
         self.latency_model = latency_model
         self.registry = registry
-        self.config = config
+        self.config = config = config or NetworkConfig()
         self.stats = NetworkStats()
         # Config constants are read on every send; they are fixed for the
         # lifetime of a network, so bind them once instead of paying
@@ -309,7 +316,6 @@ class DeliveryPipeline:
         self._send_overhead = config.send_overhead
         self._base_processing = config.base_processing
         self._signature_verify_cost = config.signature_verify_cost
-        self._verify_envelopes = config.verify_envelopes
         #: The simulator's event queue and microtask deque, held directly:
         #: delivery events are the most-scheduled events in any run, so they
         #: are pushed without the per-call scheduling wrapper (hand-over
@@ -344,22 +350,18 @@ class DeliveryPipeline:
         #: layout reproduces, so injection order — and with it every
         #: receiver-CPU slot — is shard-count invariant.
         self.outbox: List[tuple] = []
-        #: Single-shard mode: the pipeline drains its own mailbox with a
+        #: Single-shard mode: the network drains its own mailbox with a
         #: priority -1 flush event at each lookahead barrier, emulating the
         #: coordinator's between-windows exchange without one.  Multi-shard
         #: runs clear this and let the coordinator call ``take_outbox``.
         self.self_flush = True
-        #: Lazily resolved conservative lookahead (the barrier grid step).
-        #: A provider callable defers the computation to first use because
-        #: RTT overrides land after deployment construction.
-        self.lookahead_provider: Optional[Callable[[], Optional[float]]] = None
-        self._lookahead: Optional[float] = None
         self._flush_pending = False
-        #: Optional dynamic barrier grid (``time -> next barrier``), installed
-        #: by the deployment when an RTT trace makes the conservative floor —
-        #: and with it the barrier spacing — piecewise instead of uniform.
-        #: ``None`` keeps the historical fixed-lookahead grid below.
-        self.barrier_provider: Optional[Callable[[float], Optional[float]]] = None
+        #: The conservative barrier grid (``time -> smallest barrier strictly
+        #: after it``, or ``None`` when no two owner clusters exist).  The
+        #: deployment installs ``Deployment.next_barrier`` — the same function
+        #: the sharded coordinator and the forked workers walk, which is what
+        #: keeps serial and sharded runs byte-identical.
+        self.next_barrier: Optional[Callable[[float], Optional[float]]] = None
         #: Optional load-dependent latency surcharge (one shared
         #: :class:`~repro.net.adversity.CongestionModel` per deployment).
         self.congestion = None
@@ -367,36 +369,47 @@ class DeliveryPipeline:
     # ------------------------------------------------------------------ #
     # Membership
     # ------------------------------------------------------------------ #
-    def register(self, process: Process) -> _Port:
-        """Create (or re-create) the delivery port for a process."""
+    def register(self, process: Process, region: str = "us-west1") -> None:
+        """Attach a process to the network and place it in a region.
+
+        Creates (or, for a new process object under a known id, re-creates)
+        the delivery port.
+        """
         process_id = process.process_id
         port = self.ports.get(process_id)
-        if port is not None and port.process is process:
-            return port
-        if port is not None:
-            port.registered = False  # in-flight hand-overs to the old port drop
-            # Cached routes in other ports point at the old port object,
-            # whose watermarks are now dead state — purge them so senders
-            # re-resolve against the replacement.
-            self._purge_route(process_id)
-        port = self.ports[process_id] = _Port(process)
-        # The per-sender jitter stream is derived from the *kernel's* root
-        # stream by process id alone, so the same process gets the same
-        # stream whichever shard (hence kernel) it lands on.
-        port.lat_random = self.simulator.rng.child(f"latency/{process_id}").raw_random
-        acc = self.stats.link_latency.get(process_id)
-        if acc is None:
-            acc = self.stats.link_latency[process_id] = [0.0, 0]
-        port.lat_acc = acc
-        port.owner = self.owners.get(process_id)
-        return port
+        if port is None or port.process is not process:
+            if port is not None:
+                port.registered = False  # in-flight hand-overs to the old port drop
+                # Cached routes in other ports point at the old port object,
+                # whose watermarks are now dead state — purge them so senders
+                # re-resolve against the replacement.
+                self._purge_route(process_id)
+            port = self.ports[process_id] = _Port(process)
+            # The per-sender jitter stream is derived from the *kernel's* root
+            # stream by process id alone, so the same process gets the same
+            # stream whichever shard (hence kernel) it lands on.
+            port.lat_random = self.simulator.rng.child(f"latency/{process_id}").raw_random
+            port.lat_acc = self.stats.link_latency.setdefault(process_id, [0.0, 0])
+            port.owner = self.owners.get(process_id)
+        self.latency_model.place(process_id, region)
+        self.registry.register(process_id)
+        process.attach(self)
 
     def deregister(self, process_id: str) -> None:
-        """Remove a port; in-flight and subsequent messages to it drop."""
+        """Detach a process; in-flight and subsequent messages to it drop."""
         port = self.ports.pop(process_id, None)
         if port is not None:
             port.registered = False
             self._purge_route(process_id)
+
+    def process(self, process_id: str) -> Optional[Process]:
+        """Look up a registered process by id."""
+        port = self.ports.get(process_id)
+        return None if port is None else port.process
+
+    def known_processes(self) -> List[str]:
+        """Identifiers of all registered processes."""
+        return list(self.ports)
 
     def _purge_route(self, process_id: str) -> None:
         """Drop every cached route targeting ``process_id`` (rare: joins/leaves)."""
@@ -407,6 +420,42 @@ class DeliveryPipeline:
         """Latency-model invalidation hook: topology changed, re-resolve all."""
         for other in self.ports.values():
             other.route.clear()
+
+    # ------------------------------------------------------------------ #
+    # Fault injection
+    # ------------------------------------------------------------------ #
+    def add_drop_rule(self, rule: DropRule) -> DropRule:
+        """Install a drop rule; returns it so callers can remove it later."""
+        self.drop_rules.append(rule)
+        return rule
+
+    def remove_drop_rule(self, rule: DropRule) -> None:
+        """Remove a previously installed drop rule."""
+        if rule in self.drop_rules:
+            self.drop_rules.remove(rule)
+
+    def partition(self, group_a: Iterable[str], group_b: Iterable[str]) -> DropRule:
+        """Drop all traffic between two groups of processes (both ways)."""
+        set_a = set(group_a)
+        set_b = set(group_b)
+
+        def rule(sender: str, destination: str, payload: Message) -> bool:
+            return (sender in set_a and destination in set_b) or (
+                sender in set_b and destination in set_a
+            )
+
+        return self.add_drop_rule(rule)
+
+    def isolate(self, process_id: str) -> DropRule:
+        """Drop all wire traffic to and from one process.
+
+        Loop-back is unaffected: a process can always talk to itself.
+        """
+
+        def rule(sender: str, destination: str, payload: Message) -> bool:
+            return process_id in (sender, destination)
+
+        return self.add_drop_rule(rule)
 
     # ------------------------------------------------------------------ #
     # Receiver-state-aware CPU charges
@@ -446,146 +495,8 @@ class DeliveryPipeline:
         payload: Message,
         signature: Optional[Signature] = None,
     ) -> None:
-        """Send a single message from ``sender`` to ``destination``.
-
-        Point-to-point sends outnumber multicasts roughly five to one in the
-        protocols (votes, client requests/responses, inter-cluster targets),
-        so the single-destination case is laid out straight-line here instead
-        of going through the generic fan-out loop.  The arithmetic and
-        side-effect order mirror :meth:`multicast` exactly.
-        """
-        ports = self.ports
-        port = ports.get(sender)
-        if port is None:
-            raise NetworkError(f"unknown sender {sender!r}")
-        if port.process.crashed:
-            return
-        now = self.simulator.now
-        size = payload.cached_size()
-        stats = self.stats
-        stats.by_type[type(payload).__name__] += 1
-        if destination == sender:
-            # True 0 ms loop-back: no latency draw, no drop rules, no
-            # verification, no kernel event.  Handling one's own message
-            # still occupies the CPU (base cost only — a process does not
-            # re-verify its own signatures), so the receive watermark
-            # advances and subsequent wire hand-overs queue behind it;
-            # without this, protocols with O(n^2) local phases would get
-            # 1/n of their processing load for free.
-            if self._cpu_model:
-                free = port.recv_free
-                if free < now:
-                    free = now
-                port.recv_free = free + self._base_processing * port.cpu_factor
-            port.loop_queue.append(Envelope(sender, payload, signature, now, size, 0.0))
-            self._micro.append((self._fire_loopback, port))
-            return
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-        if self._cpu_model:
-            departure = port.send_free
-            if departure < now:
-                departure = now
-            departure += self._send_overhead
-            port.send_free = departure
-            processing = (
-                self._base_processing
-                + payload.verification_cost() * self._signature_verify_cost
-            )
-        else:
-            departure = now
-            processing = 0.0
-        if self.drop_rules and self._should_drop(sender, destination, payload):
-            stats.messages_dropped += 1
-            return
-        # Fused route memo: one dict lookup resolves the owner-cluster
-        # routing verdict (target port, or ``None`` for the cross-cluster
-        # mailbox) together with the pair's latency constants.  The slow
-        # path — owner comparison, port lookup, ``pair_params`` — lives in
-        # ``_resolve_route``; misses on unknown destinations drop and are
-        # never cached.
-        route = port.route.get(destination)
-        if route is None:
-            route = self._resolve_route(port, sender, destination)
-            if route is None:
-                stats.messages_dropped += 1
-                return
-        target_port, base, spread, fused = route
-        # Authenticated-link check, once per message at schedule time:
-        # verification is time-independent (a token either matches the
-        # signer's secret or it never will), so checking here instead of at
-        # hand-over costs the same for point-to-point traffic, removes one
-        # call per delivery from the hot path, and restores the invariant
-        # that a forged message never occupies the receiver's CPU queue.
-        # The minted-by-this-registry memo is checked inline; only unknown
-        # signatures pay the ``verify`` call.
-        if (
-            signature is not None
-            and self._verify_envelopes
-            and signature.verified_by is not self.registry
-            and not self.registry.verify(signature)
-        ):
-            stats.messages_dropped += 1
-            return
-        # The jitter draw comes from the sender's own stream.
-        transfer = size / self._lat_bandwidth if size else 0.0
-        if base == 0:
-            latency = transfer  # jitter(0, f) draws nothing and returns 0.0
-        else:
-            latency = base + ((spread + spread) * port.lat_random() - spread) + transfer
-        overhead = self._lat_overhead
-        if latency < overhead:
-            latency = overhead
-        latency = latency + overhead
-        congestion = self.congestion
-        if congestion is not None:
-            # Load-dependent surcharge, added *after* the floor clamp: it is
-            # >= 0, so the conservative lookahead bound still holds.
-            latency += congestion.surcharge(
-                port.owner if port.owner is not None else sender, sender, destination, size, now
-            )
-        acc = port.lat_acc
-        acc[0] += latency
-        acc[1] += 1
-        envelope = Envelope(sender, payload, signature, now, size, processing)
-        if target_port is None:
-            self._enqueue_cross(
-                port, sender, departure + latency, destination, envelope, fused, now
-            )
-            return
-        queue = self._equeue
-        sequence = queue._sequence
-        queue._sequence = sequence + 1
-        queue._live += 1
-        if fused:
-            # Same-region link: the receiver's CPU slot is assigned now, so
-            # the one kernel event fires at the finish time directly.
-            finish = target_port.recv_free
-            arrival = departure + latency
-            if finish < arrival:
-                finish = arrival
-            finish += processing * target_port.cpu_factor
-            target_port.recv_free = finish
-            target_port.queue.append(envelope)
-            heappush(
-                queue._heap,
-                Event((finish, 0, sequence, self._fire_port, target_port, False, "net:msg")),
-            )
-        else:
-            heappush(
-                queue._heap,
-                Event(
-                    (
-                        departure + latency,
-                        0,
-                        sequence,
-                        self._on_arrival,
-                        (target_port, envelope),
-                        False,
-                        "net:msg",
-                    )
-                ),
-            )
+        """Send a single message: a fan-out of one (see :meth:`multicast`)."""
+        self.multicast(sender, (destination,), payload, signature)
 
     def multicast(
         self,
@@ -596,15 +507,14 @@ class DeliveryPipeline:
     ) -> None:
         """Send one message to many destinations with sender-side staggering.
 
-        This loop runs once per (message, destination) pair — the hottest
-        code in any simulation after the event loop itself.  One immutable
-        :class:`Envelope` header is shared across the whole fan-out, and the
-        near-sorted hand-over events are bulk-inserted (heapify-amortised
-        for large batches).  Self-addressed copies take the 0 ms loop-back
-        and pay no serialization stagger.
+        The only place a wire message is priced and scheduled; this loop
+        runs once per (message, destination) pair — the hottest code in any
+        simulation after the event loop itself.  One immutable
+        :class:`Envelope` header is shared across the whole fan-out.
+        Self-addressed copies take the 0 ms loop-back and pay no
+        serialization stagger.
         """
-        ports = self.ports
-        port = ports.get(sender)
+        port = self.ports.get(sender)
         if port is None:
             raise NetworkError(f"unknown sender {sender!r}")
         if port.process.crashed:
@@ -613,7 +523,6 @@ class DeliveryPipeline:
         size = payload.cached_size()
         stats = self.stats
         stats.by_type[type(payload).__name__] += len(destinations)
-        drop_rules = self.drop_rules
         cpu_model = self._cpu_model
         if cpu_model:
             send_cost = self._send_overhead
@@ -629,36 +538,41 @@ class DeliveryPipeline:
             departure = now
             processing = 0.0
         envelope = Envelope(sender, payload, signature, now, size, processing)
-        # Authenticated-link check, once per *message* rather than once per
-        # destination (the token either matches the signer's secret or never
-        # will; see the matching comment in :meth:`send`).
+        # Authenticated-link check, once per message at schedule time:
+        # verification is time-independent (a token either matches the
+        # signer's secret or it never will), so checking here instead of at
+        # hand-over removes one call per delivery from the hot path and keeps
+        # the invariant that a forged message never occupies a receiver's
+        # CPU queue.  The minted-by-this-registry memo is checked inline;
+        # only unknown signatures pay the ``verify`` call.
         forged = (
             signature is not None
-            and self._verify_envelopes
             and signature.verified_by is not self.registry
             and not self.registry.verify(signature)
         )
         route_get = port.route.get
-        resolve_route = self._resolve_route
         lat_random = port.lat_random
-        lat_bandwidth = self._lat_bandwidth
         lat_overhead = self._lat_overhead
-        congestion = self.congestion
-        congestion_key = port.owner if port.owner is not None else sender
-        fire_port = self._fire_port
-        on_arrival = self._on_arrival
+        transfer = size / self._lat_bandwidth if size else 0.0
         equeue = self._equeue
-        sequence = equeue._sequence
+        heap = equeue._heap
+        # Sequence numbers are counted locally and written back once: the
+        # mailbox may schedule its flush event mid-loop, and that event keeps
+        # the number it has always drawn (the flush is the only priority -1
+        # event, so its number never orders it against anything).
+        first = sequence = equeue._sequence
         sent = 0
         dropped = 0
-        draws = 0
         latency_sum = 0.0
-        events: List[Event] = []
-        append = events.append
         for destination in destinations:
             if destination == sender:
-                # Loop-back copy: 0 ms, but the base handling cost still
-                # occupies the receive CPU (see the note in ``send``).
+                # True 0 ms loop-back: no latency draw, no drop rules, no
+                # verification, no kernel event.  Handling one's own message
+                # still occupies the CPU (base cost only — a process does not
+                # re-verify its own signatures), so the receive watermark
+                # advances and subsequent wire hand-overs queue behind it;
+                # without this, protocols with O(n^2) local phases would get
+                # 1/n of their processing load for free.
                 if cpu_model:
                     free = port.recv_free
                     if free < now:
@@ -672,77 +586,68 @@ class DeliveryPipeline:
             if forged:
                 dropped += 1
                 continue
-            if drop_rules and self._should_drop(sender, destination, payload):
+            if self.drop_rules and self._should_drop(sender, destination, payload):
                 dropped += 1
                 continue
-            # Fused route memo (see the matching comment in ``send``); the
-            # jitter draw comes from the sender's own stream.
+            # Fused route memo: one dict lookup resolves the owner-cluster
+            # routing verdict (target port, or ``None`` for the cross-cluster
+            # mailbox) together with the pair's latency constants.  The slow
+            # path lives in ``_resolve_route``; misses on unknown
+            # destinations drop and are never cached.
             route = route_get(destination)
             if route is None:
-                route = resolve_route(port, sender, destination)
+                route = self._resolve_route(port, sender, destination)
                 if route is None:
                     dropped += 1
                     continue
             target_port, base, spread, fused = route
-            transfer = size / lat_bandwidth if size else 0.0
+            # The jitter draw comes from the sender's own stream.
             if base == 0:
-                latency = transfer
+                latency = transfer  # jitter(0, f) draws nothing and returns 0.0
             else:
                 latency = base + ((spread + spread) * lat_random() - spread) + transfer
             if latency < lat_overhead:
                 latency = lat_overhead
             latency = latency + lat_overhead
-            if congestion is not None:
-                # >= 0 and post-clamp, so the lookahead bound still holds.
-                latency += congestion.surcharge(congestion_key, sender, destination, size, now)
-            latency_sum += latency
-            draws += 1
-            if target_port is None:
-                self._enqueue_cross(
-                    port, sender, departure + latency, destination, envelope, fused, now
+            if self.congestion is not None:
+                # Load-dependent surcharge, added *after* the floor clamp: it
+                # is >= 0, so the conservative lookahead bound still holds.
+                latency += self.congestion.surcharge(
+                    port.owner if port.owner is not None else sender, sender, destination, size, now
                 )
+            latency_sum += latency
+            arrival = departure + latency
+            if target_port is None:
+                self._enqueue_cross(port, sender, arrival, destination, envelope, fused, now)
                 continue
             if fused:
+                # Same-region link: the receiver's CPU slot is assigned now, so
+                # the one kernel event fires at the finish time directly.
                 finish = target_port.recv_free
-                arrival = departure + latency
                 if finish < arrival:
                     finish = arrival
                 finish += processing * target_port.cpu_factor
                 target_port.recv_free = finish
                 target_port.queue.append(envelope)
-                append(Event((finish, 0, sequence, fire_port, target_port, False, "net:msg")))
+                event = Event((finish, 0, sequence, self._fire_port, target_port, False, "net:msg"))
             else:
-                append(
-                    Event(
-                        (
-                            departure + latency,
-                            0,
-                            sequence,
-                            on_arrival,
-                            (target_port, envelope),
-                            False,
-                            "net:msg",
-                        )
-                    )
+                event = Event(
+                    (arrival, 0, sequence, self._on_arrival, (target_port, envelope), False, "net:msg")
                 )
+            heappush(heap, event)
             sequence += 1
         stats.messages_sent += sent
         stats.bytes_sent += size * sent
+        # One float add per call, in the sender's own send order (see
+        # :class:`NetworkStats` on why the fold order is fixed).
         acc = port.lat_acc
         acc[0] += latency_sum
-        acc[1] += draws
+        acc[1] += sent - dropped
         if dropped:
             stats.messages_dropped += dropped
-        if events:
+        if sequence != first:
             equeue._sequence = sequence
-            equeue._live += len(events)
-            heap = equeue._heap
-            if len(events) * 8 >= len(heap):
-                heap.extend(events)
-                heapify(heap)
-            else:
-                for event in events:
-                    heappush(heap, event)
+            equeue._live += sequence - first
         if cpu_model:
             port.send_free = departure
 
@@ -811,55 +716,16 @@ class DeliveryPipeline:
         """
         xseq = port.xseq
         port.xseq = xseq + 1
-        outbox = self.outbox
-        outbox.append((arrival, sender, xseq, destination, envelope, fused))
+        self.outbox.append((arrival, sender, xseq, destination, envelope, fused))
         if self.self_flush and not self._flush_pending:
-            self._flush_pending = True
-            self.simulator.schedule_at(
-                self._next_barrier(now), self._flush_outbox, -1, "net:xflush"
-            )
-
-    def _next_barrier(self, time: float) -> float:
-        """The smallest barrier-grid point strictly after ``time``.
-
-        The grid is the multiples of the conservative lookahead ``L``.
-        Computed by integer search rather than division alone so that every
-        shard layout lands on the *same* float grid point (``k * L`` for the
-        smallest integer ``k`` with ``k * L > time``) — the coordinator
-        walks the same grid incrementally.
-
-        With a dynamic floor (RTT traces), the deployment installs a
-        ``barrier_provider`` and the single-shard flush walks *its*
-        piecewise grid — the same one the sharded coordinator and the
-        multiprocess workers use, which is what keeps serial and sharded
-        runs byte-identical under dynamic latency too.
-        """
-        provider = self.barrier_provider
-        if provider is not None:
-            barrier = provider(time)
+            barrier = self.next_barrier(now) if self.next_barrier is not None else None
             if barrier is None:
                 raise NetworkError(
-                    "cross-cluster traffic requires a barrier grid, but the "
-                    "barrier provider reports no cross-cluster pairs"
+                    "cross-cluster traffic requires a barrier grid: the deployment "
+                    "must install `next_barrier` before cross-owner sends occur"
                 )
-            return barrier
-        lookahead = self._lookahead
-        if lookahead is None:
-            provider = self.lookahead_provider
-            lookahead = provider() if provider is not None else None
-            if lookahead is None or lookahead <= 0.0:
-                raise NetworkError(
-                    "cross-cluster traffic requires a positive conservative "
-                    "lookahead; the deployment must install a lookahead "
-                    "provider before cross-owner sends occur"
-                )
-            self._lookahead = lookahead
-        k = int(time / lookahead)
-        while k * lookahead <= time:
-            k += 1
-        while k > 1 and (k - 1) * lookahead > time:
-            k -= 1
-        return k * lookahead
+            self._flush_pending = True
+            self.simulator.schedule_at(barrier, self._flush_outbox, -1, "net:xflush")
 
     def _flush_outbox(self) -> None:
         """Single-shard barrier: drain the mailbox in canonical order.
@@ -905,23 +771,13 @@ class DeliveryPipeline:
         port = self.ports.get(destination)
         if port is None or not port.registered:
             self.stats.messages_dropped += 1
-            return
-        queue = self._equeue
-        sequence = queue._sequence
-        queue._sequence = sequence + 1
-        queue._live += 1
-        if fused:
-            finish = port.recv_free
-            if finish < arrival:
-                finish = arrival
-            finish += envelope.processing * port.cpu_factor
-            port.recv_free = finish
-            port.queue.append(envelope)
-            heappush(
-                queue._heap,
-                Event((finish, 0, sequence, self._fire_port, port, False, "net:msg")),
-            )
+        elif fused:
+            self._take_slot(port, envelope, arrival)
         else:
+            queue = self._equeue
+            sequence = queue._sequence
+            queue._sequence = sequence + 1
+            queue._live += 1
             heappush(
                 queue._heap,
                 Event(
@@ -932,19 +788,25 @@ class DeliveryPipeline:
     def _arrive(self, pair) -> None:
         """A cross-region envelope lands: take the receiver's CPU slot *now*.
 
-        The one deferred branch behind ``send``, ``multicast`` and
-        ``deliver_cross``.  Until this instant the envelope occupied nothing
-        at the receiver, so messages scheduled while it was on the wire were
-        served ahead of it.
+        The one deferred branch behind ``multicast`` and ``deliver_cross``.
+        Until this instant the envelope occupied nothing at the receiver, so
+        messages scheduled while it was on the wire were served ahead of it.
         """
         port, envelope = pair
-        if not port.registered:
+        if port.registered:
+            self._take_slot(port, envelope, self.simulator.now)
+        else:
             self.stats.messages_dropped += 1
-            return
+
+    def _take_slot(self, port: _Port, envelope: Envelope, arrival: float) -> None:
+        """Book ``port``'s next CPU slot for an envelope arriving at ``arrival``.
+
+        The slot is ``max(arrival, recv_free) + processing``; the envelope
+        joins the port FIFO and its hand-over event is pushed.
+        """
         finish = port.recv_free
-        now = self.simulator.now
-        if finish < now:
-            finish = now
+        if finish < arrival:
+            finish = arrival
         finish += envelope.processing * port.cpu_factor
         port.recv_free = finish
         port.queue.append(envelope)
@@ -1007,123 +869,4 @@ class DeliveryPipeline:
         process.on_message(envelope.sender, envelope)
 
 
-class Network:
-    """Routes messages between processes over the simulated topology.
-
-    Thin façade over the :class:`DeliveryPipeline`, which owns the drop
-    rules, the per-destination FIFO CPU queues, and the statistics.  Kept as
-    the public entry point so membership, fault injection, and the sending
-    API live in one place.
-
-    Args:
-        simulator: The simulation kernel.
-        latency_model: Geo latency model; processes must be placed on it.
-        registry: Key registry used to sign and verify envelopes.
-        config: Processing-cost constants.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        latency_model: LatencyModel,
-        registry: KeyRegistry,
-        config: Optional[NetworkConfig] = None,
-    ) -> None:
-        self.simulator = simulator
-        self.latency_model = latency_model
-        self.registry = registry
-        self.config = config or NetworkConfig()
-        self.pipeline = DeliveryPipeline(simulator, latency_model, registry, self.config)
-        self.stats = self.pipeline.stats
-
-    # ------------------------------------------------------------------ #
-    # Membership
-    # ------------------------------------------------------------------ #
-    def register(self, process: Process, region: str = "us-west1") -> None:
-        """Attach a process to the network and place it in a region."""
-        self.pipeline.register(process)
-        self.latency_model.place(process.process_id, region)
-        self.registry.register(process.process_id)
-        process.attach(self)
-
-    def deregister(self, process_id: str) -> None:
-        """Detach a process; in-flight and subsequent messages to it drop."""
-        self.pipeline.deregister(process_id)
-
-    def process(self, process_id: str) -> Optional[Process]:
-        """Look up a registered process by id."""
-        port = self.pipeline.ports.get(process_id)
-        return None if port is None else port.process
-
-    def known_processes(self) -> List[str]:
-        """Identifiers of all registered processes."""
-        return list(self.pipeline.ports)
-
-    # ------------------------------------------------------------------ #
-    # Fault injection
-    # ------------------------------------------------------------------ #
-    def add_drop_rule(self, rule: DropRule) -> DropRule:
-        """Install a drop rule; returns it so callers can remove it later."""
-        self.pipeline.drop_rules.append(rule)
-        return rule
-
-    def remove_drop_rule(self, rule: DropRule) -> None:
-        """Remove a previously installed drop rule."""
-        if rule in self.pipeline.drop_rules:
-            self.pipeline.drop_rules.remove(rule)
-
-    def partition(self, group_a: Iterable[str], group_b: Iterable[str]) -> DropRule:
-        """Drop all traffic between two groups of processes (both ways)."""
-        set_a = set(group_a)
-        set_b = set(group_b)
-
-        def rule(sender: str, destination: str, payload: Message) -> bool:
-            return (sender in set_a and destination in set_b) or (
-                sender in set_b and destination in set_a
-            )
-
-        return self.add_drop_rule(rule)
-
-    def isolate(self, process_id: str) -> DropRule:
-        """Drop all wire traffic to and from one process.
-
-        Loop-back is unaffected: a process can always talk to itself.
-        """
-
-        def rule(sender: str, destination: str, payload: Message) -> bool:
-            return process_id in (sender, destination)
-
-        return self.add_drop_rule(rule)
-
-    # ------------------------------------------------------------------ #
-    # Sending (delegates to the pipeline)
-    # ------------------------------------------------------------------ #
-    def send(
-        self,
-        sender: str,
-        destination: str,
-        payload: Message,
-        signature: Optional[Signature] = None,
-    ) -> None:
-        """Send a single message from ``sender`` to ``destination``."""
-        self.pipeline.send(sender, destination, payload, signature)
-
-    def multicast(
-        self,
-        sender: str,
-        destinations: Sequence[str],
-        payload: Message,
-        signature: Optional[Signature] = None,
-    ) -> None:
-        """Send one message to many destinations with sender-side staggering."""
-        self.pipeline.multicast(sender, destinations, payload, signature)
-
-    def charge_verification(self, process_id: str, signatures: int) -> None:
-        """Charge in-handler verification CPU (see the pipeline method)."""
-        self.pipeline.charge_verification(process_id, signatures)
-
-    def _should_drop(self, sender: str, destination: str, payload: Message) -> bool:
-        return self.pipeline._should_drop(sender, destination, payload)
-
-
-__all__ = ["DeliveryPipeline", "DropRule", "Network", "NetworkConfig", "NetworkStats"]
+__all__ = ["DropRule", "Network", "NetworkConfig", "NetworkStats"]

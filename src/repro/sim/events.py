@@ -27,7 +27,7 @@ from repro.errors import SimulationError
 # Layout indexes of an Event (shared with the Simulator's run loop).
 # NOTE: the raw push sequence (allocate Event, bump _sequence/_live,
 # heappush) is intentionally inlined at the hottest call sites —
-# Simulator.schedule/schedule_at and DeliveryPipeline.send/multicast —
+# Simulator.schedule/schedule_at and Network.multicast/_take_slot —
 # so any change to this layout or to the live/cancelled accounting must
 # be mirrored there.
 TIME = 0
@@ -137,55 +137,6 @@ class EventQueue:
         self._live += 1
         heappush(self._heap, event)
         return event
-
-    def push_batch(
-        self,
-        pairs: Any,
-        callback: Callable[..., None],
-        priority: int = 0,
-        label: str = "",
-        floor: float = 0.0,
-    ) -> None:
-        """Bulk-schedule ``callback`` once per ``(time, arg)`` pair.
-
-        This is the multicast fan-out primitive: one call inserts a whole
-        batch of delivery events instead of paying one :func:`heappush`
-        (plus its Python call frame) per destination.  Sequence numbers are
-        assigned in pair order, so the resulting pop order is exactly what
-        per-pair :meth:`push` calls would have produced — only the heap's
-        internal shape may differ, which is unobservable.
-
-        When the batch is large relative to the live heap, the entries are
-        appended and the heap is rebuilt with one O(n + k) :func:`heapify`
-        instead of k O(log n) sift-ups (multicast arrivals are near-sorted,
-        so either path is cheap; the bulk path bounds the worst case).
-
-        Args:
-            pairs: Iterable of ``(time, arg)`` tuples.
-            callback: Shared callback, invoked with each pair's ``arg``.
-            priority: Shared priority.
-            label: Shared debugging label.
-            floor: Scheduling any pair before this time raises.
-        """
-        heap = self._heap
-        sequence = self._sequence
-        events: List[Event] = []
-        append = events.append
-        for time, arg in pairs:
-            if time < floor:
-                raise SimulationError(
-                    f"cannot schedule an event at {time!r}, before the floor {floor!r}"
-                )
-            append(Event((time, priority, sequence, callback, arg, False, label)))
-            sequence += 1
-        self._sequence = sequence
-        self._live += len(events)
-        if len(events) * 8 >= len(heap):
-            heap.extend(events)
-            heapify(heap)
-        else:
-            for event in events:
-                heappush(heap, event)
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` if empty."""

@@ -136,7 +136,7 @@ class Process:
         self.cpu_factor = factor
         network = self.network
         if network is not None:
-            port = network.pipeline.ports.get(self.process_id)
+            port = network.ports.get(self.process_id)
             if port is not None and port.process is self:
                 port.cpu_factor = factor
 

@@ -5,13 +5,15 @@ one mutable world.  The sharded kernel splits that world by *owner cluster*:
 each shard owns its clusters' replicas, clients, network ports, RNG streams,
 and metrics, and runs its own serial kernel.  What couples shards is only
 cross-cluster message traffic, and that traffic has a *latency floor*: the
-delivery pipeline's minimum one-way latency between processes of different
-clusters (``LatencyModel.min_cross_group_floor``).  That floor is the
-classic conservative-PDES lookahead ``L``: an event at time ``t`` on one
-shard can influence another shard no earlier than ``t + L``.
+network's minimum one-way latency between processes of different clusters
+(``LatencyModel.cross_group_floor_schedule``).  That floor is the classic
+conservative-PDES lookahead ``L``: an event at time ``t`` on one shard can
+influence another shard no earlier than ``t + L``.
 
 The coordinator therefore advances all shards window by window over the
-barrier grid ``L, 2L, 3L, ...``:
+barrier grid ``L, 2L, 3L, ...`` (restarted at every floor change when an RTT
+trace makes ``L`` piecewise) — one function, ``Deployment.next_barrier``,
+which the single-shard flush and the forked workers walk too:
 
 1. run every shard up to (exclusive of) the next barrier ``h``;
 2. gather each shard's cross-cluster mailbox, merge-sort the entries by
@@ -50,36 +52,27 @@ class ShardedSimulator:
 
     Args:
         simulators: One serial kernel per shard, in shard order.
-        pipelines: The matching delivery pipelines (``take_outbox`` /
+        networks: The matching networks (``take_outbox`` /
             ``deliver_cross`` ends of the cross-shard mailbox).
         route: Maps a destination process id to its shard index.
-        lookahead_provider: Returns the conservative lookahead ``L`` in
-            seconds, or ``None`` when no cross-cluster pair exists (then no
-            barriers are needed and windows span the whole horizon).
-            Resolved lazily at the first ``run_for`` because RTT overrides
-            land after deployment construction.
+        next_barrier: ``time -> smallest barrier strictly after it``, or
+            ``None`` when no cross-cluster pair exists (then no barriers are
+            needed and windows span the whole horizon).  First called at the
+            first ``run_for``, after RTT overrides have landed.
     """
 
     def __init__(
         self,
         simulators: List[Simulator],
-        pipelines: List[object],
+        networks: List[object],
         route: Callable[[str], int],
-        lookahead_provider: Callable[[], Optional[float]],
-        barrier_provider: Optional[Callable[[float], Optional[float]]] = None,
+        next_barrier: Callable[[float], Optional[float]],
     ) -> None:
         self.now: float = 0.0
         self._simulators = simulators
-        self._pipelines = pipelines
+        self._networks = networks
         self._route = route
-        self._lookahead_provider = lookahead_provider
-        #: Optional piecewise barrier schedule (trace-driven RTTs make the
-        #: lookahead time-varying).  When set, it overrides the static grid;
-        #: the single-shard flush installs the same provider so both kernels
-        #: walk the identical barrier sequence.
-        self._barrier_provider = barrier_provider
-        self._lookahead: Optional[float] = None
-        self._lookahead_resolved = False
+        self._next_barrier = next_barrier
         self._stopped = False
 
     # ------------------------------------------------------------------ #
@@ -103,43 +96,15 @@ class ShardedSimulator:
     # ------------------------------------------------------------------ #
     # The window loop
     # ------------------------------------------------------------------ #
-    def _resolve_lookahead(self) -> Optional[float]:
-        if not self._lookahead_resolved:
-            self._lookahead = self._lookahead_provider()
-            self._lookahead_resolved = True
-        return self._lookahead
-
-    def _next_barrier(self, time: float, lookahead: float) -> float:
-        """Smallest grid point ``k * L`` strictly after ``time``.
-
-        The same integer-search arithmetic as the single-shard flush
-        (``DeliveryPipeline._next_barrier``), so both kernels walk the
-        identical float grid.
-        """
-        k = int(time / lookahead)
-        while k * lookahead <= time:
-            k += 1
-        while k > 1 and (k - 1) * lookahead > time:
-            k -= 1
-        return k * lookahead
-
     def run(self, until: float) -> None:
         """Run every shard to ``until``, exchanging mailboxes at barriers."""
         self._stopped = False
-        provider = self._barrier_provider
-        lookahead = None if provider is not None else self._resolve_lookahead()
         simulators = self._simulators
         window_start = self.now
         while not self._stopped:
-            if provider is not None:
-                next_barrier = provider(self.now)
-                barrier = until if next_barrier is None else min(next_barrier, until)
-            elif lookahead is None:
+            barrier = self._next_barrier(self.now)
+            if barrier is None or barrier > until:
                 barrier = until
-            else:
-                barrier = self._next_barrier(self.now, lookahead)
-                if barrier > until:
-                    barrier = until
             # Exclusive window: events at the barrier itself run *after*
             # the exchange, in the next window.
             edge = math.nextafter(barrier, -math.inf)
@@ -164,8 +129,8 @@ class ShardedSimulator:
 
     def _exchange(self, window_start: float) -> None:
         """Merge all shards' mailboxes and inject at the current barrier."""
-        pipelines = self._pipelines
-        batches = [pipeline.take_outbox() for pipeline in pipelines]
+        networks = self._networks
+        batches = [network.take_outbox() for network in networks]
         total = sum(len(batch) for batch in batches)
         if not total:
             return
@@ -186,7 +151,7 @@ class ShardedSimulator:
                     f"{entry[1]!r} arrives at {arrival}, before the window start "
                     f"{window_start} (lookahead too large for the topology)"
                 )
-            pipelines[route(entry[3])].deliver_cross(arrival, entry[3], entry[4], entry[5])
+            networks[route(entry[3])].deliver_cross(arrival, entry[3], entry[4], entry[5])
 
 
 __all__ = ["ShardedSimulator"]

@@ -310,33 +310,6 @@ class Simulator:
         heappush(queue._heap, event)
         return event
 
-    def schedule_batch(
-        self,
-        pairs: object,
-        callback: Callable[..., None],
-        priority: int = 0,
-        label: str = "",
-    ) -> None:
-        """Schedule ``callback`` once per ``(absolute_time, arg)`` pair.
-
-        One bulk insertion instead of one :meth:`schedule_at` call per entry;
-        the multicast fan-out path uses this to insert a whole batch of
-        near-sorted delivery events at once.  Pop order is identical to
-        per-pair ``schedule_at`` calls in the same order.
-        """
-        self._queue.push_batch(pairs, callback, priority, label, floor=self.now)
-
-    def call_soon(self, callback: Callable[..., None], arg: object = None) -> None:
-        """Run ``callback`` at the current virtual time, after the current event.
-
-        Microtasks cost no kernel event and never advance the clock.  They
-        run before the next heap event even when that event is scheduled for
-        the same instant, and a microtask may enqueue further microtasks
-        (drained FIFO).  ``arg`` follows the same convention as
-        :meth:`schedule`: ``None`` means the callback takes no argument.
-        """
-        self._microtasks.append((callback, arg))
-
     def timer(self, duration: float, callback: Callable[[], None], name: str = "") -> Timer:
         """Create a (not yet started) :class:`Timer`."""
         return Timer(self, duration, callback, name=name)

@@ -294,10 +294,6 @@ class ReconfigurationClient(Process):
         self.actions = list(actions or [])
         self.performed: List[float] = []
 
-    def add_action(self, at_time: float, action: Callable[[], None]) -> None:
-        """Add a scheduled action before the client starts."""
-        self.actions.append((at_time, action))
-
     def on_start(self) -> None:
         for at_time, action in self.actions:
             self.simulator.schedule_at(

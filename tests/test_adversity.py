@@ -286,7 +286,7 @@ class TestGrayAndSkewKnobs:
         deployment = _tiny_deployment()
         replica = deployment.replicas["c0/r1"]
         replica.set_cpu_factor(6.0)
-        port = replica.network.pipeline.ports[replica.process_id]
+        port = replica.network.ports[replica.process_id]
         assert replica.cpu_factor == 6.0
         assert port.cpu_factor == 6.0
         replica.set_cpu_factor(1.0)
@@ -376,7 +376,7 @@ class TestPartitionHealing:
             deployment = spec.build()
             deployment.run(duration=spec.duration, warmup=spec.warmup)
             for shard in deployment.shards:
-                assert shard.network.pipeline.drop_rules == [], (
+                assert shard.network.drop_rules == [], (
                     f"shards={shards}: shard {shard.index} kept a stale drop rule"
                 )
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pytest
+
 from repro.harness.runner import run_scenario
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
@@ -102,15 +104,16 @@ class TestNoHeadOfLineBlocking:
         simulator, network = build_network()
         nodes = {name: Recorder(name, simulator) for name in ("far", "near", "r")}
         if owners:
-            # A deployment's wiring: far's cluster differs from r's, so the
-            # far -> r envelope rides the cross-cluster mailbox and is
-            # injected at the barrier (0.0985) between its send and arrival.
-            pipeline = network.pipeline
-            pipeline.owners = owners
-            pipeline.lookahead_provider = lambda: network.latency_model.min_cross_group_floor(owners)
+            network.owners = owners  # ports snapshot their owner at registration
         network.register(nodes["far"], "asia-south1")
         network.register(nodes["near"], "us-west1")
         network.register(nodes["r"], "us-west1")
+        if owners:
+            # A deployment's wiring: far's cluster differs from r's, so the
+            # far -> r envelope rides the cross-cluster mailbox and is
+            # injected at the barrier (0.0985) between its send and arrival.
+            floor = network.latency_model.min_cross_group_floor(owners)
+            network.next_barrier = lambda time: (int(time / floor) + 1) * floor
         far, near = (AuthenticatedPerfectLink(name, network) for name in ("far", "near"))
         simulator.schedule_at(self.WAN_SENT, lambda: far.send("r", Note("wan")))
         simulator.schedule_at(self.LAN_SENT, lambda: near.send("r", Note("lan")))
@@ -154,7 +157,7 @@ class TestNoHeadOfLineBlocking:
         # at another's slot, a WAN copy would show up in LAN time or a LAN
         # copy in WAN time; per link, copies also stay in send order.
         received = nodes["r"].received
-        assert not network.pipeline.ports["r"].queue
+        assert not network.ports["r"].queue
         for sender, low, high in (("near", 0.0, 0.002), ("far", 0.09, 0.13)):
             copies = [(int(payload.text), time) for who, payload, time in received if who == sender]
             assert [step for step, _ in copies] == list(range(20))
@@ -292,6 +295,98 @@ class TestLinkLatencyStats:
         assert stats.link_latency_count == 1
         # One us-west1 -> asia-south1 hop: ~107 ms one way.
         assert stats.mean_link_latency() > 0.05
+
+
+# ---------------------------------------------------------------------- #
+# One delivery rule: a fan-out is exactly its point-to-point sends
+# ---------------------------------------------------------------------- #
+class TestOneSendRule:
+    """``multicast(s, [d1..dn], m)`` and ``for d: send(s, d, m)`` on twin
+    networks of one seed leave identical worlds behind, whatever kind of link
+    each destination sits on."""
+
+    #: name -> (region, owner cluster); ``ghost`` is never registered.
+    WORLD = {
+        "s": ("us-west1", 0),  # the sender: its own copy is the 0 ms loop-back
+        "w": ("us-west1", 0),  # arms the mailbox flush before the comparison
+        "lan": ("us-west1", 0),  # same region: fused, one kernel event
+        "wan": ("asia-south1", 0),  # cross region: slot taken on arrival
+        "blocked": ("us-west1", 0),  # hit by a drop rule
+        "xlan": ("us-west1", 1),  # other owner cluster: mailbox, fused verdict
+        "xwan": ("europe-west3", 1),  # other owner cluster: mailbox, deferred
+    }
+    DESTINATIONS = ("lan", "wan", "s", "xlan", "blocked", "ghost", "xwan", "lan")
+
+    def _world(self, cpu_model):
+        simulator, network = build_network(seed=5, cpu_model=cpu_model)
+        owners = {name: owner for name, (_, owner) in self.WORLD.items()}
+        network.owners = owners
+        nodes = {name: Recorder(name, simulator) for name in self.WORLD}
+        for name, (region, _) in self.WORLD.items():
+            network.register(nodes[name], region)
+        floor = network.latency_model.min_cross_group_floor(owners)
+        network.next_barrier = lambda time: (int(time / floor) + 1) * floor
+        network.add_drop_rule(lambda sender, destination, payload: destination == "blocked")
+        # With a flush already pending — as it is for all but the first
+        # mailbox entry of a barrier window — no flush event is scheduled
+        # mid-fan-out, so kernel sequence numbers are comparable one to one.
+        network.send("w", "xlan", Note("arm"))
+        return simulator, network, nodes
+
+    def _outcome(self, fan_out, cpu_model=True, forged=False, crashed=False):
+        simulator, network, nodes = self._world(cpu_model)
+        registry = KeyRegistry(seed=99) if forged else network.registry
+        registry.register("s")
+        nodes["s"].crashed = crashed
+        for text in ("first", "second"):  # the second finds the link engine busy
+            message = Note(text)
+            fan_out(network, self.DESTINATIONS, message, registry.sign_message("s", message))
+        queue = simulator._queue
+        scheduled = sorted(event[:3] + [event.label] for event in queue._heap)
+        snapshot = {
+            "scheduled": scheduled,
+            "next_sequence": queue._sequence,
+            "live": len(queue),
+            "watermarks": {n: (p.send_free, p.recv_free, p.xseq) for n, p in network.ports.items()},
+            "next_jitter_draw": network.ports["s"].lat_random(),
+            "outbox": [entry[:4] + (entry[5],) for entry in network.outbox],
+        }
+        simulator.run()
+        stats = network.stats
+        snapshot["stats"] = (stats.snapshot(), stats.link_latency, dict(stats.by_type))
+        snapshot["delivered"] = {
+            name: [(payload.text, time) for _, payload, time in node.received]
+            for name, node in nodes.items()
+        }
+        return snapshot
+
+    @staticmethod
+    def _multicast(network, destinations, message, signature):
+        network.multicast("s", destinations, message, signature)
+
+    @staticmethod
+    def _sends(network, destinations, message, signature):
+        for destination in destinations:
+            network.send("s", destination, message, signature)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [{}, {"cpu_model": False}, {"forged": True}, {"crashed": True}],
+        ids=["cpu_model", "no_cpu_model", "forged_signature", "crashed_sender"],
+    )
+    def test_fan_out_equals_its_point_to_point_sends(self, variant):
+        fanned = self._outcome(self._multicast, **variant)
+        assert fanned == self._outcome(self._sends, **variant)
+        # Guard the comparison against being vacuous.
+        wire = {name for name, copies in fanned["delivered"].items() if copies} - {"xlan"}
+        if variant.get("crashed"):
+            assert not wire and fanned["stats"][0]["messages_sent"] == 1  # the arming send
+        elif variant.get("forged"):
+            assert wire == {"s"} and fanned["stats"][0]["messages_dropped"] == 14
+        else:
+            assert wire == {"s", "lan", "wan", "xwan"}
+            assert sorted(text for text, _ in fanned["delivered"]["lan"]) == ["first"] * 2 + ["second"] * 2
+            assert fanned["stats"][0]["messages_dropped"] == 4  # blocked and ghost, twice
 
 
 # ---------------------------------------------------------------------- #

@@ -1,15 +1,16 @@
-"""Tests for the detlint static analyzer (rules, policy layers, CLI, ratchet)."""
+"""Tests for the detlint static analyzer (rules, inline suppressions, CLI)."""
 
 from __future__ import annotations
 
 import json
 import textwrap
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import pytest
 
-from repro.analysis.detlint import Baseline, Finding, LintReport, lint_paths
+from repro.analysis.detlint import Finding, LintReport, lint_paths
+from repro.analysis.detlint.config import LintConfig
 from repro.analysis.detlint.__main__ import main as detlint_main
 from repro.analysis.detlint.engine import module_rel_path
 from repro.analysis.detlint.rules import RULES
@@ -18,18 +19,15 @@ from repro.net.latency import LatencyModel, LatencyParameters
 from repro.sim.rng import SeededRng, config_rng
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BASELINE_FILE = REPO_ROOT / "detlint_baseline.json"
 
 
-def run_lint(
-    tmp_path: Path, files: Dict[str, str], baseline: Optional[Baseline] = None
-) -> LintReport:
+def run_lint(tmp_path: Path, files: Dict[str, str], config: LintConfig = None) -> LintReport:
     """Write ``files`` (repro-relative paths) under ``tmp_path`` and lint them."""
     for rel, source in files.items():
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source))
-    return lint_paths([str(tmp_path)], baseline=baseline)
+    return lint_paths([str(tmp_path)], config=config)
 
 
 def codes(report: LintReport) -> List[str]:
@@ -212,7 +210,9 @@ class TestDet005IdentityOrdering:
 
 class TestSlot001Slots:
     def test_positive_message_subclass_without_slots(self, tmp_path):
-        report = run_lint(tmp_path, {
+        """``Message`` subclasses keep their memos in ``__dict__`` and are not
+        checked as such — only when the config lists one as hot-path."""
+        files = {
             "repro/core/msg.py": """
                 from dataclasses import dataclass
 
@@ -222,7 +222,10 @@ class TestSlot001Slots:
                 class Probe(Message):
                     value: int = 0
             """,
-        })
+        }
+        assert codes(run_lint(tmp_path, files)) == []
+        listed = LintConfig(hot_path_classes={"repro/core/msg.py": frozenset({"Probe"})})
+        report = run_lint(tmp_path, files, config=listed)
         assert codes(report) == ["SLOT001"]
         assert report.findings[0].context == "Probe"
 
@@ -382,7 +385,7 @@ class TestSer001SpecSerialization:
 
 
 # ---------------------------------------------------------------------- #
-# Policy layers: suppressions and baseline
+# The one sanctioning mechanism: inline suppressions
 # ---------------------------------------------------------------------- #
 class TestSuppressions:
     def test_inline_disable_with_rationale(self, tmp_path):
@@ -414,72 +417,11 @@ class TestSuppressions:
         assert report.suppressed == 2
 
 
-class TestBaseline:
-    FILES = {
-        "repro/core/cache.py": """
-            _seen = {}
-            _more = []
-        """,
-    }
-
-    def test_round_trip_sanctions_findings(self, tmp_path):
-        report = run_lint(tmp_path, self.FILES)
-        assert codes(report) == ["DET004", "DET004"]
-
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(report.findings, {"DET004": "legacy"}).save(str(path))
-        loaded = Baseline.load(str(path))
-
-        clean = run_lint(tmp_path, self.FILES, baseline=loaded)
-        assert clean.clean
-        assert clean.baselined == 2
-
-    def test_stale_entries_fail_the_run(self, tmp_path):
-        report = run_lint(tmp_path, self.FILES)
-        baseline = Baseline.from_findings(report.findings)
-
-        fixed = run_lint(tmp_path, {"repro/core/cache.py": "_seen_no_more = 1\n"}, baseline=baseline)
-        assert codes(fixed) == []
-        assert len(fixed.stale_baseline) == 2
-        assert not fixed.clean
-
-    def test_keys_are_line_number_free(self, tmp_path):
-        report = run_lint(tmp_path, self.FILES)
-        baseline = Baseline.from_findings(report.findings)
-
-        moved = run_lint(tmp_path, {
-            "repro/core/cache.py": """
-                # A comment pushing everything down several lines.
-                # Another one.
-
-                _seen = {}
-                _more = []
-            """,
-        }, baseline=baseline)
-        assert moved.clean
-
-
 class TestShippedTreeAndRatchet:
-    def test_shipped_tree_is_clean_under_checked_in_baseline(self):
-        baseline = Baseline.load(str(BASELINE_FILE))
-        report = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")], baseline=baseline)
+    def test_shipped_tree_is_clean(self):
+        report = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
         assert report.findings == [], [f.render() for f in report.findings]
-        assert report.stale_baseline == [], report.stale_baseline
         assert report.errors == []
-
-    def test_baseline_never_grows(self):
-        # The ratchet ceiling: the 35 sanctioned SLOT001 entries for Message
-        # subclasses (whose digest caches deliberately live in __dict__).
-        # Shrinking is progress; growing needs a reviewed rationale AND a
-        # bump here.
-        payload = json.loads(BASELINE_FILE.read_text())
-        assert len(payload["entries"]) <= 35
-
-    def test_every_baseline_entry_has_a_real_rationale(self):
-        payload = json.loads(BASELINE_FILE.read_text())
-        for entry in payload["entries"]:
-            assert entry.get("rationale"), entry
-            assert "TODO" not in entry["rationale"], entry
 
     def test_rule_registry_is_complete(self):
         assert set(RULES) == {
@@ -499,37 +441,28 @@ class TestCli:
 
     def test_exit_zero_on_clean_tree(self, tmp_path):
         self._write(tmp_path, "repro/core/ok.py", "VALUE = 1\n")
-        assert detlint_main([str(tmp_path), "--no-baseline"]) == 0
+        assert detlint_main([str(tmp_path)]) == 0
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
         self._write(tmp_path, "repro/core/bad.py", "import time\nT = time.time()\n")
-        assert detlint_main([str(tmp_path), "--no-baseline"]) == 1
+        assert detlint_main([str(tmp_path)]) == 1
         assert "DET001" in capsys.readouterr().out
 
     def test_exit_two_on_parse_error(self, tmp_path):
         self._write(tmp_path, "repro/core/broken.py", "def oops(:\n")
-        assert detlint_main([str(tmp_path), "--no-baseline"]) == 2
-
-    def test_write_baseline_then_gate(self, tmp_path):
-        self._write(tmp_path, "repro/core/bad.py", "_cache = {}\n")
-        baseline = tmp_path / "baseline.json"
-        assert detlint_main([str(tmp_path), "--write-baseline", "--baseline", str(baseline)]) == 0
-        assert detlint_main([str(tmp_path), "--baseline", str(baseline)]) == 0
-        # Fixing the code makes the entry stale: the gate demands deletion.
-        self._write(tmp_path, "repro/core/bad.py", "VALUE = 1\n")
-        assert detlint_main([str(tmp_path), "--baseline", str(baseline)]) == 1
+        assert detlint_main([str(tmp_path)]) == 2
 
     def test_stats_output(self, tmp_path):
         self._write(tmp_path, "repro/core/bad.py", "_cache = {}\n")
         stats = tmp_path / "stats.json"
-        detlint_main([str(tmp_path), "--no-baseline", "--stats", str(stats)])
+        detlint_main([str(tmp_path), "--stats", str(stats)])
         payload = json.loads(stats.read_text())
         assert payload["actionable"] == 1
         assert payload["by_rule"] == {"DET004": 1}
 
     def test_json_output(self, tmp_path, capsys):
         self._write(tmp_path, "repro/core/bad.py", "_cache = {}\n")
-        detlint_main([str(tmp_path), "--no-baseline", "--json"])
+        detlint_main([str(tmp_path), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["rule"] == "DET004"
         assert payload[0]["path"] == "repro/core/bad.py"

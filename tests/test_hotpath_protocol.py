@@ -1,9 +1,8 @@
 """Regression tests for the protocol/workload hot-path PRs.
 
-Covers the batched multicast scheduling, the fused delivery pipeline's
-per-destination FIFO guarantee, the Zipf alias table, and the
-protocol-layer caches (view epochs, bundle digests) — alongside the
-goldens in ``test_hotpath_and_fixes.py`` / ``tests/goldens_e0.json``,
+Covers the fused delivery pipeline's per-destination FIFO guarantee, the
+Zipf alias table, and the protocol-layer caches (view epochs, bundle
+digests) — alongside the goldens in ``test_hotpath_and_fixes.py`` / ``tests/goldens_e0.json``,
 which pin fixed-seed runs to bit-identical simulation results.
 """
 
@@ -11,69 +10,16 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.core.types import OperationsBundle, make_transaction
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
 from repro.net.links import AuthenticatedPerfectLink
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
-from repro.sim.events import EventQueue, noop
 from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
 from repro.workload.zipf import ZipfianGenerator
-
-
-# ---------------------------------------------------------------------- #
-# Batched scheduling: push_batch equals per-pair pushes
-# ---------------------------------------------------------------------- #
-class TestScheduleBatch:
-    def test_pop_order_matches_individual_pushes(self):
-        rng = SeededRng(5, "batch")
-        times = [rng.random() * 10 for _ in range(500)]
-        individual = EventQueue()
-        for index, t in enumerate(times):
-            individual.push(t, noop, arg=index)
-        batched = EventQueue()
-        # Mixed insertion: a few singles, then bulk batches of varying size.
-        batched.push(times[0], noop, arg=0)
-        batched.push(times[1], noop, arg=1)
-        batched.push_batch([(t, i + 2) for i, t in enumerate(times[2:102])], noop)
-        batched.push_batch([(t, i + 102) for i, t in enumerate(times[102:110])], noop)
-        batched.push_batch([(t, i + 110) for i, t in enumerate(times[110:])], noop)
-        order_a = []
-        order_b = []
-        while True:
-            event = individual.pop()
-            if event is None:
-                break
-            order_a.append((event.time, event.sequence, event.arg))
-        while True:
-            event = batched.pop()
-            if event is None:
-                break
-            order_b.append((event.time, event.sequence, event.arg))
-        assert order_a == order_b
-
-    def test_schedule_batch_rejects_past_times(self):
-        sim = Simulator()
-        sim.schedule(1.0, noop)
-        sim.run()
-        assert sim.now == 1.0
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            sim.schedule_batch([(0.5, None)], noop)
-
-    def test_large_batch_triggers_bulk_heapify_path(self):
-        queue = EventQueue()
-        queue.push(100.0, noop)
-        queue.push_batch([(float(i), i) for i in range(64)], noop)
-        assert len(queue) == 65
-        drained = [queue.pop().time for _ in range(65)]
-        assert drained == sorted(drained)
 
 
 # ---------------------------------------------------------------------- #

@@ -127,9 +127,9 @@ class TestLostRemoteComplaints:
         """At 10 s the last flap ends with the complaining cluster several
         complaint numbers ahead of a complained cluster that has moved on a
         round; with the equality check goodput stayed at zero for good."""
-        from repro.harness.experiments import run_e9_flapping_partition
+        from repro.harness.experiments import run_e9
 
-        row = run_e9_flapping_partition(duration=duration)
+        row = run_e9("flapping_partition", duration=duration)
         assert row["passed"], row["assertions"]
         assert row["goodput_after"] > 0.5 * row["goodput_before"]
 

@@ -31,13 +31,11 @@ class Recorder(Process):
         self.received.append((sender, envelope.payload, self.now))
 
 
-def build_network(cpu_model=False, verify=True, seed=9):
+def build_network(cpu_model=False, seed=9):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
     latency = LatencyModel(simulator.rng)
-    network = Network(
-        simulator, latency, registry, NetworkConfig(cpu_model=cpu_model, verify_envelopes=verify)
-    )
+    network = Network(simulator, latency, registry, NetworkConfig(cpu_model=cpu_model))
     return simulator, network
 
 
@@ -137,7 +135,7 @@ class TestFaults:
 
 class TestAuthentication:
     def test_forged_envelope_dropped(self):
-        simulator, network = build_network(verify=True)
+        simulator, network = build_network()
         a, b = Recorder("a", simulator), Recorder("b", simulator)
         network.register(a, "us-west1")
         network.register(b, "us-west1")
@@ -153,7 +151,7 @@ class TestAuthentication:
         # walk a digest; a signature handed in from elsewhere — forged, or
         # minted (lazily or not) by another trust domain — takes the full
         # token comparison on both entry points and is dropped.
-        simulator, network = build_network(verify=True)
+        simulator, network = build_network()
         a, b, c = (Recorder(name, simulator) for name in ("a", "b", "c"))
         for node in (a, b, c):
             network.register(node, "us-west1")
@@ -179,7 +177,7 @@ class TestAuthentication:
         assert network.registry.counters()["envelope_digests_read"] == 0
 
     def test_valid_envelope_delivered_with_signature(self):
-        simulator, network = build_network(verify=True)
+        simulator, network = build_network()
         a, b = Recorder("a", simulator), Recorder("b", simulator)
         network.register(a, "us-west1")
         network.register(b, "us-west1")

@@ -43,7 +43,7 @@ class TestChargeVerification:
     def test_charge_advances_the_receive_watermark_per_signature(self):
         simulator, network = build_network()
         network.register(Sink("a", simulator), "us-west1")
-        port = network.pipeline.ports["a"]
+        port = network.ports["a"]
         cost = network.config.signature_verify_cost
         network.charge_verification("a", 5)
         assert port.recv_free == 5 * cost
@@ -53,17 +53,17 @@ class TestChargeVerification:
     def test_charge_scales_with_the_cpu_factor(self):
         simulator, network = build_network()
         network.register(Sink("a", simulator), "us-west1")
-        network.pipeline.ports["a"].cpu_factor = 3.0
+        network.ports["a"].cpu_factor = 3.0
         network.charge_verification("a", 4)
         expected = 4 * network.config.signature_verify_cost * 3.0
-        assert network.pipeline.ports["a"].recv_free == expected
+        assert network.ports["a"].recv_free == expected
 
     def test_idle_cpu_is_charged_from_now_not_from_zero(self):
         simulator, network = build_network()
         network.register(Sink("a", simulator), "us-west1")
         simulator.schedule(2.0, lambda: network.charge_verification("a", 1))
         simulator.run()
-        assert network.pipeline.ports["a"].recv_free == (
+        assert network.ports["a"].recv_free == (
             2.0 + network.config.signature_verify_cost
         )
 
@@ -72,11 +72,11 @@ class TestChargeVerification:
         network.register(Sink("a", simulator), "us-west1")
         network.charge_verification("a", 0)
         network.charge_verification("ghost", 3)
-        assert network.pipeline.ports["a"].recv_free == 0.0
+        assert network.ports["a"].recv_free == 0.0
         _, uncosted = build_network(cpu_model=False)
         uncosted.register(Sink("a", Simulator(seed=3)), "us-west1")
         uncosted.charge_verification("a", 10)
-        assert uncosted.pipeline.ports["a"].recv_free == 0.0
+        assert uncosted.ports["a"].recv_free == 0.0
 
 
 # ---------------------------------------------------------------------- #
@@ -119,7 +119,7 @@ class TestLocalShareCharging:
         share = LocalShare(
             round_number=replica.round_number, cluster_id=1, bundle=bundle
         )
-        port = deployment.network.pipeline.ports[replica.process_id]
+        port = deployment.network.ports[replica.process_id]
         before = port.recv_free
         replica._on_local_share("c0/r2", share)
         assert 1 in replica.operations
@@ -135,7 +135,7 @@ class TestLocalShareCharging:
         share = LocalShare(
             round_number=replica.round_number, cluster_id=1, bundle=bundle
         )
-        port = deployment.network.pipeline.ports[replica.process_id]
+        port = deployment.network.ports[replica.process_id]
         replica._on_local_share("c0/r2", share)
         after_first = port.recv_free
         replica._on_local_share("c0/r3", share)  # one copy per Inter target
@@ -151,7 +151,7 @@ class TestLocalShareCharging:
         share = LocalShare(
             round_number=replica.round_number, cluster_id=1, bundle=bundle
         )
-        port = deployment.network.pipeline.ports[replica.process_id]
+        port = deployment.network.ports[replica.process_id]
         before = port.recv_free
         replica._on_local_share(replica.process_id, share)
         assert 1 in replica.operations

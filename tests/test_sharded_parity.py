@@ -13,6 +13,9 @@ and population workloads.
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from helpers import silent_inter_scenario
@@ -522,6 +525,40 @@ class TestStrictStreams:
             own.run(until=1.0)
 
 
+class TestBarrierGrid:
+    """``Deployment.next_barrier`` is the one barrier function; without an RTT
+    trace its grid is ``k * L`` for the smallest integer ``k`` with
+    ``k * L > time``, float for float."""
+
+    @staticmethod
+    def _static_grid(time: float, lookahead: float) -> float:
+        k = int(time / lookahead)
+        while k * lookahead <= time:
+            k += 1
+        while k > 1 and (k - 1) * lookahead > time:
+            k -= 1
+        return k * lookahead
+
+    def test_trace_free_schedule_reproduces_the_static_grid(self):
+        deployment = _e1_multiregion().build()
+        lookahead = deployment.latency_model.min_cross_group_floor(deployment._owners)
+        assert lookahead > 0.0
+        rng = random.Random(20)
+        times = [rng.uniform(0.0, 300.0) for _ in range(1000)]
+        # The awkward inputs: grid points themselves and their float neighbours.
+        for k in (0, 1, 2, 3, 7, 100, 12345):
+            point = k * lookahead
+            times += [point, math.nextafter(point, math.inf), math.nextafter(point, 0.0)]
+        for time in times:
+            barrier = deployment.next_barrier(time)
+            assert barrier == self._static_grid(time, lookahead), time
+            assert barrier > time
+
+    def test_no_cross_cluster_pair_means_no_barrier(self):
+        deployment = Scenario("one-cluster").clusters(4).spec().build()
+        assert deployment.next_barrier(0.0) is None
+
+
 class TestShardedSimulatorKernel:
     """Unit coverage for the conservative coordinator itself."""
 
@@ -547,7 +584,7 @@ class TestShardedSimulatorKernel:
             pipelines[0].batch.append((0.1, "a", 0, "b", None, False))
 
         sims[0].schedule_at(0.25, emit, label="bad-send")
-        kernel = ShardedSimulator(sims, pipelines, lambda pid: 1, lambda: 0.2)
+        kernel = ShardedSimulator(sims, pipelines, lambda pid: 1, lambda now: now + 0.2)
         with pytest.raises(SimulationError):
             kernel.run_for(1.0)
 
@@ -564,7 +601,7 @@ class TestShardedSimulatorKernel:
         for sim in sims:
             for step in range(3):
                 sim.schedule_at(0.1 * (step + 1), lambda: None, label="tick")
-        kernel = ShardedSimulator(sims, [NullPipeline(), NullPipeline()], lambda pid: 0, lambda: 0.5)
+        kernel = ShardedSimulator(sims, [NullPipeline(), NullPipeline()], lambda pid: 0, lambda now: now + 0.5)
         kernel.run_for(1.0)
         assert kernel.events_processed == sims[0].events_processed + sims[1].events_processed
         assert kernel.now == 1.0
