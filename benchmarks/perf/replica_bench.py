@@ -23,7 +23,7 @@ from repro.consensus.interface import commit_digest
 from repro.core.config import SystemConfig, failure_threshold
 from repro.core.replica import HamavaReplica
 from repro.core.types import OperationsBundle, join_request, leave_request, make_transaction
-from repro.harness.deployment import Deployment, DeploymentSpec
+from repro.harness.scenario import ScenarioSpec
 from repro.net.crypto import KeyRegistry
 
 
@@ -89,10 +89,9 @@ def bench_view_churn(
     """Stage-2 view lookups per message, under join/leave view churn."""
     best = float("inf")
     for _ in range(repeats):
-        spec = DeploymentSpec(
+        deployment = ScenarioSpec(
             clusters=[(4, "us-west1"), (4, "europe-west3")], seed=17, client_threads=1
-        )
-        deployment = Deployment(spec)
+        ).build()
         replica: HamavaReplica = deployment.replicas["c0/r0"]
         cluster_ids = sorted(replica.view)
         joiner = 0

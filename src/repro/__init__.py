@@ -38,8 +38,8 @@ reproduction of every table and figure in the paper.
 from repro.core.config import ClusterSpec, HamavaConfig, SystemConfig
 from repro.core.replica import ByzantineBehavior, HamavaReplica
 from repro.core.types import ReconfigRequest, Transaction, join_request, leave_request
-from repro.harness.builder import DeploymentBuilder, Scenario
-from repro.harness.deployment import Deployment, DeploymentSpec, build_deployment
+from repro.harness.builder import Scenario
+from repro.harness.deployment import Deployment
 from repro.harness.faults import FaultInjector
 from repro.harness.metrics import MetricsCollector
 from repro.harness.runner import (
@@ -81,8 +81,6 @@ __all__ = [
     "CrashEvent",
     "CrossTrafficStream",
     "Deployment",
-    "DeploymentBuilder",
-    "DeploymentSpec",
     "FaultInjector",
     "FlappingPartitionEvent",
     "GrayReplicaEvent",
@@ -103,7 +101,6 @@ __all__ = [
     "SystemConfig",
     "Transaction",
     "aggregate_rows",
-    "build_deployment",
     "join_request",
     "leave_request",
     "register_preset",

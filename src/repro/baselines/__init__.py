@@ -10,18 +10,11 @@
   parallel workflow, the ablation of experiment E5.2.
 """
 
-from repro.baselines.geobft import build_geobft_deployment, geobft_config, geobft_scenario
-from repro.baselines.pbft_global import build_global_pbft_deployment, global_pbft_scenario
-from repro.baselines.single_workflow import (
-    build_single_workflow_deployment,
-    single_workflow_config,
-    single_workflow_scenario,
-)
+from repro.baselines.geobft import geobft_config, geobft_scenario
+from repro.baselines.pbft_global import global_pbft_scenario
+from repro.baselines.single_workflow import single_workflow_config, single_workflow_scenario
 
 __all__ = [
-    "build_geobft_deployment",
-    "build_global_pbft_deployment",
-    "build_single_workflow_deployment",
     "geobft_config",
     "geobft_scenario",
     "global_pbft_scenario",

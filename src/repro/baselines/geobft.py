@@ -16,11 +16,10 @@ path with no churn ever scheduled (so no reconfiguration machinery runs).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.core.config import HamavaConfig
 from repro.harness.builder import Scenario
-from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.harness.scenario import register_preset
 
 
@@ -42,22 +41,4 @@ def geobft_scenario(name: str = "geobft") -> Scenario:
     return Scenario(name).preset("geobft").engine("bftsmart")
 
 
-def build_geobft_deployment(
-    clusters: Sequence[Tuple[int, str]],
-    seed: int = 1,
-    client_threads: int = 16,
-    config: Optional[HamavaConfig] = None,
-    **spec_kwargs,
-) -> Deployment:
-    """Build a GeoBFT deployment over the given clusters."""
-    spec = DeploymentSpec(
-        clusters=clusters,
-        config=geobft_config(config),
-        seed=seed,
-        client_threads=client_threads,
-        **spec_kwargs,
-    )
-    return Deployment(spec)
-
-
-__all__ = ["build_geobft_deployment", "geobft_config", "geobft_scenario"]
+__all__ = ["geobft_config", "geobft_scenario"]

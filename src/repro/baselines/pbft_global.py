@@ -12,11 +12,9 @@ every node; individual replicas can be placed in different regions through
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.core.config import HamavaConfig
 from repro.harness.builder import Scenario
-from repro.harness.deployment import Deployment, DeploymentSpec
 
 
 def global_pbft_scenario(
@@ -38,41 +36,4 @@ def global_pbft_scenario(
     return scenario
 
 
-def build_global_pbft_deployment(
-    total_nodes: int,
-    regions: Optional[Sequence[str]] = None,
-    seed: int = 1,
-    client_threads: int = 16,
-    engine: str = "bftsmart",
-    config: Optional[HamavaConfig] = None,
-    **spec_kwargs,
-) -> Deployment:
-    """Build a single-group deployment of ``total_nodes`` replicas.
-
-    Args:
-        total_nodes: Number of replicas in the single global group.
-        regions: Optional list of regions; replicas are spread round-robin
-            across them (defaults to a single region).
-        seed: Scenario seed.
-        client_threads: Closed-loop threads for the single client.
-        engine: Ordering engine; PBFT-like by default.
-        config: Optional protocol configuration to start from.
-    """
-    regions = list(regions or ["us-west1"])
-    base_region = regions[0]
-    overrides: Dict[str, str] = {}
-    for index in range(total_nodes):
-        overrides[f"c0/r{index}"] = regions[index % len(regions)]
-    deployment_config = (config or HamavaConfig()).with_engine(engine)
-    spec = DeploymentSpec(
-        clusters=[(total_nodes, base_region)],
-        config=deployment_config,
-        seed=seed,
-        client_threads=client_threads,
-        region_overrides=overrides,
-        **spec_kwargs,
-    )
-    return Deployment(spec)
-
-
-__all__ = ["build_global_pbft_deployment", "global_pbft_scenario"]
+__all__ = ["global_pbft_scenario"]

@@ -9,11 +9,10 @@ the behaviour the paper compares against in Fig. 5b.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.core.config import HamavaConfig
 from repro.harness.builder import Scenario
-from repro.harness.deployment import Deployment, DeploymentSpec
 from repro.harness.scenario import register_preset
 
 
@@ -33,27 +32,4 @@ def single_workflow_scenario(name: str = "single_workflow") -> Scenario:
     return Scenario(name).preset("single_workflow")
 
 
-def build_single_workflow_deployment(
-    clusters: Sequence[Tuple[int, str]],
-    engine: str = "hotstuff",
-    seed: int = 1,
-    client_threads: int = 16,
-    config: Optional[HamavaConfig] = None,
-    **spec_kwargs,
-) -> Deployment:
-    """Build a deployment running the single-workflow reconfiguration variant."""
-    spec = DeploymentSpec(
-        clusters=clusters,
-        config=single_workflow_config(config).with_engine(engine),
-        seed=seed,
-        client_threads=client_threads,
-        **spec_kwargs,
-    )
-    return Deployment(spec)
-
-
-__all__ = [
-    "build_single_workflow_deployment",
-    "single_workflow_config",
-    "single_workflow_scenario",
-]
+__all__ = ["single_workflow_config", "single_workflow_scenario"]

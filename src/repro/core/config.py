@@ -15,7 +15,7 @@ Two layers of configuration exist:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.consensus.interface import ConsensusConfig
 from repro.errors import ConfigurationError
@@ -198,23 +198,6 @@ class HamavaConfig:
     def with_engine(self, engine: str) -> "HamavaConfig":
         """A copy of this configuration using a different ordering engine."""
         return replace(self, engine=engine)
-
-    def with_timeouts(
-        self,
-        remote_timeout: Optional[float] = None,
-        instance_timeout: Optional[float] = None,
-        brd_timeout: Optional[float] = None,
-    ) -> "HamavaConfig":
-        """A copy with adjusted fault-detection timeouts (used by benches)."""
-        consensus = self.consensus
-        if instance_timeout is not None:
-            consensus = replace(consensus, instance_timeout=instance_timeout)
-        return replace(
-            self,
-            remote_timeout=remote_timeout if remote_timeout is not None else self.remote_timeout,
-            brd_timeout=brd_timeout if brd_timeout is not None else self.brd_timeout,
-            consensus=consensus,
-        )
 
 
 __all__ = ["ClusterSpec", "HamavaConfig", "SystemConfig", "failure_threshold"]

@@ -1,18 +1,19 @@
 """Experiment harness: scenarios, deployments, metrics, faults, experiments.
 
-The experiment-facing entry point is the declarative scenario API: the
-fluent :class:`Scenario` builder compiles to serializable
-:class:`ScenarioSpec` objects, and the :class:`ScenarioRunner` executes
-spec lists across seeds (optionally over a process pool) into typed
-:class:`ResultRow` results.  Underneath, a :class:`Deployment` assembles
-simulator + network + replicas + clients, and the
+There is one description of an experiment — :class:`ScenarioSpec` — and one
+of each fault — its event class.  The fluent :class:`Scenario` builder
+compiles to specs, and the :class:`ScenarioRunner` executes spec lists
+across seeds (optionally over a process pool) into typed :class:`ResultRow`
+results.  Underneath, a :class:`Deployment` reads the spec and assembles
+simulator + network + replicas + clients, each schedule event installs
+itself through the :class:`FaultInjector`, and the
 :class:`MetricsCollector` answers the questions the paper's figures plot.
 Runners for every experiment in the evaluation (E0–E8) live in
 :mod:`repro.harness.experiments`.
 """
 
-from repro.harness.builder import DeploymentBuilder, Scenario
-from repro.harness.deployment import Deployment, DeploymentSpec, build_deployment
+from repro.harness.builder import Scenario
+from repro.harness.deployment import Deployment
 from repro.harness.faults import FaultInjector
 from repro.harness.metrics import MetricsCollector
 from repro.harness.runner import ResultRow, ScenarioRunner, run_scenario
@@ -32,8 +33,6 @@ __all__ = [
     "ChurnLoop",
     "CrashEvent",
     "Deployment",
-    "DeploymentBuilder",
-    "DeploymentSpec",
     "FaultInjector",
     "JoinEvent",
     "LeaveEvent",
@@ -43,7 +42,6 @@ __all__ = [
     "Scenario",
     "ScenarioRunner",
     "ScenarioSpec",
-    "build_deployment",
     "register_preset",
     "run_scenario",
 ]

@@ -43,6 +43,7 @@ from repro.harness.scenario import (
     LeaveEvent,
     PartitionEvent,
     RegionOutageEvent,
+    ScenarioEvent,
     ScenarioSpec,
 )
 from repro.net.adversity import CongestionConfig, CrossTrafficStream, RttTrace
@@ -50,6 +51,14 @@ from repro.net.adversity import CongestionConfig, CrossTrafficStream, RttTrace
 _SHORTHAND = re.compile(r"^r(\d+)\.(\d+)$")
 
 ClusterShape = Union[int, Tuple[int, str], List[object]]
+
+
+def _override(target: object, what: str, fields: Dict[str, object]) -> None:
+    """Set known attributes of a config object; an unknown name is an error."""
+    for key, value in fields.items():
+        if not hasattr(target, key):
+            raise ConfigurationError(f"unknown {what} field {key!r}")
+        setattr(target, key, value)
 
 
 def normalize_replica_ref(ref: str) -> str:
@@ -146,26 +155,17 @@ class Scenario:
     # ------------------------------------------------------------------ #
     def workload(self, **fields: object) -> "Scenario":
         """Override YCSB workload parameters (``read_fraction``, ...)."""
-        for key, value in fields.items():
-            if not hasattr(self._spec.workload, key):
-                raise ConfigurationError(f"unknown workload field {key!r}")
-            setattr(self._spec.workload, key, value)
+        _override(self._spec.workload, "workload", fields)
         return self
 
     def latency(self, **fields: object) -> "Scenario":
         """Override latency-model constants."""
-        for key, value in fields.items():
-            if not hasattr(self._spec.latency, key):
-                raise ConfigurationError(f"unknown latency field {key!r}")
-            setattr(self._spec.latency, key, value)
+        _override(self._spec.latency, "latency", fields)
         return self
 
     def network(self, **fields: object) -> "Scenario":
         """Override network processing-cost constants."""
-        for key, value in fields.items():
-            if not hasattr(self._spec.network, key):
-                raise ConfigurationError(f"unknown network field {key!r}")
-            setattr(self._spec.network, key, value)
+        _override(self._spec.network, "network", fields)
         return self
 
     def threads(self, client_threads: int) -> "Scenario":
@@ -202,10 +202,7 @@ class Scenario:
             config.shape = None  # an explicit rate overrides a preset's shape
         if shape is not None:
             config.shape = shape
-        for key, value in fields.items():
-            if not hasattr(config, key):
-                raise ConfigurationError(f"unknown population field {key!r}")
-            setattr(config, key, value)
+        _override(config, "population", fields)
         self._spec.workload_model = "open"
         self._spec.population = config
         return self
@@ -220,11 +217,6 @@ class Scenario:
     def clients_per_cluster(self, count: int) -> "Scenario":
         """Number of workload clients per cluster."""
         self._spec.clients_per_cluster = int(count)
-        return self
-
-    def churn_region(self, region: str) -> "Scenario":
-        """Region churn/reconfiguration clients are registered in."""
-        self._spec.churn_client_region = region
         return self
 
     # ------------------------------------------------------------------ #
@@ -290,8 +282,12 @@ class Scenario:
         return self
 
     # ------------------------------------------------------------------ #
-    # Schedule
+    # Schedule (one line per event kind; the event class is the definition)
     # ------------------------------------------------------------------ #
+    def _add(self, event: ScenarioEvent) -> "Scenario":
+        self._spec.schedule.append(event)
+        return self
+
     def join(
         self,
         cluster: int,
@@ -300,71 +296,61 @@ class Scenario:
         region: Optional[str] = None,
     ) -> "Scenario":
         """Schedule a join request against ``cluster`` at time ``at``."""
-        self._spec.schedule.append(JoinEvent(cluster=cluster, at=at, replica_id=replica_id, region=region))
-        return self
+        return self._add(JoinEvent(cluster=cluster, at=at, replica_id=replica_id, region=region))
 
     def leave(self, replica: str, at: float) -> "Scenario":
         """Schedule an existing replica's leave request."""
-        self._spec.schedule.append(LeaveEvent(replica=normalize_replica_ref(replica), at=at))
-        return self
+        return self._add(LeaveEvent(replica=normalize_replica_ref(replica), at=at))
 
     def crash(self, replica: str, at: float) -> "Scenario":
         """Crash-stop one replica at time ``at``."""
-        self._spec.schedule.append(CrashEvent(at=at, replica=normalize_replica_ref(replica)))
-        return self
+        return self._add(CrashEvent(at=at, replica=normalize_replica_ref(replica)))
 
     def crash_leader(self, cluster: int, at: float) -> "Scenario":
         """Crash the leader of ``cluster`` (E4.2)."""
-        self._spec.schedule.append(CrashEvent(at=at, cluster=cluster, scope="leader"))
-        return self
+        return self._add(CrashEvent(at=at, cluster=cluster, scope="leader"))
 
     def crash_non_leaders(self, cluster: int, at: float, count: Optional[int] = None) -> "Scenario":
         """Crash up to ``f`` (or ``count``) non-leader replicas (E4.1)."""
-        self._spec.schedule.append(CrashEvent(at=at, cluster=cluster, scope="non_leaders", count=count))
-        return self
+        return self._add(CrashEvent(at=at, cluster=cluster, scope="non_leaders", count=count))
 
     def byzantine_leader(self, cluster: int, at: float) -> "Scenario":
         """Silence the leader's inter-cluster broadcast from time ``at`` (E4.3)."""
-        self._spec.schedule.append(ByzantineEvent(cluster=cluster, at=at))
-        return self
+        return self._add(ByzantineEvent(cluster=cluster, at=at))
 
     def partition(self, cluster_a: int, cluster_b: int, at: float, duration: float) -> "Scenario":
         """Drop traffic between two clusters for ``duration`` seconds."""
-        self._spec.schedule.append(
+        return self._add(
             PartitionEvent(cluster_a=cluster_a, cluster_b=cluster_b, at=at, duration=duration)
         )
-        return self
 
     def gray(
         self, replica: str, at: float, factor: float = 8.0, duration: Optional[float] = None
     ) -> "Scenario":
         """Gray-degrade one replica: its CPU slows by ``factor`` at ``at``."""
-        self._spec.schedule.append(
+        return self._add(
             GrayReplicaEvent(
                 at=at, factor=factor, replica=normalize_replica_ref(replica), duration=duration
             )
         )
-        return self
 
     def gray_leader(
         self, cluster: int, at: float, factor: float = 8.0, duration: Optional[float] = None
     ) -> "Scenario":
         """Gray-degrade whichever replica leads ``cluster`` at time ``at``."""
-        self._spec.schedule.append(
+        return self._add(
             GrayReplicaEvent(at=at, factor=factor, cluster=cluster, scope="leader", duration=duration)
         )
-        return self
 
     def clock_skew(
         self, replica: str, at: float, rate: float = 0.5, duration: Optional[float] = None
     ) -> "Scenario":
         """Skew one replica's timer clock (``rate < 1``: timeouts fire early)."""
-        self._spec.schedule.append(
+        return self._add(
             ClockSkewEvent(
                 at=at, rate=rate, replica=normalize_replica_ref(replica), duration=duration
             )
         )
-        return self
 
     def flapping_partition(
         self,
@@ -377,7 +363,7 @@ class Scenario:
         direction: str = "both",
     ) -> "Scenario":
         """Duty-cycle the link between two clusters (optionally one-way)."""
-        self._spec.schedule.append(
+        return self._add(
             FlappingPartitionEvent(
                 cluster_a=cluster_a,
                 cluster_b=cluster_b,
@@ -388,12 +374,10 @@ class Scenario:
                 direction=direction,
             )
         )
-        return self
 
     def region_outage(self, region: str, at: float, duration: float) -> "Scenario":
         """Cut a whole region off the WAN for ``duration`` seconds."""
-        self._spec.schedule.append(RegionOutageEvent(region=region, at=at, duration=duration))
-        return self
+        return self._add(RegionOutageEvent(region=region, at=at, duration=duration))
 
     # ------------------------------------------------------------------ #
     # Network adversity (continuous, not scheduled)
@@ -417,10 +401,7 @@ class Scenario:
                 if self._spec.congestion is not None
                 else CongestionConfig()
             )
-        for key, value in fields.items():
-            if not hasattr(config, key):
-                raise ConfigurationError(f"unknown congestion field {key!r}")
-            setattr(config, key, value)
+        _override(config, "congestion", fields)
         config.validate()
         self._spec.congestion = config
         return self
@@ -457,17 +438,16 @@ class Scenario:
         region: Optional[str] = None,
     ) -> "Scenario":
         """Add a periodic join loop (E5.2/E7/E8-style churn)."""
-        self._spec.schedule.append(
+        return self._add(
             ChurnLoop(
                 start=start,
                 period=period,
                 stop=stop,
-                clusters=tuple(clusters),
+                clusters=clusters,
                 prefix=prefix,
                 region=region,
             )
         )
-        return self
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -501,7 +481,4 @@ class Scenario:
         return self.spec().run()
 
 
-#: Alias: both names refer to the same fluent builder.
-DeploymentBuilder = Scenario
-
-__all__ = ["DeploymentBuilder", "Scenario", "normalize_replica_ref"]
+__all__ = ["Scenario", "normalize_replica_ref"]

@@ -11,81 +11,25 @@ from __future__ import annotations
 
 import bisect
 import gc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.config import HamavaConfig, SystemConfig
-from repro.core.replica import MODE_IDLE, ByzantineBehavior, HamavaReplica
+from repro.core.config import SystemConfig
+from repro.core.replica import MODE_IDLE, HamavaReplica
 from repro.core.statemachine import ExecutionLedger
 from repro.errors import ConfigurationError
 from repro.harness.metrics import MetricsCollector
-from repro.net.adversity import CongestionConfig, CongestionModel, RttTrace
+from repro.net.adversity import CongestionModel
 from repro.net.crypto import KeyRegistry
-from repro.net.latency import LatencyModel, LatencyParameters
-from repro.net.network import Network, NetworkConfig, NetworkStats
+from repro.net.latency import LatencyModel
+from repro.net.network import Network, NetworkStats
 from repro.sim.sharded import ShardedSimulator
 from repro.sim.simulator import Simulator
-from repro.workload.clients import ReconfigurationClient, WorkloadClient
+from repro.workload.clients import WorkloadClient
 from repro.workload.population import ClientPopulation, PopulationConfig
-from repro.workload.ycsb import YcsbConfig, YcsbWorkload
+from repro.workload.ycsb import YcsbWorkload
 
-
-@dataclass
-class DeploymentSpec:
-    """Everything needed to build one deployment.
-
-    Attributes:
-        clusters: ``[(size, region), ...]`` — one entry per cluster.
-        config: Protocol configuration (engine, batch size, timeouts, ...).
-        seed: Scenario seed; same seed ⇒ same schedule.
-        client_threads: Closed-loop threads per workload client (per cluster).
-        workload: YCSB parameters.
-        latency: Latency-model constants.
-        network: Network processing-cost constants.
-        clients_per_cluster: Number of workload clients per cluster.
-        workload_model: ``"closed"`` (per-thread YCSB clients) or ``"open"``
-            (one aggregate :class:`ClientPopulation` per cluster).
-        population: Open-loop population parameters (``"open"`` model only;
-            defaults applied when ``None``).
-        replica_class: Replica implementation (Hamava or a baseline).
-        region_overrides: Optional per-replica region placement, used by the
-            non-clustered baseline whose single "cluster" spans regions.
-        reconfig_client_region: Region churn/reconfiguration clients are
-            registered in; defaults to the first cluster's region.
-        shards: Number of simulation shards clusters are packed onto.  Each
-            shard owns its clusters' event queue, RNG streams, network ports,
-            and metrics; shards synchronise only at conservative-lookahead
-            barriers.  Fixed-seed results are byte-identical for every value
-            (clamped to the cluster count).
-        strict_streams: Enable the RNG stream-ownership audit: any draw from
-            a stream owned by one shard's kernel while another shard's kernel
-            is stepping raises ``StreamOwnershipError``.
-        rtt_trace: Optional trace-driven RTT schedule; traced region pairs
-            are re-sampled at every send and the conservative lookahead
-            becomes the piecewise floor schedule (barriers are forced at
-            trace segment boundaries).
-        congestion: Optional load-dependent link-latency model; adds an
-            M/M/1-style queueing surcharge per region pair from observed
-            utilization plus injected background cross-traffic streams.
-    """
-
-    clusters: Sequence[Tuple[int, str]]
-    config: HamavaConfig = field(default_factory=HamavaConfig)
-    seed: int = 1
-    client_threads: int = 16
-    workload: YcsbConfig = field(default_factory=YcsbConfig)
-    latency: LatencyParameters = field(default_factory=LatencyParameters)
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    clients_per_cluster: int = 1
-    workload_model: str = "closed"
-    population: Optional[PopulationConfig] = None
-    replica_class: Type[HamavaReplica] = HamavaReplica
-    region_overrides: Dict[str, str] = field(default_factory=dict)
-    reconfig_client_region: Optional[str] = None
-    shards: int = 1
-    strict_streams: bool = False
-    rtt_trace: Optional[RttTrace] = None
-    congestion: Optional[CongestionConfig] = None
+if TYPE_CHECKING:  # scenario.py imports this module; only the name is needed here
+    from repro.harness.scenario import ScenarioSpec
 
 
 class Shard:
@@ -112,12 +56,8 @@ class Shard:
 
 
 class _ShardedNetworkView:
-    """Network facade over all shards for callers that expect one network.
-
-    Fault-injection rules fan out to every shard (drop decisions are made on
-    the sender's shard, so each network needs the rule); ``stats`` merges
-    per-shard counters on access.
-    """
+    """What callers read off "the network" when there are several: ``stats``,
+    merged from the per-shard counters on access."""
 
     def __init__(self, shards: List[Shard]) -> None:
         self._shards = shards
@@ -128,31 +68,6 @@ class _ShardedNetworkView:
         for shard in self._shards:
             merged.merge(shard.network.stats)
         return merged
-
-    def add_drop_rule(self, rule):
-        for shard in self._shards:
-            shard.network.add_drop_rule(rule)
-        return rule
-
-    def remove_drop_rule(self, rule) -> None:
-        for shard in self._shards:
-            shard.network.remove_drop_rule(rule)
-
-    def partition(self, group_a, group_b):
-        rule = self._shards[0].network.partition(group_a, group_b)
-        for shard in self._shards[1:]:
-            shard.network.add_drop_rule(rule)
-        return rule
-
-    def process(self, process_id: str):
-        for shard in self._shards:
-            process = shard.network.process(process_id)
-            if process is not None:
-                return process
-        return None
-
-    def known_processes(self) -> List[str]:
-        return [pid for shard in self._shards for pid in shard.network.known_processes()]
 
 
 class Deployment:
@@ -174,7 +89,8 @@ class Deployment:
     stream derives the same draws wherever its owner cluster lands.
 
     Args:
-        spec: What to build.
+        spec: The scenario to build; read directly (its ``schedule`` is
+            installed by :meth:`ScenarioSpec.build`, not here).
         local_shard: When given, construct only that shard's processes and
             register the rest as ghosts (placed in the latency model and key
             registry so cross-shard envelopes sign/verify, but owning no
@@ -182,8 +98,10 @@ class Deployment:
             leave it ``None``.
     """
 
-    def __init__(self, spec: DeploymentSpec, local_shard: Optional[int] = None) -> None:
+    def __init__(self, spec: "ScenarioSpec", local_shard: Optional[int] = None) -> None:
         self.spec = spec
+        self.config = spec.compiled_config()
+        self.replica_class = spec.compiled_replica_class()
         self.system_config = SystemConfig.build(spec.clusters)
         cluster_ids = self.system_config.cluster_ids()
         self.num_shards = max(1, min(int(spec.shards or 1), len(cluster_ids)))
@@ -245,10 +163,11 @@ class Deployment:
         self.replicas: Dict[str, HamavaReplica] = {}
         self.clients: List[WorkloadClient] = []
         self.populations: List[ClientPopulation] = []
-        self.reconfig_clients: List[ReconfigurationClient] = []
         self._joiner_count = 0
         self._started = False
         self._build()
+        for region_a, region_b, rtt_ms in spec.rtt_overrides:
+            latency_model.set_rtt(region_a, region_b, rtt_ms)
 
     # ------------------------------------------------------------------ #
     # Shard topology
@@ -341,13 +260,13 @@ class Deployment:
                 continue
             members = self.system_config.members(cluster_id)
             for index, replica_id in enumerate(members):
-                replica = spec.replica_class(
+                replica = self.replica_class(
                     replica_id=replica_id,
                     cluster_id=cluster_id,
                     system_config=self.system_config,
                     network=shard.network,
                     simulator=shard.simulator,
-                    config=spec.config,
+                    config=self.config,
                     metrics=shard.metrics,
                     ledger=shard.ledger,
                 )
@@ -393,7 +312,7 @@ class Deployment:
             target_replicas=self.system_config.members(cluster_id),
             threads=spec.client_threads,
             metrics=shard.metrics,
-            retry_timeout=spec.config.retry_timeout,
+            retry_timeout=self.config.retry_timeout,
         )
         shard.network.register(client, self.system_config.region_of_cluster(cluster_id))
         self.clients.append(client)
@@ -411,7 +330,7 @@ class Deployment:
             target_replicas=self.system_config.members(cluster_id),
             config=config,
             metrics=shard.metrics,
-            retry_timeout=spec.config.retry_timeout,
+            retry_timeout=self.config.retry_timeout,
         )
         shard.network.register(population, self.system_config.region_of_cluster(cluster_id))
         self.populations.append(population)
@@ -430,8 +349,6 @@ class Deployment:
             client.start()
         for population in self.populations:
             population.start()
-        for churn in self.reconfig_clients:
-            churn.start()
 
     def run(self, duration: float, warmup: float = 0.0) -> MetricsCollector:
         """Run the deployment for ``duration`` virtual seconds.
@@ -536,13 +453,13 @@ class Deployment:
             self.latency_model.place(replica_id, placement)
             self.registry.register(replica_id)
             return None
-        replica = self.spec.replica_class(
+        replica = self.replica_class(
             replica_id=replica_id,
             cluster_id=cluster_id,
             system_config=self.system_config,
             network=shard.network,
             simulator=shard.simulator,
-            config=self.spec.config,
+            config=self.config,
             metrics=shard.metrics,
             mode=MODE_IDLE,
             ledger=shard.ledger,
@@ -567,61 +484,5 @@ class Deployment:
             at_time, replica.request_leave, label=f"leave:{replica_id}"
         )
 
-    def add_reconfig_client(self, client: ReconfigurationClient, region: Optional[str] = None) -> None:
-        """Attach a churn client (E7/E8 style schedules).
 
-        The client is registered in ``region`` when given, else the spec's
-        ``reconfig_client_region``, else the first cluster's region — so
-        multi-region deployments place churn next to the clusters they churn
-        instead of a hard-coded location.
-
-        Churn clients always live on shard 0 and are *owned* by the first
-        cluster (the owner decides mailbox-vs-fused routing, so it must be
-        the same in every shard layout); construct them against
-        ``deployment.simulator``, which is shard 0's kernel.
-        """
-        if region is None:
-            region = self.spec.reconfig_client_region
-        if region is None:
-            region = self.system_config.region_of_cluster(self.system_config.cluster_ids()[0])
-        self._owners[client.process_id] = self.system_config.cluster_ids()[0]
-        if self.local_shard is not None and self.local_shard != 0:
-            self.latency_model.place(client.process_id, region)
-            self.registry.register(client.process_id)
-            return
-        self.shards[0].network.register(client, region)
-        self.reconfig_clients.append(client)
-        if self._started:
-            client.start()
-
-
-def build_deployment(
-    clusters: Sequence[Tuple[int, str]],
-    engine: str = "hotstuff",
-    seed: int = 1,
-    config: Optional[HamavaConfig] = None,
-    **spec_kwargs,
-) -> Deployment:
-    """Compatibility shim over the declarative scenario API.
-
-    Existing call sites keep working; new code should prefer
-    :class:`repro.harness.builder.Scenario` /
-    :class:`repro.harness.scenario.ScenarioSpec`, which add schedules,
-    serialization, and multi-seed execution on top of the same path.
-    """
-    from repro.harness.scenario import ScenarioSpec
-
-    if "reconfig_client_region" in spec_kwargs:
-        spec_kwargs["churn_client_region"] = spec_kwargs.pop("reconfig_client_region")
-    scenario = ScenarioSpec(
-        name="build_deployment",
-        clusters=[tuple(cluster) for cluster in clusters],
-        engine=engine,
-        seed=seed,
-        config=config,
-        **spec_kwargs,
-    )
-    return scenario.build()
-
-
-__all__ = ["Deployment", "DeploymentSpec", "build_deployment"]
+__all__ = ["Deployment"]

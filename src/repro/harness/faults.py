@@ -1,48 +1,44 @@
-"""Fault injection for the failure and adversity experiments (E4, E9).
+"""The three shapes every scheduled fault has (E4, E9).
 
-The crash/Byzantine faults match the paper's E4 scenarios:
+A fault is *defined* in one place — its event class in
+:mod:`repro.harness.scenario`, which validates its fields and installs
+itself.  This module only knows how a fault reaches the simulation:
 
-* crash of up to ``f`` non-leader replicas per cluster,
-* crash of a cluster leader (detected by the local leader-change path),
-* a Byzantine leader that behaves correctly inside its cluster but never
-  sends the inter-cluster broadcast (detected by the remote leader change).
+* :meth:`FaultInjector.on_replica` — an effect on one named replica,
+  scheduled on the kernel of the shard that owns it;
+* :meth:`FaultInjector.on_cluster` — an effect on victims picked from the
+  cluster's *live* ``(members, leader)`` when the fault fires (the leader
+  an earlier fault elected, a replica that joined since), on the kernel
+  that owns the cluster;
+* :meth:`FaultInjector.drop_window` — a drop rule installed, and healed,
+  on every shard at that shard's own virtual time, once or duty-cycled.
 
-The gray-failure pack extends them with conditions that degrade rather
-than stop: slow (gray) replicas, skewed clocks, duty-cycled flapping
-partitions, and correlated whole-region outages.
+:meth:`FaultInjector.cluster_cut` is the one drop rule shared by the steady
+and the flapping partition.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Sequence, Tuple
 
-from repro.core.config import failure_threshold
-from repro.core.replica import MODE_ACTIVE, MODE_IDLE
+from repro.core.replica import MODE_ACTIVE, MODE_IDLE, HamavaReplica
 from repro.errors import ConfigurationError
 from repro.harness.deployment import Deployment
-from repro.net.latency import canonical_region
+from repro.sim.simulator import Simulator
+
+#: What a fault does to one victim; the kernel is passed for scheduling heals.
+Effect = Callable[[HamavaReplica, Simulator], None]
+#: ``(sender, destination, payload) -> drop?``, evaluated on every send.
+DropRule = Callable[[str, str, object], bool]
 
 
 class FaultInjector:
-    """Schedules faults against a deployment before (or while) it runs.
-
-    Cluster-scoped faults (leader crashes, non-leader crashes, Byzantine
-    leader switches) resolve membership and leadership **when the fault
-    fires**, not when it is scheduled: a leader elected — or a replica that
-    joined — between scheduling and ``at_time`` is targeted like any seed
-    member.  The returned replica ids are the best-known candidates at
-    scheduling time (they coincide with the fire-time resolution unless the
-    cluster reconfigures in between), kept for assertion convenience.
-    """
+    """Schedules fault effects and drop rules against one deployment."""
 
     def __init__(self, deployment: Deployment) -> None:
         self.deployment = deployment
-        self.injected: List[str] = []
 
-    # ------------------------------------------------------------------ #
-    # Live resolution helpers
-    # ------------------------------------------------------------------ #
-    def _cluster_state(self, cluster_id: int):
+    def cluster_state(self, cluster_id: int) -> Tuple[List[str], str]:
         """Current ``(members, leader)`` of a cluster, resolved live.
 
         Reads the lowest-id live member's view — the same source replicas
@@ -68,17 +64,8 @@ class FaultInjector:
         members = sorted(deployment.system_config.members(cluster_id))
         return members, members[0]
 
-    # ------------------------------------------------------------------ #
-    # Crash faults
-    # ------------------------------------------------------------------ #
-    def _cluster_simulator(self, cluster_id: int):
-        """The kernel owning a cluster — cluster-scoped faults fire there."""
-        return self.deployment.shard_of_cluster(cluster_id).simulator
-
-    def _schedule_replica_fault(
-        self, replica_id: str, at_time: float, label: str, effect: Callable
-    ) -> None:
-        """Owner-routed, fire-time-resolved scheduling shared by replica faults.
+    def on_replica(self, replica_id: str, at: float, label: str, effect: Effect) -> None:
+        """Apply ``effect`` to one replica at virtual time ``at``.
 
         The fault is scheduled on the kernel of the shard that *owns* the
         replica (the owner map covers joiners and, in multiprocess workers,
@@ -102,229 +89,41 @@ class FaultInjector:
             if replica is not None:
                 effect(replica, simulator)
 
-        simulator.schedule_at(at_time, _fire, label=label)
+        simulator.schedule_at(at, _fire, label=label)
 
-    def crash_replica(self, replica_id: str, at_time: float) -> None:
-        """Crash-stop one replica at the given virtual time."""
-        self._schedule_replica_fault(
-            replica_id,
-            at_time,
-            f"fault:crash:{replica_id}",
-            lambda replica, simulator: replica.crash(),
-        )
-        self.injected.append(f"crash {replica_id} @ {at_time}")
-
-    def _pick_non_leaders(self, cluster_id: int, count: Optional[int]) -> List[str]:
-        members, leader = self._cluster_state(cluster_id)
-        faults = failure_threshold(len(members))
-        count = faults if count is None else min(count, faults)
-        return [m for m in members if m != leader][-count:] if count else []
-
-    def crash_non_leaders(self, cluster_id: int, at_time: float, count: Optional[int] = None) -> List[str]:
-        """Crash up to ``f`` non-leader replicas of a cluster (E4.1)."""
-
-        def _crash_current() -> None:
-            for victim in self._pick_non_leaders(cluster_id, count):
-                replica = self.deployment.replicas.get(victim)
-                if replica is not None:
-                    replica.crash()
-
-        self._cluster_simulator(cluster_id).schedule_at(
-            at_time, _crash_current, label=f"fault:crash-followers:c{cluster_id}"
-        )
-        victims = self._pick_non_leaders(cluster_id, count)
-        self.injected.append(f"crash-followers c{cluster_id} ({victims}) @ {at_time}")
-        return victims
-
-    def crash_leader(self, cluster_id: int, at_time: float) -> str:
-        """Crash the replica leading the cluster *at the fault time* (E4.2)."""
-
-        def _crash_current() -> None:
-            _, leader = self._cluster_state(cluster_id)
-            replica = self.deployment.replicas.get(leader)
-            if replica is not None:
-                replica.crash()
-
-        self._cluster_simulator(cluster_id).schedule_at(
-            at_time, _crash_current, label=f"fault:crash-leader:c{cluster_id}"
-        )
-        _, leader = self._cluster_state(cluster_id)
-        self.injected.append(f"crash-leader c{cluster_id} ({leader}) @ {at_time}")
-        return leader
-
-    # ------------------------------------------------------------------ #
-    # Byzantine faults
-    # ------------------------------------------------------------------ #
-    def silence_leader_inter_broadcast(self, cluster_id: int, at_time: float) -> str:
-        """Make the cluster leader stop sending inter-cluster messages (E4.3).
-
-        The leader keeps participating correctly in local ordering, so only
-        remote clusters can detect the fault — exactly the scenario the
-        heterogeneous remote leader change protocol exists for.  The switch
-        is flipped on whichever replica leads the cluster at ``at_time``.
-        """
-
-        def _silence_current() -> None:
-            _, leader = self._cluster_state(cluster_id)
-            replica = self.deployment.replicas.get(leader)
-            if replica is not None:
-                replica.byzantine.silent_inter_after = at_time
-
-        self._cluster_simulator(cluster_id).schedule_at(
-            at_time, _silence_current, label=f"fault:silent-inter:c{cluster_id}"
-        )
-        _, leader_id = self._cluster_state(cluster_id)
-        self.injected.append(f"silent-inter c{cluster_id} ({leader_id}) @ {at_time}")
-        return leader_id
-
-    def partition_clusters(self, cluster_a: int, cluster_b: int, at_time: float, duration: float) -> None:
-        """Temporarily drop all traffic between two clusters.
-
-        Membership is resolved per envelope while the partition is live, not
-        snapshotted when the fault is scheduled: a replica that joins either
-        cluster before — or even during — the partition window is cut off
-        like any seed member.
-        """
+    def on_cluster(
+        self,
+        cluster_id: int,
+        at: float,
+        label: str,
+        pick: Callable[[List[str], str], Sequence[str]],
+        effect: Effect,
+    ) -> None:
+        """Apply ``effect`` to ``pick(members, leader)`` as they are at ``at``."""
         deployment = self.deployment
-        replicas = deployment.replicas
+        simulator = deployment.shard_of_cluster(cluster_id).simulator
+
+        def _fire() -> None:
+            for victim in pick(*self.cluster_state(cluster_id)):
+                replica = deployment.replicas.get(victim)
+                if replica is not None:
+                    effect(replica, simulator)
+
+        simulator.schedule_at(at, _fire, label=label)
+
+    def cluster_cut(self, cluster_a: int, cluster_b: int, direction: str = "both") -> DropRule:
+        """A rule dropping traffic between two clusters, optionally one way.
+
+        Membership is resolved per envelope, not snapshotted: a replica that
+        joins either cluster before — or during — the window is cut off like
+        any seed member.
+        """
+        replicas = self.deployment.replicas
 
         def cluster_side(process_id: str):
             replica = replicas.get(process_id)
             if replica is None or replica.mode == MODE_IDLE:
                 return None  # clients and not-yet-joined replicas sit outside
-            return replica.cluster_id
-
-        def rule(sender, destination, payload) -> bool:
-            sender_side = cluster_side(sender)
-            if sender_side == cluster_a:
-                return cluster_side(destination) == cluster_b
-            if sender_side == cluster_b:
-                return cluster_side(destination) == cluster_a
-            return False
-
-        # Install (and heal) on every shard at that shard's *own* virtual
-        # time: drop decisions are made sender-side, and a shard may be up
-        # to one lookahead window ahead of or behind its peers in wall
-        # order, so a single global install event would misclassify the
-        # other shards' sends near the boundary.
-        def _schedule_on(shard) -> None:
-            network = shard.network
-            simulator = shard.simulator
-
-            def _install() -> None:
-                network.add_drop_rule(rule)
-                simulator.schedule(
-                    duration, lambda: network.remove_drop_rule(rule), label="fault:heal"
-                )
-
-            simulator.schedule_at(at_time, _install, label="fault:partition")
-
-        for shard in deployment.shards:
-            _schedule_on(shard)
-        self.injected.append(f"partition c{cluster_a}/c{cluster_b} @ {at_time} for {duration}")
-
-    # ------------------------------------------------------------------ #
-    # Gray failures (degrade, don't stop)
-    # ------------------------------------------------------------------ #
-    def degrade_replica(
-        self, replica_id: str, at_time: float, factor: float, duration: Optional[float] = None
-    ) -> None:
-        """Slow one replica's CPU by ``factor`` (gray failure: late, not dead).
-
-        ``duration`` restores full speed afterwards; ``None`` is permanent.
-        """
-
-        def _effect(replica, simulator) -> None:
-            replica.set_cpu_factor(factor)
-            if duration is not None:
-                simulator.schedule(duration, lambda: replica.set_cpu_factor(1.0), label="fault:heal")
-
-        self._schedule_replica_fault(replica_id, at_time, f"fault:gray:{replica_id}", _effect)
-        self.injected.append(f"gray {replica_id} x{factor} @ {at_time}")
-
-    def degrade_leader(
-        self, cluster_id: int, at_time: float, factor: float, duration: Optional[float] = None
-    ) -> str:
-        """Slow whichever replica leads the cluster *at the fault time*."""
-        simulator = self._cluster_simulator(cluster_id)
-
-        def _fire() -> None:
-            _, leader = self._cluster_state(cluster_id)
-            replica = self.deployment.replicas.get(leader)
-            if replica is not None:
-                replica.set_cpu_factor(factor)
-                if duration is not None:
-                    simulator.schedule(
-                        duration, lambda: replica.set_cpu_factor(1.0), label="fault:heal"
-                    )
-
-        simulator.schedule_at(at_time, _fire, label=f"fault:gray-leader:c{cluster_id}")
-        _, leader = self._cluster_state(cluster_id)
-        self.injected.append(f"gray-leader c{cluster_id} ({leader}) x{factor} @ {at_time}")
-        return leader
-
-    def skew_clock(
-        self, replica_id: str, at_time: float, rate: float, duration: Optional[float] = None
-    ) -> None:
-        """Skew one replica's timer clock (``rate < 1``: timeouts fire early)."""
-
-        def _effect(replica, simulator) -> None:
-            replica.set_timer_rate(rate)
-            if duration is not None:
-                simulator.schedule(duration, lambda: replica.set_timer_rate(1.0), label="fault:heal")
-
-        self._schedule_replica_fault(replica_id, at_time, f"fault:skew:{replica_id}", _effect)
-        self.injected.append(f"clock-skew {replica_id} x{rate} @ {at_time}")
-
-    def skew_leader_clock(
-        self, cluster_id: int, at_time: float, rate: float, duration: Optional[float] = None
-    ) -> str:
-        """Skew the clock of whichever replica leads the cluster at fire time."""
-        simulator = self._cluster_simulator(cluster_id)
-
-        def _fire() -> None:
-            _, leader = self._cluster_state(cluster_id)
-            replica = self.deployment.replicas.get(leader)
-            if replica is not None:
-                replica.set_timer_rate(rate)
-                if duration is not None:
-                    simulator.schedule(
-                        duration, lambda: replica.set_timer_rate(1.0), label="fault:heal"
-                    )
-
-        simulator.schedule_at(at_time, _fire, label=f"fault:skew-leader:c{cluster_id}")
-        _, leader = self._cluster_state(cluster_id)
-        self.injected.append(f"clock-skew-leader c{cluster_id} ({leader}) x{rate} @ {at_time}")
-        return leader
-
-    # ------------------------------------------------------------------ #
-    # Network adversity
-    # ------------------------------------------------------------------ #
-    def flapping_partition(
-        self,
-        cluster_a: int,
-        cluster_b: int,
-        at_time: float,
-        period: float,
-        duty: float = 0.5,
-        cycles: int = 5,
-        direction: str = "both",
-    ) -> None:
-        """A duty-cycled, optionally asymmetric partition between two clusters.
-
-        From ``at_time`` on, the link is cut for ``duty * period`` seconds
-        out of every ``period``, ``cycles`` times.  ``direction`` limits the
-        cut to one way (``"a_to_b"`` / ``"b_to_a"``) — gray links are often
-        asymmetric.  Membership is resolved per envelope like
-        :meth:`partition_clusters`, so mid-flap joiners are covered.
-        """
-        deployment = self.deployment
-        replicas = deployment.replicas
-
-        def cluster_side(process_id: str):
-            replica = replicas.get(process_id)
-            if replica is None or replica.mode == MODE_IDLE:
-                return None
             return replica.cluster_id
 
         def rule(sender, destination, payload) -> bool:
@@ -335,57 +134,38 @@ class FaultInjector:
                 return cluster_side(destination) == cluster_a
             return False
 
-        cut = duty * period
+        return rule
 
-        def _schedule_on(shard) -> None:
-            network = shard.network
-            simulator = shard.simulator
+    def drop_window(
+        self,
+        rule: DropRule,
+        at: float,
+        duration: float,
+        label: str,
+        cycles: int = 1,
+        period: float = 0.0,
+    ) -> None:
+        """Drop what ``rule`` matches for ``duration``, ``cycles`` times.
 
-            def _install() -> None:
-                network.add_drop_rule(rule)
-                simulator.schedule(cut, lambda: network.remove_drop_rule(rule), label="fault:heal")
-
-            for cycle in range(cycles):
-                simulator.schedule_at(at_time + cycle * period, _install, label="fault:flap")
-
-        for shard in deployment.shards:
-            _schedule_on(shard)
-        self.injected.append(
-            f"flapping-partition c{cluster_a}/c{cluster_b} ({direction}) "
-            f"@ {at_time} period={period} duty={duty} x{cycles}"
-        )
-
-    def region_outage(self, region: str, at_time: float, duration: float) -> None:
-        """Cut a whole region off the WAN for ``duration`` seconds.
-
-        Every message with exactly one endpoint placed in the dark region is
-        dropped; traffic between two processes *inside* the region still
-        flows (the region lost its uplink, not its LAN).  Placement-based,
-        so it correlates across all clusters — and all shards — in the
-        region at once.
+        Installed (and healed) on every shard at that shard's *own* virtual
+        time: drop decisions are made sender-side, and a shard may be up to
+        one lookahead window ahead of or behind its peers in wall order, so
+        a single global install event would misclassify the other shards'
+        sends near the boundary.
         """
-        deployment = self.deployment
-        region_of = deployment.latency_model.region_of
-        dark = canonical_region(region)
 
-        def rule(sender, destination, payload) -> bool:
-            return (region_of(sender) == dark) != (region_of(destination) == dark)
-
-        def _schedule_on(shard) -> None:
-            network = shard.network
-            simulator = shard.simulator
-
+        def _schedule_on(network, simulator) -> None:
             def _install() -> None:
                 network.add_drop_rule(rule)
                 simulator.schedule(
                     duration, lambda: network.remove_drop_rule(rule), label="fault:heal"
                 )
 
-            simulator.schedule_at(at_time, _install, label="fault:region-outage")
+            for cycle in range(cycles):
+                simulator.schedule_at(at + cycle * period, _install, label=label)
 
-        for shard in deployment.shards:
-            _schedule_on(shard)
-        self.injected.append(f"region-outage {dark} @ {at_time} for {duration}")
+        for shard in self.deployment.shards:
+            _schedule_on(shard.network, shard.simulator)
 
 
 __all__ = ["FaultInjector"]

@@ -162,7 +162,7 @@ def _run_in_process(spec: ScenarioSpec) -> ShardedOutcome:
         metrics=metrics,
         network_stats=deployment.network.stats,
         population_stats=[population.stats() for population in deployment.populations],
-        engine=deployment.spec.config.engine,
+        engine=deployment.config.engine,
         events=deployment.kernel.events_processed,
     )
 

@@ -36,26 +36,26 @@ class ResultRow:
     latency model).
 
     ``error`` is ``None`` for successful runs; when a scenario crashes
-    (build or simulation), the runner returns a zeroed row carrying the
-    seed and the worker traceback here instead of hanging the grid or
-    silently dropping the data point.
+    (build or simulation), the runner returns a row of the zero defaults
+    carrying the seed and the worker traceback here instead of hanging the
+    grid or silently dropping the data point.
     """
 
     scenario: str
     seed: int
     engine: str
     preset: str
-    throughput: float
-    throughput_reads: float
-    throughput_writes: float
-    latency_mean: float
-    latency_read: float
-    latency_write: float
-    latency_p99: float
-    operations: int
-    rounds: int
-    reconfigs_applied: int
-    joins_completed: int
+    throughput: float = 0.0
+    throughput_reads: float = 0.0
+    throughput_writes: float = 0.0
+    latency_mean: float = 0.0
+    latency_read: float = 0.0
+    latency_write: float = 0.0
+    latency_p99: float = 0.0
+    operations: int = 0
+    rounds: int = 0
+    reconfigs_applied: int = 0
+    joins_completed: int = 0
     labels: Dict[str, object] = field(default_factory=dict)
     stages: Optional[Dict[str, float]] = None
     series: Optional[List[List[float]]] = None
@@ -110,7 +110,7 @@ def run_in_process(spec: ScenarioSpec) -> Tuple[ResultRow, Deployment]:
         metrics,
         deployment.network.stats,
         [population.stats() for population in deployment.populations],
-        deployment.spec.config.engine,
+        deployment.config.engine,
     )
     return row, deployment
 
@@ -177,17 +177,6 @@ def failed_row(spec: ScenarioSpec, error: str) -> ResultRow:
         seed=spec.seed,
         engine=spec.engine,
         preset=spec.preset,
-        throughput=0.0,
-        throughput_reads=0.0,
-        throughput_writes=0.0,
-        latency_mean=0.0,
-        latency_read=0.0,
-        latency_write=0.0,
-        latency_p99=0.0,
-        operations=0,
-        rounds=0,
-        reconfigs_applied=0,
-        joins_completed=0,
         labels=dict(spec.labels),
         error=error,
     )

@@ -3,20 +3,25 @@
 The paper's evaluation is a grid of *scenarios* — cluster shapes × engines ×
 fault/churn schedules × workloads.  :class:`ScenarioSpec` captures one cell
 of that grid as plain data: the clusters, the protocol configuration, the
-workload and latency models, and a unified ``schedule`` of typed events
-(:class:`JoinEvent`, :class:`LeaveEvent`, :class:`CrashEvent`,
-:class:`ByzantineEvent`, :class:`PartitionEvent`, :class:`GrayReplicaEvent`,
-:class:`ClockSkewEvent`, :class:`FlappingPartitionEvent`,
-:class:`RegionOutageEvent`, :class:`ChurnLoop`) that replaces the imperative
-``add_joiner`` / ``schedule_leave`` / ``FaultInjector`` mutation calls.
+workload and latency models, and a ``schedule`` of typed events.  It is the
+*only* description of an experiment: a
+:class:`~repro.harness.deployment.Deployment` reads it directly.
+
+An event class is the one place a fault (or churn step) is defined.  Each
+subclass of :class:`ScenarioEvent` is a dataclass of plain JSON values that
+knows how to check itself (:meth:`~ScenarioEvent.validate`: raise on values
+it cannot schedule, return the clusters it names) and how to reach the
+simulation (:meth:`~ScenarioEvent.install`, through the three shapes of
+:class:`~repro.harness.faults.FaultInjector`); declaring its ``kind``
+registers it for JSON.  Adding a kind is that class plus a one-line method
+on the fluent builder.
 
 A spec round-trips through JSON (:meth:`ScenarioSpec.to_dict` /
-:meth:`ScenarioSpec.from_dict`), compiles to a runnable
-:class:`~repro.harness.deployment.Deployment` (:meth:`ScenarioSpec.build`),
-and executes to a typed result row (:meth:`ScenarioSpec.run`).  Baselines
-plug in through named *presets* (``"hamava"``, ``"geobft"``,
-``"single_workflow"``) that transform the protocol configuration and may
-swap the replica class.
+:meth:`ScenarioSpec.from_dict`), compiles to a runnable deployment
+(:meth:`ScenarioSpec.build`), and executes to a typed result row
+(:meth:`ScenarioSpec.run`).  Baselines plug in through named *presets*
+(``"hamava"``, ``"geobft"``, ``"single_workflow"``) that transform the
+protocol configuration and may swap the replica class.
 
 Most callers never instantiate a spec directly: the fluent
 :class:`~repro.harness.builder.Scenario` builder compiles to specs, and the
@@ -26,17 +31,20 @@ seeds, optionally in parallel.
 
 from __future__ import annotations
 
+import copy
 import importlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.consensus.interface import ConsensusConfig
-from repro.core.config import HamavaConfig
+from repro.core.config import HamavaConfig, failure_threshold
 from repro.core.replica import HamavaReplica
 from repro.errors import ConfigurationError
+from repro.harness.deployment import Deployment
+from repro.harness.faults import FaultInjector
 from repro.net.adversity import CongestionConfig, RttTrace
-from repro.net.latency import LatencyParameters
+from repro.net.latency import LatencyParameters, canonical_region
 from repro.net.network import NetworkConfig
 from repro.workload.population import (
     PopulationConfig,
@@ -49,11 +57,69 @@ from repro.workload.ycsb import YcsbConfig
 DEFAULT_REGION = "us-west1"
 
 
+def _construct(cls: type, data: Dict[str, object], what: str):
+    """``cls(**data)``, with a field-naming error for keys ``cls`` does not have."""
+    known = [f.name for f in fields(cls)]
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigurationError(f"{what}: unknown key {unknown[0]!r}; known keys: {', '.join(known)}")
+    return cls(**data)
+
+
 # ---------------------------------------------------------------------- #
 # Schedule events
 # ---------------------------------------------------------------------- #
+#: ``kind`` tag -> event class; filled as the classes below are defined.
+EVENT_TYPES: Dict[str, type] = {}
+
+
+class ScenarioEvent:
+    """Base of every schedule event: the class is the event's whole story."""
+
+    kind: ClassVar[str]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "kind" in cls.__dict__:
+            EVENT_TYPES[cls.kind] = cls
+
+    def validate(self) -> Sequence[int]:
+        """Raise on values :meth:`install` cannot schedule; return the cluster ids named."""
+        self._require(self.at >= 0, "at", "must be >= 0")
+        return ()
+
+    def install(self, injector: FaultInjector, spec: "ScenarioSpec") -> None:
+        """Schedule this event on a freshly built deployment."""
+        raise NotImplementedError
+
+    def _require(self, ok: bool, field_name: str, problem: str) -> None:
+        if not ok:
+            raise ConfigurationError(
+                f"{type(self).__name__}.{field_name} {problem}, not {getattr(self, field_name)!r}"
+            )
+
+
+class _ScopedEvent(ScenarioEvent):
+    """A fault aimed at one ``replica`` or, by ``scope``, at part of a ``cluster``."""
+
+    def _scoped_clusters(self, *cluster_scopes: str) -> Sequence[int]:
+        """Check the ``replica`` / ``cluster`` / ``scope`` triple; return the cluster it names."""
+        if self.scope == "replica":
+            self._require(bool(self.replica), "replica", "is required with scope='replica'")
+            return ()
+        self._require(
+            self.scope in cluster_scopes, "scope", f"must be 'replica' or one of {cluster_scopes}"
+        )
+        self._require(self.cluster is not None, "cluster", f"is required with scope={self.scope!r}")
+        return (self.cluster,)
+
+
+def _leader_only(members: List[str], leader: str) -> List[str]:
+    return [leader]
+
+
 @dataclass
-class JoinEvent:
+class JoinEvent(ScenarioEvent):
     """A new replica requests to join ``cluster`` at virtual time ``at``."""
 
     kind: ClassVar[str] = "join"
@@ -63,9 +129,18 @@ class JoinEvent:
     replica_id: Optional[str] = None
     region: Optional[str] = None
 
+    def validate(self) -> Sequence[int]:
+        super().validate()
+        return (self.cluster,)
+
+    def install(self, injector: FaultInjector, spec: "ScenarioSpec") -> None:
+        injector.deployment.add_joiner(
+            self.cluster, at_time=self.at, replica_id=self.replica_id, region=self.region
+        )
+
 
 @dataclass
-class LeaveEvent:
+class LeaveEvent(ScenarioEvent):
     """An existing replica requests to leave at virtual time ``at``."""
 
     kind: ClassVar[str] = "leave"
@@ -73,9 +148,12 @@ class LeaveEvent:
     replica: str
     at: float
 
+    def install(self, injector: FaultInjector, spec: "ScenarioSpec") -> None:
+        injector.deployment.schedule_leave(self.replica, at_time=self.at)
+
 
 @dataclass
-class CrashEvent:
+class CrashEvent(_ScopedEvent):
     """Crash-stop one replica, a cluster's leader, or its non-leaders.
 
     Attributes:
@@ -96,14 +174,38 @@ class CrashEvent:
     scope: str = "replica"
     count: Optional[int] = None
 
+    def validate(self) -> Sequence[int]:
+        super().validate()
+        return self._scoped_clusters("leader", "non_leaders")
+
+    def _followers(self, members: List[str], leader: str) -> List[str]:
+        faults = failure_threshold(len(members))
+        count = faults if self.count is None else min(self.count, faults)
+        return [m for m in members if m != leader][-count:] if count else []
+
+    def install(self, injector: FaultInjector, spec: "ScenarioSpec") -> None:
+        def crash(replica, simulator) -> None:
+            replica.crash()
+
+        if self.scope == "replica":
+            injector.on_replica(self.replica, self.at, f"fault:crash:{self.replica}", crash)
+        elif self.scope == "leader":
+            label = f"fault:crash-leader:c{self.cluster}"
+            injector.on_cluster(self.cluster, self.at, label, _leader_only, crash)
+        else:
+            label = f"fault:crash-followers:c{self.cluster}"
+            injector.on_cluster(self.cluster, self.at, label, self._followers, crash)
+
 
 @dataclass
-class ByzantineEvent:
-    """Turn a cluster's leader Byzantine at virtual time ``at``.
+class ByzantineEvent(ScenarioEvent):
+    """Turn whichever replica leads ``cluster`` at ``at`` Byzantine.
 
     The only modelled behaviour is the paper's E4.3 attack
     (``"silent_inter"``): the leader keeps ordering correctly inside its
-    cluster but stops sending the inter-cluster broadcast.
+    cluster but stops sending the inter-cluster broadcast, so only remote
+    clusters can detect it — the scenario the heterogeneous remote leader
+    change exists for.
     """
 
     kind: ClassVar[str] = "byzantine"
@@ -112,9 +214,21 @@ class ByzantineEvent:
     at: float
     behavior: str = "silent_inter"
 
+    def validate(self) -> Sequence[int]:
+        super().validate()
+        self._require(self.behavior == "silent_inter", "behavior", "must be 'silent_inter'")
+        return (self.cluster,)
+
+    def install(self, injector: FaultInjector, spec: "ScenarioSpec") -> None:
+        def silence(replica, simulator) -> None:
+            replica.byzantine.silent_inter_after = self.at
+
+        label = f"fault:silent-inter:c{self.cluster}"
+        injector.on_cluster(self.cluster, self.at, label, _leader_only, silence)
+
 
 @dataclass
-class PartitionEvent:
+class PartitionEvent(ScenarioEvent):
     """Drop all traffic between two clusters for ``duration`` seconds."""
 
     kind: ClassVar[str] = "partition"
@@ -124,18 +238,64 @@ class PartitionEvent:
     at: float
     duration: float
 
+    def validate(self) -> Sequence[int]:
+        super().validate()
+        self._require(self.duration > 0, "duration", "must be positive")
+        self._require(self.cluster_a != self.cluster_b, "cluster_b", "must differ from cluster_a")
+        return (self.cluster_a, self.cluster_b)
+
+    def install(self, injector: FaultInjector, spec: "ScenarioSpec") -> None:
+        rule = injector.cluster_cut(self.cluster_a, self.cluster_b)
+        injector.drop_window(rule, self.at, self.duration, "fault:partition")
+
+
+class _KnobEvent(_ScopedEvent):
+    """A fault that turns one replica knob to a value and, optionally, back.
+
+    With ``scope == "leader"`` the target is resolved *live* at fire time
+    (the cluster's current leader, which an earlier event may have changed).
+    ``duration`` restores the true value (1.0) afterwards; ``None`` never does.
+    """
+
+    setter: ClassVar[str]  #: replica method that takes the new value
+    value_field: ClassVar[str]  #: dataclass field holding it
+    stem: ClassVar[str]  #: kernel label stem
+
+    def validate(self) -> Sequence[int]:
+        super().validate()
+        self._require(getattr(self, self.value_field) > 0, self.value_field, "must be positive")
+        self._require(
+            self.duration is None or self.duration > 0, "duration", "must be positive (or None)"
+        )
+        return self._scoped_clusters("leader")
+
+    def install(self, injector: FaultInjector, spec: "ScenarioSpec") -> None:
+        value, duration = getattr(self, self.value_field), self.duration
+
+        def turn(replica, simulator) -> None:
+            knob = getattr(replica, self.setter)
+            knob(value)
+            if duration is not None:
+                simulator.schedule(duration, lambda: knob(1.0), label="fault:heal")
+
+        if self.scope == "leader":
+            label = f"fault:{self.stem}-leader:c{self.cluster}"
+            injector.on_cluster(self.cluster, self.at, label, _leader_only, turn)
+        else:
+            injector.on_replica(self.replica, self.at, f"fault:{self.stem}:{self.replica}", turn)
+
 
 @dataclass
-class GrayReplicaEvent:
+class GrayReplicaEvent(_KnobEvent):
     """Gray failure: a replica keeps running but its CPU slows by ``factor``.
 
-    The replica is never declared crashed — it answers, just late.  With
-    ``scope == "leader"`` the target is resolved *live* at fire time (the
-    cluster's current leader, which an earlier event may have changed).
-    ``duration`` restores full speed afterwards; ``None`` degrades forever.
+    The replica is never declared crashed — it answers, just late.
     """
 
     kind: ClassVar[str] = "gray"
+    setter: ClassVar[str] = "set_cpu_factor"
+    value_field: ClassVar[str] = "factor"
+    stem: ClassVar[str] = "gray"
 
     at: float
     factor: float = 8.0
@@ -146,16 +306,18 @@ class GrayReplicaEvent:
 
 
 @dataclass
-class ClockSkewEvent:
+class ClockSkewEvent(_KnobEvent):
     """Skew one replica's timer clock by ``rate`` (1.0 is a true clock).
 
     ``rate < 1`` is a fast local clock — timeouts fire early, which is the
     classic cause of spurious leader complaints; ``rate > 1`` is a slow
-    clock that reacts sluggishly to real failures.  Scoping and live
-    resolution follow :class:`GrayReplicaEvent`.
+    clock that reacts sluggishly to real failures.
     """
 
     kind: ClassVar[str] = "clock_skew"
+    setter: ClassVar[str] = "set_timer_rate"
+    value_field: ClassVar[str] = "rate"
+    stem: ClassVar[str] = "skew"
 
     at: float
     rate: float = 0.5
@@ -166,7 +328,7 @@ class ClockSkewEvent:
 
 
 @dataclass
-class FlappingPartitionEvent:
+class FlappingPartitionEvent(ScenarioEvent):
     """A duty-cycled, optionally asymmetric partition between two clusters.
 
     Starting at ``at``, the link is cut for ``duty * period`` seconds out
@@ -186,14 +348,33 @@ class FlappingPartitionEvent:
     cycles: int = 5
     direction: str = "both"
 
+    def validate(self) -> Sequence[int]:
+        super().validate()
+        self._require(self.period > 0, "period", "must be positive")
+        self._require(0.0 < self.duty <= 1.0, "duty", "must be in (0, 1]")
+        self._require(self.cycles >= 1, "cycles", "must be at least 1")
+        self._require(
+            self.direction in ("both", "a_to_b", "b_to_a"),
+            "direction",
+            "must be 'both', 'a_to_b' or 'b_to_a'",
+        )
+        self._require(self.cluster_a != self.cluster_b, "cluster_b", "must differ from cluster_a")
+        return (self.cluster_a, self.cluster_b)
+
+    def install(self, injector: FaultInjector, spec: "ScenarioSpec") -> None:
+        rule = injector.cluster_cut(self.cluster_a, self.cluster_b, self.direction)
+        cut = self.duty * self.period
+        injector.drop_window(rule, self.at, cut, "fault:flap", self.cycles, self.period)
+
 
 @dataclass
-class RegionOutageEvent:
+class RegionOutageEvent(ScenarioEvent):
     """Correlated outage: a whole region drops off the WAN for ``duration``.
 
     Every message with exactly one endpoint placed in ``region`` is dropped
     (traffic *inside* the dark region still flows — the region lost its
-    uplink, not its LAN), affecting all clusters there at once.
+    uplink, not its LAN).  Placement-based, so it correlates across all
+    clusters — and all shards — in the region at once.
     """
 
     kind: ClassVar[str] = "region_outage"
@@ -202,9 +383,23 @@ class RegionOutageEvent:
     at: float
     duration: float
 
+    def validate(self) -> Sequence[int]:
+        super().validate()
+        self._require(self.duration > 0, "duration", "must be positive")
+        return ()
+
+    def install(self, injector: FaultInjector, spec: "ScenarioSpec") -> None:
+        region_of = injector.deployment.latency_model.region_of
+        dark = canonical_region(self.region)
+
+        def rule(sender, destination, payload) -> bool:
+            return (region_of(sender) == dark) != (region_of(destination) == dark)
+
+        injector.drop_window(rule, self.at, self.duration, "fault:region-outage")
+
 
 @dataclass
-class ChurnLoop:
+class ChurnLoop(ScenarioEvent):
     """Periodic churn: one join every ``period`` seconds (E5.2/E7/E8 style).
 
     Joins rotate round-robin over ``clusters`` and are named
@@ -221,44 +416,34 @@ class ChurnLoop:
     prefix: str = "churn"
     region: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        self.clusters = tuple(self.clusters)  # JSON hands back a list
 
-ScenarioEvent = Union[
-    JoinEvent,
-    LeaveEvent,
-    CrashEvent,
-    ByzantineEvent,
-    PartitionEvent,
-    GrayReplicaEvent,
-    ClockSkewEvent,
-    FlappingPartitionEvent,
-    RegionOutageEvent,
-    ChurnLoop,
-]
+    def validate(self) -> Sequence[int]:
+        self._require(self.start >= 0, "start", "must be >= 0")
+        self._require(self.period > 0, "period", "must be positive")
+        self._require(len(self.clusters) > 0, "clusters", "needs at least one target cluster")
+        return self.clusters
 
-EVENT_TYPES: Dict[str, type] = {
-    cls.kind: cls
-    for cls in (
-        JoinEvent,
-        LeaveEvent,
-        CrashEvent,
-        ByzantineEvent,
-        PartitionEvent,
-        GrayReplicaEvent,
-        ClockSkewEvent,
-        FlappingPartitionEvent,
-        RegionOutageEvent,
-        ChurnLoop,
-    )
-}
+    def install(self, injector: FaultInjector, spec: "ScenarioSpec") -> None:
+        stop = self.stop if self.stop is not None else max(spec.duration - 1.0, self.start)
+        at, index = self.start, 0
+        while at < stop:
+            injector.deployment.add_joiner(
+                self.clusters[index % len(self.clusters)],
+                at_time=at,
+                replica_id=f"{self.prefix}{index}",
+                region=self.region,
+            )
+            index += 1
+            at += self.period
 
 
 def event_to_dict(event: ScenarioEvent) -> Dict[str, object]:
     """Serialize one schedule event (the ``kind`` tag selects the type)."""
     payload: Dict[str, object] = {"kind": event.kind}
-    data = asdict(event)
-    if isinstance(event, ChurnLoop):
-        data["clusters"] = list(event.clusters)
-    payload.update(data)
+    for key, value in asdict(event).items():
+        payload[key] = list(value) if isinstance(value, tuple) else value
     return payload
 
 
@@ -267,10 +452,10 @@ def event_from_dict(payload: Dict[str, object]) -> ScenarioEvent:
     data = dict(payload)
     kind = data.pop("kind", None)
     if kind not in EVENT_TYPES:
-        raise ConfigurationError(f"unknown schedule event kind {kind!r}")
-    if kind == "churn" and "clusters" in data:
-        data["clusters"] = tuple(data["clusters"])
-    return EVENT_TYPES[kind](**data)
+        raise ConfigurationError(
+            f"unknown schedule event kind {kind!r}; known kinds: {', '.join(EVENT_TYPES)}"
+        )
+    return _construct(EVENT_TYPES[kind], data, f"schedule event of kind {kind!r}")
 
 
 # ---------------------------------------------------------------------- #
@@ -311,10 +496,6 @@ def resolve_preset(name: str) -> Preset:
     return PRESETS[key]
 
 
-def _class_path(cls: type) -> str:
-    return f"{cls.__module__}:{cls.__qualname__}"
-
-
 def _resolve_class(path: str) -> type:
     module_name, _, qualname = path.partition(":")
     if not qualname:
@@ -353,14 +534,47 @@ def apply_config_overrides(config: HamavaConfig, overrides: Dict[str, object]) -
     return config
 
 
-def _config_to_dict(config: HamavaConfig) -> Dict[str, object]:
-    return asdict(config)
-
-
 def _config_from_dict(payload: Dict[str, object]) -> HamavaConfig:
     data = dict(payload)
     consensus = ConsensusConfig(**data.pop("consensus", {}))
     return HamavaConfig(consensus=consensus, **data)
+
+
+def _optional(convert: Callable) -> Callable:
+    return lambda value: None if value is None else convert(value)
+
+
+def _class_to_path(value: Union[str, type]) -> str:
+    return value if isinstance(value, str) else f"{value.__module__}:{value.__qualname__}"
+
+
+#: (encode, decode) of a field whose JSON form is the value itself.
+_PLAIN: Tuple[Callable, Callable] = (copy.deepcopy, lambda value: value)
+
+#: ``ScenarioSpec`` field -> (encode, decode), for the fields whose JSON form
+#: is not the value itself.
+_CODECS: Dict[str, Tuple[Callable, Callable]] = {
+    "clusters": (
+        lambda value: [[size, region] for size, region in value],
+        lambda value: [(int(size), str(region)) for size, region in value],
+    ),
+    "workload": (asdict, lambda value: YcsbConfig(**value)),
+    "population": (_optional(population_to_dict), _optional(population_from_dict)),
+    "latency": (asdict, lambda value: LatencyParameters(**value)),
+    "network": (asdict, lambda value: NetworkConfig(**value)),
+    "config": (_optional(asdict), _optional(_config_from_dict)),
+    "rtt_overrides": (
+        lambda value: [[a, b, rtt] for a, b, rtt in value],
+        lambda value: [(a, b, float(rtt)) for a, b, rtt in value],
+    ),
+    "schedule": (
+        lambda value: [event_to_dict(event) for event in value],
+        lambda value: [event_from_dict(event) for event in value],
+    ),
+    "replica_class": (_optional(_class_to_path), _PLAIN[1]),
+    "rtt_trace": (_optional(RttTrace.to_dict), _optional(RttTrace.from_dict)),
+    "congestion": (_optional(CongestionConfig.to_dict), _optional(CongestionConfig.from_dict)),
+}
 
 
 # ---------------------------------------------------------------------- #
@@ -397,8 +611,6 @@ class ScenarioSpec:
         region_overrides: Per-replica region placement.
         rtt_overrides: ``[(region_a, region_b, rtt_ms), ...]`` overrides of
             the inter-region RTT matrix (the E8 sweep).
-        churn_client_region: Region churn clients are registered in;
-            defaults to the first cluster's region.
         schedule: Unified list of timed events (joins, leaves, crashes,
             Byzantine switches, partitions, churn loops).
         timeseries_bucket: When set, the result row carries a throughput
@@ -442,7 +654,6 @@ class ScenarioSpec:
     config_overrides: Dict[str, object] = field(default_factory=dict)
     region_overrides: Dict[str, str] = field(default_factory=dict)
     rtt_overrides: List[Tuple[str, str, float]] = field(default_factory=list)
-    churn_client_region: Optional[str] = None
     schedule: List[ScenarioEvent] = field(default_factory=list)
     timeseries_bucket: Optional[float] = None
     collect_stages: bool = False
@@ -458,24 +669,8 @@ class ScenarioSpec:
     # Derivations
     # ------------------------------------------------------------------ #
     def with_seed(self, seed: int) -> "ScenarioSpec":
-        """A copy of this spec running under a different seed."""
-        return replace(
-            self,
-            seed=seed,
-            clusters=[tuple(c) for c in self.clusters],
-            workload=replace(self.workload),
-            population=None if self.population is None else self.population.copy(),
-            latency=replace(self.latency),
-            network=replace(self.network),
-            config=None if self.config is None else replace(self.config, consensus=replace(self.config.consensus)),
-            config_overrides=dict(self.config_overrides),
-            region_overrides=dict(self.region_overrides),
-            rtt_overrides=[tuple(r) for r in self.rtt_overrides],
-            schedule=list(self.schedule),
-            labels=dict(self.labels),
-            rtt_trace=None if self.rtt_trace is None else self.rtt_trace.copy(),
-            congestion=None if self.congestion is None else self.congestion.copy(),
-        )
+        """An independent copy of this spec running under a different seed."""
+        return replace(copy.deepcopy(self), seed=seed)
 
     def compiled_config(self) -> HamavaConfig:
         """The effective protocol configuration: base → engine → preset → overrides."""
@@ -511,63 +706,7 @@ class ScenarioSpec:
             self.congestion.validate()
         cluster_count = len(self.clusters)
         for event in self.schedule:
-            clusters: Sequence[int] = ()
-            if isinstance(event, (JoinEvent, ByzantineEvent)):
-                clusters = (event.cluster,)
-            elif isinstance(event, (GrayReplicaEvent, ClockSkewEvent)):
-                if event.scope == "replica":
-                    if not event.replica:
-                        raise ConfigurationError(
-                            f"{type(event).__name__} with scope='replica' needs a replica id"
-                        )
-                elif event.scope == "leader":
-                    if event.cluster is None:
-                        raise ConfigurationError(f"{type(event).__name__} scope='leader' needs a cluster")
-                    clusters = (event.cluster,)
-                else:
-                    raise ConfigurationError(f"unknown {type(event).__name__} scope {event.scope!r}")
-                if isinstance(event, GrayReplicaEvent) and event.factor <= 0:
-                    raise ConfigurationError("GrayReplicaEvent factor must be positive")
-                if isinstance(event, ClockSkewEvent) and event.rate <= 0:
-                    raise ConfigurationError("ClockSkewEvent rate must be positive")
-                if event.duration is not None and event.duration <= 0:
-                    raise ConfigurationError(
-                        f"{type(event).__name__} duration must be positive (or None)"
-                    )
-            elif isinstance(event, FlappingPartitionEvent):
-                clusters = (event.cluster_a, event.cluster_b)
-                if event.period <= 0:
-                    raise ConfigurationError("FlappingPartitionEvent period must be positive")
-                if not 0.0 < event.duty <= 1.0:
-                    raise ConfigurationError("FlappingPartitionEvent duty must be in (0, 1]")
-                if event.cycles < 1:
-                    raise ConfigurationError("FlappingPartitionEvent needs at least one cycle")
-                if event.direction not in ("both", "a_to_b", "b_to_a"):
-                    raise ConfigurationError(
-                        f"unknown FlappingPartitionEvent direction {event.direction!r}"
-                    )
-            elif isinstance(event, RegionOutageEvent):
-                if event.duration <= 0:
-                    raise ConfigurationError("RegionOutageEvent duration must be positive")
-            elif isinstance(event, CrashEvent):
-                if event.scope == "replica":
-                    if not event.replica:
-                        raise ConfigurationError("CrashEvent with scope='replica' needs a replica id")
-                elif event.scope in ("leader", "non_leaders"):
-                    if event.cluster is None:
-                        raise ConfigurationError(f"CrashEvent scope={event.scope!r} needs a cluster")
-                    clusters = (event.cluster,)
-                else:
-                    raise ConfigurationError(f"unknown CrashEvent scope {event.scope!r}")
-            elif isinstance(event, PartitionEvent):
-                clusters = (event.cluster_a, event.cluster_b)
-            elif isinstance(event, ChurnLoop):
-                clusters = event.clusters
-                if event.period <= 0:
-                    raise ConfigurationError("ChurnLoop period must be positive")
-                if not event.clusters:
-                    raise ConfigurationError("ChurnLoop needs at least one target cluster")
-            for cluster_id in clusters:
+            for cluster_id in event.validate():
                 if not 0 <= cluster_id < cluster_count:
                     raise ConfigurationError(
                         f"scenario {self.name!r}: event {event!r} targets cluster "
@@ -577,39 +716,19 @@ class ScenarioSpec:
     # ------------------------------------------------------------------ #
     # Compilation and execution
     # ------------------------------------------------------------------ #
-    def build(self, local_shard: Optional[int] = None):
+    def build(self, local_shard: Optional[int] = None) -> Deployment:
         """Compile this spec into a runnable :class:`Deployment`.
 
-        ``local_shard`` restricts construction to one shard's processes
-        (multiprocess shard workers rebuild the same spec per worker).
+        Events are installed in list order, which fixes default joiner
+        naming and the kernel's sequence numbers.  ``local_shard`` restricts
+        construction to one shard's processes (multiprocess shard workers
+        rebuild the same spec per worker).
         """
-        from repro.harness.deployment import Deployment, DeploymentSpec
-
         self.validate()
-        deployment_spec = DeploymentSpec(
-            clusters=[tuple(c) for c in self.clusters],
-            config=self.compiled_config(),
-            seed=self.seed,
-            client_threads=self.client_threads,
-            workload=replace(self.workload),
-            latency=replace(self.latency),
-            network=replace(self.network),
-            clients_per_cluster=self.clients_per_cluster,
-            workload_model=self.workload_model,
-            population=None if self.population is None else self.population.copy(),
-            replica_class=self.compiled_replica_class(),
-            region_overrides=dict(self.region_overrides),
-            reconfig_client_region=self.churn_client_region,
-            shards=self.shards,
-            strict_streams=self.strict_streams,
-            rtt_trace=None if self.rtt_trace is None else self.rtt_trace.copy(),
-            congestion=None if self.congestion is None else self.congestion.copy(),
-        )
-        deployment = Deployment(deployment_spec, local_shard=local_shard)
-        for region_a, region_b, rtt_ms in self.rtt_overrides:
-            deployment.latency_model.set_rtt(region_a, region_b, rtt_ms)
-        apply_schedule(deployment, self)
-        return deployment
+        injector = FaultInjector(Deployment(self, local_shard=local_shard))
+        for event in self.schedule:
+            event.install(injector, self)
+        return injector.deployment
 
     def run(self):
         """Build and execute this scenario, returning a typed result row."""
@@ -621,65 +740,18 @@ class ScenarioSpec:
     # Serialization
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-serializable description of this spec."""
-        replica_class: Optional[str]
-        if self.replica_class is None:
-            replica_class = None
-        elif isinstance(self.replica_class, str):
-            replica_class = self.replica_class
-        else:
-            replica_class = _class_path(self.replica_class)
-        return {
-            "name": self.name,
-            "clusters": [[size, region] for size, region in self.clusters],
-            "engine": self.engine,
-            "preset": self.preset,
-            "seed": self.seed,
-            "duration": self.duration,
-            "warmup": self.warmup,
-            "client_threads": self.client_threads,
-            "clients_per_cluster": self.clients_per_cluster,
-            "workload": asdict(self.workload),
-            "workload_model": self.workload_model,
-            "population": None if self.population is None else population_to_dict(self.population),
-            "latency": asdict(self.latency),
-            "network": asdict(self.network),
-            "config": None if self.config is None else _config_to_dict(self.config),
-            "config_overrides": dict(self.config_overrides),
-            "region_overrides": dict(self.region_overrides),
-            "rtt_overrides": [[a, b, rtt] for a, b, rtt in self.rtt_overrides],
-            "churn_client_region": self.churn_client_region,
-            "schedule": [event_to_dict(event) for event in self.schedule],
-            "timeseries_bucket": self.timeseries_bucket,
-            "collect_stages": self.collect_stages,
-            "labels": dict(self.labels),
-            "replica_class": replica_class,
-            "shards": self.shards,
-            "shard_parallel": self.shard_parallel,
-            "strict_streams": self.strict_streams,
-            "rtt_trace": None if self.rtt_trace is None else self.rtt_trace.to_dict(),
-            "congestion": None if self.congestion is None else self.congestion.to_dict(),
-        }
+        """A JSON-serializable description of this spec (one key per field)."""
+        payload: Dict[str, object] = {}
+        for spec_field in fields(self):
+            encode, _ = _CODECS.get(spec_field.name, _PLAIN)
+            payload[spec_field.name] = encode(getattr(self, spec_field.name))
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        data = dict(payload)
-        data["clusters"] = [(int(size), str(region)) for size, region in data.get("clusters", [])]
-        data["workload"] = YcsbConfig(**data.get("workload", {}))
-        population = data.get("population")
-        data["population"] = None if population is None else population_from_dict(population)
-        data["latency"] = LatencyParameters(**data.get("latency", {}))
-        data["network"] = NetworkConfig(**data.get("network", {}))
-        config = data.get("config")
-        data["config"] = None if config is None else _config_from_dict(config)
-        data["rtt_overrides"] = [(a, b, float(rtt)) for a, b, rtt in data.get("rtt_overrides", [])]
-        data["schedule"] = [event_from_dict(event) for event in data.get("schedule", [])]
-        rtt_trace = data.get("rtt_trace")
-        data["rtt_trace"] = None if rtt_trace is None else RttTrace.from_dict(rtt_trace)
-        congestion = data.get("congestion")
-        data["congestion"] = None if congestion is None else CongestionConfig.from_dict(congestion)
-        return cls(**data)
+        """Rebuild a spec from :meth:`to_dict` output (absent keys take the defaults)."""
+        data = {key: _CODECS.get(key, _PLAIN)[1](value) for key, value in payload.items()}
+        return _construct(cls, data, f"scenario spec {payload.get('name', '?')!r}")
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Serialize to a JSON string (stable key order)."""
@@ -689,88 +761,6 @@ class ScenarioSpec:
     def from_json(cls, text: str) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_json` output."""
         return cls.from_dict(json.loads(text))
-
-
-# ---------------------------------------------------------------------- #
-# Schedule compilation
-# ---------------------------------------------------------------------- #
-def apply_schedule(deployment, spec: ScenarioSpec) -> None:
-    """Install every schedule event of ``spec`` on a built deployment.
-
-    Events are applied in list order, which keeps default joiner naming and
-    RNG consumption identical to the equivalent imperative call sequence.
-    """
-    from repro.harness.faults import FaultInjector
-
-    injector = FaultInjector(deployment)
-    for event in spec.schedule:
-        if isinstance(event, JoinEvent):
-            deployment.add_joiner(
-                event.cluster, at_time=event.at, replica_id=event.replica_id, region=event.region
-            )
-        elif isinstance(event, LeaveEvent):
-            deployment.schedule_leave(event.replica, at_time=event.at)
-        elif isinstance(event, CrashEvent):
-            if event.scope == "replica":
-                injector.crash_replica(event.replica, at_time=event.at)
-            elif event.scope == "leader":
-                injector.crash_leader(event.cluster, at_time=event.at)
-            else:
-                injector.crash_non_leaders(event.cluster, at_time=event.at, count=event.count)
-        elif isinstance(event, ByzantineEvent):
-            if event.behavior != "silent_inter":
-                raise ConfigurationError(f"unknown Byzantine behavior {event.behavior!r}")
-            injector.silence_leader_inter_broadcast(event.cluster, at_time=event.at)
-        elif isinstance(event, PartitionEvent):
-            injector.partition_clusters(
-                event.cluster_a, event.cluster_b, at_time=event.at, duration=event.duration
-            )
-        elif isinstance(event, GrayReplicaEvent):
-            if event.scope == "leader":
-                injector.degrade_leader(
-                    event.cluster, at_time=event.at, factor=event.factor, duration=event.duration
-                )
-            else:
-                injector.degrade_replica(
-                    event.replica, at_time=event.at, factor=event.factor, duration=event.duration
-                )
-        elif isinstance(event, ClockSkewEvent):
-            if event.scope == "leader":
-                injector.skew_leader_clock(
-                    event.cluster, at_time=event.at, rate=event.rate, duration=event.duration
-                )
-            else:
-                injector.skew_clock(
-                    event.replica, at_time=event.at, rate=event.rate, duration=event.duration
-                )
-        elif isinstance(event, FlappingPartitionEvent):
-            injector.flapping_partition(
-                event.cluster_a,
-                event.cluster_b,
-                at_time=event.at,
-                period=event.period,
-                duty=event.duty,
-                cycles=event.cycles,
-                direction=event.direction,
-            )
-        elif isinstance(event, RegionOutageEvent):
-            injector.region_outage(event.region, at_time=event.at, duration=event.duration)
-        elif isinstance(event, ChurnLoop):
-            stop = event.stop if event.stop is not None else max(spec.duration - 1.0, event.start)
-            at = event.start
-            index = 0
-            while at < stop:
-                cluster = event.clusters[index % len(event.clusters)]
-                deployment.add_joiner(
-                    cluster,
-                    at_time=at,
-                    replica_id=f"{event.prefix}{index}",
-                    region=event.region,
-                )
-                index += 1
-                at += event.period
-        else:  # pragma: no cover - the Union above is exhaustive
-            raise ConfigurationError(f"unknown schedule event {event!r}")
 
 
 __all__ = [
@@ -790,7 +780,6 @@ __all__ = [
     "ScenarioEvent",
     "ScenarioSpec",
     "apply_config_overrides",
-    "apply_schedule",
     "event_from_dict",
     "event_to_dict",
     "register_preset",

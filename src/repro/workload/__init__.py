@@ -15,7 +15,7 @@ Two client models are available:
   independent of completions.
 """
 
-from repro.workload.clients import ReconfigurationClient, WorkloadClient
+from repro.workload.clients import WorkloadClient
 from repro.workload.population import (
     POPULATION_PRESETS,
     ClientPopulation,
@@ -48,7 +48,6 @@ __all__ = [
     "LoadShape",
     "PopulationConfig",
     "RampShape",
-    "ReconfigurationClient",
     "SpikeShape",
     "StepShape",
     "TraceShape",

@@ -1,4 +1,4 @@
-"""Client processes: closed-loop workload clients and a churn client.
+"""Client processes: the closed-loop workload client.
 
 The paper deploys one client per cluster with multiple threads, each issuing
 its next request as soon as the previous one returns (closed loop, no think
@@ -6,15 +6,12 @@ time).  :class:`WorkloadClient` models exactly that: ``threads`` independent
 logical threads, each with one outstanding transaction, retransmitting after
 ``retry_timeout`` if a response never arrives (e.g. the transaction was lost
 in a leader change).
-
-:class:`ReconfigurationClient` issues join/leave requests on a schedule; the
-deployment harness uses it for experiments E5, E7, and E8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.messages import ClientRequest, ClientResponse
 from repro.core.types import Transaction, make_transaction
@@ -270,44 +267,4 @@ class WorkloadClient(Process):
         return self.completed_reads + self.completed_writes
 
 
-class ReconfigurationClient(Process):
-    """Schedules join and leave requests against a running deployment.
-
-    The client does not speak the wire protocol itself; it drives the
-    requester-side API of replicas (``request_join`` / ``request_leave``),
-    which is how the paper's dedicated reconfiguration client behaves.
-
-    Args:
-        client_id: Process id.
-        simulator: Simulation kernel.
-        actions: List of ``(at_time, callable)`` pairs executed at the given
-            virtual times.
-    """
-
-    def __init__(
-        self,
-        client_id: str,
-        simulator: Simulator,
-        actions: Optional[List] = None,
-    ) -> None:
-        super().__init__(client_id, simulator)
-        self.actions = list(actions or [])
-        self.performed: List[float] = []
-
-    def on_start(self) -> None:
-        for at_time, action in self.actions:
-            self.simulator.schedule_at(
-                max(at_time, self.now),
-                lambda act=action, t=at_time: self._perform(act, t),
-                label=f"{self.process_id}:reconfig",
-            )
-
-    def _perform(self, action: Callable[[], None], at_time: float) -> None:
-        self.performed.append(at_time)
-        action()
-
-    def on_message(self, sender: str, envelope: Envelope) -> None:
-        """The churn client ignores protocol traffic."""
-
-
-__all__ = ["ReconfigurationClient", "WorkloadClient"]
+__all__ = ["WorkloadClient"]

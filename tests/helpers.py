@@ -12,7 +12,8 @@ from typing import Callable, Iterable, Tuple
 
 from repro.core.config import HamavaConfig
 from repro.harness.builder import Scenario
-from repro.harness.deployment import Deployment, DeploymentSpec
+from repro.harness.deployment import Deployment
+from repro.harness.scenario import ScenarioSpec, apply_config_overrides
 
 
 def members_fn(members: Iterable[str]) -> Callable[[], Tuple[str, ...]]:
@@ -29,14 +30,17 @@ def members_fn(members: Iterable[str]) -> Callable[[], Tuple[str, ...]]:
 
 def fast_config(engine: str = "hotstuff", **overrides) -> HamavaConfig:
     """A Hamava configuration with short fault-detection timeouts for tests."""
-    config = HamavaConfig().with_engine(engine).with_timeouts(
-        remote_timeout=2.0, instance_timeout=2.0, brd_timeout=2.0
+    return apply_config_overrides(
+        HamavaConfig().with_engine(engine),
+        {
+            "remote_timeout": 2.0,
+            "instance_timeout": 2.0,
+            "brd_timeout": 2.0,
+            "batch_timeout": 0.01,
+            "retry_timeout": 2.0,
+            **overrides,
+        },
     )
-    config.batch_timeout = 0.01
-    config.retry_timeout = 2.0
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
 
 
 def small_deployment(
@@ -47,15 +51,21 @@ def small_deployment(
     config: HamavaConfig | None = None,
     **spec_kwargs,
 ) -> Deployment:
-    """Build a small two-cluster deployment suitable for integration tests."""
-    spec = DeploymentSpec(
+    """Build a small two-cluster deployment suitable for integration tests.
+
+    ``spec_kwargs`` are :class:`ScenarioSpec` fields — pass ``schedule=[...]``
+    to inject faults and churn.
+    """
+    config = config or fast_config(engine)
+    return ScenarioSpec(
         clusters=list(clusters),
-        config=config or fast_config(engine),
+        # compiled_config() layers ``engine`` over ``config``: keep them equal.
+        engine=config.engine,
+        config=config,
         seed=seed,
         client_threads=client_threads,
         **spec_kwargs,
-    )
-    return Deployment(spec)
+    ).build()
 
 
 def silent_inter_scenario() -> Scenario:

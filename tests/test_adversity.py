@@ -20,6 +20,7 @@ from repro.harness.builder import Scenario
 from repro.harness.runner import run_scenario
 from repro.harness.scenario import (
     ClockSkewEvent,
+    CrashEvent,
     FlappingPartitionEvent,
     GrayReplicaEvent,
     RegionOutageEvent,
@@ -345,9 +346,9 @@ class TestFaultShardRouting:
 
     def test_unknown_replica_raises_at_schedule_time(self):
         spec = self._spec(crash=False)
-        deployment = spec.build()
-        with pytest.raises(Exception):
-            deployment.faults.crash_replica("c9/r9", 0.3)
+        spec.schedule.append(CrashEvent(at=0.3, replica="c9/r9"))
+        with pytest.raises(ConfigurationError, match="c9/r9"):
+            spec.build()
 
 
 # --------------------------------------------------------------------------- #

@@ -87,12 +87,6 @@ class TestHamavaConfig:
         assert base.engine == "hotstuff"
         assert other.engine == "bftsmart"
 
-    def test_with_timeouts(self):
-        config = HamavaConfig().with_timeouts(remote_timeout=3.0, instance_timeout=4.0, brd_timeout=5.0)
-        assert config.remote_timeout == 3.0
-        assert config.consensus.instance_timeout == 4.0
-        assert config.brd_timeout == 5.0
-
 
 class TestTransactionsAndBundles:
     def test_make_transaction_ids_are_unique(self):

@@ -6,12 +6,11 @@ import pytest
 
 from helpers import fast_config, small_deployment
 from repro.analysis.complexity import complexity_table, format_table, messages_per_decision, protocol
-from repro.baselines.geobft import build_geobft_deployment, geobft_config
-from repro.baselines.pbft_global import build_global_pbft_deployment
+from repro.baselines.geobft import geobft_config, geobft_scenario
+from repro.baselines.pbft_global import global_pbft_scenario
 from repro.baselines.single_workflow import single_workflow_config
 from repro.errors import ConfigurationError
 from repro.harness import experiments
-from repro.harness.deployment import DeploymentSpec, Deployment, build_deployment
 
 
 class TestDeployment:
@@ -33,11 +32,8 @@ class TestDeployment:
             deployment.replica("ghost")
 
     def test_region_overrides_apply(self):
-        deployment = build_deployment(
-            [(4, "us-west1")],
-            seed=84,
-            config=fast_config(),
-            region_overrides={"c0/r3": "asia-south1"},
+        deployment = small_deployment(
+            clusters=[(4, "us-west1")], seed=84, region_overrides={"c0/r3": "asia-south1"}
         )
         assert deployment.latency_model.region_of("c0/r3") == "asia-south1"
         assert deployment.latency_model.region_of("c0/r0") == "us-west1"
@@ -143,16 +139,19 @@ class TestBaselines:
         assert config.parallel_reconfig is False
 
     def test_geobft_deployment_commits(self):
-        deployment = build_geobft_deployment(
-            [(4, "us-west1"), (4, "us-west1")], seed=87, client_threads=4, config=fast_config()
+        deployment = (
+            geobft_scenario().clusters(4, 4).seed(87).threads(4).config(fast_config()).build()
         )
         metrics = deployment.run(duration=1.2, warmup=0.2)
         assert metrics.committed_count(op="write") > 0
 
     def test_global_pbft_spans_regions(self):
-        deployment = build_global_pbft_deployment(
-            6, regions=["us-west1", "europe-west3", "asia-south1"], seed=88,
-            client_threads=4, config=fast_config("bftsmart"),
+        deployment = (
+            global_pbft_scenario(6, regions=["us-west1", "europe-west3", "asia-south1"])
+            .seed(88)
+            .threads(4)
+            .config(fast_config("bftsmart"))
+            .build()
         )
         regions = {deployment.latency_model.region_of(f"c0/r{i}") for i in range(6)}
         assert regions == {"us-west1", "europe-west3", "asia-south1"}

@@ -5,28 +5,35 @@ from __future__ import annotations
 import pytest
 
 from helpers import fast_config, small_deployment
-from repro.harness.faults import FaultInjector
+from repro.harness.scenario import ByzantineEvent, CrashEvent
 
 
 class TestCrashFaults:
     def test_f_non_leader_crashes_tolerated(self):
         deployment = small_deployment(
-            clusters=((4, "us-west1"), (4, "us-west1")), seed=41, client_threads=8
+            clusters=((4, "us-west1"), (4, "us-west1")),
+            seed=41,
+            client_threads=8,
+            schedule=[
+                CrashEvent(at=0.5, cluster=0, scope="non_leaders"),
+                CrashEvent(at=0.5, cluster=1, scope="non_leaders"),
+            ],
         )
-        injector = FaultInjector(deployment)
-        victims = injector.crash_non_leaders(0, at_time=0.5) + injector.crash_non_leaders(1, at_time=0.5)
         metrics = deployment.run(duration=5.0, warmup=0.0)
-        assert len(victims) == 2  # f = 1 per cluster
+        victims = [r.process_id for r in deployment.replicas.values() if r.crashed]
+        assert victims == ["c0/r3", "c1/r3"]  # f = 1 per cluster, never the leader
         # The system keeps committing after the crashes (clients need a retry
         # period to fail over away from the crashed replicas).
         late = [r for r in metrics.transactions if r.completed_at > 3.5 and r.op == "write"]
         assert late, "no writes committed after non-leader crashes"
 
     def test_leader_crash_recovers_via_local_leader_change(self):
-        deployment = small_deployment(seed=42)
-        injector = FaultInjector(deployment)
-        old_leader = injector.crash_leader(0, at_time=0.8)
+        deployment = small_deployment(
+            seed=42, schedule=[CrashEvent(at=0.8, cluster=0, scope="leader")]
+        )
+        old_leader = deployment.leader_of(0).process_id
         metrics = deployment.run(duration=6.0, warmup=0.0)
+        assert [r.process_id for r in deployment.replicas.values() if r.crashed] == [old_leader]
         survivor = next(
             r for r in deployment.cluster_replicas(0) if r.process_id != old_leader
         )
@@ -36,11 +43,11 @@ class TestCrashFaults:
         assert late, "cluster did not recover after leader crash"
 
     def test_more_than_f_crashes_stalls_cluster(self):
-        deployment = small_deployment(seed=43)
-        injector = FaultInjector(deployment)
         # Crash 2 of 4 replicas (f = 1): quorum of 3 is no longer available.
-        injector.crash_replica("c0/r2", at_time=0.5)
-        injector.crash_replica("c0/r3", at_time=0.5)
+        deployment = small_deployment(
+            seed=43,
+            schedule=[CrashEvent(at=0.5, replica="c0/r2"), CrashEvent(at=0.5, replica="c0/r3")],
+        )
         deployment.run(duration=3.0)
         stalled_rounds = deployment.replicas["c0/r0"].executed_rounds
         healthy_deployment = small_deployment(seed=43)
@@ -53,10 +60,10 @@ class TestCrashFaults:
 
 class TestByzantineLeader:
     def test_silent_leader_triggers_remote_leader_change(self):
-        deployment = small_deployment(seed=44)
-        injector = FaultInjector(deployment)
-        bad = injector.silence_leader_inter_broadcast(0, at_time=0.8)
+        deployment = small_deployment(seed=44, schedule=[ByzantineEvent(cluster=0, at=0.8)])
+        bad = deployment.leader_of(0).process_id
         metrics = deployment.run(duration=8.0, warmup=0.0)
+        assert deployment.replicas[bad].byzantine.silent_inter_after == 0.8
         replica = deployment.replicas["c0/r1"]
         assert replica.leader != bad, "Byzantine leader was never replaced"
         assert replica.leader_ts >= 1
@@ -65,9 +72,7 @@ class TestByzantineLeader:
         assert late, "no writes after the remote leader change"
 
     def test_remote_cluster_detects_fault_not_local(self):
-        deployment = small_deployment(seed=45)
-        injector = FaultInjector(deployment)
-        injector.silence_leader_inter_broadcast(0, at_time=0.8)
+        deployment = small_deployment(seed=45, schedule=[ByzantineEvent(cluster=0, at=0.8)])
         deployment.run(duration=8.0)
         # The change was requested through the remote-complaint path at
         # cluster 0's replicas (next-leader), so their rlc counters moved.

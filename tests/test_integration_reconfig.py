@@ -104,13 +104,10 @@ class TestUniformity:
 
 class TestSingleWorkflowBaseline:
     def test_single_workflow_also_applies_reconfigs(self):
-        from repro.baselines.single_workflow import build_single_workflow_deployment
+        from repro.baselines.single_workflow import single_workflow_scenario
 
-        deployment = build_single_workflow_deployment(
-            [(4, "us-west1"), (4, "us-west1")],
-            seed=70,
-            client_threads=4,
-            config=fast_config(),
+        deployment = (
+            single_workflow_scenario().clusters(4, 4).seed(70).threads(4).config(fast_config()).build()
         )
         joiner = deployment.add_joiner(0, at_time=0.6, replica_id="sw-new")
         deployment.run(duration=4.0)

@@ -25,10 +25,9 @@ from repro.core.brd import (
 )
 from repro.core.messages import BrdAgg, BrdEcho
 from repro.core.types import join_request
-from repro.harness.faults import FaultInjector
 from repro.harness.metrics import MetricsCollector
 from repro.harness.runner import ScenarioRunner
-from repro.harness.scenario import ScenarioSpec
+from repro.harness.scenario import CrashEvent, JoinEvent, PartitionEvent, ScenarioSpec
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
 from repro.net.network import Network, NetworkConfig
@@ -372,13 +371,17 @@ class TestFaultTimeResolution:
     def test_crash_leader_targets_the_leader_at_fault_time(self):
         """Scheduling a leader crash before an earlier leader change must
         crash the *new* leader, not the install-time one."""
-        deployment = small_deployment(seed=31, client_threads=2)
-        injector = FaultInjector(deployment)
         # First fault: the original leader (c0/r0) dies at 0.8; the cluster
         # elects c0/r1.  Second fault, scheduled up front: "crash the
         # leader at t=6" — by then that is c0/r1.
-        injector.crash_replica("c0/r0", at_time=0.8)
-        injector.crash_leader(0, at_time=6.0)
+        deployment = small_deployment(
+            seed=31,
+            client_threads=2,
+            schedule=[
+                CrashEvent(at=0.8, replica="c0/r0"),
+                CrashEvent(at=6.0, cluster=0, scope="leader"),
+            ],
+        )
         deployment.run(duration=7.0)
         survivor = deployment.replicas["c0/r2"]
         elected = survivor.leader
@@ -390,13 +393,17 @@ class TestFaultTimeResolution:
         assert deployment.replicas["c0/r1"].crashed
 
     def test_partition_applies_to_replica_joining_after_install(self):
-        deployment = small_deployment(seed=32, client_threads=2)
-        injector = FaultInjector(deployment)
-        injector.partition_clusters(0, 1, at_time=1.0, duration=10.0)
-        joiner = deployment.add_joiner(0, at_time=2.5, replica_id="late")
+        deployment = small_deployment(
+            seed=32,
+            client_threads=2,
+            schedule=[
+                PartitionEvent(cluster_a=0, cluster_b=1, at=1.0, duration=10.0),
+                JoinEvent(cluster=0, at=2.5, replica_id="late"),
+            ],
+        )
         deployment.run(duration=4.0)
         network = deployment.network
-        assert joiner.mode != "idle"
+        assert deployment.replicas["late"].mode != "idle"
         assert network._should_drop("late", "c1/r0", None), (
             "a replica joining after the partition installed must be partitioned"
         )

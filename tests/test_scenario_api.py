@@ -3,29 +3,41 @@
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import ClassVar
 
 import pytest
 
-from helpers import fast_config
+from helpers import fast_config, small_deployment
 from repro.core.replica import MODE_ACTIVE, MODE_LEFT
 from repro.errors import ConfigurationError
-from repro.harness.builder import DeploymentBuilder, Scenario, normalize_replica_ref
-from repro.harness.deployment import build_deployment
+from repro.harness.builder import Scenario, normalize_replica_ref
 from repro.harness.runner import ResultRow, ScenarioRunner, run_scenario
+from repro.net.adversity import CongestionConfig, CrossTrafficStream, RttTrace
+from repro.net.latency import LatencyParameters
+from repro.net.network import NetworkConfig
+from repro.workload.population import PopulationConfig
+from repro.workload.shapes import RampShape
+from repro.workload.ycsb import YcsbConfig
 from repro.harness.scenario import (
+    EVENT_TYPES,
     ByzantineEvent,
     ChurnLoop,
+    ClockSkewEvent,
     CrashEvent,
+    FlappingPartitionEvent,
+    GrayReplicaEvent,
     JoinEvent,
     LeaveEvent,
     PartitionEvent,
+    RegionOutageEvent,
+    ScenarioEvent,
     ScenarioSpec,
     apply_config_overrides,
     event_from_dict,
     event_to_dict,
     resolve_preset,
 )
-from repro.workload.clients import ReconfigurationClient
 
 #: Timeout/retry overrides matching ``helpers.fast_config`` for short runs.
 FAST = dict(remote_timeout=2.0, instance_timeout=2.0, brd_timeout=2.0, retry_timeout=2.0)
@@ -33,6 +45,119 @@ FAST = dict(remote_timeout=2.0, instance_timeout=2.0, brd_timeout=2.0, retry_tim
 
 def fast_scenario(name: str, seed: int) -> Scenario:
     return Scenario(name).clusters(4, 4).engine("hotstuff").config(**FAST).threads(4).seed(seed)
+
+
+#: One row per way an event kind can be scheduled, on a two-shard deployment
+#: (cluster 0 on shard 0, cluster 1 on shard 1): the event, the kernel labels
+#: ``install()`` must schedule per shard — drop windows on every shard,
+#: replica- and cluster-scoped faults on the owning shard only — and the field
+#: values ``validate()`` must reject.
+NEGATIVE_AT = {"at": -1.0}
+EVENT_CASES = [
+    (JoinEvent(cluster=1, at=0.5, replica_id="n", region="asia-south1"), {1: ["join:n"]}, [NEGATIVE_AT]),
+    (LeaveEvent(replica="c1/r3", at=0.5), {1: ["leave:c1/r3"]}, [NEGATIVE_AT]),
+    (
+        CrashEvent(at=0.5, replica="c1/r2"),
+        {1: ["fault:crash:c1/r2"]},
+        [NEGATIVE_AT, {"replica": None}, {"scope": "sideways"}],
+    ),
+    (
+        CrashEvent(at=0.5, cluster=0, scope="leader"),
+        {0: ["fault:crash-leader:c0"]},
+        [NEGATIVE_AT, {"cluster": None}],
+    ),
+    (
+        CrashEvent(at=0.5, cluster=1, scope="non_leaders", count=1),
+        {1: ["fault:crash-followers:c1"]},
+        [{"cluster": None}],
+    ),
+    (
+        ByzantineEvent(cluster=0, at=0.5),
+        {0: ["fault:silent-inter:c0"]},
+        [NEGATIVE_AT, {"behavior": "equivocate"}],
+    ),
+    (
+        PartitionEvent(cluster_a=0, cluster_b=1, at=0.5, duration=0.2),
+        {0: ["fault:partition"], 1: ["fault:partition"]},
+        [NEGATIVE_AT, {"duration": -1.0}, {"duration": 0.0}, {"cluster_b": 0}],
+    ),
+    (
+        GrayReplicaEvent(at=0.5, factor=4.0, replica="c1/r1", duration=0.1),
+        {1: ["fault:gray:c1/r1"]},
+        [NEGATIVE_AT, {"factor": 0.0}, {"duration": 0.0}, {"replica": None}, {"scope": "non_leaders"}],
+    ),
+    (
+        GrayReplicaEvent(at=0.5, cluster=0, scope="leader"),
+        {0: ["fault:gray-leader:c0"]},
+        [{"cluster": None}],
+    ),
+    (
+        ClockSkewEvent(at=0.5, rate=0.25, replica="c1/r1"),
+        {1: ["fault:skew:c1/r1"]},
+        [NEGATIVE_AT, {"rate": 0.0}, {"duration": -0.5}, {"replica": ""}],
+    ),
+    (
+        ClockSkewEvent(at=0.5, cluster=0, scope="leader", duration=0.1),
+        {0: ["fault:skew-leader:c0"]},
+        [{"cluster": None}],
+    ),
+    (
+        FlappingPartitionEvent(cluster_a=0, cluster_b=1, at=0.5, period=0.1, cycles=3, direction="a_to_b"),
+        {0: ["fault:flap"] * 3, 1: ["fault:flap"] * 3},
+        [NEGATIVE_AT, {"period": 0.0}, {"duty": 1.5}, {"cycles": 0}, {"direction": "up"}, {"cluster_b": 0}],
+    ),
+    (
+        RegionOutageEvent(region="europe-west3", at=0.5, duration=0.2),
+        {0: ["fault:region-outage"], 1: ["fault:region-outage"]},
+        [NEGATIVE_AT, {"duration": 0.0}],
+    ),
+    (
+        ChurnLoop(start=0.2, period=0.2, stop=0.7, clusters=(0, 1), prefix="ch"),
+        {0: ["join:ch0", "join:ch2"], 1: ["join:ch1"]},
+        [{"start": -0.1}, {"period": 0.0}, {"clusters": ()}],
+    ),
+]
+
+
+def _two_shard_spec(schedule) -> ScenarioSpec:
+    return ScenarioSpec(
+        clusters=[(4, "us-west1"), (4, "europe-west3")], shards=2, duration=1.0, schedule=schedule
+    )
+
+
+def _scheduled_labels(deployment):
+    """Fault/churn labels pending on each shard's kernel, in firing order."""
+    return {
+        shard.index: labels
+        for shard in deployment.shards
+        if (
+            labels := [
+                event.label
+                for event in sorted(shard.simulator._queue._heap)
+                if event.label.startswith(("fault:", "join:", "leave:"))
+            ]
+        )
+    }
+
+
+def _mutable_objects(value, seen=None):
+    """``id -> object`` for every mutable object reachable from ``value``."""
+    seen = {} if seen is None else seen
+    if isinstance(value, (str, int, float, bool, type(None), type)) or id(value) in seen:
+        return seen
+    if isinstance(value, tuple):
+        children = value
+    else:
+        seen[id(value)] = value
+        if isinstance(value, dict):
+            children = list(value.values())
+        elif isinstance(value, (list, set)):
+            children = value
+        else:
+            children = list(vars(value).values())
+    for child in children:
+        _mutable_objects(child, seen)
+    return seen
 
 
 class TestSerialization:
@@ -65,23 +190,72 @@ class TestSerialization:
         assert restored.clusters == spec.clusters
 
     def test_every_event_kind_round_trips(self):
-        events = [
-            JoinEvent(cluster=1, at=2.0, replica_id="x", region="eu"),
-            LeaveEvent(replica="c0/r1", at=1.0),
-            CrashEvent(at=1.5, replica="c0/r2"),
-            CrashEvent(at=1.5, cluster=0, scope="leader"),
-            CrashEvent(at=1.5, cluster=1, scope="non_leaders", count=2),
-            ByzantineEvent(cluster=0, at=3.0),
-            PartitionEvent(cluster_a=0, cluster_b=1, at=2.0, duration=1.0),
-            ChurnLoop(start=1.0, period=0.5, stop=4.0, clusters=(0, 1), prefix="p"),
-        ]
+        events = [case[0] for case in EVENT_CASES]
+        assert {event.kind for event in events} == set(EVENT_TYPES)
         for event in events:
             payload = json.loads(json.dumps(event_to_dict(event)))
+            assert payload["kind"] == event.kind
             assert event_from_dict(payload) == event
 
     def test_unknown_event_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             event_from_dict({"kind": "meteor-strike", "at": 1.0})
+
+    def test_unknown_keys_are_named(self):
+        with pytest.raises(ConfigurationError, match=r"'crash'.*'replcia'.*\breplica\b"):
+            event_from_dict({"kind": "crash", "at": 1.0, "replcia": "c0/r1"})
+        with pytest.raises(ConfigurationError, match=r"'typo'.*'clusterz'.*\bclusters\b"):
+            ScenarioSpec.from_dict({"name": "typo", "clusterz": [[4, "us-west1"]]})
+
+    def test_dict_form_has_one_key_per_field_and_copies_are_independent(self):
+        trace = RttTrace.from_points({("us-west1", "europe-west3"): [(0.0, 140.0), (1.0, 90.0)]})
+        spec = ScenarioSpec(
+            name="every-field",
+            clusters=[(4, "us-west1"), (7, "europe-west3")],
+            engine="bftsmart",
+            preset="geobft",
+            seed=5,
+            duration=2.0,
+            warmup=0.5,
+            client_threads=3,
+            clients_per_cluster=2,
+            workload=YcsbConfig(read_fraction=0.5),
+            workload_model="open",
+            population=PopulationConfig(rate=300.0, shape=RampShape(100.0, 400.0, 2.0)),
+            latency=LatencyParameters(intra_region_latency=0.001),
+            network=NetworkConfig(base_processing=2e-5),
+            config=fast_config("bftsmart"),
+            config_overrides={"batch_size": 50},
+            region_overrides={"c1/r0": "asia-south1"},
+            rtt_overrides=[("us-west1", "europe-west3", 99.0)],
+            schedule=[case[0] for case in EVENT_CASES],
+            timeseries_bucket=0.5,
+            collect_stages=True,
+            labels={"figure": "fig5", "sweep": {"z": [2, 4]}},
+            replica_class="repro.core.replica:HamavaReplica",
+            shards=2,
+            shard_parallel=True,
+            strict_streams=True,
+            rtt_trace=trace,
+            congestion=CongestionConfig(
+                streams=[CrossTrafficStream("us-west1", "europe-west3", 1.0e7, start=0.2, stop=0.5)]
+            ),
+        )
+        for spec_field in fields(ScenarioSpec):
+            default = (
+                spec_field.default
+                if spec_field.default is not MISSING
+                else spec_field.default_factory()
+            )
+            assert getattr(spec, spec_field.name) != default, f"{spec_field.name} left at its default"
+        assert set(spec.to_dict()) == {spec_field.name for spec_field in fields(ScenarioSpec)}
+        spec.validate()
+        for copied in (ScenarioSpec.from_json(spec.to_json()), spec.with_seed(5)):
+            assert copied == spec
+            assert copied.to_json() == spec.to_json()
+            shared = _mutable_objects(spec).keys() & _mutable_objects(copied).keys()
+            assert not shared, [type(_mutable_objects(spec)[key]).__name__ for key in shared]
+        assert spec.with_seed(9).seed == 9
 
     def test_spec_with_base_config_round_trips(self):
         spec = ScenarioSpec(name="cfg", clusters=[(4, "us-west1")], config=fast_config())
@@ -92,7 +266,7 @@ class TestSerialization:
 class TestBuilder:
     def test_fluent_chain_compiles_to_spec(self):
         specs = (
-            DeploymentBuilder("e4")
+            Scenario("e4")
             .clusters(4, 4)
             .engine("hotstuff")
             .crash("r0.1", at=2.0)
@@ -230,14 +404,8 @@ class TestChurnScheduling:
         assert len(metrics.reconfigs) > 0
 
     def test_imperative_shim_behaves_identically(self):
-        """The old mutation path and the event schedule produce the same run."""
-        imperative = build_deployment(
-            [(4, "us-west1"), (4, "us-west1")],
-            engine="hotstuff",
-            seed=81,
-            config=fast_config(),
-            client_threads=4,
-        )
+        """``add_joiner`` / ``schedule_leave`` and the event schedule produce the same run."""
+        imperative = small_deployment(seed=81)
         imperative.add_joiner(0, at_time=0.6, replica_id="newbie")
         imperative.schedule_leave("c1/r3", at_time=1.0)
         imperative_metrics = imperative.run(duration=4.0)
@@ -266,6 +434,75 @@ class TestChurnScheduling:
         leader = deployment.replicas["c1/r0"]
         byzantine = [r for r in deployment.replicas.values() if r.byzantine.silent_inter_after]
         assert len(byzantine) == 1
+
+
+class TestEventTable:
+    """Every schedule-event kind: what it rejects and what it schedules."""
+
+    @pytest.mark.parametrize(
+        "event, labels, rejected", EVENT_CASES, ids=[f"{c[0].kind}-{i}" for i, c in enumerate(EVENT_CASES)]
+    )
+    def test_validate_rejects_and_install_schedules(self, event, labels, rejected):
+        assert set(event.validate()) <= {0, 1}
+        for changes in rejected:
+            bad = replace(event, **changes)
+            with pytest.raises(ConfigurationError, match=f"{type(event).__name__}.({'|'.join(changes)})"):
+                bad.validate()
+            # ... and so the spec carrying it fails before anything is built.
+            with pytest.raises(ConfigurationError):
+                _two_shard_spec([bad]).validate()
+        assert _scheduled_labels(_two_shard_spec([event]).build()) == labels
+
+    def test_a_drop_window_heals_itself_once_installed(self):
+        spec = _two_shard_spec([PartitionEvent(cluster_a=0, cluster_b=1, at=0.1, duration=0.2)])
+        deployment = spec.build()
+        deployment.run(duration=0.15)
+        assert _scheduled_labels(deployment) == {0: ["fault:heal"], 1: ["fault:heal"]}
+        assert all(len(shard.network.drop_rules) == 1 for shard in deployment.shards)
+        deployment.run(duration=0.2)
+        assert all(shard.network.drop_rules == [] for shard in deployment.shards)
+
+    def test_replica_fault_on_a_forked_worker_installs_on_the_owner_only(self):
+        spec = _two_shard_spec([CrashEvent(at=0.5, replica="c1/r2")])
+        assert _scheduled_labels(spec.build(local_shard=0)) == {}
+        assert _scheduled_labels(spec.build(local_shard=1)) == {1: ["fault:crash:c1/r2"]}
+        for local_shard in (None, 0, 1):
+            with pytest.raises(ConfigurationError, match="c9/r9"):
+                _two_shard_spec([CrashEvent(at=0.5, replica="c9/r9")]).build(local_shard=local_shard)
+
+
+    def test_a_new_kind_is_one_class(self):
+        """The README example: no table, ladder or injector method to extend."""
+        try:
+
+            @dataclass
+            class RegionCrashEvent(ScenarioEvent):
+                kind: ClassVar[str] = "region_crash"
+                region: str
+                at: float
+
+                def install(self, injector, spec):
+                    placed_in = injector.deployment.latency_model.region_of
+                    for replica_id in list(injector.deployment.replicas):
+                        if placed_in(replica_id) == self.region:
+                            injector.on_replica(
+                                replica_id,
+                                self.at,
+                                f"fault:crash:{replica_id}",
+                                lambda replica, kernel: replica.crash(),
+                            )
+
+            spec = _two_shard_spec([RegionCrashEvent(region="europe-west3", at=0.1)])
+            spec = ScenarioSpec.from_json(spec.to_json())
+            assert spec.schedule == [RegionCrashEvent(region="europe-west3", at=0.1)]
+            with pytest.raises(ConfigurationError, match="RegionCrashEvent.at"):
+                _two_shard_spec([RegionCrashEvent(region="europe-west3", at=-1.0)]).validate()
+            deployment = spec.build()
+            deployment.run(duration=0.2)
+            crashed = sorted(r.process_id for r in deployment.replicas.values() if r.crashed)
+            assert crashed == ["c1/r0", "c1/r1", "c1/r2", "c1/r3"]
+        finally:
+            EVENT_TYPES.pop("region_crash", None)
 
 
 class TestRunner:
@@ -324,34 +561,3 @@ class TestRunner:
         assert set(row.stages) == {"stage1", "stage2", "stage3"}
         assert row.engine == "hotstuff"
         assert row.throughput > 0
-
-
-class TestReconfigClientRegion:
-    def test_default_region_follows_first_cluster(self):
-        deployment = build_deployment(
-            [(4, "asia-south1"), (4, "europe-west3")], config=fast_config(), client_threads=4
-        )
-        client = ReconfigurationClient("churn-client", deployment.simulator)
-        deployment.add_reconfig_client(client)
-        assert deployment.latency_model.region_of("churn-client") == "asia-south1"
-
-    def test_explicit_region_wins(self):
-        deployment = build_deployment(
-            [(4, "asia-south1")], config=fast_config(), client_threads=4
-        )
-        client = ReconfigurationClient("churn-client", deployment.simulator)
-        deployment.add_reconfig_client(client, region="europe-west3")
-        assert deployment.latency_model.region_of("churn-client") == "europe-west3"
-
-    def test_scenario_churn_region_flows_through(self):
-        deployment = (
-            Scenario("churn-region")
-            .clusters((4, "us-west1"), (4, "europe-west3"))
-            .config(**FAST)
-            .threads(4)
-            .churn_region("europe-west3")
-            .build()
-        )
-        client = ReconfigurationClient("churn-client", deployment.simulator)
-        deployment.add_reconfig_client(client)
-        assert deployment.latency_model.region_of("churn-client") == "europe-west3"
