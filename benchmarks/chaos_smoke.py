@@ -3,7 +3,7 @@
 CI's ``chaos-smoke`` job runs every E9 preset (gray leader, clock skew,
 flapping partition, region outage, congestion, RTT trace) at smoke scale
 and fails if **any** pinned qualitative assertion — including each
-scenario's serial-vs-sharded row parity — does not hold.  The flapping
+scenario's serial-vs-forked row parity — does not hold.  The flapping
 partition also runs at 10 simulated seconds (``FLAPPING_LONG_DURATION``).
 It then runs the same fixed-seed determinism probe as the perf suite and,
 with ``--compare``, gates on the committed fingerprint: the adversity layer

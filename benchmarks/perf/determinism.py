@@ -6,11 +6,11 @@ JSON (metrics, network counters, labels) plus the kernel event count, so
 *any* change to simulated behaviour — timing, ordering, delivery
 discipline — changes it.
 
-The probe also runs the same scenario once more with ``shards=2`` through
-the in-process conservative-parallel coordinator and compares byte-for-byte
-against the serial payload: the sharded kernel is an execution-strategy
-knob, never a semantics knob, and CI's perf-smoke job gates on that parity
-the same way it gates on repeatability.
+The probe also runs the same scenario once more on two forked shard workers
+(``run_sharded_parallel``) and compares byte-for-byte against the serial
+payload: splitting clusters across workers is an execution-strategy knob,
+never a semantics knob, and CI's perf-smoke job gates on that parity the
+same way it gates on repeatability.
 
 Since v4 the probe runs the whole battery a second time with the
 ``hotstuff_chained`` engine: its own fingerprint, repeatability and sharded
@@ -63,44 +63,50 @@ def _probe_spec(engine: str = "hotstuff", shards: int = 1):
         .seeds(7)
     )
     if shards > 1:
-        builder = builder.shards(shards)
+        builder = builder.shards(shards, parallel=True)
     return builder.spec()
 
 
 def _engine_battery(engine: str) -> Dict[str, object]:
-    """Two serial runs plus one 2-shard run of one engine's probe scenario."""
+    """Two serial runs plus one 2-worker forked run of one engine's probe scenario."""
     import json
 
-    def one_run(shards: int = 1) -> Tuple[str, Dict[str, int]]:
-        spec = _probe_spec(engine=engine, shards=shards)
-        deployment = spec.build()
-        metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
-        blob = json.dumps(
+    from repro.harness.parallel import run_sharded_parallel
+
+    def fingerprinted(metrics, stats, events: int) -> str:
+        return json.dumps(
             {
                 "summary": metrics.summary(),
-                "network": deployment.network.stats.snapshot(),
-                "events": deployment.kernel.events_processed,
+                "network": stats.snapshot(),
+                "events": events,
                 "operations": metrics.committed_count(),
             },
             sort_keys=True,
         )
+
+    def one_run() -> Tuple[str, Dict[str, int]]:
+        spec = _probe_spec(engine=engine)
+        deployment = spec.build()
+        metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
+        blob = fingerprinted(metrics, deployment.network.stats, deployment.simulator.events_processed)
         # The crypto work counters stay outside the fingerprinted blob: they
         # describe the simulator's own effort, not simulated behaviour, so
         # they are free to fall without a re-pin.
         return blob, deployment.registry.counters()
 
     def without_events(blob: str) -> str:
-        # The serial path processes its mailbox flushes as events; the
-        # sharded coordinator drains outboxes between windows instead, so
-        # the raw event count differs by design.  Everything observable —
-        # metrics, network counters, operations — must still match exactly.
+        # The serial path processes its mailbox flushes as events; forked
+        # workers drain outboxes between windows instead, so the raw event
+        # count differs by design.  Everything observable — metrics,
+        # network counters, operations — must still match exactly.
         data = json.loads(blob)
         data.pop("events", None)
         return json.dumps(data, sort_keys=True)
 
     first, crypto = one_run()
     second, _ = one_run()
-    sharded, _ = one_run(shards=2)
+    outcome = run_sharded_parallel(_probe_spec(engine=engine, shards=2))
+    sharded = fingerprinted(outcome.metrics, outcome.network_stats, outcome.events)
     payload = f"v{PROBE_VERSION}|{engine}|{first}".encode("utf-8")
     data = json.loads(first)
     operations = data["operations"]
@@ -119,7 +125,7 @@ def _engine_battery(engine: str) -> Dict[str, object]:
         ),
         "fingerprint": hashlib.sha256(payload).hexdigest(),
         "repeat_identical": first == second,
-        # Serial vs 2-shard coordinator, same seed: must be byte-identical.
+        # Serial vs two forked workers, same seed: must be byte-identical.
         "sharded_parity_identical": without_events(first) == without_events(sharded),
     }
 

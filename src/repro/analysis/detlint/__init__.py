@@ -1,13 +1,13 @@
 """detlint — static determinism & shard-safety analysis.
 
 The runtime guarantees this reproduction sells — byte-identical fixed-seed
-ResultRows, serial-vs-sharded parity across shard layouts, golden-pinned
+ResultRows, serial-vs-forked parity across worker layouts, golden-pinned
 wire/op — are enforced dynamically by minutes-long parity suites and the
 determinism probe.  ``detlint`` is their *static* complement: an AST
 analyzer that flags, at commit time and with a ``file:line`` pointer, the
 hazard classes that historically break those suites (stray RNGs outside
 ``sim/rng.py``, unsorted ``set`` iteration on scheduling paths,
-module-level mutable state shared across ``Shard``s, hot-path classes
+module-level mutable state outside the deployment, hot-path classes
 without ``__slots__``, unregistered protocol messages, spec dataclasses
 that cannot round-trip through JSON).
 

@@ -33,9 +33,10 @@ class LintConfig:
         package_root: Prefix of module paths that belong to the simulation
             package; rules never fire outside it (tests and benchmarks are
             scanned, but own none of these invariants directly).
-        shard_owned: Packages whose state lives inside per-cluster
-            ``Shard``s — where iteration order and module-level mutation
-            are serial-vs-sharded parity hazards (DET003/DET004/DET005).
+        shard_owned: Packages whose state a deployment owns and a forked
+            worker holds its slice of — where iteration order and
+            module-level mutation are serial-vs-forked parity hazards
+            (DET003/DET004/DET005).
         wallclock_exempt: Packages allowed to read the host clock: the
             harness measures real wall time (``ResultRow.wall_seconds``)
             and the analysis tools are offline (DET001).

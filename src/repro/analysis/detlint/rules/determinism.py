@@ -82,10 +82,11 @@ class RawRandomRule(Rule):
     """DET002: every stream derives from ``sim/rng.py``.
 
     A bare ``random.Random(seed)`` (or module-global ``random.random()``)
-    bypasses the namespaced seed-derivation scheme *and* the
-    ``strict_streams`` ownership audit: its draws are invisible to the
-    shard-ownership guard, so a component on shard A can silently consume
-    entropy interleaved with shard B and break serial-vs-sharded parity.
+    bypasses the namespaced seed-derivation scheme: its stream is not a
+    function of the component's name, so its draw sequence depends on which
+    other components share it — global event order in the serial kernel,
+    one worker's slice of it when forked — and breaks serial-vs-forked
+    parity.
     Simulation-time draws go through ``SeededRng``; configuration-time
     data synthesis goes through ``config_rng`` (same module), which keeps
     every generator construction site in one audited file.
@@ -352,22 +353,22 @@ _MUTABLE_CONSTRUCTORS = frozenset({"set", "dict", "list", "defaultdict", "Ordere
 
 @register
 class ModuleStateRule(Rule):
-    """DET004: module globals are shared across every Shard in-process.
+    """DET004: module globals escape the deployment that should own them.
 
-    Per-cluster ``Shard``s own *all* mutable simulation state — that
-    contract is what makes serial a pure special case of sharded.  A
-    module-level dict/list/set is invisible to that partitioning: in the
-    in-process interleaved mode every shard reads and writes the same
-    object in shard-schedule order, while forked workers each get a
-    private copy — two executions of "the same" state that can diverge.
-    Pure memo caches of deterministic values (digest interning, per-class
-    walkers) are parity-safe and carry inline suppressions with their
-    rationale; anything else must move into shard-owned state.
+    A ``Deployment`` owns *all* mutable simulation state — that contract is
+    what makes a forked worker's slice of a run equal the serial run's.  A
+    module-level dict/list/set is outside it: the serial kernel reads and
+    writes one object for every cluster (and hands it on to the next run in
+    the process), while each forked worker mutates a private copy — two
+    executions of "the same" state that can diverge.  Pure memo caches of
+    deterministic values (digest interning, per-class walkers) are
+    parity-safe and carry inline suppressions with their rationale;
+    anything else must move into deployment-owned state.
     """
 
     code = "DET004"
     title = "module-level mutable state in a shard-owned package"
-    hint = "move onto a Shard-owned object, or sanction a pure memo with an inline disable + rationale"
+    hint = "move onto a deployment-owned object, or sanction a pure memo with an inline disable + rationale"
 
     def check_module(self, module: ModuleFile, config: LintConfig) -> Iterator[Finding]:
         if not config.is_shard_owned(module.module_rel):

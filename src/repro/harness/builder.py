@@ -250,20 +250,16 @@ class Scenario:
         return self
 
     def shards(self, shards: int, parallel: bool = False) -> "Scenario":
-        """Pack clusters onto ``shards`` simulation shards.
+        """Split the clusters across ``shards`` forked worker processes.
 
         Results are byte-identical for every shard count; sharding only
-        changes how the work is executed.  With ``parallel=True`` the
-        shards run in worker processes (use for large multi-cluster
-        topologies where per-shard event work dominates the barrier cost).
+        changes how the work is executed.  The workers run only with
+        ``parallel=True`` (use for large multi-cluster topologies where
+        per-worker event work dominates the barrier cost); otherwise the
+        run is one kernel in this process and the count is inert.
         """
         self._spec.shards = int(shards)
         self._spec.shard_parallel = bool(parallel)
-        return self
-
-    def strict_streams(self, enabled: bool = True) -> "Scenario":
-        """Enable the RNG stream-ownership audit (raises on foreign draws)."""
-        self._spec.strict_streams = bool(enabled)
         return self
 
     def timeseries(self, bucket: float = 1.0) -> "Scenario":

@@ -5,6 +5,10 @@ paper: a set of clusters (with sizes and regions), a protocol configuration,
 one workload client per cluster, and optional fault/churn schedules.  After
 ``run()`` the attached :class:`~repro.harness.metrics.MetricsCollector`
 answers the questions the figures plot.
+
+A process runs exactly one kernel.  In-process, that kernel hosts every
+cluster; a forked shard worker (:mod:`repro.harness.parallel`) builds the
+same spec with ``local_shard`` set and hosts only its own clusters.
 """
 
 from __future__ import annotations
@@ -14,15 +18,14 @@ import gc
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
-from repro.core.replica import MODE_IDLE, HamavaReplica
+from repro.core.replica import MODE_ACTIVE, MODE_IDLE, HamavaReplica
 from repro.core.statemachine import ExecutionLedger
 from repro.errors import ConfigurationError
 from repro.harness.metrics import MetricsCollector
 from repro.net.adversity import CongestionModel
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
-from repro.net.network import Network, NetworkStats
-from repro.sim.sharded import ShardedSimulator
+from repro.net.network import Network
 from repro.sim.simulator import Simulator
 from repro.workload.clients import WorkloadClient
 from repro.workload.population import ClientPopulation, PopulationConfig
@@ -32,70 +35,30 @@ if TYPE_CHECKING:  # scenario.py imports this module; only the name is needed he
     from repro.harness.scenario import ScenarioSpec
 
 
-class Shard:
-    """One simulation shard: a serial kernel plus the state it owns.
-
-    Every mutable ingredient of the simulation — event queue, RNG streams
-    (each shard's :class:`Simulator` is seeded identically, so child streams
-    are layout-invariant), network ports and statistics, and the metrics
-    collector — hangs off exactly one shard, and so does the execution
-    ledger: the one copy of the total order its replicas execute (each
-    forked worker builds its own).  Clusters are assigned contiguously
-    (``position * shards // clusters``).
-    """
-
-    __slots__ = ("index", "simulator", "network", "metrics", "clusters", "ledger")
-
-    def __init__(self, index: int, simulator: Simulator, network: Network, metrics: MetricsCollector) -> None:
-        self.index = index
-        self.simulator = simulator
-        self.network = network
-        self.metrics = metrics
-        self.clusters: List[int] = []
-        self.ledger = ExecutionLedger()
-
-
-class _ShardedNetworkView:
-    """What callers read off "the network" when there are several: ``stats``,
-    merged from the per-shard counters on access."""
-
-    def __init__(self, shards: List[Shard]) -> None:
-        self._shards = shards
-
-    @property
-    def stats(self) -> NetworkStats:
-        merged = NetworkStats()
-        for shard in self._shards:
-            merged.merge(shard.network.stats)
-        return merged
-
-
 class Deployment:
     """A runnable simulated deployment of the replicated system.
 
-    With ``spec.shards == 1`` (the default) there is one shard whose
-    simulator/network/metrics are exposed directly as ``self.simulator`` /
-    ``self.network`` / ``self.metrics`` — the historical serial surface.
-    With more shards, clusters are packed contiguously onto per-shard serial
-    kernels coordinated by a :class:`ShardedSimulator`; ``self.kernel`` is
-    the object to drive in either case.
+    One :class:`Simulator` (also exposed as ``kernel``), one network, one
+    metrics collector and one execution ledger — the one copy of the total
+    order the replicas execute.
 
-    Shard-count invariance rests on two rules.  Message routing is decided
-    by *owner cluster*, never by shard: traffic between processes of
-    different clusters always goes through the cross-shard mailbox (under
-    one shard, a barrier-aligned flush event replays the coordinator's
-    exchange), while intra-cluster traffic always takes the fused fast
-    path.  And every shard's kernel is seeded identically, so any RNG
-    stream derives the same draws wherever its owner cluster lands.
+    Worker-count invariance rests on two rules.  Message routing is decided
+    by *owner cluster*: traffic between processes of different clusters
+    always goes through the cross-cluster mailbox (in-process, a
+    barrier-aligned flush event replays the forked workers' exchange),
+    while intra-cluster traffic always takes the fused fast path.  And every
+    worker's kernel is seeded identically, so any RNG stream derives the
+    same draws wherever its owner cluster runs.
 
     Args:
         spec: The scenario to build; read directly (its ``schedule`` is
             installed by :meth:`ScenarioSpec.build`, not here).
-        local_shard: When given, construct only that shard's processes and
-            register the rest as ghosts (placed in the latency model and key
-            registry so cross-shard envelopes sign/verify, but owning no
-            port).  Used by multiprocess shard workers; in-process callers
-            leave it ``None``.
+        local_shard: When given, construct only the processes of the
+            clusters ``spec.shards`` assigns to this worker (contiguously,
+            ``position * shards // clusters``) and register the rest as
+            ghosts (placed in the latency model and key registry so
+            cross-worker envelopes sign/verify, but owning no port).  Used
+            by forked shard workers; in-process callers leave it ``None``.
     """
 
     def __init__(self, spec: "ScenarioSpec", local_shard: Optional[int] = None) -> None:
@@ -104,61 +67,34 @@ class Deployment:
         self.replica_class = spec.compiled_replica_class()
         self.system_config = SystemConfig.build(spec.clusters)
         cluster_ids = self.system_config.cluster_ids()
-        self.num_shards = max(1, min(int(spec.shards or 1), len(cluster_ids)))
+        shards = max(1, min(int(spec.shards or 1), len(cluster_ids)))
         self.local_shard = local_shard
         self.registry = KeyRegistry(seed=spec.seed)
-        #: process id -> owner cluster id; shared with (and read by) every
-        #: shard's network, so it must be fully populated before any process
-        #: registers a port.
+        #: process id -> owner cluster id; read by the network, so it must
+        #: be fully populated before any process registers a port.
         self._owners: Dict[str, int] = {}
-        self._shard_of_cluster: Dict[int, int] = {}
-        for position, cluster_id in enumerate(cluster_ids):
-            self._shard_of_cluster[cluster_id] = position * self.num_shards // len(cluster_ids)
+        self._worker_of_cluster: Dict[int, int] = {
+            cluster_id: position * shards // len(cluster_ids)
+            for position, cluster_id in enumerate(cluster_ids)
+        }
         self._floor_schedule: Optional[List[Tuple[float, float]]] = None
         self._floor_starts: List[float] = []
         self._floor_schedule_resolved = False
 
-        self.shards: List[Shard] = []
-        latency_model: Optional[LatencyModel] = None
-        for index in range(self.num_shards):
-            simulator = Simulator(seed=spec.seed, strict_streams=spec.strict_streams)
-            if latency_model is None:
-                # One shared topology/placement model, built from shard 0's
-                # RNG so its jitter stream (used by direct one_way_latency
-                # callers, not the network) keeps its historical namespace.
-                latency_model = LatencyModel(simulator.rng, spec.latency)
-            network = Network(simulator, latency_model, self.registry, spec.network)
-            network.owners = self._owners
-            # One barrier grid for the single-shard flush, the coordinator
-            # and the forked workers alike.
-            network.next_barrier = self.next_barrier
-            self.shards.append(Shard(index, simulator, network, MetricsCollector()))
-        self.latency_model = latency_model
+        self.simulator = self.kernel = Simulator(seed=spec.seed)
+        self.latency_model = LatencyModel(self.simulator.rng, spec.latency)
+        self.network = Network(self.simulator, self.latency_model, self.registry, spec.network)
+        self.network.owners = self._owners
+        self.network.next_barrier = self.next_barrier
+        # A worker's mailbox is drained by the forked exchange; flushing it
+        # locally would deliver cross-worker envelopes to portless ghosts.
+        self.network.self_flush = local_shard is None
         if spec.rtt_trace is not None:
-            latency_model.set_trace(spec.rtt_trace)
+            self.latency_model.set_trace(spec.rtt_trace)
         if spec.congestion is not None:
-            # One shared model: utilization accumulators are keyed by the
-            # sender's owner cluster, and every process of a cluster lives
-            # on one shard, so sharing the object is layout-invariant.
-            congestion = CongestionModel(spec.congestion, latency_model)
-            for shard in self.shards:
-                shard.network.congestion = congestion
-        self.simulator = self.shards[0].simulator
-        if self.num_shards == 1:
-            self.network: object = self.shards[0].network
-            self.metrics = self.shards[0].metrics
-            self.kernel: object = self.simulator
-        else:
-            for shard in self.shards:
-                shard.network.self_flush = False
-            self.network = _ShardedNetworkView(self.shards)
-            self.metrics = MetricsCollector()
-            self.kernel = ShardedSimulator(
-                [shard.simulator for shard in self.shards],
-                [shard.network for shard in self.shards],
-                self._shard_of_process,
-                self.next_barrier,
-            )
+            self.network.congestion = CongestionModel(spec.congestion, self.latency_model)
+        self.metrics = MetricsCollector()
+        self.ledger = ExecutionLedger()
 
         self.replicas: Dict[str, HamavaReplica] = {}
         self.clients: List[WorkloadClient] = []
@@ -167,24 +103,14 @@ class Deployment:
         self._started = False
         self._build()
         for region_a, region_b, rtt_ms in spec.rtt_overrides:
-            latency_model.set_rtt(region_a, region_b, rtt_ms)
+            self.latency_model.set_rtt(region_a, region_b, rtt_ms)
 
     # ------------------------------------------------------------------ #
-    # Shard topology
+    # Worker topology
     # ------------------------------------------------------------------ #
-    def shard_of_cluster(self, cluster_id: int) -> Shard:
-        """The shard that owns a cluster's replicas and clients."""
-        return self.shards[self._shard_of_cluster[cluster_id]]
-
-    def _shard_of_process(self, process_id: str) -> int:
-        return self._shard_of_cluster[self._owners[process_id]]
-
-    def simulator_for(self, process_id: str) -> Simulator:
-        """The kernel events touching ``process_id`` must be scheduled on."""
-        cluster_id = self._owners.get(process_id)
-        if cluster_id is None:
-            return self.simulator
-        return self.shards[self._shard_of_cluster[cluster_id]].simulator
+    def is_local(self, cluster_id: int) -> bool:
+        """Whether this process builds and runs ``cluster_id``'s processes."""
+        return self.local_shard is None or self._worker_of_cluster[cluster_id] == self.local_shard
 
     def _resolve_floor_schedule(self) -> Optional[List[Tuple[float, float]]]:
         """The conservative lookahead: the cross-cluster latency floor(s).
@@ -202,9 +128,9 @@ class Deployment:
     def next_barrier(self, time: float) -> Optional[float]:
         """Smallest barrier strictly after ``time`` under the floor schedule.
 
-        The one barrier function: the single-shard flush, the in-process
-        coordinator and the forked workers all walk this grid, which is what
-        keeps their runs byte-identical.  Without a trace the schedule is one
+        The one barrier function: the in-process flush and the forked
+        workers' :func:`~repro.sim.sharded.run_windows` both walk this grid,
+        which is what keeps their runs byte-identical.  Without a trace the schedule is one
         segment starting at ``0.0`` and the grid is ``k * L`` for the
         smallest integer ``k`` with ``k * L > time`` — found by integer
         search, not division alone, so every caller lands on the *same*
@@ -253,23 +179,12 @@ class Deployment:
             for client_index in range(spec.clients_per_cluster):
                 self._owners[f"{prefix}{cluster_id}.{client_index}"] = cluster_id
         for cluster_id in self.system_config.cluster_ids():
-            shard = self.shard_of_cluster(cluster_id)
-            shard.clusters.append(cluster_id)
-            if self.local_shard is not None and shard.index != self.local_shard:
+            if not self.is_local(cluster_id):
                 self._register_ghost_cluster(cluster_id)
                 continue
             members = self.system_config.members(cluster_id)
             for index, replica_id in enumerate(members):
-                replica = self.replica_class(
-                    replica_id=replica_id,
-                    cluster_id=cluster_id,
-                    system_config=self.system_config,
-                    network=shard.network,
-                    simulator=shard.simulator,
-                    config=self.config,
-                    metrics=shard.metrics,
-                    ledger=shard.ledger,
-                )
+                replica = self._new_replica(replica_id, cluster_id)
                 replica.is_reporter = index == 0
                 region = spec.region_overrides.get(replica_id)
                 if region is not None:
@@ -277,16 +192,29 @@ class Deployment:
                 self.replicas[replica_id] = replica
             for client_index in range(spec.clients_per_cluster):
                 if spec.workload_model == "open":
-                    self._build_population(shard, cluster_id, client_index)
+                    self._build_population(cluster_id, client_index)
                 else:
-                    self._build_client(shard, cluster_id, client_index)
+                    self._build_client(cluster_id, client_index)
+
+    def _new_replica(self, replica_id: str, cluster_id: int, mode: str = MODE_ACTIVE) -> HamavaReplica:
+        return self.replica_class(
+            replica_id=replica_id,
+            cluster_id=cluster_id,
+            system_config=self.system_config,
+            network=self.network,
+            simulator=self.simulator,
+            config=self.config,
+            metrics=self.metrics,
+            mode=mode,
+            ledger=self.ledger,
+        )
 
     def _register_ghost_cluster(self, cluster_id: int) -> None:
-        """Place and key a remote shard's processes without building them.
+        """Place and key another worker's processes without building them.
 
-        A multiprocess shard worker still needs every remote process in the
+        A forked shard worker still needs every remote process in the
         shared latency model (pair constants, lookahead floor) and in the
-        key registry (verifying signatures on cross-shard envelopes); it
+        key registry (verifying signatures on cross-worker envelopes); it
         must *not* own their ports or schedule their events.
         """
         spec = self.spec
@@ -300,39 +228,39 @@ class Deployment:
             self.latency_model.place(client_id, region)
             self.registry.register(client_id)
 
-    def _build_client(self, shard: Shard, cluster_id: int, client_index: int) -> None:
+    def _build_client(self, cluster_id: int, client_index: int) -> None:
         spec = self.spec
         client_id = f"client{cluster_id}.{client_index}"
-        workload = YcsbWorkload(spec.workload, shard.simulator.rng.child(f"workload/{client_id}"))
+        workload = YcsbWorkload(spec.workload, self.simulator.rng.child(f"workload/{client_id}"))
         client = WorkloadClient(
             client_id=client_id,
-            simulator=shard.simulator,
-            network=shard.network,
+            simulator=self.simulator,
+            network=self.network,
             workload=workload,
             target_replicas=self.system_config.members(cluster_id),
             threads=spec.client_threads,
-            metrics=shard.metrics,
+            metrics=self.metrics,
             retry_timeout=self.config.retry_timeout,
         )
-        shard.network.register(client, self.system_config.region_of_cluster(cluster_id))
+        self.network.register(client, self.system_config.region_of_cluster(cluster_id))
         self.clients.append(client)
 
-    def _build_population(self, shard: Shard, cluster_id: int, client_index: int) -> None:
+    def _build_population(self, cluster_id: int, client_index: int) -> None:
         spec = self.spec
         client_id = f"population{cluster_id}.{client_index}"
-        workload = YcsbWorkload(spec.workload, shard.simulator.rng.child(f"workload/{client_id}"))
+        workload = YcsbWorkload(spec.workload, self.simulator.rng.child(f"workload/{client_id}"))
         config = spec.population.copy() if spec.population is not None else PopulationConfig()
         population = ClientPopulation(
             client_id=client_id,
-            simulator=shard.simulator,
-            network=shard.network,
+            simulator=self.simulator,
+            network=self.network,
             workload=workload,
             target_replicas=self.system_config.members(cluster_id),
             config=config,
-            metrics=shard.metrics,
+            metrics=self.metrics,
             retry_timeout=self.config.retry_timeout,
         )
-        shard.network.register(population, self.system_config.region_of_cluster(cluster_id))
+        self.network.register(population, self.system_config.region_of_cluster(cluster_id))
         self.populations.append(population)
 
     # ------------------------------------------------------------------ #
@@ -371,32 +299,12 @@ class Deployment:
         thresholds = gc.get_threshold()
         gc.set_threshold(100_000, thresholds[1], thresholds[2])
         try:
-            self.kernel.run_for(duration)
+            self.simulator.run_for(duration)
         finally:
             gc.set_threshold(*thresholds)
-        self.finalize_metrics()
-        self.metrics.set_window(warmup, self.kernel.now)
+        self.metrics.canonicalize()
+        self.metrics.set_window(warmup, self.simulator.now)
         return self.metrics
-
-    def finalize_metrics(self) -> None:
-        """Impose the canonical record order (merging shards first if any).
-
-        Rebuilt from the per-shard collectors on every call, so repeated
-        ``run()`` calls stay cumulative exactly like the serial path.
-        """
-        if self.num_shards == 1:
-            self.metrics.canonicalize()
-            return
-        master = self.metrics
-        master.transactions = []
-        master.rounds = []
-        master.reconfigs = []
-        master.joins_completed = []
-        master._completion_times = []
-        master.offered = 0
-        master.lease_hits = 0
-        master.lease_misses = 0
-        master.merge_from([shard.metrics for shard in self.shards])
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -439,36 +347,25 @@ class Deployment:
         """Create an idle replica that will request to join ``cluster_id``.
 
         Returns the new replica so callers can inspect it after the run
-        (``None`` from a shard worker when another shard owns the cluster).
+        (``None`` from a shard worker when another worker runs the cluster).
         """
         self._joiner_count += 1
         replica_id = replica_id or f"joiner{self._joiner_count}"
-        shard = self.shard_of_cluster(cluster_id)
-        # Joiners are owned by the cluster they join — in every shard
-        # layout, including the serial one, so their cross-cluster traffic
-        # is mailboxed identically everywhere.
+        # Joiners are owned by the cluster they join — in every worker
+        # layout, including the in-process one, so their cross-cluster
+        # traffic is mailboxed identically everywhere.
         self._owners[replica_id] = cluster_id
-        if self.local_shard is not None and shard.index != self.local_shard:
+        if not self.is_local(cluster_id):
             placement = region or self.system_config.region_of_cluster(cluster_id)
             self.latency_model.place(replica_id, placement)
             self.registry.register(replica_id)
             return None
-        replica = self.replica_class(
-            replica_id=replica_id,
-            cluster_id=cluster_id,
-            system_config=self.system_config,
-            network=shard.network,
-            simulator=shard.simulator,
-            config=self.config,
-            metrics=shard.metrics,
-            mode=MODE_IDLE,
-            ledger=shard.ledger,
-        )
+        replica = self._new_replica(replica_id, cluster_id, MODE_IDLE)
         if region is not None:
             self.latency_model.place(replica_id, region)
         self.replicas[replica_id] = replica
         replica.start()
-        shard.simulator.schedule_at(
+        self.simulator.schedule_at(
             at_time,
             lambda r=replica, cid=cluster_id: r.request_join(cid),
             label=f"join:{replica_id}",
@@ -478,11 +375,9 @@ class Deployment:
     def schedule_leave(self, replica_id: str, at_time: float) -> None:
         """Schedule an existing replica's leave request."""
         if replica_id not in self.replicas and self.local_shard is not None:
-            return  # owned by another shard's worker process
+            return  # owned by another worker process
         replica = self.replica(replica_id)
-        self.simulator_for(replica_id).schedule_at(
-            at_time, replica.request_leave, label=f"leave:{replica_id}"
-        )
+        self.simulator.schedule_at(at_time, replica.request_leave, label=f"leave:{replica_id}")
 
 
 __all__ = ["Deployment"]

@@ -704,7 +704,8 @@ class _E9Case:
         config: Timeout overrides.
         clusters: Topology (default: one 4-replica cluster in each of two
             regions).
-        parity_shards: Shard counts whose rows must equal the serial row.
+        parity_shards: Forked worker counts whose rows must equal the
+            serial row.
     """
 
     adversity: Callable[[Scenario, float, int], None]
@@ -719,7 +720,7 @@ class _E9Case:
 #: gray leader and commits continue; E9.2 the skewed run changes leader with
 #: no real fault while the control does not; E9.3/E9.4 drops occur and
 #: goodput recovers; E9.5 mean wire latency rises above the control's; E9.6
-#: the trace changes the run.  Every case also pins serial-vs-sharded parity.
+#: the trace changes the run.  Every case also pins serial-vs-forked parity.
 E9_CASES: Dict[str, _E9Case] = {
     "gray_leader": _E9Case(_gray_leader, _check_gray_leader),
     "clock_skew": _E9Case(_clock_skew, _check_clock_skew, control=True),
@@ -743,7 +744,7 @@ def run_e9(
 ) -> Row:
     """Run one E9 chaos preset (a key of :data:`E9_CASES`).
 
-    One shape for every case: the serial run, a sharded re-run per
+    One shape for every case: the serial run, a forked re-run per
     ``parity_shards`` whose row must serialize identically (the PR-7 parity
     contract extended to adversity scenarios), a fault-free control where
     the case compares against one, then the case's pinned assertions.
@@ -761,7 +762,7 @@ def run_e9(
             .duration(duration)
             .seed(seed)
             .timeseries(bucket=1.0)
-            .shards(shards)
+            .shards(shards, parallel=shards > 1)
         )
         if not suffix:
             case.adversity(builder, duration, seed)

@@ -4,17 +4,17 @@ A fault is *defined* in one place — its event class in
 :mod:`repro.harness.scenario`, which validates its fields and installs
 itself.  This module only knows how a fault reaches the simulation:
 
-* :meth:`FaultInjector.on_replica` — an effect on one named replica,
-  scheduled on the kernel of the shard that owns it;
+* :meth:`FaultInjector.on_replica` — an effect on one named replica;
 * :meth:`FaultInjector.on_cluster` — an effect on victims picked from the
   cluster's *live* ``(members, leader)`` when the fault fires (the leader
-  an earlier fault elected, a replica that joined since), on the kernel
-  that owns the cluster;
+  an earlier fault elected, a replica that joined since);
 * :meth:`FaultInjector.drop_window` — a drop rule installed, and healed,
-  on every shard at that shard's own virtual time, once or duty-cycled.
+  once or duty-cycled.
 
-:meth:`FaultInjector.cluster_cut` is the one drop rule shared by the steady
-and the flapping partition.
+A forked shard worker installs a replica or cluster fault only when it runs
+the target's cluster, and a drop window once, on its own kernel at its own
+virtual time.  :meth:`FaultInjector.cluster_cut` is the one drop rule
+shared by the steady and the flapping partition.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 from repro.core.replica import MODE_ACTIVE, MODE_IDLE, HamavaReplica
-from repro.errors import ConfigurationError
 from repro.harness.deployment import Deployment
 from repro.sim.simulator import Simulator
 
@@ -67,22 +66,18 @@ class FaultInjector:
     def on_replica(self, replica_id: str, at: float, label: str, effect: Effect) -> None:
         """Apply ``effect`` to one replica at virtual time ``at``.
 
-        The fault is scheduled on the kernel of the shard that *owns* the
-        replica (the owner map covers joiners and, in multiprocess workers,
-        replicas built by other workers), so in a shard worker only the
-        owning worker installs it — the rest no-op instead of silently
-        dropping a fault they cannot see.  The target is resolved again when
-        the fault fires; ids that name no known process raise everywhere.
+        The owner map covers joiners and, in forked workers, replicas built
+        by other workers: a worker that does not run the replica's cluster
+        no-ops instead of silently dropping a fault it cannot see.  The
+        target is resolved again when the fault fires; ids that name no
+        known process raise in every worker.
         """
         deployment = self.deployment
-        if deployment.local_shard is not None:
-            owner = deployment._owners.get(replica_id)
-            if owner is None:
-                raise ConfigurationError(f"unknown replica {replica_id!r}")
-            if deployment.shard_of_cluster(owner).index != deployment.local_shard:
-                return  # another shard's worker owns it and schedules the fault
+        owner = deployment._owners.get(replica_id)
+        if owner is not None and not deployment.is_local(owner):
+            return  # another worker runs it and schedules the fault
         deployment.replica(replica_id)  # unknown (and client) ids raise here
-        simulator = deployment.simulator_for(replica_id)
+        simulator = deployment.simulator
 
         def _fire() -> None:
             replica = deployment.replicas.get(replica_id)
@@ -101,7 +96,9 @@ class FaultInjector:
     ) -> None:
         """Apply ``effect`` to ``pick(members, leader)`` as they are at ``at``."""
         deployment = self.deployment
-        simulator = deployment.shard_of_cluster(cluster_id).simulator
+        if not deployment.is_local(cluster_id):
+            return  # another worker runs the cluster
+        simulator = deployment.simulator
 
         def _fire() -> None:
             for victim in pick(*self.cluster_state(cluster_id)):
@@ -147,25 +144,17 @@ class FaultInjector:
     ) -> None:
         """Drop what ``rule`` matches for ``duration``, ``cycles`` times.
 
-        Installed (and healed) on every shard at that shard's *own* virtual
-        time: drop decisions are made sender-side, and a shard may be up to
-        one lookahead window ahead of or behind its peers in wall order, so
-        a single global install event would misclassify the other shards'
-        sends near the boundary.
+        Drop decisions are made sender-side, so each forked worker installs
+        (and heals) the rule on its own kernel at its own virtual time.
         """
+        network, simulator = self.deployment.network, self.deployment.simulator
 
-        def _schedule_on(network, simulator) -> None:
-            def _install() -> None:
-                network.add_drop_rule(rule)
-                simulator.schedule(
-                    duration, lambda: network.remove_drop_rule(rule), label="fault:heal"
-                )
+        def _install() -> None:
+            network.add_drop_rule(rule)
+            simulator.schedule(duration, lambda: network.remove_drop_rule(rule), label="fault:heal")
 
-            for cycle in range(cycles):
-                simulator.schedule_at(at + cycle * period, _install, label=label)
-
-        for shard in self.deployment.shards:
-            _schedule_on(shard.network, shard.simulator)
+        for cycle in range(cycles):
+            simulator.schedule_at(at + cycle * period, _install, label=label)
 
 
 __all__ = ["FaultInjector"]

@@ -1,41 +1,34 @@
-"""Multiprocess execution of sharded deployments.
+"""Multiprocess execution of sharded deployments: one kernel per worker.
 
-The in-process :class:`~repro.sim.sharded.ShardedSimulator` interleaves the
-shards of one deployment on one CPU; this module runs the *same* window
-protocol across forked worker processes, one per shard, so a topology sweep
-actually uses multiple cores.
+The clusters of one deployment are split across forked worker processes,
+one per shard, so a topology sweep actually uses multiple cores.  Every
+worker rebuilds the full spec with ``local_shard=i``: it owns its clusters'
+processes and registers the rest as ghosts (placed in the latency model and
+key registry, so cross-worker envelopes verify and the lookahead floor is
+identical in every process).  Workers advance over the same barrier grid as
+the in-process flush (:func:`~repro.sim.sharded.run_windows` over
+``Deployment.next_barrier``), swapping cross-cluster mailboxes *directly
+with each other* at every barrier over a full mesh of pipes — an empty
+batch doubles as the null message that lets a peer advance.  Each worker
+splits its outbox by destination worker and injects what it receives in
+canonical ``(arrival, sender, xseq)`` order, which restricted to one
+worker's entries is that worker's slice of the in-process flush order: the
+results are byte-identical to the serial run of the same spec.
 
-Every worker rebuilds the full scenario spec with ``local_shard=i``: it owns
-its clusters' processes and registers the rest as ghosts (placed in the
-latency model and key registry, so cross-shard envelopes verify and the
-lookahead floor is identical in every process).  Workers then advance
-window by window over the very same conservative barrier grid as the
-in-process kernel, exchanging cross-shard mailboxes *directly with each
-other* at every barrier over a full mesh of pipes — an empty batch doubles
-as the null message that lets a peer advance.  Each worker splits its own
-outbox by destination shard (every worker derives the identical owner map
-from the spec), and sorts the union of the batches it receives; because the
-canonical ``(arrival, sender, xseq)`` order restricted to one shard's
-entries equals that shard's slice of the in-process coordinator's global
-injection order, results are byte-identical to serial and
-in-process-sharded execution of the same spec.
-
-The parent process only collects final results: each shard's metrics
-collector, network statistics, and population counters, merged by the same
-fold used in-process.  (Envelope signatures and certificates carry pickle
+The parent only merges the workers' metrics, network statistics and
+population counters.  (Envelope signatures and certificates carry pickle
 hooks that drop registry-identity memos; the receiving worker's key
 registry is a deterministic twin, so re-verification re-derives them.)
 
-Partition events (steady and flapping) are the one unsupported schedule
-feature: their drop rules read live replica state across clusters, which a
-worker process cannot see.  Specs containing partitions fall back to
-in-process sharded execution (still byte-identical, just not multi-core).
+Events that read live replicas of several clusters
+(:attr:`~repro.harness.scenario.ScenarioEvent.reads_all_clusters`, the
+steady and flapping partitions) cannot be split across workers; specs
+containing them run in one process (still byte-identical).
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import multiprocessing
 import traceback
 from dataclasses import dataclass
@@ -43,8 +36,9 @@ from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.harness.metrics import MetricsCollector
-from repro.harness.scenario import FlappingPartitionEvent, PartitionEvent, ScenarioSpec
+from repro.harness.scenario import ScenarioSpec
 from repro.net.network import NetworkStats
+from repro.sim.sharded import run_windows
 
 #: Seconds the parent waits on a worker's final result before declaring the
 #: run wedged.  Generous: it spans the whole simulation, not one window.
@@ -59,14 +53,12 @@ class ShardedOutcome:
     network_stats: NetworkStats
     population_stats: List[Dict[str, float]]
     engine: str
-    #: Simulation events processed across all shards (determinism probe).
+    #: Simulation events processed across all workers (determinism probe).
     events: int = 0
 
 
 def _supports_parallel(spec: ScenarioSpec) -> bool:
-    if any(
-        isinstance(event, (PartitionEvent, FlappingPartitionEvent)) for event in spec.schedule
-    ):
+    if any(event.reads_all_clusters for event in spec.schedule):
         return False
     try:
         multiprocessing.get_context("fork")
@@ -97,50 +89,58 @@ def _exchange(shard_index: int, peers: dict, batches: List[list]) -> List[tuple]
                 inbox.extend(incoming)
         except (EOFError, BrokenPipeError) as exc:
             raise SimulationError(f"shard peer {peer_index} died mid-window") from exc
-    inbox.sort()
     return inbox
 
 
+def _inject(network, inbox: List[tuple], window_start: float) -> None:
+    """Deliver a barrier's inbox in canonical order, checking the lookahead.
+
+    ``(arrival, sender, xseq)`` is a total order — identical to the
+    in-process flush's sort — so injection order, and with it every
+    receiver CPU slot, is worker-count invariant.  An envelope arriving
+    before the window it was sent in started means the destination already
+    ran past it: the lookahead was too large for the topology.
+    """
+    inbox.sort()
+    if inbox and inbox[0][0] < window_start:
+        arrival, sender = inbox[0][:2]
+        raise SimulationError(
+            f"conservative lookahead violated: cross-shard message from {sender!r} "
+            f"arrives at {arrival}, before the window start {window_start} "
+            "(lookahead too large for the topology)"
+        )
+    for arrival, _sender, _xseq, destination, envelope, fused in inbox:
+        network.deliver_cross(arrival, destination, envelope, fused)
+
+
 def _worker_main(conn, peers: dict, spec: ScenarioSpec, shard_index: int) -> None:
-    """One shard's window loop, synchronised with its peers at barriers."""
+    """One worker's window loop, synchronised with its peers at barriers."""
     try:
         deployment = spec.build(local_shard=shard_index)
-        shard = deployment.shards[shard_index]
-        simulator = shard.simulator
-        network = shard.network
-        route = deployment._shard_of_process
-        num_shards = len(deployment.shards)
+        network = deployment.network
+        worker_of_cluster, owners = deployment._worker_of_cluster, deployment._owners
+        workers = len(peers) + 1
+
+        def exchange(window_start: float) -> None:
+            batches: List[list] = [[] for _ in range(workers)]
+            for entry in network.take_outbox():
+                batches[worker_of_cluster[owners[entry[3]]]].append(entry)
+            _inject(network, _exchange(shard_index, peers, batches), window_start)
+
         deployment.start()
-        until = spec.duration
         thresholds = gc.get_threshold()
         gc.set_threshold(100_000, thresholds[1], thresholds[2])
-        now = 0.0
-        while True:
-            # Every worker derives the identical barrier sequence from the
-            # spec (see ``Deployment.next_barrier``).
-            barrier = deployment.next_barrier(now)
-            if barrier is None or barrier > until:
-                barrier = until
-            simulator.run(until=math.nextafter(barrier, -math.inf))
-            batches: List[list] = [[] for _ in range(num_shards)]
-            for entry in network.take_outbox():
-                batches[route(entry[3])].append(entry)
-            for entry in _exchange(shard_index, peers, batches):
-                network.deliver_cross(entry[0], entry[3], entry[4], entry[5])
-            now = barrier
-            if barrier >= until:
-                break
-        # Final inclusive pass: events at exactly ``until``.
-        simulator.run(until=until)
+        # Every worker derives the identical barrier sequence from the spec.
+        run_windows(deployment.simulator, deployment.next_barrier, spec.duration, exchange)
         gc.set_threshold(*thresholds)
         conn.send(
             (
                 "done",
                 {
-                    "metrics": shard.metrics,
-                    "stats": shard.network.stats,
+                    "metrics": deployment.metrics,
+                    "stats": network.stats,
                     "populations": [population.stats() for population in deployment.populations],
-                    "events": simulator.events_processed,
+                    "events": deployment.simulator.events_processed,
                 },
             )
         )
@@ -163,7 +163,7 @@ def _run_in_process(spec: ScenarioSpec) -> ShardedOutcome:
         network_stats=deployment.network.stats,
         population_stats=[population.stats() for population in deployment.populations],
         engine=deployment.config.engine,
-        events=deployment.kernel.events_processed,
+        events=deployment.simulator.events_processed,
     )
 
 

@@ -84,8 +84,8 @@ def run_scenario(spec: ScenarioSpec) -> ResultRow:
     """Build, execute, and summarize one scenario spec.
 
     ``shard_parallel`` specs run their shards in worker processes; the
-    resulting row is byte-identical to the in-process (serial or sharded)
-    execution of the same spec.
+    resulting row is byte-identical to the in-process execution of the
+    same spec.
     """
     if spec.shard_parallel and spec.shards > 1:
         from repro.harness.parallel import run_sharded_parallel

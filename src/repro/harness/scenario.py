@@ -77,6 +77,9 @@ class ScenarioEvent:
     """Base of every schedule event: the class is the event's whole story."""
 
     kind: ClassVar[str]
+    #: Whether the event's effect reads live replicas of more than one
+    #: cluster when it acts, which no single forked worker can see.
+    reads_all_clusters: ClassVar[bool] = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -232,6 +235,7 @@ class PartitionEvent(ScenarioEvent):
     """Drop all traffic between two clusters for ``duration`` seconds."""
 
     kind: ClassVar[str] = "partition"
+    reads_all_clusters: ClassVar[bool] = True  # its cluster_cut rule
 
     cluster_a: int
     cluster_b: int
@@ -339,6 +343,7 @@ class FlappingPartitionEvent(ScenarioEvent):
     """
 
     kind: ClassVar[str] = "flapping_partition"
+    reads_all_clusters: ClassVar[bool] = True  # its cluster_cut rule
 
     cluster_a: int
     cluster_b: int
@@ -374,7 +379,7 @@ class RegionOutageEvent(ScenarioEvent):
     Every message with exactly one endpoint placed in ``region`` is dropped
     (traffic *inside* the dark region still flows — the region lost its
     uplink, not its LAN).  Placement-based, so it correlates across all
-    clusters — and all shards — in the region at once.
+    clusters in the region at once.
     """
 
     kind: ClassVar[str] = "region_outage"
@@ -621,14 +626,12 @@ class ScenarioSpec:
             coordinates a figure plots against).
         replica_class: Replica implementation: a class, a ``"module:Class"``
             path, or ``None`` to use the preset's class.
-        shards: Simulation shards clusters are packed onto (clamped to the
-            cluster count).  Results are byte-identical for every value;
-            more shards only changes wall-clock behaviour.
-        shard_parallel: Run shards in worker *processes* (true parallelism)
-            instead of interleaving them in-process.  Requires
-            ``shards > 1``; results remain byte-identical.
-        strict_streams: Enable the RNG stream-ownership audit (draws from a
-            foreign shard's streams raise ``StreamOwnershipError``).
+        shards: Forked worker processes the clusters are split across
+            under ``shard_parallel`` (clamped to the cluster count).
+            Results are byte-identical for every value; without
+            ``shard_parallel`` the run is one kernel and this is inert.
+        shard_parallel: Run the ``shards`` in forked worker processes
+            (true parallelism).  Requires ``shards > 1``.
         rtt_trace: Optional trace-driven RTT schedule (piecewise-linear
             ``(time, rtt)`` segments per region pair); traced pairs are
             re-sampled every send instead of using the static matrix.
@@ -661,7 +664,6 @@ class ScenarioSpec:
     replica_class: Union[None, str, type] = None
     shards: int = 1
     shard_parallel: bool = False
-    strict_streams: bool = False
     rtt_trace: Optional[RttTrace] = None
     congestion: Optional[CongestionConfig] = None
 
@@ -721,8 +723,8 @@ class ScenarioSpec:
 
         Events are installed in list order, which fixes default joiner
         naming and the kernel's sequence numbers.  ``local_shard`` restricts
-        construction to one shard's processes (multiprocess shard workers
-        rebuild the same spec per worker).
+        construction to one worker's clusters (forked shard workers rebuild
+        the same spec per worker).
         """
         self.validate()
         injector = FaultInjector(Deployment(self, local_shard=local_shard))

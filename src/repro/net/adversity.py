@@ -28,7 +28,7 @@ requires every latency ingredient to be *shard-layout invariant*.
   evolve identically too.  The surcharge is non-negative and added *after*
   the latency floor clamp, so it can never undercut the lookahead and
   needs no barrier-grid changes.  No randomness is drawn anywhere in this
-  module at simulation time (``strict_streams`` stays clean).
+  module at simulation time.
 """
 
 from __future__ import annotations
@@ -255,10 +255,6 @@ class RttTrace:
                 f"got {type(payload).__name__}"
             )
         return cls.from_dict(payload)
-
-    def copy(self) -> "RttTrace":
-        """An independent deep copy."""
-        return RttTrace(segments={pair: list(series) for pair, series in self.segments.items()})
 
 
 @dataclass

@@ -296,19 +296,6 @@ class LatencyModel:
             pair = by_src[dst] = (base, base * self._jitter_fraction)
         return pair
 
-    def min_cross_group_floor(self, groups: Mapping[str, object]) -> Optional[float]:
-        """Smallest possible one-way latency between processes of different groups.
-
-        The minimum over :meth:`cross_group_floor_schedule` (a single
-        segment unless an RTT trace is installed): no message sent between
-        groups can ever arrive sooner than this.  Returns ``None`` when no
-        two processes belong to different groups.
-        """
-        schedule = self.cross_group_floor_schedule(groups)
-        if schedule is None:
-            return None
-        return min(floor for _, floor in schedule)
-
     def _cross_group_region_pairs(self, groups: Mapping[str, object]) -> List[Tuple[Region, Region]]:
         """Region pairs with processes in different groups (deduplicated)."""
         regions_by_group: Dict[object, set] = {}

@@ -217,9 +217,8 @@ class _Port:
             aliased into ``NetworkStats.link_latency`` (same object).
         owner: The owner-cluster key of this process (``None`` outside a
             deployment).  Messages between processes of *different* owner
-            clusters always take the cross-cluster mailbox, even under a
-            single-shard kernel, so routing never depends on the shard
-            layout.
+            clusters always take the cross-cluster mailbox, even in-process,
+            so routing never depends on the shard layout.
         xseq: Outbound cross-cluster sequence number; with the arrival time
             and sender id it gives mailbox entries a total order that every
             shard layout reproduces.
@@ -339,10 +338,9 @@ class Network:
         latency_model._invalidate_hooks.append(self._clear_route_memos)
         self.ports: Dict[str, _Port] = {}
         self.drop_rules: List[DropRule] = []
-        #: Owner-cluster map (process id -> cluster key), shared across all
-        #: shards of a deployment (assigned by the harness before any
-        #: registration).  Empty for standalone networks — no message then
-        #: takes the mailbox.
+        #: Owner-cluster map (process id -> cluster key), assigned by the
+        #: harness before any registration.  Empty for standalone networks —
+        #: no message then takes the mailbox.
         self.owners: Dict[str, object] = {}
         #: Cross-cluster mailbox: ``(arrival, sender, xseq, destination,
         #: envelope, fused)`` entries awaiting the next lookahead barrier.  The
@@ -350,17 +348,17 @@ class Network:
         #: layout reproduces, so injection order — and with it every
         #: receiver-CPU slot — is shard-count invariant.
         self.outbox: List[tuple] = []
-        #: Single-shard mode: the network drains its own mailbox with a
+        #: In-process mode: the network drains its own mailbox with a
         #: priority -1 flush event at each lookahead barrier, emulating the
-        #: coordinator's between-windows exchange without one.  Multi-shard
-        #: runs clear this and let the coordinator call ``take_outbox``.
+        #: forked workers' between-windows exchange.  A forked worker clears
+        #: this and drains ``take_outbox`` at its barriers instead.
         self.self_flush = True
         self._flush_pending = False
         #: The conservative barrier grid (``time -> smallest barrier strictly
         #: after it``, or ``None`` when no two owner clusters exist).  The
         #: deployment installs ``Deployment.next_barrier`` — the same function
-        #: the sharded coordinator and the forked workers walk, which is what
-        #: keeps serial and sharded runs byte-identical.
+        #: the forked workers walk, which is what keeps serial and forked
+        #: runs byte-identical.
         self.next_barrier: Optional[Callable[[float], Optional[float]]] = None
         #: Optional load-dependent latency surcharge (one shared
         #: :class:`~repro.net.adversity.CongestionModel` per deployment).
@@ -658,7 +656,7 @@ class Network:
         """Route-memo miss path: owner routing + pair constants, then cache.
 
         Messages between processes of different owner clusters always take
-        the cross-cluster mailbox — even under a single-shard kernel — so
+        the cross-cluster mailbox — even in-process — so
         delivery order never depends on how clusters are packed onto
         shards.  Processes without an owner (standalone networks, unit
         tests) never take the mailbox.  Returns ``None`` (and caches
@@ -728,14 +726,14 @@ class Network:
             self.simulator.schedule_at(barrier, self._flush_outbox, -1, "net:xflush")
 
     def _flush_outbox(self) -> None:
-        """Single-shard barrier: drain the mailbox in canonical order.
+        """In-process barrier: drain the mailbox in canonical order.
 
         Fires at priority -1, i.e. *before* any ordinary event scheduled at
-        the same barrier time — the exact position the multi-shard
-        coordinator injects at (between windows).  Every mailbox entry was
-        produced by an event strictly before the barrier (the flush is the
-        first thing to run at it), so draining everything matches the
-        coordinator's take-all exchange.
+        the same barrier time — the exact position the forked workers
+        inject at (between windows).  Every mailbox entry was produced by
+        an event strictly before the barrier (the flush is the first thing
+        to run at it), so draining everything matches the workers'
+        take-all exchange.
         """
         self._flush_pending = False
         batch = self.outbox
@@ -748,7 +746,7 @@ class Network:
             deliver(arrival, destination, envelope, fused)
 
     def take_outbox(self) -> List[tuple]:
-        """Detach and return the pending mailbox (coordinator mode)."""
+        """Detach and return the pending mailbox (forked-worker mode)."""
         batch = self.outbox
         if batch:
             self.outbox = []
@@ -759,14 +757,14 @@ class Network:
     ) -> None:
         """Inject a cross-cluster envelope at a barrier.
 
-        Runs on the destination's shard, in canonical mailbox order, so the
-        outcome is identical whichever shard the sender lived on.  On a
+        Runs in the destination's process, in canonical mailbox order, so
+        the outcome is identical whichever worker the sender lived in.  On a
         same-region link (``fused``) the receiver CPU slot is assigned here;
         on a cross-region link the barrier only schedules the arrival event,
         which takes the slot when the envelope lands.  The event is pushed
         directly (no past-time guard): a barrier can sit one ulp above an
-        arrival that equals it in real arithmetic, and both the single-shard
-        flush and the coordinator tolerate that identically.
+        arrival that equals it in real arithmetic, and both the in-process
+        flush and the forked workers tolerate that identically.
         """
         port = self.ports.get(destination)
         if port is None or not port.registered:

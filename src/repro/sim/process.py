@@ -40,13 +40,7 @@ class Process:
         #: Timers created through :meth:`new_timer`, kept so a later
         #: clock-skew fault reaches timers armed before it fired.
         self._timers: list = []
-        # Inherit the kernel RNG's owner so the stream-ownership audit
-        # (``strict_streams``) covers per-process streams too.
-        self.rng = SeededRng(
-            simulator.seed ^ stable_hash([process_id]),
-            f"process/{process_id}",
-            owner=simulator.rng.owner,
-        )
+        self.rng = SeededRng(simulator.seed ^ stable_hash([process_id]), f"process/{process_id}")
         self._started = False
 
     # ------------------------------------------------------------------ #

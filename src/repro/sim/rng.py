@@ -22,61 +22,22 @@ def _derive_seed(root_seed: int, namespace: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-#: The stream owner (a shard's kernel) currently executing, or ``None`` when
-#: no strict-mode kernel is running.  Set by :meth:`Simulator.run` when the
-#: kernel was built with ``strict_streams=True`` and checked on every draw of
-#: an *owned* stream — the RNG-ownership audit sharded determinism rests on.
-_ACTIVE_OWNER: object = None
-
-
-def set_active_owner(owner: object) -> object:
-    """Mark ``owner`` as the executing stream owner; returns the previous one.
-
-    Only the strict-streams debug mode calls this (from ``Simulator.run`` /
-    ``Simulator.step``), so the default simulation path pays nothing.
-    """
-    global _ACTIVE_OWNER
-    previous = _ACTIVE_OWNER
-    _ACTIVE_OWNER = owner
-    return previous
-
-
-class StreamOwnershipError(RuntimeError):
-    """A component drew from a stream owned by a different shard/kernel."""
-
-
 class SeededRng:
     """A namespaced wrapper around :class:`random.Random`.
 
     Args:
         seed: Root scenario seed.
         namespace: Label identifying the component that owns this stream.
-        owner: Optional stream owner (a shard's ``Simulator``).  When set,
-            and while *some* strict-mode kernel is executing, every draw
-            asserts that the executing kernel is this owner — catching a
-            component on shard A consuming entropy from shard B's streams,
-            which would silently break serial-vs-sharded parity.  ``None``
-            (the default) keeps the stream unguarded and free.
     """
 
-    def __init__(self, seed: int, namespace: str = "root", owner: object = None) -> None:
+    def __init__(self, seed: int, namespace: str = "root") -> None:
         self.seed = seed
         self.namespace = namespace
-        self.owner = owner
         self._random = random.Random(_derive_seed(seed, namespace))
-        if owner is not None:
-            # Route every public draw through the ownership guard.  The
-            # guarded stream is only built in strict/debug mode, so the
-            # per-draw overhead never touches a normal run.
-            self._random = _GuardedRandom(self._random, self)
 
     def child(self, namespace: str) -> "SeededRng":
-        """Return an independent stream for a sub-component.
-
-        Children inherit the parent's owner, so a guarded root guards the
-        whole derived tree (ports, workloads, populations, ...).
-        """
-        return SeededRng(self.seed, f"{self.namespace}/{namespace}", owner=self.owner)
+        """Return an independent stream for a sub-component."""
+        return SeededRng(self.seed, f"{self.namespace}/{namespace}")
 
     @property
     def raw_random(self) -> "Callable[[], float]":
@@ -84,8 +45,6 @@ class SeededRng:
 
         Hot paths bind this once and call it directly, skipping the wrapper
         frame per draw; it consumes the same stream as :meth:`random`.
-        Guarded streams return the checking wrapper instead, so binding
-        ``raw_random`` cannot be used to escape the strict-mode audit.
         """
         return self._random.random
 
@@ -129,50 +88,14 @@ class SeededRng:
         return base + self.uniform(-spread, spread)
 
 
-class _GuardedRandom:
-    """Ownership-checking proxy around a :class:`random.Random` instance.
-
-    Every attribute access returns a wrapper that asserts the executing
-    kernel (``_ACTIVE_OWNER``) matches the stream's owner before delegating.
-    Draws made while *no* strict kernel is executing (scenario construction,
-    post-run analysis) are allowed: ownership is about who draws during the
-    simulation, where cross-shard entropy leaks would corrupt parity.
-    """
-
-    __slots__ = ("_inner", "_rng")
-
-    def __init__(self, inner: random.Random, rng: "SeededRng") -> None:
-        self._inner = inner
-        self._rng = rng
-
-    def __getattr__(self, name: str):
-        method = getattr(self._inner, name)
-        if not callable(method):
-            return method
-        rng = self._rng
-
-        def guarded(*args, **kwargs):
-            active = _ACTIVE_OWNER
-            if active is not None and active is not rng.owner:
-                raise StreamOwnershipError(
-                    f"stream {rng.namespace!r} (owner {rng.owner!r}) was drawn "
-                    f"from while kernel {active!r} was executing; in a sharded "
-                    "run this draw would consume another shard's entropy and "
-                    "break serial-vs-sharded determinism"
-                )
-            return method(*args, **kwargs)
-
-        return guarded
-
-
 def config_rng(seed: int) -> random.Random:
     """A plain seeded generator for configuration-time data synthesis.
 
     Some inputs are *synthesized before the simulation exists* — e.g.
     :meth:`RttTrace.synthetic` builds a latency trace that is then frozen
     into the scenario spec.  Those sites need a reproducible stream but
-    have no kernel, no shard, and no ownership to audit, so a namespaced
-    :class:`SeededRng` would be ceremony without protection.  They still
+    have no kernel and no component namespace, so a :class:`SeededRng`
+    would be ceremony without protection.  They still
     must not scatter ``random.Random(seed)`` constructions around the
     tree: this factory is the single sanctioned way to obtain a raw
     generator outside this module (statically enforced by detlint DET002),
@@ -194,4 +117,4 @@ def stable_hash(items: Iterable[str]) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-__all__ = ["SeededRng", "StreamOwnershipError", "config_rng", "set_active_owner", "stable_hash"]
+__all__ = ["SeededRng", "config_rng", "stable_hash"]

@@ -16,7 +16,6 @@ from math import inf
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim import rng
 from repro.sim.events import ARG, CALLBACK, CANCELLED, TIME, Event, EventQueue
 from repro.sim.rng import SeededRng
 
@@ -226,14 +225,6 @@ class Simulator:
 
     Args:
         seed: Root seed for all randomness derived from this simulator.
-        strict_streams: Debug mode for the RNG-ownership audit.  When true,
-            every stream derived from :attr:`rng` is tagged with this kernel
-            as its owner, and while the loop is executing any *owned* stream
-            belonging to a different kernel raises
-            :class:`~repro.sim.rng.StreamOwnershipError` on a draw.  This is
-            the guard sharded determinism depends on: a component that
-            reaches across shards for entropy diverges silently otherwise.
-            Off by default (the guard costs a Python frame per draw).
 
     Typical usage::
 
@@ -242,11 +233,10 @@ class Simulator:
         sim.run(until=10.0)
     """
 
-    def __init__(self, seed: int = 0, strict_streams: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.seed = seed
-        self.strict_streams = strict_streams
-        self.rng = SeededRng(seed, "simulator", owner=self if strict_streams else None)
+        self.rng = SeededRng(seed, "simulator")
         self._queue = EventQueue()
         #: Zero-delay callbacks (``(callback, arg)`` pairs) that run at the
         #: *current* virtual time, after the currently executing event and
@@ -354,24 +344,19 @@ class Simulator:
         Pending microtasks (due *now*) are drained before the next event is
         popped and again after it fires, mirroring the run loop.
         """
-        previous_owner = rng.set_active_owner(self) if self.strict_streams else None
-        try:
-            self._drain_microtasks()
-            event = self._queue.pop()
-            if event is None:
-                return False
-            if event.time < self.now:
-                raise SimulationError(
-                    f"event scheduled at {event.time} popped after clock reached {self.now}"
-                )
-            self.now = event.time
-            self._events_processed += 1
-            event.fire()
-            self._drain_microtasks()
-            return True
-        finally:
-            if self.strict_streams:
-                rng.set_active_owner(previous_owner)
+        self._drain_microtasks()
+        event = self._queue.pop()
+        if event is None:
+            return False
+        if event.time < self.now:
+            raise SimulationError(
+                f"event scheduled at {event.time} popped after clock reached {self.now}"
+            )
+        self.now = event.time
+        self._events_processed += 1
+        event.fire()
+        self._drain_microtasks()
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or stopped.
@@ -400,10 +385,6 @@ class Simulator:
         # Infinity sentinels keep the per-event loop free of None checks.
         limit = inf if until is None else until
         budget = inf if max_events is None else max_events
-        # Strict-streams audit: mark this kernel as the executing stream
-        # owner for the duration of the loop (restored on exit, so nested
-        # shard windows driven by a coordinator stay correctly attributed).
-        previous_owner = rng.set_active_owner(self) if self.strict_streams else None
         try:
             while not self._stopped:
                 # Microtasks (0 ms loop-back deliveries) run at the current
@@ -454,8 +435,6 @@ class Simulator:
             # (nothing reads events_processed from inside a callback).
             self._events_processed += processed
             self._running = False
-            if self.strict_streams:
-                rng.set_active_owner(previous_owner)
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
         """Run for ``duration`` units of virtual time from the current clock."""

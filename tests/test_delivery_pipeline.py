@@ -112,7 +112,7 @@ class TestNoHeadOfLineBlocking:
             # A deployment's wiring: far's cluster differs from r's, so the
             # far -> r envelope rides the cross-cluster mailbox and is
             # injected at the barrier (0.0985) between its send and arrival.
-            floor = network.latency_model.min_cross_group_floor(owners)
+            floor = min(floor for _, floor in network.latency_model.cross_group_floor_schedule(owners))
             network.next_barrier = lambda time: (int(time / floor) + 1) * floor
         far, near = (AuthenticatedPerfectLink(name, network) for name in ("far", "near"))
         simulator.schedule_at(self.WAN_SENT, lambda: far.send("r", Note("wan")))
@@ -324,7 +324,7 @@ class TestOneSendRule:
         nodes = {name: Recorder(name, simulator) for name in self.WORLD}
         for name, (region, _) in self.WORLD.items():
             network.register(nodes[name], region)
-        floor = network.latency_model.min_cross_group_floor(owners)
+        floor = min(floor for _, floor in network.latency_model.cross_group_floor_schedule(owners))
         network.next_barrier = lambda time: (int(time / floor) + 1) * floor
         network.add_drop_rule(lambda sender, destination, payload: destination == "blocked")
         # With a flush already pending — as it is for all but the first

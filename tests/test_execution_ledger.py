@@ -1,4 +1,4 @@
-"""The shard-owned execution ledger: one copy of the total order, per-replica
+"""The deployment-owned execution ledger: one copy of the total order, per-replica
 windows onto it, and the always-on agreement check that comes with sharing it.
 """
 
@@ -58,7 +58,7 @@ class TestLedgerViews:
     def test_every_replica_of_a_deployment_reads_one_stored_order(self):
         deployment = small_deployment(seed=22)
         deployment.run(duration=1.0)
-        ledger = deployment.shards[0].ledger
+        ledger = deployment.ledger
         assert len(ledger.ids) > 100
         for replica in deployment.replicas.values():
             assert replica.kv.ledger is ledger
@@ -67,8 +67,7 @@ class TestLedgerViews:
             assert log == ledger.ids[: len(log)]
             assert replica.kv.applied_log == ledger.applied[: replica.kv.applied]
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_a_joined_replicas_log_starts_at_its_snapshot_point(self, shards):
+    def test_a_joined_replicas_log_starts_at_its_snapshot_point(self):
         spec = (
             Scenario("ledger-join")
             .clusters((4, "us-west1"), (4, "us-west1"))
@@ -77,7 +76,6 @@ class TestLedgerViews:
             .join(1, at=0.4)
             .duration(1.2)
             .seeds(5)
-            .shards(shards)
             .spec()
         )
         deployment = spec.build()

@@ -47,11 +47,11 @@ def fast_scenario(name: str, seed: int) -> Scenario:
     return Scenario(name).clusters(4, 4).engine("hotstuff").config(**FAST).threads(4).seed(seed)
 
 
-#: One row per way an event kind can be scheduled, on a two-shard deployment
-#: (cluster 0 on shard 0, cluster 1 on shard 1): the event, the kernel labels
-#: ``install()`` must schedule per shard — drop windows on every shard,
-#: replica- and cluster-scoped faults on the owning shard only — and the field
-#: values ``validate()`` must reject.
+#: One row per way an event kind can be scheduled, on a two-worker deployment
+#: (cluster 0 in worker 0, cluster 1 in worker 1): the event, the kernel labels
+#: ``install()`` must schedule per forked worker — drop windows in every
+#: worker, replica- and cluster-scoped faults in the owning worker only — and
+#: the field values ``validate()`` must reject.
 NEGATIVE_AT = {"at": -1.0}
 EVENT_CASES = [
     (JoinEvent(cluster=1, at=0.5, replica_id="n", region="asia-south1"), {1: ["join:n"]}, [NEGATIVE_AT]),
@@ -125,19 +125,18 @@ def _two_shard_spec(schedule) -> ScenarioSpec:
     )
 
 
-def _scheduled_labels(deployment):
-    """Fault/churn labels pending on each shard's kernel, in firing order."""
-    return {
-        shard.index: labels
-        for shard in deployment.shards
-        if (
-            labels := [
-                event.label
-                for event in sorted(shard.simulator._queue._heap)
-                if event.label.startswith(("fault:", "join:", "leave:"))
-            ]
-        )
-    }
+def _pending_labels(deployment):
+    """Fault/churn labels pending on the deployment's kernel, in firing order."""
+    return [
+        event.label
+        for event in sorted(deployment.simulator._queue._heap)
+        if event.label.startswith(("fault:", "join:", "leave:"))
+    ]
+
+
+def _worker_labels(spec):
+    """``worker -> pending labels`` of each forked worker's build (empty ones omitted)."""
+    return {index: labels for index in (0, 1) if (labels := _pending_labels(spec.build(local_shard=index)))}
 
 
 def _mutable_objects(value, seen=None):
@@ -235,7 +234,6 @@ class TestSerialization:
             replica_class="repro.core.replica:HamavaReplica",
             shards=2,
             shard_parallel=True,
-            strict_streams=True,
             rtt_trace=trace,
             congestion=CongestionConfig(
                 streams=[CrossTrafficStream("us-west1", "europe-west3", 1.0e7, start=0.2, stop=0.5)]
@@ -451,21 +449,32 @@ class TestEventTable:
             # ... and so the spec carrying it fails before anything is built.
             with pytest.raises(ConfigurationError):
                 _two_shard_spec([bad]).validate()
-        assert _scheduled_labels(_two_shard_spec([event]).build()) == labels
+        assert _worker_labels(_two_shard_spec([event])) == labels
+        # In process, one kernel: a drop window installs once, every other
+        # event exactly as in the worker that runs its target.
+        in_process = _pending_labels(_two_shard_spec([event]).build())
+        if isinstance(event, (PartitionEvent, FlappingPartitionEvent, RegionOutageEvent)):
+            assert in_process == labels[0] == labels[1]
+        else:
+            assert sorted(in_process) == sorted(sum(labels.values(), []))
 
     def test_a_drop_window_heals_itself_once_installed(self):
         spec = _two_shard_spec([PartitionEvent(cluster_a=0, cluster_b=1, at=0.1, duration=0.2)])
         deployment = spec.build()
         deployment.run(duration=0.15)
-        assert _scheduled_labels(deployment) == {0: ["fault:heal"], 1: ["fault:heal"]}
-        assert all(len(shard.network.drop_rules) == 1 for shard in deployment.shards)
+        assert _pending_labels(deployment) == ["fault:heal"]
+        assert len(deployment.network.drop_rules) == 1
         deployment.run(duration=0.2)
-        assert all(shard.network.drop_rules == [] for shard in deployment.shards)
+        assert deployment.network.drop_rules == []
+
+    def test_only_partitions_read_all_clusters(self):
+        flagged = {kind for kind, event in EVENT_TYPES.items() if event.reads_all_clusters}
+        assert flagged == {"partition", "flapping_partition"}
 
     def test_replica_fault_on_a_forked_worker_installs_on_the_owner_only(self):
         spec = _two_shard_spec([CrashEvent(at=0.5, replica="c1/r2")])
-        assert _scheduled_labels(spec.build(local_shard=0)) == {}
-        assert _scheduled_labels(spec.build(local_shard=1)) == {1: ["fault:crash:c1/r2"]}
+        assert _pending_labels(spec.build(local_shard=0)) == []
+        assert _pending_labels(spec.build(local_shard=1)) == ["fault:crash:c1/r2"]
         for local_shard in (None, 0, 1):
             with pytest.raises(ConfigurationError, match="c9/r9"):
                 _two_shard_spec([CrashEvent(at=0.5, replica="c9/r9")]).build(local_shard=local_shard)

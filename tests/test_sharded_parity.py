@@ -1,12 +1,12 @@
-"""Serial-vs-sharded result parity (the PR 7 hard requirement).
+"""Serial-vs-forked result parity (the PR 7 hard requirement).
 
-The cluster-sharded kernel must be a pure execution-strategy knob: for any
-fixed-seed scenario, the :class:`~repro.harness.runner.ResultRow` produced
-serially, with the in-process sharded coordinator, and with forked shard
-workers must be **byte-identical** (``to_json()`` equality, not approximate
-metric agreement).  The suite sweeps miniature versions of every paper
-experiment family E0–E8 plus the open-loop population presets, because each
-family exercises a different slice of the shard surface: multi-region
+Splitting clusters across forked shard workers must be a pure
+execution-strategy knob: for any fixed-seed scenario, the
+:class:`~repro.harness.runner.ResultRow` produced serially and with forked
+shard workers must be **byte-identical** (``to_json()`` equality, not
+approximate metric agreement).  The suite sweeps miniature versions of every
+paper experiment family E0–E8 plus the open-loop population presets, because
+each family exercises a different slice of the worker surface: multi-region
 latency, fault injection, joins/leaves, partitions, churn, RTT overrides,
 and population workloads.
 """
@@ -21,11 +21,9 @@ import pytest
 from helpers import silent_inter_scenario
 from repro.errors import SimulationError
 from repro.harness.builder import Scenario
-from repro.net.adversity import RttTrace
+from repro.harness.parallel import _inject
 from repro.harness.runner import ScenarioRunner, run_scenario
-from repro.sim.rng import StreamOwnershipError
-from repro.sim.sharded import ShardedSimulator
-from repro.sim.simulator import Simulator
+from repro.net.adversity import RttTrace
 
 
 def _row_json(spec) -> str:
@@ -383,19 +381,24 @@ FAMILIES = {
 
 
 class TestShardedParity:
-    """to_json() equality serial vs sharded across the experiment families."""
+    """to_json() equality serial vs forked workers across the experiment families.
+
+    ``partition`` and ``adv-flapping`` schedule events that read live
+    replicas of several clusters, so they run in one process by design;
+    their rows still go through the forked entry point.
+    """
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_family_rows_identical_at_two_and_four_shards(self, family):
         builder_fn = FAMILIES[family]
         serial = _row_json(builder_fn())
         for shards in (2, 4):
-            sharded = _row_json(_with_shards(builder_fn, shards))
-            assert sharded == serial, f"{family}: shards={shards} diverged from serial"
+            forked = _row_json(_with_shards(builder_fn, shards, parallel=True))
+            assert forked == serial, f"{family}: {shards} forked workers diverged from serial"
 
     def test_single_shard_spec_equals_unsharded(self):
-        # shards=1 must use the exact serial code path, not a 1-way coordinator.
-        assert _row_json(_with_shards(_e0_baseline, 1)) == _row_json(_e0_baseline())
+        # shards=1 runs in process even when parallel is asked for.
+        assert _row_json(_with_shards(_e0_baseline, 1, parallel=True)) == _row_json(_e0_baseline())
 
     def test_chained_single_shard_spec_equals_unsharded(self):
         assert _row_json(_with_shards(_chained_e0, 1)) == _row_json(_chained_e0())
@@ -418,6 +421,7 @@ class TestShardParallelWorkers:
         row = run_scenario(_three_regions_mixed_links())
         assert row.operations > 100
         serial = row.to_json()
+        # Without ``parallel`` the shard count is inert: one kernel.
         assert _row_json(_with_shards(_three_regions_mixed_links, 2)) == serial
         assert _row_json(_with_shards(_three_regions_mixed_links, 2, parallel=True)) == serial
 
@@ -442,7 +446,7 @@ class TestShardParallelWorkers:
 
     def test_partition_spec_falls_back_in_process_identically(self):
         # Partition drop rules read live replica state across clusters, so
-        # the parallel runner must fall back — and still match serial.
+        # the parallel runner runs it in one process — and still matches.
         serial = _row_json(_partition())
         assert _row_json(_with_shards(_partition, 4, parallel=True)) == serial
 
@@ -456,7 +460,7 @@ class TestShardParallelWorkers:
 
     def test_flapping_spec_falls_back_in_process_identically(self):
         # Flapping partitions share the steady-partition live-state problem:
-        # the parallel runner falls back in process, byte-identically.
+        # the parallel runner runs them in one process, byte-identically.
         serial = _row_json(_adv_flapping())
         assert _row_json(_with_shards(_adv_flapping, 4, parallel=True)) == serial
 
@@ -499,32 +503,6 @@ class TestSeedGridParallelism:
         assert [row.to_json() for row in rows] == [row.to_json() for row in reference]
 
 
-class TestStrictStreams:
-    """Satellite: the RNG stream-ownership audit mode."""
-
-    def test_e0_runs_clean_under_strict_streams(self):
-        audited = _e0_baseline()
-        audited.strict_streams = True
-        assert _row_json(audited) == _row_json(_e0_baseline())
-
-    def test_sharded_run_clean_under_strict_streams(self):
-        audited = _with_shards(_e0_baseline, 2)
-        audited.strict_streams = True
-        assert _row_json(audited) == _row_json(_e0_baseline())
-
-    def test_cross_owner_draw_raises(self):
-        own = Simulator(seed=1, strict_streams=True)
-        other = Simulator(seed=2, strict_streams=True)
-        foreign_stream = other.rng.child("foreign")
-
-        def probe():
-            foreign_stream.random()
-
-        own.schedule_at(0.1, probe, label="cross-owner-draw")
-        with pytest.raises(StreamOwnershipError):
-            own.run(until=1.0)
-
-
 class TestBarrierGrid:
     """``Deployment.next_barrier`` is the one barrier function; without an RTT
     trace its grid is ``k * L`` for the smallest integer ``k`` with
@@ -541,7 +519,8 @@ class TestBarrierGrid:
 
     def test_trace_free_schedule_reproduces_the_static_grid(self):
         deployment = _e1_multiregion().build()
-        lookahead = deployment.latency_model.min_cross_group_floor(deployment._owners)
+        schedule = deployment.latency_model.cross_group_floor_schedule(deployment._owners)
+        lookahead = min(floor for _, floor in schedule)
         assert lookahead > 0.0
         rng = random.Random(20)
         times = [rng.uniform(0.0, 300.0) for _ in range(1000)]
@@ -559,49 +538,21 @@ class TestBarrierGrid:
         assert deployment.next_barrier(0.0) is None
 
 
-class TestShardedSimulatorKernel:
-    """Unit coverage for the conservative coordinator itself."""
+class TestForkedExchange:
+    """Unit coverage for a forked worker's barrier injection."""
 
     def test_lookahead_violation_raises(self):
-        sims = [Simulator(seed=1), Simulator(seed=1)]
+        delivered = []
 
-        class FakePipeline:
-            def __init__(self):
-                self.batch = []
-
-            def take_outbox(self):
-                batch, self.batch = self.batch, []
-                return batch
-
+        class FakeNetwork:
             def deliver_cross(self, arrival, destination, envelope, fused):
-                pass
+                delivered.append(arrival)
 
-        pipelines = [FakePipeline(), FakePipeline()]
-
-        def emit():
-            # Arrival before the window being simulated: the destination
-            # shard already ran past it — a conservative violation.
-            pipelines[0].batch.append((0.1, "a", 0, "b", None, False))
-
-        sims[0].schedule_at(0.25, emit, label="bad-send")
-        kernel = ShardedSimulator(sims, pipelines, lambda pid: 1, lambda now: now + 0.2)
-        with pytest.raises(SimulationError):
-            kernel.run_for(1.0)
-
-    def test_events_processed_sums_over_shards(self):
-        sims = [Simulator(seed=1), Simulator(seed=2)]
-
-        class NullPipeline:
-            def take_outbox(self):
-                return []
-
-            def deliver_cross(self, arrival, destination, envelope, fused):
-                pass
-
-        for sim in sims:
-            for step in range(3):
-                sim.schedule_at(0.1 * (step + 1), lambda: None, label="tick")
-        kernel = ShardedSimulator(sims, [NullPipeline(), NullPipeline()], lambda pid: 0, lambda now: now + 0.5)
-        kernel.run_for(1.0)
-        assert kernel.events_processed == sims[0].events_processed + sims[1].events_processed
-        assert kernel.now == 1.0
+        # In canonical order, and nothing before the window start.
+        _inject(FakeNetwork(), [(0.3, "b", 0, "x", None, False), (0.2, "a", 0, "x", None, False)], 0.2)
+        assert delivered == [0.2, 0.3]
+        # Arrival before the window being simulated: the destination worker
+        # already ran past it — a conservative violation.
+        with pytest.raises(SimulationError, match="lookahead"):
+            _inject(FakeNetwork(), [(0.3, "b", 0, "x", None, False), (0.1, "a", 0, "x", None, False)], 0.2)
+        assert delivered == [0.2, 0.3]
