@@ -35,7 +35,7 @@ def test_e5_2_parallel_vs_single_workflow(benchmark):
     # single workflow's sequencing penalty barely shows while BRD's per-round
     # messages still cost something; we therefore only require the parallel
     # workflow to stay within noise of (or beat) the single workflow, and to
-    # keep applying reconfigurations throughout.  See EXPERIMENTS.md.
+    # keep applying reconfigurations throughout.
     assert by_variant["parallel"]["throughput"] >= 0.6 * by_variant["single"]["throughput"]
     assert by_variant["parallel"]["reconfigs_applied"] > 0
     assert by_variant["single"]["reconfigs_applied"] > 0

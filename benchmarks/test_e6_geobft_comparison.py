@@ -19,29 +19,17 @@ def _run(multi_region: bool):
 def _check_single_region(rows):
     rows = sorted(rows, key=lambda row: row["clusters"])
     few, many = rows[0], rows[-1]
-    # Fig. 6a: the paper shows GeoBFT's deep ordering pipeline ahead at few,
-    # large clusters, with the two systems converging as clusters shrink.
-    # Since the delivery pipeline gained a true 0 ms loop-back, our simulated
-    # AVA-HOTSTUFF is ahead at few clusters too: Hamava does not pipeline
-    # local ordering, so the old ~0.65 ms self-delivery hops (leader handling
-    # its own proposal, BRD aggregate, own shares) sat on its round's
-    # critical path and inflated its latency relative to GeoBFT, whose
-    # pipeline hid them.  We keep the *relative trend* assertions (GeoBFT
-    # gains ground as clusters grow, both systems within a band and scaling)
-    # and document the level deviation, as E6.2 already does for the
-    # multi-region sweep.
-    # The band widened from 0.7 after the quiet-round PR: eliding the empty
-    # reconfiguration exchange shortens Hamava's rounds, and GeoBFT — which
-    # runs no reconfiguration workflow at all — has nothing to elide, so
-    # AVA-HOTSTUFF pulls further ahead at few clusters (same level deviation
-    # as above, same preserved trends below).
+    # Fig. 6a shows GeoBFT ahead at few, large clusters; here it trails, for
+    # the measured cause asserted below (README "Protocol deviations").
     assert few["geobft_throughput"] > few["ava_hotstuff_throughput"] * 0.6
     ratio_few = few["geobft_throughput"] / max(few["ava_hotstuff_throughput"], 1e-9)
     ratio_many = many["geobft_throughput"] / max(many["ava_hotstuff_throughput"], 1e-9)
-    # GeoBFT gains relative ground as the cluster count grows (pipelining
-    # matters less, its edge at scale shows), and the two stay in one band.
+    # GeoBFT gains relative ground as the cluster count grows.
     assert ratio_many > ratio_few
-    assert ratio_many <= ratio_few * 1.5
+    # At few clusters GeoBFT's all-to-all ordering traffic is what holds it
+    # back: its local reads queue behind it on the receiver CPU.
+    assert few["geobft_messages"] > few["ava_hotstuff_messages"] * 3
+    assert few["geobft_read_latency"] > few["ava_hotstuff_read_latency"] * 2
     # Both systems scale with the number of clusters.
     assert many["ava_hotstuff_throughput"] > few["ava_hotstuff_throughput"]
 
@@ -52,7 +40,8 @@ def _check_multi_region(rows):
     # Fig. 6b: both systems keep scaling with the number of clusters when the
     # clusters are spread over three regions.  In our simulator AVA-HOTSTUFF
     # is ahead across the sweep here (the paper shows GeoBFT ahead at few
-    # clusters); see the deviation note in _check_single_region above.
+    # clusters).  Unlike E6.1's (README "Protocol deviations"), this level
+    # deviation is not attributed yet.
     assert many["ava_hotstuff_throughput"] > few["ava_hotstuff_throughput"]
     assert many["geobft_throughput"] > few["geobft_throughput"]
     assert all(row["geobft_throughput"] > 0 for row in rows)

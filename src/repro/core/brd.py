@@ -108,7 +108,9 @@ _KIND_NAMES = ("submit", "echo", "ready")
 #: re-walks the empty payload digest); the intern table builds each string
 #: once per process and shares it across replicas — and across the
 #: signature/token memos downstream, which key on the digest string's hash.
-_EMPTY_PHASE_DIGESTS: Dict[int, str] = {}  # detlint: disable=DET004 -- pure digest interning; the value for a key is the same in every process and shard layout
+#: Pure interning: the value for a key is the same in every process and
+#: shard layout.
+_EMPTY_PHASE_DIGESTS: Dict[int, str] = {}
 
 _EMPTY_PAYLOAD_DIGEST = payload_digest(())
 

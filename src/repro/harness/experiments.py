@@ -433,7 +433,11 @@ def run_e6(
     seed: int = 7,
     workers: int = 1,
 ) -> List[Row]:
-    """E6: AVA-HOTSTUFF vs GeoBFT across cluster counts (Fig. 6a/6b)."""
+    """E6: AVA-HOTSTUFF vs GeoBFT across cluster counts (Fig. 6a/6b).
+
+    The arms are Hamava over HotStuff and GeoBFT over BFT-SMaRt with
+    pipelined local ordering (the ``geobft`` preset fixes the engine).
+    """
     total_nodes = total_nodes if total_nodes is not None else default_nodes(48)
     duration = duration if duration is not None else default_duration(2.5)
     scenarios: List[Scenario] = []
@@ -465,6 +469,10 @@ def run_e6(
                 "geobft_throughput": geo.throughput,
                 "ava_hotstuff_latency": ava.latency_mean,
                 "geobft_latency": geo.latency_mean,
+                "ava_hotstuff_read_latency": ava.latency_read,
+                "geobft_read_latency": geo.latency_read,
+                "ava_hotstuff_messages": ava.network["messages_sent"],
+                "geobft_messages": geo.network["messages_sent"],
             }
         )
     return rows

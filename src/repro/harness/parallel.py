@@ -32,6 +32,7 @@ import gc
 import multiprocessing
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
@@ -43,6 +44,11 @@ from repro.sim.sharded import run_windows
 #: Seconds the parent waits on a worker's final result before declaring the
 #: run wedged.  Generous: it spans the whole simulation, not one window.
 _RESULT_TIMEOUT = 600.0
+
+#: Wall seconds a worker waits on one peer at one barrier before declaring
+#: that peer wedged.  A window is milliseconds of virtual time, so a minute
+#: of silence is a hang, not a slow peer.
+_BARRIER_TIMEOUT = 60.0
 
 
 @dataclass
@@ -67,14 +73,15 @@ def _supports_parallel(spec: ScenarioSpec) -> bool:
     return True
 
 
-def _exchange(shard_index: int, peers: dict, batches: List[list]) -> List[tuple]:
+def _exchange(shard_index: int, peers: dict, batches: List[list], window_start: float) -> List[tuple]:
     """One barrier's peer-to-peer mailbox swap; returns the merged inbox.
 
     Pairwise handshakes run in peer-index order with the lower-index side
     sending first — the sequence every worker agrees on, so no two workers
     ever block sending to each other (the classic pipe-buffer deadlock).
     An empty batch is still sent: it is the null message telling the peer
-    nothing earlier than the next barrier is coming.
+    nothing earlier than the next barrier is coming.  A peer silent for
+    :data:`_BARRIER_TIMEOUT` is wedged, and the error names it.
     """
     inbox = batches[shard_index]
     for peer_index in sorted(peers):
@@ -82,11 +89,16 @@ def _exchange(shard_index: int, peers: dict, batches: List[list]) -> List[tuple]
         try:
             if shard_index < peer_index:
                 conn.send(batches[peer_index])
-                inbox.extend(conn.recv())
-            else:
-                incoming = conn.recv()
+            if not conn.poll(_BARRIER_TIMEOUT):
+                raise SimulationError(
+                    f"shard {shard_index}: peer shard {peer_index} silent for "
+                    f"{_BARRIER_TIMEOUT} s wall at the barrier closing the window "
+                    f"that starts at {window_start}"
+                )
+            incoming = conn.recv()
+            if shard_index > peer_index:
                 conn.send(batches[peer_index])
-                inbox.extend(incoming)
+            inbox.extend(incoming)
         except (EOFError, BrokenPipeError) as exc:
             raise SimulationError(f"shard peer {peer_index} died mid-window") from exc
     return inbox
@@ -125,7 +137,7 @@ def _worker_main(conn, peers: dict, spec: ScenarioSpec, shard_index: int) -> Non
             batches: List[list] = [[] for _ in range(workers)]
             for entry in network.take_outbox():
                 batches[worker_of_cluster[owners[entry[3]]]].append(entry)
-            _inject(network, _exchange(shard_index, peers, batches), window_start)
+            _inject(network, _exchange(shard_index, peers, batches, window_start), window_start)
 
         deployment.start()
         thresholds = gc.get_threshold()
@@ -211,24 +223,32 @@ def run_sharded_parallel(spec: ScenarioSpec) -> ShardedOutcome:
         high_end.close()
 
     results: List[Optional[dict]] = [None] * num_shards
+    # First word from any worker: one that failed is heard at once, not
+    # after the workers ahead of it in index order (one may be wedged).
+    pending = {conn: index for index, conn in enumerate(conns)}
     try:
-        for index, conn in enumerate(conns):
-            if not conn.poll(_RESULT_TIMEOUT):
-                raise SimulationError(f"shard worker {index} did not finish in time")
-            try:
-                kind, payload = conn.recv()
-            except EOFError as exc:
-                raise SimulationError(f"shard worker {index} died mid-run") from exc
-            if kind == "error":
-                raise SimulationError(f"shard worker failed:\n{payload}")
-            results[index] = payload
+        while pending:
+            ready = wait(list(pending), timeout=_RESULT_TIMEOUT)
+            if not ready:
+                raise SimulationError(f"shard workers {sorted(pending.values())} did not finish in time")
+            for conn in ready:
+                index = pending.pop(conn)
+                try:
+                    kind, payload = conn.recv()
+                except EOFError as exc:
+                    raise SimulationError(f"shard worker {index} died mid-run") from exc
+                if kind == "error":
+                    raise SimulationError(f"shard worker failed:\n{payload}")
+                results[index] = payload
     finally:
         for conn in conns:
             conn.close()
         for worker in workers:
-            worker.join(timeout=30)
-            if worker.is_alive():  # pragma: no cover - defensive teardown
+            # After a failure the others may be wedged: do not wait on them.
+            worker.join(timeout=0 if pending else 30)
+            if worker.is_alive():
                 worker.terminate()
+                worker.join()
 
     metrics = MetricsCollector()
     metrics.merge_from([result["metrics"] for result in results])

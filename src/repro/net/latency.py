@@ -66,7 +66,9 @@ def canonical_region(region: Region) -> Region:
 TRIANGLE_HUB: Region = "us-west1"
 
 #: Region pairs already warned about (one warning per pair per process).
-_estimated_pairs: set = set()  # detlint: disable=DET004 -- warn-once dedup; never read by simulation logic, cannot affect results
+#: Warn-once dedup: never read by simulation logic, so it cannot affect
+#: results.
+_estimated_pairs: set = set()
 
 
 def _table_rtt(a: Region, b: Region, table: Mapping[Tuple[Region, Region], float]) -> Optional[float]:

@@ -32,17 +32,22 @@ from typing import Any, Dict, Optional, Tuple
 
 #: Per-class tuple of dataclass field names, so :meth:`Message.digest` does
 #: not re-run the ``dataclasses.fields`` machinery for every new instance.
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}  # detlint: disable=DET004 -- pure per-class memo of immutable field tuples; value depends only on the class
+#: A pure per-class memo of immutable field tuples: the value depends only
+#: on the class.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
 
-#: Per-class compiled digest walkers (see :func:`_compile_digest_fn`).
-_DIGEST_FNS: Dict[type, Any] = {}  # detlint: disable=DET004 -- pure per-class memo; the compiled walker is a deterministic function of the class
+#: Per-class compiled digest walkers (see :func:`_compile_digest_fn`).  A
+#: pure per-class memo: the compiled walker is a deterministic function of
+#: the class.
+_DIGEST_FNS: Dict[type, Any] = {}
 
 #: Per-class memo of the unbound ``digest`` method (or ``False``): spares the
 #: hot path one ``getattr`` + ``callable`` probe per field value.  Keyed on
 #: the class because ``digest`` is a class-level method where it exists
 #: (dataclass *fields* named ``digest``, e.g. ``Certificate.digest``, live on
-#: instances and correctly resolve to ``False`` here).
-_DIGEST_METHODS: Dict[type, Any] = {}  # detlint: disable=DET004 -- pure per-class memo; resolves to the same unbound method in every process
+#: instances and correctly resolve to ``False`` here).  A pure per-class
+#: memo: it resolves to the same unbound method in every process.
+_DIGEST_METHODS: Dict[type, Any] = {}
 
 
 #: Digest texts up to this many characters stand for themselves.

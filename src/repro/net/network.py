@@ -405,10 +405,6 @@ class Network:
         port = self.ports.get(process_id)
         return None if port is None else port.process
 
-    def known_processes(self) -> List[str]:
-        """Identifiers of all registered processes."""
-        return list(self.ports)
-
     def _purge_route(self, process_id: str) -> None:
         """Drop every cached route targeting ``process_id`` (rare: joins/leaves)."""
         for other in self.ports.values():

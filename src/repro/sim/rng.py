@@ -98,8 +98,11 @@ def config_rng(seed: int) -> random.Random:
     would be ceremony without protection.  They still
     must not scatter ``random.Random(seed)`` constructions around the
     tree: this factory is the single sanctioned way to obtain a raw
-    generator outside this module (statically enforced by detlint DET002),
-    which keeps every stream-construction site in one reviewed file.
+    generator outside this module, which keeps every stream-construction
+    site in one reviewed file.  Review enforces that; a draw from the
+    unseeded global ``random`` module fails the determinism gate
+    (``tests/test_determinism_gate.py``), whose two fresh processes then
+    disagree.
 
     The returned generator is seeded with ``seed`` directly (no namespace
     derivation), so migrating a call site from ``random.Random(seed)`` to

@@ -7,7 +7,9 @@ handed to the network (so a digest walked late equals one walked at send);
 an honest fault-free run never walks an envelope digest at all, and a
 remote leader change walks only its ``LComplaint`` quorum; and a forged or
 foreign signature passed in explicitly is still dropped at the link (that
-one sits with the other link checks in ``test_net_network.py``).
+one sits with the other link checks in ``test_net_network.py``).  The same
+populated instances also check that a message carrying a certificate bills
+its verification.
 """
 
 from __future__ import annotations
@@ -157,6 +159,26 @@ class TestLazyEqualsEager:
         assert shipped.verified_by is None
         # The receiving worker's registry is a deterministic twin.
         assert _registry().verify(shipped)
+
+    def test_certificate_carriers_bill_their_verification(self):
+        # Checking a certificate or a quorum of signatures is O(quorum); the
+        # default cost bills one verify, which undercounts receiver CPU.
+        def quorum(value):
+            if isinstance(value, tuple):
+                return any(isinstance(item, Signature) for item in value)
+            return isinstance(value, Certificate)
+
+        registry = _registry()
+        carriers = []
+        for message_type in MESSAGE_TYPES:
+            message = _instance(message_type, registry)
+            if any(quorum(getattr(message, spec.name)) for spec in fields(message)):
+                carriers.append(message_type)
+        assert {"BrdValid", "RComplaint", "HsPhase", "ChProposal", "BsDecide"} <= {
+            cls.__name__ for cls in carriers
+        }
+        unbilled = [cls.__name__ for cls in carriers if cls.verification_cost is Message.verification_cost]
+        assert unbilled == []
 
     def test_unknown_signer_rejected(self):
         from repro.errors import CryptoError

@@ -86,3 +86,19 @@ class TestLatencyModel:
         model.place("b", "asia-south1")
         values = {round(model.one_way_latency("a", "b"), 6) for _ in range(20)}
         assert len(values) > 1
+
+    def test_cross_group_pairs_are_sorted_and_deterministic(self):
+        model = self._model()
+        model.place("p1", "us-west1")
+        model.place("p2", "europe-west3")
+        model.place("p3", "asia-south1")
+        model.place("p4", "us-east1")
+        groups = {"p1": 0, "p2": 0, "p3": 1, "p4": 1}
+        pairs = model._cross_group_region_pairs(groups)
+        assert pairs == [
+            ("europe-west3", "asia-south1"),
+            ("europe-west3", "us-east1"),
+            ("us-west1", "asia-south1"),
+            ("us-west1", "us-east1"),
+        ]
+        assert pairs == model._cross_group_region_pairs(dict(reversed(groups.items())))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from typing import ClassVar
 
 import pytest
@@ -159,6 +159,23 @@ def _mutable_objects(value, seen=None):
     return seen
 
 
+def _assert_one_key_per_field(value, encoded, path):
+    """Every dataclass inside a spec encodes to a dict with a key per field.
+
+    A hand-written encoder that forgets a field loses the value silently,
+    and a round trip cannot tell while the field sits at its default.
+    """
+    if is_dataclass(value):
+        names = {spec_field.name for spec_field in fields(value)}
+        assert isinstance(encoded, dict), path
+        assert names <= set(encoded), f"{path} drops {sorted(names - set(encoded))}"
+        for name in names:
+            _assert_one_key_per_field(getattr(value, name), encoded[name], f"{path}.{name}")
+    elif isinstance(value, (list, tuple)) and isinstance(encoded, list):
+        for index, (item, item_encoded) in enumerate(zip(value, encoded)):
+            _assert_one_key_per_field(item, item_encoded, f"{path}[{index}]")
+
+
 class TestSerialization:
     def test_spec_round_trips_through_json(self):
         spec = (
@@ -247,6 +264,7 @@ class TestSerialization:
             )
             assert getattr(spec, spec_field.name) != default, f"{spec_field.name} left at its default"
         assert set(spec.to_dict()) == {spec_field.name for spec_field in fields(ScenarioSpec)}
+        _assert_one_key_per_field(spec, json.loads(spec.to_json()), "spec")
         spec.validate()
         for copied in (ScenarioSpec.from_json(spec.to_json()), spec.with_seed(5)):
             assert copied == spec

@@ -15,14 +15,19 @@ from __future__ import annotations
 
 import math
 import random
+import time
+from dataclasses import dataclass
+from typing import ClassVar
 
 import pytest
 
 from helpers import silent_inter_scenario
 from repro.errors import SimulationError
+from repro.harness import parallel
 from repro.harness.builder import Scenario
-from repro.harness.parallel import _inject
+from repro.harness.parallel import _inject, run_sharded_parallel
 from repro.harness.runner import ScenarioRunner, run_scenario
+from repro.harness.scenario import EVENT_TYPES, ScenarioEvent
 from repro.net.adversity import RttTrace
 
 
@@ -556,3 +561,29 @@ class TestForkedExchange:
         with pytest.raises(SimulationError, match="lookahead"):
             _inject(FakeNetwork(), [(0.3, "b", 0, "x", None, False), (0.1, "a", 0, "x", None, False)], 0.2)
         assert delivered == [0.2, 0.3]
+
+    def test_wedged_peer_fails_within_the_barrier_timeout_naming_it(self, monkeypatch):
+        @dataclass
+        class StallEvent(ScenarioEvent):
+            """Wedge the worker that runs ``cluster``: its kernel stops answering."""
+
+            kind: ClassVar[str] = "test_stall"
+            cluster: int
+            at: float
+
+            def install(self, injector, spec):
+                injector.on_cluster(
+                    self.cluster, self.at, "fault:stall", lambda members, leader: [leader],
+                    lambda replica, kernel: time.sleep(60.0),
+                )
+
+        try:
+            spec = _with_shards(_e1_multiregion, 2, parallel=True)
+            spec.schedule.append(StallEvent(cluster=0, at=0.3))
+            monkeypatch.setattr(parallel, "_BARRIER_TIMEOUT", 0.5)
+            started = time.monotonic()
+            with pytest.raises(SimulationError, match=r"shard 1: peer shard 0 silent .* window that starts at 0\.\d"):
+                run_sharded_parallel(spec)
+            assert time.monotonic() - started < 15.0
+        finally:
+            EVENT_TYPES.pop("test_stall", None)

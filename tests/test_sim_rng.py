@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.sim.rng import SeededRng, stable_hash
+import random
+
+from repro.sim.rng import SeededRng, config_rng, stable_hash
 
 
 class TestSeededRng:
@@ -50,3 +52,9 @@ class TestSeededRng:
 def test_stable_hash_is_deterministic():
     assert stable_hash(["a", "b"]) == stable_hash(["a", "b"])
     assert stable_hash(["a", "b"]) != stable_hash(["b", "a"])
+
+
+def test_config_rng_matches_plain_seeding():
+    ours = config_rng(123)
+    reference = random.Random(123)
+    assert [ours.random() for _ in range(5)] == [reference.random() for _ in range(5)]
