@@ -1,9 +1,10 @@
 """Regenerate the pinned fixed-seed goldens (``python -m tests.repin_goldens``).
 
-The E0 determinism goldens (``tests/goldens_e0.json``) pin a fixed-seed
-scenario's metrics summary, network counters, and kernel event count
-bit-for-bit.  Any change that alters simulated *timing* — not just real
-behaviour — breaks them by design.
+The E0 determinism goldens (``tests/goldens_e0.json``) hold one entry per
+consensus engine in ``ENGINES``, each over the same fixed-seed scenario:
+its metrics summary, network counters, and kernel event count, bit-for-bit.
+Any change that alters simulated *timing* — not just real behaviour —
+breaks them by design.
 
 Golden re-pin policy (also summarized in the README):
 
@@ -30,14 +31,14 @@ import sys
 GOLDENS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens_e0.json")
 
 
-def e0_spec():
-    """The fixed-seed E0-style scenario the goldens pin."""
+def e0_spec(engine: str = "hotstuff"):
+    """The fixed-seed E0-style scenario the goldens pin, on one engine."""
     from repro.harness.builder import Scenario
 
     return (
         Scenario("determinism-e0")
         .clusters(4, 4)
-        .engine("hotstuff")
+        .engine(engine)
         .threads(4)
         .duration(2.0, warmup=0.25)
         .seeds(7)
@@ -45,9 +46,9 @@ def e0_spec():
     )
 
 
-def compute_goldens() -> dict:
-    """Run the pinned scenario once and return the golden values."""
-    spec = e0_spec()
+def compute_entry(engine: str) -> dict:
+    """Run the pinned scenario once on ``engine`` and return its golden values."""
+    spec = e0_spec(engine)
     deployment = spec.build()
     metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
     stats = deployment.network.stats
@@ -62,7 +63,7 @@ def compute_goldens() -> dict:
         "scenario": {
             "name": spec.name,
             "clusters": [list(cluster) for cluster in spec.clusters],
-            "engine": "hotstuff",
+            "engine": engine,
             "threads": 4,
             "duration": 2.0,
             "warmup": 0.25,
@@ -75,8 +76,15 @@ def compute_goldens() -> dict:
     }
 
 
+def compute_goldens() -> dict:
+    """Every engine's golden values, keyed by engine name."""
+    from repro.consensus.registry import ENGINES
+
+    return {engine: compute_entry(engine) for engine in sorted(ENGINES)}
+
+
 def load_goldens() -> dict:
-    """The committed goldens (empty dict if never pinned)."""
+    """The committed goldens, keyed by engine name (empty dict if never pinned)."""
     if not os.path.exists(GOLDENS_PATH):
         return {}
     with open(GOLDENS_PATH, "r", encoding="utf-8") as handle:

@@ -294,8 +294,17 @@ class TestPayloadsStayImmutable:
 # Who reads an envelope digest
 # ---------------------------------------------------------------------- #
 class TestEnvelopeDigestReads:
-    def test_fault_free_run_reads_none(self):
-        spec = Scenario("no-reads").clusters(4, 4).threads(4).duration(1.0, warmup=0.1).seeds(7).spec()
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_fault_free_run_reads_none(self, engine):
+        spec = (
+            Scenario("no-reads")
+            .clusters(4, 4)
+            .engine(engine)
+            .threads(4)
+            .duration(1.0, warmup=0.1)
+            .seeds(7)
+            .spec()
+        )
         deployment = spec.build()
         metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
         counters = deployment.registry.counters()
