@@ -3,10 +3,10 @@
 Given 9 nodes in Asia and 5 in Europe, a homogeneous protocol must build two
 equal clusters, which forces one cluster to straddle the two continents.
 Hamava can align clusters with regions (setup 2) and even split the large
-region into two local clusters (setup 3).  The example measures all three
-setups — each setup is one declarative scenario, and the grid fans out over
-two worker processes — and prints the throughput/latency comparison of
-Fig. 4b/4c.
+region into two local clusters (setup 3).  The example runs the
+``e3_hotstuff`` row of the figures table — each setup is one declarative
+scenario, and the grid fans out over two worker processes — and prints the
+throughput/latency comparison of Fig. 4b/4c.
 
 Run with::
 
@@ -19,10 +19,8 @@ from repro.harness import experiments
 
 
 def main() -> None:
-    rows = experiments.run_e3(
-        engines=("hotstuff",), scales=(1, 2), duration=2.5, client_threads=12, workers=2
-    )
-    experiments.print_rows(rows, "Heterogeneity (E3) — AVA-HOTSTUFF")
+    rows = experiments.run_figure("e3_hotstuff", workers=2)
+    experiments.print_rows(rows, experiments.FIGURES["e3_hotstuff"].title)
     for scale in (1, 2):
         by_setup = {row["setup"]: row for row in rows if row["scale"] == scale}
         gain = by_setup["setup2"]["throughput"] / max(by_setup["setup1"]["throughput"], 1e-9)

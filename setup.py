@@ -24,7 +24,7 @@ setup(
     package_data={"repro": ["py.typed"]},
     install_requires=[],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
         "analysis": ["numpy"],
     },
 )

@@ -8,8 +8,8 @@ results.  Underneath, a :class:`Deployment` reads the spec and assembles
 simulator + network + replicas + clients, each schedule event installs
 itself through the :class:`FaultInjector`, and the
 :class:`MetricsCollector` answers the questions the paper's figures plot.
-Runners for every experiment in the evaluation (E0–E8) live in
-:mod:`repro.harness.experiments`.
+Every table and figure of the evaluation (Tables I/II, E0–E8) is a row of
+the ``FIGURES`` table in :mod:`repro.harness.experiments`.
 """
 
 from repro.harness.builder import Scenario

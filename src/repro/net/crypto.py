@@ -166,8 +166,8 @@ class MessageSignature(Signature):
 
     The first read is counted on the minting registry, by payload type
     (``envelope_digests_read``): the count of digest walks the link layer
-    still causes is a deterministic work counter, and the perf probe gates
-    on it.  Pickling (the forked shard workers' pipes) materialises digest
+    still causes is a deterministic work counter, and
+    ``tests/test_lazy_signatures.py::TestEnvelopeDigestReads`` gates on it.  Pickling (the forked shard workers' pipes) materialises digest
     and token and ships a plain :class:`Signature`.
     """
 

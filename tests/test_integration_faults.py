@@ -144,7 +144,7 @@ class TestChaosPack:
     @pytest.mark.parametrize("name", list(E9_CASES))
     def test_preset_assertions_and_forked_parity_hold(self, name):
         # 6 s is the smoke duration every preset's assertions were pinned
-        # at; passing it explicitly ignores REPRO_FULL / REPRO_DURATION.
+        # at (also run_e9's default, spelled out so the pin is visible here).
         row = run_e9(name, duration=6.0)
         assert row["passed"], row["assertions"]
 
