@@ -484,7 +484,10 @@ class HamavaReplica(Process):
         state = self._round_state
         if state.local_transactions is not None:
             return
-        state.local_transactions = list(decision.value)
+        # The decided value itself, not a copy: it is the batch object every
+        # replica of the cluster (and, in the leader's bundle, every remote
+        # executor) shares, so its execution plan is computed once.
+        state.local_transactions = decision.value
         state.local_txn_certificate = decision.certificate
         # Stage 1b (dissemination): submit our collected reconfiguration set
         # (a no-op beyond arming the timer when it already rode this view's
@@ -726,9 +729,8 @@ class HamavaReplica(Process):
         self.kv.begin_round(self.round_number)
         for cluster_id in execution_order:
             bundle = operations[cluster_id]
-            for transaction in bundle.transactions:
-                self._apply_transaction(transaction)
-                operation_count += 1
+            self._execute_batch(bundle.transactions)
+            operation_count += len(bundle.transactions)
             reconfigs = self._extract_reconfigs(bundle)
             for request in reconfigs:
                 self._apply_reconfig(cluster_id, request)
@@ -763,21 +765,35 @@ class HamavaReplica(Process):
         self.round_number += 1
         self.after(execution_delay, self._start_round, label=f"{self.process_id}:next-round")
 
-    def _apply_transaction(self, transaction: Transaction) -> None:
-        value = self.kv.apply(transaction)
-        was_ours = self._forwarded.pop(transaction.txn_id, None) is not None
-        # Respond if the client originally contacted us, or if the client
-        # retried the request through us after its original replica failed
-        # (clients de-duplicate responses by transaction id).
-        if was_ours or transaction.origin_replica == self.process_id:
-            if transaction.client_id in self._batch_clients:
+    def _execute_batch(self, transactions: List[Transaction]) -> None:
+        """Execute one cluster's decided batch and answer the clients we owe.
+
+        We respond to a transaction if its client contacted us, or — once,
+        at its first position — if the client retried it through us after
+        its original replica failed (clients de-duplicate responses by
+        transaction id).  The batch's plan is shared by every executor.
+        """
+        plan = self.kv.ledger.plan(transactions, self.round_number)
+        positions = plan.origins.get(self.process_id, ())
+        forwarded = self._forwarded
+        if forwarded:
+            retried = forwarded.keys() & plan.first_positions.keys()
+            if retried:
+                first_positions = plan.first_positions
+                for txn_id in retried:
+                    del forwarded[txn_id]
+                positions = sorted({*positions, *(first_positions[txn_id] for txn_id in retried)})
+        values = self.kv.execute(plan, positions)
+        batch_clients = self._batch_clients
+        for position, value in zip(positions, values):
+            transaction = transactions[position]
+            client_id = transaction.client_id
+            if client_id in batch_clients:
                 # Open-loop clients get their acks batched per execution.
-                self._pending_batch.setdefault(transaction.client_id, []).append(
-                    (transaction.txn_id, value)
-                )
-                return
+                self._pending_batch.setdefault(client_id, []).append((transaction.txn_id, value))
+                continue
             self.apl.send(
-                transaction.client_id,
+                client_id,
                 ClientResponse(
                     txn_id=transaction.txn_id,
                     value=value,

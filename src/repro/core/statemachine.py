@@ -8,15 +8,80 @@ key/value data plus a ``(start, cursor)`` window into that ledger.  The first
 replica to execute a position appends it, and every later one is checked
 against it — a replica whose next entry differs has violated Agreement and
 raises :class:`~repro.errors.AgreementViolation` on the spot, in every run.
+
+Stage 3 executes one decided batch at a time, and every executor of a batch
+does the same thing with it, so what a batch does is an
+:class:`ExecutionPlan`, computed once per batch and memoised in the ledger.
+A store executes a plan with a few slice operations: check and extend the
+ledger, answer the positions asked of it, ``dict.update`` its data.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.types import Transaction
+from repro.core.types import READ, Transaction
 from repro.errors import AgreementViolation
+
+
+class ExecutionPlan:
+    """What executing one batch does to any store, in order.
+
+    Shared by every executor of the batch, so treated as immutable.
+
+    Attributes:
+        transactions: The batch.
+        ids: Transaction ids, in order.
+        applied: ``(txn_id, key)`` of the writes, in order.
+        last_values: ``key -> value`` of the last write to each key, keys in
+            first-write order (so ``dict.update`` inserts them as a write
+            loop would).
+        origins: ``origin replica -> positions`` of the transactions it received.
+        first_positions: ``txn_id -> first position`` in the batch.
+        read_values: ``position -> value`` of each read whose key an earlier
+            write of the batch set.
+        round_number: The round that executes the batch (memo lifetime).
+    """
+
+    __slots__ = (
+        "transactions",
+        "ids",
+        "applied",
+        "last_values",
+        "origins",
+        "first_positions",
+        "read_values",
+        "round_number",
+    )
+
+    def __init__(self, transactions: Sequence[Transaction], round_number: int = 0) -> None:
+        ids: List[str] = []
+        applied: List[Tuple[str, str]] = []
+        last_values: Dict[str, str] = {}
+        origins: Dict[str, List[int]] = {}
+        first_positions: Dict[str, int] = {}
+        read_values: Dict[int, str] = {}
+        for position, transaction in enumerate(transactions):
+            txn_id = transaction.txn_id
+            key = transaction.key
+            ids.append(txn_id)
+            first_positions.setdefault(txn_id, position)
+            origins.setdefault(transaction.origin_replica, []).append(position)
+            if transaction.op == READ:
+                if key in last_values:
+                    read_values[position] = last_values[key]
+            else:
+                applied.append((txn_id, key))
+                last_values[key] = transaction.value or ""
+        self.transactions = transactions
+        self.ids = ids
+        self.applied = applied
+        self.last_values = last_values
+        self.origins = origins
+        self.first_positions = first_positions
+        self.read_values = read_values
+        self.round_number = round_number
 
 
 class ExecutionLedger:
@@ -29,15 +94,49 @@ class ExecutionLedger:
         round_starts: ``round -> (len(ids), len(applied))`` when the first
             replica began executing that round; a joining replica, which
             adopts a snapshot taken at a round boundary, starts there.
+        plans: ``id(batch) -> ExecutionPlan`` of the batches being executed;
+            a plan holds its batch, so the id cannot be reused while it is
+            memoised.  Plans of rounds before the previous one are dropped.
     """
 
-    __slots__ = ("ids", "index", "applied", "round_starts")
+    __slots__ = ("ids", "index", "applied", "round_starts", "plans")
 
     def __init__(self) -> None:
         self.ids: List[str] = []
         self.index: Dict[str, int] = {}
         self.applied: List[Tuple[str, str]] = []
         self.round_starts: Dict[int, Tuple[int, int]] = {}
+        self.plans: Dict[int, ExecutionPlan] = {}
+
+    def plan(self, transactions: Sequence[Transaction], round_number: int) -> ExecutionPlan:
+        """The plan of a decided batch, shared by every executor of that batch object."""
+        plan = self.plans.get(id(transactions))
+        if plan is None:
+            plan = self.plans[id(transactions)] = ExecutionPlan(transactions, round_number)
+        return plan
+
+    def forget_plans(self, before_round: int) -> None:
+        """Drop the plans made for rounds before ``before_round``."""
+        plans = self.plans
+        for key in [key for key, plan in plans.items() if plan.round_number < before_round]:
+            del plans[key]
+
+
+def _extend(log: list, start: int, entries: list, what: str) -> int:
+    """Append what ``log`` lacks of ``entries`` placed at ``start``; returns how many it held.
+
+    Raises :class:`AgreementViolation` naming the first ledger position
+    where ``log`` holds something else.
+    """
+    known = log[start : start + len(entries)]
+    for offset, (ours, theirs) in enumerate(zip(entries, known)):
+        if ours != theirs:
+            raise AgreementViolation(
+                f"{what} position {start + offset}: this replica executes "
+                f"{ours!r} where another executed {theirs!r}"
+            )
+    log.extend(entries[len(known) :])
+    return len(known)
 
 
 class LedgerView(Sequence):
@@ -114,42 +213,48 @@ class KeyValueStore:
 
     def begin_round(self, round_number: int) -> None:
         """Note where ``round_number`` starts in the ledger (first executor wins)."""
-        starts = self.ledger.round_starts
+        ledger = self.ledger
+        starts = ledger.round_starts
         if round_number not in starts:
             starts[round_number] = (self._cursor, self._applied_start + self.applied)
+            ledger.forget_plans(round_number - 1)
 
-    def apply(self, transaction: Transaction) -> Optional[str]:
-        """Execute the next transaction of the total order; returns the response value."""
+    def execute(self, plan: ExecutionPlan, positions: Iterable[int] = ()) -> List[Optional[str]]:
+        """Execute the next batch of the total order.
+
+        Returns the response value of each transaction at ``positions``: a
+        write answers with its value, a read with what it reads.
+        """
         ledger = self.ledger
-        txn_id = transaction.txn_id
-        position = self._cursor
         ids = ledger.ids
-        if position == len(ids):
-            ids.append(txn_id)
-            ledger.index.setdefault(txn_id, position)
-        elif ids[position] != txn_id:
-            raise AgreementViolation(
-                f"execution position {position}: this replica executes {txn_id!r} "
-                f"where another executed {ids[position]!r}"
-            )
-        self._cursor = position + 1
-        key = transaction.key
-        if transaction.is_read:
-            return self.data.get(key)
-        self.data[key] = transaction.value or ""
-        position = self._applied_start + self.applied
-        applied = ledger.applied
-        if position == len(applied):
-            applied.append((txn_id, key))
-        else:
-            entry = applied[position]
-            if entry[0] != txn_id or entry[1] != key:
-                raise AgreementViolation(
-                    f"applied-write position {position}: this replica writes "
-                    f"{(txn_id, key)!r} where another wrote {entry!r}"
-                )
-        self.applied += 1
-        return transaction.value
+        cursor = self._cursor
+        entries = plan.ids
+        # One C-level slice comparison per log; only the batch's first
+        # executor (or a diverging one) takes the slow path.
+        if ids[cursor : cursor + len(entries)] != entries:
+            index = ledger.index
+            for offset in range(_extend(ids, cursor, entries, "execution"), len(entries)):
+                index.setdefault(entries[offset], cursor + offset)
+        self._cursor = cursor + len(entries)
+        writes = plan.applied
+        applied_at = self._applied_start + self.applied
+        if ledger.applied[applied_at : applied_at + len(writes)] != writes:
+            _extend(ledger.applied, applied_at, writes, "applied-write")
+        self.applied += len(writes)
+        data = self.data
+        transactions = plan.transactions
+        read_values = plan.read_values
+        values: List[Optional[str]] = []
+        for position in positions:
+            transaction = transactions[position]
+            if transaction.op != READ:
+                values.append(transaction.value)
+            elif position in read_values:
+                values.append(read_values[position])
+            else:
+                values.append(data.get(transaction.key))
+        data.update(plan.last_values)
+        return values
 
     def read(self, key: str) -> Optional[str]:
         """Read a key without going through a transaction."""
@@ -181,4 +286,4 @@ class KeyValueStore:
         return (len(self.data), self.applied)
 
 
-__all__ = ["ExecutionLedger", "KeyValueStore", "LedgerView"]
+__all__ = ["ExecutionLedger", "ExecutionPlan", "KeyValueStore", "LedgerView"]

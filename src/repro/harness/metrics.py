@@ -20,9 +20,9 @@ from math import ceil
 from typing import Dict, List, Optional, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionRecord:
-    """One completed client operation."""
+    """One completed client operation (one is allocated per operation)."""
 
     txn_id: str
     op: str

@@ -19,14 +19,15 @@ from repro.consensus.leader_election import LeaderElection
 from repro.consensus.registry import ENGINES
 from repro.core.brd import ByzantineReliableDissemination
 from repro.core.messages import CORE_MESSAGE_TYPES
-from repro.core.statemachine import ExecutionLedger, KeyValueStore, LedgerView
+from repro.core.statemachine import ExecutionLedger, ExecutionPlan, KeyValueStore, LedgerView
+from repro.harness.metrics import TransactionRecord
 from repro.net.crypto import MessageSignature, Signature
 from repro.net.message import Envelope, Message
 from repro.net.network import _Port
 from repro.sim.events import Event, EventQueue
 from repro.sim.simulator import DeadlinePool, PooledTimer, Timer
 
-#: Classes allocated per event, message, signature or operation.  A
+#: Classes allocated per event, message, signature, batch or operation.  A
 #: ``__dict__`` costs each instance ~100 bytes and a pointer chase on every
 #: attribute read.  (``Message`` is not listed: its digest and size memos
 #: live in the instance ``__dict__``.)
@@ -41,8 +42,10 @@ HOT_PATH_CLASSES = (
     MessageSignature,
     _Port,
     ExecutionLedger,
+    ExecutionPlan,
     LedgerView,
     KeyValueStore,
+    TransactionRecord,
 )
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import ClusterSpec, HamavaConfig, SystemConfig, failure_threshold
 from repro.core.messages import ReconfigAck, RequestJoin, RequestLeave
 from repro.core.reconfiguration import ReconfigurationCollector, RequestTracker
-from repro.core.statemachine import KeyValueStore
+from repro.core.statemachine import ExecutionPlan, KeyValueStore
 from repro.core.types import (
     OperationsBundle,
     Transaction,
@@ -119,33 +119,38 @@ class TestTransactionsAndBundles:
         assert bundle.size_bytes() > 1024
 
 
+def apply(store, transaction):
+    """Execute a one-transaction batch; returns its response value."""
+    return store.execute(ExecutionPlan([transaction]), [0])[0]
+
+
 class TestKeyValueStore:
     def test_write_then_read(self):
         store = KeyValueStore()
-        store.apply(make_transaction("c", "r", "write", "k", "v1"))
+        apply(store, make_transaction("c", "r", "write", "k", "v1"))
         assert store.read("k") == "v1"
         assert store.applied == 1
 
     def test_read_returns_current_value(self):
         store = KeyValueStore()
         txn = make_transaction("c", "r", "read", "missing")
-        assert store.apply(txn) is None
+        assert apply(store, txn) is None
 
     def test_snapshot_restore_roundtrip(self):
         store = KeyValueStore()
-        store.apply(make_transaction("c", "r", "write", "a", "1"))
+        apply(store, make_transaction("c", "r", "write", "a", "1"))
         snapshot = store.snapshot()
         other = KeyValueStore()
         other.restore(snapshot)
         assert other.read("a") == "1"
         # Restoring is a copy, not an alias.
-        store.apply(make_transaction("c", "r", "write", "a", "2"))
+        apply(store, make_transaction("c", "r", "write", "a", "2"))
         assert other.read("a") == "1"
 
     def test_fingerprint_tracks_writes(self):
         store = KeyValueStore()
         assert store.fingerprint() == (0, 0)
-        store.apply(make_transaction("c", "r", "write", "a", "1"))
+        apply(store, make_transaction("c", "r", "write", "a", "1"))
         assert store.fingerprint() == (1, 1)
 
 

@@ -10,7 +10,8 @@ import tracemalloc
 import pytest
 
 from helpers import small_deployment
-from repro.core.statemachine import ExecutionLedger, KeyValueStore, LedgerView
+from repro.core import statemachine
+from repro.core.statemachine import ExecutionLedger, ExecutionPlan, KeyValueStore, LedgerView
 from repro.core.types import Transaction
 from repro.errors import AgreementViolation
 from repro.harness.builder import Scenario
@@ -29,10 +30,8 @@ class TestLedgerViews:
         batch = [txn(i, op="read" if i % 3 == 0 else "write", key=f"k{i % 4}") for i in range(10)]
         ids = [t.txn_id for t in batch]
         writes = [(t.txn_id, t.key) for t in batch if not t.is_read]
-        for transaction in batch:
-            ahead.apply(transaction)
-        for transaction in batch[:4]:
-            behind.apply(transaction)
+        ahead.execute(ExecutionPlan(batch))
+        behind.execute(ExecutionPlan(batch[:4]))
 
         log = ahead.execution_log
         assert isinstance(log, LedgerView)
@@ -100,18 +99,47 @@ class TestAgreementOracle:
     def test_a_replica_that_executes_a_different_transaction_raises(self):
         ledger = ExecutionLedger()
         first, second = KeyValueStore(ledger), KeyValueStore(ledger)
-        first.apply(txn(1))
-        first.apply(txn(2))
-        second.apply(txn(1))
+        first.execute(ExecutionPlan([txn(1), txn(2)]))
+        second.execute(ExecutionPlan([txn(1)]))
         with pytest.raises(AgreementViolation, match="position 1"):
-            second.apply(txn(3))
+            second.execute(ExecutionPlan([txn(3)]))
 
     def test_a_replica_that_writes_a_different_key_raises(self):
         ledger = ExecutionLedger()
         first, second = KeyValueStore(ledger), KeyValueStore(ledger)
-        first.apply(txn(1, key="a"))
+        first.execute(ExecutionPlan([txn(1, key="a")]))
         with pytest.raises(AgreementViolation, match="applied-write position 0"):
-            second.apply(txn(1, key="b"))
+            second.execute(ExecutionPlan([txn(1, key="b")]))
+
+    def test_a_bundle_that_differs_at_its_third_position_names_that_ledger_position(self):
+        ledger = ExecutionLedger()
+        first, second = KeyValueStore(ledger), KeyValueStore(ledger)
+        prefix = [txn(0), txn(1)]
+        bundle = [txn(i) for i in range(2, 7)]
+        first.execute(ExecutionPlan(prefix))
+        first.execute(ExecutionPlan(bundle))
+        second.execute(ExecutionPlan(prefix))
+        forked = bundle[:2] + [txn(9)] + bundle[3:]
+        with pytest.raises(AgreementViolation, match=r"^execution position 4: .*'t9'.*'t4'"):
+            second.execute(ExecutionPlan(forked))
+
+    def test_an_applied_write_key_mismatch_inside_a_bundle_raises(self):
+        ledger = ExecutionLedger()
+        first, second = KeyValueStore(ledger), KeyValueStore(ledger)
+        reads_then_writes = [txn(1, op="read", key="a"), txn(2, key="a"), txn(3, key="b")]
+        first.execute(ExecutionPlan(reads_then_writes))
+        forked = reads_then_writes[:2] + [txn(3, key="c")]
+        with pytest.raises(AgreementViolation, match=r"applied-write position 1: .*'c'.*'b'"):
+            second.execute(ExecutionPlan(forked))
+
+    def test_a_store_extends_a_ledger_that_holds_part_of_its_bundle(self):
+        ledger = ExecutionLedger()
+        first, second = KeyValueStore(ledger), KeyValueStore(ledger)
+        first.execute(ExecutionPlan([txn(1), txn(2), txn(3)]))
+        second.execute(ExecutionPlan([txn(1), txn(2)]))
+        second.execute(ExecutionPlan([txn(3), txn(4)]))
+        assert ledger.ids == ["t1", "t2", "t3", "t4"] and ledger.index["t4"] == 3
+        assert second.applied_log == [(f"t{i}", "k") for i in range(1, 5)]
 
     def test_a_diverging_replica_stops_the_run(self):
         deployment = small_deployment(seed=23)
@@ -120,13 +148,36 @@ class TestAgreementOracle:
         class Diverging(KeyValueStore):
             __slots__ = ()
 
-            def apply(self, transaction):
-                forked = txn(0, txn_id=transaction.txn_id + "'", op=transaction.op, key=transaction.key)
-                return super().apply(forked)
+            def execute(self, plan, positions=()):
+                forked = [
+                    txn(0, txn_id=t.txn_id + "'", op=t.op, key=t.key) for t in plan.transactions
+                ]
+                return super().execute(ExecutionPlan(forked), positions)
 
         deployment.replicas["c1/r2"].kv.__class__ = Diverging
         with pytest.raises(AgreementViolation):
             deployment.run(duration=0.5)
+
+    def test_the_replicas_of_a_deployment_share_one_plan_per_batch(self, monkeypatch):
+        built = []
+
+        class Counted(statemachine.ExecutionPlan):
+            __slots__ = ()
+
+            def __init__(self, transactions, round_number=0):
+                built.append(round_number)
+                super().__init__(transactions, round_number)
+
+        monkeypatch.setattr(statemachine, "ExecutionPlan", Counted)
+        deployment = small_deployment(seed=24)
+        deployment.run(duration=1.0)
+        replicas = deployment.replicas.values()
+        clusters = len(deployment.system_config.clusters)
+        executions = sum(r.executed_rounds * clusters for r in replicas)
+        # Each cluster's batch of a round is planned once, whoever executes it.
+        assert executions > 100
+        assert len(built) == max(r.executed_rounds for r in replicas) * clusters
+        assert len(built) * len(replicas) == executions
 
 
 class TestMemoryIsLinearInOperations:

@@ -1,16 +1,20 @@
 """Regression tests for the protocol/workload hot-path PRs.
 
 Covers the fused delivery pipeline's per-destination FIFO guarantee, the
-Zipf alias table, and the protocol-layer caches (view epochs, bundle
+Zipf alias table (shared per key space, so a large build stays small), and
+the protocol-layer caches (view epochs, bundle
 digests) — alongside the goldens in ``test_hotpath_and_fixes.py`` / ``tests/goldens_e0.json``,
 which pin fixed-seed runs to bit-identical simulation results.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 from repro.core.types import OperationsBundle, make_transaction
+from repro.harness.builder import Scenario
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
 from repro.net.links import AuthenticatedPerfectLink
@@ -193,6 +197,45 @@ class TestZipfAlias:
             generator.next()
             reference.random()
         assert rng.random() == reference.random()
+
+    def test_generators_over_one_key_space_share_immutable_tables(self):
+        a = ZipfianGenerator(500, 0.99, SeededRng(1, "zipf-share"))
+        b = ZipfianGenerator(500, 0.99, SeededRng(2, "zipf-share"))
+        assert a._alias is b._alias and a._prob is b._prob and a._cdf is b._cdf
+        assert all(type(table) is tuple for table in (a._alias, a._prob, a._cdf))
+        assert ZipfianGenerator(500, 0.5, SeededRng(1, "zipf-share"))._alias is not a._alias
+        assert ZipfianGenerator(501, 0.99, SeededRng(1, "zipf-share"))._alias is not a._alias
+
+    def test_draws_are_pinned(self):
+        """The YCSB key space and skew: the first draws of a fixed seed."""
+        generator = ZipfianGenerator(10_000, 0.99, SeededRng(11, "zipf-pin"))
+        assert [generator.next() for _ in range(20)] == [
+            9, 1854, 8, 28, 2160, 0, 1, 4794, 209, 3, 0, 21, 2385, 4, 380, 1499, 5098, 3596, 259, 824,
+        ]
+
+
+class TestBuildMemory:
+    def test_a_32_cluster_closed_loop_build_stays_small(self):
+        """32 clusters of 4 with YCSB clients: the clients share one Zipf
+        table, so the build retains ~5 MB; one table per client put it near
+        28 MB."""
+        spec = (
+            Scenario("build-memory")
+            .clusters(*[(4, f"dc{index}") for index in range(32)])
+            .threads(8)
+            .duration(1.0)
+            .spec()
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            deployment = spec.build()
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(deployment.replicas) == 128
+        assert retained < 8_000_000, f"spec.build() retains {retained / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------- #

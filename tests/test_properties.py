@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.brd import canonical_recs
 from repro.core.config import failure_threshold
-from repro.core.statemachine import KeyValueStore
+from repro.core.replica import HamavaReplica
+from repro.core.statemachine import ExecutionPlan, KeyValueStore
 from repro.core.types import Transaction, join_request, leave_request, merge_reconfigs
 from repro.net.crypto import Certificate, KeyRegistry
 from repro.sim.events import EventQueue
@@ -104,14 +107,115 @@ class TestWorkloadProperties:
 class TestStateMachineProperties:
     @given(st.lists(st.tuples(st.sampled_from("abcde"), st.text(max_size=4)), max_size=40))
     def test_replay_determinism(self, writes):
-        """Applying the same transaction sequence yields the same state."""
+        """The same transaction sequence yields the same state, in one batch or one at a time."""
         first, second = KeyValueStore(), KeyValueStore()
-        for index, (key, value) in enumerate(writes):
-            txn = Transaction(
+        transactions = [
+            Transaction(
                 txn_id=f"t{index}", client_id="c", origin_replica="r",
                 op="write", key=key, value=value,
             )
-            first.apply(txn)
-            second.apply(txn)
-        assert first.data == second.data
+            for index, (key, value) in enumerate(writes)
+        ]
+        first.execute(ExecutionPlan(transactions))
+        for txn in transactions:
+            second.execute(ExecutionPlan([txn]))
+        assert list(first.data.items()) == list(second.data.items())
         assert first.fingerprint() == second.fingerprint()
+
+
+class _Executor:
+    """The replica state stage 3 reads and writes, and a record of its replies."""
+
+    def __init__(self, forwarded, batch_clients):
+        self.process_id = "r0"
+        self.leader = "r1"
+        self.round_number = 7
+        self.kv = KeyValueStore()
+        self._forwarded = dict(forwarded)
+        self._batch_clients = set(batch_clients)
+        self._pending_batch = {}
+        self.replies = []
+        self.apl = SimpleNamespace(send=self._send)
+
+    def _send(self, client_id, response):
+        self.replies.append(
+            (client_id, response.txn_id, response.value, response.committed_round, response.leader_hint)
+        )
+
+
+def _reference_execute(executor, data, ids, applied, transactions):
+    """Stage 3 as it ran before batches had plans: one transaction at a time."""
+    for transaction in transactions:
+        # KeyValueStore.apply
+        ids.append(transaction.txn_id)
+        if transaction.is_read:
+            value = data.get(transaction.key)
+        else:
+            data[transaction.key] = transaction.value or ""
+            applied.append((transaction.txn_id, transaction.key))
+            value = transaction.value
+        # HamavaReplica._apply_transaction
+        was_ours = executor._forwarded.pop(transaction.txn_id, None) is not None
+        if was_ours or transaction.origin_replica == executor.process_id:
+            if transaction.client_id in executor._batch_clients:
+                executor._pending_batch.setdefault(transaction.client_id, []).append(
+                    (transaction.txn_id, value)
+                )
+                continue
+            executor.replies.append(
+                (transaction.client_id, transaction.txn_id, value, executor.round_number, executor.leader)
+            )
+
+
+_CLIENTS = ("c0", "c1", "c2")
+_TXN_IDS = tuple(f"t{index}" for index in range(8))
+bundle_transactions = st.builds(
+    lambda txn_id, client, origin, op, key, value: Transaction(
+        txn_id=txn_id, client_id=client, origin_replica=origin, op=op, key=key,
+        value=None if op == "read" else value,
+    ),
+    st.sampled_from(_TXN_IDS),
+    st.sampled_from(_CLIENTS),
+    st.sampled_from(("r0", "r1", "r2")),
+    st.sampled_from(("read", "write")),
+    st.sampled_from(("a", "b", "c")),
+    st.one_of(st.none(), st.text(alphabet="xyz", max_size=2)),
+)
+
+
+class TestBundleExecutionProperties:
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.lists(bundle_transactions, max_size=8), min_size=1, max_size=3),
+        st.sets(st.sampled_from(_TXN_IDS + ("elsewhere",))),
+        st.sets(st.sampled_from(_CLIENTS)),
+        st.dictionaries(st.sampled_from(("a", "b", "c")), st.text(alphabet="pq", max_size=2)),
+    )
+    def test_bundle_path_equals_the_per_transaction_loop(self, bundles, forwarded, batch_clients, state):
+        """Data, ledger, replies, batched acks and the ``_forwarded`` remainder
+        all come out as the per-transaction loop left them, over several
+        bundles of one round with repeated keys and repeated ids."""
+        held = {txn_id: "retried" for txn_id in sorted(forwarded)}
+        executor = _Executor(held, batch_clients)
+        reference = _Executor(held, batch_clients)
+        executor.kv.data = dict(state)
+        data, ids, applied = dict(state), [], []
+        for bundle in bundles:
+            HamavaReplica._execute_batch(executor, bundle)
+            _reference_execute(reference, data, ids, applied, bundle)
+        assert list(executor.kv.data.items()) == list(data.items())
+        assert executor.kv.ledger.ids == ids and executor.kv.ledger.applied == applied
+        assert executor.replies == reference.replies
+        assert executor._pending_batch == reference._pending_batch
+        assert list(executor._forwarded) == list(reference._forwarded)
+
+    def test_a_read_after_a_write_in_one_bundle_reads_that_write(self):
+        def txn(txn_id, op, value=None):
+            return Transaction(txn_id=txn_id, client_id="c0", origin_replica="r0", op=op, key="a", value=value)
+
+        executor = _Executor({}, ())
+        executor.kv.data = {"a": "old"}
+        bundle = [txn("t0", "read"), txn("t1", "write", "new"), txn("t2", "read"), txn("t3", "write")]
+        HamavaReplica._execute_batch(executor, bundle)
+        assert [reply[2] for reply in executor.replies] == ["old", "new", "new", None]
+        assert executor.kv.data == {"a": ""}
