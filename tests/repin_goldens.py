@@ -3,8 +3,11 @@
 The E0 determinism goldens (``tests/goldens_e0.json``) hold one entry per
 consensus engine in ``ENGINES``, each over the same fixed-seed scenario:
 its metrics summary, network counters, and kernel event count, bit-for-bit.
-Any change that alters simulated *timing* — not just real behaviour —
-breaks them by design.
+Beside them, under ``determinism_gate``, sit the sha256 fingerprints of the
+determinism gate's scenarios (``tests/test_determinism_gate.py``), which
+cover joins, leaves, crashes, Byzantine leaders, leases, open loop and every
+engine and preset.  Any change that alters simulated *timing* — not just
+real behaviour — breaks them by design.
 
 Golden re-pin policy (also summarized in the README):
 
@@ -76,11 +79,19 @@ def compute_entry(engine: str) -> dict:
     }
 
 
+#: Key of the determinism gate's fingerprints in the goldens file.
+GATE_KEY = "determinism_gate"
+
+
 def compute_goldens() -> dict:
-    """Every engine's golden values, keyed by engine name."""
+    """Every engine's golden values, keyed by engine name, plus the gate's."""
     from repro.consensus.registry import ENGINES
 
-    return {engine: compute_entry(engine) for engine in sorted(ENGINES)}
+    from tests.test_determinism_gate import _table, fingerprints
+
+    goldens = {engine: compute_entry(engine) for engine in sorted(ENGINES)}
+    goldens[GATE_KEY] = fingerprints(list(_table()))
+    return goldens
 
 
 def load_goldens() -> dict:

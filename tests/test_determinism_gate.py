@@ -14,7 +14,10 @@ of hazards:
   and the next run in the same process reads.
 
 The table is checked against the registries (every event kind, every
-engine) so a new kind or engine cannot dodge the gate.  Run this file as a
+engine) so a new kind or engine cannot dodge the gate.  The fingerprints
+are also pinned in ``tests/goldens_e0.json`` (written only by
+``python -m tests.repin_goldens``), so a change that moves any of these
+runs fails here even when both processes agree.  Run this file as a
 script to print the fingerprints of the named scenarios (all, in table
 order, by default)::
 
@@ -124,6 +127,11 @@ def test_two_hash_seeds_in_opposite_order_agree():
     assert set(forward) == set(backward) == set(names)
     differing = [name for name in names if forward[name] != backward[name]]
     assert not differing, f"fingerprints differ between the two runs on {differing}"
+    from tests.repin_goldens import GATE_KEY, load_goldens  # not importable as a script
+
+    pinned = load_goldens().get(GATE_KEY, {})
+    moved = [name for name in names if forward[name] != pinned.get(name)]
+    assert not moved, f"fingerprints differ from tests/goldens_e0.json on {moved}"
 
 
 def test_table_covers_every_kind_engine_preset_and_model():
