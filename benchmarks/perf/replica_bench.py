@@ -97,7 +97,7 @@ def bench_view_churn(
         joiner = 0
         started = time.perf_counter()
         for index in range(lookups):
-            # The per-bundle fan-out walk of _inter_broadcast.
+            # The per-bundle fan-out walk of GlobalSharing.inter_broadcast.
             replica.local_members()
             for cluster_id in cluster_ids:
                 members = replica.members(cluster_id)
@@ -105,9 +105,9 @@ def bench_view_churn(
             if index % reconfig_every == reconfig_every - 1:
                 # Churn the view: join then leave an extra replica.
                 if joiner:
-                    replica._apply_reconfig(1, leave_request(f"extra{joiner}", 1))
+                    replica.execution.apply_reconfig(1, leave_request(f"extra{joiner}", 1))
                 joiner += 1
-                replica._apply_reconfig(1, join_request(f"extra{joiner}", 1, "europe-west3"))
+                replica.execution.apply_reconfig(1, join_request(f"extra{joiner}", 1, "europe-west3"))
         elapsed = time.perf_counter() - started
         best = min(best, elapsed)
     return {

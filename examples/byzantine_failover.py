@@ -43,7 +43,7 @@ def main() -> None:
     observer = deployment.replicas["c0/r1"]
     print(f"  cluster 0 leader after recovery: {observer.leader} (timestamp {observer.leader_ts})")
     remote_observer = deployment.replicas["c1/r0"]
-    print(f"  rounds executed by the remote cluster: {remote_observer.executed_rounds}")
+    print(f"  rounds executed by the remote cluster: {remote_observer.execution.executed_rounds}")
 
 
 if __name__ == "__main__":

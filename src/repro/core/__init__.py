@@ -4,14 +4,16 @@ The public surface of this package is:
 
 * :class:`~repro.core.replica.HamavaReplica` — one replica of the replicated
   system, orchestrating the three stages of each round (intra-cluster
-  replication, inter-cluster communication, execution).
+  replication, inter-cluster communication, execution), each owned by one
+  component of :mod:`repro.core.replica`.
 * :class:`~repro.core.config.HamavaConfig` and
   :class:`~repro.core.config.SystemConfig` — protocol and deployment
   configuration.
 * The protocol sub-components, usable on their own:
   :class:`~repro.core.brd.ByzantineReliableDissemination` (Alg. 5/6),
   :class:`~repro.core.remote_leader_change.RemoteLeaderChange` (Alg. 2),
-  :class:`~repro.core.reconfiguration.ReconfigurationCollector` (Alg. 3).
+  :class:`~repro.core.reconfiguration.ReconfigurationCollector` and
+  :class:`~repro.core.reconfiguration.Requester` (Alg. 3).
 """
 
 from repro.core.config import ClusterSpec, HamavaConfig, SystemConfig

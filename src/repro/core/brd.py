@@ -197,7 +197,7 @@ class ByzantineReliableDissemination:
         timer_pool: Optional :class:`~repro.sim.simulator.DeadlinePool`
             shared by the owning replica's BRD instances (keyed by round);
             when absent the instance owns a plain :class:`Timer`.  The pool
-            owner must route expirations back to :meth:`_on_timeout`.
+            owner must route expirations back to :meth:`on_timeout`.
     """
 
     MESSAGE_TYPES = (BrdSubmit, BrdAgg, BrdEcho, BrdReady, BrdQuietDeliver, BrdValid)
@@ -272,7 +272,7 @@ class ByzantineReliableDissemination:
             self._timer = timer_pool.timer(round_number, timeout)
         else:
             self._timer = simulator.timer(
-                timeout, self._on_timeout, name=f"{owner}:brd:{round_number}"
+                timeout, self.on_timeout, name=f"{owner}:brd:{round_number}"
             )
 
     def _phase_digest(self, kind: int, recs: Tuple[ReconfigRequest, ...]) -> str:
@@ -772,7 +772,8 @@ class ByzantineReliableDissemination:
     # ------------------------------------------------------------------ #
     # Timer
     # ------------------------------------------------------------------ #
-    def _on_timeout(self) -> None:
+    def on_timeout(self) -> None:
+        """The delivery timer expired: complain about the leader, re-arm."""
         if not self.delivered:
             self.on_complain(self.leader)
             self._timer.start(self.timeout)

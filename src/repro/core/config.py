@@ -140,29 +140,18 @@ class HamavaConfig:
     """Protocol parameters for a Hamava deployment.
 
     Attributes:
-        engine: Local ordering engine name (``"hotstuff"`` or ``"bftsmart"``).
+        engine: Local ordering engine name (``"hotstuff"``,
+            ``"hotstuff_chained"`` or ``"bftsmart"``).
         batch_size: Transactions per round per cluster (paper: 100).
         batch_timeout: Leader proposes a partial (possibly empty) batch after
             this many seconds so rounds progress under light load.
         remote_timeout: ``Δ`` — how long replicas wait for a remote cluster's
             operations before starting the remote leader change (paper: 20 s).
-        leader_change_epsilon: ``ε`` — grace period after a local leader
-            change during which further remote complaints are ignored.
         brd_timeout: How long BRD waits for delivery before complaining.
         consensus: Parameters for the local ordering engine.
         parallel_reconfig: ``True`` runs reconfigurations in the dedicated
             workflow (Hamava); ``False`` orders them through the transaction
             consensus (the single-workflow baseline of E5.2).
-        local_reads: Serve read transactions immediately at the contacted
-            replica (the behaviour the paper describes in E2).
-        inter_share_grace: Seconds a later-indexed Inter receiver waits for
-            the first-indexed receiver's ``LocalShare`` before re-broadcasting
-            the bundle itself.  The ``f+1`` Inter targets all re-broadcast in
-            Alg. 1 so one Byzantine receiver cannot suppress dissemination;
-            staggering keeps that guarantee (a silent first receiver costs
-            only this grace period) while eliding the duplicate broadcast —
-            one of ``f+1`` identical cluster-wide multicasts per remote
-            bundle — on the fault-free path.
         retry_timeout: Client-side retransmission timeout for lost writes.
         pipeline_local_ordering: When ``True`` the leader starts ordering the
             next round's batch as soon as the current round's local ordering
@@ -184,12 +173,9 @@ class HamavaConfig:
     batch_size: int = 100
     batch_timeout: float = 0.01
     remote_timeout: float = 20.0
-    leader_change_epsilon: float = 1.0
     brd_timeout: float = 20.0
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     parallel_reconfig: bool = True
-    local_reads: bool = True
-    inter_share_grace: float = 0.002
     retry_timeout: float = 60.0
     pipeline_local_ordering: bool = False
     read_leases: bool = False

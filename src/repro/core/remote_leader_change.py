@@ -35,6 +35,10 @@ from repro.net.message import Envelope
 from repro.net.network import Network
 from repro.sim.simulator import Simulator
 
+#: ``ε`` of Alg. 2: for this long after a local leader change, further
+#: accepted remote complaints do not rotate the leader again (seconds).
+LEADER_CHANGE_EPSILON = 1.0
+
 
 @dataclass
 class _ClusterWatch:
@@ -67,11 +71,11 @@ class RemoteLeaderChange:
         network: Simulated network.
         simulator: Simulation kernel.
         timeout: ``Δ`` — the remote-cluster watch timeout.
-        epsilon: ``ε`` — grace period after a local leader change.
         on_next_leader: Callback that advances the local leader election
             (``le request next-leader``).
         last_leader_change_fn: Callable returning the virtual time of the
-            most recent local leader change (used for the ``ε`` guard).
+            most recent local leader change (used for the
+            ``LEADER_CHANGE_EPSILON`` guard).
     """
 
     MESSAGE_TYPES = (LComplaint, RComplaint, ClusterComplaint)
@@ -88,7 +92,6 @@ class RemoteLeaderChange:
         network: Network,
         simulator: Simulator,
         timeout: float,
-        epsilon: float,
         on_next_leader: Callable[[], None],
         last_leader_change_fn: Callable[[], float],
     ) -> None:
@@ -102,7 +105,6 @@ class RemoteLeaderChange:
         self.network = network
         self.simulator = simulator
         self.timeout = timeout
-        self.epsilon = epsilon
         self.on_next_leader = on_next_leader
         self.last_leader_change_fn = last_leader_change_fn
         self.apl = AuthenticatedPerfectLink(owner, network)
@@ -164,6 +166,10 @@ class RemoteLeaderChange:
         """Stop every watch timer (round teardown)."""
         for cluster_id in self._watches:
             self._watch_pool.disarm(cluster_id)
+
+    def set_timer_rate(self, rate: float) -> None:
+        """Skew the watch timers (gray-failure clock-skew faults)."""
+        self._watch_pool.rate = rate
 
     # ------------------------------------------------------------------ #
     # Complaint generation (Alg. 2, lines 7-20)
@@ -297,7 +303,7 @@ class RemoteLeaderChange:
             return
         watch.received_complaint_number = message.complaint_number + 1
         since_change = self.simulator.now - self.last_leader_change_fn()
-        if since_change > self.epsilon:
+        if since_change > LEADER_CHANGE_EPSILON:
             self.remote_changes_applied += 1
             self.on_next_leader()
 

@@ -140,7 +140,7 @@ class OperationsBundle:
     """Everything a cluster decided in one round, plus the proofs.
 
     A bundle is *sealed* once stage 1 constructs it: the digest/size/
-    validation caches (here and in ``HamavaReplica._bundle_valid``) rely on
+    validation caches (here and in ``GlobalSharing.bundle_valid``) rely on
     the contents never mutating afterwards, so treat instances as
     write-once even though the dataclass is not frozen.
 

@@ -367,7 +367,7 @@ class Deployment:
         replica.start()
         self.simulator.schedule_at(
             at_time,
-            lambda r=replica, cid=cluster_id: r.request_join(cid),
+            lambda r=replica, cid=cluster_id: r.requester.request_join(cid),
             label=f"join:{replica_id}",
         )
         return replica
@@ -377,7 +377,7 @@ class Deployment:
         if replica_id not in self.replicas and self.local_shard is not None:
             return  # owned by another worker process
         replica = self.replica(replica_id)
-        self.simulator.schedule_at(at_time, replica.request_leave, label=f"leave:{replica_id}")
+        self.simulator.schedule_at(at_time, replica.requester.request_leave, label=f"leave:{replica_id}")
 
 
 __all__ = ["Deployment"]

@@ -321,7 +321,7 @@ class TestGrayAndSkewKnobs:
         timer_after = replica.new_timer(1.0, lambda: None, name="probe-after")
         assert timer_before.rate == 2.5  # retroactively reskewed
         assert timer_after.rate == 2.5
-        assert replica._brd_timer_pool.rate == 2.5
+        assert replica.ordering.brd_timer_pool.rate == 2.5
 
     def test_invalid_knob_values_raise(self):
         deployment = _tiny_deployment()

@@ -81,7 +81,7 @@ class TestLedgerViews:
         deployment.run(duration=spec.duration)
         (joiner,) = [r for rid, r in deployment.replicas.items() if rid.startswith("joiner")]
         member = deployment.replicas[sorted(deployment.system_config.members(1))[0]]
-        assert joiner.joined_at is not None and joiner.executed_rounds > 3
+        assert joiner.joined_at is not None and joiner.execution.executed_rounds > 3
         joined, full = joiner.execution_log, member.execution_log
         assert 0 < len(joined) < len(full)
         # Nothing from before the snapshot, then exactly the member's order.
@@ -173,10 +173,10 @@ class TestAgreementOracle:
         deployment.run(duration=1.0)
         replicas = deployment.replicas.values()
         clusters = len(deployment.system_config.clusters)
-        executions = sum(r.executed_rounds * clusters for r in replicas)
+        executions = sum(r.execution.executed_rounds * clusters for r in replicas)
         # Each cluster's batch of a round is planned once, whoever executes it.
         assert executions > 100
-        assert len(built) == max(r.executed_rounds for r in replicas) * clusters
+        assert len(built) == max(r.execution.executed_rounds for r in replicas) * clusters
         assert len(built) * len(replicas) == executions
 
 

@@ -289,7 +289,7 @@ class TestBundleCaches:
         assert replica.members(0) is before  # cached list identity
         from repro.core.types import join_request
 
-        replica._apply_reconfig(0, join_request("joiner", 0, "us-west1"))
+        replica.execution.apply_reconfig(0, join_request("joiner", 0, "us-west1"))
         after = replica.members(0)
         assert after is not before
         assert "joiner" in after

@@ -51,10 +51,10 @@ class TestCrashFaults:
             schedule=[CrashEvent(at=0.5, replica="c0/r2"), CrashEvent(at=0.5, replica="c0/r3")],
         )
         deployment.run(duration=3.0)
-        stalled_rounds = deployment.replicas["c0/r0"].executed_rounds
+        stalled_rounds = deployment.replicas["c0/r0"].execution.executed_rounds
         healthy_deployment = small_deployment(seed=43)
         healthy_deployment.run(duration=3.0)
-        healthy_rounds = healthy_deployment.replicas["c0/r0"].executed_rounds
+        healthy_rounds = healthy_deployment.replicas["c0/r0"].execution.executed_rounds
         # Beyond-f crashes lose the quorum: the cluster stops committing new
         # rounds shortly after the fault, far short of the healthy run.
         assert stalled_rounds < healthy_rounds / 2
@@ -175,11 +175,11 @@ class TestForgeryResistance:
             reconfigs=(),
             txn_certificate=forged_cert,
         )
-        assert not receiver._bundle_valid(1, receiver.round_number, bundle)
+        assert not receiver.sharing.bundle_valid(1, receiver.round_number, bundle)
 
     def test_valid_bundle_accepted(self):
         deployment = small_deployment(seed=47)
         deployment.run(duration=1.5)
         replica = deployment.replicas["c0/r0"]
         # Whatever cluster 1 actually shipped must have validated.
-        assert replica.executed_rounds > 0
+        assert replica.execution.executed_rounds > 0

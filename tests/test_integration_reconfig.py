@@ -24,7 +24,7 @@ class TestJoin:
         deployment = small_deployment(seed=62)
         joiner = deployment.add_joiner(0, at_time=0.6, replica_id="newbie")
         deployment.run(duration=4.0)
-        assert joiner.executed_rounds > 0
+        assert joiner.execution.executed_rounds > 0
         # The joiner's round number tracks the cluster within one round.
         reference = deployment.replicas["c0/r0"]
         assert abs(joiner.round_number - reference.round_number) <= 1
@@ -82,7 +82,7 @@ class TestUniformity:
         deployment.run(duration=4.0)
         applications = {}
         for replica in deployment.replicas.values():
-            for round_number, request in replica.reconfigs_applied:
+            for round_number, request in replica.execution.reconfigs_applied:
                 if request.process_id == "newbie":
                     applications.setdefault(replica.process_id, round_number)
         # Every active replica applied the join, and all in the same round.

@@ -14,7 +14,7 @@ class TestBasicReplication:
         assert metrics.committed_count() > 0
         assert metrics.committed_count(op="write") > 0
         for replica in deployment.cluster_replicas(0):
-            assert replica.executed_rounds > 5
+            assert replica.execution.executed_rounds > 5
 
     def test_agreement_same_writes_applied_everywhere(self):
         deployment = small_deployment(seed=22)
@@ -45,7 +45,7 @@ class TestBasicReplication:
         r_large = deployment.replicas["c1/r0"]
         assert r_small.local_faults() == 1
         assert r_large.local_faults() == 2
-        assert r_small.executed_rounds > 3
+        assert r_small.execution.executed_rounds > 3
         # Clusters advance in lockstep (at most one round apart).
         assert abs(r_small.round_number - r_large.round_number) <= 1
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.brd import canonical_recs
 from repro.core.config import failure_threshold
-from repro.core.replica import HamavaReplica
+from repro.core.replica import Execution
 from repro.core.statemachine import ExecutionPlan, KeyValueStore
 from repro.core.types import Transaction, join_request, leave_request, merge_reconfigs
 from repro.net.crypto import Certificate, KeyRegistry
@@ -131,9 +131,12 @@ class _Executor:
         self.leader = "r1"
         self.round_number = 7
         self.kv = KeyValueStore()
-        self._forwarded = dict(forwarded)
-        self._batch_clients = set(batch_clients)
-        self._pending_batch = {}
+        self.front = SimpleNamespace(
+            forwarded=dict(forwarded), batch_clients=set(batch_clients), pending_batch={}
+        )
+        self._forwarded = self.front.forwarded
+        self._batch_clients = self.front.batch_clients
+        self._pending_batch = self.front.pending_batch
         self.replies = []
         self.apl = SimpleNamespace(send=self._send)
 
@@ -154,7 +157,7 @@ def _reference_execute(executor, data, ids, applied, transactions):
             data[transaction.key] = transaction.value or ""
             applied.append((transaction.txn_id, transaction.key))
             value = transaction.value
-        # HamavaReplica._apply_transaction
+        # The replica's old per-transaction reply step
         was_ours = executor._forwarded.pop(transaction.txn_id, None) is not None
         if was_ours or transaction.origin_replica == executor.process_id:
             if transaction.client_id in executor._batch_clients:
@@ -201,7 +204,7 @@ class TestBundleExecutionProperties:
         executor.kv.data = dict(state)
         data, ids, applied = dict(state), [], []
         for bundle in bundles:
-            HamavaReplica._execute_batch(executor, bundle)
+            Execution(executor).execute_batch(bundle)
             _reference_execute(reference, data, ids, applied, bundle)
         assert list(executor.kv.data.items()) == list(data.items())
         assert executor.kv.ledger.ids == ids and executor.kv.ledger.applied == applied
@@ -216,6 +219,6 @@ class TestBundleExecutionProperties:
         executor = _Executor({}, ())
         executor.kv.data = {"a": "old"}
         bundle = [txn("t0", "read"), txn("t1", "write", "new"), txn("t2", "read"), txn("t3", "write")]
-        HamavaReplica._execute_batch(executor, bundle)
+        Execution(executor).execute_batch(bundle)
         assert [reply[2] for reply in executor.replies] == ["old", "new", "new", None]
         assert executor.kv.data == {"a": ""}

@@ -255,7 +255,7 @@ class TestQuietRoundsEndToEnd:
         assert by_type.get("BrdAgg", 0) == 0
         assert by_type.get("BrdReady", 0) > 0
         assert by_type.get("BrdQuietDeliver", 0) > 0
-        rounds = max(r.executed_rounds for r in deployment.replicas.values())
+        rounds = max(r.execution.executed_rounds for r in deployment.replicas.values())
         assert rounds > 20, "quiet rounds must not stall progress"
 
     def test_bftsmart_steady_state_elides_echo_and_submit(self):
@@ -267,7 +267,7 @@ class TestQuietRoundsEndToEnd:
         # BFT-SMaRt has no decide broadcast to piggyback on, so the quiet
         # aggregate stays an explicit (linear) BrdAgg.
         assert by_type.get("BrdAgg", 0) > 0
-        rounds = max(r.executed_rounds for r in deployment.replicas.values())
+        rounds = max(r.execution.executed_rounds for r in deployment.replicas.values())
         assert rounds > 20
 
     def test_reconfiguration_still_flows_through_quiet_regime(self):

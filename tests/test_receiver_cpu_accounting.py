@@ -121,7 +121,7 @@ class TestLocalShareCharging:
         )
         port = deployment.network.ports[replica.process_id]
         before = port.recv_free
-        replica._on_local_share("c0/r2", share)
+        replica.sharing.on_local_share("c0/r2", share)
         assert 1 in replica.operations
         charged = port.recv_free - before
         signatures = len(bundle.txn_certificate) + len(bundle.recs_ready_certificate)
@@ -136,15 +136,15 @@ class TestLocalShareCharging:
             round_number=replica.round_number, cluster_id=1, bundle=bundle
         )
         port = deployment.network.ports[replica.process_id]
-        replica._on_local_share("c0/r2", share)
+        replica.sharing.on_local_share("c0/r2", share)
         after_first = port.recv_free
-        replica._on_local_share("c0/r3", share)  # one copy per Inter target
+        replica.sharing.on_local_share("c0/r3", share)  # one copy per Inter target
         assert port.recv_free == after_first
 
     def test_self_share_is_exempt(self):
-        # An Inter receiver validated the bundle in ``_on_inter`` (where the
-        # Inter's own verification_cost covered it) before sharing to
-        # itself; the 0 ms loop-back must not bill the certificates twice.
+        # An Inter receiver validated the bundle in ``GlobalSharing.on_inter``
+        # (where the Inter's own verification_cost covered it) before sharing
+        # to itself; the 0 ms loop-back must not bill the certificates twice.
         deployment = _deployment()
         replica = deployment.replicas["c0/r1"]
         bundle = _remote_bundle(deployment, replica)
@@ -153,7 +153,7 @@ class TestLocalShareCharging:
         )
         port = deployment.network.ports[replica.process_id]
         before = port.recv_free
-        replica._on_local_share(replica.process_id, share)
+        replica.sharing.on_local_share(replica.process_id, share)
         assert 1 in replica.operations
         assert port.recv_free == before
 

@@ -350,10 +350,20 @@ class TestConfigCompilation:
         with pytest.raises(ConfigurationError):
             apply_config_overrides(fast_config(), {"quantum_entanglement": True})
 
-    @pytest.mark.parametrize("key", ["payload_byte_size", "chained_decide_grace"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "payload_byte_size",
+            "chained_decide_grace",
+            "local_reads",
+            "inter_share_grace",
+            "leader_change_epsilon",
+        ],
+    )
     def test_retired_consensus_options_rejected_by_name(self, key):
-        # Both were settable until nothing read them (a dead field; a
-        # constant of the chained engine): the key is now simply unknown.
+        # Each was settable though every caller used one value (a dead
+        # field; constants of the chained engine, of stage 2 and of Alg. 2;
+        # reads always served locally): the key is now simply unknown.
         spec = Scenario("cfg").clusters(4).config(**{key: 1}).spec()
         with pytest.raises(ConfigurationError, match=key):
             spec.compiled_config()
