@@ -752,7 +752,7 @@ class LocalOrdering:
         replica = self.replica
         round_number = replica.round_number
         if decision.sequence != round_number:
-            return  # a later round's decision; ``start_round`` replays it
+            return  # another round's; ``start_round`` replays one decided early
         state = replica.round_state
         if state.local_transactions is not None:
             return
