@@ -71,12 +71,15 @@ class ClientBatchResponse(Message):
     ``entries`` holds ``(txn_id, value)`` pairs — reads served immediately
     (lease-covered or leader-local) and writes acknowledged when their
     round executes, flushed once per execution instead of one envelope per
-    transaction.
+    transaction.  ``departed`` is the replica's last word when its own leave
+    executes: the population stops sending to it and re-sends at once what
+    it still had in flight there.
     """
 
     entries: Tuple[Tuple[str, Optional[str]], ...] = ()
     committed_round: int = 0
     leader_hint: str = ""
+    departed: bool = False
 
     def estimated_size(self) -> int:
         return 128 + 64 * len(self.entries)
@@ -131,21 +134,34 @@ class LocalShare(Message):
 
     Send-time cost covers the envelope signature only: a receiver validates
     the bundle's certificates at most once per (cluster, round) — duplicate
-    shares (one arrives per Inter target) and stale-round shares are
-    dropped before any certificate is touched — so the certificate work is
-    charged in-handler via ``Network.charge_verification`` by the receiver
-    that really performs it, not priced up front for every copy.
+    and stale-round shares are dropped before any certificate is touched —
+    so the certificate work is charged in-handler via
+    ``Network.charge_verification`` by the receiver that really performs
+    it, not priced up front for every copy.
+
+    A *header* (``bundle=None``, 128 bytes) tells the other Inter targets
+    that the first one shared the bundle, so they stay quiet; a target that
+    holds a header but no Inter asks its sender with a ``ShareRequest``.
     """
 
     round_number: int
     cluster_id: int
-    bundle: OperationsBundle
+    bundle: Optional[OperationsBundle] = None
 
     def estimated_size(self) -> int:
-        return self.bundle.size_bytes()
+        bundle = self.bundle
+        return 128 if bundle is None else bundle.size_bytes()
 
     def verification_cost(self) -> int:
         return 1
+
+
+@dataclass
+class ShareRequest(Message):
+    """An Inter target that got a header but no Inter asks for the bundle."""
+
+    round_number: int
+    cluster_id: int
 
 
 # ---------------------------------------------------------------------- #
@@ -354,6 +370,7 @@ CORE_MESSAGE_TYPES = (
     ReadLeaseGrant,
     Inter,
     LocalShare,
+    ShareRequest,
     LComplaint,
     RComplaint,
     ClusterComplaint,
@@ -391,4 +408,5 @@ __all__ = [
     "ReconfigAck",
     "RequestJoin",
     "RequestLeave",
+    "ShareRequest",
 ]

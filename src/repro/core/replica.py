@@ -44,11 +44,13 @@ from repro.core.messages import (
     ClientResponse,
     CurrState,
     Inter,
+    LComplaint,
     LocalShare,
     ReadLeaseGrant,
     ReconfigAck,
     RequestJoin,
     RequestLeave,
+    ShareRequest,
 )
 from repro.core.reconfiguration import (
     MODE_ACTIVE,
@@ -76,13 +78,12 @@ from repro.sim.simulator import Simulator
 #: Virtual CPU cost of executing one operation in stage 3 (seconds).
 EXECUTION_COST_PER_OP = 0.00001
 
-#: Seconds a later-indexed Inter receiver waits for the first-indexed
-#: receiver's ``LocalShare`` before re-broadcasting the bundle itself.  The
-#: ``f+1`` Inter targets all re-broadcast in Alg. 1 so one Byzantine receiver
-#: cannot suppress dissemination; staggering keeps that guarantee (a silent
-#: first receiver costs only this grace period) while eliding the duplicate
-#: broadcast — one of ``f+1`` identical cluster-wide multicasts per remote
-#: bundle — on the fault-free path.
+#: The local-hop allowance of the stage-2 grace, in seconds.  A later-indexed
+#: Inter target waits ``INTER_SHARE_GRACE`` plus twice the Inter link's
+#: jitter spread (:meth:`GlobalSharing.grace`) for the first target's share
+#: before re-broadcasting the bundle itself, and a target holding only a
+#: header waits as long before asking for the bundle.  Each fault case —
+#: a silent first target, a skipped target — costs one grace.
 INTER_SHARE_GRACE = 0.002
 
 
@@ -249,12 +250,14 @@ class HamavaReplica(Process):
             CurrState: (False, False, requester.on_curr_state),
             Inter: (True, False, sharing.on_inter),
             LocalShare: (True, False, sharing.on_local_share),
+            ShareRequest: (True, False, sharing.on_share_request),
             ElectionComplaint: (True, True, self.le.on_message),
             RequestJoin: reconfig_request,
             RequestLeave: reconfig_request,
         }
         for message_type in RemoteLeaderChange.MESSAGE_TYPES:
             self._handler_table[message_type] = (True, True, self.rlc.on_message)
+        self._handler_table[LComplaint] = (True, True, sharing.on_lcomplaint)
         for message_type in self.ordering.tob.MESSAGE_TYPES:
             self._handler_table[message_type] = (True, True, self.ordering.tob.on_message)
         for message_type in ByzantineReliableDissemination.MESSAGE_TYPES:
@@ -296,6 +299,7 @@ class HamavaReplica(Process):
         self._members_cache.clear()
         self._faults_cache.clear()
         self._view_order_cache = None
+        self.sharing.grace_cache.clear()
 
     def faults(self, cluster_id: int) -> int:
         """Failure threshold ``f_j`` of a cluster under the current view.
@@ -538,6 +542,14 @@ class ClientFront:
                 ),
             )
         pending.clear()
+
+    def announce_departure(self) -> None:
+        """Tell every population this replica served that it has left."""
+        replica = self.replica
+        for client_id in sorted(self.batch_clients):
+            replica.apl.send(
+                client_id, ClientBatchResponse(committed_round=replica.round_number, departed=True)
+            )
 
     def single_workflow_reconfig(self, sender: str, payload) -> None:
         """E5.2 baseline: order a join/leave request through the transaction path."""
@@ -829,34 +841,74 @@ class GlobalSharing:
     """Stage 2 (Alg. 1): ship the sealed bundle out, share received ones locally.
 
     The leader sends its cluster's bundle to the first ``f_j + 1`` members of
-    every remote cluster (``Inter``); each receiver validates it and
-    re-broadcasts it in its own cluster (``LocalShare``).  Receivers after
-    the first wait ``INTER_SHARE_GRACE`` for the first one's share before
-    broadcasting themselves.
+    every remote cluster (``Inter``).  On the fault-free path every member
+    then receives each remote bundle exactly once, by three rules:
+
+    1. The first-indexed target sends the full ``LocalShare`` to itself and
+       to the members the leader did not reach, and a header (no bundle)
+       to the other targets, which hold the bundle from their own ``Inter``.
+    2. A later target whose ``Inter`` is not followed by the first one's
+       share within :meth:`grace` re-broadcasts the bundle itself, to the
+       members of the view it received the ``Inter`` in.
+    3. A target holding a header but no ``Inter`` one :meth:`grace` later
+       was skipped by the remote leader: it asks the header's sender
+       (``ShareRequest``).
+
+    Beside them, a member holding a bundle answers a local ``LComplaint``
+    about it with the bundle, so a first target that shares with the other
+    targets only costs the rest of the cluster one stage-2 timeout.
     """
 
     def __init__(self, replica: HamavaReplica) -> None:
         self.replica = replica
-        #: ``(cluster_id, round)`` keys of LocalShares accepted from peers —
-        #: a later-indexed Inter receiver skips its own re-broadcast when the
-        #: first-indexed receiver's share already arrived.
+        #: ``(cluster_id, round)`` keys of LocalShares (full or header)
+        #: received from peers: a later-indexed Inter target stays quiet.
         self.peer_shared: Set[Tuple[int, int]] = set()
+        #: ``(cluster_id, round)`` keys this later-indexed target got an
+        #: Inter for: a header for them needs no pull.
+        self.inter_received: Set[Tuple[int, int]] = set()
         #: Shares for rounds this replica has not started yet.
         self.buffered_shares: Dict[int, List[Tuple[str, LocalShare]]] = {}
-        #: The last executed round's own bundle, re-sent by a new leader
-        #: (remote clusters may be one round behind).
-        self.previous_bundle: Optional[OperationsBundle] = None
+        #: The bundles the last executed round ran: answered from when a
+        #: peer asks one round late, and the own one is re-sent by a new
+        #: leader (remote clusters may be one round behind).
+        self.previous_operations: Dict[int, OperationsBundle] = {}
+        #: :meth:`grace` per remote cluster; cleared with the view caches.
+        self.grace_cache: Dict[int, float] = {}
         #: Shares this replica re-broadcast because the first-indexed Inter
         #: receiver's did not arrive within the grace period.
         self.fallback_broadcasts = 0
 
     def open_round(self, round_number: int) -> None:
-        """Forget old peer-share keys and replay shares that arrived early."""
+        """Forget old share keys and replay shares that arrived early."""
+        horizon = round_number - 1
         if self.peer_shared:
-            horizon = round_number - 1
             self.peer_shared = {key for key in self.peer_shared if key[1] >= horizon}
+        if self.inter_received:
+            self.inter_received = {key for key in self.inter_received if key[1] >= horizon}
         for sender, share in self.buffered_shares.pop(round_number, ()):
             self.on_local_share(sender, share)
+
+    def grace(self, cluster_id: int) -> float:
+        """How long a target waits on a peer for ``cluster_id``'s bundle.
+
+        ``INTER_SHARE_GRACE`` covers the local hop; twice the jitter spread
+        of the Inter link covers the widest gap between two targets' Inter
+        arrivals.  The spread is the one the network prices the link with
+        (sampled now under an RTT trace), cached per view epoch.
+        """
+        grace = self.grace_cache.get(cluster_id)
+        if grace is None:
+            replica = self.replica
+            model = replica.network.latency_model
+            source = replica.members(cluster_id)[0]
+            params = None
+            if model.trace is not None:
+                params = model.traced_pair_params(source, replica.process_id, replica.simulator.now)
+            if params is None:
+                params = model.pair_params(source, replica.process_id)
+            grace = self.grace_cache[cluster_id] = INTER_SHARE_GRACE + 2 * params[1]
+        return grace
 
     def inter_broadcast(self, bundle: OperationsBundle) -> None:
         """Leader: send ``bundle`` to ``f_j + 1`` members of every remote cluster."""
@@ -873,11 +925,13 @@ class GlobalSharing:
 
     def rebroadcast(self) -> None:
         """Alg. 8: a new leader re-sends this round's and the last round's bundle."""
-        bundle = self.replica.round_state.bundle
+        replica = self.replica
+        bundle = replica.round_state.bundle
         if bundle is not None:
             self.inter_broadcast(bundle)
-        if self.previous_bundle is not None:
-            self.inter_broadcast(self.previous_bundle)
+        previous = self.previous_operations.get(replica.cluster_id)
+        if previous is not None:
+            self.inter_broadcast(previous)
 
     def bundle_valid(self, cluster_id: int, round_number: int, bundle: OperationsBundle) -> bool:
         """Whether ``bundle`` carries ``2f_j + 1`` certificates for its claimed round."""
@@ -909,71 +963,147 @@ class GlobalSharing:
                 return False
         return parallel or not bundle.reconfigs
 
+    def held(self, cluster_id: int, round_number: int) -> Optional[OperationsBundle]:
+        """The bundle of ``(cluster_id, round_number)`` if this or the last round adopted it."""
+        for operations in (self.replica.operations, self.previous_operations):
+            bundle = operations.get(cluster_id)
+            if bundle is not None and bundle.round_number == round_number:
+                return bundle
+        return None
+
     def on_inter(self, sender: str, message: Inter) -> None:
         """A remote leader's bundle: validate it, then share it in this cluster."""
         replica = self.replica
-        if message.round_number < replica.round_number:
+        round_number = message.round_number
+        if round_number < replica.round_number:
             return
-        if not self.bundle_valid(message.cluster_id, message.round_number, message.bundle):
+        cluster_id = message.cluster_id
+        bundle = message.bundle
+        if not self.bundle_valid(cluster_id, round_number, bundle):
             return
-        share = LocalShare(
-            round_number=message.round_number,
-            cluster_id=message.cluster_id,
-            bundle=message.bundle,
-        )
-        targets = replica.local_members()[: replica.local_faults() + 1]
-        if replica.process_id in targets and targets.index(replica.process_id) > 0:
-            # Staggered redundancy: adopt the bundle at once (a share to
-            # self, 0 ms loop-back), but give the first-indexed receiver a
-            # grace period to disseminate before re-broadcasting ourselves.
-            if (message.cluster_id, message.round_number) in self.peer_shared:
-                return
-            replica.apl.send(replica.process_id, share)
+        share = LocalShare(round_number=round_number, cluster_id=cluster_id, bundle=bundle)
+        process_id = replica.process_id
+        members = replica.local_members()
+        reached = replica.local_faults() + 1
+        apl = replica.apl
+        if process_id == members[0]:
+            # Rule 1: full copies only where the remote leader did not reach.
+            apl.send_many((process_id, *members[reached:]), share)
+            if reached > 1:
+                apl.send_many(
+                    members[1:reached], LocalShare(round_number=round_number, cluster_id=cluster_id)
+                )
+            return
+        if process_id not in members[1:reached]:
+            # Not a target under our view (the leader's view of this
+            # cluster differs): share with everyone.
+            replica.abeb.broadcast(share)
+            return
+        # A later target adopts the bundle at once (a share to self, 0 ms
+        # loop-back) and re-broadcasts it only if the first target's share
+        # (rule 2) is not here one grace later.
+        key = (cluster_id, round_number)
+        self.inter_received.add(key)
+        apl.send(process_id, share)
+        if key not in self.peer_shared:
             replica.simulator.schedule(
-                INTER_SHARE_GRACE,
+                self.grace(cluster_id),
                 self._share_grace_expired,
-                arg=share,
-                label=f"{replica.process_id}:share-grace",
+                arg=(share, members),
+                label=f"{process_id}:share-grace",
             )
-            return
-        replica.abeb.broadcast(share)
 
-    def _share_grace_expired(self, share: LocalShare) -> None:
+    def _share_grace_expired(self, pending: Tuple[LocalShare, Tuple[str, ...]]) -> None:
         replica = self.replica
         if replica.mode != MODE_ACTIVE or replica.crashed:
             return
+        share, members = pending
         if (share.cluster_id, share.round_number) in self.peer_shared:
-            return  # the first-indexed receiver's broadcast made it; stay quiet
+            return  # the first-indexed receiver's share made it; stay quiet
         self.fallback_broadcasts += 1
-        replica.abeb.broadcast(share)
+        # The members of the view the Inter arrived in: a member that leaves
+        # in that round still needs the bundle to execute its own leave.
+        process_id = replica.process_id
+        replica.apl.send_many([member for member in members if member != process_id], share)
+
+    def _pull_if_skipped(self, pending: Tuple[str, LocalShare]) -> None:
+        replica = self.replica
+        if replica.mode != MODE_ACTIVE or replica.crashed:
+            return
+        sender, header = pending
+        round_number = header.round_number
+        if (header.cluster_id, round_number) in self.inter_received or round_number < replica.round_number:
+            return
+        if round_number == replica.round_number and header.cluster_id in replica.operations:
+            return
+        replica.apl.send(sender, ShareRequest(round_number=round_number, cluster_id=header.cluster_id))
+
+    def on_share_request(self, sender: str, message: ShareRequest) -> None:
+        """A local target the remote leader skipped asks for a bundle we hold."""
+        self.answer(sender, message.cluster_id, message.round_number)
+
+    def on_lcomplaint(self, sender: str, envelope: Envelope) -> None:
+        """Answer a local complaint about a bundle we hold, then hand it to Alg. 2."""
+        replica = self.replica
+        complaint = envelope.payload
+        if sender != replica.process_id and complaint.origin_cluster == replica.cluster_id:
+            self.answer(sender, complaint.target_cluster, complaint.round_number)
+        replica.rlc.on_message(sender, envelope)
+
+    def answer(self, sender: str, cluster_id: int, round_number: int) -> None:
+        """Send a local member the bundle of ``(cluster_id, round_number)`` if held."""
+        replica = self.replica
+        if sender not in replica.view[replica.cluster_id]:
+            return
+        bundle = self.held(cluster_id, round_number)
+        if bundle is not None:
+            replica.apl.send(
+                sender, LocalShare(round_number=round_number, cluster_id=cluster_id, bundle=bundle)
+            )
 
     def on_local_share(self, sender: str, message: LocalShare) -> None:
-        """A peer's (or our own) share of a remote bundle."""
+        """A peer's (or our own) share of a remote bundle, or a header."""
         replica = self.replica
+        cluster_id = message.cluster_id
+        round_number = message.round_number
         if sender != replica.process_id:
-            self.peer_shared.add((message.cluster_id, message.round_number))
-        if message.round_number < replica.round_number:
+            self.peer_shared.add((cluster_id, round_number))
+        bundle = message.bundle
+        if bundle is None:
+            # Rule 3: a header without our own Inter may mean we were skipped.
+            if (
+                round_number >= replica.round_number
+                and cluster_id in replica.view
+                and (cluster_id, round_number) not in self.inter_received
+            ):
+                replica.simulator.schedule(
+                    self.grace(cluster_id),
+                    self._pull_if_skipped,
+                    arg=(sender, message),
+                    label=f"{replica.process_id}:share-pull",
+                )
             return
-        if message.round_number > replica.round_number:
-            self.buffered_shares.setdefault(message.round_number, []).append((sender, message))
+        if round_number < replica.round_number:
             return
-        if message.cluster_id in replica.operations:
+        if round_number > replica.round_number:
+            self.buffered_shares.setdefault(round_number, []).append((sender, message))
+            return
+        if cluster_id in replica.operations:
             return
         # Shares are shipped at envelope-only cost (see LocalShare): only
         # the one copy that survives the dedup above pays the certificate
         # verifications, charged here against this replica's receive CPU.
         # Self-shares are exempt — an Inter receiver validated (and was
         # charged for) the bundle in ``on_inter`` before sharing it.
-        bundle = message.bundle
         if sender != replica.process_id:
             signatures = len(bundle.txn_certificate) if bundle.txn_certificate is not None else 0
             if replica.config.parallel_reconfig and bundle.recs_ready_certificate is not None:
                 signatures += len(bundle.recs_ready_certificate)  # both certificates' worth
             replica.network.charge_verification(replica.process_id, signatures)
-        if not self.bundle_valid(message.cluster_id, message.round_number, bundle):
+        if not self.bundle_valid(cluster_id, round_number, bundle):
             return
-        replica.operations[message.cluster_id] = bundle
-        replica.rlc.stop_timer(message.cluster_id)
+        replica.operations[cluster_id] = bundle
+        replica.rlc.stop_timer(cluster_id)
         replica.execution.maybe_execute()
 
 
@@ -1028,7 +1158,7 @@ class Execution:
             replica.collector.mark_applied(local_reconfigs)
 
         self.executed_rounds += 1
-        replica.sharing.previous_bundle = operations.get(own_cluster)
+        replica.sharing.previous_operations = operations
 
         execution_delay = max(operation_count, 1) * EXECUTION_COST_PER_OP * replica.cpu_factor
         round_end = now + execution_delay
@@ -1131,6 +1261,7 @@ class Execution:
                 replica.left_at = replica.simulator.now
                 replica.rlc.stop_all()
                 replica.ordering.batch_timer.stop()
+                replica.front.announce_departure()
                 replica.crash()  # A cleanly departed replica stops sending and receiving.
 
 

@@ -383,6 +383,9 @@ class ClientPopulation(Process):
     def on_message(self, sender: str, envelope: Envelope) -> None:
         payload = envelope.payload
         if isinstance(payload, ClientBatchResponse):
+            if payload.departed:
+                self._drop_target(sender)
+                return
             if self._suspected:
                 self._suspected.discard(sender)
             self._adopt_hint(payload.leader_hint)
@@ -401,6 +404,17 @@ class ClientPopulation(Process):
         # on (mirrors the closed-loop client's rule).
         if hint and hint not in self._suspected:
             self._leader_hint = hint
+
+    def _drop_target(self, replica_id: str) -> None:
+        """A replica left its cluster: stop sending to it, re-send what it held."""
+        if replica_id in self.target_replicas and len(self.target_replicas) > 1:
+            self.target_replicas.remove(replica_id)
+        self._suspected.discard(replica_id)
+        if self._leader_hint == replica_id:
+            self._leader_hint = ""
+        stranded = [record[0] for record in self._inflight.values() if record[2] == replica_id]
+        if stranded:
+            self._resend(stranded)
 
     def _complete(self, txn_id: str) -> None:
         record = self._inflight.pop(txn_id, None)
@@ -446,16 +460,17 @@ class ClientPopulation(Process):
                     self._suspected.add(target)
                     if target == self._leader_hint:
                         self._leader_hint = ""  # a silent leader hint is stale
-                retry_target = self._next_read_target()
-                now = self.now
-                for transaction in transactions:
-                    self._inflight[transaction.txn_id] = (transaction, now, retry_target)
-                    self.retries += 1
-                self.apl.send(
-                    retry_target,
-                    ClientBatchRequest(transactions=tuple(transactions)),
-                )
+                self._resend(transactions)
         self.after(self.retry_timeout / 2.0, self._sweep_retries, label=f"{self.process_id}:sweep")
+
+    def _resend(self, transactions: List[Transaction]) -> None:
+        """Re-send in-flight operations as one batch to the next healthy replica."""
+        retry_target = self._next_read_target()
+        now = self.now
+        for transaction in transactions:
+            self._inflight[transaction.txn_id] = (transaction, now, retry_target)
+            self.retries += 1
+        self.apl.send(retry_target, ClientBatchRequest(transactions=tuple(transactions)))
 
     # ------------------------------------------------------------------ #
     # Introspection

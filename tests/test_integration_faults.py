@@ -85,6 +85,69 @@ class TestByzantineLeader:
         assert any(count >= 1 for count in changed)
 
 
+class TestByzantineInterTargets:
+    """Stage 2 with a faulty Inter target or a remote leader that skips one.
+
+    2×4 ``hotstuff``, 0.5-s timeouts, 4 s.  ``c0/r0`` and ``c0/r1`` are
+    cluster 0's Inter targets for cluster 1's bundles.
+    """
+
+    @staticmethod
+    def _run(attack=None):
+        from repro.harness.builder import Scenario
+
+        spec = Scenario("inter-targets").clusters(4, 4).engine("hotstuff").timeouts(0.5)
+        spec = spec.duration(4.0).seeds(3).spec()
+        deployment = spec.build()
+        if attack is not None:
+            attack(deployment)
+        metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
+        rounds = {r.process_id: r.round_number for r in deployment.replicas.values()}
+        return deployment, len(metrics.transactions), rounds
+
+    @staticmethod
+    def _selective_first_target(deployment):
+        """``c0/r0`` shares each remote bundle with the other target only."""
+        from repro.core.messages import Inter, LocalShare
+
+        byzantine = deployment.replicas["c0/r0"]
+
+        def on_inter(sender, message):
+            if not byzantine.sharing.bundle_valid(message.cluster_id, message.round_number, message.bundle):
+                return
+            share = LocalShare(
+                round_number=message.round_number, cluster_id=message.cluster_id, bundle=message.bundle
+            )
+            byzantine.apl.send_many(byzantine.local_members()[: byzantine.local_faults() + 1], share)
+
+        byzantine._handler_table[Inter] = (True, False, on_inter)
+
+    @staticmethod
+    def _skip_second_target(deployment):
+        """Cluster 1's leader never sends its Inter to ``c0/r1``."""
+        from repro.core.messages import Inter
+
+        deployment.network.add_drop_rule(
+            lambda sender, destination, payload: type(payload) is Inter and destination == "c0/r1"
+        )
+
+    def test_a_selective_first_target_costs_the_rest_one_timeout_per_round(self):
+        # The starved members complain locally and a holder answers with the
+        # bundle; without the answer the cluster froze at round 2.
+        deployment, operations, rounds = self._run(self._selective_first_target)
+        assert min(rounds.values()) >= 6, rounds
+        assert operations > 1000
+        assert all(r.rlc.remote_changes_applied == 0 for r in deployment.replicas.values())
+
+    def test_a_target_the_remote_leader_skipped_costs_nothing(self):
+        _, fault_free_operations, fault_free_rounds = self._run()
+        deployment, operations, rounds = self._run(self._skip_second_target)
+        assert operations >= 0.99 * fault_free_operations
+        assert min(rounds.values()) == min(fault_free_rounds.values())
+        assert deployment.network.stats.by_type["ShareRequest"] >= min(rounds.values()) - 1
+        assert sum(r.sharing.fallback_broadcasts for r in deployment.replicas.values()) == 0
+
+
 class TestLostRemoteComplaints:
     """A complaining cluster numbers its complaints whether or not they are
     delivered; the complained cluster must not insist on seeing every one."""

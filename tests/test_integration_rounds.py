@@ -107,3 +107,56 @@ class TestStateConvergence:
         assert metrics.rounds_executed() > 0
         record = metrics.rounds[0]
         assert record.ended_at >= record.stage2_done_at >= record.stage1_done_at >= record.started_at
+
+
+class TestShareFloor:
+    """Stage 2 at the byte floor: each replica receives each remote bundle once."""
+
+    def test_every_replica_receives_each_remote_bundle_exactly_once(self):
+        from collections import Counter
+
+        from repro.core.messages import Inter, LocalShare
+        from repro.harness.builder import Scenario
+
+        spec = (
+            Scenario("share-floor")
+            .clusters((4, "us-west1"), (7, "europe-west3"), (4, "asia-south1"))
+            .engine("hotstuff")
+            .threads(2)
+            .duration(3.0, warmup=0.0)
+            .seeds(17)
+            .spec()
+        )
+        deployment = spec.build()
+        network = deployment.network
+        cluster_of = deployment.system_config.cluster_of
+        copies = Counter()
+        multicast = network.multicast
+
+        def counting(sender, destinations, payload, signature=None):
+            kind = type(payload)
+            if kind is Inter or (kind is LocalShare and payload.bundle is not None):
+                for destination in destinations:
+                    if destination != sender:
+                        key = (kind.__name__, payload.cluster_id, payload.round_number)
+                        copies[(*key, cluster_of(destination))] += 1
+            multicast(sender, destinations, payload, signature)
+
+        network.multicast = counting
+        deployment.run(duration=spec.duration, warmup=spec.warmup)
+        replicas = list(deployment.replicas.values())
+        assert sum(replica.sharing.fallback_broadcasts for replica in replicas) == 0
+        assert network.stats.by_type["ShareRequest"] == 0
+        executed = min(replica.round_number for replica in replicas) - 1
+        assert executed >= 5
+        for receiving in range(3):
+            n = len(deployment.system_config.members(receiving))
+            f = (n - 1) // 3
+            for sending in range(3):
+                if sending == receiving:
+                    continue
+                for round_number in range(1, executed + 1):
+                    # (f+1) Inter copies reach the targets; the first target
+                    # sends full copies to the n - f - 1 members left over.
+                    assert copies[("Inter", sending, round_number, receiving)] == f + 1
+                    assert copies[("LocalShare", sending, round_number, receiving)] == n - f - 1

@@ -23,7 +23,13 @@ import pytest
 from helpers import silent_inter_scenario
 from repro.consensus.leader_election import LeaderElection
 from repro.consensus.registry import ENGINES
-from repro.core.messages import CORE_MESSAGE_TYPES, LComplaint
+from repro.core.messages import (
+    CORE_MESSAGE_TYPES,
+    ClientBatchResponse,
+    LComplaint,
+    LocalShare,
+    ShareRequest,
+)
 from repro.core.types import OperationsBundle, ReconfigRequest, make_transaction
 from repro.harness.builder import Scenario
 from repro.net.crypto import Certificate, KeyRegistry, MessageSignature, Signature
@@ -76,6 +82,8 @@ def _field_values(registry: KeyRegistry):
         "Tuple[Transaction, ...]": (_transaction(5), _transaction(6)),
         "Tuple[Tuple[str, Optional[str]], ...]": (("t1", "v"), ("t2", None)),
         "OperationsBundle": bundle,
+        "Optional[OperationsBundle]": bundle,
+        "bool": True,
         # A complaint's quorum is made of *envelope* signatures.
         "Tuple[Signature, ...]": tuple(
             registry.sign_message(signer, LComplaint(1, 0, 4, 0)) for signer in SIGNERS
@@ -146,6 +154,35 @@ class TestLazyEqualsEager:
         certificate.add(lazy)
         certificate.add(eager)
         assert certificate.signatures[SIGNERS[0]] is eager
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            LocalShare(round_number=4, cluster_id=0),
+            ShareRequest(round_number=4, cluster_id=0),
+            ClientBatchResponse(committed_round=4, departed=True),
+        ],
+        ids=["header-LocalShare", "ShareRequest", "departed-ClientBatchResponse"],
+    )
+    def test_stage2_control_messages_sign_lazily_too(self, message):
+        # The header and the departure notice leave fields at their
+        # defaults, which the populated instances above never do.
+        registry = _registry()
+        lazy = registry.sign_message(SIGNERS[0], message)
+        eager = registry.sign(SIGNERS[0], message.digest())
+        assert lazy == eager and lazy.digest == message.digest()
+        assert registry.verify(lazy)
+        assert type(pickle.loads(pickle.dumps(lazy))) is Signature
+        assert message.cached_size() == 128
+
+    def test_a_header_is_told_apart_from_the_full_share(self):
+        registry = _registry()
+        full = _instance(LocalShare, registry)
+        header = LocalShare(round_number=full.round_number, cluster_id=full.cluster_id)
+        assert header.digest() != full.digest()
+        assert header.cached_size() < full.cached_size()
+        departed = ClientBatchResponse(committed_round=4, departed=True)
+        assert departed.digest() != ClientBatchResponse(committed_round=4).digest()
 
     @pytest.mark.parametrize("message_type", MESSAGE_TYPES, ids=lambda cls: cls.__name__)
     def test_pickles_as_a_plain_materialised_signature(self, message_type):

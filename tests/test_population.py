@@ -541,3 +541,52 @@ class TestClosedLoopGoldensAB:
         # And the closed-loop run never touches the open-loop counters.
         assert metrics.offered == 0
         assert metrics.lease_hits == metrics.lease_misses == 0
+
+
+# ---------------------------------------------------------------------- #
+# A replica that leaves tells the populations it served
+# ---------------------------------------------------------------------- #
+class TestDeparture:
+    def test_a_departed_replica_is_dropped_and_its_in_flight_operations_resent_at_once(self):
+        from repro.core.messages import ClientBatchResponse
+        from repro.core.replica import MODE_LEFT
+
+        spec = (
+            Scenario("departure")
+            .clusters((5, "us-west1"), (4, "europe-west3"))
+            .open_loop(rate=600.0)
+            .timeouts(1.0)
+            .config(retry_timeout=1.0)
+            .leave("c0/r4", at=0.5)
+            .duration(2.0, warmup=0.0)
+            .seeds(5)
+            .spec()
+        )
+        deployment = spec.build()
+        population = next(p for p in deployment.populations if "c0/r4" in p.target_replicas)
+        notices = []
+        resent_at_notice = []
+        on_message = population.on_message
+
+        def recording(sender, envelope):
+            payload = envelope.payload
+            if isinstance(payload, ClientBatchResponse) and payload.departed:
+                notices.append(sender)
+                stranded = [r for r in population._inflight.values() if r[2] == sender]
+                on_message(sender, envelope)
+                resent_at_notice.append((len(stranded), population.retries))
+                return
+            on_message(sender, envelope)
+
+        population.on_message = recording
+        deployment.run(duration=spec.duration, warmup=spec.warmup)
+        assert deployment.replicas["c0/r4"].mode == MODE_LEFT
+        assert notices == ["c0/r4"]
+        assert "c0/r4" not in population.target_replicas
+        assert all(target != "c0/r4" for _, _, target in population._inflight.values())
+        # Every operation stranded at the leaver was re-sent on the notice.
+        stranded, retries = resent_at_notice[0]
+        assert retries >= stranded
+        # Without the notice, the reads sent to the leaver after it left
+        # waited out retry sweeps: 171 of 1 234 were still in flight at 2 s.
+        assert population.completed >= 0.95 * population.dispatched

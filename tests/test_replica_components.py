@@ -20,6 +20,8 @@ from repro.core.messages import (
     ClientResponse,
     CurrState,
     Inter,
+    LComplaint,
+    LocalShare,
     ReadLeaseGrant,
 )
 from repro.core import replica as replica_module
@@ -92,44 +94,113 @@ def _remote_bundle(network, round_number=1):
     )
 
 
-def _grace() -> float:
-    return replica_module.INTER_SHARE_GRACE
+def _grace(replica) -> float:
+    """The wait before a fallback or a pull: the local hop plus two jitter spreads."""
+    model = replica.network.latency_model
+    spread = model.pair_params("c1/r0", replica.process_id)[1]
+    return replica_module.INTER_SHARE_GRACE + 2 * spread
 
 
-def _shares(network) -> int:
-    return network.stats.by_type["LocalShare"]
+def _record_shares(network):
+    """Wrap ``multicast``; the list collects ``(sender, receivers, full)`` per LocalShare."""
+    sent = []
+    multicast = network.multicast
+
+    def recording(sender, destinations, payload, signature=None):
+        if isinstance(payload, LocalShare):
+            sent.append((sender, tuple(destinations), payload.bundle is not None))
+        multicast(sender, destinations, payload, signature)
+
+    network.multicast = recording
+    return sent
+
+
+def _full_copies(sent):
+    return sorted(receiver for _, receivers, full in sent if full for receiver in receivers)
+
+
+def _headers(sent):
+    return sorted(receiver for _, receivers, full in sent if not full for receiver in receivers)
+
+
+def _holders(replicas):
+    return [replica_id for replica_id in C0 if 1 in replicas[replica_id].operations]
 
 
 class TestInterStagger:
-    def test_first_receiver_broadcasts_at_once(self):
-        simulator, network, _, replicas = _system()
-        inter = Inter(round_number=1, cluster_id=1, bundle=_remote_bundle(network))
-        replicas[C0[0]].sharing.on_inter("c1/r0", inter)
-        assert _shares(network) == len(C0)
+    """Cluster 0 has ``f = 1``: the remote leader reaches ``c0/r0`` and ``c0/r1``."""
 
-    def test_a_later_receiver_holds_back_while_the_first_ones_share_arrives(self):
+    def test_the_first_target_sends_full_copies_only_where_the_leader_did_not_reach(self):
         simulator, network, _, replicas = _system()
+        sent = _record_shares(network)
         inter = Inter(round_number=1, cluster_id=1, bundle=_remote_bundle(network))
         replicas[C0[0]].sharing.on_inter("c1/r0", inter)
-        replicas[C0[1]].sharing.on_inter("c1/r1", inter)
-        assert _shares(network) == len(C0) + 1  # the first's broadcast, the second's share to itself
-        simulator.run(until=10 * _grace())
+        assert _full_copies(sent) == ["c0/r0", "c0/r2", "c0/r3"]  # itself and the two non-targets
+        assert _headers(sent) == ["c0/r1"]
+        assert network.stats.bytes_sent == 2 * inter.bundle.size_bytes() + 128
+
+    def test_a_later_target_adopts_its_own_inter_and_stays_quiet(self):
+        simulator, network, _, replicas = _system()
+        sent = _record_shares(network)
+        inter = Inter(round_number=1, cluster_id=1, bundle=_remote_bundle(network))
+        replicas[C0[1]].sharing.on_inter("c1/r0", inter)
+        replicas[C0[0]].sharing.on_inter("c1/r0", inter)
+        simulator.run(until=10 * _grace(replicas[C0[1]]))
         assert (1, 1) in replicas[C0[1]].sharing.peer_shared
-        assert _shares(network) == len(C0) + 1
         assert replicas[C0[1]].sharing.fallback_broadcasts == 0
-        assert all(1 in replica.operations for replica in map(replicas.get, C0))
+        # Each member received the bundle once: its Inter or one full share.
+        assert _full_copies(sent) == ["c0/r0", "c0/r1", "c0/r2", "c0/r3"]
+        assert _holders(replicas) == list(C0)
+        assert network.stats.by_type["ShareRequest"] == 0
 
-    def test_a_later_receiver_falls_back_when_the_first_stays_silent(self):
+    def test_a_later_target_falls_back_when_the_first_stays_silent(self):
         simulator, network, _, replicas = _system()
-        inter = Inter(round_number=1, cluster_id=1, bundle=_remote_bundle(network))
-        replicas[C0[1]].sharing.on_inter("c1/r1", inter)
-        simulator.run(until=_grace() / 2)
-        assert _shares(network) == 1
-        assert 1 in replicas[C0[1]].operations and 1 not in replicas[C0[0]].operations
-        simulator.run(until=10 * _grace())
-        assert _shares(network) == 1 + len(C0)
-        assert replicas[C0[1]].sharing.fallback_broadcasts == 1
-        assert all(1 in replica.operations for replica in map(replicas.get, C0))
+        sent = _record_shares(network)
+        later = replicas[C0[1]]
+        later.sharing.on_inter("c1/r0", Inter(round_number=1, cluster_id=1, bundle=_remote_bundle(network)))
+        simulator.run(until=_grace(later) / 2)
+        assert _holders(replicas) == ["c0/r1"]
+        simulator.run(until=10 * _grace(later))
+        assert later.sharing.fallback_broadcasts == 1
+        assert _full_copies(sent) == list(C0)
+        assert _holders(replicas) == list(C0)
+
+    def test_the_fallback_reaches_the_view_the_inter_arrived_in(self):
+        # A member leaving in this round needs the bundle to execute its own
+        # leave; the fallback must not use the view of the next round.
+        simulator, network, _, replicas = _system()
+        later = replicas[C0[1]]
+        later.sharing.on_inter("c1/r0", Inter(round_number=1, cluster_id=1, bundle=_remote_bundle(network)))
+        later.execution.apply_reconfig(0, leave_request("c0/r3", 0))
+        assert "c0/r3" not in later.local_members()
+        simulator.run(until=10 * _grace(later))
+        assert later.sharing.fallback_broadcasts == 1
+        assert 1 in replicas["c0/r3"].operations
+
+    def test_a_target_the_remote_leader_skipped_pulls_the_bundle(self):
+        simulator, network, _, replicas = _system()
+        skipped = replicas[C0[1]]
+        replicas[C0[0]].sharing.on_inter("c1/r0", Inter(round_number=1, cluster_id=1, bundle=_remote_bundle(network)))
+        simulator.run(until=_grace(skipped) / 2)
+        assert (1, 1) in skipped.sharing.peer_shared and 1 not in skipped.operations
+        simulator.run(until=10 * _grace(skipped))
+        assert network.stats.by_type["ShareRequest"] == 1
+        assert skipped.sharing.fallback_broadcasts == 0
+        assert _holders(replicas) == list(C0)
+
+    def test_a_holder_answers_a_local_complaint_about_the_bundle(self):
+        # A first target that shared with the other targets only leaves the
+        # rest of the cluster to complain; a holder answers with the bundle.
+        simulator, network, _, replicas = _system()
+        holder, starved = replicas[C0[1]], replicas[C0[3]]
+        holder.sharing.on_inter("c1/r0", Inter(round_number=1, cluster_id=1, bundle=_remote_bundle(network)))
+        holder.sharing.peer_shared.add((1, 1))  # the selective first target's share
+        simulator.run(until=_grace(holder) / 2)
+        assert 1 in holder.operations and 1 not in starved.operations
+        complaint = LComplaint(target_cluster=1, complaint_number=0, round_number=1, origin_cluster=0)
+        _deliver(holder, starved.process_id, complaint)
+        simulator.run(until=1.0)
+        assert 1 in starved.operations
 
     def test_a_relabelled_bundle_is_rejected(self):
         _, network, _, replicas = _system()
