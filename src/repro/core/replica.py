@@ -1031,12 +1031,14 @@ class GlobalSharing:
         if replica.mode != MODE_ACTIVE or replica.crashed:
             return
         sender, header = pending
-        round_number = header.round_number
-        if (header.cluster_id, round_number) in self.inter_received or round_number < replica.round_number:
+        cluster_id, round_number = header.cluster_id, header.round_number
+        if (
+            (cluster_id, round_number) in self.inter_received
+            or round_number < replica.round_number
+            or self.held(cluster_id, round_number) is not None
+        ):
             return
-        if round_number == replica.round_number and header.cluster_id in replica.operations:
-            return
-        replica.apl.send(sender, ShareRequest(round_number=round_number, cluster_id=header.cluster_id))
+        replica.apl.send(sender, ShareRequest(round_number=round_number, cluster_id=cluster_id))
 
     def on_share_request(self, sender: str, message: ShareRequest) -> None:
         """A local target the remote leader skipped asks for a bundle we hold."""
@@ -1085,7 +1087,9 @@ class GlobalSharing:
             return
         if round_number < replica.round_number:
             return
-        if round_number > replica.round_number:
+        if round_number > replica.round_number or replica.round_state.stage2_done_at is not None:
+            # A later round's share, or this round's before ``start_round``
+            # opened it (``operations`` still holds the executed round's).
             self.buffered_shares.setdefault(round_number, []).append((sender, message))
             return
         if cluster_id in replica.operations:

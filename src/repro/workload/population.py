@@ -409,7 +409,6 @@ class ClientPopulation(Process):
         """A replica left its cluster: stop sending to it, re-send what it held."""
         if replica_id in self.target_replicas and len(self.target_replicas) > 1:
             self.target_replicas.remove(replica_id)
-        self._suspected.discard(replica_id)
         if self._leader_hint == replica_id:
             self._leader_hint = ""
         stranded = [record[0] for record in self._inflight.values() if record[2] == replica_id]

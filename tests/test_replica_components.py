@@ -202,6 +202,21 @@ class TestInterStagger:
         simulator.run(until=1.0)
         assert 1 in starved.operations
 
+    def test_a_share_for_the_next_round_waits_for_start_round(self):
+        # Between executing round 1 and opening round 2 (the execution
+        # delay) ``operations`` still holds round 1's bundles; a round-2
+        # share arriving then was dropped as a duplicate.
+        _, network, _, replicas = _system()
+        replica = replicas[C0[2]]
+        replica.operations[1] = _remote_bundle(network, round_number=1)
+        replica.round_state.stage2_done_at = 0.0
+        replica.round_number = 2
+        share = LocalShare(round_number=2, cluster_id=1, bundle=_remote_bundle(network, round_number=2))
+        replica.sharing.on_local_share(C0[0], share)
+        assert replica.operations[1].round_number == 1
+        replica.start_round()
+        assert replica.operations[1].round_number == 2
+
     def test_a_relabelled_bundle_is_rejected(self):
         _, network, _, replicas = _system()
         bundle = _remote_bundle(network)
