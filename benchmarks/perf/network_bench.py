@@ -67,7 +67,7 @@ def _bench_ring(
     for _ in range(repeats):
         sim = Simulator(seed=seed)
         registry = KeyRegistry(seed=seed)
-        network = Network(sim, LatencyModel(sim.rng), registry, NetworkConfig())
+        network = Network(sim, LatencyModel(), registry, NetworkConfig())
         sinks: List[_Sink] = []
         links: List[AuthenticatedPerfectLink] = []
         for index in range(processes):

@@ -13,7 +13,8 @@ Quickstart — declare a scenario, run it, read the row::
         .engine("hotstuff")
         .seed(7)
         .duration(5.0, warmup=1.0)
-        .run_one()
+        .spec()
+        .run()
     )
     print(row.throughput, row.latency_mean)
 
@@ -42,13 +43,7 @@ from repro.harness.builder import Scenario
 from repro.harness.deployment import Deployment
 from repro.harness.faults import FaultInjector
 from repro.harness.metrics import MetricsCollector
-from repro.harness.runner import (
-    AggregateRow,
-    ResultRow,
-    ScenarioRunner,
-    aggregate_rows,
-    run_scenario,
-)
+from repro.harness.runner import ResultRow, ScenarioRunner, run_scenario
 from repro.harness.scenario import (
     ByzantineEvent,
     ChurnLoop,
@@ -70,7 +65,6 @@ __version__ = "1.1.0"
 from repro.workload.population import ClientPopulation, PopulationConfig
 
 __all__ = [
-    "AggregateRow",
     "ByzantineBehavior",
     "ByzantineEvent",
     "ChurnLoop",
@@ -100,7 +94,6 @@ __all__ = [
     "ScenarioSpec",
     "SystemConfig",
     "Transaction",
-    "aggregate_rows",
     "join_request",
     "leave_request",
     "register_preset",

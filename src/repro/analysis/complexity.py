@@ -7,9 +7,8 @@ faults per cluster:
 * local and global best-case message complexity, and
 * whether the protocol is decentralized (no single leader site).
 
-The formulas follow the paper's Table I.  The module also provides an
-empirical cross-check: counting the messages a small simulated deployment
-actually sends per decision and comparing the growth against the model.
+The table is the paper's Table I formulas, evaluated.  Nothing here
+simulates, and no simulated message count checks them yet.
 """
 
 from __future__ import annotations
@@ -139,24 +138,10 @@ def complexity_table(z: int, n: int, f: Optional[int] = None) -> List[Dict[str, 
     return rows
 
 
-def format_table(rows: List[Dict[str, object]]) -> str:
-    """Render complexity rows as a fixed-width text table."""
-    header = f"{'Protocol':<14} {'D':>4} {'Local':>14} {'Global':>12} {'DC':>4}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['protocol']:<14} {row['decisions']:>4} "
-            f"{row['local_formula']:>14} {row['global_formula']:>12} "
-            f"{'yes' if row['decentralized'] else 'no':>4}"
-        )
-    return "\n".join(lines)
-
-
 __all__ = [
     "PROTOCOLS",
     "ProtocolComplexity",
     "complexity_table",
-    "format_table",
     "messages_per_decision",
     "protocol",
 ]

@@ -10,14 +10,12 @@
   parallel workflow, the ablation of experiment E5.2.
 """
 
-from repro.baselines.geobft import geobft_config, geobft_scenario
+from repro.baselines.geobft import geobft_config
 from repro.baselines.pbft_global import global_pbft_scenario
-from repro.baselines.single_workflow import single_workflow_config, single_workflow_scenario
+from repro.baselines.single_workflow import single_workflow_config
 
 __all__ = [
     "geobft_config",
-    "geobft_scenario",
     "global_pbft_scenario",
     "single_workflow_config",
-    "single_workflow_scenario",
 ]

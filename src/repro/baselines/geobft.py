@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import HamavaConfig
-from repro.harness.builder import Scenario
 from repro.harness.scenario import register_preset
 
 
@@ -36,9 +35,4 @@ def geobft_config(base: Optional[HamavaConfig] = None) -> HamavaConfig:
 register_preset("geobft", geobft_config)
 
 
-def geobft_scenario(name: str = "geobft") -> Scenario:
-    """A fluent builder preconfigured for the GeoBFT baseline (E6)."""
-    return Scenario(name).preset("geobft").engine("bftsmart")
-
-
-__all__ = ["geobft_config", "geobft_scenario"]
+__all__ = ["geobft_config"]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import HamavaConfig
-from repro.harness.builder import Scenario
 from repro.harness.scenario import register_preset
 
 
@@ -27,9 +26,4 @@ def single_workflow_config(base: Optional[HamavaConfig] = None) -> HamavaConfig:
 register_preset("single_workflow", single_workflow_config)
 
 
-def single_workflow_scenario(name: str = "single_workflow") -> Scenario:
-    """A fluent builder preconfigured for the single-workflow ablation (E5.2)."""
-    return Scenario(name).preset("single_workflow")
-
-
-__all__ = ["single_workflow_config", "single_workflow_scenario"]
+__all__ = ["single_workflow_config"]

@@ -51,10 +51,6 @@ class Decision:
     certificate: Certificate
     decided_at: float = 0.0
 
-    def digest(self) -> str:
-        """The digest the certificate covers."""
-        return self.certificate.digest
-
 
 @dataclass
 class _Instance:

@@ -159,10 +159,6 @@ class CollectionProof:
     round_number: int
     entries: Tuple[CollectionEntry, ...] = ()
 
-    def senders(self) -> set:
-        """Distinct submitting replicas."""
-        return {entry.sender for entry in self.entries}
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -48,11 +48,6 @@ class ClusterSpec:
         """Number of replicas in the cluster."""
         return len(self.replicas)
 
-    @property
-    def faults(self) -> int:
-        """Failure threshold ``f`` for this cluster."""
-        return failure_threshold(self.size)
-
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` if the spec is unusable."""
         if self.size < 1:
@@ -104,35 +99,13 @@ class SystemConfig:
         """Sorted members of one cluster."""
         return sorted(self.clusters[cluster_id].replicas)
 
-    def all_replicas(self) -> List[str]:
-        """All replica ids across all clusters."""
-        replicas: List[str] = []
-        for cluster_id in self.cluster_ids():
-            replicas.extend(self.members(cluster_id))
-        return replicas
-
-    def cluster_of(self, replica_id: str) -> int:
-        """The cluster a replica belongs to."""
-        for cluster_id, spec in self.clusters.items():
-            if replica_id in spec.replicas:
-                return cluster_id
-        raise ConfigurationError(f"replica {replica_id!r} is not in any cluster")
-
     def region_of_cluster(self, cluster_id: int) -> str:
         """Region of a cluster."""
         return self.clusters[cluster_id].region
 
-    def faults(self, cluster_id: int) -> int:
-        """Failure threshold of a cluster in the initial configuration."""
-        return self.clusters[cluster_id].faults
-
     def initial_view(self) -> Dict[int, set]:
         """The membership view replicas start from: ``{cluster: {members}}``."""
         return {cid: set(spec.replicas) for cid, spec in self.clusters.items()}
-
-    def total_replicas(self) -> int:
-        """Total number of replicas in the system."""
-        return sum(spec.size for spec in self.clusters.values())
 
 
 @dataclass

@@ -78,10 +78,6 @@ class ReconfigurationCollector:
         """The set of pending (not yet applied) reconfiguration requests."""
         return tuple(sorted(self._recs))
 
-    def pending_count(self) -> int:
-        """Number of pending requests."""
-        return len(self._recs)
-
     # ------------------------------------------------------------------ #
     # Local additions
     # ------------------------------------------------------------------ #
@@ -143,10 +139,6 @@ class RequestTracker:
         if len(self._ackers) >= self.quorum_fn():
             self.satisfied = True
         return self.satisfied
-
-    def ack_count(self) -> int:
-        """Number of distinct acknowledgers so far."""
-        return len(self._ackers)
 
     def should_retry(self) -> bool:
         """Whether the requester should re-broadcast its request."""

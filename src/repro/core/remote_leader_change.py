@@ -136,14 +136,6 @@ class RemoteLeaderChange:
         """Sorted members of a remote cluster under the current view."""
         return self.members_of_fn(cluster_id)
 
-    def complaint_number(self, cluster_id: int) -> int:
-        """Current outgoing complaint number for a remote cluster."""
-        return self._watch(cluster_id).complaint_number
-
-    def received_complaint_number(self, cluster_id: int) -> int:
-        """Next expected incoming complaint number from a cluster."""
-        return self._watch(cluster_id).received_complaint_number
-
     # ------------------------------------------------------------------ #
     # Round lifecycle
     # ------------------------------------------------------------------ #

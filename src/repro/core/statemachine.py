@@ -281,9 +281,5 @@ class KeyValueStore:
             self._applied_start = applied_position
             self.applied = 0
 
-    def fingerprint(self) -> Tuple[int, int]:
-        """A cheap state fingerprint: (#keys, #applied writes)."""
-        return (len(self.data), self.applied)
-
 
 __all__ = ["ExecutionLedger", "ExecutionPlan", "KeyValueStore", "LedgerView"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.net.crypto import Certificate
 from repro.net.message import compact_digest
@@ -165,10 +165,6 @@ class OperationsBundle:
     recs_collection_certificate: Optional[Certificate] = None
     recs_ready_certificate: Optional[Certificate] = None
 
-    def operation_count(self) -> int:
-        """Number of operations (transactions + reconfigurations)."""
-        return len(self.transactions) + len(self.reconfigs)
-
     def size_bytes(self) -> int:
         """Approximate serialized size of the bundle.
 
@@ -216,28 +212,13 @@ class OperationsBundle:
 _BUNDLE_FIELDS = tuple(f.name for f in dataclass_fields(OperationsBundle))
 
 
-def merge_reconfigs(sets: Iterable[Iterable[ReconfigRequest]]) -> Tuple[ReconfigRequest, ...]:
-    """Union several reconfiguration sets into a canonical sorted tuple."""
-    merged = set()
-    for requests in sets:
-        merged.update(requests)
-    return tuple(sorted(merged))
-
-
-def cluster_order(operations: Dict[int, OperationsBundle]) -> List[int]:
-    """The predefined cluster order used by stage 3 (ascending cluster id)."""
-    return sorted(operations)
-
-
 __all__ = [
     "OperationsBundle",
     "READ",
     "ReconfigRequest",
     "Transaction",
     "WRITE",
-    "cluster_order",
     "join_request",
     "leave_request",
     "make_transaction",
-    "merge_reconfigs",
 ]

@@ -2,9 +2,9 @@
 
 The builder is the experiment-facing entry point of the harness::
 
-    from repro import Scenario
+    from repro import Scenario, ScenarioRunner
 
-    rows = (
+    scenario = (
         Scenario("e4")
         .clusters(4, 4)
         .engine("hotstuff")
@@ -12,25 +12,25 @@ The builder is the experiment-facing entry point of the harness::
         .join(cluster=1, at=3.0)
         .duration(8.0, warmup=1.0)
         .seeds(1, 2, 3)
-        .run(workers=2)
     )
+    rows = ScenarioRunner(workers=2).run(scenario)
 
 Every fluent call returns the builder, ``specs()`` compiles one
-:class:`~repro.harness.scenario.ScenarioSpec` per requested seed, and
-``run()`` hands them to a :class:`~repro.harness.runner.ScenarioRunner`.
+:class:`~repro.harness.scenario.ScenarioSpec` per requested seed, and a
+:class:`~repro.harness.runner.ScenarioRunner` runs them.
 Replica references accept both the canonical ``"c0/r1"`` ids and the
 shorthand ``"r0.1"`` (cluster 0, replica 1).
 """
 
 from __future__ import annotations
 
+import copy
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import HamavaConfig
 from repro.errors import ConfigurationError
 from repro.workload.population import PopulationConfig, resolve_population_preset
-from repro.workload.shapes import LoadShape
 from repro.harness.scenario import (
     DEFAULT_REGION,
     ByzantineEvent,
@@ -75,8 +75,6 @@ class Scenario:
     def __init__(self, name: str = "scenario") -> None:
         self._spec = ScenarioSpec(name=name, clusters=[])
         self._seeds: List[int] = []
-        self._default_region = DEFAULT_REGION
-        self._bare_clusters: List[int] = []  # indices placed in the default region
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -85,20 +83,10 @@ class Scenario:
         """Add clusters: bare sizes (``4, 4``) or ``(size, region)`` pairs."""
         for shape in shapes:
             if isinstance(shape, int):
-                if region is None:
-                    self._bare_clusters.append(len(self._spec.clusters))
-                self._spec.clusters.append((shape, region or self._default_region))
+                self._spec.clusters.append((shape, region or DEFAULT_REGION))
             else:
                 size, shape_region = shape
                 self._spec.clusters.append((int(size), str(shape_region)))
-        return self
-
-    def region(self, region: str) -> "Scenario":
-        """Default region for clusters added without an explicit one."""
-        self._default_region = region
-        for index in self._bare_clusters:
-            size, _ = self._spec.clusters[index]
-            self._spec.clusters[index] = (size, region)
         return self
 
     def place(self, replica: str, region: str) -> "Scenario":
@@ -145,27 +133,12 @@ class Scenario:
         self._spec.config_overrides.update(overrides)
         return self
 
-    def replica_class(self, replica_class: Union[str, type]) -> "Scenario":
-        """Use a custom replica implementation (class or ``"module:Class"``)."""
-        self._spec.replica_class = replica_class
-        return self
-
     # ------------------------------------------------------------------ #
     # Workload and clients
     # ------------------------------------------------------------------ #
     def workload(self, **fields: object) -> "Scenario":
         """Override YCSB workload parameters (``read_fraction``, ...)."""
         _override(self._spec.workload, "workload", fields)
-        return self
-
-    def latency(self, **fields: object) -> "Scenario":
-        """Override latency-model constants."""
-        _override(self._spec.latency, "latency", fields)
-        return self
-
-    def network(self, **fields: object) -> "Scenario":
-        """Override network processing-cost constants."""
-        _override(self._spec.network, "network", fields)
         return self
 
     def threads(self, client_threads: int) -> "Scenario":
@@ -177,18 +150,16 @@ class Scenario:
         self,
         clients: Optional[int] = None,
         rate: Optional[float] = None,
-        shape: Optional[LoadShape] = None,
         preset: Optional[str] = None,
         **fields: object,
     ) -> "Scenario":
         """Switch to the open-loop population workload model.
 
-        Either start from a named population ``preset`` (``"steady"``,
-        ``"ramp"``, ``"rush_hour"``, ``"staircase"``, ``"diurnal"``,
-        ``"trace"``, ``"smoke"``) or from defaults, then override
-        ``clients`` / ``rate`` / ``shape`` and any other
+        Either start from a named population ``preset`` (``"steady"``) or
+        from the current population (defaults if none), then override
+        ``clients`` / ``rate`` and any other
         :class:`~repro.workload.population.PopulationConfig` field
-        (``arrival``, ``batch_window``, ``max_outstanding``).
+        (``batch_window``, ``max_outstanding``).
         """
         config = (
             resolve_population_preset(preset)
@@ -199,9 +170,6 @@ class Scenario:
             config.clients = int(clients)
         if rate is not None:
             config.rate = float(rate)
-            config.shape = None  # an explicit rate overrides a preset's shape
-        if shape is not None:
-            config.shape = shape
         _override(config, "population", fields)
         self._spec.workload_model = "open"
         self._spec.population = config
@@ -214,11 +182,6 @@ class Scenario:
             self._spec.config_overrides["lease_duration"] = float(duration)
         return self
 
-    def clients_per_cluster(self, count: int) -> "Scenario":
-        """Number of workload clients per cluster."""
-        self._spec.clients_per_cluster = int(count)
-        return self
-
     # ------------------------------------------------------------------ #
     # Run shape
     # ------------------------------------------------------------------ #
@@ -227,11 +190,6 @@ class Scenario:
         self._spec.duration = float(duration)
         if warmup is not None:
             self._spec.warmup = float(warmup)
-        return self
-
-    def warmup(self, warmup: float) -> "Scenario":
-        """Exclude completions before this virtual time from metrics."""
-        self._spec.warmup = float(warmup)
         return self
 
     def seed(self, seed: int) -> "Scenario":
@@ -393,7 +351,7 @@ class Scenario:
         """
         if config is None:
             config = (
-                self._spec.congestion.copy()
+                copy.deepcopy(self._spec.congestion)
                 if self._spec.congestion is not None
                 else CongestionConfig()
             )
@@ -452,7 +410,7 @@ class Scenario:
         """Compile to a single spec (first seed when several were given)."""
         spec = self._spec.with_seed(self._seeds[0] if self._seeds else self._spec.seed)
         if not spec.clusters:
-            spec.clusters = [(4, self._default_region)]
+            spec.clusters = [(4, DEFAULT_REGION)]
         spec.validate()
         return spec
 
@@ -465,16 +423,6 @@ class Scenario:
     def build(self):
         """Compile and build the deployment for the first seed."""
         return self.spec().build()
-
-    def run(self, workers: int = 1):
-        """Execute all seeds, optionally in parallel; returns result rows."""
-        from repro.harness.runner import ScenarioRunner
-
-        return ScenarioRunner(workers=workers).run(self)
-
-    def run_one(self):
-        """Execute the first seed only; returns a single result row."""
-        return self.spec().run()
 
 
 __all__ = ["Scenario", "normalize_replica_ref"]

@@ -82,7 +82,7 @@ class Deployment:
         self._floor_schedule_resolved = False
 
         self.simulator = self.kernel = Simulator(seed=spec.seed)
-        self.latency_model = LatencyModel(self.simulator.rng, spec.latency)
+        self.latency_model = LatencyModel(spec.latency)
         self.network = Network(self.simulator, self.latency_model, self.registry, spec.network)
         self.network.owners = self._owners
         self.network.next_barrier = self.next_barrier

@@ -220,121 +220,6 @@ def _run_payload(payload: Dict[str, object]) -> Dict[str, object]:
 ScenarioLike = Union[ScenarioSpec, "Scenario"]  # noqa: F821 - builder import is lazy
 
 
-# ---------------------------------------------------------------------- #
-# Multi-seed aggregation
-# ---------------------------------------------------------------------- #
-#: ResultRow fields aggregated across seeds.
-AGGREGATE_METRICS = (
-    "throughput",
-    "throughput_reads",
-    "throughput_writes",
-    "latency_mean",
-    "latency_read",
-    "latency_write",
-    "latency_p99",
-    "operations",
-    "rounds",
-)
-
-#: Two-sided 95% Student-t critical values by degrees of freedom (n - 1).
-#: Seed grids are small (2-10 seeds), where the normal z=1.96 understates
-#: the interval badly; beyond the table the normal approximation is fine.
-_T_95 = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
-    7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 15: 2.131, 20: 2.086,
-    30: 2.042,
-}
-
-
-def _t_critical(dof: int) -> float:
-    if dof <= 0:
-        return 0.0
-    if dof in _T_95:
-        return _T_95[dof]
-    for bound in (15, 20, 30):
-        if dof <= bound:
-            return _T_95[bound]
-    return 1.960
-
-
-def _mean_std(values: List[float]) -> tuple:
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, variance ** 0.5
-
-
-@dataclass
-class AggregateRow:
-    """Per-scenario statistics across seeds: mean, stddev, and 95% CI.
-
-    ``mean``/``std``/``ci95`` map each :data:`AGGREGATE_METRICS` field to
-    its across-seed mean, sample standard deviation (n−1), and 95%
-    confidence half-width (Student t, so 2-5 seed grids are honest about
-    their uncertainty instead of quoting a bare point estimate).
-    """
-
-    scenario: str
-    seeds: List[int]
-    mean: Dict[str, float]
-    std: Dict[str, float]
-    ci95: Dict[str, float]
-    failed_seeds: List[int] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-serializable description of this aggregate."""
-        return asdict(self)
-
-    def format_metric(self, metric: str, precision: int = 1) -> str:
-        """Render one metric as ``mean ± ci95`` for reports."""
-        return f"{self.mean[metric]:.{precision}f} ± {self.ci95[metric]:.{precision}f}"
-
-
-def aggregate_rows(rows: Iterable[ResultRow]) -> List[AggregateRow]:
-    """Group rows by scenario name and aggregate each metric across seeds.
-
-    Failed rows are excluded from the statistics (their zeros would poison
-    every mean) but reported in ``failed_seeds`` so a crash cannot silently
-    narrow a confidence interval.
-    """
-    grouped: Dict[str, List[ResultRow]] = {}
-    order: List[str] = []
-    for row in rows:
-        if row.scenario not in grouped:
-            grouped[row.scenario] = []
-            order.append(row.scenario)
-        grouped[row.scenario].append(row)
-    aggregates: List[AggregateRow] = []
-    for name in order:
-        group = grouped[name]
-        good = [row for row in group if row.error is None]
-        failed = [row.seed for row in group if row.error is not None]
-        mean: Dict[str, float] = {}
-        std: Dict[str, float] = {}
-        ci95: Dict[str, float] = {}
-        if good:
-            t = _t_critical(len(good) - 1)
-            for metric in AGGREGATE_METRICS:
-                values = [float(getattr(row, metric)) for row in good]
-                m, s = _mean_std(values)
-                mean[metric] = m
-                std[metric] = s
-                ci95[metric] = t * s / (len(values) ** 0.5) if len(values) > 1 else 0.0
-        aggregates.append(
-            AggregateRow(
-                scenario=name,
-                seeds=[row.seed for row in good],
-                mean=mean,
-                std=std,
-                ci95=ci95,
-                failed_seeds=failed,
-            )
-        )
-    return aggregates
-
-
 class ScenarioRunner:
     """Executes scenario grids, serially or across a process pool.
 
@@ -432,19 +317,6 @@ class ScenarioRunner:
                 results[index] = run_scenario_safe(spec)
         return results
 
-    def aggregate(
-        self,
-        scenarios: Union[ScenarioLike, Iterable[ScenarioLike]],
-        seeds: Optional[Iterable[int]] = None,
-    ) -> List[AggregateRow]:
-        """Execute a grid and report per-scenario mean, stddev, and 95% CI.
-
-        One :class:`AggregateRow` per scenario name, aggregating every
-        :data:`AGGREGATE_METRICS` field across that scenario's seeds —
-        replaces bare point estimates for any claim built on a seed grid.
-        """
-        return aggregate_rows(self.run(scenarios, seeds=seeds))
-
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
@@ -463,11 +335,8 @@ class ScenarioRunner:
 
 
 __all__ = [
-    "AGGREGATE_METRICS",
-    "AggregateRow",
     "ResultRow",
     "ScenarioRunner",
-    "aggregate_rows",
     "failed_row",
     "run_in_process",
     "run_scenario",

@@ -43,27 +43,28 @@ from repro.core.replica import HamavaReplica
 from repro.errors import ConfigurationError
 from repro.harness.deployment import Deployment
 from repro.harness.faults import FaultInjector
-from repro.net.adversity import CongestionConfig, RttTrace
+from repro.net.adversity import CongestionConfig, CrossTrafficStream, RttTrace
 from repro.net.latency import LatencyParameters, canonical_region
 from repro.net.network import NetworkConfig
-from repro.workload.population import (
-    PopulationConfig,
-    population_from_dict,
-    population_to_dict,
-)
+from repro.workload.population import PopulationConfig
 from repro.workload.ycsb import YcsbConfig
 
 #: Region used when a scenario does not say otherwise.
 DEFAULT_REGION = "us-west1"
 
 
-def _construct(cls: type, data: Dict[str, object], what: str):
-    """``cls(**data)``, with a field-naming error for keys ``cls`` does not have."""
+def _check_keys(cls: type, data: Dict[str, object], what: str) -> Dict[str, object]:
+    """Return ``data``; raise a field-naming error for a key ``cls`` does not have."""
     known = [f.name for f in fields(cls)]
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ConfigurationError(f"{what}: unknown key {unknown[0]!r}; known keys: {', '.join(known)}")
-    return cls(**data)
+    return data
+
+
+def _construct(cls: type, data: Dict[str, object], what: str):
+    """``cls(**data)``, with a field-naming error for keys ``cls`` does not have."""
+    return cls(**_check_keys(cls, data, what))
 
 
 # ---------------------------------------------------------------------- #
@@ -541,8 +542,19 @@ def apply_config_overrides(config: HamavaConfig, overrides: Dict[str, object]) -
 
 def _config_from_dict(payload: Dict[str, object]) -> HamavaConfig:
     data = dict(payload)
-    consensus = ConsensusConfig(**data.pop("consensus", {}))
-    return HamavaConfig(consensus=consensus, **data)
+    data["consensus"] = _construct(ConsensusConfig, data.get("consensus", {}), "config.consensus")
+    return _construct(HamavaConfig, data, "config")
+
+
+def _congestion_from_dict(payload: Dict[str, object]) -> CongestionConfig:
+    _check_keys(CongestionConfig, payload, "congestion")
+    for stream in payload.get("streams", []):
+        _check_keys(CrossTrafficStream, stream, "congestion stream")
+    return CongestionConfig.from_dict(payload)
+
+
+def _decoder(cls: type, what: str) -> Callable:
+    return lambda value: _construct(cls, value, what)
 
 
 def _optional(convert: Callable) -> Callable:
@@ -563,10 +575,10 @@ _CODECS: Dict[str, Tuple[Callable, Callable]] = {
         lambda value: [[size, region] for size, region in value],
         lambda value: [(int(size), str(region)) for size, region in value],
     ),
-    "workload": (asdict, lambda value: YcsbConfig(**value)),
-    "population": (_optional(population_to_dict), _optional(population_from_dict)),
-    "latency": (asdict, lambda value: LatencyParameters(**value)),
-    "network": (asdict, lambda value: NetworkConfig(**value)),
+    "workload": (asdict, _decoder(YcsbConfig, "workload")),
+    "population": (_optional(asdict), _optional(_decoder(PopulationConfig, "population"))),
+    "latency": (asdict, _decoder(LatencyParameters, "latency")),
+    "network": (asdict, _decoder(NetworkConfig, "network")),
     "config": (_optional(asdict), _optional(_config_from_dict)),
     "rtt_overrides": (
         lambda value: [[a, b, rtt] for a, b, rtt in value],
@@ -577,8 +589,11 @@ _CODECS: Dict[str, Tuple[Callable, Callable]] = {
         lambda value: [event_from_dict(event) for event in value],
     ),
     "replica_class": (_optional(_class_to_path), _PLAIN[1]),
-    "rtt_trace": (_optional(RttTrace.to_dict), _optional(RttTrace.from_dict)),
-    "congestion": (_optional(CongestionConfig.to_dict), _optional(CongestionConfig.from_dict)),
+    "rtt_trace": (
+        _optional(RttTrace.to_dict),
+        _optional(lambda value: RttTrace.from_dict(_check_keys(RttTrace, value, "rtt_trace"))),
+    ),
+    "congestion": (_optional(CongestionConfig.to_dict), _optional(_congestion_from_dict)),
 }
 
 
@@ -604,7 +619,7 @@ class ScenarioSpec:
         workload_model: ``"closed"`` (per-thread YCSB clients, the paper's
             evaluation setup) or ``"open"`` (one aggregate
             :class:`~repro.workload.population.ClientPopulation` per
-            cluster, driven by an arrival rate or load shape).
+            cluster, driven by a constant arrival rate).
         population: Open-loop population parameters; required context when
             ``workload_model == "open"`` (defaults applied when ``None``).
         latency: Latency-model constants.

@@ -74,16 +74,6 @@ class RttTrace:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_points(cls, points: Dict[Tuple[str, str], Sequence[Tuple[float, float]]]) -> "RttTrace":
-        """Build a trace from ``{(region_a, region_b): [(t, rtt_ms), ...]}``."""
-        segments: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-        for (a, b), series in points.items():
-            segments[_pair_key(a, b)] = sorted((float(t), float(rtt)) for t, rtt in series)
-        trace = cls(segments=segments)
-        trace.validate()
-        return trace
-
-    @classmethod
     def synthetic(
         cls,
         pairs: Sequence[Tuple[str, str, float]],
@@ -220,42 +210,6 @@ class RttTrace:
         trace.validate()
         return trace
 
-    def to_file(self, path: str) -> None:
-        """Write the trace as a JSON file (the :meth:`to_dict` shape)."""
-        import json
-
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def from_file(cls, path: str) -> "RttTrace":
-        """Load a trace from a JSON file written by :meth:`to_file`.
-
-        The format is the :meth:`to_dict` shape — measured RTT series
-        exported from cloud probes drop in directly::
-
-            {"segments": {"us-west1|europe-west3": [[0.0, 148.0], [2.0, 151.3]]}}
-
-        Validation mirrors :meth:`from_dict`: unsorted points, non-positive
-        RTTs, malformed pair keys, or an empty trace raise
-        :class:`ConfigurationError` rather than producing a silently wrong
-        schedule.
-        """
-        import json
-
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError) as error:
-            raise ConfigurationError(f"RttTrace.from_file: cannot read {path!r}: {error}")
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"RttTrace.from_file: {path!r} must hold a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        return cls.from_dict(payload)
-
 
 @dataclass
 class CrossTrafficStream:
@@ -344,16 +298,6 @@ class CongestionConfig:
         config = cls(streams=streams, **data)
         config.validate()
         return config
-
-    def copy(self) -> "CongestionConfig":
-        """An independent deep copy."""
-        return CongestionConfig(
-            capacity_bytes_per_sec=self.capacity_bytes_per_sec,
-            window=self.window,
-            service_time=self.service_time,
-            max_utilization=self.max_utilization,
-            streams=[CrossTrafficStream(**vars(s)) for s in self.streams],
-        )
 
 
 class CongestionModel:

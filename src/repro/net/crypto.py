@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro.errors import CryptoError
 
@@ -221,17 +221,8 @@ class Certificate:
             self.__dict__.pop("_valid_cache", None)
         self.signatures[signature.signer] = signature
 
-    def signers(self) -> Set[str]:
-        """The set of replica ids that have signed."""
-        return set(self.signatures)
-
     def __len__(self) -> int:
         return len(self.signatures)
-
-    def merge(self, other: "Certificate") -> None:
-        """Union another certificate's signatures into this one."""
-        for signature in other.signatures.values():
-            self.add(signature)
 
     def copy(self) -> "Certificate":
         """Shallow copy (signatures are immutable)."""
@@ -289,10 +280,6 @@ class KeyRegistry:
             self._secret_keys[process_id] = hashlib.blake2b(
                 key=secret.encode("utf-8")[:64], digest_size=8
             )
-
-    def knows(self, process_id: str) -> bool:
-        """Whether the process has registered keys."""
-        return process_id in self._secrets
 
     # ------------------------------------------------------------------ #
     # Signing and verification

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.adversity import RttTrace
-from repro.sim.rng import SeededRng
 
 Region = str
 
@@ -137,24 +136,20 @@ class LatencyParameters:
 class LatencyModel:
     """Computes message delivery latency between located processes.
 
+    The jitter draws are not the model's: each sender's network port owns
+    its stream (see :class:`~repro.net.network.Network`).
+
     Args:
-        rng: Seeded RNG namespace; jitter draws come from a child stream so
-            the same scenario seed yields the same network behaviour.
         parameters: Model constants.
         rtt_table: Override for the region RTT matrix (tests, E8 sweeps).
     """
 
     def __init__(
         self,
-        rng: SeededRng,
         parameters: Optional[LatencyParameters] = None,
         rtt_table: Optional[Mapping[Tuple[Region, Region], float]] = None,
     ) -> None:
         self.parameters = parameters or LatencyParameters()
-        self._rng = rng.child("latency")
-        #: The underlying C-implemented uniform draw; the per-message jitter
-        #: is inlined below and this skips three wrapper frames per draw.
-        self._random = self._rng.raw_random
         self._rtt_table = dict(rtt_table) if rtt_table is not None else dict(REGION_RTT_MS)
         #: Optional piecewise-linear RTT schedule; traced pairs are sampled
         #: at send time (the network bypasses its route memo for them).
@@ -243,46 +238,13 @@ class LatencyModel:
     # ------------------------------------------------------------------ #
     # Latency computation
     # ------------------------------------------------------------------ #
-    def one_way_latency(self, src: str, dst: str, size_bytes: int = 0) -> float:
-        """One-way delivery latency in seconds for a message of given size.
-
-        Called once per (message, destination) pair, so the region resolution
-        and RTT lookup are memoised per process pair and the jitter draw is
-        inlined.  The arithmetic reproduces ``rng.jitter(base, f) + transfer``
-        bit-for-bit (``spread + spread`` is IEEE-exact, and the operand order
-        matches the wrapper it replaces), so simulations are unchanged.
-        """
-        by_src = self._pair_base.get(src)
-        if by_src is None:
-            by_src = self._pair_base[src] = {}
-        pair = by_src.get(dst)
-        if pair is None:
-            src_region = self.region_of(src)
-            dst_region = self.region_of(dst)
-            if src_region == dst_region:
-                base = self.parameters.intra_region_latency
-            else:
-                base = self.rtt_ms(src_region, dst_region) / 2.0 / 1000.0
-            pair = by_src[dst] = (base, base * self._jitter_fraction)
-        base, spread = pair
-        transfer = size_bytes / self._bandwidth if size_bytes else 0.0
-        if base == 0:
-            latency = transfer  # jitter(0, f) draws nothing and returns 0.0
-        else:
-            latency = base + ((spread + spread) * self._random() - spread) + transfer
-        per_message_overhead = self._per_message_overhead
-        if latency < per_message_overhead:
-            latency = per_message_overhead
-        return latency + per_message_overhead
-
     def pair_params(self, src: str, dst: str) -> Tuple[float, float]:
         """The memoised ``(base, jitter spread)`` of a process pair — no draw.
 
         The delivery pipeline owns one jitter stream per *sender* (so a
         sender's draw sequence depends only on its own send order, which is
         invariant under kernel sharding) and resolves the pair constants
-        through this method; :meth:`one_way_latency` remains for callers that
-        want the model's own stream to do the drawing.
+        through this method.
         """
         by_src = self._pair_base.get(src)
         if by_src is None:
@@ -391,10 +353,6 @@ class LatencyModel:
                     best = floor
             schedule.append((start, best))
         return schedule
-
-    def pairs(self) -> Iterable[Tuple[Region, Region]]:
-        """All region pairs known to the model."""
-        return self._rtt_table.keys()
 
 
 def paper_rtt_matrix() -> Dict[str, Dict[str, float]]:

@@ -157,10 +157,6 @@ class Message:
     receiver spends checking signatures carried inside the message.
     """
 
-    def type_name(self) -> str:
-        """Short name used in traces and metrics."""
-        return type(self).__name__
-
     def estimated_size(self) -> int:
         """Approximate serialized size in bytes."""
         return 128
@@ -244,12 +240,8 @@ class Envelope:
         #: (it depends only on the payload and the network config).
         self.processing = processing
 
-    def type_name(self) -> str:
-        """Type name of the wrapped payload."""
-        return self.payload.type_name()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Envelope from={self.sender!r} {self.payload.type_name()}>"
+        return f"<Envelope from={self.sender!r} {type(self.payload).__name__}>"
 
 
 __all__ = ["Envelope", "Message", "compact_digest", "payload_digest"]

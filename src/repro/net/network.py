@@ -79,7 +79,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from heapq import heappush
 
@@ -105,15 +105,11 @@ class NetworkConfig:
         send_overhead: Sender-side cost to serialize and push one message.
         base_processing: Receiver-side fixed cost to handle one message.
         signature_verify_cost: Receiver-side cost per signature verification.
-        cpu_model: When ``True`` (default) receivers process messages through
-            a serial CPU queue; when ``False`` processing cost is ignored
-            (useful for pure-logic unit tests).
     """
 
     send_overhead: float = 0.00002
     base_processing: float = 0.00001
     signature_verify_cost: float = 0.00008
-    cpu_model: bool = True
 
 
 @dataclass
@@ -311,7 +307,6 @@ class Network:
         # Config constants are read on every send; they are fixed for the
         # lifetime of a network, so bind them once instead of paying
         # dataclass attribute reads per message.
-        self._cpu_model = config.cpu_model
         self._send_overhead = config.send_overhead
         self._base_processing = config.base_processing
         self._signature_verify_cost = config.signature_verify_cost
@@ -331,10 +326,6 @@ class Network:
         self._lat_bandwidth = latency_model._bandwidth
         self._lat_overhead = latency_model._per_message_overhead
         self._lat_intra = latency_model.parameters.intra_region_latency
-        #: What an event scheduled at a message's *arrival* time runs: take
-        #: the receiver slot then (cross-region links), or — without the CPU
-        #: model, where there is no slot — hand the message over directly.
-        self._on_arrival = self._arrive if config.cpu_model else self._fire_pair
         latency_model._invalidate_hooks.append(self._clear_route_memos)
         self.ports: Dict[str, _Port] = {}
         self.drop_rules: List[DropRule] = []
@@ -400,11 +391,6 @@ class Network:
             port.registered = False
             self._purge_route(process_id)
 
-    def process(self, process_id: str) -> Optional[Process]:
-        """Look up a registered process by id."""
-        port = self.ports.get(process_id)
-        return None if port is None else port.process
-
     def _purge_route(self, process_id: str) -> None:
         """Drop every cached route targeting ``process_id`` (rare: joins/leaves)."""
         for other in self.ports.values():
@@ -428,29 +414,6 @@ class Network:
         if rule in self.drop_rules:
             self.drop_rules.remove(rule)
 
-    def partition(self, group_a: Iterable[str], group_b: Iterable[str]) -> DropRule:
-        """Drop all traffic between two groups of processes (both ways)."""
-        set_a = set(group_a)
-        set_b = set(group_b)
-
-        def rule(sender: str, destination: str, payload: Message) -> bool:
-            return (sender in set_a and destination in set_b) or (
-                sender in set_b and destination in set_a
-            )
-
-        return self.add_drop_rule(rule)
-
-    def isolate(self, process_id: str) -> DropRule:
-        """Drop all wire traffic to and from one process.
-
-        Loop-back is unaffected: a process can always talk to itself.
-        """
-
-        def rule(sender: str, destination: str, payload: Message) -> bool:
-            return process_id in (sender, destination)
-
-        return self.add_drop_rule(rule)
-
     # ------------------------------------------------------------------ #
     # Receiver-state-aware CPU charges
     # ------------------------------------------------------------------ #
@@ -468,7 +431,7 @@ class Network:
         fused schedule is immutable once written, and the deterministic
         handler order makes the watermark shard-layout invariant).
         """
-        if not self._cpu_model or signatures <= 0:
+        if signatures <= 0:
             return
         port = self.ports.get(process_id)
         if port is None:
@@ -517,20 +480,14 @@ class Network:
         size = payload.cached_size()
         stats = self.stats
         stats.by_type[type(payload).__name__] += len(destinations)
-        cpu_model = self._cpu_model
-        if cpu_model:
-            send_cost = self._send_overhead
-            departure = port.send_free
-            if departure < now:
-                departure = now
-            processing = (
-                self._base_processing
-                + payload.verification_cost() * self._signature_verify_cost
-            )
-        else:
-            send_cost = 0.0
+        send_cost = self._send_overhead
+        departure = port.send_free
+        if departure < now:
             departure = now
-            processing = 0.0
+        processing = (
+            self._base_processing
+            + payload.verification_cost() * self._signature_verify_cost
+        )
         envelope = Envelope(sender, payload, signature, now, size, processing)
         # Authenticated-link check, once per message at schedule time:
         # verification is time-independent (a token either matches the
@@ -567,11 +524,10 @@ class Network:
                 # advances and subsequent wire hand-overs queue behind it;
                 # without this, protocols with O(n^2) local phases would get
                 # 1/n of their processing load for free.
-                if cpu_model:
-                    free = port.recv_free
-                    if free < now:
-                        free = now
-                    port.recv_free = free + self._base_processing * port.cpu_factor
+                free = port.recv_free
+                if free < now:
+                    free = now
+                port.recv_free = free + self._base_processing * port.cpu_factor
                 port.loop_queue.append(envelope)
                 self._micro.append((self._fire_loopback, port))
                 continue
@@ -626,7 +582,7 @@ class Network:
                 event = Event((finish, 0, sequence, self._fire_port, target_port, False, "net:msg"))
             else:
                 event = Event(
-                    (arrival, 0, sequence, self._on_arrival, (target_port, envelope), False, "net:msg")
+                    (arrival, 0, sequence, self._arrive, (target_port, envelope), False, "net:msg")
                 )
             heappush(heap, event)
             sequence += 1
@@ -642,8 +598,7 @@ class Network:
         if sequence != first:
             equeue._sequence = sequence
             equeue._live += sequence - first
-        if cpu_model:
-            port.send_free = departure
+        port.send_free = departure
 
     def _should_drop(self, sender: str, destination: str, payload: Message) -> bool:
         return any(rule(sender, destination, payload) for rule in self.drop_rules)
@@ -681,7 +636,7 @@ class Network:
         if not traced:
             params = latency_model.pair_params(sender, destination)
         base, spread = params
-        route = (target_port, base, spread, self._cpu_model and base <= self._lat_intra)
+        route = (target_port, base, spread, base <= self._lat_intra)
         if not traced:
             port.route[destination] = route
         return route
@@ -775,7 +730,7 @@ class Network:
             heappush(
                 queue._heap,
                 Event(
-                    (arrival, 0, sequence, self._on_arrival, (port, envelope), False, "net:msg")
+                    (arrival, 0, sequence, self._arrive, (port, envelope), False, "net:msg")
                 ),
             )
 
@@ -825,20 +780,6 @@ class Network:
         the same order as the queue appends).
         """
         envelope = port.queue.popleft()
-        process = port.process
-        if process.crashed or not port.registered:
-            self.stats.messages_dropped += 1
-            return
-        self.stats.messages_delivered += 1
-        process.on_message(envelope.sender, envelope)
-
-    def _fire_pair(self, pair) -> None:
-        """Delivery without the CPU model (``cpu_model=False`` test configs).
-
-        Arrival times across senders are not monotone per port, so the
-        envelope rides the event itself instead of the port FIFO.
-        """
-        port, envelope = pair
         process = port.process
         if process.crashed or not port.registered:
             self.stats.messages_dropped += 1

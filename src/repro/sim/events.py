@@ -19,17 +19,15 @@ dominate, instead of letting them linger until their original deadline.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional
-
-from repro.errors import SimulationError
+from heapq import heapify, heappop
+from typing import List, Optional
 
 # Layout indexes of an Event (shared with the Simulator's run loop).
-# NOTE: the raw push sequence (allocate Event, bump _sequence/_live,
-# heappush) is intentionally inlined at the hottest call sites —
-# Simulator.schedule/schedule_at and Network.multicast/_take_slot —
-# so any change to this layout or to the live/cancelled accounting must
-# be mirrored there.
+# NOTE: the push sequence (allocate Event, bump _sequence/_live, heappush)
+# is written out at its five call sites — Simulator.schedule,
+# Simulator.schedule_at, Network.multicast, Network._take_slot and
+# Network.deliver_cross — so any change to this layout or to the
+# live/cancelled accounting must be mirrored there.
 TIME = 0
 PRIORITY = 1
 SEQUENCE = 2
@@ -46,7 +44,7 @@ _COMPACT_MIN_CANCELLED = 256
 class Event(list):
     """A single scheduled callback; also its own heap entry.
 
-    Attributes (all views over the list layout above):
+    Slots of the list layout above:
         time: Virtual time at which the callback fires.
         priority: Lower values fire first among events at the same time.
         sequence: Insertion order tie-breaker assigned by the queue.
@@ -56,6 +54,9 @@ class Event(list):
             plus payload instead of allocating a fresh closure per event.
         cancelled: Set by :meth:`cancel`; cancelled events are skipped.
         label: Free-form debugging tag.
+
+    Only ``time`` and ``cancelled`` have named accessors: the run loop and
+    the network index the list directly.
     """
 
     __slots__ = ()
@@ -65,40 +66,12 @@ class Event(list):
         return self[TIME]
 
     @property
-    def priority(self) -> int:
-        return self[PRIORITY]
-
-    @property
-    def sequence(self) -> int:
-        return self[SEQUENCE]
-
-    @property
-    def callback(self) -> Callable[..., None]:
-        return self[CALLBACK]
-
-    @property
-    def arg(self) -> Any:
-        return self[ARG]
-
-    @property
     def cancelled(self) -> bool:
         return self[CANCELLED]
-
-    @property
-    def label(self) -> str:
-        return self[LABEL]
 
     def cancel(self) -> None:
         """Mark the event so the simulator skips it when popped."""
         self[CANCELLED] = True
-
-    def fire(self) -> None:
-        """Invoke the callback (with its bound argument, if any)."""
-        arg = self[ARG]
-        if arg is None:
-            self[CALLBACK]()
-        else:
-            self[CALLBACK](arg)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self[CANCELLED] else ""
@@ -107,7 +80,12 @@ class Event(list):
 
 
 class EventQueue:
-    """A stable priority queue of :class:`Event` objects."""
+    """The event heap and its live/cancelled accounting.
+
+    The simulator and the network push onto ``_heap`` directly and the run
+    loop pops from it (see the NOTE above); the queue itself only peeks and
+    compacts.
+    """
 
     __slots__ = ("_heap", "_sequence", "_live", "_cancelled")
 
@@ -119,60 +97,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return self._live
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        priority: int = 0,
-        label: str = "",
-        arg: Any = None,
-    ) -> Event:
-        """Schedule ``callback`` at ``time`` and return the event handle."""
-        if time < 0:
-            raise SimulationError(f"cannot schedule an event at negative time {time!r}")
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        event = Event((time, priority, sequence, callback, arg, False, label))
-        self._live += 1
-        heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)
-            if event[CANCELLED]:
-                if self._cancelled:
-                    self._cancelled -= 1
-                continue
-            self._live -= 1
-            return event
-        return None
-
-    def pop_due(self, limit: Optional[float]) -> Optional[Event]:
-        """Pop the next live event firing at or before ``limit``.
-
-        Returns ``None`` (leaving the event queued) when the next live event
-        fires after ``limit``, or when the queue is empty.  ``limit=None``
-        means no bound.  This is the run loop's primitive: one heap traversal
-        where separate peek-then-pop calls would skip cancelled entries twice.
-        """
-        heap = self._heap
-        while heap:
-            event = heap[0]
-            if event[CANCELLED]:
-                heappop(heap)
-                if self._cancelled:
-                    self._cancelled -= 1
-                continue
-            if limit is not None and event[TIME] > limit:
-                return None
-            heappop(heap)
-            self._live -= 1
-            return event
-        return None
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event without removing it."""
@@ -212,9 +136,4 @@ class EventQueue:
             self.discard_cancelled()
 
 
-def noop() -> None:
-    """A do-nothing callback, useful as a placeholder in tests."""
-    return None
-
-
-__all__ = ["Event", "EventQueue", "noop"]
+__all__ = ["Event", "EventQueue"]

@@ -63,10 +63,6 @@ class Process:
             self.crashed = True
             self.on_crash()
 
-    def recover(self) -> None:
-        """Undo a crash (used by tests that model transient outages)."""
-        self.crashed = False
-
     # ------------------------------------------------------------------ #
     # Hooks for subclasses
     # ------------------------------------------------------------------ #
@@ -87,12 +83,6 @@ class Process:
     def now(self) -> float:
         """Current virtual time."""
         return self.simulator.now
-
-    def deliver(self, sender: str, message: Any) -> None:
-        """Entry point used by the network; filters deliveries while crashed."""
-        if self.crashed:
-            return
-        self.on_message(sender, message)
 
     def after(self, delay: float, callback, label: str = "") -> None:
         """Schedule a callback guarded against post-crash execution."""

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Callable, Iterable
 
 
 def _derive_seed(root_seed: int, namespace: str) -> int:
@@ -48,18 +46,6 @@ class SeededRng:
         """
         return self._random.random
 
-    def uniform(self, low: float, high: float) -> float:
-        """Draw a float uniformly from ``[low, high)``."""
-        return self._random.uniform(low, high)
-
-    def expovariate(self, rate: float) -> float:
-        """Draw an exponential inter-arrival time with the given rate."""
-        return self._random.expovariate(rate)
-
-    def randint(self, low: int, high: int) -> int:
-        """Draw an integer uniformly from ``[low, high]`` inclusive."""
-        return self._random.randint(low, high)
-
     def random(self) -> float:
         """Draw a float uniformly from ``[0, 1)``."""
         return self._random.random()
@@ -67,25 +53,6 @@ class SeededRng:
     def gauss(self, mu: float, sigma: float) -> float:
         """Draw from a normal distribution (mean ``mu``, stddev ``sigma``)."""
         return self._random.gauss(mu, sigma)
-
-    def choice(self, items: Sequence[T]) -> T:
-        """Pick one element of a non-empty sequence."""
-        return self._random.choice(items)
-
-    def sample(self, items: Sequence[T], k: int) -> list[T]:
-        """Pick ``k`` distinct elements of a sequence."""
-        return self._random.sample(items, k)
-
-    def shuffle(self, items: list[T]) -> None:
-        """Shuffle a list in place."""
-        self._random.shuffle(items)
-
-    def jitter(self, base: float, fraction: float) -> float:
-        """Return ``base`` perturbed by up to ``±fraction`` of its value."""
-        if base == 0:
-            return 0.0
-        spread = base * fraction
-        return base + self.uniform(-spread, spread)
 
 
 def config_rng(seed: int) -> random.Random:

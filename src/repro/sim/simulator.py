@@ -49,11 +49,6 @@ class Timer:
         self._label = f"timer:{name}"  # built once, not per (re)arm
         self._event: Optional[Event] = None
 
-    @property
-    def pending(self) -> bool:
-        """Whether the timer is armed and has not yet fired or been stopped."""
-        return self._event is not None and not self._event.cancelled
-
     def start(self, duration: Optional[float] = None) -> None:
         """Arm the timer.  Restarts it if it is already pending."""
         self.stop()
@@ -73,16 +68,6 @@ class Timer:
             self._event.cancel()
             self._simulator.notify_cancel()
         self._event = None
-
-    def remaining(self) -> float:
-        """Virtual time left until the timer fires (0 if not pending)."""
-        if not self.pending or self._event is None:
-            return 0.0
-        return max(0.0, self._event.time - self._simulator.now)
-
-    def elapsed(self) -> float:
-        """Virtual time since the timer was last armed (duration if idle)."""
-        return self.duration - self.remaining()
 
     def _fire(self) -> None:
         self._event = None
@@ -143,17 +128,6 @@ class DeadlinePool:
         """Disarm ``key`` if armed (the resident event re-chases lazily)."""
         self._deadlines.pop(key, None)
 
-    def pending(self, key) -> bool:
-        """Whether ``key`` is armed."""
-        return key in self._deadlines
-
-    def remaining(self, key) -> float:
-        """Virtual time left until ``key`` fires (0 if not armed)."""
-        deadline = self._deadlines.get(key)
-        if deadline is None:
-            return 0.0
-        return max(0.0, deadline - self._simulator.now)
-
     def timer(self, key, duration: float = 0.0) -> "PooledTimer":
         """A :class:`Timer`-shaped facade bound to one key of this pool."""
         return PooledTimer(self, key, duration)
@@ -184,7 +158,7 @@ class DeadlinePool:
 class PooledTimer:
     """One :class:`DeadlinePool` key wearing the :class:`Timer` interface.
 
-    Lets components written against ``Timer`` (start/stop/pending) share a
+    Lets components written against ``Timer`` (start/stop) share a
     pool without changing their call sites; the pool owner routes the pool's
     callback back to the component.
     """
@@ -196,28 +170,15 @@ class PooledTimer:
         self._key = key
         self.duration = duration
 
-    @property
-    def pending(self) -> bool:
-        """Whether the timer is armed."""
-        return self._pool.pending(self._key)
-
     def start(self, duration: Optional[float] = None) -> None:
         """Arm (or re-arm) the timer."""
         if duration is not None:
             self.duration = duration
         self._pool.arm(self._key, self.duration)
 
-    def reset(self, duration: Optional[float] = None) -> None:
-        """Alias for :meth:`start`."""
-        self.start(duration)
-
     def stop(self) -> None:
         """Disarm the timer."""
         self._pool.disarm(self._key)
-
-    def remaining(self) -> float:
-        """Virtual time left until the timer fires (0 if not armed)."""
-        return self._pool.remaining(self._key)
 
 
 class Simulator:
@@ -248,7 +209,6 @@ class Simulator:
         self._microtasks: deque = deque()
         self._events_processed = 0
         self._running = False
-        self._stopped = False
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -269,7 +229,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule with negative delay {delay!r}")
-        # Inline of EventQueue.push (one call frame per scheduled event).
+        # The push sequence, written out (see the NOTE in sim/events.py).
         queue = self._queue
         sequence = queue._sequence
         queue._sequence = sequence + 1
@@ -291,7 +251,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time!r}, which is before the current time {self.now!r}"
             )
-        # Inline of EventQueue.push (one call frame per scheduled event).
+        # The push sequence, written out (see the NOTE in sim/events.py).
         queue = self._queue
         sequence = queue._sequence
         queue._sequence = sequence + 1
@@ -320,46 +280,8 @@ class Simulator:
         """Total number of events executed so far."""
         return self._events_processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of live events still in the queue."""
-        return len(self._queue)
-
-    def stop(self) -> None:
-        """Request that the run loop return after the current event."""
-        self._stopped = True
-
-    def _drain_microtasks(self) -> None:
-        micro = self._microtasks
-        while micro:
-            callback, arg = micro.popleft()
-            if arg is None:
-                callback()
-            else:
-                callback(arg)
-
-    def step(self) -> bool:
-        """Execute a single event.  Returns ``False`` when the queue is empty.
-
-        Pending microtasks (due *now*) are drained before the next event is
-        popped and again after it fires, mirroring the run loop.
-        """
-        self._drain_microtasks()
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self.now:
-            raise SimulationError(
-                f"event scheduled at {event.time} popped after clock reached {self.now}"
-            )
-        self.now = event.time
-        self._events_processed += 1
-        event.fire()
-        self._drain_microtasks()
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the queue drains, ``until`` is reached, or stopped.
+        """Run events until the queue drains or ``until`` is reached.
 
         Args:
             until: Stop once the clock would pass this virtual time.  The
@@ -372,12 +294,11 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        self._stopped = False
         processed = 0
         queue = self._queue
-        # The heap is walked directly (the body of EventQueue.pop_due,
-        # inlined): this loop runs once per simulated event, so both the
-        # method call and the Event property accessors are real overhead.
+        # The heap is walked directly: this loop runs once per simulated
+        # event, so a method call and the Event property accessors would be
+        # real overhead.
         # Compaction rewrites the heap in place, so the alias stays valid.
         heap = queue._heap
         pop = heappop
@@ -386,19 +307,17 @@ class Simulator:
         limit = inf if until is None else until
         budget = inf if max_events is None else max_events
         try:
-            while not self._stopped:
+            while True:
                 # Microtasks (0 ms loop-back deliveries) run at the current
                 # time, before the next heap event — even one scheduled for
                 # the same instant — and before the max_events valve, since
                 # they belong to the event that spawned them.
-                if micro:
-                    while micro:
-                        callback, arg = micro.popleft()
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
-                    continue  # re-check the stop flag a microtask may have set
+                while micro:
+                    callback, arg = micro.popleft()
+                    if arg is None:
+                        callback()
+                    else:
+                        callback(arg)
                 if processed >= budget:
                     next_time = queue.peek_time()
                     if next_time is None or next_time > limit:
@@ -428,7 +347,7 @@ class Simulator:
                 else:
                     event[CALLBACK](arg)
                 processed += 1
-            if until is not None and self.now < until and not self._stopped:
+            if until is not None and self.now < until:
                 self.now = until
         finally:
             # The per-run counter is folded in once instead of per event

@@ -10,9 +10,8 @@ Two client models are available:
 * closed-loop (:class:`WorkloadClient`) — the paper's model: a fixed number
   of threads, each with exactly one outstanding request;
 * open-loop (:class:`~repro.workload.population.ClientPopulation`) — one
-  aggregate process per region simulating an entire user population whose
-  arrival rate follows a :mod:`~repro.workload.shapes` load shape,
-  independent of completions.
+  aggregate process per region simulating an entire user population with
+  Poisson arrivals at a constant rate, independent of completions.
 """
 
 from repro.workload.clients import WorkloadClient
@@ -20,44 +19,18 @@ from repro.workload.population import (
     POPULATION_PRESETS,
     ClientPopulation,
     PopulationConfig,
-    population_from_dict,
-    population_to_dict,
     resolve_population_preset,
-)
-from repro.workload.shapes import (
-    SHAPE_TYPES,
-    ConstantShape,
-    DiurnalShape,
-    LoadShape,
-    RampShape,
-    SpikeShape,
-    StepShape,
-    TraceShape,
-    shape_from_dict,
-    shape_to_dict,
 )
 from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 from repro.workload.zipf import ZipfianGenerator
 
 __all__ = [
     "POPULATION_PRESETS",
-    "SHAPE_TYPES",
     "ClientPopulation",
-    "ConstantShape",
-    "DiurnalShape",
-    "LoadShape",
     "PopulationConfig",
-    "RampShape",
-    "SpikeShape",
-    "StepShape",
-    "TraceShape",
     "WorkloadClient",
     "YcsbConfig",
     "YcsbWorkload",
     "ZipfianGenerator",
-    "population_from_dict",
-    "population_to_dict",
     "resolve_population_preset",
-    "shape_from_dict",
-    "shape_to_dict",
 ]

@@ -262,9 +262,5 @@ class WorkloadClient(Process):
             )
         self._submit_next(thread)
 
-    def completed_total(self) -> int:
-        """Total operations completed across all threads."""
-        return self.completed_reads + self.completed_writes
-
 
 __all__ = ["WorkloadClient"]

@@ -5,10 +5,8 @@ client thread as an object with one outstanding request — faithful to the
 paper's evaluation setup, but it caps "heavy traffic" at thousands of
 clients because state and events scale with the population.  A
 :class:`ClientPopulation` inverts the model: one process per region stands
-in for an arbitrary number of users by generating an *open-loop arrival
-stream* whose rate follows a :mod:`load shape <repro.workload.shapes>`
-(Poisson or deterministic arrivals; constant, ramp, spike, step, diurnal,
-or trace-driven rates).
+in for an arbitrary number of users by generating an *open-loop* Poisson
+arrival stream at a constant aggregate rate.
 
 The state is O(1) in the population size: arrivals are drawn per *batching
 window* (one Poisson draw per tick, not one event per client), queued
@@ -22,8 +20,7 @@ carries) and responses return as per-round
 
 Open loop means arrivals do not wait for completions: when the system
 cannot keep up, the backlog grows and *offered load* diverges from
-*goodput* — exactly the signal closed-loop clients cannot produce, and the
-one the flash-crowd and capacity-probe shapes exist to measure.  The
+*goodput* — exactly the signal closed-loop clients cannot produce.  The
 pipelining window (``max_outstanding``) only bounds memory: operations
 beyond it wait in the backlog; their wait is reported as queueing delay and
 is part of their latency, which runs from arrival, not from dispatch.
@@ -32,7 +29,7 @@ is part of their latency, which runs from arrival, not from dispatch.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
@@ -45,17 +42,6 @@ from repro.net.message import Envelope
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
-from repro.workload.shapes import (
-    ConstantShape,
-    DiurnalShape,
-    LoadShape,
-    RampShape,
-    SpikeShape,
-    StepShape,
-    TraceShape,
-    shape_from_dict,
-    shape_to_dict,
-)
 from repro.workload.ycsb import YcsbWorkload
 
 
@@ -68,12 +54,7 @@ class PopulationConfig:
             Purely aggregate — state never scales with it, so millions are
             as cheap as dozens.  Operations carry synthesized per-user ids
             (round-robin over the population) for trace realism.
-        rate: Aggregate arrival rate (operations/second) when no shape is
-            given; ignored otherwise.
-        shape: Optional time-varying rate (see :mod:`repro.workload.shapes`);
-            ``None`` means a constant ``rate``.
-        arrival: ``"poisson"`` (memoryless arrivals, the open-loop standard)
-            or ``"uniform"`` (deterministic evenly-spaced arrivals).
+        rate: Aggregate Poisson arrival rate (operations/second).
         batch_window: Client-side batching quantum in seconds.  Arrivals
             within one window ship together as one batch envelope per
             target; smaller windows trade wire messages for latency
@@ -84,14 +65,8 @@ class PopulationConfig:
 
     clients: int = 100_000
     rate: float = 2000.0
-    shape: Optional[LoadShape] = None
-    arrival: str = "poisson"
     batch_window: float = 0.005
     max_outstanding: int = 20_000
-
-    def effective_shape(self) -> LoadShape:
-        """The shape driving this population (a constant when none was set)."""
-        return self.shape if self.shape is not None else ConstantShape(rate=self.rate)
 
     def validate(self) -> None:
         """Raise :class:`WorkloadError` on out-of-range parameters."""
@@ -99,61 +74,19 @@ class PopulationConfig:
             raise WorkloadError("population clients must be positive")
         if self.rate < 0:
             raise WorkloadError("population rate must be non-negative")
-        if self.arrival not in ("poisson", "uniform"):
-            raise WorkloadError(f"unknown arrival process {self.arrival!r}")
         if self.batch_window <= 0:
             raise WorkloadError("population batch_window must be positive")
         if self.max_outstanding <= 0:
             raise WorkloadError("population max_outstanding must be positive")
-        self.effective_shape().validate()
 
     def copy(self) -> "PopulationConfig":
-        """An independent copy (shapes are frozen and safely shared)."""
+        """An independent copy."""
         return replace(self)
 
 
-def population_to_dict(config: PopulationConfig) -> Dict[str, object]:
-    """Serialize a population config (the shape as a tagged dictionary)."""
-    data = asdict(config)
-    data["shape"] = None if config.shape is None else shape_to_dict(config.shape)
-    return data
-
-
-def population_from_dict(payload: Dict[str, object]) -> PopulationConfig:
-    """Rebuild a population config from :func:`population_to_dict` output."""
-    data = dict(payload)
-    shape = data.get("shape")
-    data["shape"] = None if shape is None else shape_from_dict(shape)
-    return PopulationConfig(**data)
-
-
-#: Named population presets: ready-made open-loop scenarios.  ``smoke`` is
-#: sized for CI; the others exercise one load shape each at a scale the
-#: default two-cluster deployment sustains.
-POPULATION_PRESETS: Dict[str, Callable[[], PopulationConfig]] = {
-    "steady": lambda: PopulationConfig(clients=100_000, rate=2000.0),
-    "ramp": lambda: PopulationConfig(
-        clients=100_000,
-        shape=RampShape(start_rate=200.0, end_rate=3000.0, start=0.5, end=4.0),
-    ),
-    "rush_hour": lambda: PopulationConfig(
-        clients=100_000,
-        shape=SpikeShape(base_rate=800.0, spike_rate=4000.0, at=2.0, width=1.0),
-    ),
-    "staircase": lambda: PopulationConfig(
-        clients=100_000,
-        shape=StepShape(initial_rate=500.0, steps=((1.5, 1500.0), (3.0, 3000.0))),
-    ),
-    "diurnal": lambda: PopulationConfig(
-        clients=100_000,
-        shape=DiurnalShape(mean_rate=1500.0, amplitude=1000.0, period=4.0),
-    ),
-    "trace": lambda: PopulationConfig(
-        clients=100_000,
-        shape=TraceShape(points=((0.0, 400.0), (1.5, 2500.0), (3.0, 900.0), (4.5, 1800.0))),
-    ),
-    "smoke": lambda: PopulationConfig(clients=100_000, rate=600.0, batch_window=0.01),
-}
+#: Named population presets.  ``steady`` is the defaults: 100k users at
+#: 2000 operations per second.
+POPULATION_PRESETS: Dict[str, Callable[[], PopulationConfig]] = {"steady": PopulationConfig}
 
 
 def resolve_population_preset(name: str) -> PopulationConfig:
@@ -170,8 +103,7 @@ class ClientPopulation(Process):
     """An aggregate open-loop client population bound to one cluster.
 
     One resident tick event fires every ``batch_window`` seconds: it draws
-    the window's arrival count from the configured process (one Poisson or
-    deterministic draw per tick), folds the arrivals into the backlog, and
+    the window's arrival count (one Poisson draw per tick), folds the arrivals into the backlog, and
     dispatches as many operations as the pipelining window admits — reads
     as one batch to a rotating replica, writes as one batch to the cached
     cluster leader.  Kernel event volume is therefore O(ticks + responses),
@@ -184,7 +116,7 @@ class ClientPopulation(Process):
         workload: Operation generator (key/op mix; think of it as the
             per-user behaviour profile).
         target_replicas: Replicas of the cluster this population talks to.
-        config: Population parameters (rate, shape, windows).
+        config: Population parameters (rate, windows).
         metrics: Optional metrics sink (duck-typed ``record_transaction`` /
             ``record_offered``).
         retry_timeout: Seconds after which unanswered in-flight operations
@@ -211,14 +143,10 @@ class ClientPopulation(Process):
         self.retry_timeout = retry_timeout
         self.apl: Optional[AuthenticatedPerfectLink] = None
         self._network = network
-        self._shape = self.config.effective_shape()
         #: Dedicated arrival stream: shares nothing with latency/workload
         #: draws, so adding a population cannot perturb other components.
         self._arrival_rng = simulator.rng.child(f"population/{client_id}")
         self._tick_label = f"{client_id}:tick"
-        self._started_at = 0.0
-        #: Deterministic-arrival accumulator (fractional ops carry over).
-        self._carry = 0.0
         #: Backlog of arrived-but-not-dispatched operations, O(ticks):
         #: ``[arrival_time, remaining_count]`` — never one entry per op.
         self._backlog: Deque[List[float]] = deque()
@@ -251,7 +179,6 @@ class ClientPopulation(Process):
     def on_start(self) -> None:
         """Arm the resident arrival tick and the retry sweep."""
         self.apl = AuthenticatedPerfectLink(self.process_id, self._network)
-        self._started_at = self.now
         self.simulator.schedule(
             self.config.batch_window, self._tick, label=self._tick_label
         )
@@ -278,14 +205,7 @@ class ClientPopulation(Process):
 
     def _window_arrivals(self) -> int:
         """Arrival count for the window that just elapsed."""
-        t = self.now - self._started_at
-        mean = self._shape.rate_at(t) * self.config.batch_window
-        if self.config.arrival == "poisson":
-            return self._poisson(mean)
-        total = self._carry + mean
-        count = int(total)
-        self._carry = total - count
-        return count
+        return self._poisson(self.config.rate * self.config.batch_window)
 
     def _tick(self) -> None:
         if self.crashed or self.apl is None:
@@ -474,13 +394,6 @@ class ClientPopulation(Process):
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def completed_total(self) -> int:
-        """Total operations completed (same surface as WorkloadClient)."""
-        return self.completed
-
-    def backlog_size(self) -> int:
-        """Operations that have arrived but not yet been dispatched."""
-        return self._backlog_size
 
     def queueing_delay_mean(self) -> float:
         """Mean seconds a dispatched operation waited in the backlog."""
@@ -507,7 +420,5 @@ __all__ = [
     "ClientPopulation",
     "POPULATION_PRESETS",
     "PopulationConfig",
-    "population_from_dict",
-    "population_to_dict",
     "resolve_population_preset",
 ]

@@ -7,7 +7,7 @@ paper's defaults: 85% reads, 15% writes, 1 KB values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.sim.rng import SeededRng
@@ -58,11 +58,6 @@ class YcsbWorkload:
         self._counter += 1
         value = "x" * max(1, self.config.value_size // 16)
         return ("write", key, f"{value}-{self._counter}")
-
-    def operations(self, count: int) -> Iterator[Tuple[str, str, Optional[str]]]:
-        """Yield ``count`` operations."""
-        for _ in range(count):
-            yield self.next_operation()
 
 
 __all__ = ["YcsbConfig", "YcsbWorkload"]

@@ -18,10 +18,10 @@ def simulator() -> Simulator:
 
 @pytest.fixture
 def network(simulator) -> Network:
-    """A network over the fixture simulator with CPU modelling disabled."""
+    """A network over the fixture simulator."""
     registry = KeyRegistry(seed=42)
-    latency = LatencyModel(simulator.rng)
-    return Network(simulator, latency, registry, NetworkConfig(cpu_model=False))
+    latency = LatencyModel()
+    return Network(simulator, latency, registry, NetworkConfig())
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ non-zero shard, partition healing overlapping reconfiguration).
 
 from __future__ import annotations
 
+import json
 import os
 import types
 import warnings
@@ -36,6 +37,13 @@ from repro.net.adversity import (
 from repro.net.latency import region_rtt_ms
 
 
+def trace_of(points):
+    """An :class:`RttTrace` from ``{(region_a, region_b): [(t, rtt_ms), ...]}``."""
+    return RttTrace.from_dict(
+        {"segments": {f"{a}|{b}": [list(point) for point in series] for (a, b), series in points.items()}}
+    )
+
+
 # --------------------------------------------------------------------------- #
 # RttTrace
 # --------------------------------------------------------------------------- #
@@ -43,7 +51,7 @@ class TestRttTrace:
     PAIR = ("us-west1", "europe-west3")
 
     def _trace(self):
-        return RttTrace.from_points(
+        return trace_of(
             {self.PAIR: [(0.0, 100.0), (1.0, 200.0), (2.0, 150.0)]}
         )
 
@@ -67,7 +75,7 @@ class TestRttTrace:
         assert self._trace().rtt_at("us-west1", "asia-south1", 0.5) is None
 
     def test_window_min_includes_interior_breakpoints(self):
-        trace = RttTrace.from_points(
+        trace = trace_of(
             {self.PAIR: [(0.0, 100.0), (1.0, 40.0), (2.0, 100.0)]}
         )
         # The dip at t=1.0 sits strictly inside the window.
@@ -76,7 +84,7 @@ class TestRttTrace:
         assert trace.window_min_rtt(*self.PAIR, 1.2, 1.4) == pytest.approx(52.0)
 
     def test_breakpoints_are_sorted_and_unique(self):
-        trace = RttTrace.from_points(
+        trace = trace_of(
             {
                 self.PAIR: [(0.0, 100.0), (1.0, 120.0)],
                 ("us-west1", "asia-south1"): [(0.0, 220.0), (0.5, 230.0), (1.0, 210.0)],
@@ -90,34 +98,21 @@ class TestRttTrace:
         assert rebuilt.segments == trace.segments
         assert rebuilt.to_dict() == trace.to_dict()
 
-    def test_round_trips_through_a_json_file(self, tmp_path):
-        trace = self._trace()
-        path = str(tmp_path / "trace.json")
-        trace.to_file(path)
-        loaded = RttTrace.from_file(path)
-        assert loaded.segments == trace.segments
-        assert loaded.to_dict() == trace.to_dict()
-        assert loaded.rtt_at(*self.PAIR, 0.5) == trace.rtt_at(*self.PAIR, 0.5)
-
-    def test_from_file_rejects_bad_inputs(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            RttTrace.from_file(str(tmp_path / "does-not-exist.json"))
-        garbled = tmp_path / "garbled.json"
-        garbled.write_text("{not json")
-        with pytest.raises(ConfigurationError):
-            RttTrace.from_file(str(garbled))
-        array = tmp_path / "array.json"
-        array.write_text("[1, 2, 3]")
-        with pytest.raises(ConfigurationError):
-            RttTrace.from_file(str(array))
-        unsorted = tmp_path / "unsorted.json"
-        unsorted.write_text('{"segments": {"a|b": [[1.0, 100.0], [0.0, 100.0]]}}')
-        with pytest.raises(ConfigurationError):
-            RttTrace.from_file(str(unsorted))
+    def test_from_dict_rejects_bad_inputs(self):
+        for segments in (
+            {},
+            {"a|b": []},
+            {"ab": [[0.0, 100.0]]},
+            {"a|b": [[0.0, -1.0]]},
+            {"a|b": [[1.0, 100.0], [0.0, 100.0]]},
+        ):
+            with pytest.raises(ConfigurationError):
+                RttTrace.from_dict({"segments": segments})
 
     def test_shipped_example_trace_loads_and_validates(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        trace = RttTrace.from_file(os.path.join(root, "examples", "rtt_trace_geo.json"))
+        with open(os.path.join(root, "examples", "rtt_trace_geo.json"), encoding="utf-8") as handle:
+            trace = RttTrace.from_dict(json.load(handle))
         trace.validate()
         assert ("europe-west3", "us-west1") in trace.segments
         assert trace.rtt_at("us-west1", "europe-west3", 0.0) > 0
@@ -294,8 +289,7 @@ def _tiny_deployment():
         .clusters(4, 4)
         .engine("hotstuff")
         .threads(2)
-        .duration(0.5)
-        .warmup(0.1)
+        .duration(0.5, warmup=0.1)
         .seeds(3)
         .spec()
     )
@@ -342,8 +336,7 @@ class TestFaultShardRouting:
             .clusters(4, 4, 4, 4)
             .engine("hotstuff")
             .threads(2)
-            .duration(0.8)
-            .warmup(0.2)
+            .duration(0.8, warmup=0.2)
             .seeds(19)
         )
         if crash:
@@ -383,8 +376,7 @@ class TestPartitionHealing:
             .threads(2)
             .partition(0, 1, at=0.25, duration=0.2)
             .join(1, at=0.3)  # reconfiguration in flight while the link is cut
-            .duration(0.8)
-            .warmup(0.2)
+            .duration(0.8, warmup=0.2)
             .seeds(23)
             .spec()
         )
@@ -468,8 +460,7 @@ class TestEventGrammar:
             .rtt_trace(trace)
             .congestion(capacity_bytes_per_sec=2.0e7)
             .cross_traffic("us-west1", "europe-west3", 1.0e7, start=0.2, stop=0.5)
-            .duration(0.6)
-            .warmup(0.1)
+            .duration(0.6, warmup=0.1)
             .seeds(7)
             .spec()
         )
@@ -483,7 +474,7 @@ class TestEventGrammar:
         assert len(rebuilt.congestion.streams) == 1
 
     def test_with_seed_deep_copies_trace_and_congestion(self):
-        trace = RttTrace.from_points({("us-west1", "europe-west3"): [(0.0, 140.0)]})
+        trace = trace_of({("us-west1", "europe-west3"): [(0.0, 140.0)]})
         spec = (
             Scenario("adv-copy")
             .clusters((4, "us-west1"), (4, "europe-west3"))

@@ -52,7 +52,7 @@ def build_cluster(engine_cls, size=4, seed=3, timeout=1.0):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
     network = Network(
-        simulator, LatencyModel(simulator.rng), registry, NetworkConfig(cpu_model=False)
+        simulator, LatencyModel(), registry, NetworkConfig()
     )
     members = [f"p{i}" for i in range(size)]
     hosts = [EngineHost(m, simulator, network, members, engine_cls, timeout) for m in members]
@@ -213,7 +213,8 @@ class TestEngines:
     def test_laggard_catches_up_from_decided_peers(self, engine_cls):
         simulator, network, hosts = build_cluster(engine_cls, timeout=0.5)
         laggard = hosts[3]
-        cut = network.isolate("p3")  # p3 misses the proposal, the votes and the decide
+        # p3 misses the proposal, the votes and the decide.
+        cut = network.add_drop_rule(lambda sender, destination, payload: "p3" in (sender, destination))
         laggard.engine.start_instance(1)
         value = ["decided-without-p3"]
         hosts[0].engine.propose(1, value)
@@ -255,7 +256,7 @@ class TestLeaderElection:
         simulator = Simulator(seed=seed)
         registry = KeyRegistry(seed=seed)
         network = Network(
-            simulator, LatencyModel(simulator.rng), registry, NetworkConfig(cpu_model=False)
+            simulator, LatencyModel(), registry, NetworkConfig()
         )
         members = [f"p{i}" for i in range(size)]
         elected = {m: [] for m in members}

@@ -52,7 +52,7 @@ def build_brd_cluster(size=4, seed=4, timeout=1.0):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
     network = Network(
-        simulator, LatencyModel(simulator.rng), registry, NetworkConfig(cpu_model=False)
+        simulator, LatencyModel(), registry, NetworkConfig()
     )
     members = [f"p{i}" for i in range(size)]
     leader = members[0]

@@ -25,6 +25,7 @@ from repro.net.latency import LatencyModel
 from repro.net.links import AuthenticatedBestEffortBroadcast, AuthenticatedPerfectLink
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
+from repro.sim.events import LABEL
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 from tests.repin_goldens import e0_spec
@@ -44,12 +45,10 @@ class Recorder(Process):
         self.received.append((sender, envelope.payload, self.now))
 
 
-def build_network(seed=3, cpu_model=True):
+def build_network(seed=3):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
-    network = Network(
-        simulator, LatencyModel(simulator.rng), registry, NetworkConfig(cpu_model=cpu_model)
-    )
+    network = Network(simulator, LatencyModel(), registry, NetworkConfig())
     return simulator, network
 
 
@@ -193,7 +192,8 @@ class TestLoopback:
         simulator, network = build_network()
         a = Recorder("a", simulator)
         network.register(a, "us-west1")
-        network.isolate("a")  # would drop any wire traffic to or from a
+        # Would drop any wire traffic to or from a.
+        network.add_drop_rule(lambda sender, destination, payload: "a" in (sender, destination))
         AuthenticatedPerfectLink("a", network).send("a", Note("self"))
         simulator.run()
         assert len(a.received) == 1
@@ -317,8 +317,8 @@ class TestOneSendRule:
     }
     DESTINATIONS = ("lan", "wan", "s", "xlan", "blocked", "ghost", "xwan", "lan")
 
-    def _world(self, cpu_model):
-        simulator, network = build_network(seed=5, cpu_model=cpu_model)
+    def _world(self):
+        simulator, network = build_network(seed=5)
         owners = {name: owner for name, (_, owner) in self.WORLD.items()}
         network.owners = owners
         nodes = {name: Recorder(name, simulator) for name in self.WORLD}
@@ -333,8 +333,8 @@ class TestOneSendRule:
         network.send("w", "xlan", Note("arm"))
         return simulator, network, nodes
 
-    def _outcome(self, fan_out, cpu_model=True, forged=False, crashed=False):
-        simulator, network, nodes = self._world(cpu_model)
+    def _outcome(self, fan_out, forged=False, crashed=False):
+        simulator, network, nodes = self._world()
         registry = KeyRegistry(seed=99) if forged else network.registry
         registry.register("s")
         nodes["s"].crashed = crashed
@@ -342,7 +342,7 @@ class TestOneSendRule:
             message = Note(text)
             fan_out(network, self.DESTINATIONS, message, registry.sign_message("s", message))
         queue = simulator._queue
-        scheduled = sorted(event[:3] + [event.label] for event in queue._heap)
+        scheduled = sorted(event[:3] + [event[LABEL]] for event in queue._heap)
         snapshot = {
             "scheduled": scheduled,
             "next_sequence": queue._sequence,
@@ -371,8 +371,8 @@ class TestOneSendRule:
 
     @pytest.mark.parametrize(
         "variant",
-        [{}, {"cpu_model": False}, {"forged": True}, {"crashed": True}],
-        ids=["cpu_model", "no_cpu_model", "forged_signature", "crashed_sender"],
+        [{}, {"forged": True}, {"crashed": True}],
+        ids=["cpu_model", "forged_signature", "crashed_sender"],
     )
     def test_fan_out_equals_its_point_to_point_sends(self, variant):
         fanned = self._outcome(self._multicast, **variant)

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from helpers import fast_config, small_deployment
-from repro.analysis.complexity import complexity_table, format_table, messages_per_decision, protocol
-from repro.baselines.geobft import geobft_config, geobft_scenario
+from repro.analysis.complexity import complexity_table, messages_per_decision, protocol
+from repro.baselines.geobft import geobft_config
 from repro.baselines.pbft_global import global_pbft_scenario
 from repro.baselines.single_workflow import single_workflow_config
 from repro.errors import ConfigurationError
+from repro.harness.builder import Scenario
 from repro.harness import experiments
 
 
@@ -20,7 +21,6 @@ class TestDeployment:
         deployment = small_deployment(seed=81)
         assert len(deployment.replicas) == 8
         assert len(deployment.clients) == 2
-        assert deployment.system_config.total_replicas() == 8
 
     def test_one_reporter_per_cluster(self):
         deployment = small_deployment(seed=82)
@@ -124,10 +124,9 @@ class TestComplexityModel:
         global_pbft = messages_per_decision(protocol("PBFT"), z, n)
         assert clustered < global_pbft
 
-    def test_format_table_contains_all_protocols(self):
-        text = format_table(complexity_table(4, 16))
-        for name in ("Ava-HotStuff", "GeoBFT", "Zyzzyva"):
-            assert name in text
+    def test_complexity_table_covers_all_protocols(self):
+        names = {row["protocol"] for row in complexity_table(4, 16)}
+        assert {"Ava-HotStuff", "GeoBFT", "Zyzzyva"} <= names
 
     def test_unknown_protocol_raises(self):
         with pytest.raises(KeyError):
@@ -143,7 +142,8 @@ class TestBaselines:
 
     def test_geobft_deployment_commits(self):
         deployment = (
-            geobft_scenario().clusters(4, 4).seed(87).threads(4).config(fast_config()).build()
+            Scenario("geobft").preset("geobft").engine("bftsmart").clusters(4, 4).seed(87)
+            .threads(4).config(fast_config()).build()
         )
         metrics = deployment.run(duration=1.2, warmup=0.2)
         assert metrics.committed_count(op="write") > 0

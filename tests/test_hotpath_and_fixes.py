@@ -17,7 +17,6 @@ from repro.errors import SimulationError
 from repro.harness.builder import Scenario
 from repro.harness.metrics import MetricsCollector
 from repro.harness.runner import ScenarioRunner
-from repro.sim.events import EventQueue, noop
 from repro.sim.simulator import Simulator
 from tests.repin_goldens import compute_entry, diff_summary, e0_spec, load_goldens
 
@@ -93,7 +92,7 @@ class TestMaxEventsValve:
     def test_exact_budget_drains_cleanly(self):
         sim = Simulator()
         for index in range(5):
-            sim.schedule(0.1 * (index + 1), noop)
+            sim.schedule(0.1 * (index + 1), lambda: None)
         sim.run(max_events=5)
         assert sim.events_processed == 5
 
@@ -135,23 +134,25 @@ class TestPartitionAfterJoin:
 # ---------------------------------------------------------------------- #
 class TestEventKernel:
     def test_timer_churn_does_not_grow_the_heap(self):
-        queue = EventQueue()
+        sim = Simulator()
         for index in range(5000):
-            event = queue.push(1000.0 + index, noop)
+            event = sim.schedule(1000.0 + index, lambda: None)
             event.cancel()
-            queue.notify_cancel()
+            sim.notify_cancel()
+        queue = sim._queue
         assert len(queue) == 0
         # Auto-compaction keeps dead entries bounded instead of retaining
         # all 5000 until their deadlines.
         assert len(queue._heap) < 600
 
-    def test_pop_due_respects_the_limit(self):
-        queue = EventQueue()
-        queue.push(1.0, noop)
-        queue.push(3.0, noop)
-        assert queue.pop_due(2.0).time == 1.0
-        assert queue.pop_due(2.0) is None
-        assert len(queue) == 1  # the 3.0 event was left queued
+    def test_run_until_leaves_later_events_queued(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, arg=1.0)
+        sim.schedule(3.0, fired.append, arg=3.0)
+        sim.run(until=2.0)
+        assert fired == [1.0]
+        assert len(sim._queue) == 1  # the 3.0 event was left queued
 
     def test_scheduled_arg_is_passed_to_the_callback(self):
         sim = Simulator()

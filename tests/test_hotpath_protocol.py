@@ -76,7 +76,7 @@ class TestPipelineFifo:
     def _build(self, seed, network_cls=Network):
         sim = Simulator(seed=seed)
         registry = KeyRegistry(seed=seed)
-        network = network_cls(sim, LatencyModel(sim.rng), registry, NetworkConfig())
+        network = network_cls(sim, LatencyModel(), registry, NetworkConfig())
         senders = []
         receivers = []
         for index in range(4):
@@ -96,7 +96,7 @@ class TestPipelineFifo:
                 seed, network_cls=_SendRecordingNetwork
             )
             links = {s.process_id: AuthenticatedPerfectLink(s.process_id, network) for s in senders}
-            rng = SeededRng(seed, "bursts")
+            rng = SeededRng(seed, "bursts")._random  # the plain generator: randint
             marker = 0
             for wave in range(20):
                 at = wave * 0.002

@@ -174,14 +174,14 @@ class TestLostRemoteComplaints:
         deployment.run(duration=1.5)
         receiver = deployment.replicas["c0/r1"]
         rlc = receiver.rlc
-        assert rlc.received_complaint_number(1) == 0
+        assert rlc._watch(1).received_complaint_number == 0
         # Complaints 0..2 were lost to a partition; number 3 arrives first.
         rlc._on_cluster_complaint("c0/r0", self._complaint(deployment, receiver, 3))
-        assert rlc.received_complaint_number(1) == 4
+        assert rlc._watch(1).received_complaint_number == 4
         assert rlc.remote_changes_applied == 1
         for replayed in (3, 2, 0):
             rlc._on_cluster_complaint("c0/r0", self._complaint(deployment, receiver, replayed))
-        assert (rlc.received_complaint_number(1), rlc.remote_changes_applied) == (4, 1)
+        assert (rlc._watch(1).received_complaint_number, rlc.remote_changes_applied) == (4, 1)
         # The number is bound by the signatures: a quorum over number 3
         # cannot be relabelled as number 9, and f signers are not a quorum.
         relabelled = self._complaint(deployment, receiver, 3)
@@ -190,7 +190,7 @@ class TestLostRemoteComplaints:
         rlc._on_cluster_complaint(
             "c0/r0", self._complaint(deployment, receiver, 9, signers=("c1/r0", "c1/r1"))
         )
-        assert rlc.received_complaint_number(1) == 4
+        assert rlc._watch(1).received_complaint_number == 4
 
     @pytest.mark.parametrize("duration", [10.0, 16.0])
     def test_flapping_partition_recovers_whatever_the_run_length(self, duration):

@@ -7,6 +7,7 @@ import pytest
 from helpers import fast_config, small_deployment
 from repro.core.config import failure_threshold
 from repro.core.replica import MODE_ACTIVE, MODE_LEFT
+from repro.harness.builder import Scenario
 
 
 class TestJoin:
@@ -104,10 +105,9 @@ class TestUniformity:
 
 class TestSingleWorkflowBaseline:
     def test_single_workflow_also_applies_reconfigs(self):
-        from repro.baselines.single_workflow import single_workflow_scenario
-
         deployment = (
-            single_workflow_scenario().clusters(4, 4).seed(70).threads(4).config(fast_config()).build()
+            Scenario("single_workflow").preset("single_workflow").clusters(4, 4).seed(70)
+            .threads(4).config(fast_config()).build()
         )
         joiner = deployment.add_joiner(0, at_time=0.6, replica_id="sw-new")
         deployment.run(duration=4.0)

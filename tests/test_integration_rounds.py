@@ -129,7 +129,11 @@ class TestShareFloor:
         )
         deployment = spec.build()
         network = deployment.network
-        cluster_of = deployment.system_config.cluster_of
+        cluster_of = {
+            replica: cluster_id
+            for cluster_id, cluster in deployment.system_config.clusters.items()
+            for replica in cluster.replicas
+        }
         copies = Counter()
         multicast = network.multicast
 
@@ -139,7 +143,7 @@ class TestShareFloor:
                 for destination in destinations:
                     if destination != sender:
                         key = (kind.__name__, payload.cluster_id, payload.round_number)
-                        copies[(*key, cluster_of(destination))] += 1
+                        copies[(*key, cluster_of[destination])] += 1
             multicast(sender, destinations, payload, signature)
 
         network.multicast = counting

@@ -53,7 +53,7 @@ class TestCertificates:
             cert.add(keys.sign(name, "d"))
         cert.add(keys.sign("p0", "d"))  # duplicate signer
         assert len(cert) == 3
-        assert cert.signers() == {"p0", "p1", "p2"}
+        assert set(cert.signatures) == {"p0", "p1", "p2"}
 
     def test_certificate_rejects_other_digest(self, keys):
         cert = Certificate("d")
@@ -90,13 +90,10 @@ class TestCertificates:
     def test_none_certificate_is_invalid(self, keys):
         assert not keys.certificate_valid(None, ["p0"], threshold=1)
 
-    def test_merge_and_copy(self, keys):
+    def test_copy_is_independent(self, keys):
         a = Certificate("d")
         a.add(keys.sign("p0", "d"))
-        b = Certificate("d")
-        b.add(keys.sign("p1", "d"))
-        a.merge(b)
-        assert len(a) == 2
+        a.add(keys.sign("p1", "d"))
         copy = a.copy()
         copy.add(keys.sign("p2", "d"))
         assert len(a) == 2 and len(copy) == 3

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net.crypto import KeyRegistry
 from repro.net.latency import (
     LatencyModel,
     LatencyParameters,
@@ -12,7 +15,10 @@ from repro.net.latency import (
     paper_rtt_matrix,
     region_rtt_ms,
 )
-from repro.sim.rng import SeededRng
+from repro.net.message import Message
+from repro.net.network import Network
+from repro.sim.process import Process
+from repro.sim.simulator import Simulator
 
 
 class TestRttTable:
@@ -44,48 +50,91 @@ class TestRttTable:
         assert matrix["Asia"]["US"] == 214.0
 
 
+@dataclass
+class Blob(Message):
+    size: int = 0
+
+    def estimated_size(self) -> int:
+        return 128 + self.size
+
+
+class Sink(Process):
+    """Records the virtual time of every delivery."""
+
+    def __init__(self, process_id, simulator):
+        super().__init__(process_id, simulator)
+        self.arrivals = []
+
+    def on_message(self, sender, envelope):
+        self.arrivals.append(self.now)
+
+
+def send_delays(dst_region, jitter=0.0, size=0, rtt=None, sends=1):
+    """Send-to-delivery delay of ``sends`` messages from us-west1 through ``multicast``.
+
+    The sends are a second apart, so none queues behind another at either
+    end and each delay is one message's own.
+    """
+    simulator = Simulator(seed=3)
+    model = LatencyModel(LatencyParameters(jitter_fraction=jitter))
+    network = Network(simulator, model, KeyRegistry(seed=3))
+    sink = Sink("b", simulator)
+    network.register(Process("a", simulator), "us-west1")
+    network.register(sink, dst_region)
+    if rtt is not None:
+        model.set_rtt("us-west1", dst_region, rtt)
+    for index in range(sends):
+        message = Blob(size)
+        simulator.schedule_at(float(index), lambda m=message: network.multicast("a", ("b",), m))
+    simulator.run()
+    return [arrival - index for index, arrival in enumerate(sink.arrivals)]
+
+
 class TestLatencyModel:
     def _model(self) -> LatencyModel:
-        return LatencyModel(SeededRng(3), LatencyParameters(jitter_fraction=0.0))
+        return LatencyModel(LatencyParameters(jitter_fraction=0.0))
 
     def test_intra_region_is_submillisecond(self):
         model = self._model()
         model.place("a", "us-west1")
         model.place("b", "us-west1")
-        assert model.one_way_latency("a", "b") < 0.002
+        assert model.pair_params("a", "b") == (0.0006, 0.0)
+        (delay,) = send_delays("us-west1")
+        assert delay < 0.002
 
     def test_cross_region_close_to_half_rtt(self):
         model = self._model()
         model.place("a", "us-west1")
         model.place("b", "asia-south1")
-        latency = model.one_way_latency("a", "b")
-        assert latency == pytest.approx(0.214 / 2, rel=0.05)
+        assert model.pair_params("a", "b") == (pytest.approx(0.214 / 2), 0.0)
+        assert send_delays("asia-south1") == [pytest.approx(0.214 / 2, rel=0.05)]
 
     def test_bandwidth_term_scales_with_size(self):
-        model = self._model()
-        model.place("a", "us-west1")
-        model.place("b", "us-west1")
-        small = model.one_way_latency("a", "b", size_bytes=0)
-        large = model.one_way_latency("a", "b", size_bytes=10_000_000)
-        assert large > small
+        (small,) = send_delays("us-west1", size=0)
+        (large,) = send_delays("us-west1", size=10_000_000)
+        assert large - small == pytest.approx(10_000_000 / 2.0e8)
 
     def test_set_rtt_override(self):
         model = self._model()
         model.place("a", "us-west1")
         model.place("b", "us-east5")
         model.set_rtt("us-west1", "us-east5", 400.0)
-        assert model.one_way_latency("a", "b") == pytest.approx(0.2, rel=0.05)
+        assert model.pair_params("a", "b") == (pytest.approx(0.2), 0.0)
+        assert send_delays("us-east5", rtt=400.0) == [pytest.approx(0.2, rel=0.05)]
 
     def test_unplaced_process_defaults_to_us(self):
         model = self._model()
         assert model.region_of("ghost") == "us-west1"
 
     def test_jitter_varies_latency(self):
-        model = LatencyModel(SeededRng(4), LatencyParameters(jitter_fraction=0.2))
+        model = LatencyModel(LatencyParameters(jitter_fraction=0.2))
         model.place("a", "us-west1")
         model.place("b", "asia-south1")
-        values = {round(model.one_way_latency("a", "b"), 6) for _ in range(20)}
-        assert len(values) > 1
+        base, spread = model.pair_params("a", "b")
+        assert spread == pytest.approx(0.2 * base)
+        delays = send_delays("asia-south1", jitter=0.2, sends=20)
+        assert len({round(delay, 6) for delay in delays}) > 1
+        assert all(base - spread < delay < base + spread + 0.001 for delay in delays)
 
     def test_cross_group_pairs_are_sorted_and_deterministic(self):
         model = self._model()

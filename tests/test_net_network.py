@@ -31,11 +31,11 @@ class Recorder(Process):
         self.received.append((sender, envelope.payload, self.now))
 
 
-def build_network(cpu_model=False, seed=9):
+def build_network(seed=9):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
-    latency = LatencyModel(simulator.rng)
-    network = Network(simulator, latency, registry, NetworkConfig(cpu_model=cpu_model))
+    latency = LatencyModel()
+    network = Network(simulator, latency, registry, NetworkConfig())
     return simulator, network
 
 
@@ -110,7 +110,7 @@ class TestFaults:
         a, b = Recorder("a", simulator), Recorder("b", simulator)
         network.register(a, "us-west1")
         network.register(b, "us-west1")
-        rule = network.partition(["a"], ["b"])
+        rule = network.add_drop_rule(lambda sender, destination, payload: {sender, destination} == {"a", "b"})
         link_a = AuthenticatedPerfectLink("a", network)
         link_b = AuthenticatedPerfectLink("b", network)
         link_a.send("b", Ping("lost"))
@@ -127,7 +127,7 @@ class TestFaults:
         a, b = Recorder("a", simulator), Recorder("b", simulator)
         network.register(a, "us-west1")
         network.register(b, "us-west1")
-        network.isolate("b")
+        network.add_drop_rule(lambda sender, destination, payload: "b" in (sender, destination))
         AuthenticatedPerfectLink("a", network).send("b", Ping())
         simulator.run()
         assert b.received == []
@@ -188,7 +188,7 @@ class TestAuthentication:
 
 class TestCpuModel:
     def test_cpu_queue_serializes_processing(self):
-        simulator, network = build_network(cpu_model=True)
+        simulator, network = build_network()
         a, b = Recorder("a", simulator), Recorder("b", simulator)
         network.register(a, "us-west1")
         network.register(b, "us-west1")

@@ -1,12 +1,10 @@
 """Tests for the open-loop client-population subsystem.
 
-Covers the load shapes (semantics + tagged-dict round-trips), the
-population config and presets, the ScenarioSpec JSON round-trip of the new
-workload fields, fixed-seed determinism of open-loop runs per load shape,
+Covers the population config and presets, the ScenarioSpec JSON round-trip
+of the open-loop workload fields, fixed-seed determinism of open-loop runs,
 the read-lease state machine and its end-to-end effect, the leader-hint
-caching fix, multi-seed aggregation (mean/stddev/95% CI), and the gating
-A/B: with the whole subsystem present, the closed-loop YCSB goldens must
-stay byte-identical (no re-pin).
+caching fix, and the gating A/B: with the whole subsystem present, the
+closed-loop YCSB goldens must stay byte-identical (no re-pin).
 """
 
 from __future__ import annotations
@@ -20,14 +18,7 @@ from repro.core.messages import ClientResponse
 from repro.core.types import make_transaction
 from repro.errors import ConfigurationError, WorkloadError
 from repro.harness.builder import Scenario
-from repro.harness.runner import (
-    AGGREGATE_METRICS,
-    ResultRow,
-    ScenarioRunner,
-    aggregate_rows,
-    failed_row,
-    run_scenario,
-)
+from repro.harness.runner import ResultRow, run_scenario
 from repro.harness.scenario import ScenarioSpec
 from repro.net.message import Envelope
 from repro.sim.rng import SeededRng
@@ -36,103 +27,10 @@ from repro.workload.clients import WorkloadClient
 from repro.workload.population import (
     POPULATION_PRESETS,
     PopulationConfig,
-    population_from_dict,
-    population_to_dict,
     resolve_population_preset,
-)
-from repro.workload.shapes import (
-    SHAPE_TYPES,
-    ConstantShape,
-    DiurnalShape,
-    RampShape,
-    SpikeShape,
-    StepShape,
-    TraceShape,
-    shape_from_dict,
-    shape_to_dict,
 )
 from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 from tests.repin_goldens import e0_spec, load_goldens
-
-ALL_SHAPES = [
-    ConstantShape(rate=750.0),
-    RampShape(start_rate=100.0, end_rate=900.0, start=0.5, end=2.0),
-    SpikeShape(base_rate=300.0, spike_rate=1200.0, at=0.75, width=0.5),
-    StepShape(initial_rate=200.0, steps=((0.6, 600.0), (1.2, 1000.0))),
-    DiurnalShape(mean_rate=500.0, amplitude=300.0, period=1.5, phase=0.25),
-    TraceShape(points=((0.0, 200.0), (0.8, 900.0), (1.6, 400.0))),
-]
-
-
-# ---------------------------------------------------------------------- #
-# Load shapes: semantics and serialization
-# ---------------------------------------------------------------------- #
-class TestShapes:
-    def test_constant(self):
-        shape = ConstantShape(rate=123.0)
-        assert shape.rate_at(0.0) == shape.rate_at(99.0) == 123.0
-
-    def test_ramp_interpolates_and_holds(self):
-        shape = RampShape(start_rate=100.0, end_rate=300.0, start=1.0, end=3.0)
-        assert shape.rate_at(0.0) == 100.0
-        assert shape.rate_at(2.0) == pytest.approx(200.0)
-        assert shape.rate_at(10.0) == 300.0
-
-    def test_spike_window_is_half_open(self):
-        shape = SpikeShape(base_rate=100.0, spike_rate=900.0, at=2.0, width=1.0)
-        assert shape.rate_at(1.999) == 100.0
-        assert shape.rate_at(2.0) == 900.0
-        assert shape.rate_at(2.999) == 900.0
-        assert shape.rate_at(3.0) == 100.0
-
-    def test_step_takes_latest_step_at_or_before(self):
-        shape = StepShape(initial_rate=50.0, steps=((1.0, 100.0), (2.0, 200.0)))
-        assert shape.rate_at(0.5) == 50.0
-        assert shape.rate_at(1.0) == 100.0
-        assert shape.rate_at(1.9) == 100.0
-        assert shape.rate_at(5.0) == 200.0
-
-    def test_diurnal_clamps_at_zero(self):
-        shape = DiurnalShape(mean_rate=100.0, amplitude=500.0, period=4.0)
-        assert shape.rate_at(1.0) == pytest.approx(600.0)
-        assert shape.rate_at(3.0) == 0.0  # trough would be negative
-
-    def test_trace_interpolates_and_holds_endpoints(self):
-        shape = TraceShape(points=((1.0, 100.0), (3.0, 300.0)))
-        assert shape.rate_at(0.0) == 100.0
-        assert shape.rate_at(2.0) == pytest.approx(200.0)
-        assert shape.rate_at(9.0) == 300.0
-
-    def test_every_shape_round_trips_through_json(self):
-        for shape in ALL_SHAPES:
-            payload = json.loads(json.dumps(shape_to_dict(shape)))
-            rebuilt = shape_from_dict(payload)
-            assert rebuilt == shape
-            assert type(rebuilt) is type(shape)
-
-    def test_kind_registry_covers_every_shape(self):
-        assert set(SHAPE_TYPES) == {
-            "constant", "ramp", "spike", "step", "diurnal", "trace"
-        }
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(WorkloadError):
-            shape_from_dict({"kind": "sawtooth"})
-
-    def test_validation_rejects_bad_parameters(self):
-        with pytest.raises(WorkloadError):
-            ConstantShape(rate=-1.0).validate()
-        with pytest.raises(WorkloadError):
-            RampShape(start=2.0, end=1.0).validate()
-        with pytest.raises(WorkloadError):
-            SpikeShape(width=0.0).validate()
-        with pytest.raises(WorkloadError):
-            StepShape(steps=((2.0, 100.0), (1.0, 200.0))).validate()
-        with pytest.raises(WorkloadError):
-            DiurnalShape(period=0.0).validate()
-        with pytest.raises(WorkloadError):
-            TraceShape(points=()).validate()
-
 
 # ---------------------------------------------------------------------- #
 # Population config and presets
@@ -141,23 +39,15 @@ class TestPopulationConfig:
     def test_defaults_validate(self):
         PopulationConfig().validate()
 
-    def test_round_trips_with_and_without_shape(self):
-        for shape in [None] + ALL_SHAPES:
-            config = PopulationConfig(clients=5000, rate=321.0, shape=shape)
-            payload = json.loads(json.dumps(population_to_dict(config)))
-            assert population_from_dict(payload) == config
-
     def test_validation_rejects_bad_parameters(self):
         with pytest.raises(WorkloadError):
             PopulationConfig(clients=0).validate()
-        with pytest.raises(WorkloadError):
-            PopulationConfig(arrival="bursty").validate()
         with pytest.raises(WorkloadError):
             PopulationConfig(batch_window=0.0).validate()
         with pytest.raises(WorkloadError):
             PopulationConfig(max_outstanding=0).validate()
         with pytest.raises(WorkloadError):
-            PopulationConfig(shape=ConstantShape(rate=-5.0)).validate()
+            PopulationConfig(rate=-5.0).validate()
 
     def test_every_preset_is_valid_and_fresh(self):
         for name in POPULATION_PRESETS:
@@ -181,25 +71,21 @@ class TestPopulationConfig:
 # ScenarioSpec round-trip of the new workload fields
 # ---------------------------------------------------------------------- #
 class TestScenarioSpecRoundTrip:
-    def _open_spec(self, shape) -> ScenarioSpec:
-        return (
+    def test_open_loop_spec_round_trips(self):
+        spec = (
             Scenario("roundtrip")
             .clusters(4)
-            .open_loop(clients=12_345, shape=shape, batch_window=0.02)
+            .open_loop(clients=12_345, rate=321.0, batch_window=0.02)
             .read_leases(True, duration=1.5)
             .duration(1.0, warmup=0.1)
             .seeds(3)
             .spec()
         )
-
-    def test_open_loop_spec_round_trips_per_shape(self):
-        for shape in ALL_SHAPES:
-            spec = self._open_spec(shape)
-            payload = json.loads(json.dumps(spec.to_dict(), sort_keys=True))
-            rebuilt = ScenarioSpec.from_dict(payload)
-            assert rebuilt.workload_model == "open"
-            assert rebuilt.population == spec.population
-            assert rebuilt.to_dict() == spec.to_dict()
+        payload = json.loads(json.dumps(spec.to_dict(), sort_keys=True))
+        rebuilt = ScenarioSpec.from_dict(payload)
+        assert rebuilt.workload_model == "open"
+        assert rebuilt.population == spec.population
+        assert rebuilt.to_dict() == spec.to_dict()
 
     def test_closed_spec_defaults_round_trip(self):
         spec = Scenario("closed").clusters(4).duration(1.0).spec()
@@ -222,12 +108,12 @@ class TestScenarioSpecRoundTrip:
 # ---------------------------------------------------------------------- #
 # Fixed-seed determinism: same seed => byte-identical ResultRows
 # ---------------------------------------------------------------------- #
-def _open_loop_row(shape, seed: int = 5) -> ResultRow:
+def _open_loop_row(rate: float, seed: int = 5) -> ResultRow:
     spec = (
-        Scenario(f"determinism-{type(shape).kind}")
+        Scenario("determinism-constant")
         .clusters(4)
         .engine("hotstuff")
-        .open_loop(clients=150_000, shape=shape)
+        .open_loop(clients=150_000, rate=rate)
         .read_leases(True)
         .duration(1.2, warmup=0.2)
         .seeds(seed)
@@ -237,17 +123,15 @@ def _open_loop_row(shape, seed: int = 5) -> ResultRow:
 
 
 class TestOpenLoopDeterminism:
-    @pytest.mark.parametrize("shape", ALL_SHAPES, ids=lambda s: type(s).kind)
-    def test_same_seed_is_byte_identical_per_shape(self, shape):
-        first = _open_loop_row(shape)
-        second = _open_loop_row(shape)
+    def test_same_seed_is_byte_identical(self):
+        first = _open_loop_row(750.0)
+        second = _open_loop_row(750.0)
         assert first.error is None
         assert first.operations > 0
         assert first.to_json() == second.to_json()
 
     def test_different_seeds_differ(self):
-        shape = ConstantShape(rate=750.0)
-        assert _open_loop_row(shape, seed=5).to_json() != _open_loop_row(shape, seed=6).to_json()
+        assert _open_loop_row(750.0, seed=5).to_json() != _open_loop_row(750.0, seed=6).to_json()
 
 
 # ---------------------------------------------------------------------- #
@@ -300,32 +184,30 @@ class TestPopulationScale:
         summary = metrics.open_loop_summary()
         population = deployment.populations[0]
         assert summary["offered"] > 1.5 * summary["goodput"] * spec.duration
-        assert population.backlog_size() > 0
+        assert population.stats()["backlog"] > 0
         assert population.queueing_delay_mean() > 0.0
         # Backlog compression: tens of thousands of queued ops, O(ticks) pairs.
         assert len(population._backlog) <= spec.duration / population.config.batch_window + 1
 
     def test_latency_includes_backlog_wait(self):
-        # A flash crowd against a small pipelining window: the burst queues
+        # A burst against a small pipelining window: the burst queues
         # behind the window and drains long before the run ends, so nearly
         # every dispatched request also completes.  Latency runs from
         # arrival, so its mean cannot be below the mean time spent queued
-        # (it was, when requests were stamped at dispatch: ~4 ms vs ~35 ms).
+        # (it was, when requests were stamped at dispatch).
         spec = (
             Scenario("backlog-latency")
             .clusters(4)
-            .open_loop(
-                clients=200_000,
-                shape=SpikeShape(base_rate=200.0, spike_rate=20_000.0, at=0.2, width=0.2),
-                max_outstanding=100,
-            )
+            .open_loop(clients=200_000, rate=20_000.0, max_outstanding=100)
             .duration(3.0, warmup=0.0)
             .seeds(11)
             .spec()
         )
         deployment = spec.build()
-        metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
         population = deployment.populations[0]
+        # The rate is read on every tick: after 0.2 s the burst stops.
+        deployment.simulator.schedule(0.2, lambda: setattr(population.config, "rate", 0.0))
+        metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
         stats = population.stats()
         assert stats["max_in_flight"] == population.config.max_outstanding
         assert stats["backlog"] == 0 and stats["in_flight"] < 10
@@ -381,7 +263,7 @@ class TestReadLease:
         spec = (
             Scenario("leases-on")
             .clusters(4)
-            .open_loop(preset="smoke")
+            .open_loop(rate=600.0, batch_window=0.01)
             # A short lease so the first grant (half a duration after start)
             # covers most of the run instead of its tail.
             .read_leases(True, duration=0.4)
@@ -400,7 +282,7 @@ class TestReadLease:
         spec = (
             Scenario("leases-off")
             .clusters(4)
-            .open_loop(preset="smoke")
+            .open_loop(rate=600.0, batch_window=0.01)
             .duration(1.0, warmup=0.2)
             .seeds(9)
             .spec()
@@ -458,68 +340,6 @@ class TestLeaderHintCaching:
 
 
 # ---------------------------------------------------------------------- #
-# Multi-seed aggregation: mean, stddev, 95% CI
-# ---------------------------------------------------------------------- #
-def _row(scenario: str, seed: int, throughput: float) -> ResultRow:
-    return ResultRow(
-        scenario=scenario,
-        seed=seed,
-        engine="hotstuff",
-        preset="",
-        throughput=throughput,
-        throughput_reads=throughput * 0.85,
-        throughput_writes=throughput * 0.15,
-        latency_mean=0.01,
-        latency_read=0.01,
-        latency_write=0.02,
-        latency_p99=0.05,
-        operations=int(throughput),
-        rounds=10,
-        reconfigs_applied=0,
-        joins_completed=0,
-    )
-
-
-class TestAggregateRows:
-    def test_mean_std_ci_across_seeds(self):
-        rows = [_row("a", seed, value) for seed, value in [(1, 90.0), (2, 100.0), (3, 110.0)]]
-        (aggregate,) = aggregate_rows(rows)
-        assert aggregate.scenario == "a"
-        assert aggregate.seeds == [1, 2, 3]
-        assert aggregate.mean["throughput"] == pytest.approx(100.0)
-        assert aggregate.std["throughput"] == pytest.approx(10.0)
-        # Student t (dof=2) half-width: 4.303 * 10 / sqrt(3).
-        assert aggregate.ci95["throughput"] == pytest.approx(4.303 * 10.0 / 3**0.5)
-        assert set(aggregate.mean) == set(AGGREGATE_METRICS)
-        assert "±" in aggregate.format_metric("throughput")
-
-    def test_single_seed_has_zero_spread(self):
-        (aggregate,) = aggregate_rows([_row("solo", 1, 100.0)])
-        assert aggregate.std["throughput"] == 0.0
-        assert aggregate.ci95["throughput"] == 0.0
-
-    def test_failed_rows_excluded_but_reported(self):
-        spec = Scenario("a").clusters(4).duration(1.0).seeds(3).spec()
-        rows = [_row("a", 1, 90.0), _row("a", 2, 110.0), failed_row(spec, "boom")]
-        (aggregate,) = aggregate_rows(rows)
-        assert aggregate.seeds == [1, 2]
-        assert aggregate.failed_seeds == [3]
-        assert aggregate.mean["throughput"] == pytest.approx(100.0)
-
-    def test_groups_preserve_first_seen_order(self):
-        rows = [_row("b", 1, 10.0), _row("a", 1, 20.0), _row("b", 2, 30.0)]
-        aggregates = aggregate_rows(rows)
-        assert [a.scenario for a in aggregates] == ["b", "a"]
-
-    def test_runner_aggregate_end_to_end(self):
-        scenario = Scenario("agg-e2e").clusters(4).threads(2).duration(0.5, warmup=0.1)
-        (aggregate,) = ScenarioRunner().aggregate(scenario, seeds=[1, 2])
-        assert aggregate.seeds == [1, 2]
-        assert aggregate.failed_seeds == []
-        assert aggregate.mean["operations"] > 0
-
-
-# ---------------------------------------------------------------------- #
 # Gating A/B: closed-loop goldens stay byte-identical (NO re-pin)
 # ---------------------------------------------------------------------- #
 class TestClosedLoopGoldensAB:
@@ -528,7 +348,7 @@ class TestClosedLoopGoldensAB:
         # Arm B first: a full open-loop run with leases in the same process,
         # so any global-state leakage (RNG, caches, counters) from the new
         # subsystem would poison the closed-loop run that follows.
-        open_row = _open_loop_row(ConstantShape(rate=500.0))
+        open_row = _open_loop_row(500.0)
         assert open_row.error is None
         # Arm A: the pinned closed-loop E0 scenario must still match the
         # committed goldens bit-for-bit — the new subsystem is opt-in.

@@ -11,10 +11,10 @@ from repro.core.brd import canonical_recs
 from repro.core.config import failure_threshold
 from repro.core.replica import Execution
 from repro.core.statemachine import ExecutionPlan, KeyValueStore
-from repro.core.types import Transaction, join_request, leave_request, merge_reconfigs
+from repro.core.types import Transaction, join_request, leave_request
 from repro.net.crypto import Certificate, KeyRegistry
-from repro.sim.events import EventQueue
 from repro.sim.rng import SeededRng
+from repro.sim.simulator import Simulator
 from repro.workload.zipf import ZipfianGenerator
 
 requests = st.builds(
@@ -44,22 +44,10 @@ class TestThresholdProperties:
 
 
 class TestReconfigSetProperties:
-    @given(st.lists(st.lists(requests, max_size=5), max_size=5))
-    def test_merge_is_order_insensitive_and_deduplicating(self, groups):
-        merged = merge_reconfigs(groups)
-        assert list(merged) == sorted(set(merged))
-        reversed_merge = merge_reconfigs(list(reversed(groups)))
-        assert merged == reversed_merge
-
     @given(st.lists(requests, max_size=10))
     def test_canonical_recs_idempotent(self, items):
         once = canonical_recs(items)
         assert canonical_recs(once) == once
-
-    @given(st.lists(requests, max_size=8), st.lists(requests, max_size=8))
-    def test_merge_contains_every_input(self, a, b):
-        merged = set(merge_reconfigs([a, b]))
-        assert set(a) <= merged and set(b) <= merged
 
 
 class TestCertificateProperties:
@@ -76,17 +64,16 @@ class TestCertificateProperties:
         assert registry.certificate_valid(cert, members, threshold) == (len(signers) >= threshold)
 
 
-class TestEventQueueProperties:
+class TestKernelProperties:
     @given(st.lists(st.floats(min_value=0, max_value=1000, allow_nan=False), max_size=60))
-    def test_events_pop_in_nondecreasing_time_order(self, times):
-        queue = EventQueue()
+    def test_events_fire_in_nondecreasing_time_order(self, times):
+        sim = Simulator()
+        fired = []
         for t in times:
-            queue.push(t, lambda: None)
-        popped = []
-        while (event := queue.pop()) is not None:
-            popped.append(event.time)
-        assert popped == sorted(popped)
-        assert len(popped) == len(times)
+            sim.schedule_at(t, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == sorted(fired)
+        assert len(fired) == len(times)
 
 
 class TestWorkloadProperties:
@@ -120,7 +107,7 @@ class TestStateMachineProperties:
         for txn in transactions:
             second.execute(ExecutionPlan([txn]))
         assert list(first.data.items()) == list(second.data.items())
-        assert first.fingerprint() == second.fingerprint()
+        assert first.applied == second.applied
 
 
 class _Executor:

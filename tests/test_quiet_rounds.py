@@ -62,11 +62,26 @@ class BrdHost(Process):
         self.brd.on_message(sender, envelope)
 
 
+def when_first(host, predicate, action):
+    """Call ``action()`` once, right after the message on which ``predicate()`` first holds."""
+    handle = host.on_message
+    done = []
+
+    def on_message(sender, envelope):
+        handle(sender, envelope)
+        if not done and predicate():
+            done.append(True)
+            action()
+
+    host.on_message = on_message
+    return done
+
+
 def build_cluster(size=4, seed=9, timeout=1.0):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
     network = Network(
-        simulator, LatencyModel(simulator.rng), registry, NetworkConfig(cpu_model=False)
+        simulator, LatencyModel(), registry, NetworkConfig()
     )
     members = [f"p{i}" for i in range(size)]
     hosts = [BrdHost(m, simulator, network, members, "p0", timeout) for m in members]
@@ -211,20 +226,22 @@ class TestQuietRoundSafety:
         simulator, network, hosts = build_cluster(timeout=0.5)
         for host in hosts:
             host.brd.broadcast(())
-        # Step until the followers accepted the quiet aggregate (readied the
-        # empty set) but nobody delivered yet, then crash the leader: the
-        # deliver marker is never broadcast.
-        while not hosts[1].brd.quiet:
-            assert simulator.step(), "quiet aggregate never arrived"
-        assert not hosts[1].brd.delivered
-        hosts[0].crash()
 
         def rotate():
             for host in hosts[1:]:
                 host.brd.new_leader("p1", 1)
 
-        simulator.schedule(1.0, rotate)
+        def crash_leader():
+            assert not hosts[1].brd.delivered
+            hosts[0].crash()
+            simulator.schedule(1.0, rotate)
+
+        # Once a follower accepted the quiet aggregate (readied the empty
+        # set) but nobody delivered yet, crash the leader: the deliver
+        # marker is never broadcast.
+        crashed = when_first(hosts[1], lambda: hosts[1].brd.quiet, crash_leader)
         simulator.run(until=6.0)
+        assert crashed, "quiet aggregate never arrived"
         assert all(host.complaints for host in hosts[1:]), "timeout must complain"
         for host in hosts[1:]:
             assert len(host.delivered) == 1
@@ -236,9 +253,10 @@ class TestQuietRoundSafety:
         simulator, network, hosts = build_cluster(timeout=0.5)
         for host in hosts:
             host.brd.broadcast(())
-        while not hosts[1].brd.quiet:
-            simulator.step()
-        valid = hosts[1].brd.valid
+        accepted = []
+        when_first(hosts[1], lambda: hosts[1].brd.quiet, lambda: accepted.append(hosts[1].brd.valid))
+        simulator.run(until=5.0)
+        (valid,) = accepted
         assert valid is not None and valid.kind == "collection"
         assert hosts[2].brd._attestation_valid((), valid.certificate, "collection")
 
@@ -305,7 +323,7 @@ class TestDeadlinePool:
         pool.arm("a", 3.0)
         pool.arm("b", 1.0)
         pool.arm("c", 2.0)
-        assert simulator.pending_events <= 2  # one chase (plus one re-chase)
+        assert len(simulator._queue) <= 2  # one chase (plus one re-chase)
         simulator.run(until=10.0)
         assert fired == ["b", "c", "a"]
 
@@ -317,7 +335,7 @@ class TestDeadlinePool:
         pool.disarm("a")
         simulator.run(until=5.0)
         assert fired == []
-        assert not pool.pending("a")
+        assert "a" not in pool._deadlines
 
     def test_rearm_moves_the_deadline_forward(self):
         simulator = Simulator()
@@ -358,10 +376,9 @@ class TestDeadlinePool:
         pool = DeadlinePool(simulator, fired.append)
         timer = pool.timer("k", 2.0)
         timer.start()
-        assert timer.pending
-        assert timer.remaining() == pytest.approx(2.0)
+        assert pool._deadlines["k"] == pytest.approx(2.0)
         timer.stop()
-        assert not timer.pending
+        assert "k" not in pool._deadlines
         timer.start(1.0)
         simulator.run(until=5.0)
         assert fired == ["k"]

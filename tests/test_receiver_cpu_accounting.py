@@ -27,12 +27,10 @@ class Sink(Process):
         pass
 
 
-def build_network(cpu_model=True):
+def build_network():
     simulator = Simulator(seed=3)
     registry = KeyRegistry(seed=3)
-    network = Network(
-        simulator, LatencyModel(simulator.rng), registry, NetworkConfig(cpu_model=cpu_model)
-    )
+    network = Network(simulator, LatencyModel(), registry, NetworkConfig())
     return simulator, network
 
 
@@ -67,16 +65,12 @@ class TestChargeVerification:
             2.0 + network.config.signature_verify_cost
         )
 
-    def test_zero_signatures_unknown_port_and_no_cpu_model_are_noops(self):
+    def test_zero_signatures_and_unknown_port_are_noops(self):
         simulator, network = build_network()
         network.register(Sink("a", simulator), "us-west1")
         network.charge_verification("a", 0)
         network.charge_verification("ghost", 3)
         assert network.ports["a"].recv_free == 0.0
-        _, uncosted = build_network(cpu_model=False)
-        uncosted.register(Sink("a", Simulator(seed=3)), "us-west1")
-        uncosted.charge_verification("a", 10)
-        assert uncosted.ports["a"].recv_free == 0.0
 
 
 # ---------------------------------------------------------------------- #

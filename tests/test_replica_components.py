@@ -42,15 +42,15 @@ def _system(config: HamavaConfig | None = None, metrics=None):
     """Two clusters of four on one bare network; replicas built, not started."""
     simulator = Simulator(seed=5)
     network = Network(
-        simulator, LatencyModel(simulator.rng), KeyRegistry(seed=5), NetworkConfig(cpu_model=False)
+        simulator, LatencyModel(), KeyRegistry(seed=5), NetworkConfig()
     )
     system = SystemConfig.build([(4, "us-west1"), (4, "us-west1")])
     replicas = {
         replica_id: HamavaReplica(
-            replica_id, system.cluster_of(replica_id), system, network, simulator,
-            config=config, metrics=metrics,
+            replica_id, cluster_id, system, network, simulator, config=config, metrics=metrics
         )
-        for replica_id in system.all_replicas()
+        for cluster_id in system.cluster_ids()
+        for replica_id in system.members(cluster_id)
     }
     return simulator, network, system, replicas
 

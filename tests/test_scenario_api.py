@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from typing import ClassVar
@@ -13,11 +14,11 @@ from repro.core.replica import MODE_ACTIVE, MODE_LEFT
 from repro.errors import ConfigurationError
 from repro.harness.builder import Scenario, normalize_replica_ref
 from repro.harness.runner import ResultRow, ScenarioRunner, run_scenario
+from repro.sim.events import LABEL
 from repro.net.adversity import CongestionConfig, CrossTrafficStream, RttTrace
 from repro.net.latency import LatencyParameters
 from repro.net.network import NetworkConfig
 from repro.workload.population import PopulationConfig
-from repro.workload.shapes import RampShape
 from repro.workload.ycsb import YcsbConfig
 from repro.harness.scenario import (
     EVENT_TYPES,
@@ -128,9 +129,9 @@ def _two_shard_spec(schedule) -> ScenarioSpec:
 def _pending_labels(deployment):
     """Fault/churn labels pending on the deployment's kernel, in firing order."""
     return [
-        event.label
+        event[LABEL]
         for event in sorted(deployment.simulator._queue._heap)
-        if event.label.startswith(("fault:", "join:", "leave:"))
+        if event[LABEL].startswith(("fault:", "join:", "leave:"))
     ]
 
 
@@ -222,9 +223,37 @@ class TestSerialization:
             event_from_dict({"kind": "crash", "at": 1.0, "replcia": "c0/r1"})
         with pytest.raises(ConfigurationError, match=r"'typo'.*'clusterz'.*\bclusters\b"):
             ScenarioSpec.from_dict({"name": "typo", "clusterz": [[4, "us-west1"]]})
+        base = ScenarioSpec(
+            name="nested",
+            clusters=[(4, "us-west1")],
+            population=PopulationConfig(),
+            config=fast_config(),
+            rtt_trace=RttTrace.from_dict({"segments": {"us-west1|europe-west3": [[0.0, 140.0]]}}),
+            congestion=CongestionConfig(streams=[CrossTrafficStream("us-west1", "europe-west3", 1.0)]),
+        ).to_dict()
+        nested = [
+            (("population",), "shape", r"population: unknown key 'shape'.*\brate\b"),
+            (("population",), "arrival", r"population: unknown key 'arrival'"),
+            (("workload",), "bogus", r"workload: unknown key 'bogus'.*\bread_fraction\b"),
+            (("network",), "cpu_model", r"network: unknown key 'cpu_model'.*\bsend_overhead\b"),
+            (("latency",), "bogus", r"latency: unknown key 'bogus'.*\bjitter_fraction\b"),
+            (("config",), "bogus", r"config: unknown key 'bogus'"),
+            (("config", "consensus"), "bogus", r"config.consensus: unknown key 'bogus'"),
+            (("rtt_trace",), "bogus", r"rtt_trace: unknown key 'bogus'.*\bsegments\b"),
+            (("congestion",), "bogus", r"congestion: unknown key 'bogus'.*\bwindow\b"),
+            (("congestion", "streams", 0), "bogus", r"congestion stream: unknown key 'bogus'"),
+        ]
+        for path, key, message in nested:
+            payload = copy.deepcopy(base)
+            target = payload
+            for step in path:
+                target = target[step]
+            target[key] = 1
+            with pytest.raises(ConfigurationError, match=message):
+                ScenarioSpec.from_dict(payload)
 
     def test_dict_form_has_one_key_per_field_and_copies_are_independent(self):
-        trace = RttTrace.from_points({("us-west1", "europe-west3"): [(0.0, 140.0), (1.0, 90.0)]})
+        trace = RttTrace.from_dict({"segments": {"us-west1|europe-west3": [[0.0, 140.0], [1.0, 90.0]]}})
         spec = ScenarioSpec(
             name="every-field",
             clusters=[(4, "us-west1"), (7, "europe-west3")],
@@ -237,7 +266,7 @@ class TestSerialization:
             clients_per_cluster=2,
             workload=YcsbConfig(read_fraction=0.5),
             workload_model="open",
-            population=PopulationConfig(rate=300.0, shape=RampShape(100.0, 400.0, 2.0)),
+            population=PopulationConfig(rate=300.0, batch_window=0.01),
             latency=LatencyParameters(intra_region_latency=0.001),
             network=NetworkConfig(base_processing=2e-5),
             config=fast_config("bftsmart"),
@@ -306,25 +335,14 @@ class TestBuilder:
         assert normalize_replica_ref("c2/r10") == "c2/r10"
         assert normalize_replica_ref("joiner1") == "joiner1"
 
-    def test_region_applies_to_bare_clusters_only(self):
-        spec = (
-            Scenario("regions")
-            .clusters(4, (7, "asia-south1"))
-            .region("europe-west3")
-            .clusters(3)
-            .spec()
-        )
-        assert spec.clusters == [(4, "europe-west3"), (7, "asia-south1"), (3, "europe-west3")]
-
-    def test_region_keeps_explicit_region_kwarg(self):
+    def test_clusters_region_kwarg_applies_to_bare_sizes_only(self):
         spec = (
             Scenario("s")
-            .clusters(4, region="europe-west3")
-            .region("asia-south1")
+            .clusters(4, (7, "asia-south1"), region="europe-west3")
             .clusters(3)
             .spec()
         )
-        assert spec.clusters == [(4, "europe-west3"), (3, "asia-south1")]
+        assert spec.clusters == [(4, "europe-west3"), (7, "asia-south1"), (3, "us-west1")]
 
     def test_schedule_validation_catches_bad_cluster(self):
         with pytest.raises(ConfigurationError):
@@ -575,12 +593,9 @@ class TestRunner:
         class LocalReplica(HamavaReplica):
             pass
 
-        rows = (
-            fast_scenario("local-cls", seed=3)
-            .duration(1.0)
-            .replica_class(LocalReplica)
-            .run(workers=1)
-        )
+        spec = fast_scenario("local-cls", seed=3).duration(1.0).spec()
+        spec.replica_class = LocalReplica
+        rows = ScenarioRunner(workers=1).run(spec)
         assert rows[0].throughput > 0
 
     def test_rows_persist_and_reload(self, tmp_path):

@@ -51,8 +51,7 @@ def _e0_baseline():
         .clusters(4, 4, 4, 4)
         .engine("hotstuff")
         .threads(2)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(7)
         .spec()
     )
@@ -64,8 +63,7 @@ def _e1_multiregion():
         .clusters((4, "us-west1"), (4, "europe-west3"), (4, "asia-south1"), (4, "us-west1"))
         .engine("hotstuff")
         .threads(2)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(11)
         .spec()
     )
@@ -78,8 +76,7 @@ def _e2_stages():
         .engine("hotstuff")
         .threads(2)
         .stages()
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(13)
         .spec()
     )
@@ -93,8 +90,7 @@ def _e3_heterogeneity():
         .threads(2)
         .place("c1/r0", "asia-south1")
         .place("c1/r1", "asia-south1")
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(17)
         .spec()
     )
@@ -110,8 +106,7 @@ def _e4_faults():
         .crash_leader(2, at=0.4)
         .byzantine_leader(3, at=0.35)
         .timeseries(0.25)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(19)
         .spec()
     )
@@ -126,8 +121,7 @@ def _e5_join_leave():
         .join(1, at=0.25)
         .join(3, at=0.3)
         .leave("c2/r3", at=0.35)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(23)
         .spec()
     )
@@ -140,8 +134,7 @@ def _e6_geobft():
         .engine("bftsmart")
         .preset("geobft")
         .threads(2)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(29)
         .spec()
     )
@@ -154,8 +147,7 @@ def _e7_churn():
         .engine("hotstuff")
         .threads(2)
         .churn(start=0.25, period=0.2, clusters=(0, 2, 4))
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(31)
         .spec()
     )
@@ -169,8 +161,7 @@ def _e8_rtt_override():
         .threads(2)
         .rtt("us-west1", "us-east5", 219.0)
         .churn(start=0.3, period=0.25, clusters=(1,))
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(37)
         .spec()
     )
@@ -183,8 +174,7 @@ def _partition():
         .engine("hotstuff")
         .threads(2)
         .partition(0, 1, at=0.25, duration=0.2)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(41)
         .spec()
     )
@@ -196,8 +186,7 @@ def _population_steady():
         .clusters(4, 4, 4, 4)
         .engine("hotstuff")
         .open_loop(clients=150, rate=250.0)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(43)
         .spec()
     )
@@ -205,12 +194,11 @@ def _population_steady():
 
 def _population_preset():
     return (
-        Scenario("p-pop-smoke")
+        Scenario("p-pop-preset")
         .clusters(4, 4, 4, 4)
         .engine("hotstuff")
-        .open_loop(preset="smoke")
-        .duration(0.8)
-        .warmup(0.2)
+        .open_loop(preset="steady", rate=600.0, batch_window=0.01)
+        .duration(0.8, warmup=0.2)
         .seeds(47)
         .spec()
     )
@@ -225,8 +213,7 @@ def _adv_gray():
         .gray_leader(0, at=0.25, factor=50.0)
         .gray("c1/r2", at=0.3, factor=12.0, duration=0.2)
         .clock_skew("c2/r1", at=0.3, rate=0.2)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(53)
         .spec()
     )
@@ -239,8 +226,7 @@ def _adv_flapping():
         .engine("hotstuff")
         .threads(2)
         .flapping_partition(0, 1, at=0.25, period=0.2, duty=0.5, cycles=2, direction="a_to_b")
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(59)
         .spec()
     )
@@ -253,8 +239,7 @@ def _adv_outage():
         .engine("hotstuff")
         .threads(2)
         .region_outage("asia-south1", at=0.25, duration=0.2)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(61)
         .spec()
     )
@@ -268,8 +253,7 @@ def _adv_congestion():
         .threads(2)
         .congestion(capacity_bytes_per_sec=2.0e7)
         .cross_traffic("us-west1", "europe-west3", 1.8e7, start=0.25, stop=0.6)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(67)
         .spec()
     )
@@ -285,8 +269,7 @@ def _adv_trace():
         .engine("hotstuff")
         .threads(2)
         .rtt_trace(trace)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(71)
         .spec()
     )
@@ -298,8 +281,7 @@ def _chained_e0():
         .clusters(4, 4, 4, 4)
         .engine("hotstuff_chained")
         .threads(2)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(7)
         .spec()
     )
@@ -314,8 +296,7 @@ def _chained_faults():
         .crash_non_leaders(1, at=0.3)
         .crash_leader(2, at=0.4)
         .byzantine_leader(3, at=0.35)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(19)
         .spec()
     )
@@ -328,8 +309,7 @@ def _chained_open_leases():
         .engine("hotstuff_chained")
         .open_loop(clients=150, rate=250.0)
         .read_leases(True)
-        .duration(0.8)
-        .warmup(0.2)
+        .duration(0.8, warmup=0.2)
         .seeds(43)
         .spec()
     )
@@ -345,8 +325,7 @@ def _three_regions_mixed_links():
         .clusters((4, "us-west1"), (4, "us-west1"), (4, "europe-west3"), (7, "asia-south1"))
         .engine("hotstuff")
         .threads(3)
-        .duration(1.0)
-        .warmup(0.2)
+        .duration(1.0, warmup=0.2)
         .seeds(73)
         .spec()
     )
@@ -480,8 +459,7 @@ class TestSeedGridParallelism:
                 .clusters(4, 4)
                 .engine("hotstuff")
                 .threads(2)
-                .duration(0.6)
-                .warmup(0.1)
+                .duration(0.6, warmup=0.1)
                 .seeds(3, 5, 9)
                 .specs()
             )
@@ -496,8 +474,7 @@ class TestSeedGridParallelism:
             .clusters(4, 4, 4, 4)
             .engine("hotstuff")
             .threads(2)
-            .duration(0.6)
-            .warmup(0.1)
+            .duration(0.6, warmup=0.1)
             .seeds(3, 5)
             .specs()
         )

@@ -28,26 +28,6 @@ class TestSeededRng:
         fresh_a = SeededRng(5).child("a")
         assert sequence_a == [fresh_a.random() for _ in range(5)]
 
-    def test_uniform_bounds(self):
-        rng = SeededRng(1)
-        for _ in range(100):
-            value = rng.uniform(2.0, 3.0)
-            assert 2.0 <= value < 3.0
-
-    def test_jitter_keeps_sign_and_scale(self):
-        rng = SeededRng(2)
-        for _ in range(100):
-            value = rng.jitter(10.0, 0.1)
-            assert 9.0 <= value <= 11.0
-        assert rng.jitter(0.0, 0.5) == 0.0
-
-    def test_sample_and_choice(self):
-        rng = SeededRng(3)
-        items = list(range(20))
-        sample = rng.sample(items, 5)
-        assert len(set(sample)) == 5
-        assert rng.choice(items) in items
-
 
 def test_stable_hash_is_deterministic():
     assert stable_hash(["a", "b"]) == stable_hash(["a", "b"])

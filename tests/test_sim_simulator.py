@@ -5,50 +5,44 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 
 
-class TestEventQueue:
-    def test_events_pop_in_time_order(self):
-        queue = EventQueue()
+class TestEventOrdering:
+    def test_events_fire_in_time_order(self):
+        sim = Simulator()
         fired = []
-        queue.push(2.0, lambda: fired.append("b"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.push(3.0, lambda: fired.append("c"))
-        while (event := queue.pop()) is not None:
-            event.callback()
+        sim.schedule(2.0, lambda: fired.append("b"))
+        sim.schedule(1.0, lambda: fired.append("a"))
+        sim.schedule_at(3.0, lambda: fired.append("c"))
+        sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_same_time_events_preserve_insertion_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
         for name in "abcde":
-            queue.push(1.0, lambda n=name: fired.append(n))
-        while (event := queue.pop()) is not None:
-            event.callback()
+            sim.schedule(1.0, lambda n=name: fired.append(n))
+        sim.run()
         assert fired == list("abcde")
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        keep = queue.push(1.0, lambda: fired.append("keep"))
-        drop = queue.push(0.5, lambda: fired.append("drop"))
+        sim.schedule(1.0, lambda: fired.append("keep"))
+        drop = sim.schedule_at(0.5, lambda: fired.append("drop"))
         drop.cancel()
-        event = queue.pop()
-        assert event is keep
-
-    def test_negative_time_rejected(self):
-        queue = EventQueue()
-        with pytest.raises(SimulationError):
-            queue.push(-1.0, lambda: None)
+        sim.notify_cancel()
+        sim.run()
+        assert fired == ["keep"]
+        assert sim.events_processed == 1
 
     def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(0.5, lambda: None)
-        queue.push(2.0, lambda: None)
+        sim = Simulator()
+        first = sim.schedule(0.5, lambda: None)
+        sim.schedule(2.0, lambda: None)
         first.cancel()
-        assert queue.peek_time() == 2.0
+        assert sim._queue.peek_time() == 2.0
 
 
 class TestSimulator:
@@ -116,14 +110,6 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run(until=1000.0, max_events=50)
 
-    def test_stop_interrupts_run(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: (seen.append(1), sim.stop()))
-        sim.schedule(2.0, lambda: seen.append(2))
-        sim.run()
-        assert seen == [1]
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(5):
@@ -158,14 +144,3 @@ class TestTimer:
         sim.schedule(1.5, timer.reset)
         sim.run()
         assert fired == [3.5]
-
-    def test_timer_pending_and_remaining(self):
-        sim = Simulator()
-        timer = sim.timer(4.0, lambda: None)
-        assert not timer.pending
-        timer.start()
-        assert timer.pending
-        assert timer.remaining() == pytest.approx(4.0)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert not timer.pending

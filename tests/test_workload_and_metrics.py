@@ -52,11 +52,11 @@ class TestYcsb:
 
     def test_write_only_workload(self):
         workload = YcsbWorkload(YcsbConfig(read_fraction=0.0), SeededRng(7))
-        assert all(op == "write" for op, _, _ in workload.operations(100))
+        assert all(workload.next_operation()[0] == "write" for _ in range(100))
 
     def test_writes_have_values_reads_do_not(self):
         workload = YcsbWorkload(YcsbConfig(read_fraction=0.5), SeededRng(8))
-        for op, key, value in workload.operations(200):
+        for op, key, value in (workload.next_operation() for _ in range(200)):
             if op == "write":
                 assert value is not None
             else:
