@@ -122,6 +122,27 @@ class TestLatencyModel:
         assert model.pair_params("a", "b") == (pytest.approx(0.2), 0.0)
         assert send_delays("us-east5", rtt=400.0) == [pytest.approx(0.2, rel=0.05)]
 
+    @pytest.mark.parametrize(
+        "region, rtt_ms",
+        [("europe-west3", 148.0), ("asia-south1", 214.0), ("us-east5", 52.0), ("asia-northeast1", 91.0)],
+    )
+    def test_every_region_from_us_west1_is_half_its_rtt_away(self, region, rtt_ms):
+        model = self._model()
+        model.place("a", "us-west1")
+        model.place("b", region)
+        assert model.pair_params("a", "b") == (pytest.approx(rtt_ms / 2000.0), 0.0)
+        assert model.pair_params("b", "a") == model.pair_params("a", "b")
+        assert send_delays(region) == [pytest.approx(rtt_ms / 2000.0, rel=0.05)]
+
+    def test_set_rtt_replaces_a_memoised_pair(self):
+        model = self._model()
+        model.place("a", "us-west1")
+        model.place("b", "europe-west3")
+        assert model.pair_params("a", "b") == (pytest.approx(0.074), 0.0)
+        model.set_rtt("EU", "US", 60.0)
+        assert model.pair_params("a", "b") == (pytest.approx(0.030), 0.0)
+        assert model.pair_params("b", "a") == (pytest.approx(0.030), 0.0)
+
     def test_unplaced_process_defaults_to_us(self):
         model = self._model()
         assert model.region_of("ghost") == "us-west1"

@@ -1,6 +1,7 @@
 """Tests for the open-loop client-population subsystem.
 
-Covers the population config and presets, the ScenarioSpec JSON round-trip
+Covers the population config and presets, the constant-rate Poisson
+arrival draws, the ScenarioSpec JSON round-trip
 of the open-loop workload fields, fixed-seed determinism of open-loop runs,
 the read-lease state machine and its end-to-end effect, the leader-hint
 caching fix, and the gating A/B: with the whole subsystem present, the
@@ -26,6 +27,7 @@ from repro.sim.simulator import Simulator
 from repro.workload.clients import WorkloadClient
 from repro.workload.population import (
     POPULATION_PRESETS,
+    ClientPopulation,
     PopulationConfig,
     resolve_population_preset,
 )
@@ -65,6 +67,55 @@ class TestPopulationConfig:
         clone = config.copy()
         clone.rate = 999.0
         assert config.rate == 100.0
+
+
+# ---------------------------------------------------------------------- #
+# Constant-rate Poisson arrivals
+# ---------------------------------------------------------------------- #
+def _population(client_id: str = "pop", rate: float = 500.0, seed: int = 1) -> ClientPopulation:
+    return ClientPopulation(
+        client_id,
+        Simulator(seed=seed),
+        None,
+        YcsbWorkload(YcsbConfig(), SeededRng(seed)),
+        ["r0"],
+        PopulationConfig(rate=rate, batch_window=0.05),
+    )
+
+
+class TestConstantRateArrivals:
+    # Mean 10 per window takes the exact (Knuth) draw, mean 1 000 the
+    # normal approximation.
+    @pytest.mark.parametrize("rate", [200.0, 20_000.0])
+    def test_window_counts_are_poisson_with_mean_rate_times_window(self, rate):
+        population = _population(rate=rate)
+        counts = [population._window_arrivals() for _ in range(4000)]
+        expected = rate * 0.05
+        mean = sum(counts) / len(counts)
+        variance = sum((count - mean) ** 2 for count in counts) / (len(counts) - 1)
+        assert mean == pytest.approx(expected, rel=0.03)
+        assert variance == pytest.approx(expected, rel=0.15)
+
+    def test_zero_rate_draws_nothing(self):
+        population = _population(rate=0.0)
+        assert [population._window_arrivals() for _ in range(100)] == [0] * 100
+        # No draw was consumed: the stream is where a fresh one starts.
+        assert population._arrival_rng.random() == _population(rate=0.0)._arrival_rng.random()
+
+    def test_each_population_has_its_own_stream(self):
+        def draws(client_id):
+            population = _population(client_id)
+            return [population._window_arrivals() for _ in range(50)]
+
+        assert draws("pop0") == draws("pop0")
+        assert draws("pop0") != draws("pop1")
+
+    def test_rate_is_read_every_window(self):
+        population = _population(rate=200.0)
+        before = sum(population._window_arrivals() for _ in range(1000))
+        population.config.rate = 800.0
+        after = sum(population._window_arrivals() for _ in range(1000))
+        assert after / before == pytest.approx(4.0, rel=0.1)
 
 
 # ---------------------------------------------------------------------- #

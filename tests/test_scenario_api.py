@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from typing import ClassVar
@@ -218,39 +217,39 @@ class TestSerialization:
         with pytest.raises(ConfigurationError):
             event_from_dict({"kind": "meteor-strike", "at": 1.0})
 
-    def test_unknown_keys_are_named(self):
-        with pytest.raises(ConfigurationError, match=r"'crash'.*'replcia'.*\breplica\b"):
-            event_from_dict({"kind": "crash", "at": 1.0, "replcia": "c0/r1"})
-        with pytest.raises(ConfigurationError, match=r"'typo'.*'clusterz'.*\bclusters\b"):
-            ScenarioSpec.from_dict({"name": "typo", "clusterz": [[4, "us-west1"]]})
-        base = ScenarioSpec(
+    @pytest.mark.parametrize(
+        "path, key, message",
+        [
+            pytest.param((), "clusterz", r"'nested'.*'clusterz'.*\bclusters\b", id="clusterz"),
+            pytest.param(("schedule", 0), "replcia", r"'crash'.*'replcia'.*\breplica\b", id="schedule.0.replcia"),
+            pytest.param(("population",), "shape", r"population: unknown key 'shape'.*\brate\b", id="population.shape"),
+            pytest.param(("population",), "arrival", r"population: unknown key 'arrival'", id="population.arrival"),
+            pytest.param(("workload",), "bogus", r"workload: unknown key 'bogus'.*\bread_fraction\b", id="workload.bogus"),
+            pytest.param(("network",), "cpu_model", r"network: unknown key 'cpu_model'.*\bsend_overhead\b", id="network.cpu_model"),
+            pytest.param(("latency",), "bogus", r"latency: unknown key 'bogus'.*\bjitter_fraction\b", id="latency.bogus"),
+            pytest.param(("config",), "bogus", r"config: unknown key 'bogus'", id="config.bogus"),
+            pytest.param(("config", "consensus"), "bogus", r"config.consensus: unknown key 'bogus'", id="config.consensus.bogus"),
+            pytest.param(("rtt_trace",), "bogus", r"rtt_trace: unknown key 'bogus'.*\bsegments\b", id="rtt_trace.bogus"),
+            pytest.param(("congestion",), "bogus", r"congestion: unknown key 'bogus'.*\bwindow\b", id="congestion.bogus"),
+            pytest.param(("congestion", "streams", 0), "bogus", r"congestion stream: unknown key 'bogus'", id="congestion.streams.0.bogus"),
+        ],
+    )
+    def test_unknown_keys_are_named(self, path, key, message):
+        payload = ScenarioSpec(
             name="nested",
             clusters=[(4, "us-west1")],
+            schedule=[CrashEvent(at=1.0, replica="c0/r1")],
             population=PopulationConfig(),
             config=fast_config(),
             rtt_trace=RttTrace.from_dict({"segments": {"us-west1|europe-west3": [[0.0, 140.0]]}}),
             congestion=CongestionConfig(streams=[CrossTrafficStream("us-west1", "europe-west3", 1.0)]),
         ).to_dict()
-        nested = [
-            (("population",), "shape", r"population: unknown key 'shape'.*\brate\b"),
-            (("population",), "arrival", r"population: unknown key 'arrival'"),
-            (("workload",), "bogus", r"workload: unknown key 'bogus'.*\bread_fraction\b"),
-            (("network",), "cpu_model", r"network: unknown key 'cpu_model'.*\bsend_overhead\b"),
-            (("latency",), "bogus", r"latency: unknown key 'bogus'.*\bjitter_fraction\b"),
-            (("config",), "bogus", r"config: unknown key 'bogus'"),
-            (("config", "consensus"), "bogus", r"config.consensus: unknown key 'bogus'"),
-            (("rtt_trace",), "bogus", r"rtt_trace: unknown key 'bogus'.*\bsegments\b"),
-            (("congestion",), "bogus", r"congestion: unknown key 'bogus'.*\bwindow\b"),
-            (("congestion", "streams", 0), "bogus", r"congestion stream: unknown key 'bogus'"),
-        ]
-        for path, key, message in nested:
-            payload = copy.deepcopy(base)
-            target = payload
-            for step in path:
-                target = target[step]
-            target[key] = 1
-            with pytest.raises(ConfigurationError, match=message):
-                ScenarioSpec.from_dict(payload)
+        target = payload
+        for step in path:
+            target = target[step]
+        target[key] = 1
+        with pytest.raises(ConfigurationError, match=message):
+            ScenarioSpec.from_dict(payload)
 
     def test_dict_form_has_one_key_per_field_and_copies_are_independent(self):
         trace = RttTrace.from_dict({"segments": {"us-west1|europe-west3": [[0.0, 140.0], [1.0, 90.0]]}})

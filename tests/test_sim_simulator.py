@@ -44,6 +44,50 @@ class TestEventOrdering:
         first.cancel()
         assert sim._queue.peek_time() == 2.0
 
+    def test_peek_time_of_empty_queue_is_none(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None).cancel()
+        assert sim._queue.peek_time() is None
+
+    def test_lower_priority_fires_first_at_the_same_time(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, priority=2, arg="late")
+        sim.schedule(1.0, fired.append, priority=1, arg="early")
+        sim.schedule(0.5, fired.append, priority=9, arg="first")
+        sim.run()
+        assert fired == ["first", "early", "late"]
+
+    def test_callback_may_cancel_a_same_time_event(self):
+        sim = Simulator()
+        fired = []
+        victim = None
+
+        def cancel_victim():
+            fired.append("killer")
+            victim.cancel()
+            sim.notify_cancel()
+
+        sim.schedule(1.0, cancel_victim)
+        victim = sim.schedule(1.0, fired.append, arg="victim")
+        sim.run()
+        assert fired == ["killer"]
+        assert len(sim._queue) == 0
+
+    def test_compaction_keeps_every_live_event_in_order(self):
+        sim = Simulator()
+        fired = []
+        for index in range(2000):
+            event = sim.schedule(1.0 + index * 0.001, fired.append, arg=index)
+            if index % 4:
+                event.cancel()
+                sim.notify_cancel()
+        # Compaction ran: far fewer than the 1 500 dead entries remain buried.
+        assert len(sim._queue._heap) < 1000
+        assert len(sim._queue) == 500
+        sim.run()
+        assert fired == list(range(0, 2000, 4))
+
 
 class TestSimulator:
     def test_clock_advances_to_event_time(self):
@@ -110,6 +154,61 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run(until=1000.0, max_events=50)
 
+    def test_run_is_not_reentrant(self):
+        sim = Simulator()
+        errors = []
+
+        def nested():
+            try:
+                sim.run()
+            except SimulationError as error:
+                errors.append(error)
+
+        sim.schedule(1.0, nested)
+        sim.run()
+        assert len(errors) == 1
+        # The outer run still finishes and releases the kernel.
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert sim.now == 2.0
+
+    def test_run_until_advances_an_idle_clock(self):
+        sim = Simulator()
+        sim.run(until=4.0)
+        assert sim.now == 4.0
+        assert sim.events_processed == 0
+
+    def test_event_exactly_at_until_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, fired.append, arg="edge")
+        sim.run(until=2.0)
+        assert fired == ["edge"]
+
+    def test_microtasks_run_before_same_time_heap_events(self):
+        sim = Simulator()
+        fired = []
+
+        def first():
+            fired.append("first")
+            sim._microtasks.append((fired.append, "micro"))
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, fired.append, arg="second")
+        sim.run()
+        assert fired == ["first", "micro", "second"]
+        # A microtask is not a kernel event.
+        assert sim.events_processed == 2
+
+    def test_max_events_ignores_events_past_until(self):
+        sim = Simulator()
+        for index in range(3):
+            sim.schedule(1.0 + index, lambda: None)
+        sim.schedule(50.0, lambda: None)
+        sim.run(until=10.0, max_events=3)
+        assert sim.events_processed == 3
+        assert len(sim._queue) == 1
+
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(5):
@@ -144,3 +243,97 @@ class TestTimer:
         sim.schedule(1.5, timer.reset)
         sim.run()
         assert fired == [3.5]
+
+    def test_start_with_a_duration_replaces_the_default(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.timer(2.0, lambda: fired.append(sim.now))
+        timer.start(0.5)
+        sim.run()
+        timer.start()
+        sim.run()
+        assert fired == [0.5, 1.0]
+        assert timer.duration == 0.5
+
+    def test_rate_scales_the_duration(self):
+        sim = Simulator()
+        fired = []
+        fast = sim.timer(2.0, lambda: fired.append(("fast", sim.now)))
+        slow = sim.timer(2.0, lambda: fired.append(("slow", sim.now)))
+        fast.rate = 0.5
+        slow.rate = 1.5
+        fast.start()
+        slow.start()
+        sim.run()
+        assert fired == [("fast", 1.0), ("slow", 3.0)]
+
+    def test_restarts_leave_one_live_event(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.timer(1.0, lambda: fired.append(sim.now))
+        for _ in range(10):
+            timer.start()
+        assert len(sim._queue) == 1
+        sim.run()
+        assert fired == [1.0]
+
+    def test_stop_when_idle_is_harmless(self):
+        sim = Simulator()
+        timer = sim.timer(1.0, lambda: None)
+        timer.stop()
+        timer.start()
+        sim.run()
+        timer.stop()  # already fired
+        assert len(sim._queue) == 0
+        assert sim._queue._cancelled == 0
+
+    def test_callback_may_rearm_its_timer(self):
+        sim = Simulator()
+        fired = []
+
+        def tick():
+            fired.append(sim.now)
+            if len(fired) < 3:
+                timer.start()
+
+        timer = sim.timer(1.0, tick)
+        timer.start()
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0]
+
+
+class TestDeadlinePoolClock:
+    def test_rate_scales_every_deadline(self):
+        sim = Simulator()
+        fired = []
+        pool = sim.deadline_pool(lambda key: fired.append((key, sim.now)))
+        pool.rate = 0.5
+        pool.arm("a", 2.0)
+        pool.arm("b", 4.0)
+        sim.run()
+        assert fired == [("a", 1.0), ("b", 2.0)]
+
+    def test_keys_due_together_fire_in_arm_order(self):
+        sim = Simulator()
+        fired = []
+        pool = sim.deadline_pool(fired.append)
+        for key in ("z", "a", "m"):
+            pool.arm(key, 1.0)
+        sim.run()
+        assert fired == ["z", "a", "m"]
+        assert sim.events_processed == 1
+
+    def test_disarming_every_key_fires_nothing(self):
+        sim = Simulator()
+        fired = []
+        pool = sim.deadline_pool(fired.append)
+        pool.disarm("never-armed")
+        pool.arm("a", 1.0)
+        pool.arm("b", 2.0)
+        pool.disarm("a")
+        pool.disarm("b")
+        sim.run()
+        assert fired == []
+        # The resident event fired once, found nothing due and did not re-chase.
+        assert sim.events_processed == 1
+        assert len(sim._queue) == 0
