@@ -129,6 +129,9 @@ class BftSmartEngine(TotalOrderBroadcast):
         BsViewState: "_on_report",
         BsDecide: "_on_catchup_reply",
     }
+    SEQUENCE_TABLES = TotalOrderBroadcast.SEQUENCE_TABLES + (
+        "_writes", "_wrote", "_accepted", "_early_votes",
+    )
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

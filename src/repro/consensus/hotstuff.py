@@ -153,6 +153,7 @@ class HotStuffEngine(TotalOrderBroadcast):
         HsPhase: "_on_phase",
         HsNewView: "_on_report",
     }
+    SEQUENCE_TABLES = TotalOrderBroadcast.SEQUENCE_TABLES + ("_vote_certs", "_voted", "_advanced")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

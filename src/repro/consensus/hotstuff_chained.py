@@ -192,6 +192,9 @@ class ChainedHotStuffEngine(HotStuffEngine):
         ChDecide: "_on_decide",
         ChNewView: "_on_report",
     }
+    SEQUENCE_TABLES = HotStuffEngine.SEQUENCE_TABLES + (
+        "_locked", "_justify", "_announced", "_pending_extras",
+    )
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -124,9 +124,11 @@ class TotalOrderBroadcast(ABC):
     (:meth:`_make_proposal`, :meth:`_make_report`, :meth:`_recovered_value`,
     :meth:`_make_catchup_reply`).  Everything an engine would otherwise
     repeat lives here once: the one-proposal-per-view guard, message
-    dispatch, the leader watchdogs, commit-certificate assembly, and the
-    whole recovery path (view-change reports, report quorum → re-proposal,
-    catch-up of laggards by any decided peer).
+    dispatch, the leader watchdogs, commit-certificate assembly, the whole
+    recovery path (view-change reports, report quorum → re-proposal,
+    catch-up of laggards by any decided peer within the window), and the
+    stable watermark below which every per-sequence table is retired
+    (:meth:`retire`).
 
     Args:
         owner: Replica id this engine instance runs at.
@@ -164,6 +166,9 @@ class TotalOrderBroadcast(ABC):
             Invoked at a receiver after a decide carrying an extra delivers.
         fetch_value: Optional ``(sequence) -> value | None``.  Last resort of
             a new leader re-proposing a sequence nobody reported a value for.
+        transfer_state: Optional ``(reporter) -> None``.  Answers a report
+            for a retired sequence, which no decision here can answer any
+            more; Hamava sends the reporter its state (``CurrState``).
     """
 
     #: Message class → name of the method consuming it (set by subclasses).
@@ -172,6 +177,10 @@ class TotalOrderBroadcast(ABC):
     HANDLERS: Dict[type, str] = {}
     #: ``tuple(HANDLERS)`` — what the hosting replica routes to this engine.
     MESSAGE_TYPES: tuple = ()
+    #: The per-sequence tables :meth:`retire` sweeps, by attribute name; an
+    #: engine adds its own.  Each is a dict or a set keyed by a sequence or
+    #: by a tuple that starts with one.
+    SEQUENCE_TABLES: tuple = ("decisions", "_instances", "_proposed_views", "_commit_certs", "_reports")
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -193,6 +202,7 @@ class TotalOrderBroadcast(ABC):
         decide_extra_fn: Optional[Callable[[int], Any]] = None,
         on_decide_extra: Optional[Callable[[int, str, Any], None]] = None,
         fetch_value: Optional[Callable[[int], Any]] = None,
+        transfer_state: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.owner = owner
         self.cluster_id = cluster_id
@@ -208,10 +218,13 @@ class TotalOrderBroadcast(ABC):
         self.decide_extra_fn = decide_extra_fn
         self.on_decide_extra = on_decide_extra
         self.fetch_value = fetch_value
+        self.transfer_state = transfer_state
         self.apl = AuthenticatedPerfectLink(owner, network)
         self.abeb = AuthenticatedBestEffortBroadcast(owner, network, members_fn)
         self.leader: str = self.members()[0] if self.members() else owner
         self.view_ts: int = 0
+        #: The stable watermark: every sequence at or below it is retired.
+        self.watermark: int = 0
         self.decisions: dict[int, Decision] = {}
         self._instances: dict[int, _Instance] = {}
         #: (sequence, view) pairs this leader already proposed for (see
@@ -293,6 +306,10 @@ class TotalOrderBroadcast(ABC):
         handler = self.HANDLERS.get(type(payload))
         if handler is None or payload.cluster_id != self.cluster_id:
             return False
+        if payload.sequence <= self.watermark and handler != "_on_report":
+            # Retired: a late vote or proposal must not re-create the
+            # instance (a leak, and a second vote on an executed sequence).
+            return True
         getattr(self, handler)(sender, payload)
         return True
 
@@ -322,7 +339,7 @@ class TotalOrderBroadcast(ABC):
         # decided (a partial decide across a view change): re-report it to
         # the cluster — any decided peer answers with a value-carrying,
         # self-certifying decision — and keep watching until it resolves.
-        self._request_catchup(sequence)
+        self.request_catchup(sequence)
         self._watchdogs.arm(sequence, self.config.instance_timeout)
 
     def set_timer_rate(self, rate: float) -> None:
@@ -408,7 +425,7 @@ class TotalOrderBroadcast(ABC):
             self.start_instance(sequence)
             self.apl.send(self.leader, self._make_report(sequence))
 
-    def _request_catchup(self, sequence: int) -> None:
+    def request_catchup(self, sequence: int) -> None:
         """Re-report a stuck instance to the whole cluster.
 
         Broadcast, not leader-only: when a quorum already decided the
@@ -418,8 +435,37 @@ class TotalOrderBroadcast(ABC):
         """
         self.abeb.broadcast(self._make_report(sequence))
 
+    def retire(self, sequence: int, *host_tables) -> None:
+        """Raise the stable watermark to ``sequence``; forget everything at or below it.
+
+        The host calls this once it holds proof that a quorum has moved past
+        ``sequence`` (for Hamava, a BRD delivery two rounds later), and may
+        hand in its own per-sequence tables (dicts or sets keyed by
+        sequence) to be swept with the engine's.  Later messages for a
+        retired sequence are dropped on arrival, except reports, which
+        :meth:`_on_report` answers with a state transfer.  The sweep makes
+        no call per entry: it runs at every replica, and each call counts in
+        the cost of every operation.
+        """
+        if sequence <= self.watermark:
+            return
+        self.watermark = sequence
+        for table in (*map(self.__dict__.get, self.SEQUENCE_TABLES), *host_tables):
+            for key in list(table):
+                if (key[0] if key.__class__ is tuple else key) <= sequence:
+                    if table.__class__ is dict:
+                        del table[key]
+                    else:
+                        table -= {key}
+
     def _on_report(self, sender: str, report: Any) -> None:
         """Handle a view-change / catch-up report (any engine's)."""
+        if report.sequence <= self.watermark:
+            # The reporter is behind the window this replica keeps: no
+            # decision is left to answer with, so it gets our state instead.
+            if sender != self.owner and self.transfer_state is not None:
+                self.transfer_state(sender)
+            return
         decision = self.decisions.get(report.sequence)
         if decision is not None:
             # The reporter is behind a decision this replica already holds

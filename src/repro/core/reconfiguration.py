@@ -9,7 +9,8 @@ quorum acknowledges, at which point the request can no longer be censored:
 any quorum the BRD leader later aggregates from intersects the storing
 quorum in a correct replica.  A joiner then waits for ``2f+1`` members of
 its new cluster to send it the same state (Alg. 10's kick-start) and adopts
-it.
+it; a member left behind the cluster's stable watermark adopts a state the
+same way, from ``f+1`` members of its own view.
 
 The dissemination half (Alg. 4) is a thin wrapper around BRD in the
 replica's :class:`~repro.core.replica.LocalOrdering`: each round, the
@@ -203,21 +204,37 @@ class Requester:
             self.join_tracker.record_ack(sender)
 
     def on_curr_state(self, sender: str, message: CurrState) -> None:
-        """Count one member's state transfer; adopt a state ``2f+1`` members sent."""
+        """Count one member's state transfer; adopt a state enough members sent.
+
+        A joiner cannot know its new cluster yet, so it counts senders the
+        message names as members and needs ``2f+1`` of them.  An active
+        replica whose peers retired the rounds it missed (it reported a
+        sequence below their watermark) knows its cluster: it counts members
+        of its own view and needs ``f+1``, since one of them is correct and
+        a correct member's state at a round boundary is every correct one's.
+        """
         replica = self.replica
-        if replica.mode != MODE_JOINING or sender not in message.members:
+        if replica.mode == MODE_JOINING:
+            members = message.members
+            needed = 2 * failure_threshold(len(members)) + 1
+        elif replica.mode == MODE_ACTIVE and message.round_number > replica.round_number:
+            members = replica.local_members()
+            needed = replica.local_faults() + 1
+        else:
+            return
+        if sender not in members:
             return
         votes = self._state_votes.setdefault(message.digest(), set())
         votes.add(sender)
-        if len(votes) < 2 * failure_threshold(len(message.members)) + 1:
+        if len(votes) < needed:
             return
-        replica.kv.restore(message.state_snapshot, message.round_number)
+        self._state_votes.clear()
+        joined = replica.mode == MODE_JOINING
+        round_number = message.round_number
+        replica.kv.restore(message.state_snapshot, round_number)
         replica.view = {cid: set(members) for cid, members in message.system_view.items()}
         replica.invalidate_view_caches()
-        replica.round_number = message.round_number
-        replica.mode = MODE_ACTIVE
-        replica.joined_at = replica.simulator.now
-        self.join_retry_timer.stop()
+        replica.round_number = round_number
         # Adopt the sending quorum's leader so votes and submissions go to the
         # replica the rest of the cluster actually follows.
         replica.leader_ts = replica.le.ts = message.leader_ts
@@ -226,12 +243,21 @@ class Requester:
         tob = replica.ordering.tob
         tob.leader = replica.leader
         tob.view_ts = replica.leader_ts
-        if replica.metrics is not None:
-            replica.metrics.record_join_completed(
-                replica.process_id, replica.cluster_id, replica.simulator.now
-            )
-        replica.front.arm_lease_tick()
-        replica.start_round()
+        # Nothing below the adopted round will execute here any more.
+        replica.ordering.retire(round_number - 1)
+        if joined:
+            replica.mode = MODE_ACTIVE
+            replica.joined_at = replica.simulator.now
+            self.join_retry_timer.stop()
+            if replica.metrics is not None:
+                replica.metrics.record_join_completed(
+                    replica.process_id, replica.cluster_id, replica.simulator.now
+                )
+            replica.front.arm_lease_tick()
+        if replica.round_state.stage2_done_at is None:
+            # (Otherwise the round just executed has its start_round pending,
+            # and that call opens the adopted round.)
+            replica.start_round()
 
 
 __all__ = ["MODE_ACTIVE", "MODE_IDLE", "MODE_JOINING", "MODE_LEFT", "ReconfigurationCollector",

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consensus.bftsmart import BftSmartEngine, BsAccept, BsWrite
-from repro.consensus.hotstuff import HotStuffEngine, HsVote
-from repro.consensus.hotstuff_chained import ChainedHotStuffEngine, ChVote
+from repro.consensus.bftsmart import BftSmartEngine, BsAccept, BsViewState, BsWrite
+from repro.consensus.hotstuff import HotStuffEngine, HsNewView, HsVote
+from repro.consensus.hotstuff_chained import ChainedHotStuffEngine, ChNewView, ChVote
 from repro.consensus.interface import ConsensusConfig, commit_digest
 from repro.consensus.leader_election import ElectionComplaint, LeaderElection
 from repro.consensus.registry import ENGINES, make_engine
@@ -29,6 +29,7 @@ class EngineHost(Process):
         self.members = members
         self.decisions = []
         self.complaints = []
+        self.transfers = []
         network.register(self, "us-west1")
         faults = (len(members) - 1) // 3
         self.engine = engine_cls(
@@ -42,6 +43,7 @@ class EngineHost(Process):
             on_deliver=self.decisions.append,
             on_complain=self.complaints.append,
             fetch_value=lambda seq: [f"fallback-{seq}"],
+            transfer_state=self.transfers.append,
         )
 
     def on_message(self, sender, envelope):
@@ -64,6 +66,13 @@ PROPOSAL_TYPE = {
     HotStuffEngine: "HsProposal",
     ChainedHotStuffEngine: "ChProposal",
     BftSmartEngine: "BsPropose",
+}
+
+#: Each engine's view-change / catch-up report.
+REPORT_TYPE = {
+    HotStuffEngine: HsNewView,
+    ChainedHotStuffEngine: ChNewView,
+    BftSmartEngine: BsViewState,
 }
 
 
@@ -240,6 +249,57 @@ class TestEngines:
             threshold=3,
             digest=commit_digest(0, 1, value),
         )
+
+    def test_messages_for_a_retired_sequence_touch_no_table(self, engine_cls):
+        simulator, network, hosts = build_cluster(engine_cls)
+        value = ["retired"]
+        hosts[0].engine.propose(1, value)
+        hosts[0].engine.propose(2, ["kept"])
+        simulator.run(until=5.0)
+        assert all(len(host.decisions) == 2 for host in hosts)
+        leader = hosts[0].engine
+        proposal = leader._make_proposal(1, value)
+        for host in hosts:
+            host.engine.retire(1)
+
+        def tables():
+            return [
+                {name: set(getattr(host.engine, name)) for name in engine_cls.SEQUENCE_TABLES}
+                for host in hosts
+            ]
+
+        before = tables()
+        for table in before:
+            for name, keys in table.items():
+                assert all((key[0] if isinstance(key, tuple) else key) > 1 for key in keys), name
+        sent_before = sum(network.stats.by_type.values())
+        injected = 0
+        # The leader's proposal again, every member's votes for it, and a
+        # laggard's report: without the drop on arrival, the proposal would
+        # re-create the instance and draw a second vote on an executed sequence.
+        for host in hosts[1:]:
+            leader.apl.send(host.process_id, proposal)
+            signature = network.registry.sign(host.process_id, commit_digest(0, 1, value))
+            votes = quorum_votes(engine_cls, value, signature)
+            for vote in votes:
+                host.engine.apl.send("p0", vote)
+            injected += 1 + len(votes)
+        hosts[3].engine.apl.send("p1", REPORT_TYPE[engine_cls](cluster_id=0, sequence=1, view=0))
+        injected += 1
+        simulator.run(until=6.0)
+        assert tables() == before
+        assert sum(network.stats.by_type.values()) - sent_before == injected  # no vote, no reply
+        # The report is answered by the host's state transfer, not a decision.
+        assert [host.transfers for host in hosts] == [[], ["p3"], [], []]
+
+    def test_retire_only_raises_the_watermark(self, engine_cls):
+        simulator, _, hosts = build_cluster(engine_cls)
+        hosts[0].engine.propose(1, ["a"])
+        simulator.run(until=5.0)
+        engine = hosts[1].engine
+        engine.retire(1)
+        engine.retire(0)
+        assert engine.watermark == 1 and not engine.decisions
 
 
 class TestRegistry:

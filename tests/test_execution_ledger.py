@@ -183,9 +183,10 @@ class TestAgreementOracle:
 class TestMemoryIsLinearInOperations:
     def test_traced_bytes_per_committed_op_on_two_clusters_of_ten(self):
         """20 replicas execute every operation; what the run retains per
-        operation must not scale with them.  ~2.6 KB/op today (the
+        operation must not scale with them.  ~1.1 KB/op today (the
         transaction, its metrics record and its signatures' memo entries);
-        per-replica logs and batch-sized digests put it near 14 KB/op."""
+        keeping every decided round's engine state put it at 2.4 KB/op, and
+        per-replica logs and batch-sized digests near 14 KB/op."""
         spec = (
             Scenario("ledger-memory")
             .clusters(10, 10)
@@ -207,4 +208,4 @@ class TestMemoryIsLinearInOperations:
             tracemalloc.stop()
         operations = metrics.committed_count()
         assert operations > 1000
-        assert retained / operations < 6000
+        assert retained / operations < 2000
