@@ -208,10 +208,10 @@ class Requester:
 
         A joiner cannot know its new cluster yet, so it counts senders the
         message names as members and needs ``2f+1`` of them.  An active
-        replica whose peers retired the rounds it missed (it reported a
-        sequence below their watermark) knows its cluster: it counts members
-        of its own view and needs ``f+1``, since one of them is correct and
-        a correct member's state at a round boundary is every correct one's.
+        replica that fell behind what its peers keep knows its cluster: it
+        counts members of its own view and needs ``f+1``, since one of them
+        is correct and a correct member's state at a round boundary is every
+        correct one's.
         """
         replica = self.replica
         if replica.mode == MODE_JOINING:
@@ -229,12 +229,20 @@ class Requester:
         if len(votes) < needed:
             return
         self._state_votes.clear()
-        joined = replica.mode == MODE_JOINING
         round_number = message.round_number
         replica.kv.restore(message.state_snapshot, round_number)
         replica.view = {cid: set(members) for cid, members in message.system_view.items()}
         replica.invalidate_view_caches()
         replica.round_number = round_number
+        if replica.mode == MODE_JOINING:
+            replica.mode = MODE_ACTIVE
+            replica.joined_at = replica.simulator.now
+            self.join_retry_timer.stop()
+            if replica.metrics is not None:
+                replica.metrics.record_join_completed(
+                    replica.process_id, replica.cluster_id, replica.simulator.now
+                )
+            replica.front.arm_lease_tick()
         # Adopt the sending quorum's leader so votes and submissions go to the
         # replica the rest of the cluster actually follows.
         replica.leader_ts = replica.le.ts = message.leader_ts
@@ -245,18 +253,9 @@ class Requester:
         tob.view_ts = replica.leader_ts
         # Nothing below the adopted round will execute here any more.
         replica.ordering.retire(round_number - 1)
-        if joined:
-            replica.mode = MODE_ACTIVE
-            replica.joined_at = replica.simulator.now
-            self.join_retry_timer.stop()
-            if replica.metrics is not None:
-                replica.metrics.record_join_completed(
-                    replica.process_id, replica.cluster_id, replica.simulator.now
-                )
-            replica.front.arm_lease_tick()
+        # A round that just executed has its start_round pending, which
+        # opens the adopted round; opening it twice would lose its state.
         if replica.round_state.stage2_done_at is None:
-            # (Otherwise the round just executed has its start_round pending,
-            # and that call opens the adopted round.)
             replica.start_round()
 
 

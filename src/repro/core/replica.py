@@ -828,7 +828,7 @@ class LocalOrdering:
         )
 
     def transfer_state(self, reporter: str) -> None:
-        """The engine's ``transfer_state``: send a member behind the watermark our state."""
+        """The engine's ``transfer_state``: send a member behind what we keep our state."""
         replica = self.replica
         if reporter in replica.local_members():
             replica.apl.send(reporter, replica.execution.curr_state(replica.round_number))
