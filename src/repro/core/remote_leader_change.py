@@ -140,15 +140,15 @@ class RemoteLeaderChange:
     # Round lifecycle
     # ------------------------------------------------------------------ #
     def start_round(self) -> None:
-        """Reset timers and complaint counters at the beginning of a round."""
-        remote_clusters = [cid for cid in self.view_fn() if cid != self.cluster_id]
-        for cluster_id in remote_clusters:
-            watch = self._watch(cluster_id)
-            watch.complaint_number = 0
-            watch.received_complaint_number = 0
-            watch.complaint_signatures = {}
-            watch.complained = False
-            self._watch_pool.arm(cluster_id, self.timeout)
+        """Reset timers and complaint counters at the beginning of a round.
+
+        A cluster's complaint state is only made by the first complaint
+        about it, so a quiet round allocates none.
+        """
+        self._watches.clear()
+        for cluster_id in self.view_fn():
+            if cluster_id != self.cluster_id:
+                self._watch_pool.arm(cluster_id, self.timeout)
 
     def stop_timer(self, cluster_id: int) -> None:
         """Stop the watch timer for a cluster whose operations arrived."""
@@ -156,8 +156,7 @@ class RemoteLeaderChange:
 
     def stop_all(self) -> None:
         """Stop every watch timer (round teardown)."""
-        for cluster_id in self._watches:
-            self._watch_pool.disarm(cluster_id)
+        self._watch_pool.disarm_all()
 
     def set_timer_rate(self, rate: float) -> None:
         """Skew the watch timers (gray-failure clock-skew faults)."""

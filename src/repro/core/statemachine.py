@@ -3,22 +3,30 @@
 The paper evaluates with YCSB over a key-value state.  Every correct replica
 executes the *same* total order (the Agreement and Total-order theorems), so
 the order itself is stored once per simulation shard, in an
-:class:`ExecutionLedger`; a replica's :class:`KeyValueStore` keeps its own
-key/value data plus a ``(start, cursor)`` window into that ledger.  The first
+:class:`ExecutionLedger`, and so is the state it produces: the ledger keeps
+every write's value, the position of each key's last write and, per write,
+the position of the previous write of the same key.  A replica's
+:class:`KeyValueStore` is a ``(start, cursor)`` window into that ledger; it
+reads a key at its own position by walking that chain back (no step for a
+replica at the frontier, one for a replica a round behind) and falls back
+to a private base dict that only a restored snapshot fills.  The first
 replica to execute a position appends it, and every later one is checked
-against it — a replica whose next entry differs has violated Agreement and
-raises :class:`~repro.errors.AgreementViolation` on the spot, in every run.
+against it — a replica whose next entry (or written value) differs has
+violated Agreement and raises :class:`~repro.errors.AgreementViolation` on
+the spot, in every run.
 
 Stage 3 executes one decided batch at a time, and every executor of a batch
 does the same thing with it, so what a batch does is an
 :class:`ExecutionPlan`, computed once per batch and memoised in the ledger.
 A store executes a plan with a few slice operations: check and extend the
-ledger, answer the positions asked of it, ``dict.update`` its data.
+ledger, answer the positions asked of it, move its cursor.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.types import READ, Transaction
@@ -28,15 +36,14 @@ from repro.errors import AgreementViolation
 class ExecutionPlan:
     """What executing one batch does to any store, in order.
 
-    Shared by every executor of the batch, so treated as immutable.
+    Shared by every executor of the batch, so treated as immutable (the
+    ledger only swaps an ``applied`` entry for an equal one).
 
     Attributes:
         transactions: The batch.
         ids: Transaction ids, in order.
         applied: ``(txn_id, key)`` of the writes, in order.
-        last_values: ``key -> value`` of the last write to each key, keys in
-            first-write order (so ``dict.update`` inserts them as a write
-            loop would).
+        write_values: The value each of those writes stores, in order.
         origins: ``origin replica -> positions`` of the transactions it received.
         first_positions: ``txn_id -> first position`` in the batch.
         read_values: ``position -> value`` of each read whose key an earlier
@@ -48,7 +55,7 @@ class ExecutionPlan:
         "transactions",
         "ids",
         "applied",
-        "last_values",
+        "write_values",
         "origins",
         "first_positions",
         "read_values",
@@ -58,6 +65,7 @@ class ExecutionPlan:
     def __init__(self, transactions: Sequence[Transaction], round_number: int = 0) -> None:
         ids: List[str] = []
         applied: List[Tuple[str, str]] = []
+        write_values: List[str] = []
         last_values: Dict[str, str] = {}
         origins: Dict[str, List[int]] = {}
         first_positions: Dict[str, int] = {}
@@ -72,12 +80,14 @@ class ExecutionPlan:
                 if key in last_values:
                     read_values[position] = last_values[key]
             else:
+                value = transaction.value or ""
                 applied.append((txn_id, key))
-                last_values[key] = transaction.value or ""
+                write_values.append(value)
+                last_values[key] = value
         self.transactions = transactions
         self.ids = ids
         self.applied = applied
-        self.last_values = last_values
+        self.write_values = write_values
         self.origins = origins
         self.first_positions = first_positions
         self.read_values = read_values
@@ -91,6 +101,10 @@ class ExecutionLedger:
         ids: Transaction ids in execution order (reads and writes).
         index: ``txn_id -> first position in ids``.
         applied: ``(txn_id, key)`` of the writes, in execution order.
+        values: The value each write of ``applied`` stores.
+        last_write: ``key -> position in applied`` of its latest write.
+        previous_write: Per write, the position of the previous write of
+            the same key (``-1`` for a key's first write).
         round_starts: ``round -> (len(ids), len(applied))`` when the first
             replica began executing that round; a joining replica, which
             adopts a snapshot taken at a round boundary, starts there.
@@ -99,12 +113,17 @@ class ExecutionLedger:
             memoised.  Plans of rounds before the previous one are dropped.
     """
 
-    __slots__ = ("ids", "index", "applied", "round_starts", "plans")
+    __slots__ = (
+        "ids", "index", "applied", "values", "last_write", "previous_write", "round_starts", "plans"
+    )
 
     def __init__(self) -> None:
         self.ids: List[str] = []
         self.index: Dict[str, int] = {}
         self.applied: List[Tuple[str, str]] = []
+        self.values: List[str] = []
+        self.last_write: Dict[str, int] = {}
+        self.previous_write = array("q")
         self.round_starts: Dict[int, Tuple[int, int]] = {}
         self.plans: Dict[int, ExecutionPlan] = {}
 
@@ -121,9 +140,33 @@ class ExecutionLedger:
         for key in [key for key, plan in plans.items() if plan.round_number < before_round]:
             del plans[key]
 
+    def record_writes(self, start: int, writes: List[Tuple[str, str]], values: List[str]) -> None:
+        """Check ``writes`` and their ``values`` placed at ``start``; append what is new.
 
-def _extend(log: list, start: int, entries: list, what: str) -> int:
-    """Append what ``log`` lacks of ``entries`` placed at ``start``; returns how many it held.
+        A new write of a key the ledger already holds is stored with the
+        ledger's copy of the key, in ``writes`` too (so later executors
+        compare identical entries): one string per key, however often it is
+        written, outlives the transactions.
+
+        Raises :class:`AgreementViolation` (before changing anything) at the
+        first position where the ledger holds another write or value.
+        """
+        held = _check(self.applied, start, writes, "applied-write")
+        _check(self.values, start, values, "write-value")
+        applied, last_write, previous_write = self.applied, self.last_write, self.previous_write
+        for offset in range(held, len(writes)):
+            txn_id, key = writes[offset]
+            previous = last_write.get(key, -1)
+            if previous >= 0:
+                writes[offset] = (txn_id, applied[previous][1])
+            previous_write.append(previous)
+            last_write[key] = len(applied)
+            applied.append(writes[offset])
+        self.values.extend(values[held:])
+
+
+def _check(log: list, start: int, entries: list, what: str) -> int:
+    """How many of ``entries`` placed at ``start`` ``log`` already holds.
 
     Raises :class:`AgreementViolation` naming the first ledger position
     where ``log`` holds something else.
@@ -135,7 +178,6 @@ def _extend(log: list, start: int, entries: list, what: str) -> int:
                 f"{what} position {start + offset}: this replica executes "
                 f"{ours!r} where another executed {theirs!r}"
             )
-    log.extend(entries[len(known) :])
     return len(known)
 
 
@@ -177,23 +219,28 @@ class LedgerView(Sequence):
 
 
 class KeyValueStore:
-    """A deterministic key-value state machine.
+    """A deterministic key-value state machine over a window of the ledger.
+
+    Its state is its base dict updated, in order, with the writes of its
+    window from the base's position on; the values live in the ledger.
 
     Attributes:
-        data: Current key/value mapping.
         applied: Number of write transactions applied.
         ledger: The shared execution order (private when none is given).
     """
 
-    __slots__ = ("data", "applied", "ledger", "_start", "_cursor", "_applied_start")
+    __slots__ = ("applied", "ledger", "_start", "_cursor", "_applied_start", "_base", "_base_at")
 
     def __init__(self, ledger: Optional[ExecutionLedger] = None) -> None:
-        self.data: Dict[str, str] = {}
         self.applied = 0
         self.ledger = ledger if ledger is not None else ExecutionLedger()
         self._start = 0
         self._cursor = 0
         self._applied_start = 0
+        #: The state at write position ``_base_at``; only a restored
+        #: snapshot or an assigned ``data`` fills it.
+        self._base: Dict[str, str] = {}
+        self._base_at = 0
 
     @property
     def execution_log(self) -> LedgerView:
@@ -232,16 +279,20 @@ class KeyValueStore:
         # One C-level slice comparison per log; only the batch's first
         # executor (or a diverging one) takes the slow path.
         if ids[cursor : cursor + len(entries)] != entries:
+            held = _check(ids, cursor, entries, "execution")
+            ids.extend(entries[held:])
             index = ledger.index
-            for offset in range(_extend(ids, cursor, entries, "execution"), len(entries)):
+            for offset in range(held, len(entries)):
                 index.setdefault(entries[offset], cursor + offset)
         self._cursor = cursor + len(entries)
         writes = plan.applied
         applied_at = self._applied_start + self.applied
-        if ledger.applied[applied_at : applied_at + len(writes)] != writes:
-            _extend(ledger.applied, applied_at, writes, "applied-write")
-        self.applied += len(writes)
-        data = self.data
+        stop = applied_at + len(writes)
+        if (
+            ledger.applied[applied_at:stop] != writes
+            or ledger.values[applied_at:stop] != plan.write_values
+        ):
+            ledger.record_writes(applied_at, writes, plan.write_values)
         transactions = plan.transactions
         read_values = plan.read_values
         values: List[Optional[str]] = []
@@ -252,17 +303,46 @@ class KeyValueStore:
             elif position in read_values:
                 values.append(read_values[position])
             else:
-                values.append(data.get(transaction.key))
-        data.update(plan.last_values)
+                values.append(self.read(transaction.key))
+        self.applied += len(writes)
         return values
 
     def read(self, key: str) -> Optional[str]:
         """Read a key without going through a transaction."""
-        return self.data.get(key)
+        ledger = self.ledger
+        position = ledger.last_write.get(key, -1)
+        stop = self._applied_start + self.applied
+        previous_write = ledger.previous_write
+        while position >= stop:
+            position = previous_write[position]
+        if position >= self._base_at:
+            return ledger.values[position]
+        return self._base.get(key)
 
     def snapshot(self) -> Dict[str, str]:
-        """A copy of the current data, used for ``CurrState`` transfers."""
-        return dict(self.data)
+        """A copy of the current data, used for ``CurrState`` transfers.
+
+        Its keys are in the order a dict updated with each write in turn
+        would hold them.
+        """
+        data = dict(self._base)
+        start, stop = self._base_at, self._applied_start + self.applied
+        if start < stop:
+            ledger = self.ledger
+            data.update(zip(map(itemgetter(1), ledger.applied[start:stop]), ledger.values[start:stop]))
+        return data
+
+    @property
+    def data(self) -> Dict[str, str]:
+        """The current key/value mapping (the base dict itself while no write followed it)."""
+        if self._base_at == self._applied_start + self.applied:
+            return self._base
+        return self.snapshot()
+
+    @data.setter
+    def data(self, data: Dict[str, str]) -> None:
+        self._base = data
+        self._base_at = self._applied_start + self.applied
 
     def restore(self, snapshot: Dict[str, str], round_number: Optional[int] = None) -> None:
         """Replace the state with a received snapshot (joining replicas).
@@ -271,7 +351,6 @@ class KeyValueStore:
         next — the store's history restarts there: its logs are empty and
         its next entry is that round's first.
         """
-        self.data = dict(snapshot)
         if round_number is not None:
             ledger = self.ledger
             position, applied_position = ledger.round_starts.get(
@@ -280,6 +359,7 @@ class KeyValueStore:
             self._start = self._cursor = position
             self._applied_start = applied_position
             self.applied = 0
+        self.data = dict(snapshot)
 
 
 __all__ = ["ExecutionLedger", "ExecutionPlan", "KeyValueStore", "LedgerView"]

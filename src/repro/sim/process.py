@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.sim.rng import SeededRng, stable_hash
 from repro.sim.simulator import Simulator, Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -40,7 +39,6 @@ class Process:
         #: Timers created through :meth:`new_timer`, kept so a later
         #: clock-skew fault reaches timers armed before it fired.
         self._timers: list = []
-        self.rng = SeededRng(simulator.seed ^ stable_hash([process_id]), f"process/{process_id}")
         self._started = False
 
     # ------------------------------------------------------------------ #

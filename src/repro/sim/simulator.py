@@ -128,6 +128,10 @@ class DeadlinePool:
         """Disarm ``key`` if armed (the resident event re-chases lazily)."""
         self._deadlines.pop(key, None)
 
+    def disarm_all(self) -> None:
+        """Disarm every key (the resident event finds nothing due)."""
+        self._deadlines.clear()
+
     def timer(self, key, duration: float = 0.0) -> "PooledTimer":
         """A :class:`Timer`-shaped facade bound to one key of this pool."""
         return PooledTimer(self, key, duration)

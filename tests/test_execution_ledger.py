@@ -180,13 +180,28 @@ class TestAgreementOracle:
         assert len(built) * len(replicas) == executions
 
 
+def _retained_by_run(spec):
+    """Build ``spec`` and run it; returns the deployment, its metrics and the traced bytes the run left."""
+    deployment = spec.build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        metrics = deployment.run(duration=spec.duration)
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return deployment, metrics, retained
+
+
 class TestMemoryIsLinearInOperations:
     def test_traced_bytes_per_committed_op_on_two_clusters_of_ten(self):
         """20 replicas execute every operation; what the run retains per
-        operation must not scale with them.  ~1.1 KB/op today (the
+        operation must not scale with them.  ~0.83 KB/op today (the
         transaction, its metrics record and its signatures' memo entries);
-        keeping every decided round's engine state put it at 2.4 KB/op, and
-        per-replica logs and batch-sized digests near 14 KB/op."""
+        a key/value dict per replica put it at 1.1 KB/op, keeping every
+        decided round's engine state at 2.4 KB/op, and per-replica logs and
+        batch-sized digests near 14 KB/op."""
         spec = (
             Scenario("ledger-memory")
             .clusters(10, 10)
@@ -197,15 +212,25 @@ class TestMemoryIsLinearInOperations:
             .seeds(5)
             .spec()
         )
-        deployment = spec.build()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            metrics = deployment.run(duration=spec.duration)
-            gc.collect()
-            retained, _peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _deployment, metrics, retained = _retained_by_run(spec)
         operations = metrics.committed_count()
         assert operations > 1000
-        assert retained / operations < 2000
+        assert retained / operations < 1000
+
+    def test_traced_bytes_per_replica_on_sixteen_clusters_of_four(self):
+        """64 replicas share one key/value state through the ledger, so what
+        a run retains per replica is its protocol state, not a copy of every
+        key: ~134 KB per replica today, 181 KB with a dict per replica."""
+        spec = (
+            Scenario("ledger-state")
+            .clusters(*[4] * 16)
+            .engine("hotstuff")
+            .threads(8)
+            .workload(read_fraction=0.5)
+            .duration(1.5)
+            .seeds(5)
+            .spec()
+        )
+        deployment, metrics, retained = _retained_by_run(spec)
+        assert metrics.committed_count() > 10000
+        assert retained / len(deployment.replicas) < 150_000

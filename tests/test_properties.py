@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.brd import canonical_recs
 from repro.core.config import failure_threshold
 from repro.core.replica import Execution
-from repro.core.statemachine import ExecutionPlan, KeyValueStore
+from repro.core.statemachine import ExecutionLedger, ExecutionPlan, KeyValueStore
 from repro.core.types import Transaction, join_request, leave_request
+from repro.errors import AgreementViolation
 from repro.net.crypto import Certificate, KeyRegistry
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
@@ -209,3 +211,116 @@ class TestBundleExecutionProperties:
         Execution(executor).execute_batch(bundle)
         assert [reply[2] for reply in executor.replies] == ["old", "new", "new", None]
         assert executor.kv.data == {"a": ""}
+
+
+_KEYS = ("a", "b", "c", "d")
+ledger_transactions = st.builds(
+    lambda op, key, value: (op, key, None if op == "read" else value),
+    st.sampled_from(("read", "write")),
+    st.sampled_from(_KEYS),
+    st.one_of(st.none(), st.text(alphabet="xyz", max_size=2)),
+)
+states = st.dictionaries(st.sampled_from(_KEYS + ("e",)), st.text(alphabet="pq", max_size=2))
+store_actions = st.one_of(
+    st.tuples(st.just("execute"), st.integers(0, 3)),
+    st.tuples(st.just("read"), st.integers(0, 3), st.sampled_from(_KEYS + ("e",))),
+    st.tuples(st.just("restore"), st.integers(0, 3), states, st.none() | st.integers(0, 8)),
+    st.tuples(st.just("assign"), st.integers(0, 3), states),
+)
+
+
+def _oracle_execute(data, transactions):
+    """The store before it shared its state: respond, then ``dict.update`` its own dict."""
+    last_values, values = {}, []
+    for transaction in transactions:
+        if transaction.is_read:
+            values.append(last_values.get(transaction.key, data.get(transaction.key)))
+        else:
+            last_values[transaction.key] = transaction.value or ""
+            values.append(transaction.value)
+    data.update(last_values)
+    return values
+
+
+class TestSharedStateProperties:
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.lists(ledger_transactions, max_size=6), min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=4),
+        st.lists(store_actions, max_size=40),
+    )
+    def test_stores_over_one_ledger_read_what_their_own_dicts_would_hold(self, rounds, count, actions):
+        """Several stores at different cursors of one ledger, with reads,
+        restores (with and without a round) and assigned data in between,
+        read, snapshot and expose as ``data`` exactly what a private dict per
+        store, updated batch by batch, would hold — item order included."""
+        plans = [
+            [
+                Transaction(
+                    txn_id=f"t{number}.{index}", client_id="c", origin_replica="r",
+                    op=op, key=key, value=value,
+                )
+                for index, (op, key, value) in enumerate(batch)
+            ]
+            for number, batch in enumerate(rounds)
+        ]
+        ledger = ExecutionLedger()
+        stores = [KeyValueStore(ledger) for _ in range(count)]
+        oracles = [{} for _ in range(count)]
+        next_round = [0] * count
+        for action in actions:
+            which = action[1] % count
+            store, oracle = stores[which], oracles[which]
+            if action[0] == "execute":
+                number = next_round[which]
+                if number == len(plans):
+                    continue
+                store.begin_round(number)
+                plan = ledger.plan(plans[number], number)
+                positions = range(len(plans[number]))
+                assert store.execute(plan, positions) == _oracle_execute(oracle, plans[number])
+                next_round[which] = number + 1
+            elif action[0] == "read":
+                assert store.read(action[2]) == oracle.get(action[2])
+            elif action[0] == "restore":
+                snapshot, round_number = dict(action[2]), action[3]
+                if round_number is not None:
+                    # A snapshot names a round some store has reached.
+                    round_number = min(round_number, max(next_round))
+                    next_round[which] = round_number
+                store.restore(snapshot, round_number)
+                oracles[which] = dict(snapshot)
+                snapshot["mutated"] = "after"  # restoring copies
+            else:
+                store.data = dict(action[2])
+                oracles[which] = dict(action[2])
+            for store, oracle in zip(stores, oracles):
+                assert list(store.snapshot().items()) == list(oracle.items())
+                assert list(store.data.items()) == list(oracle.items())
+                for key in _KEYS + ("e",):
+                    assert store.read(key) == oracle.get(key)
+
+    @given(
+        st.lists(ledger_transactions, min_size=1, max_size=8).filter(
+            lambda batch: any(op == "write" for op, _key, _value in batch)
+        ),
+        st.data(),
+    )
+    def test_a_store_that_writes_a_different_value_raises(self, batch, data):
+        transactions = [
+            Transaction(txn_id=f"t{index}", client_id="c", origin_replica="r", op=op, key=key, value=value)
+            for index, (op, key, value) in enumerate(batch)
+        ]
+        writes = [index for index, transaction in enumerate(transactions) if not transaction.is_read]
+        forked_at = data.draw(st.sampled_from(writes))
+        honest = transactions[forked_at]
+        forked = list(transactions)
+        forked[forked_at] = Transaction(
+            txn_id=honest.txn_id, client_id="c", origin_replica="r", op="write",
+            key=honest.key, value=(honest.value or "") + "!",
+        )
+        ledger = ExecutionLedger()
+        first, second = KeyValueStore(ledger), KeyValueStore(ledger)
+        first.execute(ExecutionPlan(transactions))
+        with pytest.raises(AgreementViolation, match=f"write-value position {writes.index(forked_at)}"):
+            second.execute(ExecutionPlan(forked))

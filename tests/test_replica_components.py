@@ -360,3 +360,29 @@ class TestCurrStateAdoption:
             _deliver(joiner, sender, _curr_state("forged", "c0/r3"))
         assert joiner.mode == MODE_JOINING
         assert joiner.kv.data == {}
+
+
+# ---------------------------------------------------------------------- #
+# RemoteLeaderChange: per-cluster watches
+# ---------------------------------------------------------------------- #
+class TestRemoteWatches:
+    def test_start_round_arms_every_remote_cluster_and_makes_no_complaint_state(self):
+        _simulator, _network, _system_config, replicas = _system()
+        rlc = replicas["c0/r0"].rlc
+        rlc._watch(1).complaint_number = 2
+        rlc.start_round()
+        assert rlc._watches == {}
+        assert list(rlc._watch_pool._deadlines) == [1]
+
+    def test_after_stop_all_a_cluster_never_complained_about_draws_no_complaint(self):
+        simulator, network, _system_config, replicas = _system()
+        rlc = replicas["c0/r0"].rlc
+        rlc.has_operations_fn = lambda cluster_id: False
+        rlc.start_round()
+        rlc.stop_all()
+        simulator.run(until=3 * rlc.timeout)
+        assert network.stats.by_type["LComplaint"] == 0 and rlc._watches == {}
+        # Left armed, the same watch complains once its timeout passes.
+        rlc.start_round()
+        simulator.run(until=simulator.now + 2 * rlc.timeout)
+        assert network.stats.by_type["LComplaint"] > 0 and rlc._watches[1].complained
