@@ -22,7 +22,7 @@ from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
 from repro.net.links import AuthenticatedPerfectLink
 from repro.net.message import Message
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -67,7 +67,7 @@ def _bench_ring(
     for _ in range(repeats):
         sim = Simulator(seed=seed)
         registry = KeyRegistry(seed=seed)
-        network = Network(sim, LatencyModel(), registry, NetworkConfig())
+        network = Network(sim, LatencyModel(), registry)
         sinks: List[_Sink] = []
         links: List[AuthenticatedPerfectLink] = []
         for index in range(processes):

@@ -21,10 +21,8 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro": ["py.typed"]},
     install_requires=[],
     extras_require={
         "test": ["pytest", "hypothesis"],
-        "analysis": ["numpy"],
     },
 )

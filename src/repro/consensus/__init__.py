@@ -12,7 +12,6 @@ from repro.consensus.bftsmart import BftSmartEngine
 from repro.consensus.hotstuff import HotStuffEngine
 from repro.consensus.hotstuff_chained import ChainedHotStuffEngine
 from repro.consensus.interface import (
-    ConsensusConfig,
     Decision,
     TotalOrderBroadcast,
     commit_digest,
@@ -23,7 +22,6 @@ from repro.consensus.registry import ENGINES, make_engine
 __all__ = [
     "BftSmartEngine",
     "ChainedHotStuffEngine",
-    "ConsensusConfig",
     "Decision",
     "ENGINES",
     "HotStuffEngine",

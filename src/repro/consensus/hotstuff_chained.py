@@ -79,7 +79,7 @@ from repro.net.message import Message, payload_digest
 
 #: Seconds the leader waits for a successor proposal to piggyback a decision
 #: before falling back to an explicit decide broadcast.  Must stay well
-#: below ``ConsensusConfig.instance_timeout`` so followers never complain
+#: below ``HamavaConfig.instance_timeout`` so followers never complain
 #: about a decide that is merely riding the chain.
 DECIDE_GRACE = 0.05
 

@@ -30,19 +30,6 @@ def commit_digest(cluster_id: int, sequence: int, value: Any) -> str:
 
 
 @dataclass
-class ConsensusConfig:
-    """Tunable constants shared by the consensus engines.
-
-    Attributes:
-        instance_timeout: Seconds a replica waits for a decision before
-            complaining about the local leader (the paper's experiments use
-            large timeouts, e.g. 20 s, to avoid spurious view changes).
-    """
-
-    instance_timeout: float = 20.0
-
-
-@dataclass
 class Decision:
     """A delivered consensus decision for one sequence number."""
 
@@ -146,7 +133,8 @@ class TotalOrderBroadcast(ABC):
         faults_fn: Callable returning the current failure threshold ``f``.
         network: Simulated network.
         simulator: Simulation kernel.
-        config: Engine constants.
+        instance_timeout: Seconds a replica waits for a decision before
+            complaining about the local leader.
         on_deliver: Callback ``(Decision) -> None``.
         on_complain: Callback ``(leader_id) -> None`` used to feed Alg. 8.
         round_marker_fn: Optional ``(sequence) -> marker | None``.  Called
@@ -194,7 +182,7 @@ class TotalOrderBroadcast(ABC):
         faults_fn: Callable[[], int],
         network: Network,
         simulator: Simulator,
-        config: Optional[ConsensusConfig] = None,
+        instance_timeout: float = 20.0,
         on_deliver: Optional[Callable[[Decision], None]] = None,
         on_complain: Optional[Callable[[str], None]] = None,
         round_marker_fn: Optional[Callable[[int], Any]] = None,
@@ -210,7 +198,7 @@ class TotalOrderBroadcast(ABC):
         self.faults_fn = faults_fn
         self.network = network
         self.simulator = simulator
-        self.config = config or ConsensusConfig()
+        self.instance_timeout = instance_timeout
         self.on_deliver = on_deliver or (lambda decision: None)
         self.on_complain = on_complain or (lambda leader: None)
         self.round_marker_fn = round_marker_fn
@@ -328,7 +316,7 @@ class TotalOrderBroadcast(ABC):
         instance = self.instance(sequence)
         if instance.decided:
             return
-        self._watchdogs.arm(sequence, self.config.instance_timeout)
+        self._watchdogs.arm(sequence, self.instance_timeout)
 
     def _on_timeout(self, sequence: int) -> None:
         instance = self._instances.get(sequence)
@@ -340,7 +328,7 @@ class TotalOrderBroadcast(ABC):
         # the cluster — any decided peer answers with a value-carrying,
         # self-certifying decision — and keep watching until it resolves.
         self.request_catchup(sequence)
-        self._watchdogs.arm(sequence, self.config.instance_timeout)
+        self._watchdogs.arm(sequence, self.instance_timeout)
 
     def set_timer_rate(self, rate: float) -> None:
         """Skew every engine timer pool (gray-failure clock-skew faults).
@@ -550,7 +538,6 @@ class TotalOrderBroadcast(ABC):
 
 
 __all__ = [
-    "ConsensusConfig",
     "Decision",
     "ReadLease",
     "TotalOrderBroadcast",

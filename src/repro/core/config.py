@@ -6,8 +6,8 @@ Two layers of configuration exist:
   members, and the regions they live in.  This is only the *initial*
   configuration; each replica maintains its own evolving view as
   reconfigurations execute.
-* :class:`HamavaConfig` — *how* the protocol behaves: batch sizes, timers,
-  which local ordering engine to use, and whether reconfigurations run in
+* :class:`HamavaConfig` — *how* the protocol behaves: timers, which local
+  ordering engine to use, and whether reconfigurations run in
   the parallel workflow (Hamava) or inside the transaction ordering (the
   single-workflow baseline of experiment E5.2).
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List
 
-from repro.consensus.interface import ConsensusConfig
 from repro.errors import ConfigurationError
 
 
@@ -115,13 +114,13 @@ class HamavaConfig:
     Attributes:
         engine: Local ordering engine name (``"hotstuff"``,
             ``"hotstuff_chained"`` or ``"bftsmart"``).
-        batch_size: Transactions per round per cluster (paper: 100).
-        batch_timeout: Leader proposes a partial (possibly empty) batch after
-            this many seconds so rounds progress under light load.
         remote_timeout: ``Δ`` — how long replicas wait for a remote cluster's
             operations before starting the remote leader change (paper: 20 s).
         brd_timeout: How long BRD waits for delivery before complaining.
-        consensus: Parameters for the local ordering engine.
+        instance_timeout: Seconds a replica waits for a local ordering
+            decision before complaining about the local leader (the paper's
+            experiments use large timeouts, e.g. 20 s, to avoid spurious
+            view changes).
         parallel_reconfig: ``True`` runs reconfigurations in the dedicated
             workflow (Hamava); ``False`` orders them through the transaction
             consensus (the single-workflow baseline of E5.2).
@@ -137,22 +136,19 @@ class HamavaConfig:
             consensus involvement, and lease misses forward to the leader.
             Off by default — the closed-loop paper-fidelity path is
             unaffected unless a scenario opts in.
-        lease_duration: Lifetime of one read-lease grant in seconds.  Grants
-            refresh at half this period; a new leader stays silent for one
-            full duration so old-leader leases lapse before it writes.
+
+    The batch size, the batch timeout and the lease duration are constants
+    of :mod:`repro.core.replica`.
     """
 
     engine: str = "hotstuff"
-    batch_size: int = 100
-    batch_timeout: float = 0.01
     remote_timeout: float = 20.0
     brd_timeout: float = 20.0
-    consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
+    instance_timeout: float = 20.0
     parallel_reconfig: bool = True
     retry_timeout: float = 60.0
     pipeline_local_ordering: bool = False
     read_leases: bool = False
-    lease_duration: float = 2.0
 
     def with_engine(self, engine: str) -> "HamavaConfig":
         """A copy of this configuration using a different ordering engine."""

@@ -78,6 +78,16 @@ from repro.sim.simulator import Simulator
 #: Virtual CPU cost of executing one operation in stage 3 (seconds).
 EXECUTION_COST_PER_OP = 0.00001
 
+#: Transactions per round per cluster (paper: 100).
+BATCH_SIZE = 100
+#: Seconds after which the leader proposes a partial (possibly empty) batch,
+#: so rounds progress under light load.
+BATCH_TIMEOUT = 0.01
+#: Lifetime of one read-lease grant in seconds.  Grants refresh at half this
+#: period; a new leader stays silent for one full duration so old-leader
+#: leases lapse before it writes.
+LEASE_DURATION = 2.0
+
 #: Rounds between two sweeps of the stable watermark (:meth:`LocalOrdering.retire`).
 #: Sweeping every round adds up to 1 % to the consensus calls per operation
 #: (``write_heavy``); every eighth round about 0.1 %, holding at most ten rounds.
@@ -438,7 +448,8 @@ class ClientFront:
         self.batch_clients: Set[str] = set()
         self.pending_batch: Dict[str, List[Tuple[str, Optional[str]]]] = {}
         # Read-lease state (active only when ``config.read_leases``).
-        self.read_lease = ReadLease(duration=replica.config.lease_duration)
+        self.lease_duration = LEASE_DURATION
+        self.read_lease = ReadLease(duration=self.lease_duration)
         self.lease_hold_until = 0.0
         self.lease_tick_armed = False
 
@@ -587,7 +598,7 @@ class ClientFront:
             # this leader can execute a conflicting write (see ReadLease).
             self.read_lease.revoke()
             if leader == replica.process_id:
-                self.lease_hold_until = replica.simulator.now + replica.config.lease_duration
+                self.lease_hold_until = replica.simulator.now + self.lease_duration
         for transaction in self.forwarded.values():
             self.route_to_leader(transaction)
 
@@ -597,9 +608,7 @@ class ClientFront:
         if not replica.config.read_leases or self.lease_tick_armed:
             return
         self.lease_tick_armed = True
-        replica.after(
-            replica.config.lease_duration / 2.0, self._lease_tick, label=f"{replica.process_id}:lease"
-        )
+        replica.after(self.lease_duration / 2.0, self._lease_tick, label=f"{replica.process_id}:lease")
 
     def _lease_tick(self) -> None:
         replica = self.replica
@@ -616,12 +625,10 @@ class ClientFront:
                     cluster_id=replica.cluster_id,
                     view_ts=replica.leader_ts,
                     granted_at=now,
-                    duration=replica.config.lease_duration,
+                    duration=self.lease_duration,
                 )
             )
-        replica.after(
-            replica.config.lease_duration / 2.0, self._lease_tick, label=f"{replica.process_id}:lease"
-        )
+        replica.after(self.lease_duration / 2.0, self._lease_tick, label=f"{replica.process_id}:lease")
 
     def on_lease_grant(self, sender: str, message: ReadLeaseGrant) -> None:
         """Install a grant from the leader this replica follows."""
@@ -650,6 +657,8 @@ class LocalOrdering:
         self.queued_ids: Set[str] = set()
         self.proposed_rounds: Set[int] = set()
         self.current_batch: Dict[int, List[Transaction]] = {}
+        self.batch_size = BATCH_SIZE
+        self.batch_timeout = BATCH_TIMEOUT
         self.tob = make_engine(
             config.engine,
             replica.process_id,
@@ -658,7 +667,7 @@ class LocalOrdering:
             replica.local_faults,
             replica.network,
             replica.simulator,
-            config.consensus,
+            config.instance_timeout,
             on_deliver=self.on_decision,
             on_complain=replica.le.complain,
             fetch_value=self.fetch_batch,
@@ -676,7 +685,7 @@ class LocalOrdering:
         self.brd_timer_pool = replica.simulator.deadline_pool(
             self.on_brd_timer, name=f"{replica.process_id}:brd"
         )
-        self.batch_timer = replica.new_timer(config.batch_timeout, self.on_batch_timeout, "batch")
+        self.batch_timer = replica.new_timer(self.batch_timeout, self.on_batch_timeout, "batch")
 
     def set_timer_rate(self, rate: float) -> None:
         """Skew the BRD delivery timers and every pool the engine owns."""
@@ -706,10 +715,10 @@ class LocalOrdering:
             self.brd_instances.pop(old_round).stop()
         self.tob.start_instance(round_number)
         if replica.leader == replica.process_id and round_number not in self.proposed_rounds:
-            if len(self.leader_queue) >= replica.config.batch_size:
+            if len(self.leader_queue) >= self.batch_size:
                 self.propose(round_number)
             else:
-                self.batch_timer.start(replica.config.batch_timeout)
+                self.batch_timer.start(self.batch_timeout)
 
     # -- batches ---------------------------------------------------------- #
     def enqueue(self, transaction: Transaction) -> None:
@@ -723,7 +732,7 @@ class LocalOrdering:
             replica.mode == MODE_ACTIVE
             and replica.leader == replica.process_id
             and replica.round_number not in self.proposed_rounds
-            and len(self.leader_queue) >= replica.config.batch_size
+            and len(self.leader_queue) >= self.batch_size
         ):
             self.propose(replica.round_number)
 
@@ -748,7 +757,7 @@ class LocalOrdering:
         """Cut ``sequence``'s batch from the queue, skipping executed transactions."""
         batch: List[Transaction] = []
         queue = self.leader_queue
-        while queue and len(batch) < self.replica.config.batch_size:
+        while queue and len(batch) < self.batch_size:
             transaction = queue.popleft()
             self.queued_ids.discard(transaction.txn_id)
             if self.replica.kv.executed(transaction.txn_id):

@@ -28,8 +28,6 @@ import copy
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.config import HamavaConfig
-from repro.errors import ConfigurationError
 from repro.workload.population import PopulationConfig, resolve_population_preset
 from repro.harness.scenario import (
     DEFAULT_REGION,
@@ -45,6 +43,7 @@ from repro.harness.scenario import (
     RegionOutageEvent,
     ScenarioEvent,
     ScenarioSpec,
+    _check_keys,
 )
 from repro.net.adversity import CongestionConfig, CrossTrafficStream, RttTrace
 
@@ -54,10 +53,8 @@ ClusterShape = Union[int, Tuple[int, str], List[object]]
 
 
 def _override(target: object, what: str, fields: Dict[str, object]) -> None:
-    """Set known attributes of a config object; an unknown name is an error."""
-    for key, value in fields.items():
-        if not hasattr(target, key):
-            raise ConfigurationError(f"unknown {what} field {key!r}")
+    """Set dataclass fields of a config object; any other name is an error."""
+    for key, value in _check_keys(type(target), fields, what).items():
         setattr(target, key, value)
 
 
@@ -118,10 +115,8 @@ class Scenario:
         self._spec.preset = preset
         return self
 
-    def config(self, base: Optional[HamavaConfig] = None, **overrides: object) -> "Scenario":
-        """Set the base protocol config and/or flat field overrides."""
-        if base is not None:
-            self._spec.config = base
+    def config(self, **overrides: object) -> "Scenario":
+        """Override :class:`~repro.core.config.HamavaConfig` fields."""
         self._spec.config_overrides.update(overrides)
         return self
 
@@ -137,7 +132,7 @@ class Scenario:
     # Workload and clients
     # ------------------------------------------------------------------ #
     def workload(self, **fields: object) -> "Scenario":
-        """Override YCSB workload parameters (``read_fraction``, ...)."""
+        """Override YCSB workload parameters (``read_fraction``)."""
         _override(self._spec.workload, "workload", fields)
         return self
 
@@ -157,9 +152,8 @@ class Scenario:
 
         Either start from a named population ``preset`` (``"steady"``) or
         from the current population (defaults if none), then override
-        ``clients`` / ``rate`` and any other
-        :class:`~repro.workload.population.PopulationConfig` field
-        (``batch_window``, ``max_outstanding``).
+        ``clients`` / ``rate`` (also accepted as ``fields``, which must name
+        :class:`~repro.workload.population.PopulationConfig` fields).
         """
         config = (
             resolve_population_preset(preset)
@@ -175,11 +169,9 @@ class Scenario:
         self._spec.population = config
         return self
 
-    def read_leases(self, enabled: bool = True, duration: Optional[float] = None) -> "Scenario":
+    def read_leases(self, enabled: bool = True) -> "Scenario":
         """Enable leader read leases (lease-covered reads skip consensus)."""
         self._spec.config_overrides["read_leases"] = bool(enabled)
-        if duration is not None:
-            self._spec.config_overrides["lease_duration"] = float(duration)
         return self
 
     # ------------------------------------------------------------------ #
@@ -345,9 +337,9 @@ class Scenario:
     def congestion(self, config: Optional[CongestionConfig] = None, **fields: object) -> "Scenario":
         """Enable load-dependent link latency (M/M/1-style congestion).
 
-        Pass a full :class:`CongestionConfig` or override individual fields
-        (``capacity_bytes_per_sec``, ``window``, ``service_time``,
-        ``max_utilization``) on the current/default config.
+        Pass a full :class:`CongestionConfig` or override its fields
+        (``streams``) on the current/default config; the model's constants
+        live in :mod:`repro.net.adversity`.
         """
         if config is None:
             config = (

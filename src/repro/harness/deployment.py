@@ -64,7 +64,6 @@ class Deployment:
     def __init__(self, spec: "ScenarioSpec", local_shard: Optional[int] = None) -> None:
         self.spec = spec
         self.config = spec.compiled_config()
-        self.replica_class = spec.compiled_replica_class()
         self.system_config = SystemConfig.build(spec.clusters)
         cluster_ids = self.system_config.cluster_ids()
         shards = max(1, min(int(spec.shards or 1), len(cluster_ids)))
@@ -82,8 +81,8 @@ class Deployment:
         self._floor_schedule_resolved = False
 
         self.simulator = self.kernel = Simulator(seed=spec.seed)
-        self.latency_model = LatencyModel(spec.latency)
-        self.network = Network(self.simulator, self.latency_model, self.registry, spec.network)
+        self.latency_model = LatencyModel()
+        self.network = Network(self.simulator, self.latency_model, self.registry)
         self.network.owners = self._owners
         self.network.next_barrier = self.next_barrier
         # A worker's mailbox is drained by the forked exchange; flushing it
@@ -197,7 +196,7 @@ class Deployment:
                     self._build_client(cluster_id, client_index)
 
     def _new_replica(self, replica_id: str, cluster_id: int, mode: str = MODE_ACTIVE) -> HamavaReplica:
-        return self.replica_class(
+        return HamavaReplica(
             replica_id=replica_id,
             cluster_id=cluster_id,
             system_config=self.system_config,

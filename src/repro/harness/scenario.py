@@ -3,9 +3,9 @@
 The paper's evaluation is a grid of *scenarios* — cluster shapes × engines ×
 fault/churn schedules × workloads.  :class:`ScenarioSpec` captures one cell
 of that grid as plain data: the clusters, the protocol configuration, the
-workload and latency models, and a ``schedule`` of typed events.  It is the
-*only* description of an experiment: a
-:class:`~repro.harness.deployment.Deployment` reads it directly.
+workload, and a ``schedule`` of typed events.  It is the *only* description
+of an experiment: a :class:`~repro.harness.deployment.Deployment` reads it
+directly.
 
 An event class is the one place a fault (or churn step) is defined.  Each
 subclass of :class:`ScenarioEvent` is a dataclass of plain JSON values that
@@ -21,7 +21,9 @@ A spec round-trips through JSON (:meth:`ScenarioSpec.to_dict` /
 (:meth:`ScenarioSpec.build`), and executes to a typed result row
 (:meth:`ScenarioSpec.run`).  Baselines plug in through named *presets*
 (``"hamava"``, ``"geobft"``, ``"single_workflow"``) that transform the
-protocol configuration and may swap the replica class.
+protocol configuration.  The model constants (batch size, message costs,
+latency and congestion constants, key space) are not spec fields: they are
+constants of the modules that read them.
 
 Most callers never instantiate a spec directly: the fluent
 :class:`~repro.harness.builder.Scenario` builder compiles to specs, and the
@@ -35,17 +37,14 @@ import copy
 import importlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.consensus.interface import ConsensusConfig
 from repro.core.config import HamavaConfig, failure_threshold
-from repro.core.replica import HamavaReplica
 from repro.errors import ConfigurationError
 from repro.harness.deployment import Deployment
 from repro.harness.faults import FaultInjector
 from repro.net.adversity import CongestionConfig, CrossTrafficStream, RttTrace
-from repro.net.latency import LatencyParameters, canonical_region
-from repro.net.network import NetworkConfig
+from repro.net.latency import canonical_region
 from repro.workload.population import PopulationConfig
 from repro.workload.ycsb import YcsbConfig
 
@@ -469,23 +468,18 @@ def event_from_dict(payload: Dict[str, object]) -> ScenarioEvent:
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class Preset:
-    """A named system variant: a config transform plus a replica class."""
+    """A named system variant: a protocol configuration transform."""
 
     name: str
     transform: Callable[[HamavaConfig], HamavaConfig]
-    replica_class: Type[HamavaReplica] = HamavaReplica
 
 
 PRESETS: Dict[str, Preset] = {}
 
 
-def register_preset(
-    name: str,
-    transform: Callable[[HamavaConfig], HamavaConfig],
-    replica_class: Type[HamavaReplica] = HamavaReplica,
-) -> None:
+def register_preset(name: str, transform: Callable[[HamavaConfig], HamavaConfig]) -> None:
     """Register a scenario preset under ``name`` (case-insensitive)."""
-    PRESETS[name.lower()] = Preset(name=name.lower(), transform=transform, replica_class=replica_class)
+    PRESETS[name.lower()] = Preset(name=name.lower(), transform=transform)
 
 
 register_preset("hamava", lambda config: config)
@@ -502,48 +496,12 @@ def resolve_preset(name: str) -> Preset:
     return PRESETS[key]
 
 
-def _resolve_class(path: str) -> type:
-    module_name, _, qualname = path.partition(":")
-    if not qualname:
-        raise ConfigurationError(f"replica class path {path!r} must look like 'module:Class'")
-    try:
-        obj: object = importlib.import_module(module_name)
-        for part in qualname.split("."):
-            obj = getattr(obj, part)
-    except (ImportError, AttributeError) as exc:
-        raise ConfigurationError(
-            f"cannot resolve replica class {path!r} (classes must be importable "
-            f"by name to cross process boundaries): {exc}"
-        ) from exc
-    return obj  # type: ignore[return-value]
-
-
 # ---------------------------------------------------------------------- #
 # Configuration overrides
 # ---------------------------------------------------------------------- #
 def apply_config_overrides(config: HamavaConfig, overrides: Dict[str, object]) -> HamavaConfig:
-    """Return a copy of ``config`` with flat overrides applied.
-
-    Keys name :class:`HamavaConfig` fields; ``instance_timeout`` is routed
-    to the nested consensus configuration.
-    """
-    config = replace(config, consensus=replace(config.consensus))
-    for key, value in overrides.items():
-        if key == "instance_timeout":
-            config.consensus.instance_timeout = value
-        elif key == "consensus":
-            raise ConfigurationError("override consensus fields individually (e.g. instance_timeout)")
-        elif hasattr(config, key):
-            setattr(config, key, value)
-        else:
-            raise ConfigurationError(f"unknown config override {key!r}")
-    return config
-
-
-def _config_from_dict(payload: Dict[str, object]) -> HamavaConfig:
-    data = dict(payload)
-    data["consensus"] = _construct(ConsensusConfig, data.get("consensus", {}), "config.consensus")
-    return _construct(HamavaConfig, data, "config")
+    """Return a copy of ``config`` with overrides of its fields applied."""
+    return replace(config, **_check_keys(HamavaConfig, overrides, "config override"))
 
 
 def _congestion_from_dict(payload: Dict[str, object]) -> CongestionConfig:
@@ -561,10 +519,6 @@ def _optional(convert: Callable) -> Callable:
     return lambda value: None if value is None else convert(value)
 
 
-def _class_to_path(value: Union[str, type]) -> str:
-    return value if isinstance(value, str) else f"{value.__module__}:{value.__qualname__}"
-
-
 #: (encode, decode) of a field whose JSON form is the value itself.
 _PLAIN: Tuple[Callable, Callable] = (copy.deepcopy, lambda value: value)
 
@@ -577,9 +531,10 @@ _CODECS: Dict[str, Tuple[Callable, Callable]] = {
     ),
     "workload": (asdict, _decoder(YcsbConfig, "workload")),
     "population": (_optional(asdict), _optional(_decoder(PopulationConfig, "population"))),
-    "latency": (asdict, _decoder(LatencyParameters, "latency")),
-    "network": (asdict, _decoder(NetworkConfig, "network")),
-    "config": (_optional(asdict), _optional(_config_from_dict)),
+    "config_overrides": (
+        copy.deepcopy,
+        lambda value: dict(_check_keys(HamavaConfig, value, "config override")),
+    ),
     "rtt_overrides": (
         lambda value: [[a, b, rtt] for a, b, rtt in value],
         lambda value: [(a, b, float(rtt)) for a, b, rtt in value],
@@ -588,7 +543,6 @@ _CODECS: Dict[str, Tuple[Callable, Callable]] = {
         lambda value: [event_to_dict(event) for event in value],
         lambda value: [event_from_dict(event) for event in value],
     ),
-    "replica_class": (_optional(_class_to_path), _PLAIN[1]),
     "rtt_trace": (
         _optional(RttTrace.to_dict),
         _optional(lambda value: RttTrace.from_dict(_check_keys(RttTrace, value, "rtt_trace"))),
@@ -622,12 +576,8 @@ class ScenarioSpec:
             cluster, driven by a constant arrival rate).
         population: Open-loop population parameters; required context when
             ``workload_model == "open"`` (defaults applied when ``None``).
-        latency: Latency-model constants.
-        network: Network processing-cost constants.
-        config: Optional base protocol configuration (defaults applied
-            otherwise); ``engine``/preset/overrides are layered on top.
-        config_overrides: Flat :class:`HamavaConfig` field overrides
-            (``instance_timeout`` reaches the consensus sub-config).
+        config_overrides: :class:`HamavaConfig` field overrides, layered
+            over ``engine`` and the preset.
         region_overrides: Per-replica region placement.
         rtt_overrides: ``[(region_a, region_b, rtt_ms), ...]`` overrides of
             the inter-region RTT matrix (the E8 sweep).
@@ -639,8 +589,6 @@ class ScenarioSpec:
             per-stage latency breakdown.
         labels: Free-form tags copied into the result row (e.g. the sweep
             coordinates a figure plots against).
-        replica_class: Replica implementation: a class, a ``"module:Class"``
-            path, or ``None`` to use the preset's class.
         shards: Forked worker processes the clusters are split across
             under ``shard_parallel`` (clamped to the cluster count).
             Results are byte-identical for every value; without
@@ -666,9 +614,6 @@ class ScenarioSpec:
     workload: YcsbConfig = field(default_factory=YcsbConfig)
     workload_model: str = "closed"
     population: Optional[PopulationConfig] = None
-    latency: LatencyParameters = field(default_factory=LatencyParameters)
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    config: Optional[HamavaConfig] = None
     config_overrides: Dict[str, object] = field(default_factory=dict)
     region_overrides: Dict[str, str] = field(default_factory=dict)
     rtt_overrides: List[Tuple[str, str, float]] = field(default_factory=list)
@@ -676,7 +621,6 @@ class ScenarioSpec:
     timeseries_bucket: Optional[float] = None
     collect_stages: bool = False
     labels: Dict[str, object] = field(default_factory=dict)
-    replica_class: Union[None, str, type] = None
     shards: int = 1
     shard_parallel: bool = False
     rtt_trace: Optional[RttTrace] = None
@@ -690,19 +634,9 @@ class ScenarioSpec:
         return replace(copy.deepcopy(self), seed=seed)
 
     def compiled_config(self) -> HamavaConfig:
-        """The effective protocol configuration: base → engine → preset → overrides."""
-        config = self.config if self.config is not None else HamavaConfig()
-        config = config.with_engine(self.engine)
-        config = resolve_preset(self.preset).transform(config)
+        """The effective protocol configuration: engine → preset → overrides."""
+        config = resolve_preset(self.preset).transform(HamavaConfig(engine=self.engine))
         return apply_config_overrides(config, self.config_overrides)
-
-    def compiled_replica_class(self) -> type:
-        """The effective replica implementation for this scenario."""
-        if self.replica_class is None:
-            return resolve_preset(self.preset).replica_class
-        if isinstance(self.replica_class, str):
-            return _resolve_class(self.replica_class)
-        return self.replica_class
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on an unusable spec."""

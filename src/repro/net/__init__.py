@@ -14,7 +14,7 @@ from repro.net.crypto import Certificate, KeyRegistry, Signature
 from repro.net.latency import REGION_RTT_MS, LatencyModel, Region
 from repro.net.links import AuthenticatedBestEffortBroadcast, AuthenticatedPerfectLink
 from repro.net.message import Envelope, Message
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 
 __all__ = [
     "AuthenticatedBestEffortBroadcast",
@@ -25,7 +25,6 @@ __all__ = [
     "LatencyModel",
     "Message",
     "Network",
-    "NetworkConfig",
     "Region",
     "REGION_RTT_MS",
     "Signature",

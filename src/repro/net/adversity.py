@@ -9,10 +9,11 @@ two dynamic-latency sources of the adversarial scenario pack:
   the trace at *send* time, so inter-region latency drifts over a run.
 * :class:`CongestionModel` — load-dependent link latency.  Each sender's
   wire traffic to a remote region is accumulated in fixed windows, an
-  M/M/1-style queueing surcharge ``service_time * rho / (1 - rho)`` is
-  added per message, and declarative :class:`CrossTrafficStream` entries
-  inject background cross-traffic into the utilization without simulating
-  the foreign packets.
+  M/M/1-style queueing surcharge ``SERVICE_TIME * rho / (1 - rho)`` is
+  added per message (the model's constants are this module's), and
+  declarative :class:`CrossTrafficStream` entries inject background
+  cross-traffic into the utilization without simulating the foreign
+  packets.
 
 Determinism contract (the part that makes this subtle): the sharded kernel
 requires every latency ingredient to be *shard-layout invariant*.
@@ -235,36 +236,31 @@ class CrossTrafficStream:
         return self.rate_bytes_per_sec
 
 
+#: Constants of the load-dependent latency model.  Usable capacity of one
+#: inter-region link (bytes/second):
+CAPACITY_BYTES_PER_SEC = 1.25e8
+#: Utilization accounting window (virtual seconds):
+WINDOW = 0.25
+#: Queueing-delay scale: the per-message surcharge is
+#: ``SERVICE_TIME * rho / (1 - rho)`` with utilization ``rho``:
+SERVICE_TIME = 0.004
+#: Cap on ``rho``, so the surcharge stays finite even when offered load
+#: exceeds capacity:
+MAX_UTILIZATION = 0.95
+
+
 @dataclass
 class CongestionConfig:
-    """Constants of the load-dependent latency model.
+    """The congestion model's background cross-traffic.
 
     Attributes:
-        capacity_bytes_per_sec: Usable capacity of one inter-region link.
-        window: Utilization accounting window in virtual seconds.
-        service_time: Queueing-delay scale: the per-message surcharge is
-            ``service_time * rho / (1 - rho)`` with utilization ``rho``.
-        max_utilization: Cap on ``rho`` so the surcharge stays finite even
-            when offered load exceeds capacity.
         streams: Background cross-traffic loading links without messages.
     """
 
-    capacity_bytes_per_sec: float = 1.25e8
-    window: float = 0.25
-    service_time: float = 0.004
-    max_utilization: float = 0.95
     streams: List[CrossTrafficStream] = field(default_factory=list)
 
     def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on unusable constants."""
-        if self.capacity_bytes_per_sec <= 0:
-            raise ConfigurationError("CongestionConfig: capacity_bytes_per_sec must be positive")
-        if self.window <= 0:
-            raise ConfigurationError("CongestionConfig: window must be positive")
-        if self.service_time < 0:
-            raise ConfigurationError("CongestionConfig: service_time must be >= 0")
-        if not 0.0 < self.max_utilization < 1.0:
-            raise ConfigurationError("CongestionConfig: max_utilization must be in (0, 1)")
+        """Raise :class:`ConfigurationError` on unusable streams."""
         for stream in self.streams:
             if stream.rate_bytes_per_sec < 0:
                 raise ConfigurationError("CrossTrafficStream: rate_bytes_per_sec must be >= 0")
@@ -274,10 +270,6 @@ class CongestionConfig:
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serializable description."""
         return {
-            "capacity_bytes_per_sec": self.capacity_bytes_per_sec,
-            "window": self.window,
-            "service_time": self.service_time,
-            "max_utilization": self.max_utilization,
             "streams": [
                 {
                     "src_region": s.src_region,
@@ -293,9 +285,8 @@ class CongestionConfig:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CongestionConfig":
         """Rebuild a config from :meth:`to_dict` output."""
-        data = dict(payload)
-        streams = [CrossTrafficStream(**entry) for entry in data.pop("streams", [])]
-        config = cls(streams=streams, **data)
+        streams = [CrossTrafficStream(**entry) for entry in payload.get("streams", [])]
+        config = cls(streams=streams)
         config.validate()
         return config
 
@@ -319,10 +310,10 @@ class CongestionModel:
         config.validate()
         self.config = config
         self._latency_model = latency_model
-        self._capacity = config.capacity_bytes_per_sec
-        self._window = config.window
-        self._service_time = config.service_time
-        self._max_utilization = config.max_utilization
+        self._capacity = CAPACITY_BYTES_PER_SEC
+        self._window = WINDOW
+        self._service_time = SERVICE_TIME
+        self._max_utilization = MAX_UTILIZATION
         #: (key, src_region, dst_region) -> [window_index, bytes_this_window]
         self._state: Dict[tuple, List] = {}
         #: (src_region, dst_region) -> streams loading that directed link.

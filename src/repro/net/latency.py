@@ -13,7 +13,6 @@ intra-region latency is sub-millisecond, matching a single cloud zone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -115,22 +114,15 @@ def region_rtt_ms(a: Region, b: Region, table: Optional[Mapping[Tuple[Region, Re
     raise ConfigurationError(f"no RTT entry for region pair ({a!r}, {b!r})")
 
 
-@dataclass
-class LatencyParameters:
-    """Tunable constants of the latency model (times in seconds).
-
-    Attributes:
-        intra_region_latency: One-way latency between nodes in one zone.
-        jitter_fraction: Relative jitter applied to each one-way latency.
-        bandwidth_bytes_per_sec: Per-link serialization bandwidth; larger
-            messages (batches) take proportionally longer.
-        per_message_overhead: Fixed software overhead per delivered message.
-    """
-
-    intra_region_latency: float = 0.0006
-    jitter_fraction: float = 0.08
-    bandwidth_bytes_per_sec: float = 2.0e8
-    per_message_overhead: float = 0.00005
+#: Model constants (seconds).  One-way latency between nodes in one zone:
+INTRA_REGION_LATENCY = 0.0006
+#: Relative jitter applied to each one-way latency:
+JITTER_FRACTION = 0.08
+#: Per-link serialization bandwidth; larger messages (batches) take
+#: proportionally longer:
+BANDWIDTH_BYTES_PER_SEC = 2.0e8
+#: Fixed software overhead per delivered message:
+PER_MESSAGE_OVERHEAD = 0.00005
 
 
 class LatencyModel:
@@ -138,19 +130,10 @@ class LatencyModel:
 
     The jitter draws are not the model's: each sender's network port owns
     its stream (see :class:`~repro.net.network.Network`).
-
-    Args:
-        parameters: Model constants.
-        rtt_table: Override for the region RTT matrix (tests, E8 sweeps).
     """
 
-    def __init__(
-        self,
-        parameters: Optional[LatencyParameters] = None,
-        rtt_table: Optional[Mapping[Tuple[Region, Region], float]] = None,
-    ) -> None:
-        self.parameters = parameters or LatencyParameters()
-        self._rtt_table = dict(rtt_table) if rtt_table is not None else dict(REGION_RTT_MS)
+    def __init__(self) -> None:
+        self._rtt_table = dict(REGION_RTT_MS)
         #: Optional piecewise-linear RTT schedule; traced pairs are sampled
         #: at send time (the network bypasses its route memo for them).
         self._trace: Optional[RttTrace] = None
@@ -164,10 +147,10 @@ class LatencyModel:
         #: memos — are torn down in the same breath.
         self._invalidate_hooks: list = []
         # Model constants are immutable after construction; bind them once.
-        params = self.parameters
-        self._jitter_fraction = params.jitter_fraction
-        self._bandwidth = params.bandwidth_bytes_per_sec
-        self._per_message_overhead = params.per_message_overhead
+        self._intra_region_latency = INTRA_REGION_LATENCY
+        self._jitter_fraction = JITTER_FRACTION
+        self._bandwidth = BANDWIDTH_BYTES_PER_SEC
+        self._per_message_overhead = PER_MESSAGE_OVERHEAD
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -254,7 +237,7 @@ class LatencyModel:
             src_region = self.region_of(src)
             dst_region = self.region_of(dst)
             if src_region == dst_region:
-                base = self.parameters.intra_region_latency
+                base = self._intra_region_latency
             else:
                 base = self.rtt_ms(src_region, dst_region) / 2.0 / 1000.0
             pair = by_src[dst] = (base, base * self._jitter_fraction)
@@ -280,7 +263,7 @@ class LatencyModel:
 
     def _pair_base_latency(self, region_a: Region, region_b: Region) -> float:
         if region_a == region_b:
-            return self.parameters.intra_region_latency
+            return self._intra_region_latency
         return self.rtt_ms(region_a, region_b) / 2.0 / 1000.0
 
     def _base_floor(self, base: float) -> float:
@@ -339,7 +322,7 @@ class LatencyModel:
             best: Optional[float] = None
             for region_a, region_b in pairs:
                 if region_a == region_b:
-                    base = self.parameters.intra_region_latency
+                    base = self._intra_region_latency
                 else:
                     if end is None:
                         rtt = trace.rtt_at(region_a, region_b, start)
@@ -368,7 +351,6 @@ def paper_rtt_matrix() -> Dict[str, Dict[str, float]]:
 
 __all__ = [
     "LatencyModel",
-    "LatencyParameters",
     "REGION_RTT_MS",
     "REGION_ALIASES",
     "Region",

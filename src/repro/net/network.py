@@ -97,19 +97,13 @@ from repro.sim.simulator import Simulator
 DropRule = Callable[[str, str, Message], bool]
 
 
-@dataclass
-class NetworkConfig:
-    """Processing-cost constants for the network (times in seconds).
-
-    Attributes:
-        send_overhead: Sender-side cost to serialize and push one message.
-        base_processing: Receiver-side fixed cost to handle one message.
-        signature_verify_cost: Receiver-side cost per signature verification.
-    """
-
-    send_overhead: float = 0.00002
-    base_processing: float = 0.00001
-    signature_verify_cost: float = 0.00008
+#: Processing-cost constants (seconds).  Sender-side cost to serialize and
+#: push one message:
+SEND_OVERHEAD = 0.00002
+#: Receiver-side fixed cost to handle one message:
+BASE_PROCESSING = 0.00001
+#: Receiver-side cost per signature verification:
+SIGNATURE_VERIFY_COST = 0.00008
 
 
 @dataclass
@@ -289,27 +283,18 @@ class Network:
         simulator: The simulation kernel.
         latency_model: Geo latency model; processes must be placed on it.
         registry: Key registry used to sign and verify envelopes.
-        config: Processing-cost constants.
     """
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        latency_model: LatencyModel,
-        registry: KeyRegistry,
-        config: Optional[NetworkConfig] = None,
-    ) -> None:
+    def __init__(self, simulator: Simulator, latency_model: LatencyModel, registry: KeyRegistry) -> None:
         self.simulator = simulator
         self.latency_model = latency_model
         self.registry = registry
-        self.config = config = config or NetworkConfig()
         self.stats = NetworkStats()
-        # Config constants are read on every send; they are fixed for the
-        # lifetime of a network, so bind them once instead of paying
-        # dataclass attribute reads per message.
-        self._send_overhead = config.send_overhead
-        self._base_processing = config.base_processing
-        self._signature_verify_cost = config.signature_verify_cost
+        # The cost constants are read on every send; bind them once instead
+        # of paying module-global reads per message.
+        self._send_overhead = SEND_OVERHEAD
+        self._base_processing = BASE_PROCESSING
+        self._signature_verify_cost = SIGNATURE_VERIFY_COST
         #: The simulator's event queue and microtask deque, held directly:
         #: delivery events are the most-scheduled events in any run, so they
         #: are pushed without the per-call scheduling wrapper (hand-over
@@ -325,7 +310,7 @@ class Network:
         #: from the *sender's* per-port stream, never from the model's.
         self._lat_bandwidth = latency_model._bandwidth
         self._lat_overhead = latency_model._per_message_overhead
-        self._lat_intra = latency_model.parameters.intra_region_latency
+        self._lat_intra = latency_model._intra_region_latency
         latency_model._invalidate_hooks.append(self._clear_route_memos)
         self.ports: Dict[str, _Port] = {}
         self.drop_rules: List[DropRule] = []
@@ -804,4 +789,4 @@ class Network:
         process.on_message(envelope.sender, envelope)
 
 
-__all__ = ["DropRule", "Network", "NetworkConfig", "NetworkStats"]
+__all__ = ["DropRule", "Network", "NetworkStats"]

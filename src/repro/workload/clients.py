@@ -58,7 +58,6 @@ class WorkloadClient(Process):
         threads: Number of concurrent logical threads (outstanding requests).
         metrics: Optional metrics sink (duck-typed ``record_transaction``).
         retry_timeout: Seconds after which an unanswered request is resent.
-        start_delay: Virtual seconds to wait before issuing the first request.
     """
 
     def __init__(
@@ -71,7 +70,6 @@ class WorkloadClient(Process):
         threads: int = 16,
         metrics: Optional[Any] = None,
         retry_timeout: float = 60.0,
-        start_delay: float = 0.0,
     ) -> None:
         super().__init__(client_id, simulator)
         self.workload = workload
@@ -79,7 +77,6 @@ class WorkloadClient(Process):
         self.threads = [_Thread(index=i) for i in range(threads)]
         self.metrics = metrics
         self.retry_timeout = retry_timeout
-        self.start_delay = start_delay
         self.apl: Optional[AuthenticatedPerfectLink] = None
         self._network = network
         self._retry_label = f"{client_id}:retry"
@@ -101,7 +98,7 @@ class WorkloadClient(Process):
         """Kick off every thread's first request."""
         self.apl = AuthenticatedPerfectLink(self.process_id, self._network)
         for thread in self.threads:
-            self.after(self.start_delay, lambda t=thread: self._submit_next(t))
+            self.after(0.0, lambda t=thread: self._submit_next(t))
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -139,7 +136,7 @@ class WorkloadClient(Process):
             key=key,
             value=value,
             submitted_at=self.now,
-            size_bytes=self.workload.config.value_size,
+            size_bytes=self.workload.value_size,
         )
         thread.outstanding_txn = transaction
         thread.submitted_at = self.now

@@ -21,7 +21,7 @@ carries) and responses return as per-round
 Open loop means arrivals do not wait for completions: when the system
 cannot keep up, the backlog grows and *offered load* diverges from
 *goodput* — exactly the signal closed-loop clients cannot produce.  The
-pipelining window (``max_outstanding``) only bounds memory: operations
+pipelining window (:data:`MAX_OUTSTANDING`) only bounds memory: operations
 beyond it wait in the backlog; their wait is reported as queueing delay and
 is part of their latency, which runs from arrival, not from dispatch.
 """
@@ -45,28 +45,27 @@ from repro.sim.simulator import Simulator
 from repro.workload.ycsb import YcsbWorkload
 
 
+#: Client-side batching quantum in seconds.  Arrivals within one window
+#: ship together as one batch envelope per target.
+BATCH_WINDOW = 0.005
+#: Pipelining window: operations in flight before new arrivals queue in the
+#: backlog.  Bounds per-operation state.
+MAX_OUTSTANDING = 20_000
+
+
 @dataclass
 class PopulationConfig:
     """Parameters of one open-loop client population (per region).
 
     Attributes:
         clients: Number of simulated users this population stands in for.
-            Purely aggregate — state never scales with it, so millions are
-            as cheap as dozens.  Operations carry synthesized per-user ids
-            (round-robin over the population) for trace realism.
+            A label only: it is copied into the result row's population
+            statistics, and neither state nor operations depend on it.
         rate: Aggregate Poisson arrival rate (operations/second).
-        batch_window: Client-side batching quantum in seconds.  Arrivals
-            within one window ship together as one batch envelope per
-            target; smaller windows trade wire messages for latency
-            granularity.
-        max_outstanding: Pipelining window — operations in flight before
-            new arrivals queue in the backlog.  Bounds per-operation state.
     """
 
     clients: int = 100_000
     rate: float = 2000.0
-    batch_window: float = 0.005
-    max_outstanding: int = 20_000
 
     def validate(self) -> None:
         """Raise :class:`WorkloadError` on out-of-range parameters."""
@@ -74,10 +73,6 @@ class PopulationConfig:
             raise WorkloadError("population clients must be positive")
         if self.rate < 0:
             raise WorkloadError("population rate must be non-negative")
-        if self.batch_window <= 0:
-            raise WorkloadError("population batch_window must be positive")
-        if self.max_outstanding <= 0:
-            raise WorkloadError("population max_outstanding must be positive")
 
     def copy(self) -> "PopulationConfig":
         """An independent copy."""
@@ -102,7 +97,7 @@ def resolve_population_preset(name: str) -> PopulationConfig:
 class ClientPopulation(Process):
     """An aggregate open-loop client population bound to one cluster.
 
-    One resident tick event fires every ``batch_window`` seconds: it draws
+    One resident tick event fires every :data:`BATCH_WINDOW` seconds: it draws
     the window's arrival count (one Poisson draw per tick), folds the arrivals into the backlog, and
     dispatches as many operations as the pipelining window admits — reads
     as one batch to a rotating replica, writes as one batch to the cached
@@ -116,7 +111,7 @@ class ClientPopulation(Process):
         workload: Operation generator (key/op mix; think of it as the
             per-user behaviour profile).
         target_replicas: Replicas of the cluster this population talks to.
-        config: Population parameters (rate, windows).
+        config: Population parameters (rate).
         metrics: Optional metrics sink (duck-typed ``record_transaction`` /
             ``record_offered``).
         retry_timeout: Seconds after which unanswered in-flight operations
@@ -137,6 +132,8 @@ class ClientPopulation(Process):
         super().__init__(client_id, simulator)
         self.config = config or PopulationConfig()
         self.config.validate()
+        self._batch_window = BATCH_WINDOW
+        self._max_outstanding = MAX_OUTSTANDING
         self.workload = workload
         self.target_replicas = list(target_replicas)
         self.metrics = metrics
@@ -151,11 +148,9 @@ class ClientPopulation(Process):
         #: ``[arrival_time, remaining_count]`` — never one entry per op.
         self._backlog: Deque[List[float]] = deque()
         self._backlog_size = 0
-        #: In-flight operations (bounded by ``max_outstanding``):
+        #: In-flight operations (bounded by :data:`MAX_OUTSTANDING`):
         #: txn_id -> (transaction, sent_at, target).
         self._inflight: Dict[str, Tuple[Transaction, float, str]] = {}
-        #: Synthesized per-user id counter (round-robin over the population).
-        self._user_cursor = 0
         self._read_cursor = 0
         self._suspected: set = set()
         #: Cached cluster leader from response ``leader_hint``s, invalidated
@@ -179,9 +174,7 @@ class ClientPopulation(Process):
     def on_start(self) -> None:
         """Arm the resident arrival tick and the retry sweep."""
         self.apl = AuthenticatedPerfectLink(self.process_id, self._network)
-        self.simulator.schedule(
-            self.config.batch_window, self._tick, label=self._tick_label
-        )
+        self.simulator.schedule(self._batch_window, self._tick, label=self._tick_label)
         self.after(self.retry_timeout / 2.0, self._sweep_retries, label=f"{self.process_id}:sweep")
 
     # ------------------------------------------------------------------ #
@@ -205,7 +198,7 @@ class ClientPopulation(Process):
 
     def _window_arrivals(self) -> int:
         """Arrival count for the window that just elapsed."""
-        return self._poisson(self.config.rate * self.config.batch_window)
+        return self._poisson(self.config.rate * self._batch_window)
 
     def _tick(self) -> None:
         if self.crashed or self.apl is None:
@@ -218,9 +211,7 @@ class ClientPopulation(Process):
             self._backlog.append([self.now, arrivals])
             self._backlog_size += arrivals
         self._dispatch()
-        self.simulator.schedule(
-            self.config.batch_window, self._tick, label=self._tick_label
-        )
+        self.simulator.schedule(self._batch_window, self._tick, label=self._tick_label)
 
     # ------------------------------------------------------------------ #
     # Dispatch (batching + pipelining)
@@ -243,15 +234,14 @@ class ClientPopulation(Process):
         return target
 
     def _dispatch(self) -> None:
-        window = self.config.max_outstanding - len(self._inflight)
+        window = self._max_outstanding - len(self._inflight)
         if window <= 0 or not self._backlog_size:
             return
         count = min(window, self._backlog_size)
         reads: List[Transaction] = []
         writes: List[Transaction] = []
         now = self.now
-        clients = self.config.clients
-        value_size = self.workload.config.value_size
+        value_size = self.workload.value_size
         backlog = self._backlog
         taken = 0
         while taken < count:
@@ -268,8 +258,6 @@ class ClientPopulation(Process):
             taken += take
             for _ in range(take):
                 op, key, value = self.workload.next_operation()
-                user = self._user_cursor
-                self._user_cursor = (user + 1) % clients
                 transaction = make_transaction(
                     client_id=self.process_id,
                     origin_replica="",  # filled per batch target below

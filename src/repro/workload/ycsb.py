@@ -14,40 +14,42 @@ from repro.sim.rng import SeededRng
 from repro.workload.zipf import ZipfianGenerator
 
 
+#: Number of distinct keys.
+KEY_SPACE = 10_000
+#: Zipfian skew (YCSB default).
+ZIPF_THETA = 0.99
+#: Bytes per written value (paper: 1 KB operations).
+VALUE_SIZE = 1024
+
+
 @dataclass
 class YcsbConfig:
     """Parameters of the YCSB-like workload.
 
     Attributes:
         read_fraction: Fraction of operations that are reads (paper: 0.85).
-        key_space: Number of distinct keys.
-        zipf_theta: Zipfian skew (YCSB default 0.99).
-        value_size: Bytes per written value (paper: 1 KB operations).
     """
 
     read_fraction: float = 0.85
-    key_space: int = 10_000
-    zipf_theta: float = 0.99
-    value_size: int = 1024
 
     def validate(self) -> None:
         """Raise :class:`WorkloadError` on out-of-range parameters."""
         if not 0.0 <= self.read_fraction <= 1.0:
             raise WorkloadError("read_fraction must be within [0, 1]")
-        if self.key_space <= 0:
-            raise WorkloadError("key_space must be positive")
-        if self.value_size <= 0:
-            raise WorkloadError("value_size must be positive")
 
 
 class YcsbWorkload:
-    """Generates (op, key, value) triples for client threads."""
+    """Generates (op, key, value) triples for client threads.
+
+    ``value_size`` is the size every operation is charged on the wire.
+    """
 
     def __init__(self, config: YcsbConfig, rng: SeededRng) -> None:
         config.validate()
         self.config = config
+        self.value_size = VALUE_SIZE
         self._rng = rng
-        self._zipf = ZipfianGenerator(config.key_space, config.zipf_theta, rng.child("zipf"))
+        self._zipf = ZipfianGenerator(KEY_SPACE, ZIPF_THETA, rng.child("zipf"))
         self._counter = 0
 
     def next_operation(self) -> Tuple[str, str, Optional[str]]:
@@ -56,7 +58,7 @@ class YcsbWorkload:
         if self._rng.random() < self.config.read_fraction:
             return ("read", key, None)
         self._counter += 1
-        value = "x" * max(1, self.config.value_size // 16)
+        value = "x" * max(1, self.value_size // 16)
         return ("write", key, f"{value}-{self._counter}")
 
 

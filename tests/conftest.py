@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.sim.simulator import Simulator
 
 
@@ -21,7 +21,7 @@ def network(simulator) -> Network:
     """A network over the fixture simulator."""
     registry = KeyRegistry(seed=42)
     latency = LatencyModel()
-    return Network(simulator, latency, registry, NetworkConfig())
+    return Network(simulator, latency, registry)
 
 
 @pytest.fixture

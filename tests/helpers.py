@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Tuple
 
-from repro.core.config import HamavaConfig
 from repro.harness.builder import Scenario
 from repro.harness.deployment import Deployment
-from repro.harness.scenario import ScenarioSpec, apply_config_overrides
+from repro.harness.scenario import ScenarioSpec
+
+#: Short fault-detection and retry timeouts for tests (``HamavaConfig`` fields).
+FAST_TIMEOUTS = {"remote_timeout": 2.0, "instance_timeout": 2.0, "brd_timeout": 2.0, "retry_timeout": 2.0}
 
 
 def members_fn(members: Iterable[str]) -> Callable[[], Tuple[str, ...]]:
@@ -28,27 +30,11 @@ def members_fn(members: Iterable[str]) -> Callable[[], Tuple[str, ...]]:
     return lambda: frozen
 
 
-def fast_config(engine: str = "hotstuff", **overrides) -> HamavaConfig:
-    """A Hamava configuration with short fault-detection timeouts for tests."""
-    return apply_config_overrides(
-        HamavaConfig().with_engine(engine),
-        {
-            "remote_timeout": 2.0,
-            "instance_timeout": 2.0,
-            "brd_timeout": 2.0,
-            "batch_timeout": 0.01,
-            "retry_timeout": 2.0,
-            **overrides,
-        },
-    )
-
-
 def small_deployment(
     clusters=((4, "us-west1"), (4, "us-west1")),
     engine: str = "hotstuff",
     seed: int = 11,
     client_threads: int = 4,
-    config: HamavaConfig | None = None,
     **spec_kwargs,
 ) -> Deployment:
     """Build a small two-cluster deployment suitable for integration tests.
@@ -56,12 +42,10 @@ def small_deployment(
     ``spec_kwargs`` are :class:`ScenarioSpec` fields — pass ``schedule=[...]``
     to inject faults and churn.
     """
-    config = config or fast_config(engine)
     return ScenarioSpec(
         clusters=list(clusters),
-        # compiled_config() layers ``engine`` over ``config``: keep them equal.
-        engine=config.engine,
-        config=config,
+        engine=engine,
+        config_overrides=dict(FAST_TIMEOUTS),
         seed=seed,
         client_threads=client_threads,
         **spec_kwargs,
@@ -89,4 +73,4 @@ def silent_inter_scenario() -> Scenario:
     )
 
 
-__all__ = ["fast_config", "members_fn", "silent_inter_scenario", "small_deployment"]
+__all__ = ["FAST_TIMEOUTS", "members_fn", "silent_inter_scenario", "small_deployment"]

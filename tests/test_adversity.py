@@ -27,7 +27,7 @@ from repro.harness.scenario import (
     RegionOutageEvent,
     ScenarioSpec,
 )
-from repro.net import latency as latency_module
+from repro.net import adversity, latency as latency_module
 from repro.net.adversity import (
     CongestionConfig,
     CongestionModel,
@@ -169,10 +169,13 @@ def _regions_stub():
 
 
 class TestCongestionModel:
-    def _model(self, **overrides):
-        fields = dict(capacity_bytes_per_sec=1.0e6, window=0.25, service_time=0.01)
-        fields.update(overrides)
-        return CongestionModel(CongestionConfig(**fields), _regions_stub())
+    @pytest.fixture(autouse=True)
+    def _small_link(self, monkeypatch):
+        monkeypatch.setattr(adversity, "CAPACITY_BYTES_PER_SEC", 1.0e6)
+        monkeypatch.setattr(adversity, "SERVICE_TIME", 0.01)
+
+    def _model(self, streams=()):
+        return CongestionModel(CongestionConfig(streams=list(streams)), _regions_stub())
 
     def test_idle_link_pays_nothing(self):
         model = self._model()
@@ -189,7 +192,8 @@ class TestCongestionModel:
         assert all(charge >= 0.0 for charge in charges)
 
     def test_window_rollover_resets_the_counters(self):
-        model = self._model(window=0.25)
+        assert adversity.WINDOW == 0.25
+        model = self._model()
         for i in range(5):
             model.surcharge("c0", "west/a", "east/b", 50_000, 0.01 * i)
         # Next window starts from a clean accumulator.
@@ -201,7 +205,8 @@ class TestCongestionModel:
             assert model.surcharge("c0", "west/a", "west/b", 1_000_000, 0.01 * i) == 0.0
 
     def test_utilization_is_clamped(self):
-        model = self._model(max_utilization=0.95)
+        assert adversity.MAX_UTILIZATION == 0.95
+        model = self._model()
         model.surcharge("c0", "west/a", "east/b", 10**9, 0.0)
         charge = model.surcharge("c0", "west/a", "east/b", 1, 0.001)
         assert charge == pytest.approx(0.01 * 0.95 / 0.05)
@@ -227,19 +232,12 @@ class TestCongestionModel:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            CongestionConfig(capacity_bytes_per_sec=0).validate()
-        with pytest.raises(ConfigurationError):
-            CongestionConfig(window=0).validate()
-        with pytest.raises(ConfigurationError):
-            CongestionConfig(max_utilization=1.0).validate()
-        with pytest.raises(ConfigurationError):
             CongestionConfig(
                 streams=[CrossTrafficStream("a", "b", 1.0, start=2.0, stop=1.0)]
             ).validate()
 
     def test_config_round_trips_through_dict(self):
         config = CongestionConfig(
-            capacity_bytes_per_sec=2.0e7,
             streams=[CrossTrafficStream("us-west1", "europe-west3", 1.0e6, start=0.5)],
         )
         rebuilt = CongestionConfig.from_dict(config.to_dict())
@@ -458,7 +456,7 @@ class TestEventGrammar:
             .flapping_partition(0, 1, at=0.3, period=0.1, duty=0.4, cycles=2, direction="a_to_b")
             .region_outage("europe-west3", at=0.4, duration=0.05)
             .rtt_trace(trace)
-            .congestion(capacity_bytes_per_sec=2.0e7)
+            .congestion()
             .cross_traffic("us-west1", "europe-west3", 1.0e7, start=0.2, stop=0.5)
             .duration(0.6, warmup=0.1)
             .seeds(7)

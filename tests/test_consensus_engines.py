@@ -7,7 +7,7 @@ import pytest
 from repro.consensus.bftsmart import BftSmartEngine, BsAccept, BsViewState, BsWrite
 from repro.consensus.hotstuff import HotStuffEngine, HsNewView, HsVote
 from repro.consensus.hotstuff_chained import ChainedHotStuffEngine, ChNewView, ChVote
-from repro.consensus.interface import ConsensusConfig, commit_digest
+from repro.consensus.interface import commit_digest
 from repro.consensus.leader_election import ElectionComplaint, LeaderElection
 from repro.consensus.registry import ENGINES, make_engine
 from repro.errors import ConfigurationError
@@ -16,7 +16,7 @@ from tests import helpers
 from repro.net.latency import LatencyModel
 from repro.net.links import AuthenticatedPerfectLink
 from repro.net.message import payload_digest
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -39,7 +39,7 @@ class EngineHost(Process):
             lambda: faults,
             network,
             simulator,
-            ConsensusConfig(instance_timeout=timeout),
+            timeout,
             on_deliver=self.decisions.append,
             on_complain=self.complaints.append,
             fetch_value=lambda seq: [f"fallback-{seq}"],
@@ -53,9 +53,7 @@ class EngineHost(Process):
 def build_cluster(engine_cls, size=4, seed=3, timeout=1.0):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
-    network = Network(
-        simulator, LatencyModel(), registry, NetworkConfig()
-    )
+    network = Network(simulator, LatencyModel(), registry)
     members = [f"p{i}" for i in range(size)]
     hosts = [EngineHost(m, simulator, network, members, engine_cls, timeout) for m in members]
     return simulator, network, hosts
@@ -315,9 +313,7 @@ class TestLeaderElection:
     def _cluster(self, size=4, seed=5):
         simulator = Simulator(seed=seed)
         registry = KeyRegistry(seed=seed)
-        network = Network(
-            simulator, LatencyModel(), registry, NetworkConfig()
-        )
+        network = Network(simulator, LatencyModel(), registry)
         members = [f"p{i}" for i in range(size)]
         elected = {m: [] for m in members}
 

@@ -16,7 +16,7 @@ from repro.core.types import join_request, leave_request
 from repro.net.crypto import KeyRegistry
 from tests import helpers
 from repro.net.latency import LatencyModel
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -51,9 +51,7 @@ class BrdHost(Process):
 def build_brd_cluster(size=4, seed=4, timeout=1.0):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
-    network = Network(
-        simulator, LatencyModel(), registry, NetworkConfig()
-    )
+    network = Network(simulator, LatencyModel(), registry)
     members = [f"p{i}" for i in range(size)]
     leader = members[0]
     hosts = [BrdHost(m, simulator, network, members, leader, timeout) for m in members]

@@ -18,7 +18,7 @@ from repro.core.types import (
 from repro.errors import ConfigurationError
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.net.message import Envelope
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
@@ -153,9 +153,7 @@ class TestReconfigurationCollector:
     def _setup(self):
         simulator = Simulator(seed=6)
         registry = KeyRegistry(seed=6)
-        network = Network(
-            simulator, LatencyModel(), registry, NetworkConfig()
-        )
+        network = Network(simulator, LatencyModel(), registry)
         members = ["p0", "p1", "p2", "p3"]
         hosts = [CollectorHost(m, simulator, network, members) for m in members]
         joiner = CollectorHost("newbie", simulator, network, members)

@@ -24,7 +24,7 @@ from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
 from repro.net.links import AuthenticatedBestEffortBroadcast, AuthenticatedPerfectLink
 from repro.net.message import Message
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.sim.events import LABEL
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
@@ -48,7 +48,7 @@ class Recorder(Process):
 def build_network(seed=3):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
-    network = Network(simulator, LatencyModel(), registry, NetworkConfig())
+    network = Network(simulator, LatencyModel(), registry)
     return simulator, network
 
 

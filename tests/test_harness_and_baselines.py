@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import fast_config, small_deployment
+from helpers import FAST_TIMEOUTS, small_deployment
 from repro.analysis.complexity import complexity_table, messages_per_decision, protocol
 from repro.baselines.geobft import geobft_config
 from repro.baselines.pbft_global import global_pbft_scenario
@@ -143,7 +143,7 @@ class TestBaselines:
     def test_geobft_deployment_commits(self):
         deployment = (
             Scenario("geobft").preset("geobft").engine("bftsmart").clusters(4, 4).seed(87)
-            .threads(4).config(fast_config()).build()
+            .threads(4).config(**FAST_TIMEOUTS).build()
         )
         metrics = deployment.run(duration=1.2, warmup=0.2)
         assert metrics.committed_count(op="write") > 0
@@ -153,7 +153,7 @@ class TestBaselines:
             global_pbft_scenario(6, regions=["us-west1", "europe-west3", "asia-south1"])
             .seed(88)
             .threads(4)
-            .config(fast_config("bftsmart"))
+            .config(**FAST_TIMEOUTS)
             .build()
         )
         regions = {deployment.latency_model.region_of(f"c0/r{i}") for i in range(6)}

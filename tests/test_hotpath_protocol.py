@@ -19,7 +19,7 @@ from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
 from repro.net.links import AuthenticatedPerfectLink
 from repro.net.message import Message
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
@@ -76,7 +76,7 @@ class TestPipelineFifo:
     def _build(self, seed, network_cls=Network):
         sim = Simulator(seed=seed)
         registry = KeyRegistry(seed=seed)
-        network = network_cls(sim, LatencyModel(), registry, NetworkConfig())
+        network = network_cls(sim, LatencyModel(), registry)
         senders = []
         receivers = []
         for index in range(4):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import fast_config, small_deployment
+from helpers import small_deployment
 from repro.harness.experiments import E9_CASES, run_e9
 from repro.harness.scenario import ByzantineEvent, CrashEvent
 

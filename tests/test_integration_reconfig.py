@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import fast_config, small_deployment
+from helpers import FAST_TIMEOUTS, small_deployment
 from repro.core.config import failure_threshold
 from repro.core.replica import MODE_ACTIVE, MODE_LEFT
 from repro.harness.builder import Scenario
@@ -107,7 +107,7 @@ class TestSingleWorkflowBaseline:
     def test_single_workflow_also_applies_reconfigs(self):
         deployment = (
             Scenario("single_workflow").preset("single_workflow").clusters(4, 4).seed(70)
-            .threads(4).config(fast_config()).build()
+            .threads(4).config(**FAST_TIMEOUTS).build()
         )
         joiner = deployment.add_joiner(0, at_time=0.6, replica_id="sw-new")
         deployment.run(duration=4.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import fast_config, small_deployment
+from helpers import small_deployment
 
 
 class TestBasicReplication:

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net import latency
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import (
     LatencyModel,
-    LatencyParameters,
     canonical_region,
     paper_rtt_matrix,
     region_rtt_ms,
@@ -69,6 +69,13 @@ class Sink(Process):
         self.arrivals.append(self.now)
 
 
+def jittered_model(jitter: float) -> LatencyModel:
+    """A latency model built while ``JITTER_FRACTION`` is patched to ``jitter``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(latency, "JITTER_FRACTION", jitter)
+        return LatencyModel()
+
+
 def send_delays(dst_region, jitter=0.0, size=0, rtt=None, sends=1):
     """Send-to-delivery delay of ``sends`` messages from us-west1 through ``multicast``.
 
@@ -76,7 +83,7 @@ def send_delays(dst_region, jitter=0.0, size=0, rtt=None, sends=1):
     end and each delay is one message's own.
     """
     simulator = Simulator(seed=3)
-    model = LatencyModel(LatencyParameters(jitter_fraction=jitter))
+    model = jittered_model(jitter)
     network = Network(simulator, model, KeyRegistry(seed=3))
     sink = Sink("b", simulator)
     network.register(Process("a", simulator), "us-west1")
@@ -92,7 +99,7 @@ def send_delays(dst_region, jitter=0.0, size=0, rtt=None, sends=1):
 
 class TestLatencyModel:
     def _model(self) -> LatencyModel:
-        return LatencyModel(LatencyParameters(jitter_fraction=0.0))
+        return jittered_model(0.0)
 
     def test_intra_region_is_submillisecond(self):
         model = self._model()
@@ -148,7 +155,7 @@ class TestLatencyModel:
         assert model.region_of("ghost") == "us-west1"
 
     def test_jitter_varies_latency(self):
-        model = LatencyModel(LatencyParameters(jitter_fraction=0.2))
+        model = jittered_model(0.2)
         model.place("a", "us-west1")
         model.place("b", "asia-south1")
         base, spread = model.pair_params("a", "b")

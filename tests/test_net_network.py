@@ -10,7 +10,7 @@ from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
 from repro.net.links import AuthenticatedBestEffortBroadcast, AuthenticatedPerfectLink
 from repro.net.message import Message
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import BASE_PROCESSING, SIGNATURE_VERIFY_COST, Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -35,7 +35,7 @@ def build_network(seed=9):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
     latency = LatencyModel()
-    network = Network(simulator, latency, registry, NetworkConfig())
+    network = Network(simulator, latency, registry)
     return simulator, network
 
 
@@ -201,7 +201,7 @@ class TestCpuModel:
         # With a serial CPU queue the last message finishes noticeably later
         # than the first (at least 50 * base+verify costs apart).
         assert arrival_times[-1] - arrival_times[0] > 40 * (
-            network.config.base_processing + network.config.signature_verify_cost
+            BASE_PROCESSING + SIGNATURE_VERIFY_COST
         )
 
     def test_stats_by_type(self):

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.consensus.interface import ReadLease
+from repro.core import replica as replica_module
 from repro.core.messages import ClientResponse
 from repro.core.types import make_transaction
 from repro.errors import ConfigurationError, WorkloadError
@@ -24,8 +25,11 @@ from repro.harness.scenario import ScenarioSpec
 from repro.net.message import Envelope
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
+from repro.workload import population as population_module
 from repro.workload.clients import WorkloadClient
 from repro.workload.population import (
+    BATCH_WINDOW,
+    MAX_OUTSTANDING,
     POPULATION_PRESETS,
     ClientPopulation,
     PopulationConfig,
@@ -44,10 +48,6 @@ class TestPopulationConfig:
     def test_validation_rejects_bad_parameters(self):
         with pytest.raises(WorkloadError):
             PopulationConfig(clients=0).validate()
-        with pytest.raises(WorkloadError):
-            PopulationConfig(batch_window=0.0).validate()
-        with pytest.raises(WorkloadError):
-            PopulationConfig(max_outstanding=0).validate()
         with pytest.raises(WorkloadError):
             PopulationConfig(rate=-5.0).validate()
 
@@ -73,14 +73,17 @@ class TestPopulationConfig:
 # Constant-rate Poisson arrivals
 # ---------------------------------------------------------------------- #
 def _population(client_id: str = "pop", rate: float = 500.0, seed: int = 1) -> ClientPopulation:
-    return ClientPopulation(
-        client_id,
-        Simulator(seed=seed),
-        None,
-        YcsbWorkload(YcsbConfig(), SeededRng(seed)),
-        ["r0"],
-        PopulationConfig(rate=rate, batch_window=0.05),
-    )
+    """A population built while ``BATCH_WINDOW`` is patched to 0.05 s."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(population_module, "BATCH_WINDOW", 0.05)
+        return ClientPopulation(
+            client_id,
+            Simulator(seed=seed),
+            None,
+            YcsbWorkload(YcsbConfig(), SeededRng(seed)),
+            ["r0"],
+            PopulationConfig(rate=rate),
+        )
 
 
 class TestConstantRateArrivals:
@@ -126,8 +129,8 @@ class TestScenarioSpecRoundTrip:
         spec = (
             Scenario("roundtrip")
             .clusters(4)
-            .open_loop(clients=12_345, rate=321.0, batch_window=0.02)
-            .read_leases(True, duration=1.5)
+            .open_loop(clients=12_345, rate=321.0)
+            .read_leases(True)
             .duration(1.0, warmup=0.1)
             .seeds(3)
             .spec()
@@ -202,7 +205,7 @@ class TestPopulationScale:
         deployment = spec.build()
         metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
         assert len(deployment.populations) == 2
-        ticks = spec.duration / deployment.populations[0].config.batch_window
+        ticks = spec.duration / BATCH_WINDOW
         for population in deployment.populations:
             # One aggregate process stands in for >= 100k users per region...
             assert population.config.clients >= 100_000
@@ -211,21 +214,22 @@ class TestPopulationScale:
             # ...while per-population state stays O(ticks + in-flight), never
             # O(clients) or O(operations).
             assert len(population._backlog) <= ticks + 1
-            assert stats["in_flight"] <= population.config.max_outstanding
+            assert stats["in_flight"] <= MAX_OUTSTANDING
             # The default deployment keeps up with the steady preset: the
             # backlog does not grow without bound.
             assert stats["backlog"] < 0.25 * stats["offered"]
         assert metrics.committed_count() > 0
 
-    def test_offered_vs_goodput_divergence_under_overload(self):
+    def test_offered_vs_goodput_divergence_under_overload(self, monkeypatch):
         # A rate far beyond what the pipelining window admits: open loop
         # means offered load keeps arriving and the backlog absorbs the
         # excess — the signal closed-loop clients structurally cannot
         # produce (their offered load collapses to whatever completes).
+        monkeypatch.setattr(population_module, "MAX_OUTSTANDING", 100)
         spec = (
             Scenario("overload")
             .clusters(4)
-            .open_loop(clients=200_000, rate=30_000.0, max_outstanding=100)
+            .open_loop(clients=200_000, rate=30_000.0)
             .duration(1.0, warmup=0.1)
             .seeds(11)
             .spec()
@@ -238,18 +242,19 @@ class TestPopulationScale:
         assert population.stats()["backlog"] > 0
         assert population.queueing_delay_mean() > 0.0
         # Backlog compression: tens of thousands of queued ops, O(ticks) pairs.
-        assert len(population._backlog) <= spec.duration / population.config.batch_window + 1
+        assert len(population._backlog) <= spec.duration / BATCH_WINDOW + 1
 
-    def test_latency_includes_backlog_wait(self):
+    def test_latency_includes_backlog_wait(self, monkeypatch):
         # A burst against a small pipelining window: the burst queues
         # behind the window and drains long before the run ends, so nearly
         # every dispatched request also completes.  Latency runs from
         # arrival, so its mean cannot be below the mean time spent queued
         # (it was, when requests were stamped at dispatch).
+        monkeypatch.setattr(population_module, "MAX_OUTSTANDING", 100)
         spec = (
             Scenario("backlog-latency")
             .clusters(4)
-            .open_loop(clients=200_000, rate=20_000.0, max_outstanding=100)
+            .open_loop(clients=200_000, rate=20_000.0)
             .duration(3.0, warmup=0.0)
             .seeds(11)
             .spec()
@@ -260,7 +265,7 @@ class TestPopulationScale:
         deployment.simulator.schedule(0.2, lambda: setattr(population.config, "rate", 0.0))
         metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
         stats = population.stats()
-        assert stats["max_in_flight"] == population.config.max_outstanding
+        assert stats["max_in_flight"] == 100
         assert stats["backlog"] == 0 and stats["in_flight"] < 10
         queue_delay = population.queueing_delay_mean()
         assert queue_delay > 0.01
@@ -310,14 +315,16 @@ class TestReadLease:
         lease.revoke()
         assert not lease.valid(now=0.1, current_view_ts=1)
 
-    def test_leases_serve_reads_locally_end_to_end(self):
+    def test_leases_serve_reads_locally_end_to_end(self, monkeypatch):
+        monkeypatch.setattr(population_module, "BATCH_WINDOW", 0.01)
+        # A short lease so the first grant (half a duration after start)
+        # covers most of the run instead of its tail.
+        monkeypatch.setattr(replica_module, "LEASE_DURATION", 0.4)
         spec = (
             Scenario("leases-on")
             .clusters(4)
-            .open_loop(rate=600.0, batch_window=0.01)
-            # A short lease so the first grant (half a duration after start)
-            # covers most of the run instead of its tail.
-            .read_leases(True, duration=0.4)
+            .open_loop(rate=600.0)
+            .read_leases(True)
             .duration(1.5, warmup=0.2)
             .seeds(9)
             .spec()
@@ -329,11 +336,12 @@ class TestReadLease:
         # lease after the first grant round, so most reads must hit.
         assert row.population["lease_hit_rate"] > 0.5
 
-    def test_leases_off_by_default(self):
+    def test_leases_off_by_default(self, monkeypatch):
+        monkeypatch.setattr(population_module, "BATCH_WINDOW", 0.01)
         spec = (
             Scenario("leases-off")
             .clusters(4)
-            .open_loop(rate=600.0, batch_window=0.01)
+            .open_loop(rate=600.0)
             .duration(1.0, warmup=0.2)
             .seeds(9)
             .spec()

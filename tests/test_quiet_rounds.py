@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import fast_config, members_fn, small_deployment
+from helpers import members_fn, small_deployment
 from repro.core.brd import (
     ByzantineReliableDissemination,
     CollectionEntry,
@@ -30,7 +30,7 @@ from repro.harness.runner import ScenarioRunner
 from repro.harness.scenario import CrashEvent, JoinEvent, PartitionEvent, ScenarioSpec
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import DeadlinePool, Simulator
 
@@ -80,9 +80,7 @@ def when_first(host, predicate, action):
 def build_cluster(size=4, seed=9, timeout=1.0):
     simulator = Simulator(seed=seed)
     registry = KeyRegistry(seed=seed)
-    network = Network(
-        simulator, LatencyModel(), registry, NetworkConfig()
-    )
+    network = Network(simulator, LatencyModel(), registry)
     members = [f"p{i}" for i in range(size)]
     hosts = [BrdHost(m, simulator, network, members, "p0", timeout) for m in members]
     return simulator, network, hosts

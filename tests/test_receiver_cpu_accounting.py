@@ -17,7 +17,7 @@ from repro.core.types import OperationsBundle
 from repro.harness.scenario import ScenarioSpec
 from repro.net.crypto import Certificate, KeyRegistry
 from repro.net.latency import LatencyModel
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import SIGNATURE_VERIFY_COST, Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -30,7 +30,7 @@ class Sink(Process):
 def build_network():
     simulator = Simulator(seed=3)
     registry = KeyRegistry(seed=3)
-    network = Network(simulator, LatencyModel(), registry, NetworkConfig())
+    network = Network(simulator, LatencyModel(), registry)
     return simulator, network
 
 
@@ -42,7 +42,7 @@ class TestChargeVerification:
         simulator, network = build_network()
         network.register(Sink("a", simulator), "us-west1")
         port = network.ports["a"]
-        cost = network.config.signature_verify_cost
+        cost = SIGNATURE_VERIFY_COST
         network.charge_verification("a", 5)
         assert port.recv_free == 5 * cost
         network.charge_verification("a", 2)
@@ -53,7 +53,7 @@ class TestChargeVerification:
         network.register(Sink("a", simulator), "us-west1")
         network.ports["a"].cpu_factor = 3.0
         network.charge_verification("a", 4)
-        expected = 4 * network.config.signature_verify_cost * 3.0
+        expected = 4 * SIGNATURE_VERIFY_COST * 3.0
         assert network.ports["a"].recv_free == expected
 
     def test_idle_cpu_is_charged_from_now_not_from_zero(self):
@@ -62,7 +62,7 @@ class TestChargeVerification:
         simulator.schedule(2.0, lambda: network.charge_verification("a", 1))
         simulator.run()
         assert network.ports["a"].recv_free == (
-            2.0 + network.config.signature_verify_cost
+            2.0 + SIGNATURE_VERIFY_COST
         )
 
     def test_zero_signatures_and_unknown_port_are_noops(self):
@@ -120,7 +120,7 @@ class TestLocalShareCharging:
         charged = port.recv_free - before
         signatures = len(bundle.txn_certificate) + len(bundle.recs_ready_certificate)
         assert signatures == 6
-        assert charged == signatures * deployment.network.config.signature_verify_cost
+        assert charged == signatures * SIGNATURE_VERIFY_COST
 
     def test_duplicate_share_is_deduped_before_any_charge(self):
         deployment = _deployment()

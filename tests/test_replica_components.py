@@ -30,7 +30,7 @@ from repro.core.types import OperationsBundle, join_request, leave_request, make
 from repro.net.crypto import Certificate, KeyRegistry
 from repro.net.latency import LatencyModel
 from repro.net.message import Envelope
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -41,9 +41,7 @@ C1 = ("c1/r0", "c1/r1", "c1/r2", "c1/r3")
 def _system(config: HamavaConfig | None = None, metrics=None):
     """Two clusters of four on one bare network; replicas built, not started."""
     simulator = Simulator(seed=5)
-    network = Network(
-        simulator, LatencyModel(), KeyRegistry(seed=5), NetworkConfig()
-    )
+    network = Network(simulator, LatencyModel(), KeyRegistry(seed=5))
     system = SystemConfig.build([(4, "us-west1"), (4, "us-west1")])
     replicas = {
         replica_id: HamavaReplica(
@@ -288,7 +286,7 @@ class TestClientFront:
     def test_lease_misses_forward_and_lease_hits_answer_locally(self):
         metrics = _LeaseMetrics()
         simulator, network, _, replicas = _system(
-            HamavaConfig(read_leases=True, lease_duration=2.0), metrics
+            HamavaConfig(read_leases=True), metrics
         )
         population = _Client("pop-0", simulator, network)
         follower, leader = replicas[C0[1]], replicas[C0[0]]

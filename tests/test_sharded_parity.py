@@ -28,7 +28,9 @@ from repro.harness.builder import Scenario
 from repro.harness.parallel import _inject, run_sharded_parallel
 from repro.harness.runner import ScenarioRunner, run_scenario
 from repro.harness.scenario import EVENT_TYPES, ScenarioEvent
+from repro.net import adversity
 from repro.net.adversity import RttTrace
+from repro.workload import population
 
 
 def _row_json(spec) -> str:
@@ -197,7 +199,7 @@ def _population_preset():
         Scenario("p-pop-preset")
         .clusters(4, 4, 4, 4)
         .engine("hotstuff")
-        .open_loop(preset="steady", rate=600.0, batch_window=0.01)
+        .open_loop(preset="steady", rate=600.0)
         .duration(0.8, warmup=0.2)
         .seeds(47)
         .spec()
@@ -251,7 +253,7 @@ def _adv_congestion():
         .clusters((4, "us-west1"), (4, "europe-west3"), (4, "us-west1"), (4, "europe-west3"))
         .engine("hotstuff")
         .threads(2)
-        .congestion(capacity_bytes_per_sec=2.0e7)
+        .congestion()
         .cross_traffic("us-west1", "europe-west3", 1.8e7, start=0.25, stop=0.6)
         .duration(0.8, warmup=0.2)
         .seeds(67)
@@ -364,6 +366,19 @@ FAMILIES = {
 }
 
 
+#: Model constants a family runs with instead of the module's value
+#: (forked workers inherit the patch): ``builder -> ((module, name, value), ...)``.
+CONSTANTS = {
+    _population_preset: ((population, "BATCH_WINDOW", 0.01),),
+    _adv_congestion: ((adversity, "CAPACITY_BYTES_PER_SEC", 2.0e7),),
+}
+
+
+def _patch_constants(monkeypatch, builder_fn) -> None:
+    for module, name, value in CONSTANTS.get(builder_fn, ()):
+        monkeypatch.setattr(module, name, value)
+
+
 class TestShardedParity:
     """to_json() equality serial vs forked workers across the experiment families.
 
@@ -373,8 +388,9 @@ class TestShardedParity:
     """
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_family_rows_identical_at_two_and_four_shards(self, family):
+    def test_family_rows_identical_at_two_and_four_shards(self, family, monkeypatch):
         builder_fn = FAMILIES[family]
+        _patch_constants(monkeypatch, builder_fn)
         serial = _row_json(builder_fn())
         for shards in (2, 4):
             forked = _row_json(_with_shards(builder_fn, shards, parallel=True))
@@ -434,10 +450,11 @@ class TestShardParallelWorkers:
         serial = _row_json(_partition())
         assert _row_json(_with_shards(_partition, 4, parallel=True)) == serial
 
-    def test_adversity_specs_parallel_workers_match_serial(self):
+    def test_adversity_specs_parallel_workers_match_serial(self, monkeypatch):
         # Gray replicas, clock skew, congestion, and RTT traces are all
         # shard-local or derived identically from the spec in every worker,
         # so the forked path must reproduce the serial rows.
+        _patch_constants(monkeypatch, _adv_congestion)
         for builder_fn in (_adv_gray, _adv_congestion, _adv_trace):
             serial = _row_json(builder_fn())
             assert _row_json(_with_shards(builder_fn, 2, parallel=True)) == serial

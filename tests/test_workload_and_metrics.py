@@ -66,8 +66,6 @@ class TestYcsb:
     def test_invalid_config_rejected(self):
         with pytest.raises(WorkloadError):
             YcsbConfig(read_fraction=1.5).validate()
-        with pytest.raises(WorkloadError):
-            YcsbConfig(key_space=0).validate()
 
 
 class TestMetricsCollector:
