@@ -9,6 +9,7 @@ the behaviour the paper compares against in Fig. 5b.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.core.config import HamavaConfig
@@ -17,9 +18,7 @@ from repro.harness.scenario import register_preset
 
 def single_workflow_config(base: Optional[HamavaConfig] = None) -> HamavaConfig:
     """Configuration with reconfigurations ordered through the transaction path."""
-    config = base or HamavaConfig()
-    config.parallel_reconfig = False
-    return config
+    return replace(base or HamavaConfig(), parallel_reconfig=False)
 
 
 #: Scenario preset: ``Scenario(...).preset("single_workflow")`` runs the ablation.

@@ -78,10 +78,9 @@ class ReadLease:
 
     In the simulation all replicas share one exact virtual clock, so lease
     expiry needs no clock-drift margin; a real deployment would subtract a
-    maximum drift bound from ``duration`` when checking validity.
+    maximum drift bound from the granted duration when checking validity.
     """
 
-    duration: float = 2.0
     expires_at: float = 0.0
     view_ts: int = -1
 

@@ -5,7 +5,9 @@ Two layers of configuration exist:
 * :class:`SystemConfig` — *who* is in the system: the clusters, their
   members, and the regions they live in.  This is only the *initial*
   configuration; each replica maintains its own evolving view as
-  reconfigurations execute.
+  reconfigurations execute.  The member sets in those views are immutable
+  and shared: :meth:`SystemConfig.shared_membership` hands every replica
+  the same ``frozenset`` (and sorted tuple) for equal memberships.
 * :class:`HamavaConfig` — *how* the protocol behaves: timers, which local
   ordering engine to use, and whether reconfigurations run in
   the parallel workflow (Hamava) or inside the transaction ordering (the
@@ -15,7 +17,7 @@ Two layers of configuration exist:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -60,6 +62,10 @@ class SystemConfig:
     """The initial system configuration: all clusters and their members."""
 
     clusters: Dict[int, ClusterSpec] = field(default_factory=dict)
+    #: Memo of every membership seen: contents -> (shared set, sorted tuple).
+    _memberships: Dict[FrozenSet[str], Tuple[FrozenSet[str], Tuple[str, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, sizes_and_regions: Iterable[tuple], prefix: str = "c") -> "SystemConfig":
@@ -102,9 +108,28 @@ class SystemConfig:
         """Region of a cluster."""
         return self.clusters[cluster_id].region
 
-    def initial_view(self) -> Dict[int, set]:
-        """The membership view replicas start from: ``{cluster: {members}}``."""
-        return {cid: set(spec.replicas) for cid, spec in self.clusters.items()}
+    def initial_view(self) -> Dict[int, FrozenSet[str]]:
+        """The membership view replicas start from: ``{cluster: members}``.
+
+        A fresh dict per call over shared immutable member sets, so a
+        replica replaces a cluster's set when its membership changes.
+        """
+        return {cid: self.shared_membership(spec.replicas) for cid, spec in self.clusters.items()}
+
+    def _membership(self, members: Iterable[str]) -> Tuple[FrozenSet[str], Tuple[str, ...]]:
+        key = frozenset(members)
+        entry = self._memberships.get(key)
+        if entry is None:
+            entry = self._memberships[key] = (key, tuple(sorted(key)))
+        return entry
+
+    def shared_membership(self, members: Iterable[str]) -> FrozenSet[str]:
+        """The one ``frozenset`` every replica holds for these members."""
+        return self._membership(members)[0]
+
+    def sorted_membership(self, members: Iterable[str]) -> Tuple[str, ...]:
+        """The one sorted member tuple every replica holds for these members."""
+        return self._membership(members)[1]
 
 
 @dataclass

@@ -231,7 +231,8 @@ class Requester:
         self._state_votes.clear()
         round_number = message.round_number
         replica.kv.restore(message.state_snapshot, round_number)
-        replica.view = {cid: set(members) for cid, members in message.system_view.items()}
+        shared_membership = replica.system_config.shared_membership
+        replica.view = {cid: shared_membership(members) for cid, members in message.system_view.items()}
         replica.invalidate_view_caches()
         replica.round_number = round_number
         if replica.mode == MODE_JOINING:

@@ -26,7 +26,7 @@ replays) are still refused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.messages import ClusterComplaint, LComplaint, RComplaint
 from repro.net.crypto import Signature
@@ -57,8 +57,8 @@ class RemoteLeaderChange:
         owner: Replica id.
         cluster_id: The local cluster (``i`` in the paper).
         view_fn: Callable returning the replica's membership view
-            ``{cluster_id: set(members)}`` (used for cluster-existence
-            checks only).
+            ``{cluster_id: frozenset(members)}`` (used for cluster-existence
+            and signer-membership checks).
         members_of_fn: Callable ``(cluster_id) -> sorted tuple of members``
             under the current view — the per-cluster form of the
             ``members_fn`` contract.  The replica supplies its per-view
@@ -84,7 +84,7 @@ class RemoteLeaderChange:
         self,
         owner: str,
         cluster_id: int,
-        view_fn: Callable[[], Dict[int, set]],
+        view_fn: Callable[[], Dict[int, FrozenSet[str]]],
         members_of_fn: Callable[[int], Tuple[str, ...]],
         faults_fn: Callable[[int], int],
         round_fn: Callable[[], int],
@@ -237,7 +237,7 @@ class RemoteLeaderChange:
         view = self.view_fn()
         if complaining not in view:
             return False
-        members = set(view[complaining])
+        members = view[complaining]
         threshold = 2 * self.faults_fn(complaining) + 1
         expected_digest = LComplaint(
             target_cluster=self.cluster_id,

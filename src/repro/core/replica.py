@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.consensus.interface import Decision, ReadLease, commit_digest
 from repro.consensus.leader_election import ElectionComplaint, LeaderElection
@@ -178,8 +178,11 @@ class HamavaReplica(Process):
         self.joined_at: Optional[float] = None
         self.left_at: Optional[float] = None
 
-        # Membership view: cluster id -> set of member ids.
-        self.view: Dict[int, Set[str]] = system_config.initial_view()
+        # Membership view: cluster id -> member ids.  The sets are shared
+        # and immutable (see ``SystemConfig.shared_membership``); a
+        # reconfiguration replaces a cluster's set, never mutates it.
+        self.system_config = system_config
+        self.view: Dict[int, FrozenSet[str]] = system_config.initial_view()
         self.round_number = 1
         self.kv = KeyValueStore(ledger)
 
@@ -190,7 +193,8 @@ class HamavaReplica(Process):
         # changes (reconfiguration execution, state-transfer adoption).  The
         # cached values are *tuples* — the ``members_fn`` contract (see
         # ``consensus/interface.py``) promises the engines, BRD, leader
-        # election, and RLC an immutable sorted sequence they never re-sort.
+        # election, and RLC an immutable sorted sequence they never re-sort —
+        # taken from the system config's memo, so equal memberships share one.
         self._members_cache: Dict[int, Tuple[str, ...]] = {}
         self._faults_cache: Dict[int, int] = {}
         self._view_order_cache: Optional[List[int]] = None
@@ -291,7 +295,9 @@ class HamavaReplica(Process):
         cache = self._members_cache
         members = cache.get(self.cluster_id)
         if members is None:
-            members = cache[self.cluster_id] = tuple(sorted(self.view[self.cluster_id]))
+            members = cache[self.cluster_id] = self.system_config.sorted_membership(
+                self.view[self.cluster_id]
+            )
         return members
 
     def members(self, cluster_id: int) -> Tuple[str, ...]:
@@ -299,7 +305,7 @@ class HamavaReplica(Process):
         cache = self._members_cache
         members = cache.get(cluster_id)
         if members is None:
-            members = cache[cluster_id] = tuple(sorted(self.view[cluster_id]))
+            members = cache[cluster_id] = self.system_config.sorted_membership(self.view[cluster_id])
         return members
 
     def sorted_view_ids(self) -> List[int]:
@@ -448,8 +454,7 @@ class ClientFront:
         self.batch_clients: Set[str] = set()
         self.pending_batch: Dict[str, List[Tuple[str, Optional[str]]]] = {}
         # Read-lease state (active only when ``config.read_leases``).
-        self.lease_duration = LEASE_DURATION
-        self.read_lease = ReadLease(duration=self.lease_duration)
+        self.read_lease = ReadLease()
         self.lease_hold_until = 0.0
         self.lease_tick_armed = False
 
@@ -598,7 +603,7 @@ class ClientFront:
             # this leader can execute a conflicting write (see ReadLease).
             self.read_lease.revoke()
             if leader == replica.process_id:
-                self.lease_hold_until = replica.simulator.now + self.lease_duration
+                self.lease_hold_until = replica.simulator.now + LEASE_DURATION
         for transaction in self.forwarded.values():
             self.route_to_leader(transaction)
 
@@ -608,7 +613,7 @@ class ClientFront:
         if not replica.config.read_leases or self.lease_tick_armed:
             return
         self.lease_tick_armed = True
-        replica.after(self.lease_duration / 2.0, self._lease_tick, label=f"{replica.process_id}:lease")
+        replica.after(LEASE_DURATION / 2.0, self._lease_tick, label=f"{replica.process_id}:lease")
 
     def _lease_tick(self) -> None:
         replica = self.replica
@@ -625,10 +630,10 @@ class ClientFront:
                     cluster_id=replica.cluster_id,
                     view_ts=replica.leader_ts,
                     granted_at=now,
-                    duration=self.lease_duration,
+                    duration=LEASE_DURATION,
                 )
             )
-        replica.after(self.lease_duration / 2.0, self._lease_tick, label=f"{replica.process_id}:lease")
+        replica.after(LEASE_DURATION / 2.0, self._lease_tick, label=f"{replica.process_id}:lease")
 
     def on_lease_grant(self, sender: str, message: ReadLeaseGrant) -> None:
         """Install a grant from the leader this replica follows."""
@@ -1274,11 +1279,12 @@ class Execution:
     def apply_reconfig(self, cluster_id: int, request: ReconfigRequest) -> None:
         """Apply one join/leave to the view; the membership caches start over."""
         replica = self.replica
-        members = replica.view.setdefault(cluster_id, set())
+        members = replica.view.get(cluster_id, frozenset())
         if request.is_join:
-            members.add(request.process_id)
+            members = members | {request.process_id}
         elif request.is_leave:
-            members.discard(request.process_id)
+            members = members - {request.process_id}
+        replica.view[cluster_id] = replica.system_config.shared_membership(members)
         replica.invalidate_view_caches()
         self.reconfigs_applied.append((replica.round_number, request))
         if replica.metrics is not None and replica.is_reporter:
@@ -1298,7 +1304,7 @@ class Execution:
             round_number=round_number,
             members=replica.local_members(),
             state_snapshot=replica.kv.snapshot(),
-            system_view={cid: tuple(sorted(m)) for cid, m in replica.view.items()},
+            system_view={cid: replica.members(cid) for cid in replica.view},
             leader=replica.leader,
             leader_ts=replica.leader_ts,
         )

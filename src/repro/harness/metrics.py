@@ -71,6 +71,32 @@ class ReconfigRecord:
     applied_at: float
 
 
+def _tie_key(record: TransactionRecord) -> Tuple[str, str]:
+    return record.client_id, record.txn_id
+
+
+def _sort_ties(records: List[TransactionRecord]) -> bool:
+    """Sort each run of equal ``completed_at`` by ``(client_id, txn_id)``.
+
+    Returns ``False`` as soon as a record completes before its predecessor;
+    the list is then only partly tie-sorted and needs the full key sort.
+    """
+    run_start = 0
+    previous = None
+    for index, record in enumerate(records):
+        at = record.completed_at
+        if at != previous:
+            if previous is not None and at < previous:
+                return False
+            if index - run_start > 1:
+                records[run_start:index] = sorted(records[run_start:index], key=_tie_key)
+            run_start = index
+            previous = at
+    if len(records) - run_start > 1:
+        records[run_start:] = sorted(records[run_start:], key=_tie_key)
+    return True
+
+
 class MetricsCollector:
     """Collects and summarizes measurements from one deployment run."""
 
@@ -168,12 +194,22 @@ class MetricsCollector:
         Float folds over these lists (mean latency, stage sums) are
         order-sensitive, so byte-identical serial-vs-sharded results require
         one canonical order imposed on *both*.  Each key is a total order:
-        ``(client_id, txn_id)`` is unique per transaction, ``(cluster_id,
-        round_number)`` per round.  The harness calls this once per run,
-        after the clock stops.
+        ``(completed_at, client_id, txn_id)`` is unique per transaction,
+        ``(cluster_id, round_number)`` per round.  The harness calls this
+        once per run, after the clock stops.
+
+        A serial run appends transactions as the clock advances, so they are
+        already in ``completed_at`` order and only each run of equal
+        completion times needs sorting; the full key sort (one key tuple per
+        record, the run's memory high-water mark) is left to lists that are
+        out of order, i.e. shard lists concatenated by :meth:`merge_from`.
         """
-        self.transactions.sort(key=lambda r: (r.completed_at, r.client_id, r.txn_id))
-        self._completion_times = [r.completed_at for r in self.transactions]
+        records = self.transactions
+        in_order = _sort_ties(records)
+        if not in_order:
+            records.sort(key=lambda r: (r.completed_at, r.client_id, r.txn_id))
+        if not in_order or len(self._completion_times) != len(records):
+            self._completion_times = [r.completed_at for r in records]
         self.rounds.sort(key=lambda r: (r.started_at, r.cluster_id, r.round_number))
         self.reconfigs.sort(
             key=lambda r: (r.applied_at, r.cluster_id, r.round_number, r.kind, r.process_id)

@@ -13,7 +13,6 @@ re-plotted without re-simulating.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -302,6 +301,10 @@ class ScenarioRunner:
         ]
         results: List[Optional[ResultRow]] = [None] * len(specs)
         if pooled:
+            # Imported here: a process that never runs a pool should not
+            # pay for loading multiprocessing.
+            import multiprocessing
+
             payloads = [spec.to_dict() for _, spec in pooled]
             context = multiprocessing.get_context(self.mp_context)
             with context.Pool(processes=min(self.workers, len(payloads))) as pool:

@@ -2,9 +2,12 @@
 
 Key popularity follows a Zipfian distribution with exponent ``theta``
 (YCSB's default is 0.99) over a finite key space.  Two structures are built
-once per ``(item_count, theta)`` per process and shared, as immutable
-tuples, by every generator over that key space (every closed-loop client
-and every open-loop population draws from one copy):
+once per ``(item_count, theta)`` per process and shared by every generator
+over that key space (every closed-loop client and every open-loop
+population draws from one copy).  They are packed ``array('d')`` /
+``array('l')`` buffers — 8 bytes per entry instead of a pointer plus a
+boxed float or int — handed out as read-only ``memoryview`` objects, so no
+generator can write to the copy the others draw from:
 
 * the CDF, which backs :meth:`ZipfianGenerator.probability` (and the
   chi-squared agreement test between the two structures), and
@@ -21,13 +24,14 @@ but key identity never feeds timing or sizes, only store contents.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Tuple
 
 from repro.errors import WorkloadError
 from repro.sim.rng import SeededRng
 
-#: ``(cdf, prob, alias)`` per ``(item_count, theta)``, built on first use.
-_TABLES: Dict[Tuple[int, float], Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[int, ...]]] = {}
+#: Read-only ``(cdf, prob, alias)`` views per ``(item_count, theta)``, built on first use.
+_TABLES: Dict[Tuple[int, float], Tuple[memoryview, memoryview, memoryview]] = {}
 
 
 def _build_cdf(item_count: int, theta: float) -> List[float]:
@@ -75,13 +79,17 @@ def _build_alias(cdf: List[float]) -> Tuple[List[float], List[int]]:
     return prob, alias
 
 
+def _packed(typecode: str, values: List) -> memoryview:
+    return memoryview(array(typecode, values)).toreadonly()
+
+
 def _tables(item_count: int, theta: float):
     key = (item_count, theta)
     tables = _TABLES.get(key)
     if tables is None:
         cdf = _build_cdf(item_count, theta)
         prob, alias = _build_alias(cdf)
-        tables = _TABLES[key] = (tuple(cdf), tuple(prob), tuple(alias))
+        tables = _TABLES[key] = (_packed("d", cdf), _packed("d", prob), _packed("l", alias))
     return tables
 
 

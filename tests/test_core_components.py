@@ -66,10 +66,17 @@ class TestSystemConfig:
             config.validate()
 
     def test_initial_view_is_independent_copy(self):
+        """Each call is a fresh dict over immutable member sets: a replica
+        can only replace a cluster's set, which nobody else sees."""
         config = SystemConfig.build([(3, "us-west1")])
         view = config.initial_view()
-        view[0].add("intruder")
+        assert view is not config.initial_view()
+        assert type(view[0]) is frozenset
+        with pytest.raises(AttributeError):
+            view[0].add("intruder")
+        view[0] = view[0] | {"intruder"}
         assert "intruder" not in config.members(0)
+        assert "intruder" not in config.initial_view()[0]
 
 
 class TestHamavaConfig:

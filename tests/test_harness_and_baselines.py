@@ -11,6 +11,7 @@ from repro.analysis.complexity import complexity_table, messages_per_decision, p
 from repro.baselines.geobft import geobft_config
 from repro.baselines.pbft_global import global_pbft_scenario
 from repro.baselines.single_workflow import single_workflow_config
+from repro.core.config import HamavaConfig
 from repro.errors import ConfigurationError
 from repro.harness.builder import Scenario
 from repro.harness import experiments
@@ -164,3 +165,10 @@ class TestBaselines:
     def test_single_workflow_config(self):
         config = single_workflow_config()
         assert config.parallel_reconfig is False
+
+    def test_single_workflow_config_leaves_the_passed_config_untouched(self):
+        base = HamavaConfig(remote_timeout=3.0)
+        config = single_workflow_config(base)
+        assert config is not base
+        assert config.parallel_reconfig is False and config.remote_timeout == 3.0
+        assert base.parallel_reconfig is True

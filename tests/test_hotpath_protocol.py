@@ -11,10 +11,17 @@ from __future__ import annotations
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
+import pytest
+
+import repro
 from repro.core.types import OperationsBundle, make_transaction
 from repro.harness.builder import Scenario
+from repro.harness.metrics import MetricsCollector
 from repro.net.crypto import KeyRegistry
 from repro.net.latency import LatencyModel
 from repro.net.links import AuthenticatedPerfectLink
@@ -202,7 +209,10 @@ class TestZipfAlias:
         a = ZipfianGenerator(500, 0.99, SeededRng(1, "zipf-share"))
         b = ZipfianGenerator(500, 0.99, SeededRng(2, "zipf-share"))
         assert a._alias is b._alias and a._prob is b._prob and a._cdf is b._cdf
-        assert all(type(table) is tuple for table in (a._alias, a._prob, a._cdf))
+        for table, value in ((a._alias, 0), (a._prob, 0.5), (a._cdf, 0.5)):
+            assert type(table) is memoryview and table.readonly
+            with pytest.raises(TypeError):
+                table[0] = value
         assert ZipfianGenerator(500, 0.5, SeededRng(1, "zipf-share"))._alias is not a._alias
         assert ZipfianGenerator(501, 0.99, SeededRng(1, "zipf-share"))._alias is not a._alias
 
@@ -216,9 +226,10 @@ class TestZipfAlias:
 
 class TestBuildMemory:
     def test_a_32_cluster_closed_loop_build_stays_small(self):
-        """32 clusters of 4 with YCSB clients: the clients share one Zipf
-        table, so the build retains ~5 MB; one table per client put it near
-        28 MB."""
+        """32 clusters of 4 with YCSB clients: the clients share one packed
+        Zipf table and the replicas one member set per cluster, so the build
+        retains ~3.9 MB; one table per client put it near 28 MB, and boxed
+        tables plus one view per replica at 5.2 MB."""
         spec = (
             Scenario("build-memory")
             .clusters(*[(4, f"dc{index}") for index in range(32)])
@@ -235,7 +246,40 @@ class TestBuildMemory:
         finally:
             tracemalloc.stop()
         assert len(deployment.replicas) == 128
-        assert retained < 8_000_000, f"spec.build() retains {retained / 1e6:.1f} MB"
+        assert retained < 4_500_000, f"spec.build() retains {retained / 1e6:.1f} MB"
+
+
+class TestRunMemory:
+    def test_canonicalize_of_an_in_order_run_allocates_no_key_per_record(self):
+        """A serial run records in completion order, so canonicalize only
+        sorts the ties; a full key sort costs ~72 B per record."""
+        metrics = MetricsCollector()
+        count = 20_000
+        for index in range(count):
+            metrics.record_transaction(
+                f"t{index}", "write", 0.01, (index // 4) * 0.001, f"client-{(index * 7) % 13}"
+            )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            metrics.canonicalize()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / count <= 16, f"canonicalize peaks at {peak / count:.1f} B/record"
+
+    def test_importing_repro_leaves_multiprocessing_unloaded(self):
+        """The pool is imported when a grid runs on it, not by every process."""
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = "import sys, repro; print('multiprocessing' in sys.modules)"
+        output = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": source},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert output.strip() == "False"
 
 
 # ---------------------------------------------------------------------- #

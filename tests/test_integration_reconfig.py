@@ -10,6 +10,16 @@ from repro.core.replica import MODE_ACTIVE, MODE_LEFT
 from repro.harness.builder import Scenario
 
 
+def assert_views_shared(replicas, cluster_ids):
+    """Replicas hold one immutable member set and one sorted tuple per
+    cluster between them, not a copy each."""
+    first = replicas[0]
+    for cluster_id in cluster_ids:
+        for replica in replicas[1:]:
+            assert replica.view[cluster_id] is first.view[cluster_id]
+            assert replica.members(cluster_id) is first.members(cluster_id)
+
+
 class TestJoin:
     def test_join_completes_and_membership_updates_everywhere(self):
         deployment = small_deployment(seed=61)
@@ -74,6 +84,11 @@ class TestLeave:
         observer = deployment.replicas["c1/r0"]
         assert "n0" in observer.view[0]
         assert "c0/r6" not in observer.view[0]
+        # The joiner adopted its view from a state transfer, the others
+        # applied both changes: all still hold one set and tuple per cluster.
+        active = [r for r in deployment.replicas.values() if r.mode == MODE_ACTIVE]
+        assert deployment.replicas["n0"] in active
+        assert_views_shared(active, (0, 1))
 
 
 class TestUniformity:
@@ -101,6 +116,15 @@ class TestUniformity:
             if r.mode == MODE_ACTIVE
         ]
         assert len(set(views)) == 1, "active replicas disagree on membership"
+
+
+class TestSharedMembership:
+    def test_a_fresh_build_shares_every_view(self):
+        deployment = Scenario("shared-views").clusters(*[4] * 8).threads(4).build()
+        replicas = list(deployment.replicas.values())
+        assert len(replicas) == 32
+        assert type(replicas[0].view[0]) is frozenset
+        assert_views_shared(replicas, range(8))
 
 
 class TestSingleWorkflowBaseline:

@@ -278,7 +278,7 @@ class TestPopulationScale:
 # ---------------------------------------------------------------------- #
 class TestReadLease:
     def test_install_and_expiry(self):
-        lease = ReadLease(duration=2.0)
+        lease = ReadLease()
         lease.install(view_ts=1, granted_at=10.0, duration=2.0)
         assert lease.valid(now=11.9, current_view_ts=1)
         assert not lease.valid(now=12.0, current_view_ts=1)

@@ -14,6 +14,7 @@ from repro.core.replica import Execution
 from repro.core.statemachine import ExecutionLedger, ExecutionPlan, KeyValueStore
 from repro.core.types import Transaction, join_request, leave_request
 from repro.errors import AgreementViolation
+from repro.harness.metrics import MetricsCollector
 from repro.net.crypto import Certificate, KeyRegistry
 from repro.sim.rng import SeededRng
 from repro.sim.simulator import Simulator
@@ -91,6 +92,62 @@ class TestWorkloadProperties:
         a = SeededRng(seed, "x")
         b = SeededRng(seed, "x")
         assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
+
+
+#: (completion slot, client, txn number); few slots and clients force ties.
+completions = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from(["c0", "c1", "c10", "c2"]),
+        st.integers(min_value=0, max_value=40),
+    ),
+    max_size=60,
+    unique_by=lambda entry: (entry[1], entry[2]),
+)
+
+
+def _record_all(metrics, entries):
+    for slot, client, number in entries:
+        metrics.record_transaction(f"t{number}", "write", 0.01, slot * 0.25, client)
+
+
+def _canonical(entries):
+    return sorted((slot * 0.25, client, f"t{number}") for slot, client, number in entries)
+
+
+def _order(metrics):
+    assert metrics._completion_times == [r.completed_at for r in metrics.transactions]
+    return [(r.completed_at, r.client_id, r.txn_id) for r in metrics.transactions]
+
+
+class TestCanonicalOrderProperties:
+    """``canonicalize`` equals the full ``(completed_at, client_id, txn_id)``
+    sort however the records arrived."""
+
+    @given(completions)
+    def test_in_order_records_with_ties(self, entries):
+        metrics = MetricsCollector()
+        _record_all(metrics, sorted(entries, key=lambda entry: entry[0]))
+        metrics.canonicalize()
+        assert _order(metrics) == _canonical(entries)
+
+    @given(completions, st.randoms(use_true_random=False))
+    def test_shuffled_records(self, entries, random):
+        metrics = MetricsCollector()
+        shuffled = list(entries)
+        random.shuffle(shuffled)
+        _record_all(metrics, shuffled)
+        metrics.canonicalize()
+        assert _order(metrics) == _canonical(entries)
+
+    @given(completions, st.lists(st.integers(min_value=0, max_value=2), min_size=60, max_size=60))
+    def test_merged_shard_lists(self, entries, shard_of):
+        shards = [MetricsCollector() for _ in range(3)]
+        for index, entry in enumerate(sorted(entries, key=lambda entry: entry[0])):
+            _record_all(shards[shard_of[index]], [entry])
+        merged = MetricsCollector()
+        merged.merge_from(shards)
+        assert _order(merged) == _canonical(entries)
 
 
 class TestStateMachineProperties:
