@@ -50,8 +50,9 @@ class _Instance:
     prepared_certificate: Optional[Certificate] = None
     decided: bool = False
     #: Cache of ``commit_digest(cluster, sequence, value)`` together with the
-    #: value identity it was computed for (the digest walks the whole batch,
-    #: and the engines recompute it once per vote/phase otherwise).
+    #: value identity it was computed for (the engines need it once per
+    #: vote/phase; a batch digests itself once, but rebuilding the commit
+    #: digest still costs four calls).
     commit_digest_value: Any = None
     commit_digest_cache: Optional[str] = None
 
@@ -360,9 +361,9 @@ class TotalOrderBroadcast(ABC):
     def instance_commit_digest(self, instance: _Instance) -> str:
         """``commit_digest`` over an instance's value, cached per value.
 
-        The digest walks the whole batch; engines need it once per commit
-        vote, decide broadcast, and certificate check, so it is computed once
-        per (instance, value identity) instead.
+        Engines need it once per commit vote, decide broadcast, and
+        certificate check, so it is computed once per (instance, value
+        identity) instead.
         """
         value = instance.value
         digest = instance.commit_digest_cache

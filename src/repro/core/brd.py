@@ -83,7 +83,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.messages import BrdAgg, BrdEcho, BrdQuietDeliver, BrdReady, BrdSubmit, BrdValid
 from repro.core.types import ReconfigRequest
-from repro.net.crypto import Certificate, Signature
+from repro.net.crypto import Certificate, Signature, VerdictMemo
 from repro.net.links import AuthenticatedBestEffortBroadcast, AuthenticatedPerfectLink
 from repro.net.message import Envelope, payload_digest
 from repro.net.network import Network
@@ -109,8 +109,14 @@ _KIND_NAMES = ("submit", "echo", "ready")
 #: once per process and shares it across replicas — and across the
 #: signature/token memos downstream, which key on the digest string's hash.
 #: Pure interning: the value for a key is the same in every process and
-#: shard layout.
+#: shard layout.  It gains three entries per cluster per round in every run
+#: a process makes (pool workers and test sessions run many), so it is
+#: cleared when it reaches ``_EMPTY_PHASE_DIGESTS_MAX`` entries; a cleared
+#: entry is rebuilt equal on its next use.
 _EMPTY_PHASE_DIGESTS: Dict[int, str] = {}
+
+#: Entry bound of the intern table (one ``geo32`` run makes ~2 400).
+_EMPTY_PHASE_DIGESTS_MAX = 1 << 12
 
 _EMPTY_PAYLOAD_DIGEST = payload_digest(())
 
@@ -119,6 +125,8 @@ def _empty_phase_digest(kind: int, cluster_id: int, round_number: int) -> str:
     key = (round_number << 34) | (cluster_id << 2) | kind
     digest = _EMPTY_PHASE_DIGESTS.get(key)
     if digest is None:
+        if len(_EMPTY_PHASE_DIGESTS) >= _EMPTY_PHASE_DIGESTS_MAX:
+            _EMPTY_PHASE_DIGESTS.clear()
         digest = _EMPTY_PHASE_DIGESTS[key] = (
             f"brd-{_KIND_NAMES[kind]}|c{cluster_id}|r{round_number}|{_EMPTY_PAYLOAD_DIGEST}"
         )
@@ -152,8 +160,13 @@ class CollectionEntry:
 
 
 @dataclass
-class CollectionProof:
-    """Σ: the signed submissions the leader aggregated (quorum of them)."""
+class CollectionProof(VerdictMemo):
+    """Σ: the signed submissions the leader aggregated (quorum of them).
+
+    Every member checks the one proof object the leader broadcast, so
+    :meth:`ByzantineReliableDissemination.collection_valid` remembers a
+    passing check on it (:class:`~repro.net.crypto.VerdictMemo`).
+    """
 
     cluster_id: int
     round_number: int
@@ -726,12 +739,23 @@ class ByzantineReliableDissemination:
     # Validation helpers
     # ------------------------------------------------------------------ #
     def collection_valid(self, proof: CollectionProof, aggregated: Tuple[ReconfigRequest, ...]) -> bool:
-        """Check Σ: a quorum of distinct, valid submissions whose union is M."""
-        members = set(self.members())
+        """Check Σ: a quorum of distinct, valid submissions whose union is M.
+
+        A pass is remembered on the proof under every input besides the
+        proof itself, so the other members checking the same proof object
+        in the same view answer from the memo.
+        """
+        members = self.members()
+        quorum = self.quorum()
+        aggregated = canonical_recs(aggregated)
+        key = (self.registry, self.cluster_id, self.round_number, members, quorum, aggregated)
+        if key in proof.verdicts:
+            return True
+        member_set = set(members)
         senders: set = set()
         union: set = set()
         for entry in proof.entries:
-            if entry.sender not in members or entry.sender in senders:
+            if entry.sender not in member_set or entry.sender in senders:
                 continue
             expected = self._phase_digest(_SUBMIT, canonical_recs(entry.recs))
             if entry.signature.digest != expected or entry.signature.signer != entry.sender:
@@ -740,9 +764,10 @@ class ByzantineReliableDissemination:
                 continue
             senders.add(entry.sender)
             union.update(entry.recs)
-        if len(senders) < self.quorum():
+        if len(senders) < quorum or canonical_recs(union) != aggregated:
             return False
-        return canonical_recs(union) == canonical_recs(aggregated)
+        proof.remember_verdict(key)
+        return True
 
     def _attestation_valid(self, recs, certificate, kind: str) -> bool:
         if kind == "collection":

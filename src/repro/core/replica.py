@@ -63,6 +63,7 @@ from repro.core.reconfiguration import (
 from repro.core.remote_leader_change import RemoteLeaderChange
 from repro.core.statemachine import ExecutionLedger, KeyValueStore, LedgerView
 from repro.core.types import (
+    Batch,
     OperationsBundle,
     ReconfigRequest,
     Transaction,
@@ -125,7 +126,7 @@ class _RoundState:
     """The record of the round in progress; each stage fills in its part."""
 
     started_at: float
-    local_transactions: Optional[List[Transaction]] = None
+    local_transactions: Optional[Batch] = None
     local_txn_certificate: Optional[Any] = None
     local_reconfigs: Optional[Tuple[ReconfigRequest, ...]] = None
     recs_collection_certificate: Optional[Any] = None
@@ -661,7 +662,7 @@ class LocalOrdering:
         self.leader_queue: Deque[Transaction] = deque()
         self.queued_ids: Set[str] = set()
         self.proposed_rounds: Set[int] = set()
-        self.current_batch: Dict[int, List[Transaction]] = {}
+        self.current_batch: Dict[int, Batch] = {}
         self.batch_size = BATCH_SIZE
         self.batch_timeout = BATCH_TIMEOUT
         self.tob = make_engine(
@@ -752,23 +753,28 @@ class LocalOrdering:
             self.proposed_rounds.add(sequence)
             self.tob.propose(sequence, self.take_batch(sequence))
 
-    def fetch_batch(self, sequence: int) -> List[Transaction]:
+    def fetch_batch(self, sequence: int) -> Batch:
         """The engine's ``fetch_value``: the batch cut for ``sequence``, else a fresh one."""
         if sequence in self.current_batch:
             return self.current_batch[sequence]
         return self.take_batch(sequence)
 
-    def take_batch(self, sequence: int) -> List[Transaction]:
-        """Cut ``sequence``'s batch from the queue, skipping executed transactions."""
-        batch: List[Transaction] = []
+    def take_batch(self, sequence: int) -> Batch:
+        """Cut ``sequence``'s batch from the queue, skipping executed transactions.
+
+        The one place a batch is made: the :class:`Batch` is immutable from
+        here on, and every replica's vote, commit digest and bundle check
+        reads the one digest it keeps.
+        """
+        cut: List[Transaction] = []
         queue = self.leader_queue
-        while queue and len(batch) < self.batch_size:
+        while queue and len(cut) < self.batch_size:
             transaction = queue.popleft()
             self.queued_ids.discard(transaction.txn_id)
             if self.replica.kv.executed(transaction.txn_id):
                 continue
-            batch.append(transaction)
-        self.current_batch[sequence] = batch
+            cut.append(transaction)
+        batch = self.current_batch[sequence] = Batch(cut)
         return batch
 
     def new_leader(self, leader: str, view_ts: int) -> None:
@@ -983,34 +989,46 @@ class GlobalSharing:
             self.inter_broadcast(previous)
 
     def bundle_valid(self, cluster_id: int, round_number: int, bundle: OperationsBundle) -> bool:
-        """Whether ``bundle`` carries ``2f_j + 1`` certificates for its claimed round."""
+        """Whether ``bundle`` carries ``2f_j + 1`` certificates for its claimed round.
+
+        The same sealed bundle object is checked by every Inter target and
+        every LocalShare receiver, and each one's check is already billed to
+        its simulated CPU.  A passing check is remembered on the bundle and
+        on each certificate it covers, under a key holding every input
+        besides the bundle (the claimed coordinates, so a relabelled bundle
+        is checked afresh); a hit needs all of them, so a replaced signer
+        entry, which clears its certificate's verdicts, also clears this one.
+        """
         replica = self.replica
         if cluster_id not in replica.view:
             return False
+        registry = replica.network.registry
         members = replica.members(cluster_id)
         threshold = 2 * replica.faults(cluster_id) + 1
         parallel = replica.config.parallel_reconfig
-        certificate_valid = replica.network.registry.certificate_valid
-        # The expected digests are cached on the bundle itself: the same
-        # bundle object is validated once per Inter target and once per
-        # LocalShare receiver, and each computation re-walks the batch.  The
-        # cache only applies when the claimed coordinates match the bundle's
-        # own (a Byzantine sender may relabel a bundle; that path recomputes).
-        own_coordinates = cluster_id == bundle.cluster_id and round_number == bundle.round_number
-        memo = bundle.__dict__
-        checks = (
-            ("_commit_digest", commit_digest, bundle.transactions, bundle.txn_certificate),
-            ("_ready_digest", ready_digest, bundle.reconfigs, bundle.recs_ready_certificate),
-        )
-        for memo_key, digest_of, payload, certificate in checks if parallel else checks[:1]:
-            expected = memo.get(memo_key) if own_coordinates else None
-            if expected is None:
-                expected = digest_of(cluster_id, round_number, payload)
-                if own_coordinates:
-                    memo[memo_key] = expected
-            if not certificate_valid(certificate, members, threshold, digest=expected):
+        key = (registry, cluster_id, round_number, members, threshold, parallel)
+        txn_certificate = bundle.txn_certificate
+        ready_certificate = bundle.recs_ready_certificate
+        if (
+            key in bundle.verdicts
+            and key in txn_certificate.verdicts
+            and (not parallel or key in ready_certificate.verdicts)
+        ):
+            return True
+        certificate_valid = registry.certificate_valid
+        expected = commit_digest(cluster_id, round_number, bundle.transactions)
+        if not certificate_valid(txn_certificate, members, threshold, digest=expected):
+            return False
+        if parallel:
+            expected = ready_digest(cluster_id, round_number, bundle.reconfigs)
+            if not certificate_valid(ready_certificate, members, threshold, digest=expected):
                 return False
-        return parallel or not bundle.reconfigs
+            ready_certificate.remember_verdict(key)
+        elif bundle.reconfigs:
+            return False
+        txn_certificate.remember_verdict(key)
+        bundle.remember_verdict(key)
+        return True
 
     def held(self, cluster_id: int, round_number: int) -> Optional[OperationsBundle]:
         """The bundle of ``(cluster_id, round_number)`` if this or the last round adopted it."""

@@ -1,8 +1,9 @@
 """Core value types: transactions, reconfiguration requests, and bundles.
 
 These are the "operations" of the paper: clients submit *transactions*
-(key-value reads and writes) and *reconfigurations* (join/leave).  A round's
-worth of operations from one cluster travels between clusters as an
+(key-value reads and writes) and *reconfigurations* (join/leave).  A leader
+cuts the transactions it orders in one round into a :class:`Batch`.  A
+round's worth of operations from one cluster travels between clusters as an
 :class:`OperationsBundle` together with the certificates that prove the
 transactions were ordered by the cluster's consensus and the reconfiguration
 set was uniformly disseminated.
@@ -11,11 +12,11 @@ set was uniformly disseminated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.net.crypto import Certificate
+from repro.net.crypto import Certificate, VerdictMemo
 from repro.net.message import compact_digest
 
 _txn_counter = itertools.count()
@@ -101,6 +102,26 @@ def make_transaction(
     )
 
 
+class Batch(tuple):
+    """The transactions a leader proposes for one round, in order.
+
+    Immutable (a ``tuple``), so the digest every replica needs — to vote on
+    the proposal, to sign and check the commit certificate, to check a
+    remote cluster's bundle — is computed once per process and kept on the
+    instance, as :meth:`repro.net.message.Message.digest` is: the batch
+    object is shared by every replica of the simulation.
+    """
+
+    _digest: Optional[str] = None
+
+    def digest(self) -> str:
+        """The batch's compact digest, walked once per instance."""
+        digest = self._digest
+        if digest is None:
+            digest = self._digest = compact_digest(tuple.__repr__(self))
+        return digest
+
+
 @dataclass(frozen=True, order=True)
 class ReconfigRequest:
     """A join or leave request for one process and one cluster.
@@ -136,13 +157,19 @@ def leave_request(process_id: str, cluster_id: int) -> ReconfigRequest:
 
 
 @dataclass
-class OperationsBundle:
+class OperationsBundle(VerdictMemo):
     """Everything a cluster decided in one round, plus the proofs.
 
-    A bundle is *sealed* once stage 1 constructs it: the digest/size/
-    validation caches (here and in ``GlobalSharing.bundle_valid``) rely on
-    the contents never mutating afterwards, so treat instances as
-    write-once even though the dataclass is not frozen.
+    A bundle is *sealed* once stage 1 constructs it, and treated as
+    write-once even though the dataclass is not frozen.  Three memos rely
+    on that: its size and digest are computed once per instance, and
+    ``GlobalSharing.bundle_valid`` remembers a positive verdict on the
+    bundle and on the certificates it covers (:class:`VerdictMemo`), so
+    every later receiver with the same view answers without re-checking.
+    The transactions are the decided :class:`Batch`, which digests itself
+    once; only a certificate may still change after it is sent (the
+    HotStuff leader's late votes), and a replaced signer entry clears the
+    certificate's verdicts and with them the bundle's.
 
     Attributes:
         cluster_id: The producing cluster.
@@ -159,7 +186,7 @@ class OperationsBundle:
 
     cluster_id: int
     round_number: int
-    transactions: List[Transaction] = field(default_factory=list)
+    transactions: Sequence[Transaction] = Batch()
     reconfigs: Tuple[ReconfigRequest, ...] = ()
     txn_certificate: Optional[Certificate] = None
     recs_collection_certificate: Optional[Certificate] = None
@@ -213,6 +240,7 @@ _BUNDLE_FIELDS = tuple(f.name for f in dataclass_fields(OperationsBundle))
 
 
 __all__ = [
+    "Batch",
     "OperationsBundle",
     "READ",
     "ReconfigRequest",

@@ -15,8 +15,9 @@ reconfiguration experiments.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from math import ceil
+from dataclasses import dataclass
+from heapq import nlargest
+from math import ceil, inf
 from typing import Dict, List, Optional, Tuple
 
 
@@ -69,6 +70,22 @@ class ReconfigRecord:
     cluster_id: int
     round_number: int
     applied_at: float
+
+
+def _mean_latency(records: List[TransactionRecord]) -> float:
+    if not records:
+        return 0.0
+    return sum(r.latency for r in records) / len(records)
+
+
+def _latency_percentile(records: List[TransactionRecord], percentile: float) -> float:
+    # Keeps only the latencies ranked above the answer (1 % of them for the
+    # p99), not a sorted copy of all of them.
+    if not records:
+        return 0.0
+    count = len(records)
+    index = min(count - 1, max(0, ceil(percentile * count) - 1))
+    return nlargest(count - index, (r.latency for r in records))[-1]
 
 
 def _tie_key(record: TransactionRecord) -> Tuple[str, str]:
@@ -266,7 +283,9 @@ class MetricsCollector:
 
     def throughput(self, duration: Optional[float] = None, op: Optional[str] = None) -> float:
         """Operations per second over the measurement window."""
-        records = self._windowed(op)
+        return self._throughput(self._windowed(op), duration)
+
+    def _throughput(self, records: List[TransactionRecord], duration: Optional[float] = None) -> float:
         if not records:
             return 0.0
         start, end = self.window
@@ -277,10 +296,7 @@ class MetricsCollector:
 
     def mean_latency(self, op: Optional[str] = None) -> float:
         """Average latency (seconds) of completed operations in the window."""
-        records = self._windowed(op)
-        if not records:
-            return 0.0
-        return sum(r.latency for r in records) / len(records)
+        return _mean_latency(self._windowed(op))
 
     def latency_percentile(self, percentile: float, op: Optional[str] = None) -> float:
         """Latency percentile (e.g. 0.5 for the median, 0.99 for p99).
@@ -289,11 +305,7 @@ class MetricsCollector:
         of the data is at or below it (``int(p * n)`` would be biased one
         rank high — the p50 of two samples must be the smaller one).
         """
-        records = sorted(r.latency for r in self._windowed(op))
-        if not records:
-            return 0.0
-        index = min(len(records) - 1, max(0, ceil(percentile * len(records)) - 1))
-        return records[index]
+        return _latency_percentile(self._windowed(op), percentile)
 
     def throughput_timeseries(self, bucket: float = 1.0, until: Optional[float] = None) -> List[Tuple[float, float]]:
         """Throughput per time bucket: ``[(bucket_start, ops_per_second), ...]``."""
@@ -333,19 +345,47 @@ class MetricsCollector:
         return len(self.rounds)
 
     def summary(self) -> Dict[str, float]:
-        """A flat summary of the headline numbers."""
+        """A flat summary of the headline numbers.
+
+        The window is built once, and each number is the one its query
+        method returns, summed in the same order.  A run's memory
+        high-water mark can be this call, so it copies no records out of
+        the window: the reads and writes are counted and summed in place.
+        """
+        window = self._windowed()
+        latency_p99 = _latency_percentile(window, 0.99)
+        writes = self._op_numbers(window, "write")
+        reads = self._op_numbers(window, "read")
         return {
-            "throughput_total": self.throughput(),
-            "throughput_writes": self.throughput(op="write"),
-            "throughput_reads": self.throughput(op="read"),
-            "latency_mean": self.mean_latency(),
-            "latency_mean_read": self.mean_latency(op="read"),
-            "latency_mean_write": self.mean_latency(op="write"),
-            "latency_p99": self.latency_percentile(0.99),
-            "operations": float(self.committed_count()),
+            "throughput_total": self._throughput(window),
+            "throughput_writes": writes[0],
+            "throughput_reads": reads[0],
+            "latency_mean": _mean_latency(window),
+            "latency_mean_read": reads[1],
+            "latency_mean_write": writes[1],
+            "latency_p99": latency_p99,
+            "operations": float(len(window)),
             "rounds": float(self.rounds_executed()),
             "reconfigs_applied": float(len(self.reconfigs)),
         }
+
+    def _op_numbers(self, window: List[TransactionRecord], op: str) -> Tuple[float, float]:
+        """What :meth:`throughput` and :meth:`mean_latency` return for ``op``.
+
+        Computed over ``window`` without copying the records out of it.
+        """
+        count = 0
+        latest = -inf
+        for record in window:
+            if record.op == op:
+                count += 1
+                if record.completed_at > latest:
+                    latest = record.completed_at
+        if not count:
+            return 0.0, 0.0
+        start, end = self.window
+        duration = max((end if end is not None else latest) - start, 1e-9)
+        return count / duration, sum(r.latency for r in window if r.op == op) / count
 
     def lease_hit_rate(self) -> float:
         """Fraction of lease-eligible reads served without leader contact."""

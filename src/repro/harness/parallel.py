@@ -16,9 +16,10 @@ worker's entries is that worker's slice of the in-process flush order: the
 results are byte-identical to the serial run of the same spec.
 
 The parent only merges the workers' metrics, network statistics and
-population counters.  (Envelope signatures and certificates carry pickle
-hooks that drop registry-identity memos; the receiving worker's key
-registry is a deterministic twin, so re-verification re-derives them.)
+population counters.  (Envelope signatures, certificates, bundles and
+collection proofs carry pickle hooks that drop registry-identity memos; the
+receiving worker's key registry is a deterministic twin, so re-verification
+re-derives them.)
 
 Events that read live replicas of several clusters
 (:attr:`~repro.harness.scenario.ScenarioEvent.reads_all_clusters`, the

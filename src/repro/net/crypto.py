@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, AbstractSet, Dict, Iterable, Optional
 
 from repro.errors import CryptoError
 
@@ -191,8 +191,54 @@ class MessageSignature(Signature):
         return (Signature, (self.signer, self.digest, self.token))
 
 
+class VerdictMemo:
+    """A positive-verdict memo kept on a shared, immutable checked object.
+
+    The simulation runs every replica in one process on the *same* message
+    objects, and each replica's check of a certificate, a bundle or a BRD
+    collection proof is already charged to its simulated CPU by the
+    network.  The Python work behind the second to n-th identical check
+    models nothing, so a check that passes records its key here and later
+    identical checks answer from the memo.  The rule every user follows:
+
+    * the key holds the registry (by identity) and every input the verdict
+      depends on besides the object itself;
+    * only positive verdicts are remembered — a failed check is recomputed,
+      so a check can never answer ``False`` from a memo;
+    * whatever can turn a once-valid object invalid (a certificate
+      replacing a signer's entry) calls :meth:`forget_verdicts`;
+    * pickling drops the memo: registry identity does not survive a process
+      boundary, and a forked shard worker re-checks against its own
+      registry twin.
+
+    A check reads the memo as ``key in obj.verdicts`` (the class default is
+    empty), which makes no call on the hot path.
+    """
+
+    verdicts: AbstractSet[object] = frozenset()
+
+    def remember_verdict(self, key: object) -> None:
+        """Record that the check with ``key`` passed on this object."""
+        verdicts = self.__dict__.get("verdicts")
+        if verdicts is None:
+            verdicts = self.verdicts = set()
+        verdicts.add(key)
+
+    def forget_verdicts(self) -> None:
+        """Drop every remembered verdict."""
+        self.__dict__.pop("verdicts", None)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("verdicts", None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+
+
 @dataclass
-class Certificate:
+class Certificate(VerdictMemo):
     """A set of signatures over one digest (a quorum certificate).
 
     Attributes:
@@ -216,9 +262,10 @@ class Certificate:
         existing = self.signatures.get(signature.signer)
         if existing is not None and existing != signature:
             # Replacing a signer's entry can turn a once-valid certificate
-            # invalid (e.g. a forged replacement), so the positive-validation
-            # memo must not survive the swap.
-            self.__dict__.pop("_valid_cache", None)
+            # invalid (e.g. a forged replacement), so no remembered verdict
+            # survives the swap — neither its own nor that of a bundle
+            # covering it (see ``GlobalSharing.bundle_valid``).
+            self.forget_verdicts()
         self.signatures[signature.signer] = signature
 
     def __len__(self) -> int:
@@ -227,17 +274,6 @@ class Certificate:
     def copy(self) -> "Certificate":
         """Shallow copy (signatures are immutable)."""
         return Certificate(self.digest, self.kind, dict(self.signatures))
-
-    def __getstate__(self):
-        # The positive-validation memo is keyed by registry identity, which
-        # does not survive a process boundary; drop it so the receiving
-        # shard worker re-validates against its own registry twin.
-        state = dict(self.__dict__)
-        state.pop("_valid_cache", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
 
 
 class KeyRegistry:
@@ -406,18 +442,16 @@ class KeyRegistry:
             return False
         if digest is not None and certificate.digest != digest:
             return False
-        # Positive results are memoised on the certificate object itself: the
-        # same certificate instance is re-validated by every receiving
-        # replica (phase broadcasts, bundle shares), and signatures are only
-        # ever *added* (replacement invalidates the memo in Certificate.add),
-        # so a satisfied (registry, digest, threshold, membership) check can
-        # never become unsatisfied.  The registry is part of the key: a
-        # certificate may be checked against a second trust domain whose
-        # secrets never produced the signatures.  Negative results are
-        # recomputed.
+        # Positive results are remembered on the certificate object itself
+        # (:class:`VerdictMemo`): the same certificate instance is
+        # re-validated by every receiving replica (phase broadcasts, bundle
+        # shares), and signatures are only ever *added* (replacement clears
+        # the memo in Certificate.add), so a satisfied (registry, digest,
+        # threshold, membership) check can never become unsatisfied.  The
+        # registry is part of the key: a certificate may be checked against
+        # a second trust domain whose secrets never produced the signatures.
         key = (self, certificate.digest, threshold, tuple(members))
-        cache = certificate.__dict__.get("_valid_cache")
-        if cache is not None and key in cache:
+        if key in certificate.verdicts:
             return True
         member_set = set(key[3])
         valid = 0
@@ -430,11 +464,9 @@ class KeyRegistry:
                 continue
             valid += 1
         if valid >= threshold:
-            if cache is None:
-                cache = certificate.__dict__["_valid_cache"] = set()
-            cache.add(key)
+            certificate.remember_verdict(key)
             return True
         return False
 
 
-__all__ = ["Certificate", "KeyRegistry", "MessageSignature", "Signature"]
+__all__ = ["Certificate", "KeyRegistry", "MessageSignature", "Signature", "VerdictMemo"]

@@ -9,7 +9,12 @@ Messages are treated as immutable once handed to the network.  Two things
 rest on that contract.  The digest and estimated size are computed lazily
 and cached per instance, so re-sending or re-signing the same payload
 (retransmits, broadcasts fanned out one link at a time) never recomputes
-the full-field ``repr`` walk.  And the link layer's envelope signature
+the full-field ``repr`` walk.  A decided batch
+(:class:`repro.core.types.Batch`) keeps the same contract and digests
+itself once per process: it is a tuple, and the kilobytes-long ``repr`` walk
+behind its 25-character digest runs once, however many replicas vote on the
+proposal, sign its commit digest or check it inside a remote bundle.  And
+the link layer's envelope signature
 (:class:`~repro.net.crypto.MessageSignature`) does not compute the digest
 at all when the message is sent: it holds the payload and walks it the
 first time something reads ``signature.digest`` — today only the remote
@@ -79,10 +84,10 @@ def payload_digest(value: Any) -> str:
 
     The digest only needs to be collision-resistant *within a simulation*;
     ``repr`` over dataclasses with deterministic field ordering — hashed to
-    a fixed width for a long container (a batch of transactions) — is enough.
+    a fixed width for a long container (a reconfiguration set) — is enough.
     Values that expose a ``digest()`` method (nested messages, operation
-    bundles) answer from their own per-instance cache instead of being
-    re-walked.
+    bundles, decided batches) answer from their own per-instance cache
+    instead of being re-walked.
     """
     cls = type(value)
     method = _DIGEST_METHODS.get(cls)

@@ -150,6 +150,57 @@ class TestCanonicalOrderProperties:
         assert _order(merged) == _canonical(entries)
 
 
+#: (op, latency, completion time) of one record; includes ops that are
+#: neither reads nor writes, and completion times on both window edges.
+summary_records = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "write", "join"]),
+        st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]).flatmap(
+            lambda edge: st.one_of(st.just(edge), st.floats(min_value=0.0, max_value=4.0))
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestSummaryProperties:
+    """``summary()`` builds one window and returns exactly what the queries return."""
+
+    @given(
+        summary_records,
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.one_of(st.none(), st.sampled_from([1.5, 2.0, 3.0])),
+    )
+    @settings(max_examples=60)
+    def test_summary_equals_the_queries_and_builds_one_window(self, records, start, end):
+        metrics = MetricsCollector()
+        for index, (op, latency, completed_at) in enumerate(records):
+            metrics.record_transaction(f"t{index}", op, latency, completed_at, "c")
+        metrics.set_window(start, end)
+        expected = {
+            "throughput_total": metrics.throughput(),
+            "throughput_writes": metrics.throughput(op="write"),
+            "throughput_reads": metrics.throughput(op="read"),
+            "latency_mean": metrics.mean_latency(),
+            "latency_mean_read": metrics.mean_latency(op="read"),
+            "latency_mean_write": metrics.mean_latency(op="write"),
+            "latency_p99": metrics.latency_percentile(0.99),
+            "operations": float(metrics.committed_count()),
+            "rounds": 0.0,
+            "reconfigs_applied": 0.0,
+        }
+        windows = []
+        build_window = metrics._windowed
+        metrics._windowed = lambda op=None: windows.append(op) or build_window(op)
+        summary = metrics.summary()
+        # Bit-identical, not approximately equal: the summary is inside
+        # every pinned fingerprint.
+        assert summary == expected
+        assert [repr(value) for value in summary.values()] == [repr(value) for value in expected.values()]
+        assert windows == [None]
+
+
 class TestStateMachineProperties:
     @given(st.lists(st.tuples(st.sampled_from("abcde"), st.text(max_size=4)), max_size=40))
     def test_replay_determinism(self, writes):
