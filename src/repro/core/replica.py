@@ -998,6 +998,8 @@ class GlobalSharing:
         besides the bundle (the claimed coordinates, so a relabelled bundle
         is checked afresh); a hit needs all of them, so a replaced signer
         entry, which clears its certificate's verdicts, also clears this one.
+        Asking the certificates' own memos instead would re-derive both
+        digests on every call: 61 more calls per operation on ``geo32``.
         """
         replica = self.replica
         if cluster_id not in replica.view:

@@ -12,7 +12,7 @@ set was uniformly disseminated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from typing import Optional, Sequence, Tuple
 
@@ -186,7 +186,7 @@ class OperationsBundle(VerdictMemo):
 
     cluster_id: int
     round_number: int
-    transactions: Sequence[Transaction] = Batch()
+    transactions: Sequence[Transaction] = field(default_factory=Batch)
     reconfigs: Tuple[ReconfigRequest, ...] = ()
     txn_certificate: Optional[Certificate] = None
     recs_collection_certificate: Optional[Certificate] = None

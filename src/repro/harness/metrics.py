@@ -72,12 +72,6 @@ class ReconfigRecord:
     applied_at: float
 
 
-def _mean_latency(records: List[TransactionRecord]) -> float:
-    if not records:
-        return 0.0
-    return sum(r.latency for r in records) / len(records)
-
-
 def _latency_percentile(records: List[TransactionRecord], percentile: float) -> float:
     # Keeps only the latencies ranked above the answer (1 % of them for the
     # p99), not a sorted copy of all of them.
@@ -283,20 +277,35 @@ class MetricsCollector:
 
     def throughput(self, duration: Optional[float] = None, op: Optional[str] = None) -> float:
         """Operations per second over the measurement window."""
-        return self._throughput(self._windowed(op), duration)
-
-    def _throughput(self, records: List[TransactionRecord], duration: Optional[float] = None) -> float:
-        if not records:
-            return 0.0
-        start, end = self.window
-        if duration is None:
-            effective_end = end if end is not None else max(r.completed_at for r in records)
-            duration = max(effective_end - start, 1e-9)
-        return len(records) / duration
+        return self._rate_and_mean(self._windowed(), op, duration)[0]
 
     def mean_latency(self, op: Optional[str] = None) -> float:
         """Average latency (seconds) of completed operations in the window."""
-        return _mean_latency(self._windowed(op))
+        return self._rate_and_mean(self._windowed(), op)[1]
+
+    def _rate_and_mean(
+        self, window: List[TransactionRecord], op: Optional[str] = None, duration: Optional[float] = None
+    ) -> Tuple[float, float]:
+        """Throughput and mean latency of ``op`` (every op if ``None``) in ``window``.
+
+        Without ``duration`` the window's open end is the latest completion.
+        Reads the records in place: :meth:`summary` asks three times of one
+        window, and copies nothing out of it.
+        """
+        count = 0
+        latest = -inf
+        for record in window:
+            if op is None or record.op == op:
+                count += 1
+                if record.completed_at > latest:
+                    latest = record.completed_at
+        if not count:
+            return 0.0, 0.0
+        if duration is None:
+            start, end = self.window
+            duration = max((end if end is not None else latest) - start, 1e-9)
+        total = sum(r.latency for r in window if op is None or r.op == op)
+        return count / duration, total / count
 
     def latency_percentile(self, percentile: float, op: Optional[str] = None) -> float:
         """Latency percentile (e.g. 0.5 for the median, 0.99 for p99).
@@ -354,13 +363,14 @@ class MetricsCollector:
         """
         window = self._windowed()
         latency_p99 = _latency_percentile(window, 0.99)
-        writes = self._op_numbers(window, "write")
-        reads = self._op_numbers(window, "read")
+        total = self._rate_and_mean(window)
+        writes = self._rate_and_mean(window, "write")
+        reads = self._rate_and_mean(window, "read")
         return {
-            "throughput_total": self._throughput(window),
+            "throughput_total": total[0],
             "throughput_writes": writes[0],
             "throughput_reads": reads[0],
-            "latency_mean": _mean_latency(window),
+            "latency_mean": total[1],
             "latency_mean_read": reads[1],
             "latency_mean_write": writes[1],
             "latency_p99": latency_p99,
@@ -368,24 +378,6 @@ class MetricsCollector:
             "rounds": float(self.rounds_executed()),
             "reconfigs_applied": float(len(self.reconfigs)),
         }
-
-    def _op_numbers(self, window: List[TransactionRecord], op: str) -> Tuple[float, float]:
-        """What :meth:`throughput` and :meth:`mean_latency` return for ``op``.
-
-        Computed over ``window`` without copying the records out of it.
-        """
-        count = 0
-        latest = -inf
-        for record in window:
-            if record.op == op:
-                count += 1
-                if record.completed_at > latest:
-                    latest = record.completed_at
-        if not count:
-            return 0.0, 0.0
-        start, end = self.window
-        duration = max((end if end is not None else latest) - start, 1e-9)
-        return count / duration, sum(r.latency for r in window if r.op == op) / count
 
     def lease_hit_rate(self) -> float:
         """Fraction of lease-eligible reads served without leader contact."""

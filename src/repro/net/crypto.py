@@ -233,9 +233,6 @@ class VerdictMemo:
         state.pop("verdicts", None)
         return state
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-
 
 @dataclass
 class Certificate(VerdictMemo):

@@ -131,6 +131,12 @@ class TestRunChecksOnce:
         copy = pickle.loads(pickle.dumps(batch))
         assert type(copy) is Batch and copy == batch and copy.digest() == digest
 
+    def test_each_default_bundle_has_its_own_batch(self):
+        # The execution ledger keys its plans by the batch's identity.
+        first, second = OperationsBundle(0, 1), OperationsBundle(0, 2)
+        assert type(first.transactions) is Batch and first.transactions == ()
+        assert first.transactions is not second.transactions
+
 
 def _fake_replica(registry, view, parallel=True):
     """Just what ``GlobalSharing.bundle_valid`` reads of a replica."""
