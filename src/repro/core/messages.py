@@ -127,6 +127,21 @@ class Inter(Message):
                 cost += len(cert)
         return cost
 
+    def shares(self) -> Tuple["LocalShare", "LocalShare"]:
+        """The full ``LocalShare`` of this bundle and its header, built once per instance.
+
+        Every target of one multicast receives this same ``Inter`` object and
+        shares the same two (immutable) messages with its cluster.
+        """
+        cache = self.__dict__
+        shares = cache.get("_shares_cache")
+        if shares is None:
+            shares = cache["_shares_cache"] = (
+                LocalShare(round_number=self.round_number, cluster_id=self.cluster_id, bundle=self.bundle),
+                LocalShare(round_number=self.round_number, cluster_id=self.cluster_id),
+            )
+        return shares
+
 
 @dataclass
 class LocalShare(Message):

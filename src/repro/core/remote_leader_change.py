@@ -116,6 +116,9 @@ class RemoteLeaderChange:
         #: per-cluster Timer objects re-armed every round — arming is a dict
         #: write instead of a schedule+cancel pair.
         self._watch_pool = simulator.deadline_pool(self._on_timeout, name=f"{owner}:remote")
+        #: ``stop_timer(cluster_id)``: stop the watch of a cluster whose
+        #: operations arrived (the pool's own ``disarm``, called directly).
+        self.stop_timer: Callable[[int], None] = self._watch_pool.disarm
         #: Count of leader changes this replica triggered via remote complaints
         #: (exposed for tests and metrics).
         self.remote_changes_applied = 0
@@ -146,13 +149,10 @@ class RemoteLeaderChange:
         about it, so a quiet round allocates none.
         """
         self._watches.clear()
-        for cluster_id in self.view_fn():
-            if cluster_id != self.cluster_id:
-                self._watch_pool.arm(cluster_id, self.timeout)
-
-    def stop_timer(self, cluster_id: int) -> None:
-        """Stop the watch timer for a cluster whose operations arrived."""
-        self._watch_pool.disarm(cluster_id)
+        own = self.cluster_id
+        self._watch_pool.arm_many(
+            [cluster_id for cluster_id in self.view_fn() if cluster_id != own], self.timeout
+        )
 
     def stop_all(self) -> None:
         """Stop every watch timer (round teardown)."""

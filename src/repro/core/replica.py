@@ -966,17 +966,23 @@ class GlobalSharing:
         return grace
 
     def inter_broadcast(self, bundle: OperationsBundle) -> None:
-        """Leader: send ``bundle`` to ``f_j + 1`` members of every remote cluster."""
+        """Leader: send ``bundle`` to ``f_j + 1`` members of every remote cluster.
+
+        One multicast in sorted view order: the network staggers, draws and
+        numbers each copy exactly as one send per target would.
+        """
         replica = self.replica
         if replica.byzantine.suppress_inter(replica.simulator.now):
             return
-        message = Inter(round_number=bundle.round_number, cluster_id=replica.cluster_id, bundle=bundle)
+        own_cluster = replica.cluster_id
+        targets: List[str] = []
         for cluster_id in replica.sorted_view_ids():
-            if cluster_id == replica.cluster_id:
-                continue
-            members = replica.members(cluster_id)
-            for target in members[: replica.faults(cluster_id) + 1]:
-                replica.apl.send(target, message)
+            if cluster_id != own_cluster:
+                targets += replica.members(cluster_id)[: replica.faults(cluster_id) + 1]
+        if targets:
+            replica.apl.send_many(
+                targets, Inter(round_number=bundle.round_number, cluster_id=own_cluster, bundle=bundle)
+            )
 
     def rebroadcast(self) -> None:
         """Alg. 8: a new leader re-sends this round's and the last round's bundle."""
@@ -1050,7 +1056,7 @@ class GlobalSharing:
         bundle = message.bundle
         if not self.bundle_valid(cluster_id, round_number, bundle):
             return
-        share = LocalShare(round_number=round_number, cluster_id=cluster_id, bundle=bundle)
+        share, header = message.shares()
         process_id = replica.process_id
         members = replica.local_members()
         reached = replica.local_faults() + 1
@@ -1059,9 +1065,7 @@ class GlobalSharing:
             # Rule 1: full copies only where the remote leader did not reach.
             apl.send_many((process_id, *members[reached:]), share)
             if reached > 1:
-                apl.send_many(
-                    members[1:reached], LocalShare(round_number=round_number, cluster_id=cluster_id)
-                )
+                apl.send_many(members[1:reached], header)
             return
         if process_id not in members[1:reached]:
             # Not a target under our view (the leader's view of this

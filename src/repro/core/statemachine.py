@@ -19,7 +19,9 @@ Stage 3 executes one decided batch at a time, and every executor of a batch
 does the same thing with it, so what a batch does is an
 :class:`ExecutionPlan`, computed once per batch and memoised in the ledger.
 A store executes a plan with a few slice operations: check and extend the
-ledger, answer the positions asked of it, move its cursor.
+ledger, answer the positions asked of it, move its cursor.  The check runs
+once per plan and place: the plan remembers where it matched the ledger,
+whose entries never change, so a later executor at that place skips it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class ExecutionPlan:
         read_values: ``position -> value`` of each read whose key an earlier
             write of the batch set.
         round_number: The round that executes the batch (memo lifetime).
+        placed: ``(ledger, cursor, applied_at)`` where an executor found the
+            batch's ids, writes and values in that ledger (``None`` before
+            the first): the ledger's lists only grow and never change an
+            entry, so a later executor at the same place skips the compare.
     """
 
     __slots__ = (
@@ -60,6 +66,7 @@ class ExecutionPlan:
         "first_positions",
         "read_values",
         "round_number",
+        "placed",
     )
 
     def __init__(self, transactions: Sequence[Transaction], round_number: int = 0) -> None:
@@ -92,6 +99,7 @@ class ExecutionPlan:
         self.first_positions = first_positions
         self.read_values = read_values
         self.round_number = round_number
+        self.placed: Optional[Tuple["ExecutionLedger", int, int]] = None
 
 
 class ExecutionLedger:
@@ -273,26 +281,30 @@ class KeyValueStore:
         write answers with its value, a read with what it reads.
         """
         ledger = self.ledger
-        ids = ledger.ids
         cursor = self._cursor
         entries = plan.ids
-        # One C-level slice comparison per log; only the batch's first
-        # executor (or a diverging one) takes the slow path.
-        if ids[cursor : cursor + len(entries)] != entries:
-            held = _check(ids, cursor, entries, "execution")
-            ids.extend(entries[held:])
-            index = ledger.index
-            for offset in range(held, len(entries)):
-                index.setdefault(entries[offset], cursor + offset)
-        self._cursor = cursor + len(entries)
         writes = plan.applied
         applied_at = self._applied_start + self.applied
-        stop = applied_at + len(writes)
-        if (
-            ledger.applied[applied_at:stop] != writes
-            or ledger.values[applied_at:stop] != plan.write_values
-        ):
-            ledger.record_writes(applied_at, writes, plan.write_values)
+        place = (ledger, cursor, applied_at)
+        if plan.placed != place:
+            # The plan's first executor at this place: one C-level slice
+            # comparison per log; only the batch's first executor in the
+            # ledger (or a diverging one) takes the slow path.
+            ids = ledger.ids
+            if ids[cursor : cursor + len(entries)] != entries:
+                held = _check(ids, cursor, entries, "execution")
+                ids.extend(entries[held:])
+                index = ledger.index
+                for offset in range(held, len(entries)):
+                    index.setdefault(entries[offset], cursor + offset)
+            stop = applied_at + len(writes)
+            if (
+                ledger.applied[applied_at:stop] != writes
+                or ledger.values[applied_at:stop] != plan.write_values
+            ):
+                ledger.record_writes(applied_at, writes, plan.write_values)
+            plan.placed = place
+        self._cursor = cursor + len(entries)
         transactions = plan.transactions
         read_values = plan.read_values
         values: List[Optional[str]] = []

@@ -121,9 +121,11 @@ class NetworkStats:
     excluded by construction, so per-link latency analyses (E2) are not
     diluted by 0 ms self-deliveries.  The accumulators are per sender — not
     one global float pair — because float addition is order-sensitive: a
-    sender's draws are added in its own send order (invariant under kernel
-    sharding), and cross-sender folds always run in sorted sender order, so
-    a sharded run's merged stats are bit-identical to the serial run's.
+    sender's draws are added one wire message at a time, in its own send
+    order (invariant under kernel sharding), so a fan-out sums exactly like
+    the point-to-point sends it stands for, however a sender groups its
+    sends into calls; cross-sender folds always run in sorted sender order,
+    so a sharded run's merged stats are bit-identical to the serial run's.
     """
 
     messages_sent: int = 0
@@ -499,7 +501,11 @@ class Network:
         first = sequence = equeue._sequence
         sent = 0
         dropped = 0
-        latency_sum = 0.0
+        # The sender's latency total, folded one wire message at a time and
+        # written back once (see :class:`NetworkStats` on why the order of
+        # the adds is fixed).
+        acc = port.lat_acc
+        latency_total = acc[0]
         for destination in destinations:
             if destination == sender:
                 # True 0 ms loop-back: no latency draw, no drop rules, no
@@ -550,7 +556,7 @@ class Network:
                 latency += self.congestion.surcharge(
                     port.owner if port.owner is not None else sender, sender, destination, size, now
                 )
-            latency_sum += latency
+            latency_total += latency
             arrival = departure + latency
             if target_port is None:
                 self._enqueue_cross(port, sender, arrival, destination, envelope, fused, now)
@@ -573,10 +579,7 @@ class Network:
             sequence += 1
         stats.messages_sent += sent
         stats.bytes_sent += size * sent
-        # One float add per call, in the sender's own send order (see
-        # :class:`NetworkStats` on why the fold order is fixed).
-        acc = port.lat_acc
-        acc[0] += latency_sum
+        acc[0] = latency_total
         acc[1] += sent - dropped
         if dropped:
             stats.messages_dropped += dropped

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from math import inf
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.events import ARG, CALLBACK, CANCELLED, TIME, Event, EventQueue
@@ -120,6 +120,28 @@ class DeadlinePool:
         elif deadline < event.time:
             # Rare: the new deadline undercuts the resident event (a shorter
             # timeout armed mid-flight).  Re-chase eagerly so it fires on time.
+            event.cancel()
+            self._simulator.notify_cancel()
+            self._event = self._simulator.schedule(duration, self._fire, 0, self._label)
+
+    def arm_many(self, keys: Sequence, duration: float) -> None:
+        """(Re)arm every key of ``keys`` to fire ``duration`` from now.
+
+        Equal to :meth:`arm` on each key in turn, in one call: the keys
+        share one deadline, so the dict takes them in the same order and
+        only the first could schedule or re-chase the resident event.
+        """
+        if not keys:
+            return
+        duration = duration * self.rate
+        deadline = self._simulator.now + duration
+        deadlines = self._deadlines
+        for key in keys:
+            deadlines[key] = deadline
+        event = self._event
+        if event is None or event.cancelled:
+            self._event = self._simulator.schedule(duration, self._fire, 0, self._label)
+        elif deadline < event.time:
             event.cancel()
             self._simulator.notify_cancel()
             self._event = self._simulator.schedule(duration, self._fire, 0, self._label)

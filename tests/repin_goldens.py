@@ -3,11 +3,12 @@
 The E0 determinism goldens (``tests/goldens_e0.json``) hold one entry per
 consensus engine in ``ENGINES``, each over the same fixed-seed scenario:
 its metrics summary, network counters, and kernel event count, bit-for-bit.
-Beside them, under ``determinism_gate``, sit the sha256 fingerprints of the
-determinism gate's scenarios (``tests/test_determinism_gate.py``), which
-cover joins, leaves, crashes, Byzantine leaders, leases, open loop and every
-engine and preset.  Any change that alters simulated *timing* — not just
-real behaviour — breaks them by design.
+Beside them, under ``determinism_gate``, sit the fingerprints of the
+determinism gate's scenarios (``tests/test_determinism_gate.py``): each
+scenario's ``ResultRow`` fields plus its kernel event count, so a drift
+names the fields that moved.  They cover joins, leaves, crashes, Byzantine
+leaders, leases, open loop and every engine and preset.  Any change that
+alters simulated *timing* — not just real behaviour — breaks them by design.
 
 Golden re-pin policy (also summarized in the README):
 

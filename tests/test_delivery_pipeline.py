@@ -388,6 +388,22 @@ class TestOneSendRule:
             assert sorted(text for text, _ in fanned["delivered"]["lan"]) == ["first"] * 2 + ["second"] * 2
             assert fanned["stats"][0]["messages_dropped"] == 4  # blocked and ghost, twice
 
+    def test_a_fan_out_sums_its_latencies_like_its_point_to_point_sends(self):
+        # Float addition rounds at each step, so the sender's running total
+        # must take the same adds in the same order whichever call carried
+        # them -- after every fan-out, not only once the sums are complete.
+        twins = [self._world()[1] for _ in range(2)]
+        steps = []
+        for step in range(200):
+            destinations = self.DESTINATIONS[step % 3 :]
+            message = Note(f"n{step}")
+            for network, fan_out in zip(twins, (self._multicast, self._sends)):
+                fan_out(network, destinations, message, network.registry.sign_message("s", message))
+            steps.append([list(network.stats.link_latency["s"]) for network in twins])
+        assert [step for step, (fanned, sent) in enumerate(steps) if fanned != sent] == []
+        # 67 fan-outs with 5 wire copies that draw a latency, 67 with 4, 66 with 3.
+        assert steps[-1][0][1] == 801
+
 
 # ---------------------------------------------------------------------- #
 # Fixed-seed determinism of full scenario rows

@@ -3,9 +3,9 @@
 A table of scenarios runs in two fresh interpreter processes, one with
 ``PYTHONHASHSEED=0`` and the table in order, the other with
 ``PYTHONHASHSEED=1`` and the table reversed.  Each prints one fingerprint
-per scenario (its ``ResultRow`` JSON plus the kernel's event count), and
-the two must agree.  Each difference between the runs catches one family
-of hazards:
+per scenario (its ``ResultRow`` fields plus the kernel's event count), and
+the two must agree field by field; a failure names the fields that
+differ.  Each difference between the runs catches one family of hazards:
 
 - the hash seed: set iteration order and ``hash()`` of strings;
 - a fresh process: ``id()`` ordering, the host clock and unseeded draws
@@ -26,13 +26,12 @@ order, by default)::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Any, Dict, List
 
 from repro.consensus.registry import ENGINES
 from repro.harness.builder import Scenario
@@ -83,14 +82,19 @@ def _table() -> Dict[str, Scenario]:
     }
 
 
-def fingerprints(names: List[str]) -> Dict[str, str]:
-    """Run the named scenarios in order, in this process; one hash each."""
+def fingerprints(names: List[str]) -> Dict[str, Dict[str, Any]]:
+    """Run the named scenarios in order, in this process.
+
+    Each one's fingerprint is its ``ResultRow`` fields plus ``events``, the
+    kernel's event count.
+    """
     table = _table()
-    out: Dict[str, str] = {}
+    out: Dict[str, Dict[str, Any]] = {}
     for name in names:
         row, deployment = run_in_process(table[name].spec())
-        text = row.to_json() + str(deployment.simulator.events_processed)
-        out[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        fields = json.loads(row.to_json())
+        fields["events"] = deployment.simulator.events_processed
+        out[name] = fields
     return out
 
 
@@ -125,13 +129,14 @@ def test_two_hash_seeds_in_opposite_order_agree():
             process.wait()
     forward, backward = results.values()
     assert set(forward) == set(backward) == set(names)
-    differing = [name for name in names if forward[name] != backward[name]]
-    assert not differing, f"fingerprints differ between the two runs on {differing}"
-    from tests.repin_goldens import GATE_KEY, load_goldens  # not importable as a script
+    # Not importable when this file runs as a script.
+    from tests.repin_goldens import GATE_KEY, diff_summary, load_goldens
 
+    differing = diff_summary(forward, backward)
+    assert not differing, "fingerprints differ between the two runs:\n" + "\n".join(differing)
     pinned = load_goldens().get(GATE_KEY, {})
-    moved = [name for name in names if forward[name] != pinned.get(name)]
-    assert not moved, f"fingerprints differ from tests/goldens_e0.json on {moved}"
+    moved = diff_summary({name: pinned.get(name) for name in names}, forward)
+    assert not moved, "fingerprints differ from tests/goldens_e0.json:\n" + "\n".join(moved)
 
 
 def test_table_covers_every_kind_engine_preset_and_model():

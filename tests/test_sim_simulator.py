@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.sim.events import CANCELLED, LABEL
 from repro.sim.simulator import Simulator
 
 
@@ -337,3 +340,49 @@ class TestDeadlinePoolClock:
         # The resident event fired once, found nothing due and did not re-chase.
         assert sim.events_processed == 1
         assert len(sim._queue) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rate=st.sampled_from((1.0, 0.5, 2.5)),
+        earlier=st.lists(
+            st.tuples(st.sampled_from("abcd"), st.sampled_from((0.5, 1.0, 2.0, 4.0))), max_size=4
+        ),
+        elapsed=st.sampled_from((0.0, 0.75, 3.0)),
+        cancel_resident=st.booleans(),
+        keys=st.lists(st.sampled_from("abcdef"), max_size=5),
+        duration=st.sampled_from((0.0, 1.0, 2.0, 3.0)),
+    )
+    def test_arm_many_equals_arming_each_key_in_turn(
+        self, rate, earlier, elapsed, cancel_resident, keys, duration
+    ):
+        """Same deadlines in the same dict order, the same resident event
+        (scheduled, re-chased or left, whether the one before it is earlier,
+        later, gone or cancelled) and the same firings afterwards."""
+
+        def world(arm):
+            sim = Simulator()
+            fired = []
+            pool = sim.deadline_pool(lambda key: fired.append((key, sim.now)))
+            pool.rate = rate
+            for key, before in earlier:
+                pool.arm(key, before)
+            sim.run(until=elapsed)
+            if cancel_resident and pool._event is not None:
+                pool._event.cancel()
+                sim.notify_cancel()
+            arm(pool)
+            queue = sim._queue
+            state = (
+                list(pool._deadlines.items()),
+                None if pool._event is None else pool._event[:3] + [pool._event[CANCELLED]],
+                sorted(event[:3] + [event[CANCELLED], event[LABEL]] for event in queue._heap),
+                (queue._sequence, queue._live, queue._cancelled),
+            )
+            sim.run()
+            return state, fired
+
+        def one_by_one(pool):
+            for key in keys:
+                pool.arm(key, duration)
+
+        assert world(lambda pool: pool.arm_many(keys, duration)) == world(one_by_one)

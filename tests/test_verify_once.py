@@ -7,7 +7,10 @@ CPU.  These tests pin that the Python work behind the checks runs once per
 object (and verdict key), and that the memo never answers where the full
 check would answer differently: under another membership, threshold or
 coordinates, after a signer's entry is replaced, and never with a remembered
-``False``.
+``False``.  Stages 2 and 3 follow the same rule per broadcast, round and
+batch: one ``Inter`` envelope per round, one ``LocalShare`` pair per
+``Inter``, one watch re-arm per replica round and one agreement compare per
+batch placement, which never skips a compare the ledger has not passed.
 """
 
 from __future__ import annotations
@@ -23,13 +26,17 @@ import repro.core.replica as replica_module
 import repro.core.types as core_types
 import repro.net.message as net_message
 from repro.consensus.interface import commit_digest
-from repro.core import brd
+from repro.core import brd, messages
 from repro.core.brd import CollectionEntry, CollectionProof, ready_digest, submit_digest
 from repro.core.config import failure_threshold
+from repro.core.remote_leader_change import RemoteLeaderChange
 from repro.core.replica import GlobalSharing
-from repro.core.types import Batch, OperationsBundle, join_request, make_transaction
+from repro.core.statemachine import ExecutionLedger, ExecutionPlan, KeyValueStore
+from repro.core.types import Batch, OperationsBundle, Transaction, join_request, make_transaction
+from repro.errors import AgreementViolation
 from repro.harness.builder import Scenario
 from repro.net.crypto import Certificate, KeyRegistry, VerdictMemo
+from repro.sim.simulator import DeadlinePool
 from tests import helpers
 from tests.test_core_brd import build_brd_cluster
 
@@ -336,3 +343,117 @@ class TestEmptyPhaseDigestBound:
         monkeypatch.setattr(brd, "_EMPTY_PHASE_DIGESTS", Watched())
         assert spec.run().to_json() == expected
         assert Watched.peak == 16 and Watched.inserts > 3 * 16
+
+
+@pytest.fixture(scope="module")
+def stage23_counts():
+    """Stage-2/3 step counts of a fault-free 4×4 run (1 s, seed 11)."""
+    counts: Counter = Counter()
+    plans = {}  # id -> plan, kept alive so ids stay unique
+
+    def counting(cls, name, count):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            count(self, *args)
+            return original(self, *args, **kwargs)
+
+        patch.setattr(cls, name, wrapper)
+
+    def sign(registry, signer, payload):
+        counts["inter_signatures"] += isinstance(payload, messages.Inter)
+
+    def remote_pool(kind):
+        def count(pool, *args):
+            counts[kind] += pool._label.endswith(":remote")
+
+        return count
+
+    def execute(store, plan, positions=()):
+        plans[id(plan)] = plan
+        counts["full_compares"] += plan.placed != (store.ledger, store._cursor, store._applied_start + store.applied)
+        counts["executions"] += 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        counting(KeyRegistry, "sign_message", sign)
+        counting(GlobalSharing, "inter_broadcast", lambda *_: counts.update(["inter_broadcasts"]))
+        counting(messages.Inter, "__init__", lambda *_: counts.update(["Inter"]))
+        counting(messages.LocalShare, "__init__", lambda *_: counts.update(["LocalShare"]))
+        counting(RemoteLeaderChange, "start_round", lambda *_: counts.update(["watch_rounds"]))
+        counting(DeadlinePool, "arm", remote_pool("watch_arm"))
+        counting(DeadlinePool, "arm_many", remote_pool("watch_arm_many"))
+        counting(KeyValueStore, "execute", execute)
+        deployment = (
+            Scenario("once-per-broadcast")
+            .clusters(4, 4, 4, 4)
+            .threads(4)
+            .duration(1.0, warmup=0.0)
+            .seeds(11)
+            .build()
+        )
+        assert deployment.run(duration=1.0).committed_count() > 0
+    counts["batches"] = len(plans)
+    return counts
+
+
+class TestStageTwoOncePerBroadcast:
+    """Each stage-2/3 step runs once per broadcast, round or batch, not once
+    per receiver; the simulated outcome is pinned by the goldens."""
+
+    def test_one_inter_envelope_signature_per_broadcast(self, stage23_counts):
+        assert stage23_counts["inter_broadcasts"] > 20
+        assert stage23_counts["inter_signatures"] == stage23_counts["inter_broadcasts"]
+
+    def test_two_local_shares_per_inter_message(self, stage23_counts):
+        assert stage23_counts["Inter"] == stage23_counts["inter_broadcasts"]
+        assert stage23_counts["LocalShare"] == 2 * stage23_counts["Inter"]
+
+    def test_one_watch_re_arm_per_replica_round(self, stage23_counts):
+        assert stage23_counts["watch_rounds"] > 16 * 20
+        assert stage23_counts["watch_arm_many"] == stage23_counts["watch_rounds"]
+        assert stage23_counts["watch_arm"] == 0
+
+    def test_one_full_agreement_compare_per_decided_batch(self, stage23_counts):
+        assert stage23_counts["batches"] > 4 * 20
+        assert stage23_counts["full_compares"] == stage23_counts["batches"]
+        assert stage23_counts["executions"] == 16 * stage23_counts["batches"]
+
+
+def _writes(*names, value="v"):
+    return [
+        Transaction(txn_id=f"t-{name}", client_id="c", origin_replica="r", op="write", key=f"k-{name}", value=value)
+        for name in names
+    ]
+
+
+class TestPlacementMemo:
+    """A placed plan skips the compare only where it was placed, in that ledger."""
+
+    def test_another_plan_at_a_placed_position_still_violates_agreement(self):
+        ledger = ExecutionLedger()
+        first, second = KeyValueStore(ledger), KeyValueStore(ledger)
+        placed = ExecutionPlan(_writes("a", "b"))
+        first.execute(placed)
+        assert placed.placed == (ledger, 0, 0)
+        with pytest.raises(AgreementViolation):
+            second.execute(ExecutionPlan(_writes("a", "x")))
+        with pytest.raises(AgreementViolation):
+            second.execute(ExecutionPlan(_writes("a", "b", value="other")))
+
+    def test_the_same_plan_at_another_position_takes_the_full_compare(self):
+        ledger = ExecutionLedger()
+        first, second = KeyValueStore(ledger), KeyValueStore(ledger)
+        head, tail = ExecutionPlan(_writes("a")), ExecutionPlan(_writes("b"))
+        first.execute(head)
+        first.execute(tail)
+        assert tail.placed == (ledger, 1, 1)
+        with pytest.raises(AgreementViolation):
+            second.execute(tail)  # where ``head`` stands
+
+    def test_a_plan_placed_in_one_ledger_is_written_into_another(self):
+        plan = ExecutionPlan(_writes("a", "b"))
+        KeyValueStore().execute(plan)
+        other = KeyValueStore()
+        other.execute(plan)
+        assert other.ledger.ids == ["t-a", "t-b"]
+        assert other.read("k-b") == "v"
