@@ -29,6 +29,9 @@ class ClientRequest(Message):
     def estimated_size(self) -> int:
         return 128 + self.transaction.size_bytes
 
+    # One addition: cheaper than writing and probing a per-instance memo.
+    cached_size = estimated_size
+
 
 @dataclass
 class ClientResponse(Message):
@@ -47,6 +50,9 @@ class ClientResponse(Message):
 
     def estimated_size(self) -> int:
         return 192
+
+    # A constant: cheaper than writing and probing a per-instance memo.
+    cached_size = estimated_size
 
 
 @dataclass

@@ -63,6 +63,7 @@ from repro.core.reconfiguration import (
 from repro.core.remote_leader_change import RemoteLeaderChange
 from repro.core.statemachine import ExecutionLedger, KeyValueStore, LedgerView
 from repro.core.types import (
+    READ,
     Batch,
     OperationsBundle,
     ReconfigRequest,
@@ -321,7 +322,7 @@ class HamavaReplica(Process):
         self._members_cache.clear()
         self._faults_cache.clear()
         self._view_order_cache = None
-        self.sharing.grace_cache.clear()
+        self.sharing.forget_view()
 
     def faults(self, cluster_id: int) -> int:
         """Failure threshold ``f_j`` of a cluster under the current view.
@@ -476,14 +477,14 @@ class ClientFront:
             # A peer forwarded a transaction to us because we are (were) the leader.
             replica.ordering.enqueue(transaction)
             return
-        if transaction.is_read:
+        if transaction.op == READ:
             replica.apl.send(
                 transaction.client_id,
                 ClientResponse(
-                    txn_id=transaction.txn_id,
-                    value=replica.kv.read(transaction.key),
-                    committed_round=replica.round_number,
-                    leader_hint=replica.leader,
+                    transaction.txn_id,
+                    replica.kv.read(transaction.key),
+                    replica.round_number,
+                    replica.leader,
                 ),
             )
             return
@@ -930,9 +931,17 @@ class GlobalSharing:
         self.previous_operations: Dict[int, OperationsBundle] = {}
         #: :meth:`grace` per remote cluster; cleared with the view caches.
         self.grace_cache: Dict[int, float] = {}
+        #: :meth:`bundle_valid`'s verdict token per remote cluster; cleared
+        #: with the view caches.
+        self.check_tokens: Dict[int, object] = {}
         #: Shares this replica re-broadcast because the first-indexed Inter
         #: receiver's did not arrive within the grace period.
         self.fallback_broadcasts = 0
+
+    def forget_view(self) -> None:
+        """Drop the per-view-epoch caches; the replica's view changed."""
+        self.grace_cache.clear()
+        self.check_tokens.clear()
 
     def open_round(self, round_number: int) -> None:
         """Forget old share keys and replay shares that arrived early."""
@@ -1006,30 +1015,42 @@ class GlobalSharing:
         entry, which clears its certificate's verdicts, also clears this one.
         Asking the certificates' own memos instead would re-derive both
         digests on every call: 61 more calls per operation on ``geo32``.
+
+        The key is ``(token, round)``: the registry interns one token per
+        ``(cluster, members, threshold, parallel)``, which this replica
+        keeps per remote cluster for the current view epoch, so a hit
+        hashes two fields and reads neither the view nor the membership.
         """
         replica = self.replica
-        if cluster_id not in replica.view:
-            return False
-        registry = replica.network.registry
-        members = replica.members(cluster_id)
-        threshold = 2 * replica.faults(cluster_id) + 1
-        parallel = replica.config.parallel_reconfig
-        key = (registry, cluster_id, round_number, members, threshold, parallel)
+        token = self.check_tokens.get(cluster_id)
+        if token is None:
+            if cluster_id not in replica.view:
+                return False
+            token = self.check_tokens[cluster_id] = replica.network.registry.verdict_token(
+                cluster_id,
+                replica.members(cluster_id),
+                2 * replica.faults(cluster_id) + 1,
+                replica.config.parallel_reconfig,
+            )
+        key = (token, round_number)
         txn_certificate = bundle.txn_certificate
         ready_certificate = bundle.recs_ready_certificate
+        parallel = replica.config.parallel_reconfig
         if (
             key in bundle.verdicts
             and key in txn_certificate.verdicts
             and (not parallel or key in ready_certificate.verdicts)
         ):
             return True
-        certificate_valid = registry.certificate_valid
+        registry = replica.network.registry
+        members = replica.members(cluster_id)
+        threshold = 2 * replica.faults(cluster_id) + 1
         expected = commit_digest(cluster_id, round_number, bundle.transactions)
-        if not certificate_valid(txn_certificate, members, threshold, digest=expected):
+        if not registry.certificate_valid(txn_certificate, members, threshold, digest=expected):
             return False
         if parallel:
             expected = ready_digest(cluster_id, round_number, bundle.reconfigs)
-            if not certificate_valid(ready_certificate, members, threshold, digest=expected):
+            if not registry.certificate_valid(ready_certificate, members, threshold, digest=expected):
                 return False
             ready_certificate.remember_verdict(key)
         elif bundle.reconfigs:
@@ -1291,13 +1312,7 @@ class Execution:
                 front.pending_batch.setdefault(client_id, []).append((transaction.txn_id, value))
                 continue
             replica.apl.send(
-                client_id,
-                ClientResponse(
-                    txn_id=transaction.txn_id,
-                    value=value,
-                    committed_round=round_number,
-                    leader_hint=replica.leader,
-                ),
+                client_id, ClientResponse(transaction.txn_id, value, round_number, replica.leader)
             )
 
     def apply_reconfig(self, cluster_id: int, request: ReconfigRequest) -> None:

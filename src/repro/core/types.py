@@ -89,16 +89,21 @@ def make_transaction(
     submitted_at: float = 0.0,
     size_bytes: int = 1024,
 ) -> Transaction:
-    """Create a transaction with a fresh globally-unique id."""
+    """Create a transaction with a fresh globally-unique id.
+
+    Built positionally (a keyword call to a dataclass costs about twice as
+    much, and this runs once per client operation); the field order is
+    pinned by ``tests/test_workload_and_metrics.py``.
+    """
     return Transaction(
-        txn_id=f"{client_id}:{next(_txn_counter)}",
-        client_id=client_id,
-        origin_replica=origin_replica,
-        op=op,
-        key=key,
-        value=value,
-        submitted_at=submitted_at,
-        size_bytes=size_bytes,
+        f"{client_id}:{next(_txn_counter)}",
+        client_id,
+        origin_replica,
+        op,
+        key,
+        value,
+        submitted_at,
+        size_bytes,
     )
 
 

@@ -132,11 +132,7 @@ class MetricsCollector:
         self, txn_id: str, op: str, latency: float, completed_at: float, client_id: str
     ) -> None:
         """Record a completed client operation."""
-        self.transactions.append(
-            TransactionRecord(
-                txn_id=txn_id, op=op, latency=latency, completed_at=completed_at, client_id=client_id
-            )
-        )
+        self.transactions.append(TransactionRecord(txn_id, op, latency, completed_at, client_id))
         self._completion_times.append(completed_at)
 
     def record_round(

@@ -13,14 +13,19 @@ replica's signing capability to that replica's own process).
 Two entry points mint signatures.  :meth:`KeyRegistry.sign` signs a digest
 the caller already holds — votes, BRD entries, commit signatures, where the
 digest *is* the thing signed — and returns a plain :class:`Signature` whose
-``digest`` is a slot.  :meth:`KeyRegistry.sign_message` is the link layer's:
-it signs a whole :class:`~repro.net.message.Message` and returns a
-:class:`MessageSignature` that walks the payload's digest only when
-something reads it.  Almost nothing does — the link check answers from the
-``verified_by`` memo, and the one protocol that keeps envelope signatures
-(the remote leader change's ``LComplaint`` quorum) reads a few dozen per
-run — so an honest send costs one slotted allocation and no digest walk.
-The registry counts all three (:meth:`KeyRegistry.counters`).
+``digest`` is a slot.  :meth:`KeyRegistry.sign_message` signs a whole
+:class:`~repro.net.message.Message` and returns a :class:`MessageSignature`
+that walks the payload's digest only when something reads it.  The link
+layer does not even mint that per send: a process's links share one
+:class:`LinkSeal` (:meth:`KeyRegistry.link_seal`), pass it to the network
+in place of a signature, and the envelope turns it into the
+``MessageSignature`` ``sign_message`` would have made the first time
+something reads ``Envelope.signature``.  Almost nothing does — the link
+check answers from the seal's ``verified_by`` memo, and the one protocol
+that keeps envelope signatures (the remote leader change's ``LComplaint``
+quorum) reads a few dozen per run — so an honest send allocates no
+signature and walks no digest.  The registry counts signed sends, explicit
+signatures and digest walks (:meth:`KeyRegistry.counters`).
 
 The real CPU cost of signing/verification is modelled separately by the
 network's processing-cost parameters so that message-complexity differences
@@ -154,9 +159,11 @@ class Signature:
 class MessageSignature(Signature):
     """The link layer's signature over a whole message, lazy in its digest.
 
-    Minted only by :meth:`KeyRegistry.sign_message`.  It holds the signed
-    ``payload`` instead of its digest: ``digest`` walks ``payload.digest()``
-    on first read and keeps the result, and ``token`` derives from that as
+    Minted by :meth:`KeyRegistry.sign_message`, and by a :class:`LinkSeal`
+    when something first reads a sealed envelope's ``signature`` (the same
+    object ``sign_message(sender, payload)`` makes, without counting a
+    second send).  It holds the signed ``payload`` instead of its digest:
+    ``digest`` walks ``payload.digest()`` on first read and keeps the result, and ``token`` derives from that as
     for any registry-minted signature, so equality, hashing, ``repr``,
     :meth:`KeyRegistry.verify` and :meth:`Certificate.add` all behave as
     they do for ``registry.sign(signer, payload.digest())`` — which this
@@ -189,6 +196,40 @@ class MessageSignature(Signature):
 
     def __reduce__(self):
         return (Signature, (self.signer, self.digest, self.token))
+
+
+def _message_signature(signer: str, payload: "Message", registry: "KeyRegistry") -> MessageSignature:
+    signature = MessageSignature.__new__(MessageSignature)
+    signature.signer = signer
+    signature.payload = payload
+    signature._token = _LAZY
+    signature.verified_by = registry
+    return signature
+
+
+class LinkSeal:
+    """A process's standing authority to sign what its links send.
+
+    Made once per signer by :meth:`KeyRegistry.link_seal`.  A link passes its
+    seal to :meth:`~repro.net.network.Network.multicast` where it used to
+    pass a fresh :class:`MessageSignature` per send: the envelope keeps the
+    seal and :meth:`sign` turns it into that signature the first time
+    something reads ``Envelope.signature`` — in an honest run, never.
+    ``verified_by`` names the issuing registry, so the network's link check
+    answers from the same memo a registry-minted signature does.  A seal is
+    not a signature (it has no digest and no token) and never leaves the
+    envelope: readers and pickles get the materialised signature.
+    """
+
+    __slots__ = ("signer", "verified_by")
+
+    def __init__(self, signer: str, verified_by: "KeyRegistry") -> None:
+        self.signer = signer
+        self.verified_by = verified_by
+
+    def sign(self, payload: "Message") -> MessageSignature:
+        """The signature ``sign_message(signer, payload)`` makes, send not recounted."""
+        return _message_signature(self.signer, payload, self.verified_by)
 
 
 class VerdictMemo:
@@ -299,6 +340,9 @@ class KeyRegistry:
         self.envelope_signatures = 0
         #: Envelope-signature digests materialised, by payload type name.
         self.envelope_digests_read: Dict[str, int] = {}
+        # Identity tokens standing for a tuple of verdict-key inputs.
+        self._verdict_tokens: Dict[tuple, object] = {}
+        self._seals: Dict[str, LinkSeal] = {}
 
     # ------------------------------------------------------------------ #
     # Key management
@@ -345,21 +389,44 @@ class KeyRegistry:
         if signer not in self._secret_keys:
             raise CryptoError(f"unknown signer {signer!r}")
         self.envelope_signatures += 1
-        signature = MessageSignature.__new__(MessageSignature)
-        signature.signer = signer
-        signature.payload = payload
-        signature._token = _LAZY
-        signature.verified_by = self
-        return signature
+        return _message_signature(signer, payload, self)
+
+    def link_seal(self, owner: str) -> LinkSeal:
+        """The seal ``owner``'s links sign their sends with (see :class:`LinkSeal`).
+
+        One per signer, shared by all of its links (a replica builds fresh
+        links every round).  The link counts each signed send in
+        ``envelope_signatures`` itself, as :meth:`sign_message` would.
+        """
+        seal = self._seals.get(owner)
+        if seal is None:
+            if owner not in self._secret_keys:
+                raise CryptoError(f"unknown signer {owner!r}")
+            seal = self._seals[owner] = LinkSeal(owner, self)
+        return seal
+
+    def verdict_token(self, *inputs: object) -> object:
+        """One identity token per distinct tuple of verdict-key inputs.
+
+        A check that keys a :class:`VerdictMemo` on many inputs can key it
+        on ``(token, ...)`` instead and skip hashing the inputs on every
+        hit.  Interned per registry, so the token also stands for the
+        registry the check ran against.
+        """
+        token = self._verdict_tokens.get(inputs)
+        if token is None:
+            token = self._verdict_tokens[inputs] = object()
+        return token
 
     def counters(self) -> Dict[str, int]:
         """Deterministic per-run work counters of the crypto layer.
 
         ``signatures_minted`` counts explicit :meth:`sign` calls,
-        ``envelope_signatures`` the link layer's :meth:`sign_message`
-        calls, ``envelope_digests_read`` how many of the latter ever had
-        their payload digest walked.  Kept off ``NetworkStats.snapshot()``,
-        which is inside the pinned determinism fingerprints.
+        ``envelope_signatures`` signed link sends (one per
+        :meth:`sign_message` call or sealed send), ``envelope_digests_read``
+        how many of the latter ever had their payload digest walked.  Kept
+        off ``NetworkStats.snapshot()``, which is inside the pinned
+        determinism fingerprints.
         """
         return {
             "signatures_minted": self.signatures_minted,
@@ -466,4 +533,4 @@ class KeyRegistry:
         return False
 
 
-__all__ = ["Certificate", "KeyRegistry", "MessageSignature", "Signature", "VerdictMemo"]
+__all__ = ["Certificate", "KeyRegistry", "LinkSeal", "MessageSignature", "Signature", "VerdictMemo"]

@@ -8,12 +8,16 @@
   payload over ``apl`` to every member of a group (including the sender, so
   local delivery of one's own broadcast is uniform with remote delivery).
 
-Every envelope is signed through :meth:`KeyRegistry.sign_message`, which is
-lazy in the payload digest: sending allocates the signature but does not
-walk the payload.  The transport's authenticity check never needs the
-digest (a registry-minted signature answers from its ``verified_by``
-memo), so the walk happens only for the envelopes whose signature a
-protocol keeps and later compares — the remote leader change's
+Every signed send goes out under its owner's :class:`~repro.net.crypto.LinkSeal`,
+made once per process by :meth:`KeyRegistry.link_seal`: the send counts one
+``envelope_signatures`` and hands the seal to the network in place of a
+signature, so it allocates no signature object and walks no payload.  The
+transport's authenticity check answers from the seal's ``verified_by``
+memo.  The envelope turns the seal into the lazy
+:class:`~repro.net.crypto.MessageSignature` that
+:meth:`KeyRegistry.sign_message` makes the first time something reads
+``Envelope.signature``, and that signature walks the payload digest only
+when its ``digest`` is read — today only for the remote leader change's
 ``LComplaint`` quorum.  That deferral is sound because a payload is never
 mutated after it is handed to the network (see :mod:`repro.net.message`).
 """
@@ -37,35 +41,30 @@ class AuthenticatedPerfectLink:
     def __init__(self, owner: str, network: Network) -> None:
         self.owner = owner
         self.network = network
+        self.registry = network.registry
+        self.seal = network.registry.link_seal(owner)
 
     def send(self, destination: str, payload: Message) -> None:
-        """Send ``payload`` to ``destination`` under the owner's signature.
+        """Send ``payload`` to ``destination`` under the owner's seal.
 
-        The signature is lazy (no digest walk here; see the module
-        docstring).  A self-addressed send skips it entirely: it takes the
-        0 ms loop-back, which never verifies, and a process trusts its own
-        payloads.  (Broadcasts still sign once for the whole group — group
-        protocols such as the remote leader change keep the envelope
-        signature of their *own* loop-back copy.)
+        The seal stands for the signature until something reads it (see
+        the module docstring).  A self-addressed send is not signed at all:
+        it takes the 0 ms loop-back, which never verifies, and a process
+        trusts its own payloads.  (Broadcasts still seal the whole group's
+        envelope — group protocols such as the remote leader change keep
+        the envelope signature of their *own* loop-back copy.)
         """
-        network = self.network
         owner = self.owner
-        network.multicast(
-            owner,
-            (destination,),
-            payload,
-            None if destination == owner else network.registry.sign_message(owner, payload),
-        )
+        if destination == owner:
+            self.network.multicast(owner, (destination,), payload, None)
+            return
+        self.registry.envelope_signatures += 1
+        self.network.multicast(owner, (destination,), payload, self.seal)
 
     def send_many(self, destinations: Sequence[str], payload: Message) -> None:
-        """Sign once and send the payload to several destinations."""
-        network = self.network
-        network.multicast(
-            self.owner,
-            destinations,
-            payload,
-            network.registry.sign_message(self.owner, payload),
-        )
+        """Send the payload to several destinations in one sealed envelope."""
+        self.registry.envelope_signatures += 1
+        self.network.multicast(self.owner, destinations, payload, self.seal)
 
 
 class AuthenticatedBestEffortBroadcast:
@@ -84,6 +83,8 @@ class AuthenticatedBestEffortBroadcast:
     ) -> None:
         self.owner = owner
         self.network = network
+        self.registry = network.registry
+        self.seal = network.registry.link_seal(owner)
         self._group = group
         self.include_self = include_self
 
@@ -102,9 +103,9 @@ class AuthenticatedBestEffortBroadcast:
         return members
 
     def broadcast(self, payload: Message) -> None:
-        """Sign and send ``payload`` to every current group member."""
-        signature = self.network.registry.sign_message(self.owner, payload)
-        self.network.multicast(self.owner, self.members(), payload, signature)
+        """Send ``payload`` to every current group member in one sealed envelope."""
+        self.registry.envelope_signatures += 1
+        self.network.multicast(self.owner, self.members(), payload, self.seal)
 
 
 __all__ = ["AuthenticatedBestEffortBroadcast", "AuthenticatedPerfectLink"]

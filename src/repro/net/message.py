@@ -14,17 +14,18 @@ the full-field ``repr`` walk.  A decided batch
 itself once per process: it is a tuple, and the kilobytes-long ``repr`` walk
 behind its 25-character digest runs once, however many replicas vote on the
 proposal, sign its commit digest or check it inside a remote bundle.  And
-the link layer's envelope signature
-(:class:`~repro.net.crypto.MessageSignature`) does not compute the digest
-at all when the message is sent: it holds the payload and walks it the
-first time something reads ``signature.digest`` — today only the remote
-leader change, for the ``LComplaint`` envelopes it counts into a quorum —
-so the value read is the send-time value only because nothing changed the
-payload in between.  A protocol that keeps an envelope signature must send
-a payload it will not touch again.  (One known aliasing falls short of the
-contract without breaking anything: the HotStuff leader keeps adding late
-votes to a round certificate it has already broadcast inside ``HsPhase`` /
-``ChLock``, the same object.  Nobody keeps those envelopes' signatures;
+the link layer's envelope signature is not made when the message is sent:
+the envelope holds its link's :class:`~repro.net.crypto.LinkSeal`, turns
+it into a :class:`~repro.net.crypto.MessageSignature` the first time
+something reads :attr:`Envelope.signature`, and that signature holds the
+payload and walks it the first time something reads ``signature.digest``
+— today only the remote leader change, for the ``LComplaint`` envelopes it
+counts into a quorum — so the value read is the send-time value only
+because nothing changed the payload in between.  A protocol that keeps an
+envelope signature must send a payload it will not touch again.  (One
+known aliasing falls short of the contract without breaking anything: the
+HotStuff leader keeps adding late votes to a round certificate it has
+already broadcast inside ``HsPhase`` / ``ChLock``, the same object.  Nobody keeps those envelopes' signatures;
 ``tests/test_lazy_signatures.py`` pins both the exception list and the set
 of envelope digests a run reads.)
 """
@@ -34,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from hashlib import blake2b
 from typing import Any, Dict, Optional, Tuple
+
+from repro.net.crypto import LinkSeal
 
 #: Per-class tuple of dataclass field names, so :meth:`Message.digest` does
 #: not re-run the ``dataclasses.fields`` machinery for every new instance.
@@ -222,10 +225,14 @@ class Envelope:
     dataclass init.
 
     Slots-only with a plain positional constructor (no dataclass machinery):
-    envelopes are treated as immutable once handed to the network.
+    envelopes are treated as immutable once handed to the network.  A link
+    send passes its :class:`~repro.net.crypto.LinkSeal` as ``signature``;
+    :attr:`signature` turns it into the signature on first read and keeps
+    that, so every reader of one fan-out shares one object.  Pickling (the
+    forked shard workers' mailbox) ships the materialised signature.
     """
 
-    __slots__ = ("sender", "payload", "signature", "sent_at", "size_bytes", "processing")
+    __slots__ = ("sender", "payload", "_signature", "sent_at", "size_bytes", "processing")
 
     def __init__(
         self,
@@ -238,12 +245,26 @@ class Envelope:
     ) -> None:
         self.sender = sender
         self.payload = payload
-        self.signature = signature
+        self._signature = signature
         self.sent_at = sent_at
         self.size_bytes = size_bytes
         #: Receiver-side CPU time, precomputed once per message at dispatch
         #: (it depends only on the payload and the network config).
         self.processing = processing
+
+    @property
+    def signature(self) -> Optional[Any]:
+        """The sender's signature over the payload (``None`` if unsigned)."""
+        signature = self._signature
+        if signature.__class__ is LinkSeal:
+            signature = self._signature = signature.sign(self.payload)
+        return signature
+
+    def __reduce__(self):
+        return (
+            Envelope,
+            (self.sender, self.payload, self.signature, self.sent_at, self.size_bytes, self.processing),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Envelope from={self.sender!r} {type(self.payload).__name__}>"

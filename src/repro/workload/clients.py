@@ -10,11 +10,11 @@ in a leader change).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.messages import ClientRequest, ClientResponse
-from repro.core.types import Transaction, make_transaction
+from repro.core.types import READ, Transaction, make_transaction
 from repro.net.links import AuthenticatedPerfectLink
 from repro.net.message import Envelope
 from repro.net.network import Network
@@ -121,29 +121,40 @@ class WorkloadClient(Process):
         return target
 
     def _submit_next(self, thread: _Thread) -> None:
+        # The closed loop's hot path, once per operation: the healthy-path
+        # routing and the watchdog arm are written out (``_next_target`` and
+        # ``_arm_retry`` serve the retry path), and the transaction and the
+        # request are built positionally.
         if self.crashed or self.apl is None:
             return
         op, key, value = self.workload.next_operation()
+        suspected = self._suspected
         hint = self._leader_hint
-        if op != "read" and hint and hint not in self._suspected:
+        if op != READ and hint and hint not in suspected:
             target = hint
-        else:
+        elif suspected:
             target = self._next_target()
+        else:
+            targets = self.target_replicas
+            index = self._target_index
+            target = targets[index % len(targets)]
+            self._target_index = index + 1
+        simulator = self.simulator
+        now = simulator.now
         transaction = make_transaction(
-            client_id=self.process_id,
-            origin_replica=target,
-            op=op,
-            key=key,
-            value=value,
-            submitted_at=self.now,
-            size_bytes=self.workload.value_size,
+            self.process_id, target, op, key, value, now, self.workload.value_size
         )
         thread.outstanding_txn = transaction
-        thread.submitted_at = self.now
+        thread.submitted_at = now
         thread.awaiting = target
         self._by_txn[transaction.txn_id] = thread
-        self.apl.send(target, ClientRequest(transaction=transaction))
-        self._arm_retry(thread, transaction)
+        self.apl.send(target, ClientRequest(transaction))
+        thread.retry_txn = transaction
+        deadline = thread.retry_deadline = now + self.retry_timeout
+        if thread.retry_event is None:
+            thread.retry_event = simulator.schedule_at(
+                deadline, self._on_retry_check, 0, self._retry_label, thread
+            )
 
     def _arm_retry(self, thread: _Thread, transaction: Transaction) -> None:
         """Arm the resident watchdog: record the deadline, schedule at most once."""
@@ -153,12 +164,6 @@ class WorkloadClient(Process):
             thread.retry_event = self.simulator.schedule_at(
                 thread.retry_deadline, self._on_retry_check, 0, self._retry_label, thread
             )
-
-    def _cancel_retry(self, thread: _Thread) -> None:
-        # The resident event stays queued (it re-arms or dies when it
-        # fires); disarming is just clearing the deadline.
-        thread.retry_deadline = None
-        thread.retry_txn = None
 
     def _on_retry_check(self, thread: _Thread) -> None:
         thread.retry_event = None
@@ -213,7 +218,7 @@ class WorkloadClient(Process):
     def _resend(self, thread: _Thread, transaction: Transaction) -> None:
         target = self._next_target()
         thread.awaiting = target
-        self.apl.send(target, ClientRequest(transaction=transaction))
+        self.apl.send(target, ClientRequest(transaction))
         self._arm_retry(thread, transaction)
 
     # ------------------------------------------------------------------ #
@@ -221,12 +226,14 @@ class WorkloadClient(Process):
     # ------------------------------------------------------------------ #
     def on_message(self, sender: str, envelope: Envelope) -> None:
         payload = envelope.payload
-        if not isinstance(payload, ClientResponse):
+        if payload.__class__ is not ClientResponse:
             return
-        thread = self._by_txn.pop(payload.txn_id, None)
-        if thread is None or thread.outstanding_txn is None:
+        txn_id = payload.txn_id
+        thread = self._by_txn.pop(txn_id, None)
+        if thread is None:
             return
-        if thread.outstanding_txn.txn_id != payload.txn_id:
+        transaction = thread.outstanding_txn
+        if transaction is None or transaction.txn_id != txn_id:
             return
         if self._suspected:
             self._suspected.discard(sender)  # a responding replica is not dead
@@ -240,23 +247,21 @@ class WorkloadClient(Process):
             # point — writes route straight to the new leader instead of
             # paying a forward hop forever.
             self._leader_hint = hint
-        transaction = thread.outstanding_txn
-        latency = self.now - thread.submitted_at
+        now = self.simulator.now
+        latency = now - thread.submitted_at
         thread.outstanding_txn = None
         thread.completed += 1
-        self._cancel_retry(thread)
-        if transaction.is_read:
+        # Disarm the watchdog: the resident event stays queued (it re-arms
+        # or dies when it fires); disarming is just clearing the deadline.
+        thread.retry_deadline = None
+        thread.retry_txn = None
+        op = transaction.op
+        if op == READ:
             self.completed_reads += 1
         else:
             self.completed_writes += 1
         if self.metrics is not None:
-            self.metrics.record_transaction(
-                txn_id=payload.txn_id,
-                op=transaction.op,
-                latency=latency,
-                completed_at=self.now,
-                client_id=self.process_id,
-            )
+            self.metrics.record_transaction(txn_id, op, latency, now, self.process_id)
         self._submit_next(thread)
 
 

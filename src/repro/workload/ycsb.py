@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.core.types import READ, WRITE
 from repro.errors import WorkloadError
 from repro.sim.rng import SeededRng
 from repro.workload.zipf import ZipfianGenerator
@@ -48,18 +49,20 @@ class YcsbWorkload:
         config.validate()
         self.config = config
         self.value_size = VALUE_SIZE
-        self._rng = rng
-        self._zipf = ZipfianGenerator(KEY_SPACE, ZIPF_THETA, rng.child("zipf"))
         self._counter = 0
+        # Bound once: each is drawn once per client operation.
+        self._random = rng.raw_random
+        self._next_rank = ZipfianGenerator(KEY_SPACE, ZIPF_THETA, rng.child("zipf")).next
+        self._read_fraction = config.read_fraction
+        self._value_prefix = "x" * max(1, self.value_size // 16) + "-"
 
     def next_operation(self) -> Tuple[str, str, Optional[str]]:
         """Draw the next operation: ``(op, key, value)``."""
-        key = f"user{self._zipf.next()}"
-        if self._rng.random() < self.config.read_fraction:
-            return ("read", key, None)
+        key = f"user{self._next_rank()}"
+        if self._random() < self._read_fraction:
+            return (READ, key, None)
         self._counter += 1
-        value = "x" * max(1, self.value_size // 16)
-        return ("write", key, f"{value}-{self._counter}")
+        return (WRITE, key, f"{self._value_prefix}{self._counter}")
 
 
 __all__ = ["YcsbConfig", "YcsbWorkload"]

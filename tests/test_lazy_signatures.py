@@ -1,15 +1,17 @@
-"""The link layer's lazy signatures (``KeyRegistry.sign_message``).
+"""The link layer's lazy signatures (``KeyRegistry.sign_message``, ``LinkSeal``).
 
-Four claims carry the optimisation and each gets a test: a lazy signature
+Five claims carry the optimisation and each gets a test: a lazy signature
 is indistinguishable from the eager one it replaces, for every protocol
-message class; the payload a signature holds is not mutated after it is
-handed to the network (so a digest walked late equals one walked at send);
-an honest fault-free run never walks an envelope digest at all, and a
-remote leader change walks only its ``LComplaint`` quorum; and a forged or
-foreign signature passed in explicitly is still dropped at the link (that
-one sits with the other link checks in ``test_net_network.py``).  The same
-populated instances also check that a message carrying a certificate bills
-its verification.
+message class; a sealed envelope's signature is the lazy signature
+``sign_message`` makes, made once per envelope and only when read; the
+payload a signature holds is not mutated after it is handed to the network
+(so a digest walked late equals one walked at send); an honest fault-free
+run never materialises an envelope signature nor walks an envelope digest,
+and a remote leader change walks only its ``LComplaint`` quorum; and a
+forged or foreign signature passed in explicitly is still dropped at the
+link (the foreign kinds sit with the other link checks in
+``test_net_network.py``).  The same populated instances also check that a
+message carrying a certificate bills its verification.
 """
 
 from __future__ import annotations
@@ -31,9 +33,16 @@ from repro.core.messages import (
     ShareRequest,
 )
 from repro.core.types import OperationsBundle, ReconfigRequest, make_transaction
+from repro.errors import CryptoError
 from repro.harness.builder import Scenario
-from repro.net.crypto import Certificate, KeyRegistry, MessageSignature, Signature
-from repro.net.message import Message
+from repro.net import network as network_module
+from repro.net.crypto import Certificate, KeyRegistry, LinkSeal, MessageSignature, Signature
+from repro.net.latency import LatencyModel
+from repro.net.links import AuthenticatedBestEffortBroadcast, AuthenticatedPerfectLink
+from repro.net.message import Envelope, Message
+from repro.net.network import Network
+from repro.sim.process import Process
+from repro.sim.simulator import Simulator
 
 SIGNERS = ("c0/r0", "c0/r1", "c0/r2")
 
@@ -218,8 +227,6 @@ class TestLazyEqualsEager:
         assert unbilled == []
 
     def test_unknown_signer_rejected(self):
-        from repro.errors import CryptoError
-
         with pytest.raises(CryptoError):
             _registry().sign_message("mallory", _instance(CORE_MESSAGE_TYPES[0], _registry()))
 
@@ -298,33 +305,133 @@ LATE_VOTE_CARRIERS = {"HsPhase", "ChLock"}
 
 class TestPayloadsStayImmutable:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_no_payload_changes_after_send(self, engine):
+    def test_no_payload_changes_after_send(self, engine, monkeypatch):
         spec = _churn_scenario(engine).spec()
         deployment = spec.build()
-        registry = deployment.registry
-        mint = registry.sign_message
-        minted = []
+        sealed = []
 
-        def recording_mint(signer, payload):
-            signature = mint(signer, payload)
-            minted.append((signature, payload.digest(), hash(_snapshot(payload))))
-            return signature
+        class RecordingEnvelope(Envelope):
+            """Records each signed send where it happens: the sealed envelope."""
 
-        registry.sign_message = recording_mint
+            __slots__ = ()
+
+            def __init__(self, sender, payload, signature=None, *rest):
+                super().__init__(sender, payload, signature, *rest)
+                if signature.__class__ is LinkSeal:
+                    sealed.append((self, payload.digest(), hash(_snapshot(payload))))
+
+        monkeypatch.setattr(network_module, "Envelope", RecordingEnvelope)
         metrics = deployment.run(duration=spec.duration, warmup=spec.warmup)
         assert metrics.committed_count() > 500
         assert len(metrics.reconfigs) >= 2 and metrics.joins_completed
         assert all(r.rlc.remote_changes_applied >= 1 for r in deployment.cluster_replicas(1))
-        seen = Counter(type(signature.payload).__name__ for signature, _, _ in minted)
+        seen = Counter(type(envelope.payload).__name__ for envelope, _, _ in sealed)
         assert {"ClientRequest", "Inter", "LocalShare", "LComplaint", "RComplaint",
                 "ClusterComplaint", "RequestJoin", "RequestLeave", "CurrState"} <= set(seen)
         changed = Counter()
-        for signature, digest_at_mint, snapshot_at_mint in minted:
+        for envelope, digest_at_send, snapshot_at_send in sealed:
             # What a reader gets now is what an eager walk at send produced.
-            assert signature.digest == digest_at_mint
-            if hash(_snapshot(signature.payload)) != snapshot_at_mint:
-                changed[type(signature.payload).__name__] += 1
+            assert envelope.signature.digest == digest_at_send
+            if hash(_snapshot(envelope.payload)) != snapshot_at_send:
+                changed[type(envelope.payload).__name__] += 1
         assert set(changed) <= LATE_VOTE_CARRIERS, dict(changed)
+
+
+# ---------------------------------------------------------------------- #
+# One seal per link: the signature is made when something reads it
+# ---------------------------------------------------------------------- #
+class _Inbox(Process):
+    def __init__(self, process_id, simulator):
+        super().__init__(process_id, simulator)
+        self.envelopes = []
+
+    def on_message(self, sender, envelope):
+        self.envelopes.append(envelope)
+
+
+def _wired(names=("a", "b", "c")):
+    simulator = Simulator(seed=9)
+    network = Network(simulator, LatencyModel(), KeyRegistry(seed=9))
+    inboxes = {name: _Inbox(name, simulator) for name in names}
+    for inbox in inboxes.values():
+        network.register(inbox, "us-west1")
+    return simulator, network, inboxes
+
+
+class TestLinkSeal:
+    @pytest.mark.parametrize("message_type", MESSAGE_TYPES, ids=lambda cls: cls.__name__)
+    def test_sealed_signature_is_the_one_sign_message_makes(self, message_type):
+        registry = _registry()
+        message = _instance(message_type, registry)
+        envelope = Envelope(SIGNERS[0], message, registry.link_seal(SIGNERS[0]))
+        signature = envelope.signature
+        assert type(signature) is MessageSignature and signature.payload is message
+        assert registry.counters()["envelope_digests_read"] == 0
+        eager = registry.sign_message(SIGNERS[0], message)
+        assert signature == eager and eager == signature
+        assert hash(signature) == hash(eager)
+        assert repr(signature) == repr(eager)
+        assert signature == registry.sign(SIGNERS[0], message.digest())
+        assert registry.verify(signature) and signature.verified_by is registry
+
+    def test_materialised_once_and_shared_by_a_fan_out(self):
+        simulator, network, inboxes = _wired()
+        AuthenticatedPerfectLink("a", network).send_many(["a", "b", "c"], LComplaint(1, 0, 4, 0))
+        simulator.run()
+        (mine,), (theirs,), (other,) = (inboxes[name].envelopes for name in "abc")
+        assert mine is theirs is other
+        assert type(mine._signature) is LinkSeal
+        signature = mine.signature
+        assert type(signature) is MessageSignature and signature.signer == "a"
+        assert mine._signature is signature
+        assert theirs.signature is signature and other.signature is signature
+        assert network.registry.counters()["envelope_signatures"] == 1
+
+    def test_pickles_to_a_plain_signature_a_twin_verifies(self):
+        registry = _registry()
+        message = _instance(LComplaint, registry)
+        envelope = Envelope(SIGNERS[1], message, registry.link_seal(SIGNERS[1]), 0.5, 300, 0.001)
+        shipped = pickle.loads(pickle.dumps(envelope))
+        assert type(shipped) is Envelope and type(shipped.signature) is Signature
+        assert shipped.signature == registry.sign_message(SIGNERS[1], message)
+        assert shipped.signature.verified_by is None
+        assert _registry().verify(shipped.signature)
+        assert (shipped.sender, shipped.sent_at, shipped.size_bytes, shipped.processing) == (
+            SIGNERS[1], 0.5, 300, 0.001
+        )
+        # The sender's envelope keeps the signature it materialised to ship.
+        assert type(envelope._signature) is MessageSignature
+
+    def test_counts_one_envelope_signature_per_signed_send(self):
+        simulator, network, _ = _wired()
+        link = AuthenticatedPerfectLink("a", network)
+        group = AuthenticatedBestEffortBroadcast("a", network, lambda: ("a", "b", "c"))
+        counted = lambda: network.registry.counters()["envelope_signatures"]
+        link.send("b", LComplaint(1, 0, 4, 0))
+        assert counted() == 1
+        link.send("a", LComplaint(1, 0, 4, 0))  # self-sends stay unsigned
+        assert counted() == 1
+        link.send_many(["b", "c"], LComplaint(1, 0, 4, 0))
+        group.broadcast(LComplaint(1, 0, 4, 0))
+        assert counted() == 3
+        simulator.run()
+        assert network.registry.counters()["envelope_digests_read"] == 0
+
+    def test_unregistered_signer_has_no_seal(self):
+        with pytest.raises(CryptoError):
+            _registry().link_seal("mallory")
+        simulator, network, _ = _wired()
+        with pytest.raises(CryptoError):
+            AuthenticatedPerfectLink("mallory", network)
+
+    def test_an_explicit_forgery_is_still_dropped(self):
+        simulator, network, inboxes = _wired()
+        message = LComplaint(1, 0, 4, 0)
+        network.multicast("a", ["b", "c"], message, network.registry.forge("a", message.digest()))
+        AuthenticatedPerfectLink("a", network).send("b", message)
+        simulator.run()
+        assert len(inboxes["b"].envelopes) == 1 and inboxes["c"].envelopes == []
+        assert network.stats.messages_dropped == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -332,7 +439,18 @@ class TestPayloadsStayImmutable:
 # ---------------------------------------------------------------------- #
 class TestEnvelopeDigestReads:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_fault_free_run_reads_none(self, engine):
+    def test_fault_free_run_reads_none(self, engine, monkeypatch):
+        # The shape of the ``e0_closed`` benchmark workload (two LAN
+        # clusters of four, closed-loop clients): no reader of an envelope
+        # signature, so no seal may turn into one.
+        materialised = Counter()
+        sign = LinkSeal.sign
+
+        def counting_sign(seal, payload):
+            materialised[type(payload).__name__] += 1
+            return sign(seal, payload)
+
+        monkeypatch.setattr(LinkSeal, "sign", counting_sign)
         spec = (
             Scenario("no-reads")
             .clusters(4, 4)
@@ -350,6 +468,7 @@ class TestEnvelopeDigestReads:
         assert counters["signatures_minted"] > 0
         assert counters["envelope_digests_read"] == 0
         assert deployment.registry.envelope_digests_read == {}
+        assert materialised == {}
 
     def test_remote_leader_change_reads_only_its_lcomplaint_quorum(self):
         spec = silent_inter_scenario().spec()

@@ -35,7 +35,8 @@ from repro.core.statemachine import ExecutionLedger, ExecutionPlan, KeyValueStor
 from repro.core.types import Batch, OperationsBundle, Transaction, join_request, make_transaction
 from repro.errors import AgreementViolation
 from repro.harness.builder import Scenario
-from repro.net.crypto import Certificate, KeyRegistry, VerdictMemo
+from repro.net.crypto import Certificate, KeyRegistry, LinkSeal, VerdictMemo
+from repro.net.message import Envelope
 from repro.sim.simulator import DeadlinePool
 from tests import helpers
 from tests.test_core_brd import build_brd_cluster
@@ -194,6 +195,12 @@ def stage2(monkeypatch):
     return SimpleNamespace(registry=registry, view=view, sharing=sharing, bundle=bundle, full=full)
 
 
+def _change_view(stage2, cluster_id, members):
+    """A view change as a replica makes it: the per-epoch caches start over."""
+    stage2.view[cluster_id] = members
+    stage2.sharing.forget_view()
+
+
 class TestBundleVerdict:
     def test_a_second_check_answers_from_the_memo(self, stage2):
         assert stage2.sharing.bundle_valid(1, 7, stage2.bundle)
@@ -202,15 +209,15 @@ class TestBundleVerdict:
 
     def test_a_new_membership_is_checked_in_full(self, stage2):
         assert stage2.sharing.bundle_valid(1, 7, stage2.bundle)
-        stage2.view[1] = stage2.view[1] | {"e"}  # a join: f stays 1
+        _change_view(stage2, 1, stage2.view[1] | {"e"})  # a join: f stays 1
         assert stage2.sharing.bundle_valid(1, 7, stage2.bundle)
-        stage2.view[1] = stage2.view[1] - {"d"}  # a leave
+        _change_view(stage2, 1, stage2.view[1] - {"d"})  # a leave
         assert stage2.sharing.bundle_valid(1, 7, stage2.bundle)
         assert len(stage2.full) == 3
 
     def test_a_higher_threshold_is_checked_in_full_and_fails_every_time(self, stage2):
         assert stage2.sharing.bundle_valid(1, 7, stage2.bundle)
-        stage2.view[1] = stage2.view[1] | {"e", "f", "g"}  # seven members: 2f + 1 = 5
+        _change_view(stage2, 1, stage2.view[1] | {"e", "f", "g"})  # seven members: 2f + 1 = 5
         assert not stage2.sharing.bundle_valid(1, 7, stage2.bundle)
         assert not stage2.sharing.bundle_valid(1, 7, stage2.bundle)  # never a remembered False
         assert len(stage2.full) == 3
@@ -236,6 +243,22 @@ class TestBundleVerdict:
         assert stage2.sharing.bundle_valid(1, 7, fresh)
         fresh.recs_ready_certificate.add(registry.forge("a", fresh.recs_ready_certificate.digest))
         assert not stage2.sharing.bundle_valid(1, 7, fresh)
+
+    def test_a_hit_reads_no_view_and_hashes_two_fields(self, stage2):
+        sharing = stage2.sharing
+        assert sharing.bundle_valid(1, 7, stage2.bundle)
+        token = sharing.check_tokens[1]
+        assert (token, 7) in stage2.bundle.verdicts
+        assert stage2.registry.verdict_token(1, tuple(sorted(stage2.view[1])), 3, True) is token
+        sharing.replica.members = sharing.replica.faults = None  # a hit calls neither
+        assert sharing.bundle_valid(1, 7, stage2.bundle)
+        assert len(stage2.full) == 1
+
+    def test_a_second_registry_gets_its_own_token(self, stage2):
+        other = KeyRegistry(seed=3)
+        inputs = (1, ("a", "b", "c", "d"), 3, True)
+        assert other.verdict_token(*inputs) is not stage2.registry.verdict_token(*inputs)
+        assert stage2.registry.verdict_token(*inputs) is stage2.registry.verdict_token(*inputs)
 
     def test_the_single_workflow_key_is_its_own(self, stage2):
         """A bundle passing with parallel reconfiguration is checked again without it."""
@@ -360,8 +383,9 @@ def stage23_counts():
 
         patch.setattr(cls, name, wrapper)
 
-    def sign(registry, signer, payload):
-        counts["inter_signatures"] += isinstance(payload, messages.Inter)
+    def sealed(envelope, sender, payload, signature=None, *rest):
+        # A signed send is a sealed envelope (one per fan-out).
+        counts["inter_signatures"] += isinstance(payload, messages.Inter) and type(signature) is LinkSeal
 
     def remote_pool(kind):
         def count(pool, *args):
@@ -375,7 +399,7 @@ def stage23_counts():
         counts["executions"] += 1
 
     with pytest.MonkeyPatch.context() as patch:
-        counting(KeyRegistry, "sign_message", sign)
+        counting(Envelope, "__init__", sealed)
         counting(GlobalSharing, "inter_broadcast", lambda *_: counts.update(["inter_broadcasts"]))
         counting(messages.Inter, "__init__", lambda *_: counts.update(["Inter"]))
         counting(messages.LocalShare, "__init__", lambda *_: counts.update(["LocalShare"]))

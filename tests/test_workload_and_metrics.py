@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
+from repro.core.messages import ClientRequest, ClientResponse
+from repro.core.types import Transaction, make_transaction
 from repro.errors import WorkloadError
-from repro.harness.metrics import MetricsCollector
+from repro.harness.metrics import MetricsCollector, TransactionRecord
 from repro.sim.rng import SeededRng
-from repro.workload.ycsb import YcsbConfig, YcsbWorkload
+from repro.workload.ycsb import KEY_SPACE, ZIPF_THETA, YcsbConfig, YcsbWorkload
 from repro.workload.zipf import ZipfianGenerator
 
 
@@ -66,6 +70,63 @@ class TestYcsb:
     def test_invalid_config_rejected(self):
         with pytest.raises(WorkloadError):
             YcsbConfig(read_fraction=1.5).validate()
+
+
+class TestPositionalBuilds:
+    """The per-operation objects are built positionally on the hot path
+    (``make_transaction``, the client turn, the replica's answers,
+    ``record_transaction``): a field reorder must fail here instead of
+    silently swapping ids and values."""
+
+    @pytest.mark.parametrize(
+        "cls, order",
+        [
+            (
+                Transaction,
+                ["txn_id", "client_id", "origin_replica", "op", "key", "value", "submitted_at", "size_bytes"],
+            ),
+            (ClientRequest, ["transaction"]),
+            (ClientResponse, ["txn_id", "value", "committed_round", "leader_hint"]),
+            (TransactionRecord, ["txn_id", "op", "latency", "completed_at", "client_id"]),
+        ],
+        ids=lambda value: value.__name__ if isinstance(value, type) else "",
+    )
+    def test_field_order_the_call_sites_assume(self, cls, order):
+        assert [spec.name for spec in fields(cls)] == order
+
+    def test_make_transaction_equals_the_keyword_build(self):
+        kw = dict(
+            client_id="client-3",
+            origin_replica="c0/r1",
+            op="write",
+            key="user7",
+            value="v-1",
+            submitted_at=0.25,
+            size_bytes=512,
+        )
+        built = make_transaction(**kw)
+        assert built.txn_id.startswith("client-3:")
+        assert built == Transaction(txn_id=built.txn_id, **kw)
+        read = make_transaction("client-3", "c0/r2", "read", "user8")
+        assert read == Transaction(
+            txn_id=read.txn_id, client_id="client-3", origin_replica="c0/r2", op="read", key="user8"
+        )
+
+    def test_ycsb_draws_the_stream_of_its_two_generators(self):
+        # Bound draws and the prebuilt value prefix change no operation.
+        workload = YcsbWorkload(YcsbConfig(read_fraction=0.5), SeededRng(12))
+        rng = SeededRng(12)
+        zipf = ZipfianGenerator(KEY_SPACE, ZIPF_THETA, rng.child("zipf"))
+        writes = 0
+        for _ in range(300):
+            key = f"user{zipf.next()}"
+            if rng.random() < 0.5:
+                expected = ("read", key, None)
+            else:
+                writes += 1
+                expected = ("write", key, "x" * (workload.value_size // 16) + f"-{writes}")
+            assert workload.next_operation() == expected
+        assert 100 < writes < 200
 
 
 class TestMetricsCollector:
