@@ -13,19 +13,18 @@ replica's signing capability to that replica's own process).
 Two entry points mint signatures.  :meth:`KeyRegistry.sign` signs a digest
 the caller already holds — votes, BRD entries, commit signatures, where the
 digest *is* the thing signed — and returns a plain :class:`Signature` whose
-``digest`` is a slot.  :meth:`KeyRegistry.sign_message` signs a whole
-:class:`~repro.net.message.Message` and returns a :class:`MessageSignature`
-that walks the payload's digest only when something reads it.  The link
-layer does not even mint that per send: a process's links share one
-:class:`LinkSeal` (:meth:`KeyRegistry.link_seal`), pass it to the network
-in place of a signature, and the envelope turns it into the
-``MessageSignature`` ``sign_message`` would have made the first time
-something reads ``Envelope.signature``.  Almost nothing does — the link
-check answers from the seal's ``verified_by`` memo, and the one protocol
-that keeps envelope signatures (the remote leader change's ``LComplaint``
-quorum) reads a few dozen per run — so an honest send allocates no
-signature and walks no digest.  The registry counts signed sends, explicit
-signatures and digest walks (:meth:`KeyRegistry.counters`).
+``digest`` is a slot.  The link layer signs whole
+:class:`~repro.net.message.Message` payloads, and mints nothing per send: a
+process's links share one :class:`LinkSeal` (:meth:`KeyRegistry.link_seal`)
+and pass it to the network in place of a signature.  The envelope turns it
+into a :class:`MessageSignature` the first time something reads
+``Envelope.signature``, and that signature walks the payload's digest only
+when something reads it.  Almost nothing does — the link check answers
+from the seal's ``verified_by`` memo, and the one protocol that keeps
+envelope signatures (the remote leader change's ``LComplaint`` quorum)
+reads a few dozen per run — so an honest send allocates no signature and
+walks no digest.  The registry counts signed sends, explicit signatures
+and digest walks (:meth:`KeyRegistry.counters`).
 
 The real CPU cost of signing/verification is modelled separately by the
 network's processing-cost parameters so that message-complexity differences
@@ -159,12 +158,11 @@ class Signature:
 class MessageSignature(Signature):
     """The link layer's signature over a whole message, lazy in its digest.
 
-    Minted by :meth:`KeyRegistry.sign_message`, and by a :class:`LinkSeal`
-    when something first reads a sealed envelope's ``signature`` (the same
-    object ``sign_message(sender, payload)`` makes, without counting a
-    second send).  It holds the signed ``payload`` instead of its digest:
-    ``digest`` walks ``payload.digest()`` on first read and keeps the result, and ``token`` derives from that as
-    for any registry-minted signature, so equality, hashing, ``repr``,
+    Minted only by :meth:`LinkSeal.sign`, when something first reads a
+    sealed envelope's ``signature``.  It holds the signed ``payload``
+    instead of its digest: ``digest`` walks ``payload.digest()`` on first
+    read and keeps the result, and ``token`` derives from that as for any
+    registry-minted signature, so equality, hashing, ``repr``,
     :meth:`KeyRegistry.verify` and :meth:`Certificate.add` all behave as
     they do for ``registry.sign(signer, payload.digest())`` — which this
     compares equal to.  The value read later is the value an eager walk at
@@ -198,26 +196,18 @@ class MessageSignature(Signature):
         return (Signature, (self.signer, self.digest, self.token))
 
 
-def _message_signature(signer: str, payload: "Message", registry: "KeyRegistry") -> MessageSignature:
-    signature = MessageSignature.__new__(MessageSignature)
-    signature.signer = signer
-    signature.payload = payload
-    signature._token = _LAZY
-    signature.verified_by = registry
-    return signature
-
-
 class LinkSeal:
     """A process's standing authority to sign what its links send.
 
-    Made once per signer by :meth:`KeyRegistry.link_seal`.  A link passes its
-    seal to :meth:`~repro.net.network.Network.multicast` where it used to
-    pass a fresh :class:`MessageSignature` per send: the envelope keeps the
-    seal and :meth:`sign` turns it into that signature the first time
-    something reads ``Envelope.signature`` — in an honest run, never.
-    ``verified_by`` names the issuing registry, so the network's link check
-    answers from the same memo a registry-minted signature does.  A seal is
-    not a signature (it has no digest and no token) and never leaves the
+    Made once per signer by :meth:`KeyRegistry.link_seal`.  A link counts
+    each signed send with :meth:`stamp` and passes the seal to
+    :meth:`~repro.net.network.Network.multicast` in place of a signature:
+    the envelope keeps the seal and :meth:`sign` turns it into a
+    :class:`MessageSignature` the first time something reads
+    ``Envelope.signature`` — in an honest run, never.  ``verified_by``
+    names the issuing registry, so the network's link check answers from
+    the same memo a registry-minted signature does.  A seal is not a
+    signature (it has no digest and no token) and never leaves the
     envelope: readers and pickles get the materialised signature.
     """
 
@@ -227,9 +217,22 @@ class LinkSeal:
         self.signer = signer
         self.verified_by = verified_by
 
+    def stamp(self) -> "LinkSeal":
+        """Count one signed send (``envelope_signatures``); the seal to send under."""
+        self.verified_by.envelope_signatures += 1
+        return self
+
     def sign(self, payload: "Message") -> MessageSignature:
-        """The signature ``sign_message(signer, payload)`` makes, send not recounted."""
-        return _message_signature(self.signer, payload, self.verified_by)
+        """The signature over ``payload``: equal to ``sign(signer, payload.digest())``.
+
+        Counts nothing: the send was counted by :meth:`stamp`.
+        """
+        signature = MessageSignature.__new__(MessageSignature)
+        signature.signer = self.signer
+        signature.payload = payload
+        signature._token = _LAZY
+        signature.verified_by = self.verified_by
+        return signature
 
 
 class VerdictMemo:
@@ -379,24 +382,12 @@ class KeyRegistry:
         signature.verified_by = self
         return signature
 
-    def sign_message(self, signer: str, payload: "Message") -> MessageSignature:
-        """Sign a whole message on behalf of ``signer`` (the link layer).
-
-        Equal to ``sign(signer, payload.digest())`` but does not walk the
-        payload: the returned :class:`MessageSignature` derives the digest
-        when — usually never — something reads it.
-        """
-        if signer not in self._secret_keys:
-            raise CryptoError(f"unknown signer {signer!r}")
-        self.envelope_signatures += 1
-        return _message_signature(signer, payload, self)
-
     def link_seal(self, owner: str) -> LinkSeal:
         """The seal ``owner``'s links sign their sends with (see :class:`LinkSeal`).
 
         One per signer, shared by all of its links (a replica builds fresh
-        links every round).  The link counts each signed send in
-        ``envelope_signatures`` itself, as :meth:`sign_message` would.
+        links every round).  Raises :class:`CryptoError` for a signer with
+        no key, as :meth:`sign` does.
         """
         seal = self._seals.get(owner)
         if seal is None:
@@ -423,10 +414,10 @@ class KeyRegistry:
 
         ``signatures_minted`` counts explicit :meth:`sign` calls,
         ``envelope_signatures`` signed link sends (one per
-        :meth:`sign_message` call or sealed send), ``envelope_digests_read``
-        how many of the latter ever had their payload digest walked.  Kept
-        off ``NetworkStats.snapshot()``, which is inside the pinned
-        determinism fingerprints.
+        :meth:`LinkSeal.stamp`), ``envelope_digests_read`` how many of the
+        latter ever had their payload digest walked.  Kept off
+        ``NetworkStats.snapshot()``, which is inside the pinned determinism
+        fingerprints.
         """
         return {
             "signatures_minted": self.signatures_minted,

@@ -10,12 +10,12 @@
 
 Every signed send goes out under its owner's :class:`~repro.net.crypto.LinkSeal`,
 made once per process by :meth:`KeyRegistry.link_seal`: the send counts one
-``envelope_signatures`` and hands the seal to the network in place of a
-signature, so it allocates no signature object and walks no payload.  The
-transport's authenticity check answers from the seal's ``verified_by``
-memo.  The envelope turns the seal into the lazy
-:class:`~repro.net.crypto.MessageSignature` that
-:meth:`KeyRegistry.sign_message` makes the first time something reads
+``envelope_signatures`` (:meth:`LinkSeal.stamp`) and hands the seal to the
+network in place of a signature, so it allocates no signature object and
+walks no payload.  The transport's authenticity check answers from the
+seal's ``verified_by`` memo.  The envelope turns the seal into a lazy
+:class:`~repro.net.crypto.MessageSignature`, equal to
+``registry.sign(owner, payload.digest())``, the first time something reads
 ``Envelope.signature``, and that signature walks the payload digest only
 when its ``digest`` is read — today only for the remote leader change's
 ``LComplaint`` quorum.  That deferral is sound because a payload is never
@@ -41,7 +41,6 @@ class AuthenticatedPerfectLink:
     def __init__(self, owner: str, network: Network) -> None:
         self.owner = owner
         self.network = network
-        self.registry = network.registry
         self.seal = network.registry.link_seal(owner)
 
     def send(self, destination: str, payload: Message) -> None:
@@ -58,13 +57,11 @@ class AuthenticatedPerfectLink:
         if destination == owner:
             self.network.multicast(owner, (destination,), payload, None)
             return
-        self.registry.envelope_signatures += 1
-        self.network.multicast(owner, (destination,), payload, self.seal)
+        self.network.multicast(owner, (destination,), payload, self.seal.stamp())
 
     def send_many(self, destinations: Sequence[str], payload: Message) -> None:
         """Send the payload to several destinations in one sealed envelope."""
-        self.registry.envelope_signatures += 1
-        self.network.multicast(self.owner, destinations, payload, self.seal)
+        self.network.multicast(self.owner, destinations, payload, self.seal.stamp())
 
 
 class AuthenticatedBestEffortBroadcast:
@@ -83,7 +80,6 @@ class AuthenticatedBestEffortBroadcast:
     ) -> None:
         self.owner = owner
         self.network = network
-        self.registry = network.registry
         self.seal = network.registry.link_seal(owner)
         self._group = group
         self.include_self = include_self
@@ -104,8 +100,7 @@ class AuthenticatedBestEffortBroadcast:
 
     def broadcast(self, payload: Message) -> None:
         """Send ``payload`` to every current group member in one sealed envelope."""
-        self.registry.envelope_signatures += 1
-        self.network.multicast(self.owner, self.members(), payload, self.seal)
+        self.network.multicast(self.owner, self.members(), payload, self.seal.stamp())
 
 
 __all__ = ["AuthenticatedBestEffortBroadcast", "AuthenticatedPerfectLink"]

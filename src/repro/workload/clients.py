@@ -104,65 +104,61 @@ class WorkloadClient(Process):
     # Submission
     # ------------------------------------------------------------------ #
     def _next_target(self) -> str:
-        if not self._suspected:
-            # Fast path: plain round-robin while every replica is healthy.
-            targets = self.target_replicas
+        """Round-robin over the targets, skipping suspects while any is left."""
+        targets = self.target_replicas
+        for _ in range(len(targets)):
             target = targets[self._target_index % len(targets)]
-            self._target_index += 1
-            return target
-        for _ in range(len(self.target_replicas)):
-            target = self.target_replicas[self._target_index % len(self.target_replicas)]
             self._target_index += 1
             if target not in self._suspected:
                 return target
         # Every replica is suspected; fall back to plain round-robin.
-        target = self.target_replicas[self._target_index % len(self.target_replicas)]
+        target = targets[self._target_index % len(targets)]
         self._target_index += 1
         return target
 
-    def _submit_next(self, thread: _Thread) -> None:
-        # The closed loop's hot path, once per operation: the healthy-path
-        # routing and the watchdog arm are written out (``_next_target`` and
-        # ``_arm_retry`` serve the retry path), and the transaction and the
-        # request are built positionally.
+    def _submit_next(self, thread: _Thread, resend: Optional[Transaction] = None) -> None:
+        """Send ``thread``'s next transaction, or ``resend`` its unanswered one.
+
+        The closed loop's hot path, once per operation: the healthy-path
+        routing is written out (``_next_target`` serves the suspect path),
+        the transaction and the request are built positionally, and the
+        clock is read once.  A resend goes through the same tail, so the
+        watchdog is armed in this one place.
+        """
         if self.crashed or self.apl is None:
             return
-        op, key, value = self.workload.next_operation()
-        suspected = self._suspected
-        hint = self._leader_hint
-        if op != READ and hint and hint not in suspected:
-            target = hint
-        elif suspected:
-            target = self._next_target()
-        else:
-            targets = self.target_replicas
-            index = self._target_index
-            target = targets[index % len(targets)]
-            self._target_index = index + 1
         simulator = self.simulator
         now = simulator.now
-        transaction = make_transaction(
-            self.process_id, target, op, key, value, now, self.workload.value_size
-        )
-        thread.outstanding_txn = transaction
-        thread.submitted_at = now
+        if resend is None:
+            op, key, value = self.workload.next_operation()
+            suspected = self._suspected
+            hint = self._leader_hint
+            if op != READ and hint and hint not in suspected:
+                target = hint
+            elif suspected:
+                target = self._next_target()
+            else:
+                targets = self.target_replicas
+                index = self._target_index
+                target = targets[index % len(targets)]
+                self._target_index = index + 1
+            transaction = make_transaction(
+                self.process_id, target, op, key, value, now, self.workload.value_size
+            )
+            thread.outstanding_txn = transaction
+            thread.submitted_at = now
+            self._by_txn[transaction.txn_id] = thread
+        else:
+            transaction = resend
+            target = self._next_target()
         thread.awaiting = target
-        self._by_txn[transaction.txn_id] = thread
         self.apl.send(target, ClientRequest(transaction))
+        # Arm the resident watchdog: record the deadline, schedule at most once.
         thread.retry_txn = transaction
         deadline = thread.retry_deadline = now + self.retry_timeout
         if thread.retry_event is None:
             thread.retry_event = simulator.schedule_at(
                 deadline, self._on_retry_check, 0, self._retry_label, thread
-            )
-
-    def _arm_retry(self, thread: _Thread, transaction: Transaction) -> None:
-        """Arm the resident watchdog: record the deadline, schedule at most once."""
-        thread.retry_txn = transaction
-        thread.retry_deadline = self.now + self.retry_timeout
-        if thread.retry_event is None:
-            thread.retry_event = self.simulator.schedule_at(
-                thread.retry_deadline, self._on_retry_check, 0, self._retry_label, thread
             )
 
     def _on_retry_check(self, thread: _Thread) -> None:
@@ -194,7 +190,7 @@ class WorkloadClient(Process):
         if suspect and suspect not in self._suspected:
             self._suspect(suspect)  # re-routes this thread along with its peers
         else:
-            self._resend(thread, transaction)
+            self._submit_next(thread, transaction)
 
     def _suspect(self, replica_id: str) -> None:
         """Mark a replica unresponsive and re-route everything waiting on it.
@@ -213,13 +209,7 @@ class WorkloadClient(Process):
         for thread in self.threads:
             transaction = thread.outstanding_txn
             if transaction is not None and thread.awaiting == replica_id:
-                self._resend(thread, transaction)
-
-    def _resend(self, thread: _Thread, transaction: Transaction) -> None:
-        target = self._next_target()
-        thread.awaiting = target
-        self.apl.send(target, ClientRequest(transaction))
-        self._arm_retry(thread, transaction)
+                self._submit_next(thread, transaction)
 
     # ------------------------------------------------------------------ #
     # Responses

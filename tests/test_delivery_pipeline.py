@@ -340,7 +340,7 @@ class TestOneSendRule:
         nodes["s"].crashed = crashed
         for text in ("first", "second"):  # the second finds the link engine busy
             message = Note(text)
-            fan_out(network, self.DESTINATIONS, message, registry.sign_message("s", message))
+            fan_out(network, self.DESTINATIONS, message, registry.link_seal("s").sign(message))
         queue = simulator._queue
         scheduled = sorted(event[:3] + [event[LABEL]] for event in queue._heap)
         snapshot = {
@@ -398,7 +398,7 @@ class TestOneSendRule:
             destinations = self.DESTINATIONS[step % 3 :]
             message = Note(f"n{step}")
             for network, fan_out in zip(twins, (self._multicast, self._sends)):
-                fan_out(network, destinations, message, network.registry.sign_message("s", message))
+                fan_out(network, destinations, message, network.registry.link_seal("s").sign(message))
             steps.append([list(network.stats.link_latency["s"]) for network in twins])
         assert [step for step, (fanned, sent) in enumerate(steps) if fanned != sent] == []
         # 67 fan-outs with 5 wire copies that draw a latency, 67 with 4, 66 with 3.

@@ -1,9 +1,9 @@
-"""The link layer's lazy signatures (``KeyRegistry.sign_message``, ``LinkSeal``).
+"""The link layer's lazy signatures (``LinkSeal``, ``MessageSignature``).
 
-Five claims carry the optimisation and each gets a test: a lazy signature
-is indistinguishable from the eager one it replaces, for every protocol
-message class; a sealed envelope's signature is the lazy signature
-``sign_message`` makes, made once per envelope and only when read; the
+Five claims carry the optimisation and each gets a test: a sealed
+envelope's lazy signature is indistinguishable from the eager
+``registry.sign(signer, payload.digest())``, for every protocol message
+class; it is made once per envelope and only when read; the
 payload a signature holds is not mutated after it is handed to the network
 (so a digest walked late equals one walked at send); an honest fault-free
 run never materialises an envelope signature nor walks an envelope digest,
@@ -95,7 +95,7 @@ def _field_values(registry: KeyRegistry):
         "bool": True,
         # A complaint's quorum is made of *envelope* signatures.
         "Tuple[Signature, ...]": tuple(
-            registry.sign_message(signer, LComplaint(1, 0, 4, 0)) for signer in SIGNERS
+            registry.link_seal(signer).sign(LComplaint(1, 0, 4, 0)) for signer in SIGNERS
         ),
         "Optional[Signature]": registry.sign(SIGNERS[0], "inner|digest"),
         "Certificate": _certificate(registry),
@@ -144,8 +144,10 @@ class TestLazyEqualsEager:
             and (spec.default is MISSING or getattr(message, spec.name) != spec.default)
             for spec in fields(message)
         )
-        lazy = registry.sign_message(SIGNERS[0], message)
+        envelope = Envelope(SIGNERS[0], message, registry.link_seal(SIGNERS[0]))
+        lazy = envelope.signature
         assert type(lazy) is MessageSignature and lazy.payload is message
+        assert envelope.signature is lazy  # materialised once, then kept
         assert registry.counters()["envelope_digests_read"] == 0
         eager = registry.sign(SIGNERS[0], message.digest())
         assert type(eager) is Signature
@@ -157,7 +159,7 @@ class TestLazyEqualsEager:
         assert hash(lazy) == hash(eager)
         assert repr(lazy) == repr(eager)
         assert lazy.token == eager.token
-        assert registry.verify(lazy)
+        assert registry.verify(lazy) and lazy.verified_by is registry
         # A certificate over the message digest takes either form.
         certificate = Certificate(message.digest())
         certificate.add(lazy)
@@ -177,7 +179,7 @@ class TestLazyEqualsEager:
         # The header and the departure notice leave fields at their
         # defaults, which the populated instances above never do.
         registry = _registry()
-        lazy = registry.sign_message(SIGNERS[0], message)
+        lazy = registry.link_seal(SIGNERS[0]).sign(message)
         eager = registry.sign(SIGNERS[0], message.digest())
         assert lazy == eager and lazy.digest == message.digest()
         assert registry.verify(lazy)
@@ -197,7 +199,7 @@ class TestLazyEqualsEager:
     def test_pickles_as_a_plain_materialised_signature(self, message_type):
         registry = _registry()
         message = _instance(message_type, registry)
-        lazy = registry.sign_message(SIGNERS[1], message)
+        lazy = registry.link_seal(SIGNERS[1]).sign(message)
         shipped = pickle.loads(pickle.dumps(lazy))
         assert type(shipped) is Signature
         assert shipped == lazy
@@ -228,13 +230,13 @@ class TestLazyEqualsEager:
 
     def test_unknown_signer_rejected(self):
         with pytest.raises(CryptoError):
-            _registry().sign_message("mallory", _instance(CORE_MESSAGE_TYPES[0], _registry()))
+            _registry().link_seal("mallory")
 
     def test_cross_registry_check_derives_the_digest_and_fails(self):
         # A second trust domain never answers from the memo: it reads token
         # and digest of the lazy signature and rejects it.
         ours, theirs = _registry(seed=3), _registry(seed=4)
-        lazy = ours.sign_message(SIGNERS[0], _instance(CORE_MESSAGE_TYPES[0], ours))
+        lazy = ours.link_seal(SIGNERS[0]).sign(_instance(CORE_MESSAGE_TYPES[0], ours))
         assert not theirs.verify(lazy)
         assert ours.counters()["envelope_digests_read"] == 1
         assert ours.verify(lazy) and lazy.verified_by is ours
@@ -244,8 +246,8 @@ class TestLazyEqualsEager:
         message = _instance(CORE_MESSAGE_TYPES[0], registry)
         before = registry.counters()
         registry.sign(SIGNERS[0], "d")
-        registry.sign_message(SIGNERS[0], message)
-        registry.sign_message(SIGNERS[1], message).digest
+        registry.link_seal(SIGNERS[0]).stamp().sign(message)
+        registry.link_seal(SIGNERS[1]).stamp().sign(message).digest
         after = registry.counters()
         assert {key: after[key] - before[key] for key in after} == {
             "signatures_minted": 1,
@@ -359,21 +361,6 @@ def _wired(names=("a", "b", "c")):
 
 
 class TestLinkSeal:
-    @pytest.mark.parametrize("message_type", MESSAGE_TYPES, ids=lambda cls: cls.__name__)
-    def test_sealed_signature_is_the_one_sign_message_makes(self, message_type):
-        registry = _registry()
-        message = _instance(message_type, registry)
-        envelope = Envelope(SIGNERS[0], message, registry.link_seal(SIGNERS[0]))
-        signature = envelope.signature
-        assert type(signature) is MessageSignature and signature.payload is message
-        assert registry.counters()["envelope_digests_read"] == 0
-        eager = registry.sign_message(SIGNERS[0], message)
-        assert signature == eager and eager == signature
-        assert hash(signature) == hash(eager)
-        assert repr(signature) == repr(eager)
-        assert signature == registry.sign(SIGNERS[0], message.digest())
-        assert registry.verify(signature) and signature.verified_by is registry
-
     def test_materialised_once_and_shared_by_a_fan_out(self):
         simulator, network, inboxes = _wired()
         AuthenticatedPerfectLink("a", network).send_many(["a", "b", "c"], LComplaint(1, 0, 4, 0))
@@ -393,7 +380,7 @@ class TestLinkSeal:
         envelope = Envelope(SIGNERS[1], message, registry.link_seal(SIGNERS[1]), 0.5, 300, 0.001)
         shipped = pickle.loads(pickle.dumps(envelope))
         assert type(shipped) is Envelope and type(shipped.signature) is Signature
-        assert shipped.signature == registry.sign_message(SIGNERS[1], message)
+        assert shipped.signature == registry.sign(SIGNERS[1], message.digest())
         assert shipped.signature.verified_by is None
         assert _registry().verify(shipped.signature)
         assert (shipped.sender, shipped.sent_at, shipped.size_bytes, shipped.processing) == (
@@ -417,9 +404,7 @@ class TestLinkSeal:
         simulator.run()
         assert network.registry.counters()["envelope_digests_read"] == 0
 
-    def test_unregistered_signer_has_no_seal(self):
-        with pytest.raises(CryptoError):
-            _registry().link_seal("mallory")
+    def test_an_unregistered_signer_has_no_link(self):
         simulator, network, _ = _wired()
         with pytest.raises(CryptoError):
             AuthenticatedPerfectLink("mallory", network)

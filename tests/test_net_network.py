@@ -160,7 +160,7 @@ class TestAuthentication:
         foreign.register("a")
         signature = {
             "forged": lambda: network.registry.forge("a", message.digest()),
-            "foreign-lazy": lambda: foreign.sign_message("a", message),
+            "foreign-lazy": lambda: foreign.link_seal("a").sign(message),
             "foreign-eager": lambda: foreign.sign("a", message.digest()),
         }[kind]()
         network.send("a", "b", message, signature)

@@ -268,6 +268,60 @@ class TestBundleVerdict:
         assert len(stage2.full) == 2
 
 
+class TestBundleVerdictOnAViewChange:
+    """A real replica's view changes start its bundle verdicts over.
+
+    ``bundle_valid`` keeps one token per remote cluster until the view
+    changes, so each path that changes a replica's view must drop it:
+    cluster 1 growing from four members to seven raises its quorum from
+    three to five, and a bundle signed by three must then fail in full.
+    """
+
+    JOINERS = ("c1/r4", "c1/r5", "c1/r6")
+
+    @pytest.fixture
+    def checker(self, monkeypatch):
+        deployment = helpers.small_deployment()
+        replica = deployment.replicas["c0/r0"]
+        for joiner in self.JOINERS:
+            deployment.registry.register(joiner)
+        full = []
+        original = replica_module.commit_digest
+        monkeypatch.setattr(
+            replica_module, "commit_digest", lambda *args: full.append(args) or original(*args)
+        )
+        members = replica.members(1)
+        bundle = _sealed_bundle(deployment.registry, members, members[:3])
+        assert replica.sharing.bundle_valid(1, 7, bundle)
+        assert replica.sharing.bundle_valid(1, 7, bundle)
+        assert len(full) == 1 and set(replica.sharing.check_tokens) == {1}
+        return SimpleNamespace(replica=replica, bundle=bundle, full=full)
+
+    def _assert_checked_in_full_at_five(self, checker):
+        replica, sharing = checker.replica, checker.replica.sharing
+        assert replica.members(1)[-3:] == self.JOINERS and 2 * replica.faults(1) + 1 == 5
+        assert sharing.check_tokens == {}
+        assert not sharing.bundle_valid(1, 7, checker.bundle)
+        assert not sharing.bundle_valid(1, 7, checker.bundle)
+        assert len(checker.full) == 3
+
+    def test_an_applied_join_drops_the_token(self, checker):
+        for joiner in self.JOINERS:
+            checker.replica.execution.apply_reconfig(1, join_request(joiner, 1, "us-west1"))
+            assert checker.replica.sharing.check_tokens == {}
+        self._assert_checked_in_full_at_five(checker)
+
+    def test_an_adopted_state_transfer_drops_the_token(self, checker):
+        replica = checker.replica
+        state = replica.execution.curr_state(replica.round_number + 1)
+        state.system_view[1] = state.system_view[1] + self.JOINERS
+        senders = [member for member in replica.local_members() if member != replica.process_id]
+        for sender in senders[: replica.local_faults() + 1]:
+            replica.requester.on_curr_state(sender, state)
+        assert replica.round_number == state.round_number
+        self._assert_checked_in_full_at_five(checker)
+
+
 def _collection_proof(network, recs, senders=("p0", "p1", "p2")):
     """Σ of cluster 0, round 1: ``senders`` each submitted ``recs``."""
     entries = tuple(
